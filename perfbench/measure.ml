@@ -26,7 +26,8 @@ let timed f =
    its own — eight independent integer mixing chains, throughput-bound
    like the hashing the workloads do, no library code, so no change to
    the program moves it — and scales the operation's wall time by
-   [reference_s] over that loop's time. A contended or quiet core
+   [reference_s] over that loop's time ([timed_ref] also times the loop
+   right after and takes the mean). A contended or quiet core
    stretches the loop and the operation alike; on a core running the
    loop in [reference_s] the scaled and raw times agree. *)
 let reference_s = 0.0008
@@ -56,13 +57,18 @@ let calibrate () =
   speed := reference_s /. List.nth (List.sort Float.compare loops) 1;
   speeds := !speed :: !speeds
 
-(* [timed_ref f] recalibrates, then runs [f]: its result and its wall
-   time at reference speed. Times measured inside [f] scale by
-   [!speed] too. *)
-let timed_ref f =
+(* [timed_ref f] runs [f] between two calibrations: its result and its
+   wall time at reference speed, by the mean of the two, as the host
+   speed can change during an operation of a few hundred milliseconds.
+   An operation that slows less than the loop when the host slows
+   scales by that speed to the power [sensitivity] instead. Times
+   measured inside [f] scale by [!speed], the first. *)
+let timed_ref ?(sensitivity = 1.) f =
   calibrate ();
+  let before = !speed in
   let r, dt = timed f in
-  (r, dt *. !speed)
+  calibrate ();
+  (r, dt *. (((before +. !speed) /. 2.) ** sensitivity))
 
 (* Median calibration of the last traced window: per-layer times read
    from spans and histograms are raw and scale by it. *)
@@ -140,6 +146,32 @@ let percentile xs q =
 let beyond n q = n - int_of_float (Float.ceil (q /. 100. *. float_of_int n))
 
 let ratio a b = if b = 0 then 0. else float_of_int a /. float_of_int b
+
+(* Set-up time at reference speed, summed over the [step]s of the
+   set-up running under [set_up]. *)
+let setup_total = ref 0.
+
+(* [step f] is one step of a set-up, timed between calibrations of its
+   own: a set-up of a second or more spans host speed changes that one
+   pair of calibrations around it would miss. *)
+let step f =
+  let r, dt = timed_ref f in
+  setup_total := !setup_total +. dt;
+  r
+
+(* [set_up ~reps f] runs the set-up [f], made of [step]s, [reps] times,
+   each from a fully collected heap with the previous result dropped, so
+   a later set-up does not pay for collecting an earlier one's world:
+   the last result and the median of the set-up times. *)
+let set_up ~reps f =
+  let rec go k times =
+    Gc.full_major ();
+    setup_total := 0.;
+    let r = f () in
+    let times = !setup_total :: times in
+    if k <= 1 then (r, median times) else go (k - 1) times
+  in
+  go reps []
 
 (* Runs [f] with the Zen_obs registry recording from zero, the layer
    accumulators and calibrations reset, then fixes [window_speed]. *)

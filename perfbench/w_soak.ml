@@ -27,9 +27,9 @@ let profile =
 type run = {
   setup_s : float;  (** call to the first phase line *)
   phase_s : float list;  (** previous line to each later phase line *)
-  remine_s : float list;
-      (** phase line to the reorg line that follows, per 1000 rolled-back
-          txs *)
+  remine_s : float;
+      (** phase line to the reorg line that follows, summed over the
+          run's reorgs, per 1000 rolled-back txs *)
   applied : int;  (** txs applied in the timed phases *)
   stats : Zen_sim.Workload.stats;
 }
@@ -61,7 +61,8 @@ let rolled_back_of line =
    calibration it triggers (and, once, the live-heap sample at the end of
    the first epoch, which fills [heap] when empty). An interval runs from
    one line's second stamp to the next line's first and is scaled by
-   the speed calibrated at its start. *)
+   the mean of the speeds calibrated at its start and right after its
+   end, as [Measure.timed_ref] does. *)
 type line = { arrived : float; left : float; speed : float; text : string }
 
 let run_once ?heap ~seed () =
@@ -92,25 +93,27 @@ let run_once ?heap ~seed () =
     | [] -> failwith "soak: no phase line"
   in
   let first, after = from_first lines in
-  let setup_s = (first.arrived -. t0) *. speed0 in
-  let phase_s = ref [] and remine_s = ref [] and applied = ref 0 in
+  let setup_s = (first.arrived -. t0) *. (speed0 +. first.speed) /. 2. in
+  let phase_s = ref [] and applied = ref 0 in
+  let remine_s = ref 0. and rolled_back = ref 0 in
   ignore
     (List.fold_left
        (fun prev l ->
-         let dt = (l.arrived -. prev.left) *. prev.speed in
+         let dt = (l.arrived -. prev.left) *. (prev.speed +. l.speed) /. 2. in
          if is_phase l then begin
            phase_s := dt :: !phase_s;
            applied := !applied + Option.value (applied_of l.text) ~default:0
          end
-         else if is_reorg l && is_phase prev then
-           remine_s :=
-             (dt *. 1000. /. float_of_int (rolled_back_of l.text)) :: !remine_s;
+         else if is_reorg l && is_phase prev then begin
+           remine_s := !remine_s +. dt;
+           rolled_back := !rolled_back + rolled_back_of l.text
+         end;
          l)
        first after);
   {
     setup_s;
     phase_s = !phase_s;
-    remine_s = !remine_s;
+    remine_s = !remine_s *. 1000. /. float_of_int (max 1 !rolled_back);
     applied = !applied;
     stats;
   }
@@ -189,7 +192,7 @@ let run ~seed ~seconds ~trace =
           ( "rate_per_s",
             float_of_int (List.fold_left (fun a r -> a + r.applied) 0 runs)
             /. List.fold_left ( +. ) 0. phase_s );
-          ("aux_p50_ms", 1000. *. M.median (List.concat_map (fun r -> r.remine_s) runs));
+          ("aux_p50_ms", 1000. *. M.median (List.map (fun r -> r.remine_s) runs));
         ];
     }
   end
@@ -223,7 +226,7 @@ let run ~seed ~seconds ~trace =
           ("poseidon.perms", per_op "crypto.poseidon.permutations");
           ("sha256.kib", per_op "crypto.sha256.bytes" /. 1024.);
           ( "workload.remine_ms",
-            1000. *. M.median (List.concat_map (fun r -> r.remine_s) traced) );
+            1000. *. M.median (List.map (fun r -> r.remine_s) traced) );
           ("workload.rollback_ratio", M.ratio rolled applied_all);
           ("workload.skip_ratio", M.ratio (skips all) (attempts all));
           ("smt.update_batch_us_per_leaf", smt_probe ());

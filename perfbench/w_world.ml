@@ -2,7 +2,7 @@
    interleaved as in the paper's Figs. 1 and 3.
 
    Three Latus sidechains share one circuit family (epoch_len 6,
-   submit_len 5) on a 2-domain pool, with certificate aggregation, the
+   submit_len 5) on a 1-domain pool, with certificate aggregation, the
    verifier cache and pipelined proving on. One round: mine an MC
    block, inject 0-3 seeded transactions per sidechain, then forge,
    pump and certify each sidechain; every [reorg_every]-th round also
@@ -15,6 +15,9 @@ open Zendoo
 module H = Zen_sim.Harness
 module M = Measure
 
+(* One domain: on a 2-vCPU box with steal time, 2-domain round p50s
+   spread 0.31 across five seeds (0.04 on one domain), as a stolen vCPU
+   stalled the background proofs a round then waits for. *)
 let domains = 1
 let sidechains = 3
 let epoch_len = 6
@@ -34,17 +37,23 @@ type world = { h : H.t; scs : (H.sidechain * Sc_wallet.t array) list }
 
 let addr w = List.hd (Sc_wallet.addresses w)
 
+(* The set-up is timed in steps (see [Measure.step]). *)
 let setup ~seed =
   Verifier.Cache.set_enabled true;
   Verifier.Cache.clear ();
   let pool = Pool.get ~domains in
-  let family = Circuits.make Params.default in
+  let family = M.step (fun () -> Circuits.make Params.default) in
   let h =
-    H.create ~pool ~aggregate:true ~pipeline:true ~seed:"perfbench.world" ()
+    M.step (fun () ->
+        let h =
+          H.create ~pool ~aggregate:true ~pipeline:true ~seed:"perfbench.world" ()
+        in
+        H.fund h ~blocks:5;
+        h)
   in
-  H.fund h ~blocks:5;
   let scs =
     List.init sidechains (fun i ->
+        M.step @@ fun () ->
         let name = Printf.sprintf "sc%d" i in
         match
           H.add_latus h ~name ~family ~epoch_len ~submit_len
@@ -69,6 +78,7 @@ let setup ~seed =
     (fun ((sc : H.sidechain), wallets) ->
       Array.iteri
         (fun j wallet ->
+          M.step @@ fun () ->
           let a = addr wallet in
           match
             H.forward_transfer h sc ~receiver:a ~payback:a
@@ -78,7 +88,7 @@ let setup ~seed =
           | Error e -> failwith ("world setup: " ^ e))
         wallets)
     scs;
-  H.tick h;
+  M.step (fun () -> H.tick h);
   { h; scs }
 
 type tally = {
@@ -301,9 +311,7 @@ let all_certified w =
     w.scs
 
 let run ~seed ~seconds ~trace =
-  let setups = List.init setup_reps (fun _ -> M.timed_ref (fun () -> setup ~seed)) in
-  let w = fst (List.nth setups (setup_reps - 1)) in
-  let setup_s = M.median (List.map snd setups) in
+  let w, setup_s = M.set_up ~reps:setup_reps (fun () -> setup ~seed) in
   let rng_root = Rng.create seed in
   let t = tally () in
   let pinned = ref true in
@@ -408,8 +416,6 @@ let run ~seed ~seconds ~trace =
           ("r1cs.constraint_evals", per_op "snark.r1cs.constraint_evals");
           ("recursive.merges", per_op "snark.merges");
           ("recursive.merge_ms", M.hist_mean_ms "snark.merge.seconds");
-          ("pool.busy_ratio", M.pool_busy_ratio ());
-          ("pool.steals", per_op "pool.steals");
           ("verifier.cache_hit_ratio", M.cache_hit_ratio ());
           ("verifier.verify_ms", M.hist_mean_ms "mc.verify.seconds");
           ( "pipeline.carry_merges",
