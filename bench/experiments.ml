@@ -776,9 +776,11 @@ let e12_wire_sizes () =
 let e13_prover_pool () =
   Util.header "E13 prover-pool (§5.4.1)"
     "Real multicore epoch proving: an epoch's base proofs are generated\n\
-     by a Domain pool and merged level-parallel into the Fig. 11 epoch\n\
-     proof. Wall-clock is measured, not simulated; outputs are checked\n\
-     byte-identical against the 1-domain run.";
+     as Domain-pool futures and folded, in step order, into the Fig. 11\n\
+     epoch proof while later steps are still proving\n\
+     (Prover_pool.prove_and_merge). Wall-clock is measured, not\n\
+     simulated; outputs are checked byte-identical against the 1-domain\n\
+     run.";
   let params = Params.default in
   let family = Circuits.make params in
   let rsys =
@@ -794,12 +796,11 @@ let e13_prover_pool () =
   let run pool =
     let t0 = Unix.gettimeofday () in
     Util.handicap_pause ();
-    let proofs, stats =
+    let proofs, stats, top =
       Result.get_ok
-        (Prover_pool.prove_epoch ~pool family ~initial:st ~steps
+        (Prover_pool.prove_and_merge ~pool family rsys ~initial:st ~steps
            ~workers:(Zen_crypto.Pool.domains pool) ~seed:77)
     in
-    let top = Result.get_ok (Prover_pool.merge_all ~pool family rsys proofs) in
     let total = Unix.gettimeofday () -. t0 in
     let fingerprint =
       Hash.tagged "e13.run"
@@ -822,7 +823,7 @@ let e13_prover_pool () =
         [
           string_of_int domains;
           Util.pp_seconds stats.Prover_pool.total_work;
-          Util.pp_seconds stats.Prover_pool.wall;
+          Printf.sprintf "%.2f" stats.Prover_pool.concurrency;
           Util.pp_seconds total;
           Printf.sprintf "%.2fx" (base_total /. total);
           (if Hash.equal fp base_fp then "yes" else "NO");
@@ -832,12 +833,13 @@ let e13_prover_pool () =
   Util.table
     ~columns:
       [
-        "domains"; "task work"; "prove wall"; "prove+merge wall";
-        "speedup"; "identical";
+        "domains"; "task work"; "concurrency"; "prove+merge wall"; "speedup";
+        "identical";
       ]
     rows;
   Util.note
-    "32-step epoch; speedup = 1-domain prove+merge wall / this run's.\n\
+    "32-step epoch; speedup = 1-domain prove+merge wall / this run's;\n\
+     concurrency = task work / pipelined prove+merge wall.\n\
      Pools come from the process-wide registry (Pool.get): spawned once\n\
      per domain count, reused across rows, spawn cost outside the timed\n\
      sections. Domain.recommended_domain_count on this machine: %d\n\
@@ -854,6 +856,9 @@ let e14_fault_storm () =
      certified) degrades gracefully and proof bytes never change.";
   let params = Params.default in
   let family = Circuits.make params in
+  let rsys =
+    Zen_snark.Recursive.create ~name:"e14" ~base_vks:(Circuits.base_vks family)
+  in
   let ticks = 24 and epoch_len = 4 and submit_len = 5 in
   let st = Sc_state.create params in
   let steps =
@@ -864,8 +869,8 @@ let e14_fault_storm () =
   in
   let episode fl =
     Result.get_ok
-      (Prover_pool.prove_epoch ~faults:fl family ~initial:st ~steps ~workers:4
-         ~seed:42)
+      (Prover_pool.prove_and_merge ~faults:fl family rsys ~initial:st ~steps
+         ~workers:4 ~seed:42)
   in
   let digest proofs =
     Hash.tagged "e14.run"
@@ -873,7 +878,10 @@ let e14_fault_storm () =
          (fun tp -> Zen_snark.Backend.proof_encode tp.Prover_pool.proof)
          proofs)
   in
-  let clean_digest = digest (fst (episode [])) in
+  let clean_digest =
+    let proofs, _, _ = episode [] in
+    digest proofs
+  in
   let rows =
     List.map
       (fun intensity ->
@@ -901,7 +909,7 @@ let e14_fault_storm () =
             (fun e -> Zen_sim.Faults.prover_faults faults ~epoch:e)
             (List.init (ticks / epoch_len) Fun.id)
         in
-        let proofs, stats = episode worker_faults in
+        let proofs, stats, _ = episode worker_faults in
         [
           string_of_int intensity;
           string_of_int (List.length plan);
@@ -1119,14 +1127,21 @@ let e15_mc_scale () =
 
 let e16_template () =
   Util.header "E16 template-cache (compile-once circuits)"
-    "Epoch proving with per-prove circuit re-synthesis (legacy path,\n\
-     --no-template-cache) versus compile-once templates: each family's\n\
+    "Epoch proving through the re-synthesis reference family\n\
+     (Circuits.make_resynth: every prove re-synthesizes and re-digests\n\
+     its circuit) versus compile-once templates (Circuits.make): each\n\
      circuit is synthesized and SHA-digested once at startup, and every\n\
      prove afterwards only runs the witness generator against the\n\
-     compiled CSR matrices. Proof bytes are checked identical across\n\
-     every configuration.";
+     compiled CSR matrices. Both prove and merge the epoch with\n\
+     Prover_pool.prove_and_merge. Proof bytes are checked identical\n\
+     across every configuration.";
   let params = Params.default in
-  let family = Circuits.make params in
+  let template = Circuits.make params in
+  let resynth = Circuits.make_resynth params in
+  let rsys =
+    Zen_snark.Recursive.create ~name:"e16"
+      ~base_vks:(Circuits.base_vks template)
+  in
   let st = Sc_state.create params in
   let n_steps = 64 in
   (* Slots are nonce-derived; skip the occasional nonce whose slot is
@@ -1146,63 +1161,50 @@ let e16_template () =
     gen st [] 0 n_steps
   in
   let finalizes = Zen_obs.Counter.make "snark.r1cs.finalize" in
-  let hits = Zen_obs.Counter.make "latus.template.hits" in
-  let misses = Zen_obs.Counter.make "latus.template.misses" in
-  (* One timed epoch: [templates] is set before the pool touches it and
-     read-only while the workers run. Counter deltas are recorded inside
-     Registry.with_enabled so the finalize/hit columns reflect exactly
-     this epoch's proves. *)
-  let run ~templates pool =
-    Circuits.set_use_templates templates;
+  (* One timed epoch. The finalize delta is recorded inside
+     Registry.with_enabled so the column reflects exactly this epoch's
+     proves. *)
+  let run family pool =
     Zen_obs.Registry.with_enabled @@ fun () ->
-    let snap () =
-      ( Zen_obs.Counter.value finalizes,
-        Zen_obs.Counter.value hits,
-        Zen_obs.Counter.value misses )
-    in
-    let fin0, hit0, mis0 = snap () in
+    let fin0 = Zen_obs.Counter.value finalizes in
     let t0 = Unix.gettimeofday () in
     Util.handicap_pause ();
-    let proofs, _ =
+    let proofs, _, top =
       match
-        Prover_pool.prove_epoch ~pool family ~initial:st ~steps
+        Prover_pool.prove_and_merge ~pool family rsys ~initial:st ~steps
           ~workers:(Zen_crypto.Pool.domains pool) ~seed:16
       with
       | Ok r -> r
-      | Error e -> failwith ("e16 prove_epoch: " ^ e)
+      | Error e -> failwith ("e16 prove_and_merge: " ^ e)
     in
     let wall = Unix.gettimeofday () -. t0 in
-    let fin1, hit1, mis1 = snap () in
+    let fin = Zen_obs.Counter.value finalizes - fin0 in
     let fingerprint =
       Hash.tagged "e16.run"
-        (List.map
-           (fun tp -> Zen_snark.Backend.proof_encode tp.Prover_pool.proof)
-           proofs)
+        (Zen_snark.Backend.proof_encode (Zen_snark.Recursive.final_proof top)
+        :: List.map
+             (fun tp -> Zen_snark.Backend.proof_encode tp.Prover_pool.proof)
+             proofs)
     in
-    (wall, fin1 - fin0, hit1 - hit0, mis1 - mis0, fingerprint)
+    (wall, fin, fingerprint)
   in
   (* Warm-up epoch (untimed): first-touch costs land here, not in the
      baseline row. *)
-  ignore (run ~templates:true Zen_crypto.Pool.sequential);
-  let base = run ~templates:false Zen_crypto.Pool.sequential in
-  let (base_wall, _, _, _, base_fp) = base in
+  ignore (run template Zen_crypto.Pool.sequential);
+  let base = run resynth Zen_crypto.Pool.sequential in
+  let base_wall, _, base_fp = base in
   let identical_all = ref true in
   let rows =
     List.concat_map
       (fun domains ->
-        let at pool =
-          let off =
-            if domains = 1 then base else run ~templates:false pool
-          in
-          let on_ = run ~templates:true pool in
-          (off, on_)
+        let pool =
+          if domains = 1 then Zen_crypto.Pool.sequential
+          else Zen_crypto.Pool.get ~domains
         in
-        let (off, on_) =
-          if domains = 1 then at Zen_crypto.Pool.sequential
-          else at (Zen_crypto.Pool.get ~domains)
-        in
+        let off = if domains = 1 then base else run resynth pool in
+        let on_ = run template pool in
         List.map
-          (fun (label, (wall, fin, hit, mis, fp)) ->
+          (fun (label, (wall, fin, fp)) ->
             let identical = Hash.equal fp base_fp in
             if not identical then identical_all := false;
             [
@@ -1211,30 +1213,28 @@ let e16_template () =
               Util.pp_seconds wall;
               Printf.sprintf "%.0f" (float_of_int n_steps /. wall);
               string_of_int fin;
-              string_of_int hit;
-              string_of_int mis;
               Printf.sprintf "%.2fx" (base_wall /. wall);
               (if identical then "yes" else "NO");
             ])
           [ ("re-synthesis", off); ("template", on_) ])
       [ 1; 2; 4 ]
   in
-  Circuits.set_use_templates true;
   Util.table
     ~columns:
       [
-        "domains"; "prover"; "epoch wall"; "steps/s"; "finalizes"; "tpl hits";
-        "tpl misses"; "speedup"; "identical";
+        "domains"; "prover"; "epoch wall"; "steps/s"; "finalizes"; "speedup";
+        "identical";
       ]
     rows;
   Util.note
     "proof bytes identical across all configurations: %b\n\
-     64-step epoch; speedup is against re-synthesis at 1 domain.\n\
-     finalizes counts R1cs circuit synthesis+digest runs during the\n\
-     epoch: one per proved step on the legacy path, zero on the\n\
-     template path (templates compile before the timed section).\n\
+     64-step epoch, proven and merged; speedup is against re-synthesis\n\
+     at 1 domain. finalizes counts R1cs circuit synthesis+digest runs\n\
+     during the epoch: the fold's 63 merges run one each in every\n\
+     configuration, and the re-synthesis family adds one per proved\n\
+     step (the templates compile before the timed section).\n\
      Multi-domain rows run on the persistent registry pool (Pool.get,\n\
-     spawned once, cost-hinted chunking); recommended_domain_count\n\
+     spawned once, one future per step); recommended_domain_count\n\
      here: %d.\n"
     !identical_all
     (Zen_crypto.Pool.recommended_domains ())

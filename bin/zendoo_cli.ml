@@ -93,10 +93,8 @@ let attach_workload h ~workload ~seed =
   | Some profile -> Zen_sim.Harness.set_workload h ~profile ~seed
 
 let simulate seed ticks epoch_len submit_len fts withhold sidechains domains
-    aggregate no_pipeline workload no_cache no_template_cache metrics trace_out
-    report =
+    aggregate workload no_cache metrics trace_out report =
   with_obs ~metrics ~trace_out ~report @@ fun () ->
-  Circuits.set_use_templates (not no_template_cache);
   if sidechains < 1 then begin
     Printf.eprintf "error: --sidechains must be at least 1\n";
     1
@@ -111,10 +109,7 @@ let simulate seed ticks epoch_len submit_len fts withhold sidechains domains
     (* The process-wide persistent pool: spawned once, reused by every
        operation in the run, joined by the registry's at_exit hook. *)
     let pool = Pool.get ~domains:(resolve_domains domains) in
-    let h =
-      Zen_sim.Harness.create ~pool ~aggregate ~pipeline:(not no_pipeline) ~seed
-        ()
-    in
+    let h = Zen_sim.Harness.create ~pool ~aggregate ~seed () in
     Zen_sim.Harness.fund h ~blocks:5;
     let family = Circuits.make Params.default in
     match register_sidechains h ~n:sidechains ~family ~epoch_len ~submit_len with
@@ -218,10 +213,8 @@ let keys mst_depth =
 
 (* ---- prove ---- *)
 
-let prove steps domains workers mst_depth seed no_pipeline no_template_cache
-    metrics trace_out report =
+let prove steps domains workers mst_depth seed metrics trace_out report =
   with_obs ~metrics ~trace_out ~report @@ fun () ->
-  Circuits.set_use_templates (not no_template_cache);
   let params = { Params.default with mst_depth } in
   if steps < 1 then begin
     Printf.eprintf "error: --steps must be at least 1\n";
@@ -254,25 +247,10 @@ let prove steps domains workers mst_depth seed no_pipeline no_template_cache
     in
     let pool = Pool.get ~domains in
     let t0 = Unix.gettimeofday () in
-    (* Both paths print the same fields from the same data: the proof
-       digest line is byte-identical with or without --no-pipeline (CI
-       compares the two). *)
-    let outcome =
-      if no_pipeline then
-        match
-          Prover_pool.prove_epoch ~pool family ~initial:st ~steps:workload
-            ~workers ~seed
-        with
-        | Error e -> Error e
-        | Ok (proofs, stats) -> (
-          match Prover_pool.merge_all ~pool family rsys proofs with
-          | Error e -> Error e
-          | Ok top -> Ok (proofs, stats, top))
-      else
-        Prover_pool.prove_and_merge ~pool family rsys ~initial:st
-          ~steps:workload ~workers ~seed
-    in
-    (match outcome with
+    (match
+       Prover_pool.prove_and_merge ~pool family rsys ~initial:st
+         ~steps:workload ~workers ~seed
+     with
     | Error e ->
       Printf.eprintf "error: %s\n" e;
       1
@@ -313,10 +291,8 @@ let prove steps domains workers mst_depth seed no_pipeline no_template_cache
    function of (seed, plan): no wall-clock values, no machine state.
    CI runs the command twice and byte-compares the logs. *)
 let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
-    no_pipeline workload intensity plan_str log_out no_template_cache metrics
-    trace_out report =
+    workload intensity plan_str log_out metrics trace_out report =
   with_obs ~metrics ~trace_out ~report @@ fun () ->
-  Circuits.set_use_templates (not no_template_cache);
   if sidechains < 1 then begin
     Printf.eprintf "error: --sidechains must be at least 1\n";
     1
@@ -349,8 +325,7 @@ let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
     let faults = Zen_sim.Faults.create ~seed plan in
     let pool = Pool.get ~domains:(resolve_domains domains) in
     let h =
-      Zen_sim.Harness.create ~pool ~aggregate ~pipeline:(not no_pipeline)
-        ~faults
+      Zen_sim.Harness.create ~pool ~aggregate ~faults
         ~seed:(Printf.sprintf "chaos.%d" seed) ()
     in
     Zen_sim.Harness.fund h ~blocks:5;
@@ -379,6 +354,10 @@ let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
       (* A small §5.4.1 proving episode under the plan's epoch-0 worker
          faults, digest-compared against the fault-free run: crashes
          must change scheduling, never proof bytes. *)
+      let rsys =
+        Zen_snark.Recursive.create ~name:"chaos"
+          ~base_vks:(Circuits.base_vks family)
+      in
       let episode fl =
         let st = Sc_state.create Params.default in
         let workload =
@@ -389,8 +368,8 @@ let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
                    ~amount:(Amount.of_int_exn (i + 1))
                    ~nonce:(Hash.of_string (Printf.sprintf "chaos-%d-%d" seed i))))
         in
-        Prover_pool.prove_epoch ~faults:fl family ~initial:st ~steps:workload
-          ~workers:4 ~seed
+        Prover_pool.prove_and_merge ~faults:fl family rsys ~initial:st
+          ~steps:workload ~workers:4 ~seed
       in
       let digest proofs =
         Hash.to_hex
@@ -415,7 +394,7 @@ let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
       in
       let retries, identical =
         match (episode worker_faults, episode []) with
-        | Ok (faulted, stats), Ok (clean, _) ->
+        | Ok (faulted, stats, _), Ok (clean, _, _) ->
           (stats.Prover_pool.retries, digest faulted = digest clean)
         | Error _, _ | _, Error _ -> (-1, false)
       in
@@ -463,13 +442,10 @@ let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
 (* Run the Zen_sim.Workload engine standalone: hundreds of thousands
    of state transitions per simulated epoch against the batched state
    layer, no SNARKs in the loop. Everything written to --log-out is a
-   pure function of (seed, profile, switches-that-don't-matter): CI
-   replays the command and byte-compares, and also compares
-   --no-batch / --no-snapshots logs against the default run. Perf
-   numbers (wall clock, throughput, heap) go to stdout only. *)
-let soak profile_str seed no_batch no_snapshots _no_pipeline log_out metrics
-    trace_out
-    report =
+   pure function of (seed, profile): CI replays the command and
+   byte-compares. Perf numbers (wall clock, throughput, heap) go to
+   stdout only. *)
+let soak profile_str seed log_out metrics trace_out report =
   with_obs ~metrics ~trace_out ~report @@ fun () ->
   match Zen_sim.Workload.of_string profile_str with
   | Error e ->
@@ -481,10 +457,7 @@ let soak profile_str seed no_batch no_snapshots _no_pipeline log_out metrics
       Buffer.add_string buf line;
       Buffer.add_char buf '\n'
     in
-    match
-      Zen_sim.Workload.run ~batched:(not no_batch)
-        ~snapshots:(not no_snapshots) ~log ~seed profile
-    with
+    match Zen_sim.Workload.run ~log ~seed profile with
     | Error e ->
       Printf.eprintf "error: %s\n" e;
       1
@@ -498,13 +471,12 @@ let soak profile_str seed no_batch no_snapshots _no_pipeline log_out metrics
         log_out;
       (* Not in the log: wall clock and heap vary run to run. *)
       Printf.printf
-        "soak %s: %d txs in %.2f s (%.0f tx/s) | peak heap %d words | \
-         batched %b | snapshots %b\n"
+        "soak %s: %d txs in %.2f s (%.0f tx/s) | peak heap %d words\n"
         (Zen_sim.Workload.to_string stats.Zen_sim.Workload.profile)
         stats.Zen_sim.Workload.applied stats.Zen_sim.Workload.wall_s
         (float_of_int stats.Zen_sim.Workload.applied
         /. Float.max 1e-9 stats.Zen_sim.Workload.wall_s)
-        stats.Zen_sim.Workload.peak_words (not no_batch) (not no_snapshots);
+        stats.Zen_sim.Workload.peak_words;
       0)
 
 (* ---- cmdliner wiring ---- *)
@@ -552,17 +524,6 @@ let aggregate_t =
            regardless of sidechain count. Decisions and logs are identical \
            either way.")
 
-let no_pipeline_t =
-  Arg.(
-    value & flag
-    & info [ "no-pipeline" ]
-        ~doc:
-          "Disable pipelined epoch proving: prove every transition \
-           synchronously on the forge path and fold the whole epoch's \
-           merge tree at certify time (the pre-pipeline behaviour). \
-           Certificates, decisions and logs are byte-identical either \
-           way; only latency moves.")
-
 let no_cache_t =
   Arg.(
     value & flag
@@ -571,15 +532,6 @@ let no_cache_t =
           "Disable the mainchain verification cache (every duplicate \
            submission, mempool re-check and reorg replay re-runs SNARK \
            verification). Decisions are identical either way.")
-
-let no_template_cache_t =
-  Arg.(
-    value & flag
-    & info [ "no-template-cache" ]
-        ~doc:
-          "Disable compile-once circuit templates (every prove \
-           re-synthesizes and re-digests its circuit before proving). \
-           Proof bytes are identical either way.")
 
 let metrics_t =
   Arg.(
@@ -627,8 +579,8 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run a mainchain + Latus sidechain world")
     Term.(
       const simulate $ seed_t $ ticks $ epoch_len $ submit_len $ fts $ withhold
-      $ sidechains_t $ domains_t $ aggregate_t $ no_pipeline_t $ workload_t
-      $ no_cache_t $ no_template_cache_t $ metrics_t $ trace_out_t $ report_t)
+      $ sidechains_t $ domains_t $ aggregate_t $ workload_t $ no_cache_t
+      $ metrics_t $ trace_out_t $ report_t)
 
 let schedule_cmd =
   let start = Arg.(value & opt int 100 & info [ "start" ] ~doc:"Activation height.") in
@@ -667,8 +619,8 @@ let prove_cmd =
          "Prove one epoch on a multicore Domain pool and print measured \
           wall-clock stats")
     Term.(
-      const prove $ steps $ domains_t $ workers $ depth $ seed $ no_pipeline_t
-      $ no_template_cache_t $ metrics_t $ trace_out_t $ report_t)
+      const prove $ steps $ domains_t $ workers $ depth $ seed $ metrics_t
+      $ trace_out_t $ report_t)
 
 let chaos_cmd =
   let seed =
@@ -727,8 +679,8 @@ let chaos_cmd =
           replayable log")
     Term.(
       const chaos $ seed $ ticks $ epoch_len $ submit_len $ fts $ sidechains_t
-      $ domains_t $ aggregate_t $ no_pipeline_t $ workload_t $ intensity $ plan
-      $ log_out $ no_template_cache_t $ metrics_t $ trace_out_t $ report_t)
+      $ domains_t $ aggregate_t $ workload_t $ intensity $ plan $ log_out
+      $ metrics_t $ trace_out_t $ report_t)
 
 let soak_cmd =
   let profile =
@@ -742,33 +694,6 @@ let soak_cmd =
   let seed =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed.")
   in
-  let no_batch =
-    Arg.(
-      value & flag
-      & info [ "no-batch" ]
-          ~doc:
-            "Commit each phase with per-key MST updates instead of the \
-             merged-traversal batch path. Logs and digest are identical \
-             either way; only the wall clock moves.")
-  in
-  let no_snapshots =
-    Arg.(
-      value & flag
-      & info [ "no-snapshots" ]
-          ~doc:
-            "Roll reorgs back by replaying the epoch instead of restoring \
-             an O(1) copy-on-write checkpoint. Logs and digest are \
-             identical either way.")
-  in
-  let no_pipeline =
-    Arg.(
-      value & flag
-      & info [ "no-pipeline" ]
-          ~doc:
-            "Accepted for symmetry with $(b,simulate)/$(b,chaos): the \
-             state-layer soak does no proving, so the flag changes nothing. \
-             Logs and digest are identical either way.")
-  in
   let log_out =
     Arg.(
       value
@@ -776,7 +701,7 @@ let soak_cmd =
       & info [ "log-out" ] ~docv:"FILE"
           ~doc:
             "Also write the replayable run log to FILE (byte-identical for \
-             the same seed and profile, whatever the switches).")
+             the same seed and profile).")
   in
   Cmd.v
     (Cmd.info "soak"
@@ -784,8 +709,8 @@ let soak_cmd =
          "Drive the deterministic workload engine against the batched \
           state layer and print throughput")
     Term.(
-      const soak $ profile $ seed $ no_batch $ no_snapshots $ no_pipeline
-      $ log_out $ metrics_t $ trace_out_t $ report_t)
+      const soak $ profile $ seed $ log_out $ metrics_t $ trace_out_t
+      $ report_t)
 
 let () =
   let doc = "Zendoo cross-chain transfer protocol simulator" in

@@ -148,7 +148,8 @@ val map_list : t -> ?chunk:int -> ?cost:float -> ('a -> 'b) -> 'a list -> 'b lis
 
 (** {2 Single-task futures}
 
-    The building block of pipelined proving ([Zen_latus.Proof_pipeline]):
+    The building block of pipelined proving ([Zen_latus.Proof_pipeline]
+    and [Zen_latus.Prover_pool.prove_and_merge]):
     a one-shot task submitted now and forced later, so independent work
     (a base proof) can overlap with whatever the submitting domain does
     next (forging the following block). The execution site is decided

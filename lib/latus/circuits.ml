@@ -8,34 +8,16 @@ type keys = {
   constraints : int;
 }
 
-(* A compile-once circuit template: the R1CS shape (synthesized and
-   digested exactly once, at family creation) plus a witness generator
-   that re-runs the same gadget code in evaluation mode to fill the
-   assignment for concrete values. [prove_step] and friends go through
-   the template on every call, so the per-proof cost is field
-   arithmetic only — no constraint lists, no SHA-256 re-digesting. *)
-type 'v template = {
-  circuit : R1cs.circuit;
-  assign : 'v -> Fp.t array * Fp.t array;
+(* A compiled circuit: keys set up once, at family creation, from the
+   synthesized and digested R1CS shape, plus a witness generator that
+   fills the assignment for concrete values. On the production path
+   ([make]) the generator re-runs the gadget code in evaluation mode,
+   so the per-proof cost is field arithmetic only — no constraint
+   lists, no SHA-256 re-digesting. *)
+type 'v compiled = {
+  keys : keys;
+  assign : 'v -> (Fp.t array * Fp.t array, string) result;
 }
-
-(* The re-synthesis path is kept selectable so equivalence tests and
-   benchmarks can compare both pipelines byte for byte. Set it before
-   proving starts: the flag is read-only while a Domain pool is
-   running. *)
-let templates_enabled = ref true
-let set_use_templates b = templates_enabled := b
-let use_templates () = !templates_enabled
-
-let template_hits =
-  Zen_obs.Counter.make
-    ~help:"Proves served by a compiled circuit template (no re-synthesis)"
-    "latus.template.hits"
-
-let template_misses =
-  Zen_obs.Counter.make
-    ~help:"Proves that re-synthesized their circuit (template path disabled)"
-    "latus.template.misses"
 
 let bits_of_pos pos d = List.init d (fun i -> Fp.of_int ((pos lsr i) land 1))
 
@@ -87,11 +69,6 @@ let slot_write_body ~depth ~remove ctx v =
     (Gadget.poseidon2 ctx root_after acc)
     s_to
 
-let synth_slot_write ~name ~depth ~remove v =
-  let ctx = Gadget.create () in
-  slot_write_body ~depth ~remove ctx v;
-  Gadget.finalize ~name ctx
-
 (* ---- Backward-transfer accumulation circuit ---- *)
 
 type append_values = {
@@ -120,11 +97,6 @@ let append_body ctx v =
     (Gadget.poseidon2 ctx root acc1)
     s_to
 
-let synth_append ~name v =
-  let ctx = Gadget.create () in
-  append_body ctx v;
-  Gadget.finalize ~name ctx
-
 (* ---- Withdrawal-certificate binding circuit ---- *)
 
 type wcert_values = {
@@ -140,11 +112,6 @@ let wcert_body ctx v =
   let binding = Gadget.poseidon_hash ctx (public @ [ s_prev; s_last ]) in
   let binding_copy = Gadget.witness ctx (Gadget.value binding) in
   Gadget.assert_eq ~label:"wcert.binding" ctx binding binding_copy
-
-let synth_wcert ~name v =
-  let ctx = Gadget.create () in
-  wcert_body ctx v;
-  Gadget.finalize ~name ctx
 
 (* ---- BTR/CSW ownership circuit (§5.5.3.2) ---- *)
 
@@ -181,41 +148,40 @@ let ownership_body ~depth ctx v =
   Gadget.assert_eq ~label:"own.root" ctx root hist_root;
   Gadget.assert_eq ~label:"own.amount" ctx amt amount_pub
 
-let synth_ownership ~name ~depth v =
-  let ctx = Gadget.create () in
-  ownership_body ~depth ctx v;
-  Gadget.finalize ~name ctx
+(* ---- Compilation (once per family) ---- *)
 
-(* ---- Template compilation (once per family) ---- *)
-
-let template_of ~name body dummy =
+(* Synthesizes [body] once on dummy values and sets up its keys. With
+   [resynth] the witness generator runs full synthesis plus re-digest
+   on every prove and refuses a shape that diverged from the keys: the
+   reference the evaluation-mode generator is tested against. *)
+let compile ~resynth ~name body dummy =
   let ctx = Gadget.create () in
   body ctx dummy;
   let circuit, _, _ = Gadget.finalize ~name ctx in
-  let assign v =
-    let ctx = Gadget.create_eval () in
-    body ctx v;
-    Gadget.assignment ctx
+  let pk, vk = Backend.setup circuit in
+  let keys = { pk; vk; constraints = R1cs.num_constraints circuit } in
+  let assign =
+    if resynth then fun v ->
+      let ctx = Gadget.create () in
+      body ctx v;
+      let fresh, public, witness = Gadget.finalize ~name ctx in
+      if Hash.equal (R1cs.digest fresh) (R1cs.digest circuit) then Ok (public, witness)
+      else Error "circuit shape diverged from setup"
+    else fun v ->
+      let ctx = Gadget.create_eval () in
+      body ctx v;
+      Ok (Gadget.assignment ctx)
   in
-  { circuit; assign }
+  { keys; assign }
 
 type family = {
   params : Params.t;
-  remove_keys : keys;
-  insert_keys : keys;
-  append_keys : keys;
-  wcert : keys;
-  ownership : keys;
-  remove_tpl : slot_values template;
-  insert_tpl : slot_values template;
-  append_tpl : append_values template;
-  wcert_tpl : wcert_values template;
-  ownership_tpl : ownership_values template;
+  remove : slot_values compiled;
+  insert : slot_values compiled;
+  append : append_values compiled;
+  wcert : wcert_values compiled;
+  ownership : ownership_values compiled;
 }
-
-let keys_of circuit =
-  let pk, vk = Backend.setup circuit in
-  { pk; vk; constraints = R1cs.num_constraints circuit }
 
 let dummy_slot depth =
   {
@@ -229,20 +195,20 @@ let dummy_slot depth =
     s_to_v = Fp.zero;
   }
 
-let make params =
+let build ~resynth params =
   let depth = params.Params.mst_depth in
-  let remove_tpl =
-    template_of ~name:"latus.remove"
+  let remove =
+    compile ~resynth ~name:"latus.remove"
       (slot_write_body ~depth ~remove:true)
       (dummy_slot depth)
   in
-  let insert_tpl =
-    template_of ~name:"latus.insert"
+  let insert =
+    compile ~resynth ~name:"latus.insert"
       (slot_write_body ~depth ~remove:false)
       (dummy_slot depth)
   in
-  let append_tpl =
-    template_of ~name:"latus.append_bt" append_body
+  let append =
+    compile ~resynth ~name:"latus.append_bt" append_body
       {
         a_root = Fp.zero;
         a_acc0 = Fp.zero;
@@ -252,16 +218,16 @@ let make params =
         a_s_to = Fp.zero;
       }
   in
-  let wcert_tpl =
-    template_of ~name:"latus.wcert" wcert_body
+  let wcert =
+    compile ~resynth ~name:"latus.wcert" wcert_body
       {
         w_public = Array.make 5 Fp.zero;
         w_s_prev = Fp.zero;
         w_s_last = Fp.zero;
       }
   in
-  let ownership_tpl =
-    template_of ~name:"latus.ownership" (ownership_body ~depth)
+  let ownership =
+    compile ~resynth ~name:"latus.ownership" (ownership_body ~depth)
       {
         o_public = Array.make 5 Fp.zero;
         o_addr = Fp.zero;
@@ -272,135 +238,78 @@ let make params =
         o_root = Fp.zero;
       }
   in
-  {
-    params;
-    remove_keys = keys_of remove_tpl.circuit;
-    insert_keys = keys_of insert_tpl.circuit;
-    append_keys = keys_of append_tpl.circuit;
-    wcert = keys_of wcert_tpl.circuit;
-    ownership = keys_of ownership_tpl.circuit;
-    remove_tpl;
-    insert_tpl;
-    append_tpl;
-    wcert_tpl;
-    ownership_tpl;
-  }
+  { params; remove; insert; append; wcert; ownership }
 
-let base_vks f = [ f.remove_keys.vk; f.insert_keys.vk; f.append_keys.vk ]
-let wcert_keys f = f.wcert
-let ownership_keys f = f.ownership
+let make params = build ~resynth:false params
+let make_resynth params = build ~resynth:true params
+
+let base_vks f = [ f.remove.keys.vk; f.insert.keys.vk; f.append.keys.vk ]
+let wcert_keys f = f.wcert.keys
+let ownership_keys f = f.ownership.keys
 
 let step_keys f = function
-  | Sc_tx.Remove _ -> f.remove_keys
-  | Sc_tx.Insert _ -> f.insert_keys
-  | Sc_tx.Append_bt _ -> f.append_keys
+  | Sc_tx.Remove _ -> f.remove.keys
+  | Sc_tx.Insert _ -> f.insert.keys
+  | Sc_tx.Append_bt _ -> f.append.keys
 
 let ( let* ) = Result.bind
 
-let prove_with keys (circuit, public, witness) =
-  let expected = R1cs.digest (Backend.pk_circuit keys.pk) in
-  if not (Hash.equal (R1cs.digest circuit) expected) then
-    Error "circuit shape diverged from setup"
-  else
-    let* proof = Backend.prove keys.pk ~public ~witness in
-    Ok proof
+let prove_via c v =
+  let* public, witness = c.assign v in
+  Backend.prove c.keys.pk ~public ~witness
 
-(* The hot-path dispatcher: templates fill the assignment without
-   synthesis; the legacy branch re-synthesizes (and re-digests) for the
-   equivalence tests and benchmarks. [R1cs.same] compares digests
-   computed at compile time — the per-prove SHA-256 of the constraint
-   stream is gone. *)
-let prove_via keys tpl resynth v =
-  if !templates_enabled then begin
-    Zen_obs.Counter.incr template_hits;
-    if not (R1cs.same tpl.circuit (Backend.pk_circuit keys.pk)) then
-      Error "circuit template diverged from setup"
-    else begin
-      let public, witness = tpl.assign v in
-      Backend.prove keys.pk ~public ~witness
-    end
-  end
-  else begin
-    Zen_obs.Counter.incr template_misses;
-    prove_with keys (resynth v)
-  end
+(* The two slot-write directions share one witness shape. *)
+let prove_slot_write c (state : Sc_state.t) ~s_from_v ~mst_after utxo pos =
+  let siblings = Smt.proof_siblings (Mst.prove_slot state.mst pos) in
+  let s_to_v = Poseidon.hash2 (Mst.root mst_after) state.bt_acc in
+  let* proof =
+    prove_via c
+      {
+        acc = state.bt_acc;
+        addr = Hash.to_fp utxo.Utxo.addr;
+        amt = Amount.to_fp utxo.amount;
+        nonce = Hash.to_fp utxo.nonce;
+        pos;
+        siblings;
+        s_from_v;
+        s_to_v;
+      }
+  in
+  Ok (proof, c.keys.vk, s_from_v, s_to_v)
 
 let prove_step f (state : Sc_state.t) step =
-  let depth = f.params.Params.mst_depth in
   let s_from_v = Sc_state.hash state in
   match step with
   | Sc_tx.Remove utxo -> (
     match Mst.find_utxo state.mst utxo with
     | None -> Error "prove: utxo not in state"
     | Some pos ->
-      let siblings = Smt.proof_siblings (Mst.prove_slot state.mst pos) in
       let* mst_after, _ = Mst.remove state.mst utxo in
-      let s_to_v = Poseidon.hash2 (Mst.root mst_after) state.bt_acc in
-      let v =
-        {
-          acc = state.bt_acc;
-          addr = Hash.to_fp utxo.addr;
-          amt = Amount.to_fp utxo.amount;
-          nonce = Hash.to_fp utxo.nonce;
-          pos;
-          siblings;
-          s_from_v;
-          s_to_v;
-        }
-      in
-      let* proof =
-        prove_via f.remove_keys f.remove_tpl
-          (synth_slot_write ~name:"latus.remove" ~depth ~remove:true)
-          v
-      in
-      Ok (proof, f.remove_keys.vk, s_from_v, s_to_v))
+      prove_slot_write f.remove state ~s_from_v ~mst_after utxo pos)
   | Sc_tx.Insert utxo -> (
-    let pos = Utxo.position ~mst_depth:depth utxo in
+    let pos = Utxo.position ~mst_depth:f.params.Params.mst_depth utxo in
     match Mst.get state.mst pos with
     | Some _ -> Error "prove: slot occupied"
     | None ->
-      let siblings = Smt.proof_siblings (Mst.prove_slot state.mst pos) in
       let* mst_after, _ = Mst.insert state.mst utxo in
-      let s_to_v = Poseidon.hash2 (Mst.root mst_after) state.bt_acc in
-      let v =
-        {
-          acc = state.bt_acc;
-          addr = Hash.to_fp utxo.addr;
-          amt = Amount.to_fp utxo.amount;
-          nonce = Hash.to_fp utxo.nonce;
-          pos;
-          siblings;
-          s_from_v;
-          s_to_v;
-        }
-      in
-      let* proof =
-        prove_via f.insert_keys f.insert_tpl
-          (synth_slot_write ~name:"latus.insert" ~depth ~remove:false)
-          v
-      in
-      Ok (proof, f.insert_keys.vk, s_from_v, s_to_v))
+      prove_slot_write f.insert state ~s_from_v ~mst_after utxo pos)
   | Sc_tx.Append_bt bt ->
     let recv, amt = Backward_transfer.to_fp_pair bt in
     let acc1 = Sc_state.bt_acc_step state.bt_acc bt in
     let root = Mst.root state.mst in
     let s_to_v = Poseidon.hash2 root acc1 in
-    let v =
-      {
-        a_root = root;
-        a_acc0 = state.bt_acc;
-        a_recv = recv;
-        a_amt = amt;
-        a_s_from = s_from_v;
-        a_s_to = s_to_v;
-      }
-    in
     let* proof =
-      prove_via f.append_keys f.append_tpl
-        (synth_append ~name:"latus.append_bt")
-        v
+      prove_via f.append
+        {
+          a_root = root;
+          a_acc0 = state.bt_acc;
+          a_recv = recv;
+          a_amt = amt;
+          a_s_from = s_from_v;
+          a_s_to = s_to_v;
+        }
     in
-    Ok (proof, f.append_keys.vk, s_from_v, s_to_v)
+    Ok (proof, f.append.keys.vk, s_from_v, s_to_v)
 
 let prove_wcert_binding f ~quality ~bt_root ~end_prev_epoch ~end_epoch
     ~proofdata ~s_prev ~s_last =
@@ -410,9 +319,7 @@ let prove_wcert_binding f ~quality ~bt_root ~end_prev_epoch ~end_epoch
          ~end_prev_epoch ~end_epoch)
       [| Proofdata.root_fp proofdata |]
   in
-  prove_via f.wcert f.wcert_tpl
-    (synth_wcert ~name:"latus.wcert")
-    { w_public; w_s_prev = s_prev; w_s_last = s_last }
+  prove_via f.wcert { w_public; w_s_prev = s_prev; w_s_last = s_last }
 
 let prove_ownership f ~mst ~utxo ~reference_block ~receiver ~proofdata =
   match Mst.find_utxo mst utxo with
@@ -425,8 +332,7 @@ let prove_ownership f ~mst ~utxo ~reference_block ~receiver ~proofdata =
            ~nullifier:(Utxo.nullifier utxo) ~receiver ~amount:utxo.amount)
         [| Proofdata.root_fp proofdata |]
     in
-    prove_via f.ownership f.ownership_tpl
-      (synth_ownership ~name:"latus.ownership" ~depth:f.params.Params.mst_depth)
+    prove_via f.ownership
       {
         o_public;
         o_addr = Hash.to_fp utxo.addr;

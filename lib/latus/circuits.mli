@@ -36,18 +36,14 @@ val make : Params.t -> family
     Each circuit is compiled once into a template: the R1CS shape is
     synthesized and digested here, and every later prove only fills the
     witness assignment (evaluation-mode gadget run, no constraint
-    emission, no re-digesting). Proof bytes are bit-identical to the
-    re-synthesis path. *)
+    emission, no re-digesting). *)
 
-val set_use_templates : bool -> unit
-(** Selects the proving pipeline: [true] (the default) proves through
-    the compiled templates; [false] re-synthesizes the circuit on every
-    call — the legacy path, kept for equivalence tests and benchmarks.
-    Flip it only while no prover pool is running; the flag is read per
-    prove. Observable via the [latus.template.hits]/[.misses]
-    counters. *)
-
-val use_templates : unit -> bool
+val make_resynth : Params.t -> family
+(** The reference family: the same circuits and keys as {!make}, but
+    every prove re-synthesizes its circuit, re-digests it and refuses a
+    shape that diverged from the keys. Proof bytes equal {!make}'s for
+    every input; tests and experiment E16 prove through it to check
+    and to price the templates. *)
 
 val base_vks : family -> Backend.verification_key list
 (** The leaf verification keys for {!Zen_snark.Recursive.create}. *)

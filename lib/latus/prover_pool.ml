@@ -66,12 +66,10 @@ let snapshots initial steps =
     steps
   |> Result.map (fun (_, out) -> List.rev out)
 
-(* Shared body of one §5.4.1 proving task: honour the seeded dispatch
-   (re-dispatching away from crashed workers via the task's derived
-   rng), prove, spot-verify, account. Identical whether it runs inside
-   a chunked parallel map ([prove_epoch]) or as a future
-   ([prove_and_merge]) — which is what keeps the two paths
-   byte-identical. *)
+(* One §5.4.1 proving task: honour the seeded dispatch (re-dispatching
+   away from crashed workers via the task's derived rng), prove,
+   spot-verify, account. A pure function of its index, so it may run on
+   any domain. *)
 let run_task ~family ~fault_of ~crashed ~survivors ~attempt_budget ~rng
     ~assignment ~snaps index =
   let state, step = snaps.(index) in
@@ -155,62 +153,6 @@ let stats_of ~workers ~domains ~wall proofs =
           });
   }
 
-let prove_epoch ?(pool = Pool.sequential) ?(faults = []) ?(attempt_budget = 3)
-    family ~initial ~steps ~workers ~seed =
-  Zen_obs.Trace.with_span ~cat:"latus"
-    ~args:
-      [
-        ("steps", string_of_int (List.length steps));
-        ("domains", string_of_int (Pool.domains pool));
-        ("faults", string_of_int (List.length faults));
-      ]
-    "latus.prove_epoch"
-  @@ fun () ->
-  if attempt_budget < 1 then invalid_arg "Prover_pool.prove_epoch: attempt_budget";
-  let fault_of w = List.assoc_opt w faults in
-  let crashed w = fault_of w = Some Crash in
-  let survivors =
-    Array.init workers Fun.id |> Array.to_list
-    |> List.filter (fun w -> not (crashed w))
-    |> Array.of_list
-  in
-  let* () =
-    if workers > 0 && Array.length survivors = 0 then
-      Error "prover pool: no surviving workers (all crashed)"
-    else Ok ()
-  in
-  let rng = Rng.create seed in
-  let assignment = dispatch ~rng ~workers ~tasks:(List.length steps) in
-  let* snaps = snapshots initial steps in
-  let snaps = Array.of_list snaps in
-  let t0 = now () in
-  (* The parallel section: one heavyweight proving task per step, all
-     inputs captured above, nothing shared but immutable keys.
-     Randomness for re-dispatch after a crash comes from [Rng.derive]
-     per task index, so retries are reproducible and domain-safe
-     (§5.4.1's "the task would be re-dispatched" made concrete; a
-     dishonest worker's submission fails spot-verification and earns
-     nothing). *)
-  let results =
-    (* A template-cached base prove is ~2.5 ms: the cost hint keeps a
-       few chunks per domain for crash-retry skew while batching the
-       epoch enough that chunk sync stays amortized. *)
-    Pool.init_array pool ~cost:2.5 (Array.length snaps)
-      (run_task ~family ~fault_of ~crashed ~survivors ~attempt_budget ~rng
-         ~assignment ~snaps)
-  in
-  let wall = now () -. t0 in
-  (* Deterministic error selection: first failing step in epoch order. *)
-  let* proofs =
-    Array.fold_right
-      (fun r acc ->
-        let* out = acc in
-        let* tp = r in
-        Ok (tp :: out))
-      results (Ok [])
-  in
-  Ok (proofs, stats_of ~workers ~domains:(Pool.domains pool) ~wall proofs)
-
 let worker_costs_json stats =
   Zen_obs.Json.Arr
     (List.map
@@ -249,9 +191,9 @@ let prove_and_merge ?(pool = Pool.sequential) ?(faults = [])
       Error "prover pool: no surviving workers (all crashed)"
     else Ok ()
   in
-  (* The incentive layer is untouched: the dispatch is drawn from the
-     seeded rng before anything executes, exactly as in [prove_epoch],
-     so worker assignment, rewards and retries are byte-identical. *)
+  (* The incentive layer: the dispatch is drawn from the seeded rng
+     before anything executes, so worker assignment, rewards and
+     retries do not depend on scheduling. *)
   let rng = Rng.create seed in
   let assignment = dispatch ~rng ~workers ~tasks:(List.length steps) in
   let* snaps = snapshots initial steps in
@@ -260,9 +202,9 @@ let prove_and_merge ?(pool = Pool.sequential) ?(faults = [])
   (* Pipelined execution: every task is a future, so base proofs run
      concurrently while this domain folds finished ones — in index
      order — through the incremental merge tree. The tree shape (hence
-     the proof bytes) and the error selection (first failing index)
-     match [prove_epoch] + [merge_all] exactly; only scheduling and the
-     timing fields differ. *)
+     the proof bytes) is [Recursive.fold_balanced]'s and the reported
+     error is the first failing index, whatever the domain count; only
+     scheduling and the timing fields vary. *)
   let futures =
     Array.init (Array.length snaps) (fun index ->
         Pool.async pool (fun () ->
@@ -287,29 +229,3 @@ let prove_and_merge ?(pool = Pool.sequential) ?(faults = [])
   let* top = Recursive.Incremental.finish inc in
   let wall = now () -. t0 in
   Ok (proofs, stats_of ~workers ~domains:(Pool.domains pool) ~wall proofs, top)
-
-let merge_all ?(pool = Pool.sequential) _family rsys proofs =
-  Zen_obs.Trace.with_span ~cat:"latus"
-    ~args:[ ("proofs", string_of_int (List.length proofs)) ]
-    "latus.merge_all"
-  @@ fun () ->
-  (* Wrapping each base proof re-verifies it — constant-cost tasks,
-     mapped in parallel — then the log-depth merge tree parallelizes
-     per level inside [fold_balanced]. *)
-  let wrapped =
-    (* Wrapping re-verifies one base proof (~10 µs): batch coarsely. *)
-    Pool.map_array pool ~cost:0.01
-      (fun tp ->
-        Recursive.of_base rsys ~vk:tp.vk ~s_from:tp.s_from ~s_to:tp.s_to
-          ~extra:[||] tp.proof)
-      (Array.of_list proofs)
-  in
-  let* transitions =
-    Array.fold_right
-      (fun r acc ->
-        let* out = acc in
-        let* t = r in
-        Ok (t :: out))
-      wrapped (Ok [])
-  in
-  Recursive.fold_balanced ~pool rsys transitions

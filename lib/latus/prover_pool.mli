@@ -17,8 +17,9 @@
     - the {e hardware} layer — a {!Pool.t} of OCaml domains executes
       the tasks concurrently. The epoch's steps are first applied
       natively to capture each task's state snapshot — which is what
-      makes the tasks independent — then proven in parallel, each proof
-      spot-verified as it would be on submission.
+      makes the tasks independent — then proven as pool futures, each
+      proof spot-verified as it would be on submission and folded into
+      the epoch proof as soon as its predecessors are in.
 
     Every output (proof bytes, task order, rewards, error selection) is
     bit-identical for every domain count; only the wall-clock numbers in
@@ -58,7 +59,8 @@ type stats = {
   workers : int;  (** incentive-layer parties tasks were dispatched to *)
   domains : int;  (** hardware parallelism actually used *)
   total_work : float;  (** sum of per-task proving wall-clock *)
-  wall : float;  (** elapsed wall-clock of the parallel proving phase *)
+  wall : float;
+      (** elapsed wall-clock of the overlapped prove+merge phase *)
   concurrency : float;
       (** [total_work /. wall] — average number of tasks in flight.
           Not a speedup: on an oversubscribed machine per-task times
@@ -82,48 +84,10 @@ val dispatch : rng:Rng.t -> workers:int -> tasks:int -> int array
     {e before} any parallel execution (see the {!Rng} seeding
     discipline). *)
 
-val prove_epoch :
-  ?pool:Pool.t ->
-  ?faults:(int * worker_fault) list ->
-  ?attempt_budget:int ->
-  Circuits.family ->
-  initial:Sc_state.t ->
-  steps:Sc_tx.step list ->
-  workers:int ->
-  seed:int ->
-  (task_proof list * stats, string) result
-(** Proves every step of the epoch under a random dispatch, running the
-    proving tasks on [pool] (default {!Pool.sequential}, i.e. the plain
-    sequential path). The returned proofs are in step order and each
-    has been verified. On failure the reported error is the first
-    failing step in epoch order, independent of scheduling.
-
-    [faults] (worker id → fault, default none) injects §5.4.1 worker
-    misbehaviour deterministically: a [Crash]ed worker never returns
-    its tasks, so each is re-dispatched to a surviving worker — drawn
-    from [Rng.derive] of the task index, hence reproducible for every
-    domain count — burning one of [attempt_budget] attempts (default 3)
-    per try; [Slow] inflates the reported proving time without
-    affecting the result. Proof bytes, task order and error selection
-    are identical to the fault-free run — only [worker], [attempts],
-    [retries] and the timing fields change — so a certificate built
-    from a faulted epoch is byte-identical to the clean one. All
-    workers crashed, or a task exhausting its budget, is an [Error]. *)
-
 val worker_costs_json : stats -> Zen_obs.Json.t
 (** The {!stats.worker_costs} table as a JSON array
     ([{worker, busy_s, proofs, retries}] per worker) — the shape the
     CLI embeds under ["workers"] in a ["zen-report/1"] document. *)
-
-val merge_all :
-  ?pool:Pool.t ->
-  Circuits.family ->
-  Recursive.system ->
-  task_proof list ->
-  (Recursive.transition_proof, string) result
-(** Folds the dispatched proofs into the single epoch proof (Fig. 11):
-    base-proof wrapping is a parallel map, and each level of the merge
-    tree parallelizes via {!Recursive.fold_balanced}. *)
 
 val prove_and_merge :
   ?pool:Pool.t ->
@@ -136,13 +100,27 @@ val prove_and_merge :
   workers:int ->
   seed:int ->
   (task_proof list * stats * Recursive.transition_proof, string) result
-(** Pipelined {!prove_epoch} + {!merge_all}: every proving task becomes
-    a {!Pool.future}, and completed base proofs are folded — in step
+(** Proves every step of the epoch under a random dispatch and folds
+    the base proofs into the single epoch proof (Fig. 11). Every
+    proving task becomes a {!Pool.future} on [pool] (default
+    {!Pool.sequential}), and completed base proofs are folded — in step
     order — through {!Recursive.Incremental} while later tasks are
     still proving, so merging overlaps proving instead of waiting for
-    the last base proof. The incentive layer is untouched (the §5.4.1
-    dispatch is drawn from the seeded rng before execution): proofs,
-    rewards, retries, the final epoch proof's bytes and the error
-    selection are all byte-identical to the two-phase path for every
-    domain count; only [stats.wall] (which now covers the overlapped
-    prove+merge) and per-task timings differ. *)
+    the last base proof. The returned proofs are in step order and each
+    has been verified; the epoch proof's bytes equal
+    {!Recursive.fold_balanced} over the wrapped base proofs. On failure
+    the reported error is the first failing step in epoch order. All of
+    this is independent of the domain count: only [stats.wall] (the
+    overlapped prove+merge) and the per-task timings vary.
+
+    [faults] (worker id → fault, default none) injects §5.4.1 worker
+    misbehaviour deterministically: a [Crash]ed worker never returns
+    its tasks, so each is re-dispatched to a surviving worker — drawn
+    from [Rng.derive] of the task index, hence reproducible for every
+    domain count — burning one of [attempt_budget] attempts (default 3)
+    per try; [Slow] inflates the reported proving time without
+    affecting the result. Proof bytes, task order and error selection
+    are identical to the fault-free run — only [worker], [attempts],
+    [retries] and the timing fields change — so a certificate built
+    from a faulted epoch is byte-identical to the clean one. All
+    workers crashed, or a task exhausting its budget, is an [Error]. *)

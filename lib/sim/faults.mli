@@ -94,4 +94,4 @@ val skew_at : t -> tick:int -> int option
 
 val prover_faults : t -> epoch:int -> (int * Prover_pool.worker_fault) list
 (** Worker faults for that epoch, in the shape
-    {!Prover_pool.prove_epoch} takes as [?faults]. *)
+    {!Prover_pool.prove_and_merge} takes as [?faults]. *)

@@ -36,6 +36,10 @@ type workload_driver = {
   mutable wl_injected : int;
 }
 
+(* Certificate txids under fault management: a set, so membership is a
+   hash lookup instead of a list scan. *)
+type cert_set = (Hash.t, unit) Hashtbl.t
+
 type t = {
   mutable chain : Chain.t;
   mutable mempool : Mempool.t;
@@ -50,7 +54,7 @@ type t = {
   log : Zen_obs.Events.t;
   faults : Faults.t option;
   mutable pending_certs : (int * Tx.t) list;
-  mutable managed_certs : Hash.t list;
+  managed_certs : cert_set;
   scores : (string * int, score) Hashtbl.t;
   mutable reorgs : (int * int) list; (* (tick, depth), newest first *)
   mutable workload : workload_driver option;
@@ -79,7 +83,7 @@ let create ?(pow = Pow.trivial) ?(pool = Pool.sequential) ?(aggregate = false)
     log = Zen_obs.Events.create ();
     faults;
     pending_certs = [];
-    managed_certs = [];
+    managed_certs = Hashtbl.create 16;
     scores = Hashtbl.create 16;
     reorgs = [];
     workload = None;
@@ -133,10 +137,8 @@ let handle_outcome t = function
             match tx with
             | Tx.Certificate _ ->
               let id = Tx.txid tx in
-              if
-                Mempool.mem t.mempool id
-                && not (List.exists (Hash.equal id) t.managed_certs)
-              then t.managed_certs <- id :: t.managed_certs
+              if Mempool.mem t.mempool id then
+                Hashtbl.replace t.managed_certs id ()
             | _ -> ())
           b.txs)
       disconnected;
@@ -177,10 +179,9 @@ let mine t =
           match tx with
           | Tx.Certificate _ ->
             let id = Tx.txid tx in
-            if List.exists (Hash.equal id) t.managed_certs then begin
+            if Hashtbl.mem t.managed_certs id then begin
               t.mempool <- Mempool.remove t.mempool id;
-              t.managed_certs <-
-                List.filter (fun h -> not (Hash.equal h id)) t.managed_certs;
+              Hashtbl.remove t.managed_certs id;
               logf t "purged stale certificate from mempool"
             end
           | _ -> ())
@@ -468,11 +469,7 @@ let submit_certificate t sc =
          already accepted on another branch) it is purged — the node
          rebuilds and resubmits while the epoch is still certifiable,
          so nothing lingers in the mempool. *)
-      let manage () =
-        let id = Tx.txid cert_tx in
-        if not (List.exists (Hash.equal id) t.managed_certs) then
-          t.managed_certs <- id :: t.managed_certs
-      in
+      let manage () = Hashtbl.replace t.managed_certs (Tx.txid cert_tx) () in
       manage ();
       match cert_fault with
       | Some (f, epoch, Faults.Drop) ->

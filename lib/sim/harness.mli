@@ -34,6 +34,10 @@ type score = {
     [delayed] when postponed (its eventual delivery is not re-counted);
     [duplicated] counts the extra copies a [Duplicate] fault queued. *)
 
+type cert_set
+(** The harness's private bookkeeping of certificates it purges from
+    the mempool once the miner skips them as stale. *)
+
 type t = {
   mutable chain : Chain.t;
   mutable mempool : Mempool.t;
@@ -68,10 +72,7 @@ type t = {
   mutable pending_certs : (int * Tx.t) list;
       (** certificate submissions a Delay/Duplicate fault postponed:
           [(deliver_at_tick, tx)] *)
-  mutable managed_certs : Hash.t list;
-      (** certificate txids under fault management (reinjected by a
-          reorg or duplicated by a fault); when the miner skips one as
-          invalid it is purged from the mempool instead of lingering *)
+  managed_certs : cert_set;  (** internal to the harness *)
   scores : (string * int, score) Hashtbl.t;
       (** the flight recorder, keyed by (sidechain name, epoch) —
           filled lazily as certificate events happen *)

@@ -141,10 +141,6 @@ let num_vars c = c.n_vars
 let num_witness c = c.n_vars - 1 - c.n_public
 let digest c = c.digest
 
-(* Identity of finalized circuits: digests are computed once at
-   [finalize], so this never re-hashes anything. *)
-let same c1 c2 = c1 == c2 || Hash.equal c1.digest c2.digest
-
 let eval_lc z lc =
   List.fold_left (fun acc (coeff, v) -> Fp.add acc (Fp.mul coeff z.(v))) Fp.zero lc
 

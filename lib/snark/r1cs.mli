@@ -48,12 +48,6 @@ val num_vars : circuit -> int
 val digest : circuit -> Hash.t
 (** Collision-resistant identifier of the full constraint system. *)
 
-val same : circuit -> circuit -> bool
-(** Identity of finalized circuits: physical equality, falling back to
-    comparing the digests computed at {!finalize}. Never re-hashes the
-    constraints — this is the cheap check compile-once templates use in
-    place of re-synthesis on the prove hot path. *)
-
 val eval_lc : Fp.t array -> lc -> Fp.t
 
 val check : circuit -> Fp.t array -> (unit, string) result

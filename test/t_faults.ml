@@ -276,17 +276,28 @@ let pool_steps n tag =
            ~amount:(amount (i + 1))
            ~nonce:(Hash.of_string (Printf.sprintf "tf-%s-%d" tag i))))
 
+let rsys =
+  lazy
+    (Zen_snark.Recursive.create ~name:"t-faults"
+       ~base_vks:(Circuits.base_vks family))
+
+let prove ?faults ?attempt_budget ~steps ~workers () =
+  Prover_pool.prove_and_merge ?faults ?attempt_budget family (Lazy.force rsys)
+    ~initial:(Sc_state.create params) ~steps ~workers ~seed:9
+
+let same_proofs a b =
+  List.for_all2
+    (fun a b ->
+      String.equal
+        (Zen_snark.Backend.proof_encode a.Prover_pool.proof)
+        (Zen_snark.Backend.proof_encode b.Prover_pool.proof))
+    a b
+
 let test_prover_crash_retry () =
-  let st = Sc_state.create params in
   let steps = pool_steps 12 "crash" in
-  let clean, cstats =
-    ok (Prover_pool.prove_epoch family ~initial:st ~steps ~workers:4 ~seed:9)
-  in
-  let faulted, fstats =
-    ok
-      (Prover_pool.prove_epoch
-         ~faults:[ (2, Prover_pool.Crash) ]
-         family ~initial:st ~steps ~workers:4 ~seed:9)
+  let clean, cstats, ctop = ok (prove ~steps ~workers:4 ()) in
+  let faulted, fstats, ftop =
+    ok (prove ~faults:[ (2, Prover_pool.Crash) ] ~steps ~workers:4 ())
   in
   checki "clean run no retries" 0 cstats.Prover_pool.retries;
   checkb "crash forces retries" true (fstats.Prover_pool.retries > 0);
@@ -297,31 +308,16 @@ let test_prover_crash_retry () =
        (fun tp -> tp.Prover_pool.worker <> 2)
        faulted);
   (* proof bytes are unaffected by the crash — only scheduling moved *)
-  checkb "task proofs byte-identical" true
-    (List.for_all2
-       (fun a b ->
-         String.equal
-           (Zen_snark.Backend.proof_encode a.Prover_pool.proof)
-           (Zen_snark.Backend.proof_encode b.Prover_pool.proof))
-       clean faulted);
+  checkb "task proofs byte-identical" true (same_proofs clean faulted);
   (* ... and so is the folded epoch proof the certificate would carry *)
-  let rsys =
-    Zen_snark.Recursive.create ~name:"t-faults"
-      ~base_vks:(Circuits.base_vks family)
-  in
-  let final proofs =
-    Zen_snark.Backend.proof_encode
-      (Zen_snark.Recursive.final_proof
-         (ok (Prover_pool.merge_all family rsys proofs)))
+  let final top =
+    Zen_snark.Backend.proof_encode (Zen_snark.Recursive.final_proof top)
   in
   checkb "epoch proof byte-identical" true
-    (String.equal (final clean) (final faulted));
+    (String.equal (final ctop) (final ftop));
   (* replay: the same (seed, faults) reproduces the same schedule *)
-  let again, astats =
-    ok
-      (Prover_pool.prove_epoch
-         ~faults:[ (2, Prover_pool.Crash) ]
-         family ~initial:st ~steps ~workers:4 ~seed:9)
+  let again, astats, _ =
+    ok (prove ~faults:[ (2, Prover_pool.Crash) ] ~steps ~workers:4 ())
   in
   checki "same retries on replay" fstats.Prover_pool.retries
     astats.Prover_pool.retries;
@@ -331,37 +327,24 @@ let test_prover_crash_retry () =
        faulted again)
 
 let test_prover_crash_exhaustion () =
-  let st = Sc_state.create params in
   let steps = pool_steps 4 "dead" in
   checkb "all workers crashed" true
     (Result.is_error
-       (Prover_pool.prove_epoch
+       (prove
           ~faults:[ (0, Prover_pool.Crash); (1, Prover_pool.Crash) ]
-          family ~initial:st ~steps ~workers:2 ~seed:9));
+          ~steps ~workers:2 ()));
   (* budget 1 leaves no room to re-dispatch away from a crash *)
   checkb "attempt budget exhausted" true
     (Result.is_error
-       (Prover_pool.prove_epoch
-          ~faults:[ (0, Prover_pool.Crash) ]
-          ~attempt_budget:1 family ~initial:st ~steps ~workers:2 ~seed:9));
+       (prove ~faults:[ (0, Prover_pool.Crash) ] ~attempt_budget:1 ~steps
+          ~workers:2 ()));
   (* a slow worker changes nothing but timing *)
-  let slowed, sstats =
-    ok
-      (Prover_pool.prove_epoch
-         ~faults:[ (1, Prover_pool.Slow 9) ]
-         family ~initial:st ~steps ~workers:2 ~seed:9)
+  let slowed, sstats, _ =
+    ok (prove ~faults:[ (1, Prover_pool.Slow 9) ] ~steps ~workers:2 ())
   in
-  let clean, _ =
-    ok (Prover_pool.prove_epoch family ~initial:st ~steps ~workers:2 ~seed:9)
-  in
+  let clean, _, _ = ok (prove ~steps ~workers:2 ()) in
   checki "slow run no retries" 0 sstats.Prover_pool.retries;
-  checkb "slow proofs identical" true
-    (List.for_all2
-       (fun a b ->
-         String.equal
-           (Zen_snark.Backend.proof_encode a.Prover_pool.proof)
-           (Zen_snark.Backend.proof_encode b.Prover_pool.proof))
-       clean slowed)
+  checkb "slow proofs identical" true (same_proofs clean slowed)
 
 (* ---- full-run replay determinism ---- *)
 

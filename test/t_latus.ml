@@ -412,17 +412,19 @@ let test_prover_pool_epoch () =
           (Utxo.make ~addr:(Hash.of_string "pool") ~amount:(amount (i + 1))
              ~nonce:(Hash.of_string (Printf.sprintf "pp-%d" i))))
   in
-  let proofs, stats =
-    ok (Prover_pool.prove_epoch family ~initial:st ~steps ~workers:3 ~seed:11)
-  in
-  checki "all tasks proven" 6 stats.Prover_pool.tasks;
-  checki "all rewarded" 6
-    (List.fold_left (fun a (_, r) -> a + r) 0 stats.Prover_pool.rewards);
-  (* proofs chain across the whole epoch *)
   let rsys =
     Zen_snark.Recursive.create ~name:"pool-test" ~base_vks:(Circuits.base_vks family)
   in
-  let top = ok (Prover_pool.merge_all family rsys proofs) in
+  let proofs, stats, top =
+    ok
+      (Prover_pool.prove_and_merge family rsys ~initial:st ~steps ~workers:3
+         ~seed:11)
+  in
+  checki "all tasks proven" 6 stats.Prover_pool.tasks;
+  checki "one proof per step" 6 (List.length proofs);
+  checki "all rewarded" 6
+    (List.fold_left (fun a (_, r) -> a + r) 0 stats.Prover_pool.rewards);
+  (* proofs chain across the whole epoch *)
   checkb "merged proof verifies" true (Zen_snark.Recursive.verify rsys top);
   checkb "spans the epoch" true
     (Fp.equal (Zen_snark.Recursive.s_from top) (Sc_state.hash st));

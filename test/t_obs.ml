@@ -154,14 +154,18 @@ let test_chrome_trace_multidomain_lanes () =
   with_fresh_obs @@ fun () ->
   let fam = Lazy.force family in
   Pool.with_pool ~domains:4 @@ fun pool ->
+  let rsys =
+    Zen_snark.Recursive.create ~name:"t-obs-lanes"
+      ~base_vks:(Circuits.base_vks fam)
+  in
   let _ =
     ok
-      (Prover_pool.prove_epoch ~pool fam
+      (Prover_pool.prove_and_merge ~pool fam rsys
          ~initial:(Sc_state.create params)
          ~steps:(workload 32 11) ~workers:3 ~seed:11)
   in
   let trace = parses (Zen_obs.Export.chrome_trace ()) in
-  (* 32 heavyweight single-step chunks on 4 domains: the helper domains
+  (* 32 heavyweight single-step futures on 4 domains: the helper domains
      essentially cannot all sit the epoch out. *)
   checkb "at least two distinct tid lanes" true
     (List.length (tids_of_trace trace) >= 2)
@@ -178,17 +182,16 @@ let epoch_fingerprint ~obs ~domains ~steps ~seed =
       Zen_obs.Registry.reset ())
   @@ fun () ->
   Pool.with_pool ~domains @@ fun pool ->
-  let proofs, stats =
-    ok
-      (Prover_pool.prove_epoch ~pool fam
-         ~initial:(Sc_state.create params)
-         ~steps:(workload steps seed) ~workers:3 ~seed)
-  in
   let rsys =
     Zen_snark.Recursive.create ~name:"t-obs"
       ~base_vks:(Circuits.base_vks fam)
   in
-  let top = ok (Prover_pool.merge_all ~pool fam rsys proofs) in
+  let proofs, stats, top =
+    ok
+      (Prover_pool.prove_and_merge ~pool fam rsys
+         ~initial:(Sc_state.create params)
+         ~steps:(workload steps seed) ~workers:3 ~seed)
+  in
   let cert =
     Withdrawal_certificate.make ~ledger_id:(Hash.of_string "sc") ~epoch_id:0
       ~quality:1 ~bt_list:[]

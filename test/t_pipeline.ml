@@ -1,8 +1,9 @@
 (* Pipelined epoch proving: the Recursive.Incremental online fold must
    be byte-identical to fold_balanced for every prefix length and every
    domain count (including error selection), Prover_pool.prove_and_merge
-   must reproduce prove_epoch + merge_all exactly, and a harness run is
-   a pure function of its seed whether the pipeline is on or off. *)
+   must reproduce the two-phase prover (below: prove every step, then
+   fold) exactly, and a harness run is a pure function of its seed
+   whether the pipeline is on or off. *)
 
 open Zen_crypto
 open Zen_snark
@@ -157,6 +158,70 @@ let test_incremental_double_break () =
 
 (* ---- prove_and_merge = prove_epoch + merge_all ---- *)
 
+let ( let* ) = Result.bind
+
+(* The two-phase prover, kept here as the reference prove_and_merge
+   must reproduce. Phase one applies the epoch natively, then proves
+   every step in order under the §5.4.1 dispatch, re-dispatching away
+   from crashed workers with the task's derived rng and the same
+   attempt budget and error strings as the pool. *)
+let prove_epoch ~faults ~attempt_budget ~initial ~steps ~workers ~seed =
+  let crashed w = List.assoc_opt w faults = Some Prover_pool.Crash in
+  let survivors =
+    Array.of_list
+      (List.filter (fun w -> not (crashed w)) (List.init workers Fun.id))
+  in
+  if Array.length survivors = 0 then
+    Error "prover pool: no surviving workers (all crashed)"
+  else
+    let rng = Rng.create seed in
+    let assignment =
+      Prover_pool.dispatch ~rng ~workers ~tasks:(List.length steps)
+    in
+    let* _, snaps_rev =
+      List.fold_left
+        (fun acc step ->
+          let* st, out = acc in
+          let* st' = Sc_tx.apply_step st step in
+          Ok (st', (st, step) :: out))
+        (Ok (initial, []))
+        steps
+    in
+    let rec attempt task_rng index k w =
+      if not (crashed w) then Ok (w, k)
+      else if k >= attempt_budget then
+        Error
+          (Printf.sprintf "prover pool: task %d exceeded its attempt budget (%d)"
+             index attempt_budget)
+      else
+        attempt task_rng index (k + 1)
+          survivors.(Rng.int task_rng (Array.length survivors))
+    in
+    List.rev snaps_rev
+    |> List.mapi (fun index snap -> (index, snap))
+    |> List.fold_left
+         (fun acc (index, (st, step)) ->
+           let* out = acc in
+           let* worker, attempts =
+             attempt (Rng.derive rng index) index 1 assignment.(index)
+           in
+           let* proof, vk, s_from, s_to = Circuits.prove_step family st step in
+           Ok ((worker, attempts, proof, vk, s_from, s_to) :: out))
+         (Ok [])
+    |> Result.map List.rev
+
+(* Phase two wraps every base proof and folds them with fold_balanced. *)
+let merge_all ~pool rsys proofs =
+  let* transitions =
+    List.fold_right
+      (fun (_, _, proof, vk, s_from, s_to) acc ->
+        let* out = acc in
+        let* t = Recursive.of_base rsys ~vk ~s_from ~s_to ~extra:[||] proof in
+        Ok (t :: out))
+      proofs (Ok [])
+  in
+  Recursive.fold_balanced ~pool rsys transitions
+
 let pipe_steps n tag =
   List.init n (fun i ->
       Sc_tx.Insert
@@ -171,47 +236,75 @@ let test_prove_and_merge_identical () =
   in
   let st = Sc_state.create params in
   let steps = pipe_steps 11 "pp" in
+  let both ?(attempt_budget = 3) ~pool ~faults ~steps ~workers () =
+    let oracle =
+      let* proofs =
+        prove_epoch ~faults ~attempt_budget ~initial:st ~steps ~workers
+          ~seed:9
+      in
+      let* top = merge_all ~pool rsys proofs in
+      Ok (proofs, top)
+    in
+    ( oracle,
+      Prover_pool.prove_and_merge ~pool ~faults ~attempt_budget family rsys
+        ~initial:st ~steps ~workers ~seed:9 )
+  in
   let faults = [ (2, Prover_pool.Crash); (0, Prover_pool.Slow 5) ] in
   List.iter
     (fun domains ->
       let pool = Pool.get ~domains in
-      let proofs, stats =
-        ok
-          (Prover_pool.prove_epoch ~pool ~faults family ~initial:st ~steps
-             ~workers:4 ~seed:9)
-      in
-      let top = ok (Prover_pool.merge_all ~pool family rsys proofs) in
-      let proofs', stats', top' =
-        ok
-          (Prover_pool.prove_and_merge ~pool ~faults family rsys ~initial:st
-             ~steps ~workers:4 ~seed:9)
-      in
       let label s = Printf.sprintf "domains %d: %s" domains s in
-      checks (label "epoch proof bytes") (bytes_of top) (bytes_of top');
-      checki (label "retries") stats.Prover_pool.retries
-        stats'.Prover_pool.retries;
-      checkb (label "rewards") true
-        (stats.Prover_pool.rewards = stats'.Prover_pool.rewards);
-      checkb (label "task proofs") true
-        (List.for_all2
-           (fun a b ->
-             a.Prover_pool.worker = b.Prover_pool.worker
-             && a.Prover_pool.attempts = b.Prover_pool.attempts
-             && String.equal
-                  (Backend.proof_encode a.Prover_pool.proof)
-                  (Backend.proof_encode b.Prover_pool.proof))
-           proofs proofs'))
+      match both ~pool ~faults ~steps ~workers:4 () with
+      | Ok (proofs, top), Ok (proofs', stats', top') ->
+        checks (label "epoch proof bytes") (bytes_of top) (bytes_of top');
+        checki (label "retries")
+          (List.fold_left (fun a (_, k, _, _, _, _) -> a + k - 1) 0 proofs)
+          stats'.Prover_pool.retries;
+        checkb (label "rewards") true
+          (List.init 4 (fun w ->
+               ( w,
+                 List.length
+                   (List.filter (fun (w', _, _, _, _, _) -> w' = w) proofs) ))
+          = stats'.Prover_pool.rewards);
+        checkb (label "retries happened") true (stats'.Prover_pool.retries > 0);
+        checkb (label "task proofs") true
+          (List.for_all2
+             (fun (w, k, p, _, _, _) b ->
+               w = b.Prover_pool.worker
+               && k = b.Prover_pool.attempts
+               && String.equal (Backend.proof_encode p)
+                    (Backend.proof_encode b.Prover_pool.proof))
+             proofs proofs')
+      | Error e, _ | _, Error e -> Alcotest.fail (label e))
     [ 1; 2 ];
-  (* error selection: all workers crashed fails identically *)
-  let all_crashed = [ (0, Prover_pool.Crash); (1, Prover_pool.Crash) ] in
-  checkb "error paths agree" true
-    (Prover_pool.prove_and_merge ~faults:all_crashed family rsys ~initial:st
-       ~steps ~workers:2 ~seed:9
-     |> Result.is_error)
+  (* error selection: the same first error, on every domain count *)
+  let stranger =
+    Utxo.make ~addr:(Hash.of_string "t-pipe.stranger") ~amount:(amount 1)
+      ~nonce:(Hash.of_string "tp-stranger")
+  in
+  List.iter
+    (fun domains ->
+      let pool = Pool.get ~domains in
+      List.iter
+        (fun (what, attempt_budget, faults, steps, workers) ->
+          match both ~attempt_budget ~pool ~faults ~steps ~workers () with
+          | Error e, Error e' ->
+            checks (Printf.sprintf "domains %d: %s" domains what) e e'
+          | _ -> Alcotest.fail (what ^ ": both provers should fail"))
+        [
+          ( "all workers crashed", 3,
+            [ (0, Prover_pool.Crash); (1, Prover_pool.Crash) ], steps, 2 );
+          ("attempt budget exhausted", 1, [ (0, Prover_pool.Crash) ], steps, 2);
+          ("step fails natively", 3, [], steps @ [ Sc_tx.Remove stranger ], 4);
+        ])
+    [ 1; 2 ]
 
 (* ---- harness determinism: pipeline on/off, fault storm ---- *)
 
-let storm_run ~pipeline ~domains =
+(* One storm world. The default is a single sidechain fed by FTs; with
+   [~sidechains:4 ~workload] every sidechain also carries live workload
+   traffic (payments, FTs and BTs) from the harness driver. *)
+let storm_run ?(sidechains = 1) ?workload ~pipeline ~domains () =
   let plan =
     Faults.storm ~seed:11 ~first_tick:8 ~ticks:12 ~epochs:4 ~workers:4
       ~intensity:40 ()
@@ -220,11 +313,17 @@ let storm_run ~pipeline ~domains =
   let pool = Pool.get ~domains in
   let h = Harness.create ~pool ~pipeline ~faults ~seed:"pipe.storm" () in
   Harness.fund h ~blocks:5;
-  let sc =
-    ok
-      (Harness.add_latus h ~name:"sc" ~family ~epoch_len:2 ~submit_len:5
-         ~activation_delay:1 ())
+  let scs =
+    List.init sidechains (fun i ->
+        ok
+          (Harness.add_latus h
+             ~name:(if i = 0 then "sc" else Printf.sprintf "sc%d" i)
+             ~family ~epoch_len:2 ~submit_len:5 ~activation_delay:1 ()))
   in
+  let sc = List.hd scs in
+  Option.iter
+    (fun profile -> ok (Harness.set_workload h ~profile ~seed:11))
+    workload;
   (* real traffic, so epoch proofs have leaves to pipeline *)
   let receiver = Hash.of_string "pipe-user" in
   for i = 1 to 4 do
@@ -245,14 +344,18 @@ let storm_run ~pipeline ~domains =
   ( Harness.dump_log h,
     certified,
     Zen_mainchain.Chain.height h.chain,
-    Node.certificate_stats sc.node )
+    List.concat_map (fun sc -> Node.certificate_stats sc.Harness.node) scs )
 
 let test_storm_pipeline_invariant () =
-  let log_on, cert_on, height_on, stats_on = storm_run ~pipeline:true ~domains:1 in
-  let log_off, cert_off, height_off, stats_off =
-    storm_run ~pipeline:false ~domains:1
+  let log_on, cert_on, height_on, stats_on =
+    storm_run ~pipeline:true ~domains:1 ()
   in
-  let log_on2, cert_on2, height_on2, _ = storm_run ~pipeline:true ~domains:2 in
+  let log_off, cert_off, height_off, stats_off =
+    storm_run ~pipeline:false ~domains:1 ()
+  in
+  let log_on2, cert_on2, height_on2, _ =
+    storm_run ~pipeline:true ~domains:2 ()
+  in
   checkb "liveness under faults" true (cert_on > 0);
   checki "same certified (on/off)" cert_on cert_off;
   checki "same height (on/off)" height_on height_off;
@@ -278,7 +381,28 @@ let test_storm_pipeline_invariant () =
           (Printf.sprintf "epoch %d carries = popcount - 1" cs.cert_epoch)
           (popcount cs.cert_leaves - 1)
           cs.cert_carry_merges)
-    stats_on
+    stats_on;
+  (* four sidechains under the smoke workload: reorgs truncate
+     in-flight proof streams of several nodes at once, and the log
+     still may not move a byte *)
+  let run pipeline =
+    storm_run ~sidechains:4 ~workload:Workload.smoke ~pipeline ~domains:1 ()
+  in
+  let log_wl, cert_wl, height_wl, stats_wl = run true in
+  let log_wl_off, cert_wl_off, height_wl_off, _ = run false in
+  checkb "workload injected" true
+    (List.exists
+       (fun l -> String.length l > 8 && String.sub l 0 8 = "workload")
+       log_wl);
+  checkb "multi-leaf pipelined epochs" true
+    (List.exists
+       (fun (cs : Proof_pipeline.certificate_stats) -> cs.cert_leaves > 1)
+       stats_wl);
+  checki "same certified (smoke, on/off)" cert_wl cert_wl_off;
+  checki "same height (smoke, on/off)" height_wl height_wl_off;
+  checks "same log (smoke, on/off)"
+    (String.concat "\n" log_wl)
+    (String.concat "\n" log_wl_off)
 
 (* ---- record retention ---- *)
 

@@ -214,17 +214,16 @@ let workload steps seed =
 let epoch_fingerprint ~domains ~steps ~seed =
   let family = Lazy.force family in
   with_domains domains @@ fun pool ->
-  let proofs, stats =
-    ok
-      (Prover_pool.prove_epoch ~pool family
-         ~initial:(Sc_state.create params)
-         ~steps:(workload steps seed) ~workers:3 ~seed)
-  in
   let rsys =
     Zen_snark.Recursive.create ~name:"t-pool"
       ~base_vks:(Circuits.base_vks family)
   in
-  let top = ok (Prover_pool.merge_all ~pool family rsys proofs) in
+  let proofs, stats, top =
+    ok
+      (Prover_pool.prove_and_merge ~pool family rsys
+         ~initial:(Sc_state.create params)
+         ~steps:(workload steps seed) ~workers:3 ~seed)
+  in
   let bt_root = Backward_transfer.list_root [] in
   let proofdata = Proofdata.[ Digest Hash.zero; Field Fp.one; Blob "" ] in
   let binding =
@@ -265,20 +264,31 @@ let prop_epoch_identical_across_domains =
              && String.equal bind bind' && Hash.equal cert cert')
            [ 2; 4 ]))
 
+(* A 7-leaf epoch folded sequentially by prove_and_merge, then the same
+   wrapped base proofs folded by fold_balanced on two domains. *)
 let test_fold_balanced_parallel_identical () =
   let family = Lazy.force family in
-  let proofs, _ =
-    ok
-      (Prover_pool.prove_epoch family ~initial:(Sc_state.create params)
-         ~steps:(workload 7 5) ~workers:2 ~seed:5)
-  in
   let rsys () =
     Zen_snark.Recursive.create ~name:"t-pool-fold"
       ~base_vks:(Circuits.base_vks family)
   in
-  let seq = ok (Prover_pool.merge_all family (rsys ()) proofs) in
+  let proofs, _, seq =
+    ok
+      (Prover_pool.prove_and_merge family (rsys ())
+         ~initial:(Sc_state.create params)
+         ~steps:(workload 7 5) ~workers:2 ~seed:5)
+  in
+  let rsys = rsys () in
+  let transitions =
+    List.map
+      (fun tp ->
+        ok
+          (Zen_snark.Recursive.of_base rsys ~vk:tp.Prover_pool.vk
+             ~s_from:tp.s_from ~s_to:tp.s_to ~extra:[||] tp.proof))
+      proofs
+  in
   with_domains 2 @@ fun pool ->
-  let par = ok (Prover_pool.merge_all ~pool family (rsys ()) proofs) in
+  let par = ok (Zen_snark.Recursive.fold_balanced ~pool rsys transitions) in
   checkb "odd-width merge tree identical" true
     (String.equal
        (Zen_snark.Backend.proof_encode (Zen_snark.Recursive.final_proof seq))

@@ -1,4 +1,4 @@
-(* The discrete-event simulator and the world harness. *)
+(* The world harness, and a two-miner fork-choice race. *)
 
 open Zen_sim
 open Zendoo
@@ -6,43 +6,6 @@ open Zendoo
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let amount n = Amount.of_int_exn n
-
-let test_des_ordering () =
-  let sim = Des.create () in
-  let trace = ref [] in
-  Des.schedule_at sim ~time:5 (fun _ -> trace := 5 :: !trace);
-  Des.schedule_at sim ~time:1 (fun _ -> trace := 1 :: !trace);
-  Des.schedule_at sim ~time:3 (fun _ -> trace := 3 :: !trace);
-  Des.run sim ~until:10;
-  Alcotest.(check (list int)) "time order" [ 1; 3; 5 ] (List.rev !trace)
-
-let test_des_fifo_within_time () =
-  let sim = Des.create () in
-  let trace = ref [] in
-  Des.schedule_at sim ~time:2 (fun _ -> trace := "a" :: !trace);
-  Des.schedule_at sim ~time:2 (fun _ -> trace := "b" :: !trace);
-  Des.run sim ~until:10;
-  Alcotest.(check (list string)) "insertion order" [ "a"; "b" ] (List.rev !trace)
-
-let test_des_cascading () =
-  let sim = Des.create () in
-  let count = ref 0 in
-  let rec step s =
-    incr count;
-    if !count < 5 then Des.schedule s ~delay:2 step
-  in
-  Des.schedule sim ~delay:1 step;
-  Des.run sim ~until:100;
-  checki "cascade" 5 !count;
-  checki "final time" 9 (Des.now sim)
-
-let test_des_until_cutoff () =
-  let sim = Des.create () in
-  let count = ref 0 in
-  Des.every sim ~period:10 (fun _ -> incr count);
-  Des.run sim ~until:35;
-  checki "three firings" 3 !count;
-  checkb "pending remains" true (Des.pending sim > 0)
 
 let test_harness_epoch_cycle () =
   let h = Harness.create ~seed:"sim1" () in
@@ -98,9 +61,10 @@ let test_harness_two_sidechains_independent () =
   checkb "a ceased" true (Harness.is_ceased h a);
   checkb "b alive" false (Harness.is_ceased h b)
 
-(* Two miners race over the DES: blocks propagate with latency, forks
-   happen, and Nakamoto fork choice converges both views. *)
-let test_des_mining_race () =
+(* Two miners race in discrete time: blocks propagate with latency,
+   forks happen, and Nakamoto fork choice converges both views. Each
+   tick first delivers the blocks due, then lets the miners mine. *)
+let test_mining_race () =
   let open Zen_mainchain in
   let params = { Chain_state.default_params with pow = Pow.trivial } in
   let shared_genesis_time = 0 in
@@ -108,30 +72,32 @@ let test_des_mining_race () =
   let chain_b = ref (Chain.create ~params ~time:shared_genesis_time ()) in
   let addr_a = Wallet.fresh_address (Wallet.create ~seed:"race-a") in
   let addr_b = Wallet.fresh_address (Wallet.create ~seed:"race-b") in
-  let sim = Des.create () in
+  (* in-flight blocks as (arrival tick, receiving chain, block), in
+     send order *)
+  let pending = ref [] in
   let deliver chain block =
     match Chain.add_block !chain block with
     | Ok (c, _) -> chain := c
     | Error _ -> () (* duplicate or stale: fine *)
   in
-  let mine_on chain addr other_chain latency sim_now =
-    match
-      Miner.build_block !chain ~time:sim_now ~miner_addr:addr ~candidates:[]
-    with
+  let mine_on chain addr other_chain latency now =
+    match Miner.build_block !chain ~time:now ~miner_addr:addr ~candidates:[] with
     | Error _ -> ()
     | Ok (block, _) ->
       deliver chain block;
       (* the other miner hears about it after [latency] *)
-      Des.schedule sim ~delay:latency (fun _ -> deliver other_chain block)
+      pending := !pending @ [ (now + latency, other_chain, block) ]
   in
   (* Miner A mines every 3 ticks, B every 4; propagation takes 2, so
      near-simultaneous blocks fork and later resolve. Mining stops at
      t=120; the run to 130 drains in-flight deliveries. *)
-  Des.every sim ~period:3 ~until:120 (fun s ->
-      mine_on chain_a addr_a chain_b 2 (Des.now s));
-  Des.every sim ~period:4 ~until:120 (fun s ->
-      mine_on chain_b addr_b chain_a 2 (Des.now s));
-  Des.run sim ~until:130;
+  for now = 1 to 130 do
+    let due, later = List.partition (fun (at, _, _) -> at <= now) !pending in
+    pending := later;
+    List.iter (fun (_, chain, block) -> deliver chain block) due;
+    if now <= 120 && now mod 3 = 0 then mine_on chain_a addr_a chain_b 2 now;
+    if now <= 120 && now mod 4 = 0 then mine_on chain_b addr_b chain_a 2 now
+  done;
   checkb "both made progress" true
     (Chain.height !chain_a > 10 && Chain.height !chain_b > 10);
   (* Nakamoto convergence: with first-seen tie-breaking the very tip
@@ -149,14 +115,10 @@ let test_des_mining_race () =
 let suite =
   ( "sim",
     [
-      Alcotest.test_case "des ordering" `Quick test_des_ordering;
-      Alcotest.test_case "des fifo" `Quick test_des_fifo_within_time;
-      Alcotest.test_case "des cascading" `Quick test_des_cascading;
-      Alcotest.test_case "des cutoff" `Quick test_des_until_cutoff;
       Alcotest.test_case "harness epoch cycle" `Quick test_harness_epoch_cycle;
       Alcotest.test_case "harness withholding" `Quick
         test_harness_withholding_ceases;
       Alcotest.test_case "harness two sidechains" `Quick
         test_harness_two_sidechains_independent;
-      Alcotest.test_case "des mining race" `Quick test_des_mining_race;
+      Alcotest.test_case "des mining race" `Quick test_mining_race;
     ] )

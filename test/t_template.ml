@@ -1,8 +1,9 @@
-(* Compile-once circuit templates (PR 5): for any witness, proving
-   through a compiled template must produce byte-identical proofs to
-   fresh circuit re-synthesis — for all five circuit families and both
-   SMT path directions — while keeping R1cs.finalize (synthesis +
-   constraint digesting) off the per-prove hot path. *)
+(* Compile-once circuit templates: for any witness, proving through a
+   compiled template ([Circuits.make]) must produce byte-identical
+   proofs to the re-synthesis reference ([Circuits.make_resynth]) — for
+   all five circuit families and both SMT path directions — while
+   keeping R1cs.finalize (synthesis + constraint digesting) off the
+   per-prove hot path. *)
 
 open Zen_crypto
 open Zen_latus
@@ -15,23 +16,18 @@ let ok = function Ok v -> v | Error e -> Alcotest.fail e
 
 let params = { Params.default with mst_depth = 8 }
 let family = lazy (Circuits.make params)
+let resynth = lazy (Circuits.make_resynth params)
 
-let with_templates b f =
-  let prev = Circuits.use_templates () in
-  Circuits.set_use_templates b;
-  Fun.protect ~finally:(fun () -> Circuits.set_use_templates prev) f
-
-(* Prove the same step through both pipelines and insist on identical
+(* Prove the same step through both families and insist on identical
    bytes. A successful re-synthesis prove also re-derives the circuit
-   digest and compares it against the template-compiled proving key
-   (Circuits.prove_with), so digest equality is checked en passant. *)
+   digest and compares it against the compiled proving key, so digest
+   equality is checked en passant. *)
 let prove_both_ways state step =
-  let f = Lazy.force family in
   let p_tpl, _, from_t, to_t =
-    with_templates true (fun () -> ok (Circuits.prove_step f state step))
+    ok (Circuits.prove_step (Lazy.force family) state step)
   in
   let p_syn, _, from_s, to_s =
-    with_templates false (fun () -> ok (Circuits.prove_step f state step))
+    ok (Circuits.prove_step (Lazy.force resynth) state step)
   in
   checkb "proof bytes identical" true
     (Zen_snark.Backend.proof_equal p_tpl p_syn);
@@ -110,28 +106,21 @@ let test_qcheck_equivalence =
          ignore (prove_both_ways st (Sc_tx.Insert (fresh 0)));
          ignore (prove_both_ways st (Sc_tx.Append_bt bt));
          (* Family 4: wcert binding. *)
-         let f = Lazy.force family in
          let proofdata =
            Proofdata.[ Digest (Hash.of_string "tpl-block"); Field (Fp.of_int salt) ]
          in
-         let wcert_args g =
-           g f ~quality:(salt + 1)
+         let wcert f =
+           Circuits.prove_wcert_binding f ~quality:(salt + 1)
              ~bt_root:(Backward_transfer.list_root [ bt ])
              ~end_prev_epoch:(Hash.of_string "prev")
              ~end_epoch:(Hash.of_string "end")
              ~proofdata ~s_prev:(Fp.of_int (salt + 2))
              ~s_last:(Fp.of_int (salt + 3))
          in
-         let w_tpl =
-           with_templates true (fun () ->
-               ok (wcert_args Circuits.prove_wcert_binding))
-         in
-         let w_syn =
-           with_templates false (fun () ->
-               ok (wcert_args Circuits.prove_wcert_binding))
-         in
+         let w_tpl = ok (wcert (Lazy.force family)) in
+         let w_syn = ok (wcert (Lazy.force resynth)) in
          (* Family 5: ownership over the committed MST. *)
-         let own u =
+         let own f u =
            Circuits.prove_ownership f ~mst:st.Sc_state.mst ~utxo:u
              ~reference_block:(Hash.of_string "ref")
              ~receiver:(Hash.of_string "recv") ~proofdata
@@ -139,46 +128,37 @@ let test_qcheck_equivalence =
          let owned =
            match inserted with
            | u :: _ ->
-             let o_tpl = with_templates true (fun () -> ok (own u)) in
-             let o_syn = with_templates false (fun () -> ok (own u)) in
+             let o_tpl = ok (own (Lazy.force family) u) in
+             let o_syn = ok (own (Lazy.force resynth) u) in
              Zen_snark.Backend.proof_equal o_tpl o_syn
            | [] -> true
          in
          Zen_snark.Backend.proof_equal w_tpl w_syn && owned))
 
-(* The acceptance criterion made observable: with templates on, proving
-   increments snark.prove but never R1cs.finalize; with templates off,
-   every prove re-synthesizes. *)
+(* The acceptance criterion made observable: the template family's
+   proves increment snark.prove but never R1cs.finalize; the
+   re-synthesis family finalizes once per prove. *)
 let test_finalize_off_hot_path () =
   Zen_obs.Registry.with_enabled @@ fun () ->
   let finalizes = Zen_obs.Counter.make "snark.r1cs.finalize" in
   let proves = Zen_obs.Counter.make "snark.prove" in
-  let hits = Zen_obs.Counter.make "latus.template.hits" in
-  let misses = Zen_obs.Counter.make "latus.template.misses" in
-  let f = Lazy.force family in
+  let f = Lazy.force family and r = Lazy.force resynth in
   let st = Sc_state.create params in
   let step i = Sc_tx.Insert (utxo i) in
   let snap () =
-    ( Zen_obs.Counter.value finalizes,
-      Zen_obs.Counter.value proves,
-      Zen_obs.Counter.value hits,
-      Zen_obs.Counter.value misses )
+    (Zen_obs.Counter.value finalizes, Zen_obs.Counter.value proves)
   in
-  let fin0, prv0, hit0, mis0 = snap () in
-  with_templates true (fun () ->
-      for i = 0 to 4 do
-        ignore (ok (Circuits.prove_step f st (step i)))
-      done);
-  let fin1, prv1, hit1, mis1 = snap () in
+  let fin0, prv0 = snap () in
+  for i = 0 to 4 do
+    ignore (ok (Circuits.prove_step f st (step i)))
+  done;
+  let fin1, prv1 = snap () in
   checki "no finalize on the template hot path" 0 (fin1 - fin0);
   checki "five proves" 5 (prv1 - prv0);
-  checki "five template hits" 5 (hit1 - hit0);
-  checki "no misses" 0 (mis1 - mis0);
-  with_templates false (fun () -> ignore (ok (Circuits.prove_step f st (step 0))));
-  let fin2, _, hit2, mis2 = snap () in
-  checkb "re-synthesis finalizes" true (fin2 > fin1);
-  checki "no hit" 0 (hit2 - hit1);
-  checki "one miss" 1 (mis2 - mis1)
+  ignore (ok (Circuits.prove_step r st (step 0)));
+  let fin2, prv2 = snap () in
+  checki "re-synthesis finalizes once" 1 (fin2 - fin1);
+  checki "one more prove" 1 (prv2 - prv1)
 
 (* Gadget-level: an evaluation-mode run fills exactly the assignment
    synthesis would have produced, including materialization decisions

@@ -303,7 +303,7 @@ let tiny =
     reorg_every = 2;
   }
 
-let run_wl ?batched ?snapshots () =
+let run_wl ?batched ?snapshots ?(seed = 11) ?(profile = tiny) () =
   let buf = Buffer.create 256 in
   let s =
     ok
@@ -311,7 +311,7 @@ let run_wl ?batched ?snapshots () =
          ~log:(fun l ->
            Buffer.add_string buf l;
            Buffer.add_char buf '\n')
-         ~seed:11 tiny)
+         ~seed profile)
   in
   (s, Buffer.contents buf)
 
@@ -323,17 +323,26 @@ let workload_deterministic () =
   checkb "work happened" true (a.applied > 50);
   checkb "reorgs happened" true (a.rollbacks > 0)
 
+(* Per-key commits and replay-based rollback reproduce the batched,
+   snapshotting run's log and digest exactly: on [tiny], and on the
+   builtin [smoke] profile at seed 1 (deeper MST, bursts, multi-phase
+   reorgs). *)
 let workload_mode_independent () =
-  let a, la = run_wl () in
-  let nb, lnb = run_wl ~batched:false () in
-  let ns, lns = run_wl ~snapshots:false () in
-  checks "per-key log identical" la lnb;
-  checks "replay-rollback log identical" la lns;
-  checkb "per-key digest" true
-    (Hash.equal a.Zen_sim.Workload.digest nb.digest);
-  checkb "replay-rollback digest" true (Hash.equal a.digest ns.digest);
-  checkb "snapshots avoid replay work" true
-    (ns.replayed_phases > a.replayed_phases)
+  List.iter
+    (fun (seed, profile) ->
+      let name = profile.Zen_sim.Workload.name in
+      let a, la = run_wl ~seed ~profile () in
+      let nb, lnb = run_wl ~batched:false ~seed ~profile () in
+      let ns, lns = run_wl ~snapshots:false ~seed ~profile () in
+      checks (name ^ ": per-key log identical") la lnb;
+      checks (name ^ ": replay-rollback log identical") la lns;
+      checkb (name ^ ": per-key digest") true
+        (Hash.equal a.Zen_sim.Workload.digest nb.digest);
+      checkb (name ^ ": replay-rollback digest") true
+        (Hash.equal a.digest ns.digest);
+      checkb (name ^ ": snapshots avoid replay work") true
+        (ns.replayed_phases > a.replayed_phases))
+    [ (11, tiny); (1, Zen_sim.Workload.smoke) ]
 
 let workload_profile_roundtrip () =
   List.iter
