@@ -26,10 +26,36 @@ let tests () =
   in
   let bpk, bvk = Zen_snark.Backend.setup circuit in
   let snark_proof = Result.get_ok (Zen_snark.Backend.prove bpk ~public ~witness) in
+  let state = [| a; b; Fp.two |] in
+  (* One recursive merge of two adjacent base transitions s -> s+1 ->
+     s+2: verify both children, fill the merge circuit's assignment,
+     prove. *)
+  let merge_pair =
+    let module G = Zen_snark.Gadget in
+    let step =
+      Zen_snark.Template.compile ~name:"micro.step"
+        (fun ctx (s_from, s_to) ->
+          let w_from = G.input ctx s_from and w_to = G.input ctx s_to in
+          G.assert_eq ctx (G.add w_from (G.const Fp.one)) w_to)
+        (Fp.zero, Fp.one)
+    in
+    let vk = (Zen_snark.Template.keys step).vk in
+    let rsys = Zen_snark.Recursive.create ~name:"micro" ~base_vks:[ vk ] in
+    let base i =
+      let s_from = Fp.of_int i and s_to = Fp.of_int (i + 1) in
+      let proof = Result.get_ok (Zen_snark.Template.prove step (s_from, s_to)) in
+      Result.get_ok
+        (Zen_snark.Recursive.of_base rsys ~vk ~s_from ~s_to ~extra:[||] proof)
+    in
+    let t1 = base 1 and t2 = base 2 in
+    fun () -> Zen_snark.Recursive.merge rsys t1 t2
+  in
   Test.make_grouped ~name:"micro"
     [
       Test.make ~name:"fp-mul" (Staged.stage (fun () -> Fp.mul a b));
       Test.make ~name:"poseidon2" (Staged.stage (fun () -> Poseidon.hash2 a b));
+      Test.make ~name:"poseidon-permute"
+        (Staged.stage (fun () -> Poseidon.permute state));
       Test.make ~name:"sha256-1k" (Staged.stage (fun () -> Sha256.digest blob));
       Test.make ~name:"schnorr-verify"
         (Staged.stage (fun () -> Schnorr.verify pk "msg" signature));
@@ -38,6 +64,7 @@ let tests () =
       Test.make ~name:"snark-verify"
         (Staged.stage (fun () ->
              Zen_snark.Backend.verify bvk ~public snark_proof));
+      Test.make ~name:"recursive-merge" (Staged.stage merge_pair);
     ]
 
 let run () =

@@ -1,7 +1,17 @@
-(* F_p for p = 2^61 - 1. An OCaml int has 63 bits, so a canonical element
-   (< 2^61) fits with room to add two of them; products are computed by
-   splitting operands into 31/30-bit halves so every partial product stays
-   under 2^62, then folded with 2^61 ≡ 1 (mod p). *)
+(* F_p for p = 2^61 - 1. An OCaml int has 63 bits (max_int = 2^62 - 1),
+   so a canonical element (< 2^61) fits with room to add two of them.
+   A product splits each operand into a 30-bit high and a 31-bit low
+   half, a = a1*2^31 + a0, and uses 2^61 ≡ 1 (mod p):
+
+     a*b ≡ 2*a1*b1 + (mid mod 2^30)*2^31 + (mid >> 30) + a0*b0,
+     mid = a1*b0 + a0*b1.
+
+   With a1, b1 ≤ 2^30 - 1 and a0, b0 ≤ 2^31 - 1 every term and partial
+   sum stays below 2^62: 2*a1*b1 + (mid mod 2^30)*2^31 < 2^61 + 2^61,
+   a0*b0 < 2^62 and mid < 2^62. [mul] folds those two sums once each
+   (each fold ≤ 2^61 - 1), folds their sum (< 2^62) once more
+   (≤ 2^61 - 1), adds mid >> 30 (< 2^32) and so lands below 2p: one
+   conditional subtraction makes it canonical. *)
 
 type t = int
 
@@ -44,18 +54,13 @@ let sub a b = if a >= b then a - b else a + p - b
 let neg a = if a = 0 then 0 else p - a
 
 let mul a b =
-  (* a = a1*2^31 + a0, b = b1*2^31 + b0; a1,b1 < 2^30, a0,b0 < 2^31.
-     a*b = a1*b1*2^62 + (a1*b0 + a0*b1)*2^31 + a0*b0
-         ≡ 2*a1*b1 + mid*2^31 + a0*b0  (mod p), with 2^62 ≡ 2. *)
   let a1 = a lsr 31 and a0 = a land 0x7fffffff in
   let b1 = b lsr 31 and b0 = b land 0x7fffffff in
-  let hi = reduce (2 * a1 * b1) in
-  let lo = reduce (a0 * b0) in
-  let mid = reduce ((a1 * b0) + (a0 * b1)) in
-  (* mid < 2^61; mid*2^31 = m1*2^61 + m0*2^31 ≡ m1 + m0*2^31 with
-     m1 = mid >> 30 < 2^31 and m0 = mid low 30 bits. *)
-  let m1 = mid lsr 30 and m0 = mid land 0x3fffffff in
-  reduce (hi + lo + m1 + (m0 lsl 31))
+  let mid = (a1 * b0) + (a0 * b1) in
+  let hi = fold62 ((2 * a1 * b1) + ((mid land 0x3fffffff) lsl 31)) in
+  let lo = fold62 (a0 * b0) in
+  let r = fold62 (hi + lo) + (mid lsr 30) in
+  if r >= p then r - p else r
 
 let sq a = mul a a
 

@@ -20,59 +20,59 @@ let mds =
   Array.init width (fun i ->
       Array.init width (fun j -> Fp.inv (Fp.add x.(i) y.(j))))
 
+(* The MDS entries as nine let-bound constants for the unrolled core. *)
+let m00 = mds.(0).(0) and m01 = mds.(0).(1) and m02 = mds.(0).(2)
+let m10 = mds.(1).(0) and m11 = mds.(1).(1) and m12 = mds.(1).(2)
+let m20 = mds.(2).(0) and m21 = mds.(2).(1) and m22 = mds.(2).(2)
+
 (* x^17 via 4 squarings and one multiply. *)
-let sbox x =
+let[@inline] sbox x =
   let x2 = Fp.sq x in
   let x4 = Fp.sq x2 in
   let x8 = Fp.sq x4 in
   let x16 = Fp.sq x8 in
   Fp.mul x16 x
 
-let apply_mds state scratch =
-  for i = 0 to width - 1 do
-    let acc = ref Fp.zero in
-    for j = 0 to width - 1 do
-      acc := Fp.add !acc (Fp.mul mds.(i).(j) state.(j))
-    done;
-    scratch.(i) <- !acc
-  done;
-  Array.blit scratch 0 state 0 width
-
 let permutations =
   Zen_obs.Counter.make ~help:"Poseidon permutations executed"
     "crypto.poseidon.permutations"
 
+let half_full = rounds_full / 2
+
+(* The permutation, unrolled over the three lanes and allocation-free:
+   the lanes live in local variables (refs that never escape compile to
+   registers). Returns lane 0; lanes 1 and 2 are stored into [out] when
+   it has width 3, and dropped when it is empty (a caller that only
+   reads lane 0 passes [[||]]). *)
+let core out s0 s1 s2 =
+  Zen_obs.Counter.incr permutations;
+  let s0 = ref s0 and s1 = ref s1 and s2 = ref s2 in
+  for r = 0 to rounds_total - 1 do
+    let k = r * width in
+    let a = Fp.add !s0 (Array.unsafe_get round_constants k)
+    and b = Fp.add !s1 (Array.unsafe_get round_constants (k + 1))
+    and c = Fp.add !s2 (Array.unsafe_get round_constants (k + 2)) in
+    let full = r < half_full || r >= half_full + rounds_partial in
+    let a = sbox a in
+    let b = if full then sbox b else b in
+    let c = if full then sbox c else c in
+    s0 := Fp.add (Fp.add (Fp.mul m00 a) (Fp.mul m01 b)) (Fp.mul m02 c);
+    s1 := Fp.add (Fp.add (Fp.mul m10 a) (Fp.mul m11 b)) (Fp.mul m12 c);
+    s2 := Fp.add (Fp.add (Fp.mul m20 a) (Fp.mul m21 b)) (Fp.mul m22 c)
+  done;
+  if Array.length out = width then begin
+    out.(1) <- !s1;
+    out.(2) <- !s2
+  end;
+  !s0
+
 let permute input =
   if Array.length input <> width then invalid_arg "Poseidon.permute: width 3";
-  Zen_obs.Counter.incr permutations;
-  let state = Array.copy input in
-  let scratch = Array.make width Fp.zero in
-  let half_full = rounds_full / 2 in
-  let round r full =
-    for i = 0 to width - 1 do
-      state.(i) <- Fp.add state.(i) round_constants.((r * width) + i)
-    done;
-    if full then
-      for i = 0 to width - 1 do
-        state.(i) <- sbox state.(i)
-      done
-    else state.(0) <- sbox state.(0);
-    apply_mds state scratch
-  in
-  for r = 0 to half_full - 1 do
-    round r true
-  done;
-  for r = half_full to half_full + rounds_partial - 1 do
-    round r false
-  done;
-  for r = half_full + rounds_partial to rounds_total - 1 do
-    round r true
-  done;
-  state
+  let out = Array.make width Fp.zero in
+  out.(0) <- core out input.(0) input.(1) input.(2);
+  out
 
-let hash2 a b =
-  let out = permute [| a; b; Fp.of_int 2 (* domain: 2-to-1 *) |] in
-  out.(0)
+let hash2 a b = core [||] a b Fp.two (* domain: 2-to-1 *)
 
 let hash_fields fields =
   (* Sponge with rate 2: absorb two elements per permutation; the
@@ -80,15 +80,16 @@ let hash_fields fields =
      domain separation between lengths. *)
   let n = Array.length fields in
   let state = [| Fp.zero; Fp.zero; Fp.of_int (n + 3) |] in
-  let state = ref state in
-  let i = ref 0 in
-  while !i < n do
-    let s = Array.copy !state in
-    s.(0) <- Fp.add s.(0) fields.(!i);
-    if !i + 1 < n then s.(1) <- Fp.add s.(1) fields.(!i + 1);
-    state := permute s;
-    i := !i + 2
-  done;
-  if n = 0 then (permute !state).(0) else !state.(0)
+  if n = 0 then core [||] Fp.zero Fp.zero state.(2)
+  else begin
+    let i = ref 0 in
+    while !i < n do
+      let s0 = Fp.add state.(0) fields.(!i) in
+      let s1 = if !i + 1 < n then Fp.add state.(1) fields.(!i + 1) else state.(1) in
+      state.(0) <- core state s0 s1 state.(2);
+      i := !i + 2
+    done;
+    state.(0)
+  end
 
 let hash_list fields = hash_fields (Array.of_list fields)

@@ -14,10 +14,12 @@
 
 val permute : Fp.t array -> Fp.t array
 (** The width-3 permutation. Raises [Invalid_argument] unless the input
-    has length 3. The input array is not mutated. *)
+    has length 3. The input array is not mutated; the result is a fresh
+    array, the only allocation. *)
 
 val hash2 : Fp.t -> Fp.t -> Fp.t
-(** Two-to-one compression — the Merkle-node combiner. *)
+(** Two-to-one compression — the Merkle-node combiner. Allocates
+    nothing. *)
 
 val hash_list : Fp.t list -> Fp.t
 (** Sponge absorption of an arbitrary-length field-element message. *)

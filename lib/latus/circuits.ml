@@ -2,21 +2,10 @@ open Zen_crypto
 open Zen_snark
 open Zendoo
 
-type keys = {
+type keys = Template.keys = {
   pk : Backend.proving_key;
   vk : Backend.verification_key;
   constraints : int;
-}
-
-(* A compiled circuit: keys set up once, at family creation, from the
-   synthesized and digested R1CS shape, plus a witness generator that
-   fills the assignment for concrete values. On the production path
-   ([make]) the generator re-runs the gadget code in evaluation mode,
-   so the per-proof cost is field arithmetic only — no constraint
-   lists, no SHA-256 re-digesting. *)
-type 'v compiled = {
-  keys : keys;
-  assign : 'v -> (Fp.t array * Fp.t array, string) result;
 }
 
 let bits_of_pos pos d = List.init d (fun i -> Fp.of_int ((pos lsr i) land 1))
@@ -148,39 +137,13 @@ let ownership_body ~depth ctx v =
   Gadget.assert_eq ~label:"own.root" ctx root hist_root;
   Gadget.assert_eq ~label:"own.amount" ctx amt amount_pub
 
-(* ---- Compilation (once per family) ---- *)
-
-(* Synthesizes [body] once on dummy values and sets up its keys. With
-   [resynth] the witness generator runs full synthesis plus re-digest
-   on every prove and refuses a shape that diverged from the keys: the
-   reference the evaluation-mode generator is tested against. *)
-let compile ~resynth ~name body dummy =
-  let ctx = Gadget.create () in
-  body ctx dummy;
-  let circuit, _, _ = Gadget.finalize ~name ctx in
-  let pk, vk = Backend.setup circuit in
-  let keys = { pk; vk; constraints = R1cs.num_constraints circuit } in
-  let assign =
-    if resynth then fun v ->
-      let ctx = Gadget.create () in
-      body ctx v;
-      let fresh, public, witness = Gadget.finalize ~name ctx in
-      if Hash.equal (R1cs.digest fresh) (R1cs.digest circuit) then Ok (public, witness)
-      else Error "circuit shape diverged from setup"
-    else fun v ->
-      let ctx = Gadget.create_eval () in
-      body ctx v;
-      Ok (Gadget.assignment ctx)
-  in
-  { keys; assign }
-
 type family = {
   params : Params.t;
-  remove : slot_values compiled;
-  insert : slot_values compiled;
-  append : append_values compiled;
-  wcert : wcert_values compiled;
-  ownership : ownership_values compiled;
+  remove : slot_values Template.t;
+  insert : slot_values Template.t;
+  append : append_values Template.t;
+  wcert : wcert_values Template.t;
+  ownership : ownership_values Template.t;
 }
 
 let dummy_slot depth =
@@ -195,20 +158,26 @@ let dummy_slot depth =
     s_to_v = Fp.zero;
   }
 
+(* Every circuit compiles once here; [resynth] picks the reference
+   witness generator ({!Template.compile_resynth}). *)
 let build ~resynth params =
+  let compile ~name body dummy =
+    if resynth then Template.compile_resynth ~name body dummy
+    else Template.compile ~name body dummy
+  in
   let depth = params.Params.mst_depth in
   let remove =
-    compile ~resynth ~name:"latus.remove"
+    compile ~name:"latus.remove"
       (slot_write_body ~depth ~remove:true)
       (dummy_slot depth)
   in
   let insert =
-    compile ~resynth ~name:"latus.insert"
+    compile ~name:"latus.insert"
       (slot_write_body ~depth ~remove:false)
       (dummy_slot depth)
   in
   let append =
-    compile ~resynth ~name:"latus.append_bt" append_body
+    compile ~name:"latus.append_bt" append_body
       {
         a_root = Fp.zero;
         a_acc0 = Fp.zero;
@@ -219,7 +188,7 @@ let build ~resynth params =
       }
   in
   let wcert =
-    compile ~resynth ~name:"latus.wcert" wcert_body
+    compile ~name:"latus.wcert" wcert_body
       {
         w_public = Array.make 5 Fp.zero;
         w_s_prev = Fp.zero;
@@ -227,7 +196,7 @@ let build ~resynth params =
       }
   in
   let ownership =
-    compile ~resynth ~name:"latus.ownership" (ownership_body ~depth)
+    compile ~name:"latus.ownership" (ownership_body ~depth)
       {
         o_public = Array.make 5 Fp.zero;
         o_addr = Fp.zero;
@@ -243,27 +212,24 @@ let build ~resynth params =
 let make params = build ~resynth:false params
 let make_resynth params = build ~resynth:true params
 
-let base_vks f = [ f.remove.keys.vk; f.insert.keys.vk; f.append.keys.vk ]
-let wcert_keys f = f.wcert.keys
-let ownership_keys f = f.ownership.keys
+let vk c = (Template.keys c).vk
+let base_vks f = [ vk f.remove; vk f.insert; vk f.append ]
+let wcert_keys f = Template.keys f.wcert
+let ownership_keys f = Template.keys f.ownership
 
 let step_keys f = function
-  | Sc_tx.Remove _ -> f.remove.keys
-  | Sc_tx.Insert _ -> f.insert.keys
-  | Sc_tx.Append_bt _ -> f.append.keys
+  | Sc_tx.Remove _ -> Template.keys f.remove
+  | Sc_tx.Insert _ -> Template.keys f.insert
+  | Sc_tx.Append_bt _ -> Template.keys f.append
 
 let ( let* ) = Result.bind
-
-let prove_via c v =
-  let* public, witness = c.assign v in
-  Backend.prove c.keys.pk ~public ~witness
 
 (* The two slot-write directions share one witness shape. *)
 let prove_slot_write c (state : Sc_state.t) ~s_from_v ~mst_after utxo pos =
   let siblings = Smt.proof_siblings (Mst.prove_slot state.mst pos) in
   let s_to_v = Poseidon.hash2 (Mst.root mst_after) state.bt_acc in
   let* proof =
-    prove_via c
+    Template.prove c
       {
         acc = state.bt_acc;
         addr = Hash.to_fp utxo.Utxo.addr;
@@ -275,7 +241,7 @@ let prove_slot_write c (state : Sc_state.t) ~s_from_v ~mst_after utxo pos =
         s_to_v;
       }
   in
-  Ok (proof, c.keys.vk, s_from_v, s_to_v)
+  Ok (proof, vk c, s_from_v, s_to_v)
 
 let prove_step f (state : Sc_state.t) step =
   let s_from_v = Sc_state.hash state in
@@ -299,7 +265,7 @@ let prove_step f (state : Sc_state.t) step =
     let root = Mst.root state.mst in
     let s_to_v = Poseidon.hash2 root acc1 in
     let* proof =
-      prove_via f.append
+      Template.prove f.append
         {
           a_root = root;
           a_acc0 = state.bt_acc;
@@ -309,7 +275,7 @@ let prove_step f (state : Sc_state.t) step =
           a_s_to = s_to_v;
         }
     in
-    Ok (proof, f.append.keys.vk, s_from_v, s_to_v)
+    Ok (proof, vk f.append, s_from_v, s_to_v)
 
 let prove_wcert_binding f ~quality ~bt_root ~end_prev_epoch ~end_epoch
     ~proofdata ~s_prev ~s_last =
@@ -319,7 +285,7 @@ let prove_wcert_binding f ~quality ~bt_root ~end_prev_epoch ~end_epoch
          ~end_prev_epoch ~end_epoch)
       [| Proofdata.root_fp proofdata |]
   in
-  prove_via f.wcert { w_public; w_s_prev = s_prev; w_s_last = s_last }
+  Template.prove f.wcert { w_public; w_s_prev = s_prev; w_s_last = s_last }
 
 let prove_ownership f ~mst ~utxo ~reference_block ~receiver ~proofdata =
   match Mst.find_utxo mst utxo with
@@ -332,7 +298,7 @@ let prove_ownership f ~mst ~utxo ~reference_block ~receiver ~proofdata =
            ~nullifier:(Utxo.nullifier utxo) ~receiver ~amount:utxo.amount)
         [| Proofdata.root_fp proofdata |]
     in
-    prove_via f.ownership
+    Template.prove f.ownership
       {
         o_public;
         o_addr = Hash.to_fp utxo.addr;

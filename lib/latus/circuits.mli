@@ -21,7 +21,7 @@ open Zen_crypto
 open Zen_snark
 open Zendoo
 
-type keys = {
+type keys = Template.keys = {
   pk : Backend.proving_key;
   vk : Backend.verification_key;
   constraints : int;

@@ -46,49 +46,39 @@ let root_of_digests = function
     in
     Some (level (Array.of_list ds))
 
-type system = {
-  pk : Backend.proving_key;
-  vk : Backend.verification_key;
-  vk_digest : Hash.t;
-}
+type system = { tpl : (Fp.t * Fp.t) Template.t; vk_digest : Hash.t }
 
 (* The aggregation statement circuit: public (root, count) plus a
    Poseidon binding — constant size, the simulated stand-in for
    "verify the children in-circuit" (children are verified natively by
    the prover, as in [Recursive.merge]). The structure is
-   value-independent, so one setup serves leaf wraps and merges. *)
-let synth ~name root_fp count_fp =
-  let ctx = Gadget.create () in
+   value-independent, so one template serves leaf wraps and merges. *)
+let body ctx (root_fp, count_fp) =
   let w_root = Gadget.input ctx root_fp in
   let w_count = Gadget.input ctx count_fp in
   let h = Gadget.poseidon2 ctx w_root w_count in
   let binding = Gadget.witness ctx (Gadget.value h) in
-  Gadget.assert_eq ~label:"aggregate.binding" ctx h binding;
-  Gadget.finalize ~name ctx
+  Gadget.assert_eq ~label:"aggregate.binding" ctx h binding
 
 let create () =
-  let circuit, _, _ = synth ~name:"zendoo.aggregate" Fp.zero Fp.zero in
-  let pk, vk = Backend.setup circuit in
-  { pk; vk; vk_digest = Backend.vk_digest vk }
+  let tpl = Template.compile ~name:"zendoo.aggregate" body (Fp.zero, Fp.zero) in
+  { tpl; vk_digest = Backend.vk_digest (Template.keys tpl).vk }
 
 (* First use wins; guarded because pool workers may race here. *)
 let shared_mu = Mutex.create ()
 let shared_ref = ref None
 
 let shared () =
-  Mutex.lock shared_mu;
-  let sys =
-    match !shared_ref with
-    | Some s -> s
-    | None ->
-      let s = create () in
-      shared_ref := Some s;
-      s
-  in
-  Mutex.unlock shared_mu;
-  sys
+  Mutex.protect shared_mu @@ fun () ->
+  match !shared_ref with
+  | Some s -> s
+  | None ->
+    let s = create () in
+    shared_ref := Some s;
+    s
 
-let vk sys = sys.vk
+let vk sys = (Template.keys sys.tpl).vk
+let template sys = sys.tpl
 let vk_digest sys = sys.vk_digest
 
 type t = { root : Hash.t; count : int; proof : Backend.proof }
@@ -109,18 +99,10 @@ let digest t =
 let public_of ~root ~count = [| Hash.to_fp root; Fp.of_int count |]
 
 let verify sys t =
-  Backend.verify sys.vk ~public:(public_of ~root:t.root ~count:t.count) t.proof
+  Backend.verify (vk sys) ~public:(public_of ~root:t.root ~count:t.count) t.proof
 
 let prove_node sys ~root ~count =
-  let circuit, public, witness =
-    synth
-      ~name:(R1cs.name (Backend.pk_circuit sys.pk))
-      (Hash.to_fp root) (Fp.of_int count)
-  in
-  (* Structure is value-independent: same circuit as at setup. *)
-  assert (
-    Hash.equal (R1cs.digest circuit) (R1cs.digest (Backend.pk_circuit sys.pk)));
-  match Backend.prove sys.pk ~public ~witness with
+  match Template.prove sys.tpl (Hash.to_fp root, Fp.of_int count) with
   | Error e -> Error ("aggregate: " ^ e)
   | Ok proof -> Ok { root; count; proof }
 
@@ -166,9 +148,9 @@ let build ?(pool = Pool.sequential) sys = function
     @@ fun () ->
     let leaf_arr = Array.of_list leaves in
     (* Leaf wraps are independent (one native cert verification + one
-       constant-size prove each, same ~ms granularity as a merge). *)
+       constant-size prove each, the ~0.2 ms granularity of a merge). *)
     let wrapped =
-      Pool.init_array pool ~cost:2.5 (Array.length leaf_arr) (fun i ->
+      Pool.init_array pool ~cost:0.2 (Array.length leaf_arr) (fun i ->
           let leaf, check = leaf_arr.(i) in
           of_leaf sys leaf ~check)
     in
@@ -195,7 +177,7 @@ let build ?(pool = Pool.sequential) sys = function
                 ]
               "aggregate.merge_level"
             @@ fun () ->
-            Pool.init_array pool ~cost:2.5 pairs (fun i ->
+            Pool.init_array pool ~cost:0.2 pairs (fun i ->
                 merge sys arr.(2 * i) arr.((2 * i) + 1))
           in
           match first_error merged pairs with

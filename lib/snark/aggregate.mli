@@ -62,6 +62,11 @@ val shared : unit -> system
 val vk : system -> Backend.verification_key
 val vk_digest : system -> Hash.t
 
+val template : system -> (Fp.t * Fp.t) Template.t
+(** The compiled aggregation circuit over [(root, count)]: set up once
+    by {!shared}; leaf wraps and merges only fill its witness
+    assignment. *)
+
 type t
 (** A sealed aggregate: merge-tree root, covered-certificate count, and
     the constant-size proof. *)

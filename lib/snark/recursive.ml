@@ -11,8 +11,7 @@ type transition_proof = {
 }
 
 type system = {
-  merge_pk : Backend.proving_key;
-  merge_vk : Backend.verification_key;
+  merge_tpl : (Fp.t * Fp.t * Fp.t) Template.t;
   merge_vk_digest : Hash.t;
   base_vk_by_digest : Backend.verification_key Hash.Map.t;
 }
@@ -20,35 +19,33 @@ type system = {
 (* The merge statement circuit: public (s_from, s_to), witness s_mid,
    plus a Poseidon chain binding all three. Constant size — the
    simulation stand-in for "verify two child proofs in-circuit". *)
-let synth_merge ~name s_from s_mid s_to =
-  let ctx = Gadget.create () in
+let merge_body ctx (s_from, s_mid, s_to) =
   let w_from = Gadget.input ctx s_from in
   let w_to = Gadget.input ctx s_to in
   let w_mid = Gadget.witness ctx s_mid in
   let h1 = Gadget.poseidon2 ctx w_from w_mid in
   let h2 = Gadget.poseidon2 ctx h1 w_to in
   let binding = Gadget.witness ctx (Gadget.value h2) in
-  Gadget.assert_eq ~label:"merge.binding" ctx h2 binding;
-  Gadget.finalize ~name ctx
+  Gadget.assert_eq ~label:"merge.binding" ctx h2 binding
 
 let create ~name ~base_vks =
-  let circuit, _, _ =
-    synth_merge ~name:(name ^ ".merge") Fp.zero Fp.zero Fp.zero
+  let merge_tpl =
+    Template.compile ~name:(name ^ ".merge") merge_body
+      (Fp.zero, Fp.zero, Fp.zero)
   in
-  let merge_pk, merge_vk = Backend.setup circuit in
   let base_vk_by_digest =
     List.fold_left
       (fun acc vk -> Hash.Map.add (Backend.vk_digest vk) vk acc)
       Hash.Map.empty base_vks
   in
   {
-    merge_pk;
-    merge_vk;
-    merge_vk_digest = Backend.vk_digest merge_vk;
+    merge_tpl;
+    merge_vk_digest = Backend.vk_digest (Template.keys merge_tpl).vk;
     base_vk_by_digest;
   }
 
-let merge_vk sys = sys.merge_vk
+let merge_vk sys = (Template.keys sys.merge_tpl).vk
+let merge_template sys = sys.merge_tpl
 
 let base_public ~s_from ~s_to ~extra =
   Array.append [| s_from; s_to |] extra
@@ -57,7 +54,7 @@ let public_of t = base_public ~s_from:t.s_from ~s_to:t.s_to ~extra:t.extra
 
 let verify sys t =
   let vk =
-    if Hash.equal t.vk_digest sys.merge_vk_digest then Some sys.merge_vk
+    if Hash.equal t.vk_digest sys.merge_vk_digest then Some (merge_vk sys)
     else Hash.Map.find_opt t.vk_digest sys.base_vk_by_digest
   in
   match vk with
@@ -91,15 +88,8 @@ let merge sys t1 t2 =
     Error "merge: transitions are not adjacent"
   else if not (verify sys t1) then Error "merge: left child does not verify"
   else if not (verify sys t2) then Error "merge: right child does not verify"
-  else begin
-    let circuit, public, witness =
-      synth_merge
-        ~name:(R1cs.name (Backend.pk_circuit sys.merge_pk))
-        t1.s_from t1.s_to t2.s_to
-    in
-    (* Structure is value-independent: same circuit as at setup. *)
-    assert (Hash.equal (R1cs.digest circuit) (R1cs.digest (Backend.pk_circuit sys.merge_pk)));
-    match Backend.prove sys.merge_pk ~public ~witness with
+  else
+    match Template.prove sys.merge_tpl (t1.s_from, t1.s_to, t2.s_to) with
     | Error e -> Error ("merge: " ^ e)
     | Ok proof ->
       Ok
@@ -112,7 +102,6 @@ let merge sys t1 t2 =
           depth = 1 + max t1.depth t2.depth;
           base_count = t1.base_count + t2.base_count;
         }
-  end
 
 let fold_balanced ?(pool = Pool.sequential) sys = function
   | [] -> Error "fold_balanced: empty transition list"
@@ -132,15 +121,15 @@ let fold_balanced ?(pool = Pool.sequential) sys = function
       else begin
         let pairs = n / 2 in
         let merged =
-          (* A merge proves the small fixed merge circuit (~2.5 ms):
-             heavy enough that near-singleton chunks with stealing are
-             the right granularity, which the cost hint encodes. *)
+          (* A merge verifies two children and fills and proves the
+             compiled merge circuit (~0.2 ms); the cost hint lets the
+             pool batch a few merges per chunk. *)
           Zen_obs.Trace.with_span ~cat:"snark"
             ~args:
               [ ("level", string_of_int lvl); ("pairs", string_of_int pairs) ]
             "recursive.merge_level"
           @@ fun () ->
-          Pool.init_array pool ~cost:2.5 pairs (fun i ->
+          Pool.init_array pool ~cost:0.2 pairs (fun i ->
               merge sys arr.(2 * i) arr.((2 * i) + 1))
         in
         (* Report the first error in pair order, as the sequential pass
@@ -265,14 +254,6 @@ module Incremental = struct
         | Some (_, e) -> Error e
         | None -> assert false))
 end
-
-let fold_sequential sys = function
-  | [] -> Error "fold_sequential: empty transition list"
-  | t :: rest ->
-    List.fold_left
-      (fun acc t2 ->
-        match acc with Error _ as e -> e | Ok t1 -> merge sys t1 t2)
-      (Ok t) rest
 
 let s_from t = t.s_from
 let s_to t = t.s_to

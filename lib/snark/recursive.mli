@@ -8,7 +8,8 @@
     merge prover verifies both children natively — constant cost per
     child, exactly the cost profile real recursion buys — and then
     proves a constant-size merge circuit binding the endpoint states
-    (DESIGN.md §3, substitution 2).
+    (DESIGN.md §3, substitution 2). The merge circuit is a compile-once
+    {!Template}: [create] synthesizes it, [merge] never does.
 
     [fold_balanced] builds the Fig. 10/11 merge tree: total work linear
     in the number of base transitions, tree depth logarithmic, final
@@ -29,6 +30,11 @@ val create : name:string -> base_vks:Backend.verification_key list -> system
 val merge_vk : system -> Backend.verification_key
 (** The verification key of the merge circuit — what a verifier of the
     final folded proof needs (together with the endpoint states). *)
+
+val merge_template : system -> (Fp.t * Fp.t * Fp.t) Template.t
+(** The compiled merge circuit over [(s_from, s_mid, s_to)]: its keys
+    are set up once by {!create}, and {!merge} only fills its witness
+    assignment. *)
 
 val base_public : s_from:Fp.t -> s_to:Fp.t -> extra:Fp.t array -> Fp.t array
 (** Assembles the public-input vector convention for base circuits:
@@ -63,10 +69,6 @@ val fold_balanced :
     failure, the reported error — is bit-identical to the sequential
     pass for every domain count, because the pairing is positional and
     {!merge} is deterministic. Default: {!Pool.sequential}. *)
-
-val fold_sequential :
-  system -> transition_proof list -> (transition_proof, string) result
-(** Left fold (degenerate tree) — the ablation comparison shape. *)
 
 (** Online {!fold_balanced}: feed transitions one at a time, in
     adjacency order, as their base proofs complete; most merges happen

@@ -1,0 +1,46 @@
+(** Compile-once circuit templates.
+
+    A circuit's R1CS shape never depends on the values it is proven
+    for, so a template synthesizes and SHA-digests the shape exactly
+    once, sets up its keys from it, and afterwards fills the witness
+    assignment for concrete values by re-running the same gadget body
+    in evaluation mode ({!Gadget.create_eval}): field arithmetic only,
+    no constraint lists, no {!R1cs.finalize}, no re-digesting. The
+    Latus circuits ([Zen_latus.Circuits]), the merge circuit of
+    {!Recursive} and the aggregation circuit of {!Aggregate} are all
+    templates. *)
+
+open Zen_crypto
+
+type keys = {
+  pk : Backend.proving_key;
+  vk : Backend.verification_key;
+  constraints : int;
+}
+
+type 'v t
+(** A compiled circuit over witness values of type ['v]. *)
+
+val compile : name:string -> (Gadget.ctx -> 'v -> unit) -> 'v -> 'v t
+(** [compile ~name body dummy] synthesizes [body] on [dummy] values,
+    finalizes the circuit under [name] and sets up its keys. The
+    witness generator runs [body] in evaluation mode. *)
+
+val compile_resynth : name:string -> (Gadget.ctx -> 'v -> unit) -> 'v -> 'v t
+(** The reference constructor: the same circuit and keys as {!compile},
+    but every {!assign} re-synthesizes the circuit, re-digests it and
+    refuses a shape that diverged from the keys. Tests and experiment
+    E16 use it to check and to price {!compile}. *)
+
+val keys : 'v t -> keys
+
+val assign : 'v t -> 'v -> (Fp.t array * Fp.t array, string) result
+(** The [(public, witness)] assignment for the given values. *)
+
+val synthesize : 'v t -> 'v -> R1cs.circuit * Fp.t array * Fp.t array
+(** Shape-mode synthesis of the body for the given values, as
+    {!Gadget.finalize} returns it. Always finalizes; this is the
+    reference an evaluation-mode {!assign} is tested against. *)
+
+val prove : 'v t -> 'v -> (Backend.proof, string) result
+(** {!assign} then {!Backend.prove} under the template's keys. *)

@@ -180,10 +180,20 @@ let test_recursion_balanced () =
     (Fp.equal (Recursive.s_from top) (Fp.of_int 1)
     && Fp.equal (Recursive.s_to top) (Recursive.s_to (List.nth ts 8)))
 
+(* The degenerate left-fold merge tree: the oracle [fold_balanced] is
+   checked against, not a production path. *)
+let fold_sequential sys = function
+  | [] -> Error "fold_sequential: empty transition list"
+  | t :: rest ->
+    List.fold_left
+      (fun acc t2 ->
+        match acc with Error _ as e -> e | Ok t1 -> Recursive.merge sys t1 t2)
+      (Ok t) rest
+
 let test_recursion_sequential_shape () =
   let sys, pk, vk = setup_rec () in
   let ts = make_chain sys pk vk (Fp.of_int 1) 5 in
-  let top = ok (Recursive.fold_sequential sys ts) in
+  let top = ok (fold_sequential sys ts) in
   checki "degenerate depth" 4 (Recursive.depth top);
   checkb "verifies" true (Recursive.verify sys top)
 
@@ -250,7 +260,7 @@ let fold_equivalence_prop (len, domains, gap) =
   in
   let pool = Pool.get ~domains in
   let bal = Recursive.fold_balanced ~pool sys ts in
-  let seq = Recursive.fold_sequential sys ts in
+  let seq = fold_sequential sys ts in
   match (bal, seq) with
   | Ok b, Ok s ->
     (not broken)
@@ -283,7 +293,7 @@ let test_fold_equivalence_exhaustive_lengths () =
       for len = 1 to 17 do
         let ts = take len chain in
         let b = ok (Recursive.fold_balanced ~pool sys ts) in
-        let s = ok (Recursive.fold_sequential sys ts) in
+        let s = ok (fold_sequential sys ts) in
         checkb
           (Printf.sprintf "len %d domains %d verifies" len domains)
           true

@@ -185,6 +185,89 @@ let test_eval_assignment_matches_synthesis () =
   checkb "assignment satisfies the template" true
     (Result.is_ok (Zen_snark.R1cs.satisfied circuit ~public:pub_e ~witness:wit_e))
 
+(* ---- The merge and aggregation circuits are templates too ---- *)
+
+module Template = Zen_snark.Template
+
+let rsys =
+  lazy
+    (Zen_snark.Recursive.create ~name:"tpl"
+       ~base_vks:(Circuits.base_vks (Lazy.force family)))
+
+(* An evaluation-mode assignment equals the Shape-mode synthesis of the
+   same values, and that synthesis has the compiled circuit's digest. *)
+let eval_equals_synthesis tpl v =
+  let circuit, public, witness = Template.synthesize tpl v in
+  Template.assign tpl v = Ok (public, witness)
+  && Hash.equal (Zen_snark.R1cs.digest circuit)
+       (Zen_snark.R1cs.digest
+          (Zen_snark.Backend.pk_circuit (Template.keys tpl).pk))
+
+let gen_fp = QCheck2.Gen.map Fp.of_int QCheck2.Gen.(int_bound max_int)
+
+let test_merge_template =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"merge circuit: eval = synthesis" ~count:20
+       QCheck2.Gen.(triple gen_fp gen_fp gen_fp)
+       (fun v ->
+         eval_equals_synthesis
+           (Zen_snark.Recursive.merge_template (Lazy.force rsys))
+           v))
+
+let test_aggregate_template =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"aggregation circuit: eval = synthesis"
+       ~count:20
+       QCheck2.Gen.(pair gen_fp (int_range 1 10_000))
+       (fun (root, count) ->
+         eval_equals_synthesis
+           (Zen_snark.Aggregate.template (Zen_snark.Aggregate.shared ()))
+           (root, Fp.of_int count)))
+
+(* Neither an epoch's merges nor a block aggregate's wraps and merges
+   synthesize a circuit: the counter stays at 0 where the per-call
+   merge circuits used to finalize 63 and 127 times. *)
+let test_no_finalize_in_merges () =
+  let f = Lazy.force family and rsys = Lazy.force rsys in
+  let agg = Zen_snark.Aggregate.shared () in
+  let steps =
+    List.init 64 (fun i -> Sc_tx.Insert (utxo (5000 + i)))
+    |> List.fold_left
+         (fun (st, kept) s ->
+           match Sc_tx.apply_step st s with
+           | Ok st' -> (st', s :: kept)
+           | Error _ -> (st, kept))
+         (Sc_state.create params, [])
+    |> snd |> List.rev
+  in
+  let leaves =
+    List.init 64 (fun i ->
+        ( {
+            Zen_snark.Aggregate.sc_id = Hash.of_string (Printf.sprintf "tpl-sc-%d" i);
+            epoch = i;
+            cert_hash = Hash.of_string (Printf.sprintf "tpl-cert-%d" i);
+            vk_digest = Hash.of_string "tpl-vk";
+            proof_bytes = string_of_int i;
+            end_prev_epoch = Hash.of_string "tpl-prev";
+            end_epoch = Hash.of_string "tpl-end";
+          },
+          fun () -> true ))
+  in
+  Zen_obs.Registry.with_enabled @@ fun () ->
+  let finalizes = Zen_obs.Counter.make "snark.r1cs.finalize" in
+  let merges = Zen_obs.Counter.make "snark.merges" in
+  let fin0 = Zen_obs.Counter.value finalizes in
+  let m0 = Zen_obs.Counter.value merges in
+  ignore
+    (ok
+       (Prover_pool.prove_and_merge f rsys ~initial:(Sc_state.create params)
+          ~steps ~workers:2 ~seed:14));
+  checki "epoch merges" (List.length steps - 1)
+    (Zen_obs.Counter.value merges - m0);
+  ignore (ok (Zen_snark.Aggregate.build agg leaves));
+  checki "no finalize in an epoch or a 64-leaf aggregate" 0
+    (Zen_obs.Counter.value finalizes - fin0)
+
 let suite =
   ( "template",
     [
@@ -195,4 +278,8 @@ let suite =
         test_finalize_off_hot_path;
       Alcotest.test_case "eval assignment = synthesis" `Quick
         test_eval_assignment_matches_synthesis;
+      test_merge_template;
+      test_aggregate_template;
+      Alcotest.test_case "no finalize in merges or aggregation" `Quick
+        test_no_finalize_in_merges;
     ] )
