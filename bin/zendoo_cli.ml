@@ -92,80 +92,92 @@ let attach_workload h ~workload ~seed =
   | None -> Ok ()
   | Some profile -> Zen_sim.Harness.set_workload h ~profile ~seed
 
+(* The world [simulate] and [chaos] share: check --sidechains, then
+   --workload, then [faults] (any error exits 1 after printing it);
+   build the harness on the shared pool, fund it with 5 MC blocks,
+   register the sidechains (certificates withheld with [withhold]),
+   send [fts] forward transfers to a [user_seed] wallet on the first
+   sidechain, attach the workload under [workload_seed] and run [ticks]
+   rounds. [report] prints what the world came to and returns the exit
+   code. *)
+let run_world ~seed ~ticks ~epoch_len ~submit_len ~fts ~sidechains ~domains
+    ~aggregate ~workload ~faults ~user_seed ~workload_seed ?(withhold = false)
+    report =
+  let fail e =
+    Printf.eprintf "error: %s\n" e;
+    1
+  in
+  if sidechains < 1 then fail "--sidechains must be at least 1"
+  else
+    match (parse_workload workload, faults) with
+    | Error e, _ | Ok _, Error e -> fail e
+    | Ok workload, Ok faults -> (
+      (* The process-wide persistent pool: spawned once, reused by every
+         operation in the run, joined by the registry's at_exit hook. *)
+      let pool = Pool.get ~domains:(resolve_domains domains) in
+      let h = Zen_sim.Harness.create ~pool ~aggregate ?faults ~seed () in
+      Zen_sim.Harness.fund h ~blocks:5;
+      let family = Circuits.make Params.default in
+      match
+        register_sidechains h ~n:sidechains ~family ~epoch_len ~submit_len
+      with
+      | Error e -> fail e
+      | Ok scs ->
+        List.iter (fun sc -> sc.Zen_sim.Harness.withhold_certs <- withhold) scs;
+        let user = Sc_wallet.create ~seed:user_seed in
+        let user_addr = Sc_wallet.fresh_address user in
+        for i = 1 to fts do
+          match
+            Zen_sim.Harness.forward_transfer h (List.hd scs) ~receiver:user_addr
+              ~payback:user_addr
+              ~amount:(Amount.of_int_exn (i * 1_000_000))
+          with
+          | Ok () -> ()
+          | Error e -> Zen_sim.Harness.logf h "ft failed: %s" e
+        done;
+        (match attach_workload h ~workload ~seed:workload_seed with
+        | Ok () -> ()
+        | Error e -> Zen_sim.Harness.logf h "workload attach failed: %s" e);
+        Zen_sim.Harness.tick_n h ticks;
+        report h scs ~workload:(workload <> None))
+
 let simulate seed ticks epoch_len submit_len fts withhold sidechains domains
     aggregate workload no_cache metrics trace_out report =
   with_obs ~metrics ~trace_out ~report @@ fun () ->
-  if sidechains < 1 then begin
-    Printf.eprintf "error: --sidechains must be at least 1\n";
-    1
-  end
-  else begin
-    match parse_workload workload with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      1
-    | Ok workload ->
-    Verifier.Cache.set_enabled (not no_cache);
-    (* The process-wide persistent pool: spawned once, reused by every
-       operation in the run, joined by the registry's at_exit hook. *)
-    let pool = Pool.get ~domains:(resolve_domains domains) in
-    let h = Zen_sim.Harness.create ~pool ~aggregate ~seed () in
-    Zen_sim.Harness.fund h ~blocks:5;
-    let family = Circuits.make Params.default in
-    match register_sidechains h ~n:sidechains ~family ~epoch_len ~submit_len with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      1
-    | Ok scs ->
-      List.iter (fun sc -> sc.Zen_sim.Harness.withhold_certs <- withhold) scs;
-      let first = List.hd scs in
-      let user = Sc_wallet.create ~seed:(seed ^ ".user") in
-      let user_addr = Sc_wallet.fresh_address user in
-      for i = 1 to fts do
-        match
-          Zen_sim.Harness.forward_transfer h first ~receiver:user_addr
-            ~payback:user_addr
-            ~amount:(Amount.of_int_exn (i * 1_000_000))
-        with
-        | Ok () -> ()
-        | Error e -> Zen_sim.Harness.logf h "ft failed: %s" e
-      done;
-      (* the string seed folds to a deterministic workload seed *)
-      let wseed =
-        String.fold_left
-          (fun a c -> ((a * 131) + Char.code c) land max_int)
-          7 seed
-      in
-      (match attach_workload h ~workload ~seed:wseed with
-      | Ok () -> ()
-      | Error e -> Zen_sim.Harness.logf h "workload attach failed: %s" e);
-      Zen_sim.Harness.tick_n h ticks;
-      List.iter print_endline (Zen_sim.Harness.dump_log h);
-      print_newline ();
-      List.iter
-        (fun sc ->
-          Printf.printf
-            "final %s: MC height %d | SC height %d | balance-on-MC %s | \
-             ceased %b | certified epochs [%s]\n"
-            sc.Zen_sim.Harness.name
-            (Zen_mainchain.Chain.height h.chain)
-            (Node.sc_height sc.Zen_sim.Harness.node)
-            (Amount.to_string (Zen_sim.Harness.sc_balance_on_mc h sc))
-            (Zen_sim.Harness.is_ceased h sc)
-            (String.concat ";"
-               (List.map string_of_int
-                  (Node.certified_epochs sc.Zen_sim.Harness.node))))
-        scs;
-      if workload <> None then
-        Printf.printf "workload injected %d txs\n"
-          (Zen_sim.Harness.workload_injected h);
-      let st = Verifier.Cache.stats () in
-      Printf.printf "verify cache: %d hits | %d misses | enabled %b\n"
-        st.Verifier.Cache.hits st.Verifier.Cache.misses
-        (Verifier.Cache.enabled ());
-      report_extras := [ ("scoreboard", Zen_sim.Harness.scoreboard_json h) ];
-      0
-  end
+  Verifier.Cache.set_enabled (not no_cache);
+  (* the string seed folds to a deterministic workload seed *)
+  let workload_seed =
+    String.fold_left (fun a c -> ((a * 131) + Char.code c) land max_int) 7 seed
+  in
+  run_world ~seed ~ticks ~epoch_len ~submit_len ~fts ~sidechains ~domains
+    ~aggregate ~workload ~faults:(Ok None) ~user_seed:(seed ^ ".user")
+    ~workload_seed ~withhold
+  @@ fun h scs ~workload ->
+  List.iter print_endline (Zen_sim.Harness.dump_log h);
+  print_newline ();
+  List.iter
+    (fun sc ->
+      Printf.printf
+        "final %s: MC height %d | SC height %d | balance-on-MC %s | ceased \
+         %b | certified epochs [%s]\n"
+        sc.Zen_sim.Harness.name
+        (Zen_mainchain.Chain.height h.chain)
+        (Node.sc_height sc.Zen_sim.Harness.node)
+        (Amount.to_string (Zen_sim.Harness.sc_balance_on_mc h sc))
+        (Zen_sim.Harness.is_ceased h sc)
+        (String.concat ";"
+           (List.map string_of_int
+              (Node.certified_epochs sc.Zen_sim.Harness.node))))
+    scs;
+  if workload then
+    Printf.printf "workload injected %d txs\n"
+      (Zen_sim.Harness.workload_injected h);
+  let st = Verifier.Cache.stats () in
+  Printf.printf "verify cache: %d hits | %d misses | enabled %b\n"
+    st.Verifier.Cache.hits st.Verifier.Cache.misses
+    (Verifier.Cache.enabled ());
+  report_extras := [ ("scoreboard", Zen_sim.Harness.scoreboard_json h) ];
+  0
 
 (* ---- schedule ---- *)
 
@@ -293,16 +305,6 @@ let prove steps domains workers mst_depth seed metrics trace_out report =
 let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
     workload intensity plan_str log_out metrics trace_out report =
   with_obs ~metrics ~trace_out ~report @@ fun () ->
-  if sidechains < 1 then begin
-    Printf.eprintf "error: --sidechains must be at least 1\n";
-    1
-  end
-  else
-  match parse_workload workload with
-  | Error e ->
-    Printf.eprintf "error: %s\n" e;
-    1
-  | Ok workload ->
   let plan_result =
     match plan_str with
     | Some s -> Zen_sim.Faults.plan_of_string s
@@ -317,125 +319,103 @@ let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
            ~epochs:(max 1 (ticks / epoch_len))
            ~workers:4 ~intensity ())
   in
-  match plan_result with
-  | Error e ->
-    Printf.eprintf "error: %s\n" e;
-    1
-  | Ok plan -> (
-    let faults = Zen_sim.Faults.create ~seed plan in
-    let pool = Pool.get ~domains:(resolve_domains domains) in
-    let h =
-      Zen_sim.Harness.create ~pool ~aggregate ~faults
-        ~seed:(Printf.sprintf "chaos.%d" seed) ()
+  run_world ~seed:(Printf.sprintf "chaos.%d" seed) ~ticks ~epoch_len
+    ~submit_len ~fts ~sidechains ~domains ~aggregate ~workload
+    ~faults:
+      (Result.map
+         (fun plan -> Some (Zen_sim.Faults.create ~seed plan))
+         plan_result)
+    ~user_seed:(Printf.sprintf "chaos.%d.user" seed)
+    ~workload_seed:seed
+  @@ fun h scs ~workload ->
+  let faults = Option.get h.Zen_sim.Harness.faults in
+  let plan = Zen_sim.Faults.plan faults in
+  let family = Node.family (List.hd scs).Zen_sim.Harness.node in
+  (* A small §5.4.1 proving episode under the plan's epoch-0 worker
+     faults, digest-compared against the fault-free run: crashes
+     must change scheduling, never proof bytes. *)
+  let rsys =
+    Zen_snark.Recursive.create ~name:"chaos"
+      ~base_vks:(Circuits.base_vks family)
+  in
+  let episode fl =
+    let st = Sc_state.create Params.default in
+    let workload =
+      List.init 8 (fun i ->
+          Sc_tx.Insert
+            (Utxo.make
+               ~addr:(Hash.of_string "chaos-prove")
+               ~amount:(Amount.of_int_exn (i + 1))
+               ~nonce:(Hash.of_string (Printf.sprintf "chaos-%d-%d" seed i))))
     in
-    Zen_sim.Harness.fund h ~blocks:5;
-    let family = Circuits.make Params.default in
-    match register_sidechains h ~n:sidechains ~family ~epoch_len ~submit_len with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      1
-    | Ok scs ->
-      let sc = List.hd scs in
-      let user = Sc_wallet.create ~seed:(Printf.sprintf "chaos.%d.user" seed) in
-      let user_addr = Sc_wallet.fresh_address user in
-      for i = 1 to fts do
-        match
-          Zen_sim.Harness.forward_transfer h sc ~receiver:user_addr
-            ~payback:user_addr
-            ~amount:(Amount.of_int_exn (i * 1_000_000))
-        with
-        | Ok () -> ()
-        | Error e -> Zen_sim.Harness.logf h "ft failed: %s" e
-      done;
-      (match attach_workload h ~workload ~seed with
-      | Ok () -> ()
-      | Error e -> Zen_sim.Harness.logf h "workload attach failed: %s" e);
-      Zen_sim.Harness.tick_n h ticks;
-      (* A small §5.4.1 proving episode under the plan's epoch-0 worker
-         faults, digest-compared against the fault-free run: crashes
-         must change scheduling, never proof bytes. *)
-      let rsys =
-        Zen_snark.Recursive.create ~name:"chaos"
-          ~base_vks:(Circuits.base_vks family)
-      in
-      let episode fl =
-        let st = Sc_state.create Params.default in
-        let workload =
-          List.init 8 (fun i ->
-              Sc_tx.Insert
-                (Utxo.make
-                   ~addr:(Hash.of_string "chaos-prove")
-                   ~amount:(Amount.of_int_exn (i + 1))
-                   ~nonce:(Hash.of_string (Printf.sprintf "chaos-%d-%d" seed i))))
-        in
-        Prover_pool.prove_and_merge ~faults:fl family rsys ~initial:st
-          ~steps:workload ~workers:4 ~seed
-      in
-      let digest proofs =
-        Hash.to_hex
-          (Hash.of_string
-             (String.concat ""
-                (List.map
-                   (fun tp ->
-                     Zen_snark.Backend.proof_encode tp.Prover_pool.proof)
-                   proofs)))
-      in
-      let worker_faults =
-        (* first epoch of the plan with prover faults, so the episode
-           actually exercises them when the plan has any *)
-        let rec first e =
-          if e > 64 then []
-          else
-            match Zen_sim.Faults.prover_faults faults ~epoch:e with
-            | [] -> first (e + 1)
-            | l -> l
-        in
-        first 0
-      in
-      let retries, identical =
-        match (episode worker_faults, episode []) with
-        | Ok (faulted, stats, _), Ok (clean, _, _) ->
-          (stats.Prover_pool.retries, digest faulted = digest clean)
-        | Error _, _ | _, Error _ -> (-1, false)
-      in
-      (* Certified epochs summed over every sidechain; "ceased" is true
-         when any sidechain ceased (for one sidechain both reduce to
-         the historical single-chain meaning). *)
-      let certified =
-        let state = Zen_mainchain.Chain.tip_state h.chain in
-        List.fold_left
-          (fun acc (sc : Zen_sim.Harness.sidechain) ->
-            match Zen_mainchain.Sc_ledger.find state.scs sc.ledger_id with
-            | None -> acc
-            | Some s -> acc + List.length s.Zen_mainchain.Sc_ledger.certs)
-          0 scs
-      in
-      let any_ceased =
-        List.exists (fun sc -> Zen_sim.Harness.is_ceased h sc) scs
-      in
-      let buf = Buffer.create 4096 in
-      let outf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-      outf "seed %d\n" seed;
-      outf "plan %s\n" (Zen_sim.Faults.plan_to_string plan);
-      List.iter (fun l -> outf "%s\n" l) (Zen_sim.Harness.dump_log h);
-      if workload <> None then
-        outf "workload injected %d txs\n" (Zen_sim.Harness.workload_injected h);
-      outf
-        "chaos: %d faults injected | %d epochs certified | ceased %b | MC \
-         height %d | prover retries %d | proof identical %b\n"
-        (Zen_sim.Faults.injected faults)
-        certified any_ceased
-        (Zen_mainchain.Chain.height h.chain)
-        retries identical;
-      print_string (Buffer.contents buf);
-      Option.iter
-        (fun path ->
-          let oc = open_out path in
-          output_string oc (Buffer.contents buf);
-          close_out oc)
-        log_out;
-      report_extras := [ ("scoreboard", Zen_sim.Harness.scoreboard_json h) ];
-      0)
+    Prover_pool.prove_and_merge ~faults:fl family rsys ~initial:st
+      ~steps:workload ~workers:4 ~seed
+  in
+  let digest proofs =
+    Hash.to_hex
+      (Hash.of_string
+         (String.concat ""
+            (List.map
+               (fun tp ->
+                 Zen_snark.Backend.proof_encode tp.Prover_pool.proof)
+               proofs)))
+  in
+  let worker_faults =
+    (* first epoch of the plan with prover faults, so the episode
+       actually exercises them when the plan has any *)
+    let rec first e =
+      if e > 64 then []
+      else
+        match Zen_sim.Faults.prover_faults faults ~epoch:e with
+        | [] -> first (e + 1)
+        | l -> l
+    in
+    first 0
+  in
+  let retries, identical =
+    match (episode worker_faults, episode []) with
+    | Ok (faulted, stats, _), Ok (clean, _, _) ->
+      (stats.Prover_pool.retries, digest faulted = digest clean)
+    | Error _, _ | _, Error _ -> (-1, false)
+  in
+  (* Certified epochs summed over every sidechain; "ceased" is true
+     when any sidechain ceased (for one sidechain both reduce to
+     the historical single-chain meaning). *)
+  let certified =
+    let state = Zen_mainchain.Chain.tip_state h.chain in
+    List.fold_left
+      (fun acc (sc : Zen_sim.Harness.sidechain) ->
+        match Zen_mainchain.Sc_ledger.find state.scs sc.ledger_id with
+        | None -> acc
+        | Some s -> acc + List.length s.Zen_mainchain.Sc_ledger.certs)
+      0 scs
+  in
+  let any_ceased =
+    List.exists (fun sc -> Zen_sim.Harness.is_ceased h sc) scs
+  in
+  let buf = Buffer.create 4096 in
+  let outf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  outf "seed %d\n" seed;
+  outf "plan %s\n" (Zen_sim.Faults.plan_to_string plan);
+  List.iter (fun l -> outf "%s\n" l) (Zen_sim.Harness.dump_log h);
+  if workload then
+    outf "workload injected %d txs\n" (Zen_sim.Harness.workload_injected h);
+  outf
+    "chaos: %d faults injected | %d epochs certified | ceased %b | MC \
+     height %d | prover retries %d | proof identical %b\n"
+    (Zen_sim.Faults.injected faults)
+    certified any_ceased
+    (Zen_mainchain.Chain.height h.chain)
+    retries identical;
+  print_string (Buffer.contents buf);
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc (Buffer.contents buf);
+      close_out oc)
+    log_out;
+  report_extras := [ ("scoreboard", Zen_sim.Harness.scoreboard_json h) ];
+  0
 
 (* ---- soak ---- *)
 

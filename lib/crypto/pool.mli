@@ -5,8 +5,8 @@
     independent, so they can be executed by real domains instead of the
     accounted simulation the repository used to ship. The same pool
     drives batch Merkle/SMT tree builds ({!Merkle.of_leaves},
-    {!Smt.of_bindings}), the per-level merges of the recursive proof
-    tree ([Zen_snark.Recursive.fold_balanced]) and mainchain batch
+    {!Smt.of_bindings}), the per-level merges of a block's certificate
+    aggregate ([Zen_snark.Aggregate.build]) and mainchain batch
     verification ([Zendoo.Verifier.verify_batch]).
 
     {2 Lifecycle: one shared pool per process}

@@ -19,10 +19,7 @@ let config_for ~ledger_id ~start_block ~epoch_len ~submit_len family =
 type record = {
   block : Sc_block.t;
   state_after : Sc_state.t;
-  proofs : Recursive.transition_proof list;
-      (* application order; empty when the pipeline carries the proofs *)
   leaf_base : int; (* first pipeline leaf index of this block's epoch stream *)
-  leaf_count : int; (* pipeline leaves this block contributed *)
   wepoch : int;
   completes_epoch : int option;
 }
@@ -39,10 +36,7 @@ type t = {
   fam : Circuits.family;
   rsys : Recursive.system;
   forger : Sc_wallet.t;
-  prove : bool;
-  pool : Pool.t; (* domains for proving and epoch-proof folding *)
-  pipeline : Proof_pipeline.t option; (* None: synchronous forge-path proving *)
-  retain_epochs : int;
+  pipeline : Proof_pipeline.t;
   genesis_state : Sc_state.t;
   schedule : Epoch.schedule;
   mutable records : record list; (* newest first *)
@@ -51,15 +45,17 @@ type t = {
   mutable archives : epoch_archive Int_map.t; (* by certified epoch *)
 }
 
-let create ~config ~params ~family ~forger ?(prove = true)
-    ?(pool = Pool.sequential) ?(pipeline = true) ?(retain_epochs = 8) () =
+(* Epochs of block records kept behind the mainchain's last accepted
+   certificate: certificate rebuilds after shallow reorgs stay inside
+   the margin, and withdrawals replay from the per-epoch archives. *)
+let retain_epochs = 8
+
+let create ~config ~params ~family ~forger ?(pool = Pool.sequential) () =
   match Params.validate params with
   | Error e -> Error e
   | Ok () ->
     if Sc_wallet.addresses forger = [] then
       Error "latus node: forger wallet has no keys"
-    else if retain_epochs < 2 then
-      Error "latus node: retain_epochs must be at least 2"
     else begin
       let rsys =
         Recursive.create ~name:"latus" ~base_vks:(Circuits.base_vks family)
@@ -71,13 +67,7 @@ let create ~config ~params ~family ~forger ?(prove = true)
           fam = family;
           rsys;
           forger;
-          prove;
-          pool;
-          pipeline =
-            (if prove && pipeline then
-               Some (Proof_pipeline.create ~pool ~family ~rsys)
-             else None);
-          retain_epochs;
+          pipeline = Proof_pipeline.create ~pool ~family ~rsys;
           genesis_state = Sc_state.create params;
           schedule = Epoch.of_config config;
           records = [];
@@ -194,18 +184,17 @@ let reconcile t ~mc =
     (* Roll the proving pipeline back with the records: keep only the
        leaves of blocks that survived. The first dropped record of each
        epoch (oldest first in [dropped]) marks the cut. *)
-    (match t.pipeline with
-    | None -> ()
-    | Some p ->
-      let cuts =
-        List.fold_left
-          (fun m r ->
-            Int_map.update r.wepoch
-              (function None -> Some r.leaf_base | keep -> keep)
-              m)
-          Int_map.empty dropped
-      in
-      Int_map.iter (fun epoch keep -> Proof_pipeline.truncate p ~epoch ~keep) cuts);
+    let cuts =
+      List.fold_left
+        (fun m r ->
+          Int_map.update r.wepoch
+            (function None -> Some r.leaf_base | keep -> keep)
+            m)
+        Int_map.empty dropped
+    in
+    Int_map.iter
+      (fun epoch keep -> Proof_pipeline.truncate t.pipeline ~epoch ~keep)
+      cuts;
     (* Front of the FIFO, deduplicated by txid: a payment that is both
        in a dropped block and still pooled (or dropped twice across
        branches) must not be double-queued. *)
@@ -236,48 +225,18 @@ let build_refs t ~mc =
   in
   go (max (synced + 1) t.config.start_block) []
 
-let txs_of_refs refs =
-  List.concat_map
-    (fun (r : Mc_ref.t) ->
-      let mcid = Mc_ref.block_hash r in
-      (if r.fts <> [] then
-         [ Sc_tx.Forward_transfers_tx { mcid; fts = r.fts } ]
-       else [])
-      @
-      if r.btrs <> [] then
-        [ Sc_tx.Backward_transfer_requests_tx { mcid; btrs = r.btrs } ]
-      else [])
-    refs
-
-(* Applies a transaction's steps to [state]. Proofs are either produced
-   here, synchronously ([proofs_rev]), or deferred: with a pipeline the
-   pre-step snapshots are collected ([snaps_rev]) and enqueued by the
-   caller once the block is definitely being committed, so an abandoned
-   block never pollutes the epoch's proof stream. Both accumulators are
-   built reversed and reversed once by the caller (the old
-   [proofs @ [tp]] append made validation quadratic in block size). *)
-let prove_and_apply t state tx =
+(* Applies a transaction's steps to [state], collecting the pre-step
+   snapshots reversed. The caller enqueues them for proving once the
+   block is definitely being committed, so an abandoned block never
+   pollutes the epoch's proof stream. *)
+let apply_collecting state tx =
   let* steps = Sc_tx.steps state tx in
-  let deferred = t.pipeline <> None in
   List.fold_left
     (fun acc step ->
-      let* state, proofs_rev, snaps_rev = acc in
-      let* proofs_rev =
-        if (not t.prove) || deferred then Ok proofs_rev
-        else begin
-          let* proof, vk, s_from, s_to = Circuits.prove_step t.fam state step in
-          let* tp =
-            Recursive.of_base t.rsys ~vk ~s_from ~s_to ~extra:[||] proof
-          in
-          Ok (tp :: proofs_rev)
-        end
-      in
-      let snaps_rev =
-        if deferred then (state, step) :: snaps_rev else snaps_rev
-      in
-      let* state = Sc_tx.apply_step state step in
-      Ok (state, proofs_rev, snaps_rev))
-    (Ok (state, [], []))
+      let* state, snaps_rev = acc in
+      let* state' = Sc_tx.apply_step state step in
+      Ok (state', (state, step) :: snaps_rev))
+    (Ok (state, []))
     steps
 
 let blocks_forged =
@@ -315,11 +274,11 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
     else begin
       let state0 = next_block_state t in
       let wepoch = next_block_wepoch t in
-      let sync_txs = txs_of_refs refs in
+      let sync_txs = Sc_validate.sync_txs refs in
       (* Mempool transactions that became invalid (double spends after
-         a reorg, stale inputs) are dropped, not fatal. All accumulators
+         a reorg, stale inputs) are dropped, not fatal. Both accumulators
          are reversed lists (linear in block size, not quadratic). *)
-      let* state2, proofs2, snaps2, included =
+      let* state2, snaps2, included =
         Zen_obs.Trace.with_span ~cat:"latus"
           ~args:
             [
@@ -328,27 +287,27 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
             ]
           "latus.validate"
         @@ fun () ->
-        let* state1, proofs1_rev, snaps1_rev =
+        let* state1, snaps1_rev =
           List.fold_left
             (fun acc tx ->
-              let* st, ps, sn = acc in
-              let* st, ps', sn' = prove_and_apply t st tx in
-              (* [ps'] is this tx's proofs reversed; prepending keeps the
-                 whole accumulator reversed at linear cost. *)
-              Ok (st, ps' @ ps, sn' @ sn))
-            (Ok (state0, [], []))
+              let* st, sn = acc in
+              let* st, sn' = apply_collecting st tx in
+              (* [sn'] is this tx's snapshots reversed; prepending keeps
+                 the whole accumulator reversed at linear cost. *)
+              Ok (st, sn' @ sn))
+            (Ok (state0, []))
             sync_txs
         in
-        let state2, proofs_rev, snaps_rev, included_rev =
+        let state2, snaps_rev, included_rev =
           List.fold_left
-            (fun (st, ps, sn, inc) tx ->
-              match prove_and_apply t st tx with
-              | Ok (st', ps', sn') -> (st', ps' @ ps, sn' @ sn, tx :: inc)
-              | Error _ -> (st, ps, sn, inc))
-            (state1, proofs1_rev, snaps1_rev, [])
+            (fun (st, sn, inc) tx ->
+              match apply_collecting st tx with
+              | Ok (st', sn') -> (st', sn' @ sn, tx :: inc)
+              | Error _ -> (st, sn, inc))
+            (state1, snaps1_rev, [])
             mempool_txs
         in
-        Ok (state2, List.rev proofs_rev, List.rev snaps_rev, List.rev included_rev)
+        Ok (state2, List.rev snaps_rev, List.rev included_rev)
       in
       let parent =
         match tip_record t with
@@ -375,24 +334,16 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
       (* Commit point: the block definitely enters the chain, so its
          proving tasks may now enter the epoch stream (enqueueing any
          earlier would let an aborted forge pollute the certificate). *)
-      let leaf_base, leaf_count =
-        match t.pipeline with
-        | None -> (0, 0)
-        | Some p ->
-          let base = Proof_pipeline.leaves p ~epoch:wepoch in
-          List.iter
-            (fun (st, step) ->
-              Proof_pipeline.enqueue p ~epoch:wepoch ~state:st ~step)
-            snaps2;
-          (base, List.length snaps2)
-      in
+      let leaf_base = Proof_pipeline.leaves t.pipeline ~epoch:wepoch in
+      List.iter
+        (fun (st, step) ->
+          Proof_pipeline.enqueue t.pipeline ~epoch:wepoch ~state:st ~step)
+        snaps2;
       let record =
         {
           block;
           state_after = state2;
-          proofs = proofs2;
           leaf_base;
-          leaf_count;
           wepoch;
           completes_epoch;
         }
@@ -437,13 +388,6 @@ let certificate_target t ~mc =
     in
     min node_next mc_next
 
-(* Records of one withdrawal epoch, oldest first — O(log e + k) via the
-   epoch index instead of re-filtering the whole record list. *)
-let epoch_records t ~epoch =
-  match Int_map.find_opt epoch t.by_epoch with
-  | None -> []
-  | Some rs -> List.rev rs
-
 (* The block completing [epoch] carries that epoch's last MC reference,
    so it lives in [epoch]'s own bucket. *)
 let completing_record t ~epoch =
@@ -483,7 +427,7 @@ let prune_certified t ~mc =
       | None -> 0
       | Some r -> r.cert.epoch_id + 1
     in
-    let keep_from = mc_next - t.retain_epochs in
+    let keep_from = mc_next - retain_epochs in
     let stale =
       match Int_map.min_binding_opt t.by_epoch with
       | Some (e, _) -> e < keep_from
@@ -493,9 +437,7 @@ let prune_certified t ~mc =
       let before = List.length t.records in
       t.records <- List.filter (fun r -> r.wepoch >= keep_from) t.records;
       t.by_epoch <- Int_map.filter (fun e _ -> e >= keep_from) t.by_epoch;
-      (match t.pipeline with
-      | Some p -> Proof_pipeline.drop_below p ~epoch:keep_from
-      | None -> ());
+      Proof_pipeline.drop_below t.pipeline ~epoch:keep_from;
       Zen_obs.Counter.add records_pruned (before - List.length t.records)
     end
 
@@ -504,148 +446,117 @@ let certify_s =
     ~bounds:(Zen_obs.Histogram.exponential_bounds ~lo:1e-4 ~factor:4. ~n:10)
     "latus.certify.seconds"
 
-(* The epoch's recursive transition proof: either fold the synchronously
-   produced proofs in one burst (no pipeline — O(n) merges here, on the
-   certify path), or complete the pipeline's incremental fold (≤ ⌈log₂ n⌉
-   carry merges plus any straggler base proofs). Both produce the same
-   proof bytes and the same errors. *)
+(* The epoch's recursive transition proof: completes the pipeline's
+   incremental fold (≤ ⌈log₂ n⌉ carry merges plus any straggler base
+   proofs). *)
 let epoch_top_proof t ~epoch =
-  match t.pipeline with
-  | None -> (
-    let proofs = List.concat_map (fun r -> r.proofs) (epoch_records t ~epoch) in
-    match proofs with
-    | [] -> Ok None
-    | _ ->
-      let* top =
-        Zen_obs.Trace.with_span ~cat:"latus"
-          ~args:[ ("proofs", string_of_int (List.length proofs)) ]
-          "latus.fold"
-        @@ fun () -> Recursive.fold_balanced ~pool:t.pool t.rsys proofs
-      in
-      Ok (Some top))
-  | Some p -> (
-    match Proof_pipeline.leaves p ~epoch with
-    | 0 -> Ok None
-    | n ->
-      let* top =
-        Zen_obs.Trace.with_span ~cat:"latus"
-          ~args:[ ("proofs", string_of_int n) ]
-          "latus.fold"
-        @@ fun () -> Proof_pipeline.await_epoch p ~epoch
-      in
-      Ok (Some top))
+  match Proof_pipeline.leaves t.pipeline ~epoch with
+  | 0 -> Ok None
+  | n ->
+    let* top =
+      Zen_obs.Trace.with_span ~cat:"latus"
+        ~args:[ ("proofs", string_of_int n) ]
+        "latus.fold"
+      @@ fun () -> Proof_pipeline.await_epoch t.pipeline ~epoch
+    in
+    Ok (Some top)
 
 let build_certificate t ~mc =
-  if not t.prove then Error "certificate: node runs with proving disabled"
-  else begin
-    prune_certified t ~mc;
-    let mc_now = Chain.tip_state mc in
-    if Sc_ledger.is_ceased mc_now.scs t.config.ledger_id ~height:mc_now.height
-    then Ok None (* a ceased sidechain can never certify again (Def. 4.2) *)
-    else
-    let epoch = certificate_target t ~mc in
-    match completing_record t ~epoch with
-    | None -> Ok None (* epoch not yet complete *)
-    | Some last_record ->
-      Zen_obs.Trace.with_span ~cat:"latus"
-        ~args:[ ("epoch", string_of_int epoch) ]
-        "latus.certify"
-      @@ fun () ->
-      Zen_obs.Histogram.time certify_s
-      @@ fun () ->
-      let end_state = last_record.state_after in
-      let s_prev = epoch_start_hash t ~epoch in
-      let s_last = Sc_state.hash end_state in
-      (* The §5.5.3.1 statement, checked natively before the binding
-         proof is produced (simulation oracle, DESIGN.md §3): the
-         epoch's recursive transition proof must verify and span
-         exactly (s_prev → s_last). An epoch without transitions is
-         the heartbeat case: the state must not have moved. *)
-      let* () =
-        let* top = epoch_top_proof t ~epoch in
-        match top with
-        | None ->
-          if Fp.equal s_prev s_last then Ok ()
-          else Error "certificate: state moved without transition proofs"
-        | Some top ->
-          if not (Recursive.verify t.rsys top) then
-            Error "certificate: epoch transition proof rejected"
-          else if
-            not
-              (Fp.equal (Recursive.s_from top) s_prev
-              && Fp.equal (Recursive.s_to top) s_last)
-          then Error "certificate: epoch proof endpoints mismatch"
-          else Ok ()
-      in
-      let bt_list = Sc_state.backward_transfers end_state in
-      let quality = last_record.block.height in
-      let delta = Mst.delta_bits end_state.mst in
-      let proofdata =
-        Proofdata.
-          [
-            Digest (Sc_block.hash last_record.block);
-            Field (Mst.root end_state.mst);
-            Blob (Bytes.to_string delta);
-          ]
-      in
-      let mc_state = Chain.tip_state mc in
-      let resolve h =
-        if h < 0 then Some Hash.zero else Chain_state.block_hash_at mc_state h
-      in
-      let* end_prev_epoch, end_epoch =
-        match
-          ( resolve (Epoch.last_height t.schedule ~epoch:(epoch - 1)),
-            resolve (Epoch.last_height t.schedule ~epoch) )
-        with
-        | Some a, Some b -> Ok (a, b)
-        | _ -> Error "certificate: epoch boundary blocks not on MC best chain"
-      in
-      let bt_root = Backward_transfer.list_root bt_list in
-      let* proof =
-        Circuits.prove_wcert_binding t.fam ~quality ~bt_root ~end_prev_epoch
-          ~end_epoch ~proofdata ~s_prev ~s_last
-      in
-      let cert =
-        Withdrawal_certificate.make ~ledger_id:t.config.ledger_id
-          ~epoch_id:epoch ~quality ~bt_list ~proofdata ~proof
-      in
-      (* A rebuild of an already-archived epoch (lost certificate)
-         must not duplicate the archive entry. *)
-      if not (Int_map.mem epoch t.archives) then
-        t.archives <-
-          Int_map.add epoch
-            {
-              end_state;
-              delta;
-              end_block_hash = Sc_block.hash last_record.block;
-            }
-            t.archives;
-      Zen_obs.Counter.incr certificates;
-      Ok (Some (Tx.Certificate cert))
-  end
+  prune_certified t ~mc;
+  let mc_now = Chain.tip_state mc in
+  if Sc_ledger.is_ceased mc_now.scs t.config.ledger_id ~height:mc_now.height
+  then Ok None (* a ceased sidechain can never certify again (Def. 4.2) *)
+  else
+  let epoch = certificate_target t ~mc in
+  match completing_record t ~epoch with
+  | None -> Ok None (* epoch not yet complete *)
+  | Some last_record ->
+    Zen_obs.Trace.with_span ~cat:"latus"
+      ~args:[ ("epoch", string_of_int epoch) ]
+      "latus.certify"
+    @@ fun () ->
+    Zen_obs.Histogram.time certify_s
+    @@ fun () ->
+    let end_state = last_record.state_after in
+    let s_prev = epoch_start_hash t ~epoch in
+    let s_last = Sc_state.hash end_state in
+    (* The §5.5.3.1 statement, checked natively before the binding
+       proof is produced (simulation oracle, DESIGN.md §3): the
+       epoch's recursive transition proof must verify and span
+       exactly (s_prev → s_last). An epoch without transitions is
+       the heartbeat case: the state must not have moved. *)
+    let* () =
+      let* top = epoch_top_proof t ~epoch in
+      match top with
+      | None ->
+        if Fp.equal s_prev s_last then Ok ()
+        else Error "certificate: state moved without transition proofs"
+      | Some top ->
+        if not (Recursive.verify t.rsys top) then
+          Error "certificate: epoch transition proof rejected"
+        else if
+          not
+            (Fp.equal (Recursive.s_from top) s_prev
+            && Fp.equal (Recursive.s_to top) s_last)
+        then Error "certificate: epoch proof endpoints mismatch"
+        else Ok ()
+    in
+    let bt_list = Sc_state.backward_transfers end_state in
+    let quality = last_record.block.height in
+    let delta = Mst.delta_bits end_state.mst in
+    let proofdata =
+      Proofdata.
+        [
+          Digest (Sc_block.hash last_record.block);
+          Field (Mst.root end_state.mst);
+          Blob (Bytes.to_string delta);
+        ]
+    in
+    let mc_state = Chain.tip_state mc in
+    let resolve h =
+      if h < 0 then Some Hash.zero else Chain_state.block_hash_at mc_state h
+    in
+    let* end_prev_epoch, end_epoch =
+      match
+        ( resolve (Epoch.last_height t.schedule ~epoch:(epoch - 1)),
+          resolve (Epoch.last_height t.schedule ~epoch) )
+      with
+      | Some a, Some b -> Ok (a, b)
+      | _ -> Error "certificate: epoch boundary blocks not on MC best chain"
+    in
+    let bt_root = Backward_transfer.list_root bt_list in
+    let* proof =
+      Circuits.prove_wcert_binding t.fam ~quality ~bt_root ~end_prev_epoch
+        ~end_epoch ~proofdata ~s_prev ~s_last
+    in
+    let cert =
+      Withdrawal_certificate.make ~ledger_id:t.config.ledger_id
+        ~epoch_id:epoch ~quality ~bt_list ~proofdata ~proof
+    in
+    (* A rebuild of an already-archived epoch (lost certificate)
+       must not duplicate the archive entry. *)
+    if not (Int_map.mem epoch t.archives) then
+      t.archives <-
+        Int_map.add epoch
+          {
+            end_state;
+            delta;
+            end_block_hash = Sc_block.hash last_record.block;
+          }
+          t.archives;
+    Zen_obs.Counter.incr certificates;
+    Ok (Some (Tx.Certificate cert))
 
 (* ---- Pipeline surface ---- *)
 
-let pump t =
-  match t.pipeline with Some p -> Proof_pipeline.pump p | None -> ()
-
-let pipeline_enabled t = t.pipeline <> None
-
-let pipeline_depth t =
-  match t.pipeline with Some p -> Proof_pipeline.outstanding p | None -> 0
-
-let certificate_stats t =
-  match t.pipeline with
-  | Some p -> List.rev (Proof_pipeline.certificate_log p)
-  | None -> []
+let pump t = Proof_pipeline.pump t.pipeline
+let pipeline_depth t = Proof_pipeline.outstanding t.pipeline
+let certificate_stats t = List.rev (Proof_pipeline.certificate_log t.pipeline)
 
 let retained_records t = List.length t.records
 
 let state_at_epoch_end t ~epoch =
   Option.map (fun a -> a.end_state) (Int_map.find_opt epoch t.archives)
-
-let delta_for_epoch t ~epoch =
-  Option.map (fun a -> a.delta) (Int_map.find_opt epoch t.archives)
 
 (* ---- Mainchain-managed withdrawals (§5.5.3.2, §5.5.3.3) ---- *)
 

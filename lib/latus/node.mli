@@ -36,32 +36,22 @@ val create :
   params:Params.t ->
   family:Circuits.family ->
   forger:Sc_wallet.t ->
-  ?prove:bool ->
   ?pool:Pool.t ->
-  ?pipeline:bool ->
-  ?retain_epochs:int ->
   unit ->
   (t, string) result
-(** [prove:false] skips SNARK generation (consensus-only experiments);
-    such a node cannot emit certificates. The forger wallet must hold
-    at least one key. [pool] (default {!Pool.sequential}) supplies the
-    domains used for proving and for folding the epoch's transition
-    proofs; proofs and certificates are bit-identical for every domain
-    count. The node does not own the pool — the caller shuts it down.
+(** The forger wallet must hold at least one key. [pool] (default
+    {!Pool.sequential}) supplies the domains the {!Proof_pipeline}
+    proves and folds on: {!forge} applies steps natively and enqueues
+    proving tasks that complete in the background between ticks (call
+    {!pump} to drain), leaving the certify path only the
+    ≤ ⌈log₂ n⌉ carry merges. Proofs and certificates are bit-identical
+    for every domain count. The node does not own the pool — the caller
+    shuts it down.
 
-    [pipeline] (default [true], ignored with [prove:false]) routes
-    per-step proving through {!Proof_pipeline}: {!forge} applies steps
-    natively and enqueues proving tasks that complete in the background
-    between ticks (call {!pump} to drain), leaving the certify path only
-    the ≤ ⌈log₂ n⌉ carry merges. Certificates, decisions and errors are
-    byte-identical pipeline on or off. [pipeline:false] restores
-    synchronous forge-path proving and the burst fold at certify time.
-
-    [retain_epochs] (default 8, minimum 2) bounds the block-record
-    window: records of epochs more than that many behind the
-    mainchain's last accepted certificate are pruned (certificate
-    rebuilds after shallow reorgs stay inside the margin; withdrawals
-    replay from the kept per-epoch archives). *)
+    Block records of epochs more than 8 behind the mainchain's last
+    accepted certificate are pruned: certificate rebuilds after shallow
+    reorgs stay inside that margin, and withdrawals replay from the kept
+    per-epoch archives. *)
 
 val params : t -> Params.t
 val family : t -> Circuits.family
@@ -120,8 +110,6 @@ val certificate_target : t -> mc:Chain.t -> int
     {!next_uncertified_epoch} otherwise. *)
 
 val state_at_epoch_end : t -> epoch:int -> Sc_state.t option
-val delta_for_epoch : t -> epoch:int -> Bytes.t option
-(** The mst_delta committed by this epoch's certificate. *)
 
 val create_withdrawal_request :
   t ->
@@ -144,20 +132,16 @@ val leader_for_slot : t -> slot:int -> Hash.t option
 
 val pump : t -> unit
 (** Drain point between ticks: folds every background proof that has
-    completed into its epoch's incremental merge tree (no-op without a
-    pipeline). With a sequential pool this is where the deferred proofs
+    completed into its epoch's incremental merge tree. With a sequential pool this is where the deferred proofs
     actually run, spreading the work across ticks instead of bursting at
     the epoch boundary. The harness calls this once per sidechain per
     tick, after forging. *)
 
-val pipeline_enabled : t -> bool
-
 val pipeline_depth : t -> int
-(** Proving tasks enqueued but not yet folded (0 without a pipeline). *)
+(** Proving tasks enqueued but not yet folded. *)
 
 val certificate_stats : t -> Proof_pipeline.certificate_stats list
-(** Per-certificate certify-path accounting, oldest first (empty
-    without a pipeline): how many base transitions each epoch proof
+(** Per-certificate certify-path accounting, oldest first: how many base transitions each epoch proof
     covers and how many merges actually ran at certify time. Both
     fields are deterministic in the seed. *)
 

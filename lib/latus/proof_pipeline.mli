@@ -9,7 +9,7 @@
     proving task per step as a {!Pool.future}; the tasks complete on the
     shared Domain pool in the background while the node forges the next
     block. As sibling proofs land, {!pump} folds them through
-    {!Recursive.Incremental} — the online [fold_balanced] — so by
+    {!Recursive.Incremental} — the online balanced fold — so by
     certify time the epoch's merge tree is already built except for the
     ≤ ⌈log₂ n⌉ binary-counter carry merges, which {!await_epoch} runs
     together with any straggler base proofs.
@@ -18,12 +18,14 @@
 
     Scheduling moves, bytes don't. Leaves are harvested strictly in
     application order regardless of completion order, the incremental
-    fold reproduces [fold_balanced]'s exact tree, and a task's thunk is
-    pure — so certificates (and on failure, the reported error) are
-    byte-identical to the synchronous path for every domain count,
-    pipeline on or off. With a sequential pool nothing runs in the
-    background; {!pump} and {!await_epoch} are simply where the deferred
-    work executes, which spreads it across ticks instead of bursting.
+    fold reproduces the level-by-level balanced tree exactly, and a
+    task's thunk is pure — so certificates (and on failure, the reported
+    error) are byte-identical to proving every step synchronously and
+    folding the proofs in one burst, for every domain count (the test
+    suite keeps that burst prover as its oracle). With a sequential
+    pool nothing runs in the background; {!pump} and {!await_epoch} are
+    simply where the deferred work executes, which spreads it across
+    ticks instead of bursting.
 
     {2 Observability}
 
@@ -42,8 +44,8 @@ type certificate_stats = {
   cert_leaves : int;  (** base transitions folded into the epoch proof *)
   cert_carry_merges : int;
       (** merges that actually ran on the certify path —
-          ≤ ⌈log₂ [cert_leaves]⌉, vs. [cert_leaves] − 1 for the
-          unpipelined burst fold *)
+          ≤ ⌈log₂ [cert_leaves]⌉, vs. [cert_leaves] − 1 for a burst
+          fold at certify time *)
 }
 
 val create : pool:Zen_crypto.Pool.t -> family:Circuits.family -> rsys:Recursive.system -> t
@@ -67,8 +69,8 @@ val await_epoch : t -> epoch:int -> (Recursive.transition_proof, string) result
 (** Completes [epoch]'s fold: awaits straggler base proofs (running
     unclaimed ones inline), then performs the remaining carry merges.
     Errors are deterministic and identical to the synchronous
-    prove-then-[fold_balanced] path: the first failing base proof in
-    application order, else the first failing merge in [fold_balanced]'s
+    prove-then-fold path: the first failing base proof in application
+    order, else the first failing merge in the level-by-level fold's
     (level, pair) order. Appends to {!certificate_log}. *)
 
 val leaves : t -> epoch:int -> int

@@ -202,7 +202,7 @@ let prove_and_merge ?(pool = Pool.sequential) ?(faults = [])
   (* Pipelined execution: every task is a future, so base proofs run
      concurrently while this domain folds finished ones — in index
      order — through the incremental merge tree. The tree shape (hence
-     the proof bytes) is [Recursive.fold_balanced]'s and the reported
+     the proof bytes) is the balanced Fig. 10 tree and the reported
      error is the first failing index, whatever the domain count; only
      scheduling and the timing fields vary. *)
   let futures =

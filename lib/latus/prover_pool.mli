@@ -107,8 +107,8 @@ val prove_and_merge :
     order — through {!Recursive.Incremental} while later tasks are
     still proving, so merging overlaps proving instead of waiting for
     the last base proof. The returned proofs are in step order and each
-    has been verified; the epoch proof's bytes equal
-    {!Recursive.fold_balanced} over the wrapped base proofs. On failure
+    has been verified; the epoch proof's bytes equal the level-by-level
+    balanced fold of the wrapped base proofs. On failure
     the reported error is the first failing step in epoch order. All of
     this is independent of the domain count: only [stats.wall] (the
     overlapped prove+merge) and the per-task timings vary.

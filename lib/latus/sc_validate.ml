@@ -57,6 +57,18 @@ let validate_refs ctx ~mc (block : Sc_block.t) =
   in
   Ok ()
 
+let sync_txs refs =
+  List.concat_map
+    (fun (r : Mc_ref.t) ->
+      let mcid = Mc_ref.block_hash r in
+      (if r.fts <> [] then [ Sc_tx.Forward_transfers_tx { mcid; fts = r.fts } ]
+       else [])
+      @
+      if r.btrs <> [] then
+        [ Sc_tx.Backward_transfer_requests_tx { mcid; btrs = r.btrs } ]
+      else [])
+    refs
+
 let validate ctx ~mc (block : Sc_block.t) =
   let* () = check (Sc_block.verify_signature block) "sc block: bad signature" in
   let* () =
@@ -77,18 +89,6 @@ let validate ctx ~mc (block : Sc_block.t) =
   (* Replay: synchronized transactions derived from the references,
      then the block's own transactions, must land exactly on the
      committed state hash. *)
-  let sync_txs =
-    List.concat_map
-      (fun (r : Mc_ref.t) ->
-        let mcid = Mc_ref.block_hash r in
-        (if r.fts <> [] then [ Sc_tx.Forward_transfers_tx { mcid; fts = r.fts } ]
-         else [])
-        @
-        if r.btrs <> [] then
-          [ Sc_tx.Backward_transfer_requests_tx { mcid; btrs = r.btrs } ]
-        else [])
-      block.mc_refs
-  in
   let* state =
     List.fold_left
       (fun acc tx ->
@@ -97,7 +97,7 @@ let validate ctx ~mc (block : Sc_block.t) =
         | Ok st' -> Ok st'
         | Error e -> Error ("sc block: " ^ e))
       (Ok ctx.prev_state)
-      (sync_txs @ block.txs)
+      (sync_txs block.mc_refs @ block.txs)
   in
   let* () =
     check

@@ -25,6 +25,12 @@ type context = {
       (** enforce slot leadership when [Some] *)
 }
 
+val sync_txs : Mc_ref.t list -> Sc_tx.t list
+(** The synchronized transactions a block's MC references imply, in
+    reference order: per reference, one FTTx for its forward transfers
+    and one BTRTx for its backward-transfer requests, each only when
+    non-empty. The forger and the follower both derive them here. *)
+
 val validate :
   context -> mc:Chain.t -> Sc_block.t -> (Sc_state.t, string) result
 (** Full check; returns the post-state on success (its hash equals the

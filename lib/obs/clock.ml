@@ -21,8 +21,6 @@ let skew d =
   in
   go ()
 
-let skew_total () = Atomic.get offset
-
 let deterministic ?(start = 0.) ?(step = 1e-3) () =
   let k = Atomic.make 0 in
   fun () -> start +. (float_of_int (Atomic.fetch_and_add k 1) *. step)

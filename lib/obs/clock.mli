@@ -22,9 +22,6 @@ val skew : float -> unit
     per-task accounting — observes the jump, while the source itself
     (real or {!deterministic}) stays untouched. *)
 
-val skew_total : unit -> float
-(** The accumulated skew in seconds (0. after {!reset}). *)
-
 val deterministic : ?start:float -> ?step:float -> unit -> unit -> float
 (** [deterministic ()] is a fake clock: each call returns
     [start + k * step] for k = 0, 1, 2, … (atomically counted, so it is

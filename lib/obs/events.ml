@@ -8,13 +8,4 @@ let add t s =
   Mutex.unlock t.mu;
   Trace.instant ~cat:"event" s
 
-let addf t fmt = Printf.ksprintf (add t) fmt
-
-let newest_first t =
-  Mutex.lock t.mu;
-  let es = t.entries in
-  Mutex.unlock t.mu;
-  es
-
-let items t = List.rev (newest_first t)
-let length t = List.length (newest_first t)
+let items t = List.rev (Mutex.protect t.mu (fun () -> t.entries))

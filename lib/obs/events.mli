@@ -13,14 +13,5 @@ val create : unit -> t
 
 val add : t -> string -> unit
 
-val addf : t -> ('a, unit, string, unit) format4 -> 'a
-(** printf-style {!add}. *)
-
 val items : t -> string list
 (** Oldest first (the order [Harness.dump_log] has always promised). *)
-
-val newest_first : t -> string list
-(** The raw internal order (the old [Harness.t.log] field exposed
-    newest-first; kept for bug-compatibility). *)
-
-val length : t -> int

@@ -47,7 +47,6 @@ type t = {
   miner_addr : Hash.t;
   pool : Pool.t;
   aggregate : bool;
-  pipeline : bool;
   mutable time : int;
   mutable sidechains_rev : sidechain list;
   mutable next_sc_nonce : int;
@@ -66,6 +65,8 @@ let dump_log t = Zen_obs.Events.items t.log
 
 let create ?(pow = Pow.trivial) ?(pool = Pool.sequential) ?(aggregate = false)
     ?(pipeline = true) ?faults ~seed () =
+  if not pipeline then
+    invalid_arg "Harness.create: ~pipeline:false (the burst prover) is gone";
   let params = { Chain_state.default_params with pow } in
   let mc_wallet = Wallet.create ~seed in
   let miner_addr = Wallet.fresh_address mc_wallet in
@@ -76,7 +77,6 @@ let create ?(pow = Pow.trivial) ?(pool = Pool.sequential) ?(aggregate = false)
     miner_addr;
     pool;
     aggregate;
-    pipeline;
     time = 0;
     sidechains_rev = [];
     next_sc_nonce = 1;
@@ -218,8 +218,7 @@ let add_latus t ~name ?(params = Params.default) ?family ?pool ~epoch_len
     let (_ : Hash.t) = Sc_wallet.fresh_address forger in
     let node_pool = match pool with Some p -> p | None -> t.pool in
     match
-      Node.create ~config ~params ~family ~forger ~pool:node_pool
-        ~pipeline:t.pipeline ()
+      Node.create ~config ~params ~family ~forger ~pool:node_pool ()
     with
     | Error e -> Error e
     | Ok node ->
@@ -527,8 +526,8 @@ let tick t =
          finished since the last tick (with a sequential pool, run the
          deferred proofs here) so certify time only sees carry merges
          and genuine stragglers. Scheduling only — the log never
-         records pipeline progress, keeping runs byte-identical
-         pipeline on or off. *)
+         records pipeline progress, keeping runs byte-identical for
+         every domain count. *)
       Node.pump sc.node;
       if not sc.withhold_certs then submit_certificate t sc)
     (sidechains t);
@@ -547,9 +546,6 @@ let sc_balance_on_mc t sc =
 let is_ceased t sc =
   let st = Chain.tip_state t.chain in
   Sc_ledger.is_ceased st.scs sc.ledger_id ~height:st.height
-
-let find_sidechain t name =
-  List.find_opt (fun sc -> String.equal sc.name name) t.sidechains_rev
 
 let scoreboard_json t =
   let open Zen_obs.Json in
@@ -619,7 +615,6 @@ let scoreboard_json t =
            carry_merges ≤ ⌈log₂ leaves⌉ + 1. *)
         Obj
           [
-            ("enabled", Bool t.pipeline);
             ( "certs",
               Arr
                 (List.concat_map

@@ -52,12 +52,6 @@ type t = {
           into one {!Zen_snark.Aggregate} (validation verifies one
           proof per block); decisions and logs are byte-identical
           either way *)
-  pipeline : bool;
-      (** when true (the default), sidechain nodes prove through
-          {!Zen_latus.Proof_pipeline} — base proofs run between ticks
-          and merge incrementally, leaving certify time only the carry
-          merges; certificates, decisions and logs are byte-identical
-          either way *)
   mutable time : int;
   mutable sidechains_rev : sidechain list;
       (** newest first (constant-time registration); read registration
@@ -99,7 +93,13 @@ val create :
     {!Pool.sequential}. Everything downstream is deterministic in
     [seed] (and, with [faults], in the fault plan: the same
     [(seed, plan)] pair replays to a byte-identical event log — for
-    every domain count of [pool]). *)
+    every domain count of [pool]). Sidechain nodes always prove through
+    {!Zen_latus.Proof_pipeline}.
+
+    [pipeline] is a leftover label: the benchmark in [perfbench/] still
+    passes [~pipeline:true], the only accepted value; [~pipeline:false]
+    raises [Invalid_argument]. The label goes when the benchmark stops
+    passing it (ROADMAP item 2). *)
 
 val sidechains : t -> sidechain list
 (** Registered sidechains in registration order (the order {!tick}
@@ -183,9 +183,6 @@ val sc_balance_on_mc : t -> sidechain -> Amount.t
 val is_ceased : t -> sidechain -> bool
 (** Whether the MC considers the sidechain ceased at the current tip
     (no certificate inside a submission window, Fig. 3). *)
-
-val find_sidechain : t -> string -> sidechain option
-(** Looks a sidechain up by the [name] given to {!add_latus}. *)
 
 val scoreboard_json : t -> Zen_obs.Json.t
 (** The flight recorder as JSON — per-(sidechain, epoch) certificate

@@ -25,9 +25,9 @@ let leaf_digest l =
 let node_hash l r =
   Hash.tagged "zendoo.aggregate.node" [ Hash.to_raw l; Hash.to_raw r ]
 
-(* Must mirror the level structure of [build] below (and of
-   [Recursive.fold_balanced]): pair positionally, carry an odd trailing
-   element up unchanged. *)
+(* Must mirror the level structure of [build] below (and of the
+   balanced tree [Recursive.Incremental] builds): pair positionally,
+   carry an odd trailing element up unchanged. *)
 let root_of_digests = function
   | [] -> None
   | ds ->

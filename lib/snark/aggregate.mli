@@ -21,7 +21,7 @@
     leaf whose certificate verification fails, so "aggregate verifies"
     is equivalent to "every covered certificate verifies". The pairing
     is positional with the odd trailing element carried up, identical
-    to [Recursive.fold_balanced], so {!root_of_digests} lets a verifier
+    to {!Recursive.Incremental}'s tree, so {!root_of_digests} lets a verifier
     recompute the expected root from the block's certificates without
     touching proofs. *)
 

@@ -103,68 +103,16 @@ let merge sys t1 t2 =
           base_count = t1.base_count + t2.base_count;
         }
 
-let fold_balanced ?(pool = Pool.sequential) sys = function
-  | [] -> Error "fold_balanced: empty transition list"
-  | ts ->
-    Zen_obs.Trace.with_span ~cat:"snark"
-      ~args:[ ("transitions", string_of_int (List.length ts)) ]
-      "recursive.fold_balanced"
-    @@ fun () ->
-    (* Merge adjacent pairs, halving the list each pass (Fig. 10). The
-       pairs of one level share no state, so each level is a parallel
-       map; an odd trailing element is carried up unchanged. Results are
-       identical to the sequential left-to-right pass: the pairing is
-       positional and [merge] is deterministic. *)
-    let rec level ~lvl arr =
-      let n = Array.length arr in
-      if n = 1 then Ok arr.(0)
-      else begin
-        let pairs = n / 2 in
-        let merged =
-          (* A merge verifies two children and fills and proves the
-             compiled merge circuit (~0.2 ms); the cost hint lets the
-             pool batch a few merges per chunk. *)
-          Zen_obs.Trace.with_span ~cat:"snark"
-            ~args:
-              [ ("level", string_of_int lvl); ("pairs", string_of_int pairs) ]
-            "recursive.merge_level"
-          @@ fun () ->
-          Pool.init_array pool ~cost:0.2 pairs (fun i ->
-              merge sys arr.(2 * i) arr.((2 * i) + 1))
-        in
-        (* Report the first error in pair order, as the sequential pass
-           would. *)
-        let rec first_error i =
-          if i >= pairs then None
-          else
-            match merged.(i) with
-            | Error e -> Some e
-            | Ok _ -> first_error (i + 1)
-        in
-        match first_error 0 with
-        | Some e -> Error e
-        | None ->
-          level ~lvl:(lvl + 1)
-            (Array.init
-               ((n + 1) / 2)
-               (fun i ->
-                 if i < pairs then
-                   match merged.(i) with Ok m -> m | Error _ -> assert false
-                 else arr.(n - 1)))
-      end
-    in
-    level ~lvl:0 (Array.of_list ts)
-
 module Incremental = struct
-  (* Online [fold_balanced]: a binary counter of perfectly-aligned merge
-     subtrees. The stack holds complete subtrees of strictly increasing
-     size (head = smallest); pushing a leaf merges equal-sized neighbors
-     eagerly, exactly like adding 1 to a binary counter. Every subtree
-     covers leaves [start, start + size) with [size] a power of two and
-     [start] a multiple of [size] — i.e. it is precisely the node
-     [fold_balanced] builds over that leaf range, so eager merges and
-     the final carry merges reproduce its tree shape (and therefore its
-     proof bytes) node for node: a [fold_balanced] level-[k] pass pairs
+  (* The balanced fold, online: a binary counter of perfectly-aligned
+     merge subtrees. The stack holds complete subtrees of strictly
+     increasing size (head = smallest); pushing a leaf merges equal-sized
+     neighbors eagerly, exactly like adding 1 to a binary counter. Every
+     subtree covers leaves [start, start + size) with [size] a power of
+     two and [start] a multiple of [size] — i.e. it is precisely the node
+     the level-by-level fold builds over that leaf range, so eager merges
+     and the final carry merges reproduce its tree shape (and therefore
+     its proof bytes) node for node: a level-by-level level-[k] pass pairs
      aligned size-2^k blocks, which is the same set of merges the
      counter performs when the second block of a pair completes; the
      odd trailing block a level carries up unchanged is the same block
@@ -185,7 +133,7 @@ module Incremental = struct
     mutable count : int;
     mutable eager_merges : int;
     (* Failed merges, keyed by the (level, pair) position the same merge
-       occupies in [fold_balanced]'s level-order execution. *)
+       occupies in the level-by-level fold's level-order execution. *)
     mutable failures : ((int * int) * string) list;
   }
 
@@ -197,12 +145,13 @@ module Incremental = struct
   let rec log2 s = if s <= 1 then 0 else 1 + log2 (s / 2)
 
   (* The left child of any merge we perform covers [start, start+size)
-     with size a power of two and start size-aligned, which in
-     [fold_balanced] is pair [start / (2*size)] of level [log2 size].
-     Failures are reported by minimum (level, pair): the merges the
-     counter runs that [fold_balanced] would have skipped (levels above
-     its first failure) all have strictly larger keys, so the minimum is
-     the error [fold_balanced] reports. *)
+     with size a power of two and start size-aligned, which in the
+     level-by-level fold is pair [start / (2*size)] of level
+     [log2 size]. Failures are reported by minimum (level, pair): the
+     merges the counter runs that the level-by-level fold would have
+     skipped (levels above its first failure) all have strictly larger
+     keys, so the minimum is the error the level-by-level fold
+     reports. *)
   let do_merge a left right =
     let size = left.size + right.size and start = left.start in
     match (left.res, right.res) with
@@ -243,9 +192,9 @@ module Incremental = struct
     | smallest :: rest -> (
       (* Carry chain: fold the remaining blocks smallest-first, each
          larger block becoming the left child — the trailing-odd-element
-         chain of [fold_balanced], at most ⌈log₂ count⌉ merges. Does not
-         consume the stack, so an acc can be finished, extended and
-         finished again (certificate rebuild after a lost cert). *)
+         chain of the level-by-level fold, at most ⌈log₂ count⌉ merges.
+         Does not consume the stack, so an acc can be finished, extended
+         and finished again (certificate rebuild after a lost cert). *)
       let top = List.fold_left (fun acc b -> do_merge a b acc) smallest rest in
       match top.res with
       | Ok t -> Ok t

@@ -11,9 +11,9 @@
     (DESIGN.md §3, substitution 2). The merge circuit is a compile-once
     {!Template}: [create] synthesizes it, [merge] never does.
 
-    [fold_balanced] builds the Fig. 10/11 merge tree: total work linear
-    in the number of base transitions, tree depth logarithmic, final
-    proof constant-size. *)
+    {!Incremental} builds the Fig. 10/11 merge tree online: total work
+    linear in the number of base transitions, tree depth logarithmic,
+    final proof constant-size. *)
 
 open Zen_crypto
 
@@ -56,29 +56,17 @@ val merge :
 (** Fails when the proofs are not adjacent ([s_to] of the first differs
     from [s_from] of the second) or either child fails verification. *)
 
-val fold_balanced :
-  ?pool:Pool.t ->
-  system ->
-  transition_proof list ->
-  (transition_proof, string) result
-(** Balanced binary merge of a non-empty adjacency-ordered list.
-
-    With a [pool], every level of the Fig. 10 merge tree is a parallel
-    map over its adjacent pairs (the pairs of one level are
-    independent; levels are barriers). The resulting proof — and on
-    failure, the reported error — is bit-identical to the sequential
-    pass for every domain count, because the pairing is positional and
-    {!merge} is deterministic. Default: {!Pool.sequential}. *)
-
-(** Online {!fold_balanced}: feed transitions one at a time, in
-    adjacency order, as their base proofs complete; most merges happen
-    {e during} feeding ({!Incremental.push} merges equal-sized aligned
-    subtrees eagerly, a binary-counter carry structure), leaving
-    {!Incremental.finish} at most ⌈log₂ n⌉ carry merges. The finished
-    proof — and, on failure, the reported error — is {b byte-identical}
-    to [fold_balanced] over the same list: the counter builds exactly
-    the aligned subtrees of the Fig. 10 tree, in a different order.
-    This is what keeps the certify path of a pipelined node logarithmic
+(** The balanced Fig. 10 merge tree, built online: feed transitions
+    one at a time, in adjacency order, as their base proofs complete;
+    most merges happen {e during} feeding ({!Incremental.push} merges
+    equal-sized aligned subtrees eagerly, a binary-counter carry
+    structure), leaving {!Incremental.finish} at most ⌈log₂ n⌉ carry
+    merges. The tree is the level-by-level one: level [k] pairs adjacent
+    aligned blocks of 2{^k} leaves, and an odd trailing block is carried
+    up unchanged. The finished proof — and, on failure, the reported
+    error — is {b byte-identical} to folding the same list level by
+    level (the test suite keeps that batch fold as its oracle). This is
+    what keeps the certify path of a pipelined node logarithmic
     ([Zen_latus.Proof_pipeline]). *)
 module Incremental : sig
   type acc
@@ -90,7 +78,7 @@ module Incremental : sig
   (** Appends the next transition, running any eager merges it enables
       (amortized O(1) merges per push, worst case one carry chain). A
       failed merge is recorded and poisons the affected subtree;
-      {!finish} reports the same error [fold_balanced] would. *)
+      {!finish} reports the same error the level-by-level fold would. *)
 
   val count : acc -> int
   (** Transitions pushed so far. *)
@@ -104,11 +92,11 @@ module Incremental : sig
 
   val finish : acc -> (transition_proof, string) result
   (** Folds the outstanding subtrees into the final proof (the carried
-      trailing-element chain of [fold_balanced]). Non-destructive: the
-      acc may be extended with further {!push}es and finished again —
+      trailing-element chain of the level-by-level fold). Non-destructive:
+      the acc may be extended with further {!push}es and finished again —
       how a lost certificate is rebuilt without re-proving. Errors:
       ["fold_balanced: empty transition list"] when nothing was pushed,
-      otherwise the first failing merge in [fold_balanced]'s
+      otherwise the first failing merge in the level-by-level fold's
       (level, pair) execution order. *)
 end
 

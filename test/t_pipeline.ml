@@ -1,9 +1,11 @@
 (* Pipelined epoch proving: the Recursive.Incremental online fold must
-   be byte-identical to fold_balanced for every prefix length and every
-   domain count (including error selection), Prover_pool.prove_and_merge
-   must reproduce the two-phase prover (below: prove every step, then
-   fold) exactly, and a harness run is a pure function of its seed
-   whether the pipeline is on or off. *)
+   be byte-identical to the batch fold_balanced oracle for every prefix
+   length and every domain count (including error selection),
+   Prover_pool.prove_and_merge must reproduce the two-phase prover
+   (below: prove every step, then fold) exactly, Proof_pipeline must
+   match the burst prover (prove every kept step synchronously, then
+   fold) through truncations and drops, and a harness run is a pure
+   function of its seed for every domain count. *)
 
 open Zen_crypto
 open Zen_snark
@@ -101,7 +103,7 @@ let test_incremental_all_prefixes () =
       List.iter
         (fun domains ->
           let pool = Pool.get ~domains in
-          let bal = ok (Recursive.fold_balanced ~pool sys (take len chain)) in
+          let bal = ok (Fold_oracle.fold_balanced ~pool sys (take len chain)) in
           checks
             (Printf.sprintf "len %d domains %d bytes" len domains)
             (bytes_of bal) (bytes_of inc))
@@ -127,7 +129,7 @@ let equivalence_prop (len, domains, gap) =
     | _ -> (ts, false)
   in
   let pool = Pool.get ~domains in
-  let bal = Recursive.fold_balanced ~pool sys ts in
+  let bal = Fold_oracle.fold_balanced ~pool sys ts in
   let _, inc = incremental_of sys ts in
   match (bal, inc) with
   | Ok b, Ok i -> (not broken) && String.equal (bytes_of b) (bytes_of i)
@@ -150,7 +152,7 @@ let test_incremental_double_break () =
      fold_balanced's (level, pair) execution order. *)
   let sys, chain = Lazy.force chain17 in
   let ts = take 11 chain |> drop_nth 8 |> drop_nth 3 in
-  let bal = Recursive.fold_balanced sys ts in
+  let bal = Fold_oracle.fold_balanced sys ts in
   let _, inc = incremental_of sys ts in
   match (bal, inc) with
   | Error eb, Error ei -> checks "same first error" eb ei
@@ -220,7 +222,7 @@ let merge_all ~pool rsys proofs =
         Ok (t :: out))
       proofs (Ok [])
   in
-  Recursive.fold_balanced ~pool rsys transitions
+  Fold_oracle.fold_balanced ~pool rsys transitions
 
 let pipe_steps n tag =
   List.init n (fun i ->
@@ -299,19 +301,115 @@ let test_prove_and_merge_identical () =
         ])
     [ 1; 2 ]
 
-(* ---- harness determinism: pipeline on/off, fault storm ---- *)
+(* ---- Proof_pipeline = synchronous prove + fold_balanced ---- *)
+
+(* Applies [steps] natively from [state]: the end state and each step
+   paired with its pre-step snapshot, as the node enqueues them. *)
+let snapshots state steps =
+  let state, rev =
+    List.fold_left
+      (fun (st, acc) step -> (ok (Sc_tx.apply_step st step), (st, step) :: acc))
+      (state, []) steps
+  in
+  (state, List.rev rev)
+
+(* The burst prover: every snapshot proven synchronously in order (the
+   first failure is the error), then one batch fold. *)
+let burst_top rsys snaps =
+  let* leaves_rev =
+    List.fold_left
+      (fun acc (st, step) ->
+        let* out = acc in
+        let* proof, vk, s_from, s_to = Circuits.prove_step family st step in
+        let* tp = Recursive.of_base rsys ~vk ~s_from ~s_to ~extra:[||] proof in
+        Ok (tp :: out))
+      (Ok []) snaps
+  in
+  Fold_oracle.fold_balanced rsys (List.rev leaves_rev)
+
+let test_pipeline_matches_burst () =
+  let rsys =
+    Recursive.create ~name:"t-pipe-burst" ~base_vks:(Circuits.base_vks family)
+  in
+  let s3, prefix = snapshots (Sc_state.create params) (pipe_steps 3 "pre") in
+  let _, stale = snapshots s3 (pipe_steps 2 "stale") in
+  let s7, fresh = snapshots s3 (pipe_steps 4 "fresh") in
+  (* A step that cannot be proven between two that can: the base
+     failure must win over everything after it. *)
+  let s8, good = snapshots s7 (pipe_steps 1 "good") in
+  let stranger =
+    Utxo.make ~addr:(Hash.of_string "t-pipe.stranger") ~amount:(amount 1)
+      ~nonce:(Hash.of_string "tp-burst-stranger")
+  in
+  let _, after = snapshots s8 (pipe_steps 1 "after") in
+  let failing = good @ [ (s8, Sc_tx.Remove stranger) ] @ after in
+  (* Two links that are not adjacent: the fold's merge fails. *)
+  let broken = [ List.nth prefix 0; List.nth prefix 2 ] in
+  List.iter
+    (fun domains ->
+      let label s = Printf.sprintf "domains %d: %s" domains s in
+      let p = Proof_pipeline.create ~pool:(Pool.get ~domains) ~family ~rsys in
+      let enqueue epoch =
+        List.iter (fun (state, step) ->
+            Proof_pipeline.enqueue p ~epoch ~state ~step)
+      in
+      enqueue 0 fresh;
+      enqueue 1 (prefix @ stale);
+      Proof_pipeline.pump p;
+      (* reorg: the stale tail goes, a fresh branch replaces it *)
+      Proof_pipeline.truncate p ~epoch:1 ~keep:3;
+      enqueue 1 fresh;
+      enqueue 2 failing;
+      enqueue 3 broken;
+      Proof_pipeline.drop_below p ~epoch:1;
+      checki (label "dropped epoch has no leaves") 0
+        (Proof_pipeline.leaves p ~epoch:0);
+      checkb (label "dropped epoch has no stream") true
+        (Proof_pipeline.await_epoch p ~epoch:0
+        = Error "pipeline: no proving stream for epoch");
+      checki (label "kept leaves") 7 (Proof_pipeline.leaves p ~epoch:1);
+      (match
+         (Proof_pipeline.await_epoch p ~epoch:1, burst_top rsys (prefix @ fresh))
+       with
+      | Ok top, Ok oracle ->
+        checks (label "epoch proof bytes") (bytes_of oracle) (bytes_of top)
+      | Error e, _ | _, Error e -> Alcotest.fail (label e));
+      List.iter
+        (fun (what, epoch, snaps) ->
+          match
+            (Proof_pipeline.await_epoch p ~epoch, burst_top rsys snaps)
+          with
+          | Error e, Error oracle -> checks (label what) oracle e
+          | _ -> Alcotest.fail (label (what ^ ": both provers should fail")))
+        [
+          ("base proof fails", 2, failing);
+          ("merge fails", 3, broken);
+        ];
+      checki (label "drained") 0 (Proof_pipeline.outstanding p);
+      match Proof_pipeline.certificate_log p with
+      | [ broken_stats; kept_stats ] ->
+        checki (label "broken epoch logged") 3 broken_stats.cert_epoch;
+        checki (label "kept epoch logged") 1 kept_stats.cert_epoch;
+        checki (label "kept carries = popcount - 1") (popcount 7 - 1)
+          kept_stats.cert_carry_merges
+      | l ->
+        Alcotest.fail
+          (label (Printf.sprintf "%d certificate log entries" (List.length l))))
+    [ 1; 2 ]
+
+(* ---- harness determinism: fault storm ---- *)
 
 (* One storm world. The default is a single sidechain fed by FTs; with
    [~sidechains:4 ~workload] every sidechain also carries live workload
    traffic (payments, FTs and BTs) from the harness driver. *)
-let storm_run ?(sidechains = 1) ?workload ~pipeline ~domains () =
+let storm_run ?(sidechains = 1) ?workload ~domains () =
   let plan =
     Faults.storm ~seed:11 ~first_tick:8 ~ticks:12 ~epochs:4 ~workers:4
       ~intensity:40 ()
   in
   let faults = Faults.create ~seed:11 plan in
   let pool = Pool.get ~domains in
-  let h = Harness.create ~pool ~pipeline ~faults ~seed:"pipe.storm" () in
+  let h = Harness.create ~pool ~faults ~seed:"pipe.storm" () in
   Harness.fund h ~blocks:5;
   let scs =
     List.init sidechains (fun i ->
@@ -346,27 +444,27 @@ let storm_run ?(sidechains = 1) ?workload ~pipeline ~domains () =
     Zen_mainchain.Chain.height h.chain,
     List.concat_map (fun sc -> Node.certificate_stats sc.Harness.node) scs )
 
-let test_storm_pipeline_invariant () =
-  let log_on, cert_on, height_on, stats_on =
-    storm_run ~pipeline:true ~domains:1 ()
-  in
-  let log_off, cert_off, height_off, stats_off =
-    storm_run ~pipeline:false ~domains:1 ()
-  in
-  let log_on2, cert_on2, height_on2, _ =
-    storm_run ~pipeline:true ~domains:2 ()
-  in
-  checkb "liveness under faults" true (cert_on > 0);
-  checki "same certified (on/off)" cert_on cert_off;
-  checki "same height (on/off)" height_on height_off;
-  checki "same log length (on/off)" (List.length log_on) (List.length log_off);
-  List.iter2 (fun a b -> checks "log line (on/off)" a b) log_on log_off;
-  checki "same certified (1/2 domains)" cert_on cert_on2;
-  checki "same height (1/2 domains)" height_on height_on2;
-  List.iter2 (fun a b -> checks "log line (1/2 domains)" a b) log_on log_on2;
-  (* the unpipelined node keeps no pipeline accounting *)
-  checki "no stats without pipeline" 0 (List.length stats_off);
-  checkb "stats with pipeline" true (List.length stats_on > 0);
+(* Hash digests of the storm logs (lines joined by newlines), pinned
+   from runs in which the pipelined node and the burst prover it
+   replaced produced the same bytes. *)
+let storm_digest =
+  "b8211fe23655519fc49be76421be2be2c692f62333cb47dcee7930cd2aa13126"
+
+let storm_smoke_digest =
+  "a983dc4b23b7e0866103d9c5a9264dd54736819ac1fefccc38ee11a57fc81f19"
+
+let log_digest log = Hash.to_hex (Hash.of_string (String.concat "\n" log))
+
+let test_storm_pinned () =
+  let log1, cert1, height1, stats1 = storm_run ~domains:1 () in
+  let log2, cert2, height2, _ = storm_run ~domains:2 () in
+  checkb "liveness under faults" true (cert1 > 0);
+  checks "pinned log digest" storm_digest (log_digest log1);
+  checki "same certified (1/2 domains)" cert1 cert2;
+  checki "same height (1/2 domains)" height1 height2;
+  checki "same log length (1/2 domains)" (List.length log1) (List.length log2);
+  List.iter2 (fun a b -> checks "log line (1/2 domains)" a b) log1 log2;
+  checkb "certificate stats" true (List.length stats1 > 0);
   (* the certify path really is logarithmic: carry merges are the
      binary-counter tail, never the (leaves - 1) burst fold *)
   List.iter
@@ -381,15 +479,13 @@ let test_storm_pipeline_invariant () =
           (Printf.sprintf "epoch %d carries = popcount - 1" cs.cert_epoch)
           (popcount cs.cert_leaves - 1)
           cs.cert_carry_merges)
-    stats_on;
+    stats1;
   (* four sidechains under the smoke workload: reorgs truncate
      in-flight proof streams of several nodes at once, and the log
      still may not move a byte *)
-  let run pipeline =
-    storm_run ~sidechains:4 ~workload:Workload.smoke ~pipeline ~domains:1 ()
+  let log_wl, _, _, stats_wl =
+    storm_run ~sidechains:4 ~workload:Workload.smoke ~domains:1 ()
   in
-  let log_wl, cert_wl, height_wl, stats_wl = run true in
-  let log_wl_off, cert_wl_off, height_wl_off, _ = run false in
   checkb "workload injected" true
     (List.exists
        (fun l -> String.length l > 8 && String.sub l 0 8 = "workload")
@@ -398,11 +494,12 @@ let test_storm_pipeline_invariant () =
     (List.exists
        (fun (cs : Proof_pipeline.certificate_stats) -> cs.cert_leaves > 1)
        stats_wl);
-  checki "same certified (smoke, on/off)" cert_wl cert_wl_off;
-  checki "same height (smoke, on/off)" height_wl height_wl_off;
-  checks "same log (smoke, on/off)"
-    (String.concat "\n" log_wl)
-    (String.concat "\n" log_wl_off)
+  checks "pinned log digest (smoke)" storm_smoke_digest (log_digest log_wl)
+
+let test_burst_label_rejected () =
+  match Harness.create ~pipeline:false ~seed:"pipe.off" () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "~pipeline:false accepted"
 
 (* ---- record retention ---- *)
 
@@ -432,7 +529,6 @@ let test_record_pruning () =
      keeps the window anchored at the certified horizon instead *)
   checkb "records pruned to the retention window" true
     (Node.retained_records sc.node <= 2 * 10);
-  checkb "pipeline stayed on" true (Node.pipeline_enabled sc.node);
   checki "pipeline drained" 0 (Node.pipeline_depth sc.node)
 
 let suite =
@@ -445,8 +541,11 @@ let suite =
         test_incremental_double_break;
       Alcotest.test_case "prove_and_merge = prove_epoch + merge_all" `Quick
         test_prove_and_merge_identical;
-      Alcotest.test_case "storm: pipeline on/off byte-identical" `Quick
-        test_storm_pipeline_invariant;
+      Alcotest.test_case "pipeline = burst prover oracle" `Quick
+        test_pipeline_matches_burst;
+      Alcotest.test_case "storm: pinned log digests" `Quick test_storm_pinned;
+      Alcotest.test_case "harness rejects ~pipeline:false" `Quick
+        test_burst_label_rejected;
       Alcotest.test_case "records pruned to certified horizon" `Quick
         test_record_pruning;
     ] )

@@ -288,7 +288,7 @@ let test_fold_balanced_parallel_identical () =
       proofs
   in
   with_domains 2 @@ fun pool ->
-  let par = ok (Zen_snark.Recursive.fold_balanced ~pool rsys transitions) in
+  let par = ok (Fold_oracle.fold_balanced ~pool rsys transitions) in
   checkb "odd-width merge tree identical" true
     (String.equal
        (Zen_snark.Backend.proof_encode (Zen_snark.Recursive.final_proof seq))

@@ -169,10 +169,16 @@ let setup_rec () =
   let sys = Recursive.create ~name:"t" ~base_vks:[ vk ] in
   (sys, pk, vk)
 
+(* The production fold: the balanced tree, built online. *)
+let fold_incremental sys ts =
+  let acc = Recursive.Incremental.create sys in
+  List.iter (Recursive.Incremental.push acc) ts;
+  Recursive.Incremental.finish acc
+
 let test_recursion_balanced () =
   let sys, pk, vk = setup_rec () in
   let ts = make_chain sys pk vk (Fp.of_int 1) 9 in
-  let top = ok (Recursive.fold_balanced sys ts) in
+  let top = ok (fold_incremental sys ts) in
   checkb "verifies" true (Recursive.verify sys top);
   checki "covers 9" 9 (Recursive.base_count top);
   checki "depth ceil(log2 9)" 4 (Recursive.depth top);
@@ -225,7 +231,7 @@ let test_recursion_rejects_unregistered_vk () =
 
 let test_recursion_empty_fold () =
   let sys, _, _ = setup_rec () in
-  match Recursive.fold_balanced sys [] with
+  match fold_incremental sys [] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty fold accepted"
 
@@ -259,7 +265,7 @@ let fold_equivalence_prop (len, domains, gap) =
     | _ -> (ts, false)
   in
   let pool = Pool.get ~domains in
-  let bal = Recursive.fold_balanced ~pool sys ts in
+  let bal = Fold_oracle.fold_balanced ~pool sys ts in
   let seq = fold_sequential sys ts in
   match (bal, seq) with
   | Ok b, Ok s ->
@@ -292,7 +298,7 @@ let test_fold_equivalence_exhaustive_lengths () =
       let pool = Pool.get ~domains in
       for len = 1 to 17 do
         let ts = take len chain in
-        let b = ok (Recursive.fold_balanced ~pool sys ts) in
+        let b = ok (Fold_oracle.fold_balanced ~pool sys ts) in
         let s = ok (fold_sequential sys ts) in
         checkb
           (Printf.sprintf "len %d domains %d verifies" len domains)
