@@ -217,11 +217,6 @@ let base_vks f = [ vk f.remove; vk f.insert; vk f.append ]
 let wcert_keys f = Template.keys f.wcert
 let ownership_keys f = Template.keys f.ownership
 
-let step_keys f = function
-  | Sc_tx.Remove _ -> Template.keys f.remove
-  | Sc_tx.Insert _ -> Template.keys f.insert
-  | Sc_tx.Append_bt _ -> Template.keys f.append
-
 let ( let* ) = Result.bind
 
 (* The two slot-write directions share one witness shape. *)

@@ -50,7 +50,6 @@ val base_vks : family -> Backend.verification_key list
 
 val wcert_keys : family -> keys
 val ownership_keys : family -> keys
-val step_keys : family -> Sc_tx.step -> keys
 
 val prove_step :
   family ->

@@ -44,14 +44,6 @@ let of_mst mst =
 let total_stake d = d.total
 let is_empty d = Array.length d.bounds = 0
 
-let stakeholders d =
-  Array.to_list d.bounds
-  |> List.fold_left
-       (fun (prev, out) (bound, addr) ->
-         (bound, (addr, Amount.of_int_exn (bound - prev)) :: out))
-       (0, [])
-  |> snd |> List.rev
-
 let select d ~rand ~slot =
   if is_empty d then None
   else begin

@@ -17,7 +17,6 @@ val of_mst : Mst.t -> distribution
 val of_list : (Hash.t * Amount.t) list -> distribution
 
 val total_stake : distribution -> Amount.t
-val stakeholders : distribution -> (Hash.t * Amount.t) list
 val is_empty : distribution -> bool
 
 val select : distribution -> rand:Hash.t -> slot:int -> Hash.t option

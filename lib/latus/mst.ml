@@ -177,5 +177,3 @@ let delta_bit bits pos =
   let byte = pos / 8 and bit = pos mod 8 in
   byte < Bytes.length bits
   && Char.code (Bytes.get bits byte) land (1 lsl bit) <> 0
-
-let delta_hash bits = Hash.tagged "latus.mst_delta" [ Bytes.to_string bits ]

@@ -78,5 +78,3 @@ val snapshot : t -> t
 
 val delta_bit : Bytes.t -> int -> bool
 (** Reads one position out of an [mst_delta] vector. *)
-
-val delta_hash : Bytes.t -> Hash.t

@@ -225,20 +225,6 @@ let build_refs t ~mc =
   in
   go (max (synced + 1) t.config.start_block) []
 
-(* Applies a transaction's steps to [state], collecting the pre-step
-   snapshots reversed. The caller enqueues them for proving once the
-   block is definitely being committed, so an abandoned block never
-   pollutes the epoch's proof stream. *)
-let apply_collecting state tx =
-  let* steps = Sc_tx.steps state tx in
-  List.fold_left
-    (fun acc step ->
-      let* state, snaps_rev = acc in
-      let* state' = Sc_tx.apply_step state step in
-      Ok (state', (state, step) :: snaps_rev))
-    (Ok (state, []))
-    steps
-
 let blocks_forged =
   Zen_obs.Counter.make ~help:"Sidechain blocks forged" "latus.blocks_forged"
 
@@ -291,18 +277,16 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
           List.fold_left
             (fun acc tx ->
               let* st, sn = acc in
-              let* st, sn' = apply_collecting st tx in
-              (* [sn'] is this tx's snapshots reversed; prepending keeps
-                 the whole accumulator reversed at linear cost. *)
-              Ok (st, sn' @ sn))
+              let* st, traced = Sc_tx.transition st tx in
+              Ok (st, List.rev_append traced sn))
             (Ok (state0, []))
             sync_txs
         in
         let state2, snaps_rev, included_rev =
           List.fold_left
             (fun (st, sn, inc) tx ->
-              match apply_collecting st tx with
-              | Ok (st', sn') -> (st', sn' @ sn, tx :: inc)
+              match Sc_tx.transition st tx with
+              | Ok (st', traced) -> (st', List.rev_append traced sn, tx :: inc)
               | Error _ -> (st, sn, inc))
             (state1, snaps1_rev, [])
             mempool_txs

@@ -54,18 +54,6 @@ let dispatch ~rng ~workers ~tasks =
 
 let ( let* ) = Result.bind
 
-(* Capture the state snapshot before each step: after this, every
-   proving task is independent of the others. *)
-let snapshots initial steps =
-  List.fold_left
-    (fun acc step ->
-      let* state, out = acc in
-      let* state' = Sc_tx.apply_step state step in
-      Ok (state', (state, step) :: out))
-    (Ok (initial, []))
-    steps
-  |> Result.map (fun (_, out) -> List.rev out)
-
 (* One §5.4.1 proving task: honour the seeded dispatch (re-dispatching
    away from crashed workers via the task's derived rng), prove,
    spot-verify, account. A pure function of its index, so it may run on
@@ -196,7 +184,9 @@ let prove_and_merge ?(pool = Pool.sequential) ?(faults = [])
      retries do not depend on scheduling. *)
   let rng = Rng.create seed in
   let assignment = dispatch ~rng ~workers ~tasks:(List.length steps) in
-  let* snaps = snapshots initial steps in
+  (* The pre-state of each step: after this, every proving task is
+     independent of the others. *)
+  let* _, snaps = Sc_tx.trace initial steps in
   let snaps = Array.of_list snaps in
   let t0 = now () in
   (* Pipelined execution: every task is a future, so base proofs run

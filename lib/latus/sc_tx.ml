@@ -161,13 +161,8 @@ let validate_payment (state : Sc_state.t) (p : payment) =
   let* value_out =
     Amount.sum (List.map (fun (u : Utxo.t) -> u.amount) p.outputs)
   in
-  let* () =
-    if Amount.( <= ) value_out value_in then Ok ()
-    else Error "payment: outputs exceed inputs"
-  in
-  (* Outputs must land in free, pairwise-distinct slots once inputs
-     are removed; checked by trial application in [steps]. *)
-  Ok ()
+  if Amount.( <= ) value_out value_in then Ok ()
+  else Error "payment: outputs exceed inputs"
 
 let validate_bt (state : Sc_state.t) (b : backward) =
   let* () =
@@ -197,109 +192,95 @@ let apply_step (state : Sc_state.t) = function
     Ok (Sc_state.with_mst state mst)
   | Append_bt bt -> Ok (Sc_state.append_bt state bt)
 
-(* Batched step application: MST inserts/removes are committed through
-   one [Mst.apply_ops] traversal, BT appends fold separately (they
-   touch the accumulator, not the tree, so the two commute). Ordering
-   within each component is preserved, which keeps the result — and
-   the first error — identical to the sequential fold of
-   [apply_step]. *)
-let apply_steps ?(batched = false) (state : Sc_state.t) steps =
+(* The merged commit: MST inserts/removes go through one
+   [Mst.apply_ops] traversal, BT appends fold separately (they touch
+   the accumulator, not the tree, so the two commute). Ordering within
+   each component is preserved, which keeps the result — and the first
+   error — identical to folding [apply_step]. *)
+let apply_steps ?(batched = true) (state : Sc_state.t) steps =
   if not batched then
+    invalid_arg "Sc_tx.apply_steps: ~batched:false (the per-key fold) is gone";
+  let mst_ops =
+    List.filter_map
+      (function
+        | Remove u -> Some (Mst.Op_remove u)
+        | Insert u -> Some (Mst.Op_insert u)
+        | Append_bt _ -> None)
+      steps
+  in
+  let* mst = Mst.apply_ops state.mst mst_ops in
+  let state =
     List.fold_left
-      (fun acc step ->
-        let* st = acc in
-        apply_step st step)
-      (Ok state) steps
-  else begin
-    let mst_ops =
-      List.filter_map
-        (function
-          | Remove u -> Some (Mst.Op_remove u)
-          | Insert u -> Some (Mst.Op_insert u)
-          | Append_bt _ -> None)
-        steps
-    in
-    let* mst = Mst.apply_ops state.mst mst_ops in
-    let state =
-      List.fold_left
-        (fun st step ->
-          match step with
-          | Append_bt bt -> Sc_state.append_bt st bt
-          | Remove _ | Insert _ -> st)
-        state steps
-    in
-    Ok (Sc_state.with_mst state mst)
-  end
+      (fun st step ->
+        match step with
+        | Append_bt bt -> Sc_state.append_bt st bt
+        | Remove _ | Insert _ -> st)
+      state steps
+  in
+  Ok (Sc_state.with_mst state mst)
 
-let steps_of_valid (state : Sc_state.t) tx =
-  match tx with
-  | Payment p ->
-    List.map (fun u -> Remove u) p.inputs
-    @ List.map (fun u -> Insert u) p.outputs
-  | Backward_transfer_tx b -> [ Remove b.bt_input; Append_bt b.bt ]
-  | Forward_transfers_tx { fts; _ } ->
-    (* Outcomes depend on the evolving state (slot collisions between
-       FTs of the same transaction), so fold with trial application. *)
-    List.rev
-      (fst
-         (List.fold_left
-            (fun (acc, st) ft ->
-              match ft_outcome st ft with
-              | Ft_accepted u -> (
-                match apply_step st (Insert u) with
-                | Ok st' -> (Insert u :: acc, st')
-                | Error _ ->
-                  (* unreachable: outcome said the slot is free *)
-                  (acc, st))
-              | Ft_rejected bt -> (
-                match apply_step st (Append_bt bt) with
-                | Ok st' -> (Append_bt bt :: acc, st')
-                | Error _ -> (acc, st)))
-            ([], state) fts))
-  | Backward_transfer_requests_tx { btrs; _ } ->
-    List.rev
-      (fst
-         (List.fold_left
-            (fun (acc, st) btr ->
-              match btr_outcome st btr with
-              | Btr_skipped _ -> (acc, st)
-              | Btr_accepted (u, bt) -> (
-                match apply_step st (Remove u) with
-                | Ok st1 -> (
-                  match apply_step st1 (Append_bt bt) with
-                  | Ok st2 -> (Append_bt bt :: Remove u :: acc, st2)
-                  | Error _ -> (acc, st))
-                | Error _ -> (acc, st)))
-            ([], state) btrs))
+(* The one step fold: applies each step once, consing [(pre-state,
+   step)] onto [out] (so [out] comes back reversed). *)
+let rec trace_onto state out = function
+  | [] -> Ok (state, out)
+  | step :: rest ->
+    let* state' = apply_step state step in
+    trace_onto state' ((state, step) :: out) rest
+
+let trace state steps =
+  let* state, out = trace_onto state [] steps in
+  Ok (state, List.rev out)
+
+(* MC-defined transactions: each outcome reads the state its
+   predecessors left, so the fold traces as it goes. An item whose
+   steps fail is dropped whole (unreachable for an accepted FT: its
+   outcome saw the slot free). *)
+let trace_outcomes state items steps_of =
+  List.fold_left
+    (fun (st, out) item ->
+      match trace_onto st out (steps_of st item) with
+      | Ok traced -> traced
+      | Error _ -> (st, out))
+    (state, []) items
+
+let transition state tx =
+  let* state', out =
+    match tx with
+    | Payment p ->
+      let* () = validate_payment state p in
+      (* Outputs must land in free, pairwise-distinct slots once the
+         inputs are removed: the MST steps themselves check that. *)
+      trace_onto state []
+        (List.map (fun u -> Remove u) p.inputs
+        @ List.map (fun u -> Insert u) p.outputs)
+    | Backward_transfer_tx b ->
+      let* () = validate_bt state b in
+      trace_onto state [] [ Remove b.bt_input; Append_bt b.bt ]
+    | Forward_transfers_tx { fts; _ } ->
+      Ok
+        (trace_outcomes state fts (fun st ft ->
+             match ft_outcome st ft with
+             | Ft_accepted u -> [ Insert u ]
+             | Ft_rejected bt -> [ Append_bt bt ]))
+    | Backward_transfer_requests_tx { btrs; _ } ->
+      Ok
+        (trace_outcomes state btrs (fun st btr ->
+             match btr_outcome st btr with
+             | Btr_skipped _ -> []
+             | Btr_accepted (u, bt) -> [ Remove u; Append_bt bt ]))
+  in
+  Ok (state', List.rev out)
 
 let validate state tx =
   match tx with
-  | Payment p ->
-    let* () = validate_payment state p in
-    (* Trial-apply to catch slot collisions among outputs. *)
-    List.fold_left
-      (fun acc step ->
-        let* st = acc in
-        apply_step st step)
-      (Ok state) (steps_of_valid state tx)
-    |> Result.map (fun (_ : Sc_state.t) -> ())
-  | Backward_transfer_tx b -> validate_bt state b
+  | Payment _ | Backward_transfer_tx _ ->
+    Result.map (fun (_ : Sc_state.t * _) -> ()) (transition state tx)
   | Forward_transfers_tx _ | Backward_transfer_requests_tx _ ->
     (* MC-defined transactions: outcomes are computed, not validated;
        consistency with the MC block is checked by Mc_ref. *)
     Ok ()
 
-let steps state tx =
-  let* () = validate state tx in
-  Ok (steps_of_valid state tx)
-
-let apply state tx =
-  let* sts = steps state tx in
-  List.fold_left
-    (fun acc step ->
-      let* st = acc in
-      apply_step st step)
-    (Ok state) sts
+let apply state tx = Result.map fst (transition state tx)
 
 let pp fmt = function
   | Payment p ->

@@ -68,38 +68,54 @@ type btr_outcome =
 
 val btr_outcome : Sc_state.t -> Mainchain_withdrawal.t -> btr_outcome
 
-(** {2 Validation and application} *)
-
-val validate : Sc_state.t -> t -> (unit, string) result
-(** Full structural and semantic validation against a state: presence
-    of inputs, signatures, nonce discipline, conservation, arity. *)
-
-val apply : Sc_state.t -> t -> (Sc_state.t, string) result
-(** [validate] then the [update] function of §5.3. *)
-
-(** {2 Primitive transitions}
+(** {2 State transitions}
 
     Every transaction decomposes into a sequence of primitive state
     transitions — the granularity at which base SNARK proofs are
-    produced (§5.4, Fig. 10). *)
+    produced (§5.4, Fig. 10). A transaction's [update] function (§5.3)
+    is {!transition}: the static rules, then each of its steps applied
+    once. *)
 
 type step =
   | Remove of Utxo.t
   | Insert of Utxo.t
   | Append_bt of Backward_transfer.t
 
-val steps : Sc_state.t -> t -> (step list, string) result
-(** The primitive decomposition of a valid transaction in application
-    order. *)
+val transition :
+  Sc_state.t -> t -> (Sc_state.t * (Sc_state.t * step) list, string) result
+(** Checks the static rules of a payment or BT (inputs present,
+    witnesses, nonce discipline, conservation, BT amount), then applies
+    each step exactly once. Returns the post-state and every step in
+    application order, paired with the state before it. FT and BTR
+    outcomes are computed against the state their predecessors left
+    (an FT bounces on a slot collision, a BTR is skipped when its coin
+    is gone); they never fail. *)
+
+val validate : Sc_state.t -> t -> (unit, string) result
+(** {!transition}'s verdict. FT and BTR transactions are always [Ok]:
+    their outcomes are computed, and {!Mc_ref} checks them against the
+    MC block. *)
+
+val apply : Sc_state.t -> t -> (Sc_state.t, string) result
+(** {!transition}'s post-state. *)
 
 val apply_step : Sc_state.t -> step -> (Sc_state.t, string) result
 
+val trace :
+  Sc_state.t -> step list -> (Sc_state.t * (Sc_state.t * step) list, string) result
+(** Folds {!apply_step} over a step list, pairing each step with the
+    state before it: the inputs of the step's base proof. *)
+
 val apply_steps :
   ?batched:bool -> Sc_state.t -> step list -> (Sc_state.t, string) result
-(** Applies a step sequence. With [~batched:true] the MST
-    inserts/removes commit through one merged {!Mst.apply_ops}
-    traversal (one root-path rehash per distinct touched slot) while
-    BT appends fold in order; result and first error are identical to
-    the default sequential fold of {!apply_step}. *)
+(** Commits a step sequence: the MST inserts/removes go through one
+    merged {!Mst.apply_ops} traversal (one root-path rehash per
+    distinct touched slot) while BT appends fold in order. Result and
+    first error equal those of folding {!apply_step}.
+
+    [batched] is a leftover label: the benchmark in [perfbench/] still
+    passes [~batched:true], the only accepted value; [~batched:false]
+    raises [Invalid_argument]. The label goes when the benchmark stops
+    passing it (ROADMAP item 2). *)
 
 val pp : Format.formatter -> t -> unit

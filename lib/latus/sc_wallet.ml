@@ -16,7 +16,6 @@ let fresh_address t =
 
 let addresses t = List.rev_map (fun k -> k.addr) t.keys
 let key_for t addr = List.find_opt (fun k -> Hash.equal k.addr addr) t.keys
-let owns t addr = key_for t addr <> None
 
 let utxos t (state : Sc_state.t) =
   List.concat_map
@@ -82,6 +81,22 @@ let build_payment t (state : Sc_state.t) ~to_ ~amount =
           ~nonce:(Sc_tx.output_nonce ~seed ~index:1);
       ]
     end
+  in
+  (* Output nonces, hence MST slots, derive from the inputs alone: a
+     payment whose outputs share a slot, or land on one the inputs do
+     not free, would be refused, so it is not signed. *)
+  let slot = Utxo.position ~mst_depth:(Mst.depth state.mst) in
+  let freed = List.map slot inputs in
+  let* () =
+    match List.map slot outputs with
+    | [ a; b ] when a = b -> Error "sc wallet: outputs share an MST slot"
+    | slots ->
+      if
+        List.exists
+          (fun pos -> Mst.get state.mst pos <> None && not (List.mem pos freed))
+          slots
+      then Error "sc wallet: output lands on an occupied MST slot"
+      else Ok ()
   in
   let sighash = Sc_tx.payment_sighash ~inputs ~outputs in
   let* witnesses =

@@ -10,7 +10,6 @@ type t
 val create : seed:string -> t
 val fresh_address : t -> Hash.t
 val addresses : t -> Hash.t list
-val owns : t -> Hash.t -> bool
 
 val balance : t -> Sc_state.t -> Amount.t
 
@@ -25,7 +24,10 @@ val build_payment :
   (Sc_tx.t, string) result
 (** Selects one or two inputs covering [amount], pays change back to
     the wallet. Fails when no 1–2-input combination covers the amount
-    (chain several payments in that case). *)
+    (chain several payments in that case), and when the outputs would
+    share an MST slot or land on an occupied slot the inputs do not
+    free: output slots derive from the inputs alone, so {!Sc_tx.validate}
+    would refuse such a payment. *)
 
 val build_backward_transfer :
   t ->

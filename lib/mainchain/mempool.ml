@@ -10,10 +10,6 @@ let empty = { order = []; ids = Hash.Set.empty; count = 0 }
 
 let op_bounds = Zen_obs.Histogram.exponential_bounds ~lo:1e-7 ~factor:4. ~n:8
 
-let add_s =
-  Zen_obs.Histogram.make ~help:"mempool add-batch latency" ~bounds:op_bounds
-    "mempool.add.seconds"
-
 let remove_included_s =
   Zen_obs.Histogram.make ~help:"mempool block-connect purge latency"
     ~bounds:op_bounds "mempool.remove_included.seconds"
@@ -31,9 +27,6 @@ let add t tx =
       ids = Hash.Set.add id t.ids;
       count = t.count + 1;
     }
-
-let add_list t txs =
-  Zen_obs.Histogram.time add_s @@ fun () -> List.fold_left add t txs
 
 let remove_included t (b : Block.t) =
   Zen_obs.Histogram.time remove_included_s @@ fun () ->

@@ -12,7 +12,6 @@ val empty : t
 val add : t -> Tx.t -> t
 (** Duplicates (by txid) are ignored. *)
 
-val add_list : t -> Tx.t list -> t
 val remove_included : t -> Block.t -> t
 (** Drops everything the block included. *)
 

@@ -43,7 +43,6 @@ let register t (config : Sidechain_config.t) ~created_at =
       }
 
 let find t id = Hash.Map.find_opt id t.sidechains
-let sidechain_ids t = List.map fst (Hash.Map.bindings t.sidechains)
 let balance t id = Option.map (fun s -> s.balance) (find t id)
 
 let last_cert sc = match sc.certs with [] -> None | c :: _ -> Some c

@@ -32,7 +32,6 @@ val register : t -> Sidechain_config.t -> created_at:int -> (t, string) result
     not strictly in the future. *)
 
 val find : t -> Hash.t -> sc_state option
-val sidechain_ids : t -> Hash.t list
 
 val is_ceased : t -> Hash.t -> height:int -> bool
 (** Def. 4.2, evaluated at a chain tip of the given height. Unknown

@@ -20,7 +20,6 @@ let fresh_address t =
 
 let addresses t = List.rev_map (fun k -> k.addr) t.keys
 let key_for t addr = List.find_opt (fun k -> Hash.equal k.addr addr) t.keys
-let owns t addr = key_for t addr <> None
 
 (* Per-address index queries instead of a full-set scan; the final sort
    (outpoint keys are unique) restores the exact order the historical

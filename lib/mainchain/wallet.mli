@@ -17,8 +17,6 @@ val fresh_address : t -> Hash.t
 
 val addresses : t -> Hash.t list
 
-val owns : t -> Hash.t -> bool
-
 val balance : t -> Chain_state.t -> Amount.t
 (** Spendable balance at the chain tip (maturity respected). *)
 

@@ -205,8 +205,7 @@ let tally0 =
 (* The engine's whole state is this persistent record, so a phase
    checkpoint is the record itself — O(1) to retain, O(1) to restore —
    and rollback needs no replay bookkeeping. The tally lives here too:
-   restoring a checkpoint rewinds the counters along with the state,
-   which is what keeps runs byte-identical with snapshots on or off.
+   restoring a checkpoint rewinds the counters along with the state.
 
    - [sc]    the committed sidechain state (updated once per phase);
    - [occ]   staged slot occupancy, mirroring what the MST will hold
@@ -277,6 +276,10 @@ let mint_seed p seed = Hash.tagged "workload.mint" [ p.name; string_of_int seed 
 (* ---- run ---- *)
 
 let run ?(batched = true) ?(snapshots = true) ?log ~seed profile =
+  if not batched then
+    invalid_arg "Workload.run: ~batched:false (per-key commits) is gone";
+  if not snapshots then
+    invalid_arg "Workload.run: ~snapshots:false (replay rollback) is gone";
   let* p = validate profile in
   let log s = match log with None -> () | Some f -> f s in
   let logf fmt = Printf.ksprintf log fmt in
@@ -328,12 +331,12 @@ let run ?(batched = true) ?(snapshots = true) ?log ~seed profile =
     let seeded =
       List.rev (Int_map.fold (fun _ u acc -> Sc_tx.Insert u :: acc) w0.occ [])
     in
-    let* sc = Sc_tx.apply_steps ~batched w0.sc seeded in
+    let* sc = Sc_tx.apply_steps w0.sc seeded in
     Ok { w0 with sc }
   in
   (* One generated transaction: new world plus the steps to append.
      Decisions read only [occ]/[coins]/[mint] — never the committed
-     [sc] — so generation is identical whether commits batch or not. *)
+     [sc]. *)
   let gen rng w =
     let attempts = 4 in
     let kind = Rng.int rng 100 in
@@ -449,7 +452,7 @@ let run ?(batched = true) ?(snapshots = true) ?log ~seed profile =
       end
     in
     let w1, steps = go 0 w [] in
-    let* sc = Sc_tx.apply_steps ~batched w.sc steps in
+    let* sc = Sc_tx.apply_steps w.sc steps in
     if Mst.occupied sc.Sc_state.mst <> Int_map.cardinal w1.occ then
       Error "workload: staged occupancy diverged from the MST"
     else Ok { w1 with sc }
@@ -484,27 +487,10 @@ let run ?(batched = true) ?(snapshots = true) ?log ~seed profile =
             done;
             incr rollbacks;
             rolled_back_txs := !rolled_back_txs + !undone;
-            (* Roll back to the start of phase [q]. With snapshots the
-               checkpoint is a pinned persistent version — O(1).
-               Without, model the historical replay-based rollback:
-               re-derive the target by replaying every phase since the
-               epoch started. *)
-            let* at_q =
-              if snapshots then Ok cps.(q)
-              else begin
-                let rec replay i w =
-                  if i >= q then Ok w
-                  else begin
-                    incr replayed_phases;
-                    let* w = run_phase ~epoch ~phase:i w in
-                    replay (i + 1) w
-                  end
-                in
-                replay 0 cps.(0)
-              end
-            in
-            (* Re-mine the rolled-back phases: same per-phase streams,
-               same pre-states, hence the same transactions. *)
+            (* Roll back to the start of phase [q] — its checkpoint is a
+               pinned persistent version, O(1) — and re-mine the
+               rolled-back phases: same per-phase streams, same
+               pre-states, hence the same transactions. *)
             let rec remine i w =
               if i > phase then Ok w
               else begin
@@ -513,7 +499,7 @@ let run ?(batched = true) ?(snapshots = true) ?log ~seed profile =
                 remine (i + 1) w
               end
             in
-            let* w'' = remine q at_q in
+            let* w'' = remine q cps.(q) in
             let restored =
               Fp.equal (Sc_state.hash w''.sc) (Sc_state.hash w'.sc)
             in

@@ -5,12 +5,10 @@
     from a zipfian rank distribution, per-phase transaction counts
     follow a diurnal (triangle-wave) shape, and the FT / BT / payment /
     BTR mix is configurable per profile. Each phase commits as one
-    {!Zen_latus.Sc_tx.apply_steps} batch; a deterministic reorg
-    schedule periodically rolls phases back and re-mines them, either
-    by restoring an O(1) copy-on-write checkpoint ([snapshots:true])
-    or by replaying the epoch from its start ([snapshots:false]).
-    Both modes — and batched vs per-key commits — produce byte-identical
-    logs and the same {!field-digest}. *)
+    merged {!Zen_latus.Sc_tx.apply_steps} batch; a deterministic reorg
+    schedule periodically rolls phases back to an O(1) copy-on-write
+    checkpoint and re-mines them, which must restore the same state
+    root. *)
 
 open Zen_crypto
 
@@ -69,11 +67,10 @@ type stats = {
   btrs : int;
   rollbacks : int;
   rolled_back_txs : int;
-  replayed_phases : int;  (** mode-dependent: re-mined + replayed phases *)
+  replayed_phases : int;  (** phases re-mined after rollbacks *)
   epoch_roots : Fp.t list;  (** end-of-epoch state roots, oldest first *)
   digest : Hash.t;
-      (** over (profile, seed, applied, skipped, epoch roots) — equal
-          across batched/per-key and snapshots/replay runs *)
+      (** over (profile, seed, applied, skipped, epoch roots) *)
   wall_s : float;  (** wall clock; not deterministic, never logged *)
   peak_words : int;  (** Gc top_heap_words; not deterministic either *)
 }
@@ -85,9 +82,9 @@ val run :
   seed:int ->
   profile ->
   (stats, string) result
-(** Runs the workload. [batched] (default [true]) commits each phase
-    via the merged-traversal batch path rather than per-key updates;
-    [snapshots] (default [true]) restores reorg targets from O(1)
-    persistent checkpoints rather than replaying the epoch. Neither
-    switch changes any log line or the digest. [log] receives the
-    deterministic progress lines. *)
+(** Runs the workload. [log] receives the deterministic progress lines.
+
+    [batched] and [snapshots] are leftover labels: the benchmark in
+    [perfbench/] still passes [~batched:true ~snapshots:true], the only
+    accepted values; [false] for either raises [Invalid_argument]. The
+    labels go when the benchmark stops passing them (ROADMAP item 2). *)

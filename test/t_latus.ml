@@ -162,6 +162,103 @@ let test_payment_rejects_overdraw_and_foreign_nonce () =
     (Result.is_error
        (Sc_tx.validate st (Sc_tx.Payment { inputs; witnesses; outputs })))
 
+(* Output slots derive from the inputs alone, so some coins can only
+   be spent into outputs that collide. Grind such coins at a small MST
+   depth: the wallet must refuse to build what the node would refuse. *)
+let test_payment_output_slots () =
+  let params = { params with mst_depth = 4 } in
+  let depth = params.mst_depth in
+  let w1, a1 = wallet "slots1" in
+  let _w2, a2 = wallet "slots2" in
+  let coin i =
+    Utxo.make ~addr:a1 ~amount:(amount 100)
+      ~nonce:(Hash.of_string (Printf.sprintf "grind%d" i))
+  in
+  let out_slots c =
+    let seed = Sc_tx.payment_seed [ c ] in
+    ( Utxo.position ~mst_depth:depth
+        (Utxo.make ~addr:a2 ~amount:(amount 1)
+           ~nonce:(Sc_tx.output_nonce ~seed ~index:0)),
+      Utxo.position ~mst_depth:depth
+        (Utxo.make ~addr:a2 ~amount:(amount 1)
+           ~nonce:(Sc_tx.output_nonce ~seed ~index:1)) )
+  in
+  let rec grind i pred = if pred (coin i) then coin i else grind (i + 1) pred in
+  let single c =
+    let st = Sc_state.create params in
+    Sc_state.with_mst st (fst (ok (Mst.insert st.Sc_state.mst c)))
+  in
+  let pay st = Sc_wallet.build_payment w1 st ~to_:a2 ~amount:(amount 30) in
+  (* payee and change derive to one slot *)
+  let c = grind 0 (fun c -> fst (out_slots c) = snd (out_slots c)) in
+  let st = single c in
+  checkb "shared slot refused" true (Result.is_error (pay st));
+  let seed = Sc_tx.payment_seed [ c ] in
+  let outputs =
+    [
+      Utxo.make ~addr:a2 ~amount:(amount 30)
+        ~nonce:(Sc_tx.output_nonce ~seed ~index:0);
+      Utxo.make ~addr:a1 ~amount:(amount 70)
+        ~nonce:(Sc_tx.output_nonce ~seed ~index:1);
+    ]
+  in
+  let sighash = Sc_tx.payment_sighash ~inputs:[ c ] ~outputs in
+  let witnesses =
+    [ Option.get (Sc_wallet.sign_request w1 ~addr:a1 ~msg:(Hash.to_raw sighash)) ]
+  in
+  (match Sc_tx.validate st (Sc_tx.Payment { inputs = [ c ]; witnesses; outputs }) with
+  | Error e -> Alcotest.(check string) "node refuses it" "mst: slot collision" e
+  | Ok () -> Alcotest.fail "colliding outputs validated");
+  (* an output on the slot its own input frees is fine *)
+  let pos c = Utxo.position ~mst_depth:depth c in
+  let c = grind 0 (fun c -> fst (out_slots c) = pos c && snd (out_slots c) <> pos c) in
+  let st = single c in
+  let tx = ok (pay st) in
+  checkb "freed slot reused" true (Result.is_ok (Sc_tx.validate st tx));
+  (* an output on a slot another coin holds is refused *)
+  let c = grind 0 (fun c ->
+      let o0, o1 = out_slots c in
+      o0 <> o1 && o0 <> pos c && o1 <> pos c) in
+  let squatter =
+    grind 1000 (fun u -> pos u = fst (out_slots c))
+    |> fun u -> { u with Utxo.addr = Hash.of_string "someone" }
+  in
+  let st = single c in
+  let st = Sc_state.with_mst st (fst (ok (Mst.insert st.Sc_state.mst squatter))) in
+  checkb "occupied slot refused" true (Result.is_error (pay st))
+
+(* A transaction's steps apply once: validating or applying a payment
+   costs the Poseidon permutations of one fold over its steps, and so
+   does [transition], the forger's application. *)
+let test_payment_applies_once () =
+  Zen_obs.Registry.with_enabled @@ fun () ->
+  let perms = Zen_obs.Counter.make "crypto.poseidon.permutations" in
+  let count f =
+    let before = Zen_obs.Counter.value perms in
+    ignore (f ());
+    Zen_obs.Counter.value perms - before
+  in
+  let w1, a1 = wallet "once1" in
+  let _w2, a2 = wallet "once2" in
+  let coin = Utxo.make ~addr:a1 ~amount:(amount 100) ~nonce:(Hash.of_string "c") in
+  let st = state_with [ coin ] in
+  let tx = ok (Sc_wallet.build_payment w1 st ~to_:a2 ~amount:(amount 30)) in
+  let steps =
+    match tx with
+    | Sc_tx.Payment p ->
+      Sc_tx.Remove coin :: List.map (fun u -> Sc_tx.Insert u) p.outputs
+    | _ -> Alcotest.fail "expected payment"
+  in
+  checki "three steps" 3 (List.length steps);
+  let once =
+    count (fun () ->
+        List.fold_left (fun st s -> ok (Sc_tx.apply_step st s)) st steps)
+  in
+  checkb "steps hash" true (once > 0);
+  checki "apply" once (count (fun () -> Sc_tx.apply st tx));
+  checki "validate" once (count (fun () -> Sc_tx.validate st tx));
+  checki "transition" once (count (fun () -> Sc_tx.transition st tx))
+
 let test_ft_accept_and_reject () =
   let _w, recv = wallet "ftr" in
   let payback = Hash.of_string "payback-addr" in
@@ -460,6 +557,9 @@ let suite =
       Alcotest.test_case "payment bad sig" `Quick test_payment_rejects_bad_sig;
       Alcotest.test_case "payment overdraw/nonce" `Quick
         test_payment_rejects_overdraw_and_foreign_nonce;
+      Alcotest.test_case "payment output slots" `Quick test_payment_output_slots;
+      Alcotest.test_case "payment applies its steps once" `Quick
+        test_payment_applies_once;
       Alcotest.test_case "ft accept/reject" `Quick test_ft_accept_and_reject;
       Alcotest.test_case "ft slot collision" `Quick test_ft_slot_collision;
       Alcotest.test_case "bt tx" `Quick test_bt_tx;

@@ -147,17 +147,21 @@ let props =
         (* Interpret while checking each applied tx both ways. *)
         let addrs = Array.map (fun w -> List.hd (Sc_wallet.addresses w)) wallets in
         let check_tx state tx =
-          match Sc_tx.steps state tx with
+          match Sc_tx.transition state tx with
           | Error _ -> true
-          | Ok steps ->
+          | Ok (_, traced) ->
+            (* Each traced pre-state is the fold's state before that step. *)
             let via_steps =
               List.fold_left
-                (fun acc s -> Result.bind acc (fun st -> Sc_tx.apply_step st s))
-                (Ok state) steps
+                (fun acc (pre, s) ->
+                  Result.bind acc (fun st ->
+                      if Fp.equal (Sc_state.hash st) (Sc_state.hash pre) then
+                        Sc_tx.apply_step st s
+                      else Error "pre-state mismatch"))
+                (Ok state) traced
             in
             (match (Sc_tx.apply state tx, via_steps) with
             | Ok a, Ok b -> Fp.equal (Sc_state.hash a) (Sc_state.hash b)
-            | Error _, Error _ -> true
             | _ -> false)
         in
         let state = ref (Sc_state.create params) in
@@ -228,6 +232,44 @@ let props =
         let r1 = interpret (fresh_wallets seed) actions in
         let r2 = interpret (fresh_wallets seed) actions in
         Fp.equal (Sc_state.hash r1.state) (Sc_state.hash r2.state));
+    (* A depth-5 MST has 32 slots, so payee and change often derive to
+       one slot, or onto a coin the payment does not spend. *)
+    prop "wallet payments validate" ~count:25
+      QCheck2.Gen.(
+        triple
+          (list_size (int_range 0 12) (int_bound 1_000_000))
+          (list_size (int_range 1 3) (int_range 2 10_000))
+          (list_size (int_range 1 3) (int_range 1 5_000)))
+      (fun (others, coins, pays) ->
+        incr seed_counter;
+        let params = { params with mst_depth = 5 } in
+        let wallets = fresh_wallets (Printf.sprintf "slots%d" !seed_counter) in
+        let addrs = Array.map (fun w -> List.hd (Sc_wallet.addresses w)) wallets in
+        let coin addr i a =
+          Utxo.make ~addr ~amount:(amount a)
+            ~nonce:(Hash.of_string (Printf.sprintf "slots%d.%d" !seed_counter i))
+        in
+        let insert st u =
+          Result.value ~default:st (Sc_tx.apply_step st (Sc_tx.Insert u))
+        in
+        let st =
+          List.fold_left insert (Sc_state.create params)
+            (List.mapi (fun i n -> coin (Hash.of_string "other") (-1 - i) (1 + n)) others
+            @ List.mapi (fun i a -> coin addrs.(0) i a) coins)
+        in
+        let rec go st = function
+          | [] -> true
+          | a :: rest -> (
+            match
+              Sc_wallet.build_payment wallets.(0) st ~to_:addrs.(1)
+                ~amount:(amount a)
+            with
+            | Error _ -> go st rest
+            | Ok tx ->
+              Result.is_ok (Sc_tx.validate st tx)
+              && go (Result.get_ok (Sc_tx.apply st tx)) rest)
+        in
+        go st pays);
   ]
 
 let suite = ("protocol-props", props)

@@ -3,7 +3,7 @@
    (Smt.update_batch, Mst.apply_ops, Sc_tx.apply_steps,
    Utxo_set.apply_batch and the per-address coin index), checkpoints
    must behave like replay, the workload engine must be a pure function
-   of (seed, profile) whatever the batching/snapshot switches, and the
+   of (seed, profile) with pinned digests, and the
    ported Sc_mempool must fix the O(n²) admission and reorg
    double-queue bugs. *)
 
@@ -126,6 +126,12 @@ let mst_ops_equiv =
 
 (* ---- Sc_tx.apply_steps batched ≡ sequential ---- *)
 
+(* The per-key reference: one MST path rehash per step. *)
+let fold_steps st steps =
+  List.fold_left
+    (fun acc step -> Result.bind acc (fun st -> Sc_tx.apply_step st step))
+    (Ok st) steps
+
 let gen_steps =
   QCheck2.Gen.(list_size (int_range 0 20) (pair (int_bound 2) (int_bound 15)))
 
@@ -151,8 +157,7 @@ let apply_steps_equiv =
           steps
       in
       match
-        ( Sc_tx.apply_steps ~batched:false st0 steps,
-          Sc_tx.apply_steps ~batched:true st0 steps )
+        (fold_steps st0 steps, Sc_tx.apply_steps st0 steps)
       with
       | Error a, Error b -> String.equal a b
       | Ok a, Ok b ->
@@ -303,11 +308,11 @@ let tiny =
     reorg_every = 2;
   }
 
-let run_wl ?batched ?snapshots ?(seed = 11) ?(profile = tiny) () =
+let run_wl ?(seed = 11) ?(profile = tiny) () =
   let buf = Buffer.create 256 in
   let s =
     ok
-      (Zen_sim.Workload.run ?batched ?snapshots
+      (Zen_sim.Workload.run
          ~log:(fun l ->
            Buffer.add_string buf l;
            Buffer.add_char buf '\n')
@@ -323,26 +328,43 @@ let workload_deterministic () =
   checkb "work happened" true (a.applied > 50);
   checkb "reorgs happened" true (a.rollbacks > 0)
 
-(* Per-key commits and replay-based rollback reproduce the batched,
-   snapshotting run's log and digest exactly: on [tiny], and on the
-   builtin [smoke] profile at seed 1 (deeper MST, bursts, multi-phase
-   reorgs). *)
-let workload_mode_independent () =
+(* The digest and log hash of [tiny] at seed 11 and of the builtin
+   [smoke] profile at seed 1 (deeper MST, bursts, multi-phase reorgs),
+   pinned from the per-key and replay-rollback references, which
+   agreed with the batched, snapshotting engine on both. *)
+let workload_pinned () =
   List.iter
-    (fun (seed, profile) ->
+    (fun (seed, profile, digest, log_hash) ->
       let name = profile.Zen_sim.Workload.name in
-      let a, la = run_wl ~seed ~profile () in
-      let nb, lnb = run_wl ~batched:false ~seed ~profile () in
-      let ns, lns = run_wl ~snapshots:false ~seed ~profile () in
-      checks (name ^ ": per-key log identical") la lnb;
-      checks (name ^ ": replay-rollback log identical") la lns;
-      checkb (name ^ ": per-key digest") true
-        (Hash.equal a.Zen_sim.Workload.digest nb.digest);
-      checkb (name ^ ": replay-rollback digest") true
-        (Hash.equal a.digest ns.digest);
-      checkb (name ^ ": snapshots avoid replay work") true
-        (ns.replayed_phases > a.replayed_phases))
-    [ (11, tiny); (1, Zen_sim.Workload.smoke) ]
+      let s, log = run_wl ~seed ~profile () in
+      checks (name ^ ": digest") digest (Hash.to_hex s.Zen_sim.Workload.digest);
+      checks (name ^ ": log") log_hash (Hash.to_hex (Hash.of_string log)))
+    [
+      ( 11,
+        tiny,
+        "aa3feedd730eee979224961b7133b6d1b970be468babc796e2d5de3af4a73090",
+        "5b1fcd713569d96f00055985146e27b93546665feba966b9d21c1f021d3c4b0c" );
+      ( 1,
+        Zen_sim.Workload.smoke,
+        "dee4949b93ccc0cf01a42983d19a1fbff353c504c25385db3f1187b14f29b111",
+        "ee8537f85384ab2321085966eda906d77a57dc51c6ab2e45597f886c2bf9fbcb" );
+    ]
+
+(* The per-key and replay modes are gone; their labels accept only
+   [true]. *)
+let false_labels_rejected () =
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail (name ^ " accepted")
+  in
+  let st0 = Sc_state.create wl_params in
+  raises "apply_steps ~batched:false" (fun () ->
+      ignore (Sc_tx.apply_steps ~batched:false st0 []));
+  raises "run ~batched:false" (fun () ->
+      ignore (Zen_sim.Workload.run ~batched:false ~seed:1 tiny));
+  raises "run ~snapshots:false" (fun () ->
+      ignore (Zen_sim.Workload.run ~snapshots:false ~seed:1 tiny))
 
 let workload_profile_roundtrip () =
   List.iter
@@ -401,8 +423,8 @@ let suite =
       Alcotest.test_case "mempool fifo + reinject" `Quick
         mempool_fifo_and_reinject;
       Alcotest.test_case "engine deterministic" `Quick workload_deterministic;
-      Alcotest.test_case "engine mode-independent" `Quick
-        workload_mode_independent;
+      Alcotest.test_case "engine pinned digests" `Quick workload_pinned;
+      Alcotest.test_case "false labels rejected" `Quick false_labels_rejected;
       Alcotest.test_case "profile codec" `Quick workload_profile_roundtrip;
       Alcotest.test_case "harness driver deterministic" `Slow
         harness_driver_deterministic;
