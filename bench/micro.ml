@@ -10,6 +10,7 @@ let tests () =
   let blob = String.make 1024 'x' in
   let sk, pk = Schnorr.of_seed "bench" in
   let signature = Schnorr.sign sk "msg" in
+  let scalar = Bignum.of_hex (Sha256.to_hex (Sha256.digest "bench")) in
   let tree = Merkle.of_data (List.init 1024 string_of_int) in
   let proof = Merkle.prove tree 512 in
   let leaf = Hash.of_string "512" in
@@ -57,8 +58,11 @@ let tests () =
       Test.make ~name:"poseidon-permute"
         (Staged.stage (fun () -> Poseidon.permute state));
       Test.make ~name:"sha256-1k" (Staged.stage (fun () -> Sha256.digest blob));
+      Test.make ~name:"schnorr-sign"
+        (Staged.stage (fun () -> Schnorr.sign sk "msg"));
       Test.make ~name:"schnorr-verify"
         (Staged.stage (fun () -> Schnorr.verify pk "msg" signature));
+      Test.make ~name:"ec-mul-g" (Staged.stage (fun () -> Ec.mul_g scalar));
       Test.make ~name:"mht-verify-1k"
         (Staged.stage (fun () -> Merkle.verify ~root ~leaf proof));
       Test.make ~name:"snark-verify"

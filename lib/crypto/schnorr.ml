@@ -1,4 +1,6 @@
-type secret_key = Bignum.t
+(* A secret key carries its public key, computed once at generation,
+   and its scalar's bytes (the nonce HMAC key). *)
+type secret_key = { scalar : Bignum.t; key_bytes : string; pk : Ec.point }
 type public_key = Ec.point
 type signature = { r : Ec.point; s : Bignum.t }
 
@@ -15,16 +17,24 @@ let scalar_of_hash_material material =
   in
   go 0
 
-let public_of_secret sk = Ec.mul sk Ec.g
+let public_of_secret sk = sk.pk
 
 let of_seed seed =
-  let sk = scalar_of_hash_material (Sha256.digest ("zendoo.schnorr.keygen" ^ seed)) in
-  (sk, public_of_secret sk)
+  let scalar =
+    scalar_of_hash_material (Sha256.digest ("zendoo.schnorr.keygen" ^ seed))
+  in
+  let pk = Ec.mul_g scalar in
+  ({ scalar; key_bytes = Bignum.to_bytes_be ~len:32 scalar; pk }, pk)
 
 let generate rng = of_seed (Rng.bytes rng 32)
 
 let pk_encode = Ec.encode
-let pk_decode s = Ec.decode s
+(* The point at infinity is no key: s·G = R + e·O holds for R = s·G on
+   every message. *)
+let pk_decode s =
+  match Ec.decode s with
+  | Some pk when not (Ec.is_infinity pk) -> Some pk
+  | _ -> None
 let pk_equal = Ec.equal
 let pk_hash pk = Hash.tagged "schnorr.pk" [ Ec.encode pk ]
 
@@ -33,42 +43,33 @@ let challenge r pk msg =
     (Sha256.digest_list [ "zendoo.schnorr.e"; Ec.encode r; Ec.encode pk; msg ])
 
 let sign sk msg =
-  let pk = public_of_secret sk in
   (* Deterministic nonce: HMAC(sk, msg), per-key-and-message. *)
-  let k =
-    scalar_of_hash_material
-      (Sha256.hmac ~key:(Bignum.to_bytes_be ~len:32 sk) msg)
-  in
-  let r = Ec.mul k Ec.g in
-  let e = challenge r pk msg in
-  let s = Bignum.Modring.add ring k (Bignum.Modring.mul ring e sk) in
+  let k = scalar_of_hash_material (Sha256.hmac ~key:sk.key_bytes msg) in
+  let r = Ec.mul_g k in
+  let e = challenge r sk.pk msg in
+  let s = Bignum.Modring.add ring k (Bignum.Modring.mul ring e sk.scalar) in
   { r; s }
 
 let verify pk msg { r; s } =
-  (not (Ec.is_infinity r))
+  (not (Ec.is_infinity pk))
+  && (not (Ec.is_infinity r))
   && Bignum.compare s Ec.n < 0
   &&
   let e = challenge r pk msg in
   (* s·G = R + e·P *)
-  Ec.equal (Ec.mul s Ec.g) (Ec.add r (Ec.mul e pk))
+  Ec.sg_minus_ep_eq ~s ~e pk r
 
 let sig_encode { r; s } =
-  match Ec.to_affine r with
-  | None -> String.make 96 '\000'
-  | Some (x, y) ->
-    Bignum.to_bytes_be ~len:32 x
-    ^ Bignum.to_bytes_be ~len:32 y
-    ^ Bignum.to_bytes_be ~len:32 s
+  if Ec.is_infinity r then String.make 96 '\000'
+  else String.sub (Ec.encode r) 1 64 ^ Bignum.to_bytes_be ~len:32 s
 
 let sig_decode b =
   if String.length b <> 96 then None
   else begin
-    let x = Bignum.of_bytes_be (String.sub b 0 32) in
-    let y = Bignum.of_bytes_be (String.sub b 32 32) in
+    let xy = String.sub b 0 64 in
     let s = Bignum.of_bytes_be (String.sub b 64 32) in
-    if Bignum.is_zero x && Bignum.is_zero y then Some { r = Ec.infinity; s }
-    else if Ec.on_curve x y then Some { r = Ec.of_affine x y; s }
-    else None
+    if String.for_all (fun c -> c = '\000') xy then Some { r = Ec.infinity; s }
+    else Option.map (fun r -> { r; s }) (Ec.decode ("\004" ^ xy))
   end
 
 let pp_pk fmt pk = Hash.pp fmt (pk_hash pk)

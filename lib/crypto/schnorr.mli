@@ -17,14 +17,21 @@ val of_seed : string -> secret_key * public_key
 (** Keypair derived from a seed string (for reproducible fixtures). *)
 
 val public_of_secret : secret_key -> public_key
+(** Free: a secret key carries its public key. *)
 
 val sign : secret_key -> string -> signature
+(** One fixed-base scalar multiplication (the nonce point). *)
+
 val verify : public_key -> string -> signature -> bool
+(** False for a key at infinity, R at infinity, or s ≥ n. *)
 
 val pk_encode : public_key -> string
 (** 65-byte encoding; injective. *)
 
 val pk_decode : string -> public_key option
+(** [None] for anything but an on-curve point; the point at infinity
+    (encoded as one zero byte) is not a key. *)
+
 val pk_equal : public_key -> public_key -> bool
 
 val pk_hash : public_key -> Hash.t

@@ -1,0 +1,263 @@
+(* The secp256k1 field, curve and Schnorr layer against the Bignum
+   reference in [Ec_oracle]: field arithmetic, variable- and fixed-base
+   scalar multiplication, signature bytes, verification decisions and
+   point decoding must agree, on random inputs and at the edges. *)
+
+open Zen_crypto
+module O = Ec_oracle
+
+let checkb = Alcotest.(check bool)
+let fp_ring = Bignum.Modring.create Ec.p
+let two_256 = Bignum.shift_left Bignum.one 256
+let max_256 = Bignum.sub two_256 Bignum.one
+let bytes32 = Bignum.to_bytes_be ~len:32
+
+(* Every limb at the bound the field accepts as input: the largest
+   columns and carries the multiply can see. *)
+let max_limbs = Array.init 10 (fun i -> if i = 9 then 0x3fffff else (1 lsl 28) - 1)
+
+let bignum_of_limbs l =
+  Array.fold_right
+    (fun limb acc -> Bignum.add (Bignum.shift_left acc 26) (Bignum.of_int limb))
+    l Bignum.zero
+
+(* A field element and the value it stands for. *)
+type elt = { f : Ec.Field.t; v : Bignum.t }
+
+let of_bignum v = { f = Ec.Field.of_bignum v; v }
+let of_limbs l = { f = Ec.Field.of_limbs l; v = bignum_of_limbs l }
+
+let edge_elts () =
+  List.map of_bignum
+    [
+      Bignum.zero; Bignum.one; Bignum.sub Ec.p Bignum.one; Ec.p;
+      Bignum.add Ec.p Bignum.one; max_256;
+    ]
+  @ [ of_limbs max_limbs ]
+
+let gen_bignum256 =
+  QCheck2.Gen.(map Bignum.of_bytes_be (string_size ~gen:char (return 32)))
+
+(* Random limbs anywhere inside the input bound, not only canonical
+   values. *)
+let gen_loose =
+  QCheck2.Gen.(
+    map
+      (fun l -> of_limbs (Array.of_list l))
+      (flatten_l
+         (List.init 10 (fun i ->
+              if i = 9 then int_bound 0x3fffff else int_bound ((1 lsl 28) - 1)))))
+
+let gen_elt =
+  QCheck2.Gen.(oneof [ map of_bignum gen_bignum256; gen_loose ])
+
+let red v = Bignum.Modring.reduce fp_ring v
+
+let field_agrees a b =
+  let r = Ec.Field.create () in
+  let agree what op expect =
+    op r;
+    let got = Ec.Field.to_bignum r in
+    if not (Bignum.equal got expect) then
+      QCheck2.Test.fail_reportf "%s: got %s, want %s" what (Bignum.to_hex got)
+        (Bignum.to_hex expect)
+  in
+  let ra = red a.v and rb = red b.v in
+  agree "mul" (fun r -> Ec.Field.mul r a.f b.f) (Bignum.Modring.mul fp_ring ra rb);
+  agree "sq" (fun r -> Ec.Field.sq r a.f) (Bignum.Modring.sq fp_ring ra);
+  agree "add" (fun r -> Ec.Field.add r a.f b.f) (Bignum.Modring.add fp_ring ra rb);
+  agree "sub" (fun r -> Ec.Field.sub r a.f b.f) (Bignum.Modring.sub fp_ring ra rb);
+  (* an operation's output is a valid input to the next *)
+  agree "mul of sub" (fun r ->
+      Ec.Field.sub r a.f b.f;
+      Ec.Field.mul r r r)
+    (Bignum.Modring.sq fp_ring (Bignum.Modring.sub fp_ring ra rb));
+  if not (Bignum.is_zero ra) then
+    agree "inv" (fun r -> Ec.Field.inv r a.f) (Bignum.Modring.inv_prime fp_ring ra);
+  true
+
+let test_field_edges () =
+  let es = edge_elts () in
+  List.iter (fun a -> List.iter (fun b -> ignore (field_agrees a b)) es) es
+
+(* Scalars at the edges of reduction mod n, and either side of n/2,
+   where the fixed-base multiply switches to n - k. *)
+let edge_scalars =
+  let half = Bignum.shift_right Ec.n 1 in
+  [
+    Bignum.zero; Bignum.one; Bignum.sub Ec.n Bignum.one; Ec.n;
+    Bignum.add Ec.n Bignum.one; max_256; half; Bignum.add half Bignum.one;
+  ]
+
+let same_point p q = String.equal (Ec.encode p) (O.encode q)
+
+let mul_agrees k =
+  let c = Bignum.of_int 0xC0FFEE in
+  same_point (Ec.mul_g k) (O.mul k O.g)
+  && same_point (Ec.mul k Ec.g) (O.mul k O.g)
+  && same_point (Ec.mul k (Ec.mul_g c)) (O.mul k (O.mul c O.g))
+
+let test_mul_edges () =
+  List.iter
+    (fun k -> checkb (Bignum.to_hex k) true (mul_agrees k))
+    edge_scalars
+
+(* The addition's special cases: equal points (it must double),
+   opposite points and infinity. *)
+let test_add_edges () =
+  let c = Bignum.of_int 0xC0FFEE in
+  let p = Ec.mul_g c and op = O.mul c O.g in
+  let cases =
+    [
+      ("P + P", Ec.add p p, O.add op op);
+      ("P + -P", Ec.add p (Ec.neg p), O.add op (O.neg op));
+      ("O + P", Ec.add Ec.infinity p, O.add O.infinity op);
+      ("2P", Ec.double p, O.double op);
+      ("2O", Ec.double Ec.infinity, O.double O.infinity);
+    ]
+  in
+  List.iter (fun (what, got, want) -> checkb what true (same_point got want)) cases
+
+(* Verification decisions on a signature's 96 bytes, both layers
+   decoding the same bytes. *)
+let decisions_agree pk_seed msg sig_bytes =
+  let _, pk = Schnorr.of_seed pk_seed and _, opk = O.Schnorr.of_seed pk_seed in
+  match (Schnorr.sig_decode sig_bytes, O.Schnorr.sig_decode sig_bytes) with
+  | None, None -> true
+  | Some s, Some os -> Schnorr.verify pk msg s = O.Schnorr.verify opk msg os
+  | _ -> false
+
+let flip bytes i =
+  let b = Bytes.of_string bytes in
+  Bytes.set b (i / 8) (Char.chr (Char.code (Bytes.get b (i / 8)) lxor (1 lsl (i mod 8))));
+  Bytes.to_string b
+
+(* A signature (-R, s) whose equation lands on R = k·G: s·G - e·P has
+   the claimed point's x and the opposite y, so only the y comparison
+   can refuse it. *)
+let mirrored seed msg =
+  let sk, pk = O.Schnorr.of_seed seed in
+  let k =
+    O.Schnorr.scalar_of_hash_material
+      (Sha256.hmac ~key:(bytes32 sk) msg)
+  in
+  let r = O.neg (O.mul k O.g) in
+  let e = O.Schnorr.challenge r pk msg in
+  let ring = O.scalar_ring in
+  O.Schnorr.sig_encode
+    { r; s = Bignum.Modring.add ring k (Bignum.Modring.mul ring e sk) }
+
+let variants seed msg =
+  let sk, _ = Schnorr.of_seed seed in
+  let good = Schnorr.sig_encode (Schnorr.sign sk msg) in
+  let rxy = String.sub good 0 64 and s = Bignum.of_bytes_be (String.sub good 64 32) in
+  let s_plus_n = Bignum.add s Ec.n in
+  [
+    ("valid", seed, msg, good);
+    ("wrong message", seed, msg ^ "!", good);
+    ("wrong key", seed ^ "'", msg, good);
+    ("R.x bit", seed, msg, flip good 7);
+    ("R.y bit", seed, msg, flip good (256 + 100));
+    ("s bit", seed, msg, flip good (512 + 255));
+    ("s = n", seed, msg, rxy ^ bytes32 Ec.n);
+    ( "s + n",
+      seed,
+      msg,
+      rxy ^ if Bignum.compare s_plus_n two_256 < 0 then bytes32 s_plus_n else bytes32 Ec.n );
+    ("R at infinity", seed, msg, String.make 64 '\000' ^ String.sub good 64 32);
+    ("mirrored R", seed, msg, mirrored seed msg);
+  ]
+
+let test_verify_edges () =
+  List.iter
+    (fun (what, seed, msg, bytes) ->
+      checkb what true (decisions_agree seed msg bytes))
+    (variants "edge" "m")
+
+(* Decoding: the smallest x on the curve, shifted by p, is a
+   non-canonical encoding of a real point and must be refused. *)
+let small_point =
+  let seven = Bignum.of_int 7 in
+  let rec go x =
+    let rhs = Bignum.Modring.add fp_ring (Bignum.Modring.mul fp_ring x (Bignum.Modring.sq fp_ring x)) seven in
+    match Bignum.Modring.sqrt_3mod4 fp_ring rhs with
+    | Some y -> (x, y)
+    | None -> go (Bignum.add x Bignum.one)
+  in
+  go Bignum.one
+
+let decode_agrees s =
+  match (Ec.decode s, O.decode s) with
+  | None, None -> true
+  | Some p, Some q -> same_point p q
+  | _ -> false
+
+let test_decode_edges () =
+  let x, y = small_point in
+  let enc x y = "\004" ^ bytes32 x ^ bytes32 y in
+  let cases =
+    [
+      ("small point", enc x y, true);
+      ("x + p", enc (Bignum.add x Ec.p) y, false);
+      ("y = p", enc x Ec.p, false);
+      ("x = p", enc Ec.p y, false);
+      ("all ones", enc max_256 max_256, false);
+      ("infinity", "\000", true);
+      ("short", "\004", false);
+    ]
+  in
+  List.iter
+    (fun (what, s, ok) ->
+      checkb (what ^ " agrees") true (decode_agrees s);
+      checkb (what ^ " decodes") ok (Option.is_some (Ec.decode s)))
+    cases
+
+(* Random 65-byte encodings; a third have x ≥ p and a third y ≥ p. *)
+let gen_encoding =
+  let open QCheck2.Gen in
+  let coord = string_size ~gen:char (return 32) in
+  let at_least_p =
+    map (fun r -> bytes32 (Bignum.add Ec.p (Bignum.of_int r))) (int_bound 0xfffffff)
+  in
+  map
+    (fun (x, y) -> "\004" ^ x ^ y)
+    (oneof [ pair coord coord; pair at_least_p coord; pair coord at_least_p ])
+
+let prop ?(count = 100) name gen f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen f)
+
+let props =
+  [
+    prop "field = Modring" QCheck2.Gen.(pair gen_elt gen_elt)
+      (fun (a, b) -> field_agrees a b);
+    prop ~count:8 "mul, mul_g = oracle" gen_bignum256 mul_agrees;
+    prop ~count:8 "signature bytes = oracle"
+      QCheck2.Gen.(pair (small_string ~gen:printable) (small_string ~gen:printable))
+      (fun (seed, msg) ->
+        let sk, pk = Schnorr.of_seed seed and osk, opk = O.Schnorr.of_seed seed in
+        String.equal (Schnorr.pk_encode pk) (O.encode opk)
+        && String.equal
+             (Schnorr.sig_encode (Schnorr.sign sk msg))
+             (O.Schnorr.sig_encode (O.Schnorr.sign osk msg)));
+    prop ~count:2 "verify decisions = oracle"
+      QCheck2.Gen.(pair (small_string ~gen:printable) (small_string ~gen:printable))
+      (fun (seed, msg) ->
+        List.for_all
+          (fun (_, seed, msg, bytes) -> decisions_agree seed msg bytes)
+          (variants seed msg));
+    prop ~count:200 "decode random 65 bytes = oracle" gen_encoding
+      decode_agrees;
+    prop ~count:8 "decode of an encoding = oracle" gen_bignum256 (fun k ->
+        decode_agrees (Ec.encode (Ec.mul_g k)));
+  ]
+
+let suite =
+  ( "ec-oracle",
+    [
+      Alcotest.test_case "field edges" `Quick test_field_edges;
+      Alcotest.test_case "mul edges" `Quick test_mul_edges;
+      Alcotest.test_case "add edges" `Quick test_add_edges;
+      Alcotest.test_case "verify edges" `Quick test_verify_edges;
+      Alcotest.test_case "decode edges" `Quick test_decode_edges;
+    ]
+    @ props )

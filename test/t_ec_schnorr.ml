@@ -88,6 +88,24 @@ let test_pk_hash_injective_spot () =
   checkb "distinct addrs" false
     (Hash.equal (Schnorr.pk_hash pk1) (Schnorr.pk_hash pk2))
 
+(* s = 12345 and R = s·G satisfy s·G = R + e·O for every e: a key at
+   infinity would accept this signature on any message. *)
+let test_infinity_key_forgery () =
+  let s = bn 12345 in
+  let forged =
+    match Ec.to_affine (Ec.mul s Ec.g) with
+    | Some (x, y) ->
+      Bignum.to_bytes_be ~len:32 x ^ Bignum.to_bytes_be ~len:32 y
+      ^ Bignum.to_bytes_be ~len:32 s
+    | None -> Alcotest.fail "s·G at infinity"
+  in
+  let signature = Option.get (Schnorr.sig_decode forged) in
+  match Schnorr.pk_decode "\000" with
+  | None -> ()
+  | Some pk ->
+    checkb "forged signature rejected" false
+      (Schnorr.verify pk "any message" signature)
+
 let prop name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count:12 gen f)
 
@@ -119,5 +137,6 @@ let suite =
       Alcotest.test_case "schnorr encoding" `Quick test_schnorr_sig_encoding;
       Alcotest.test_case "schnorr tamper" `Quick test_schnorr_tamper;
       Alcotest.test_case "pk hash" `Quick test_pk_hash_injective_spot;
+      Alcotest.test_case "infinity key forgery" `Quick test_infinity_key_forgery;
     ]
     @ props )

@@ -316,6 +316,70 @@ let test_sc_block_roundtrip () =
   | _ -> Alcotest.fail "lost the reference");
   checkb "measurable size" true (Sc_wire.block_size_bytes block > 100)
 
+(* ---- a witness key at infinity ---- *)
+
+(* [bytes] with the varbytes field holding [pk] replaced by the
+   one-byte encoding of the point at infinity. *)
+let with_infinity_key bytes pk =
+  let field s =
+    let w = Wire.writer () in
+    Wire.varbytes w s;
+    Wire.contents w
+  in
+  let target = field (Schnorr.pk_encode pk) in
+  let tl = String.length target in
+  let rec find i =
+    if i + tl > String.length bytes then Alcotest.fail "key field not found"
+    else if String.equal (String.sub bytes i tl) target then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub bytes 0 i ^ field "\000"
+  ^ String.sub bytes (i + tl) (String.length bytes - i - tl)
+
+let test_mc_infinity_key_rejected () =
+  let open Zen_mainchain in
+  let params = { Chain_state.default_params with pow = Pow.trivial } in
+  let chain = ref (Chain.create ~params ~time:0 ()) in
+  let w = Wallet.create ~seed:"wire.inf" in
+  let addr = Wallet.fresh_address w in
+  for t = 1 to 4 do
+    let b = ok (Miner.mine_empty !chain ~time:t ~miner_addr:addr) in
+    chain := fst (ok (Chain.add_block !chain b))
+  done;
+  let tx =
+    ok
+      (Wallet.build_transfer w (Chain.tip_state !chain)
+         ~outputs:[ Tx.Coin { Tx.addr; amount = amount 1 } ]
+         ~fee:(amount 1))
+  in
+  let pk =
+    match tx with
+    | Tx.Transfer { inputs = i :: _; _ } -> i.Tx.pk
+    | _ -> Alcotest.fail "not a transfer"
+  in
+  let forged = with_infinity_key (Mc_wire.encode_tx tx) pk in
+  checkb "mc tx with infinity key rejected" true
+    (Result.is_error (Mc_wire.decode_tx forged))
+
+let test_sc_infinity_key_rejected () =
+  let open Zen_latus in
+  let w = Sc_wallet.create ~seed:"scwire.inf" in
+  let addr = Sc_wallet.fresh_address w in
+  let st = Sc_state.create Params.default in
+  let coin = Utxo.make ~addr ~amount:(amount 500) ~nonce:(Hash.of_string "c") in
+  let mst, _ = Result.get_ok (Mst.insert st.Sc_state.mst coin) in
+  let st = Sc_state.with_mst st mst in
+  let pay = ok (Sc_wallet.build_payment w st ~to_:addr ~amount:(amount 100)) in
+  let pk =
+    match pay with
+    | Sc_tx.Payment { witnesses = (pk, _) :: _; _ } -> pk
+    | _ -> Alcotest.fail "not a payment"
+  in
+  let forged = with_infinity_key (Sc_wire.encode_tx pay) pk in
+  checkb "sc tx with infinity key rejected" true
+    (Result.is_error (Sc_wire.decode_tx forged))
+
 let prop name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count:100 gen f)
 
@@ -359,5 +423,9 @@ let suite =
       Alcotest.test_case "mc tx/block roundtrips" `Quick test_mc_tx_roundtrips;
       Alcotest.test_case "sc tx roundtrips" `Quick test_sc_tx_roundtrips;
       Alcotest.test_case "sc block roundtrip" `Quick test_sc_block_roundtrip;
+      Alcotest.test_case "mc infinity key rejected" `Quick
+        test_mc_infinity_key_rejected;
+      Alcotest.test_case "sc infinity key rejected" `Quick
+        test_sc_infinity_key_rejected;
     ]
     @ props )
