@@ -1136,9 +1136,10 @@ let e16_template () =
      (Circuits.make_resynth: every prove re-synthesizes and re-digests\n\
      its circuit) versus compile-once templates (Circuits.make): each\n\
      circuit is synthesized and SHA-digested once at startup, and every\n\
-     prove afterwards only runs the witness generator against the\n\
-     compiled CSR matrices. Both prove and merge the epoch with\n\
-     Prover_pool.prove_and_merge. Proof bytes are checked identical\n\
+     prove afterwards only runs the witness generator and checks it\n\
+     against the compiled constraint system (gate rows as flat index\n\
+     arrays, the rest as CSR matrices). Both prove and merge the epoch\n\
+     with Prover_pool.prove_and_merge. Proof bytes are checked identical\n\
      across every configuration.";
   let params = Params.default in
   let template = Circuits.make params in

@@ -51,6 +51,29 @@ let tests () =
     let t1 = base 1 and t2 = base 2 in
     fun () -> Zen_snark.Recursive.merge rsys t1 t2
   in
+  (* The two per-proof loops of a depth-18 insert step: the template's
+     evaluation-mode witness fill (with the native MST update and
+     sibling read that feed it) and the R1CS satisfiability check of
+     its ~10.9k constraints. *)
+  let insert18_assign, insert18_check =
+    let open Zen_latus in
+    let params = { Params.default with mst_depth = 18 } in
+    let family = Circuits.make params in
+    let state = Sc_state.create params in
+    let step =
+      Sc_tx.Insert
+        (Utxo.make ~addr:(Hash.of_string "micro")
+           ~amount:(Zendoo.Amount.of_int_exn 1)
+           ~nonce:(Hash.of_string "micro"))
+    in
+    let keys, public, witness, _, _ =
+      Result.get_ok (Circuits.step_assignment family state step)
+    in
+    let circuit = Zen_snark.Backend.pk_circuit keys.Circuits.pk in
+    let z = Array.concat [ [| Fp.one |]; public; witness ] in
+    ( (fun () -> Circuits.step_assignment family state step),
+      fun () -> Zen_snark.R1cs.check circuit z )
+  in
   Test.make_grouped ~name:"micro"
     [
       Test.make ~name:"fp-mul" (Staged.stage (fun () -> Fp.mul a b));
@@ -69,6 +92,9 @@ let tests () =
         (Staged.stage (fun () ->
              Zen_snark.Backend.verify bvk ~public snark_proof));
       Test.make ~name:"recursive-merge" (Staged.stage merge_pair);
+      Test.make ~name:"template-assign-insert18"
+        (Staged.stage insert18_assign);
+      Test.make ~name:"r1cs-check-insert18" (Staged.stage insert18_check);
     ]
 
 let run () =

@@ -21,7 +21,7 @@ let one = 1
 let two = 2
 
 (* Fold a value < 2^63 into [0, 2^62): x = hi*2^61 + lo ≡ hi + lo. *)
-let fold62 x = (x land p) + (x lsr 61)
+let[@inline] fold62 x = (x land p) + (x lsr 61)
 
 let reduce x =
   let x = fold62 x in
@@ -46,14 +46,14 @@ let equal (a : int) b = a = b
 let compare (a : int) b = Stdlib.compare a b
 let is_zero a = a = 0
 
-let add a b =
+let[@inline] add a b =
   let s = a + b in
   if s >= p then s - p else s
 
-let sub a b = if a >= b then a - b else a + p - b
-let neg a = if a = 0 then 0 else p - a
+let[@inline] sub a b = if a >= b then a - b else a + p - b
+let[@inline] neg a = if a = 0 then 0 else p - a
 
-let mul a b =
+let[@inline] mul a b =
   let a1 = a lsr 31 and a0 = a land 0x7fffffff in
   let b1 = b lsr 31 and b0 = b land 0x7fffffff in
   let mid = (a1 * b0) + (a0 * b1) in
@@ -62,7 +62,7 @@ let mul a b =
   let r = fold62 (hi + lo) + (mid lsr 30) in
   if r >= p then r - p else r
 
-let sq a = mul a a
+let[@inline] sq a = mul a a
 
 let pow a e =
   if e < 0 then invalid_arg "Fp.pow: negative exponent";

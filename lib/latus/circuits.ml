@@ -220,11 +220,11 @@ let ownership_keys f = Template.keys f.ownership
 let ( let* ) = Result.bind
 
 (* The two slot-write directions share one witness shape. *)
-let prove_slot_write c (state : Sc_state.t) ~s_from_v ~mst_after utxo pos =
+let assign_slot_write c (state : Sc_state.t) ~s_from_v ~mst_after utxo pos =
   let siblings = Smt.proof_siblings (Mst.prove_slot state.mst pos) in
   let s_to_v = Poseidon.hash2 (Mst.root mst_after) state.bt_acc in
-  let* proof =
-    Template.prove c
+  let* public, witness =
+    Template.assign c
       {
         acc = state.bt_acc;
         addr = Hash.to_fp utxo.Utxo.addr;
@@ -236,9 +236,9 @@ let prove_slot_write c (state : Sc_state.t) ~s_from_v ~mst_after utxo pos =
         s_to_v;
       }
   in
-  Ok (proof, vk c, s_from_v, s_to_v)
+  Ok (Template.keys c, public, witness, s_from_v, s_to_v)
 
-let prove_step f (state : Sc_state.t) step =
+let step_assignment f (state : Sc_state.t) step =
   let s_from_v = Sc_state.hash state in
   match step with
   | Sc_tx.Remove utxo -> (
@@ -246,21 +246,21 @@ let prove_step f (state : Sc_state.t) step =
     | None -> Error "prove: utxo not in state"
     | Some pos ->
       let* mst_after, _ = Mst.remove state.mst utxo in
-      prove_slot_write f.remove state ~s_from_v ~mst_after utxo pos)
+      assign_slot_write f.remove state ~s_from_v ~mst_after utxo pos)
   | Sc_tx.Insert utxo -> (
     let pos = Utxo.position ~mst_depth:f.params.Params.mst_depth utxo in
     match Mst.get state.mst pos with
     | Some _ -> Error "prove: slot occupied"
     | None ->
       let* mst_after, _ = Mst.insert state.mst utxo in
-      prove_slot_write f.insert state ~s_from_v ~mst_after utxo pos)
+      assign_slot_write f.insert state ~s_from_v ~mst_after utxo pos)
   | Sc_tx.Append_bt bt ->
     let recv, amt = Backward_transfer.to_fp_pair bt in
     let acc1 = Sc_state.bt_acc_step state.bt_acc bt in
     let root = Mst.root state.mst in
     let s_to_v = Poseidon.hash2 root acc1 in
-    let* proof =
-      Template.prove f.append
+    let* public, witness =
+      Template.assign f.append
         {
           a_root = root;
           a_acc0 = state.bt_acc;
@@ -270,7 +270,12 @@ let prove_step f (state : Sc_state.t) step =
           a_s_to = s_to_v;
         }
     in
-    Ok (proof, vk f.append, s_from_v, s_to_v)
+    Ok (Template.keys f.append, public, witness, s_from_v, s_to_v)
+
+let prove_step f state step =
+  let* keys, public, witness, s_from, s_to = step_assignment f state step in
+  let* proof = Backend.prove keys.pk ~public ~witness in
+  Ok (proof, keys.vk, s_from, s_to)
 
 let prove_wcert_binding f ~quality ~bt_root ~end_prev_epoch ~end_epoch
     ~proofdata ~s_prev ~s_last =

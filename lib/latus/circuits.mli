@@ -58,7 +58,18 @@ val prove_step :
   (Backend.proof * Backend.verification_key * Fp.t * Fp.t, string) result
 (** Proves one primitive transition from the given state; returns
     (proof, vk, s_from, s_to). The caller applies the step natively to
-    continue. *)
+    continue. It is {!step_assignment} followed by
+    {!Zen_snark.Backend.prove}. *)
+
+val step_assignment :
+  family ->
+  Sc_state.t ->
+  Sc_tx.step ->
+  (keys * Fp.t array * Fp.t array * Fp.t * Fp.t, string) result
+(** Everything {!prove_step} proves, without proving: the keys of the
+    step's circuit, its (public, witness) assignment from the template's
+    evaluation-mode fill, and (s_from, s_to). Tests and micro-benchmarks
+    use it to reach a slot circuit and a satisfying assignment. *)
 
 val prove_wcert_binding :
   family ->

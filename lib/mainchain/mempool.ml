@@ -1,7 +1,10 @@
 open Zen_crypto
 
+(* Each entry carries its txid, because every block connect filters the
+   whole pool by id and a certificate's txid hashes its full BT list and
+   proofdata. *)
 type t = {
-  order : Tx.t list; (* newest first *)
+  order : (Hash.t * Tx.t) list; (* newest first *)
   ids : Hash.Set.t;
   count : int; (* |order|, carried so [size] is O(1) *)
 }
@@ -23,7 +26,7 @@ let add t tx =
   if Hash.Set.mem id t.ids then t
   else
     {
-      order = tx :: t.order;
+      order = (id, tx) :: t.order;
       ids = Hash.Set.add id t.ids;
       count = t.count + 1;
     }
@@ -34,8 +37,8 @@ let remove_included t (b : Block.t) =
   let kept = ref 0 in
   let order =
     List.filter
-      (fun tx ->
-        let keep = not (Hash.Set.mem (Tx.txid tx) included) in
+      (fun (id, _) ->
+        let keep = not (Hash.Set.mem id included) in
         if keep then incr kept;
         keep)
       t.order
@@ -46,9 +49,9 @@ let remove_included t (b : Block.t) =
    share the untouched tail instead of refiltering the whole list. *)
 let rec drop_first id acc = function
   | [] -> List.rev acc
-  | tx :: rest ->
-    if Hash.equal (Tx.txid tx) id then List.rev_append acc rest
-    else drop_first id (tx :: acc) rest
+  | ((txid, _) as entry) :: rest ->
+    if Hash.equal txid id then List.rev_append acc rest
+    else drop_first id (entry :: acc) rest
 
 let remove t id =
   if not (Hash.Set.mem id t.ids) then t
@@ -80,6 +83,6 @@ let reinject_disconnected t ~disconnected ~connected =
         m b.txs)
     t disconnected
 
-let txs t = List.rev t.order
+let txs t = List.rev_map snd t.order
 let mem t id = Hash.Set.mem id t.ids
 let size t = t.count

@@ -14,23 +14,32 @@ type wire = { lc : R1cs.lc; terms : int; value : Fp.t }
    and nothing else. *)
 type mode = Shape of R1cs.builder | Eval
 
-type ctx = {
-  mode : mode;
-  mutable public_rev : Fp.t list;
-  mutable witness_rev : Fp.t list;
-  mutable eval_witness_started : bool;
-}
+(* A growable value column: [n] values live in [vals.(0 .. n-1)]. A
+   full column is replaced, never written past, so an array handed out
+   by [contents] is never mutated afterwards. *)
+type column = { mutable vals : Fp.t array; mutable n : int }
+
+let column size = { vals = Array.make size Fp.zero; n = 0 }
+
+let push col v =
+  if col.n = Array.length col.vals then begin
+    let grown = Array.make (max 8 (2 * col.n)) Fp.zero in
+    Array.blit col.vals 0 grown 0 col.n;
+    col.vals <- grown
+  end;
+  col.vals.(col.n) <- v;
+  col.n <- col.n + 1
+
+let contents col =
+  if col.n = Array.length col.vals then col.vals else Array.sub col.vals 0 col.n
+
+type ctx = { mode : mode; public : column; witness : column }
 
 let create () =
-  {
-    mode = Shape (R1cs.create ());
-    public_rev = [];
-    witness_rev = [];
-    eval_witness_started = false;
-  }
+  { mode = Shape (R1cs.create ()); public = column 0; witness = column 0 }
 
-let create_eval () =
-  { mode = Eval; public_rev = []; witness_rev = []; eval_witness_started = false }
+let create_eval ~public ~witness =
+  { mode = Eval; public = column public; witness = column witness }
 
 let emit ?label ctx a bb c =
   match ctx.mode with
@@ -38,27 +47,25 @@ let emit ?label ctx a bb c =
   | Eval -> ()
 
 let input ctx v =
-  match ctx.mode with
-  | Shape builder ->
-    let var = R1cs.alloc_input builder in
-    ctx.public_rev <- v :: ctx.public_rev;
-    { lc = [ (Fp.one, var) ]; terms = 1; value = v }
-  | Eval ->
-    if ctx.eval_witness_started then
-      invalid_arg "Gadget.input: witness allocation already started";
-    ctx.public_rev <- v :: ctx.public_rev;
-    { lc = []; terms = 1; value = v }
+  let lc =
+    match ctx.mode with
+    | Shape builder -> [ (Fp.one, R1cs.alloc_input builder) ]
+    | Eval ->
+      if ctx.witness.n > 0 then
+        invalid_arg "Gadget.input: witness allocation already started";
+      []
+  in
+  push ctx.public v;
+  { lc; terms = 1; value = v }
 
 let witness ctx v =
-  match ctx.mode with
-  | Shape builder ->
-    let var = R1cs.alloc_witness builder in
-    ctx.witness_rev <- v :: ctx.witness_rev;
-    { lc = [ (Fp.one, var) ]; terms = 1; value = v }
-  | Eval ->
-    ctx.eval_witness_started <- true;
-    ctx.witness_rev <- v :: ctx.witness_rev;
-    { lc = []; terms = 1; value = v }
+  let lc =
+    match ctx.mode with
+    | Shape builder -> [ (Fp.one, R1cs.alloc_witness builder) ]
+    | Eval -> []
+  in
+  push ctx.witness v;
+  { lc; terms = 1; value = v }
 
 let const v = { lc = [ (v, R1cs.one_var) ]; terms = 1; value = v }
 let const_int n = const (Fp.of_int n)
@@ -77,7 +84,10 @@ let scale k a =
   }
 
 let sub a b = add a (scale (Fp.neg Fp.one) b)
-let sum ws = List.fold_left add (const Fp.zero) ws
+
+(* Wires are immutable, so one constant wire serves every use. *)
+let zero = const Fp.zero
+let sum ws = List.fold_left add zero ws
 
 let mul ctx a b =
   let out = witness ctx (Fp.mul a.value b.value) in
@@ -91,7 +101,7 @@ let one_lc = [ (Fp.one, R1cs.one_var) ]
 let assert_eq ?label ctx a b =
   emit ?label ctx (sub a b).lc one_lc [ (Fp.zero, R1cs.one_var) ]
 
-let assert_zero ?label ctx a = assert_eq ?label ctx a (const Fp.zero)
+let assert_zero ?label ctx a = assert_eq ?label ctx a zero
 
 let assert_bool ?label ctx a =
   emit ?label ctx a.lc (sub a (const Fp.one)).lc [ (Fp.zero, R1cs.one_var) ]
@@ -152,43 +162,56 @@ let materialize ctx w =
     fresh
   end
 
-let apply_mds ctx state =
-  Array.init Poseidon.width (fun i ->
-      materialize ctx
-        (sum
-           (List.init Poseidon.width (fun j ->
-                scale Poseidon.mds.(i).(j) state.(j)))))
+(* The round-constant wires, built on first use so that a process which
+   never synthesizes or fills a circuit keeps them off its heap. Domains
+   racing on the first use build equal arrays, and either may win. *)
+let round_constants_cell = Atomic.make [||]
+
+let round_constants () =
+  let rc = Atomic.get round_constants_cell in
+  if Array.length rc > 0 then rc
+  else begin
+    let rc = Array.map const Poseidon.round_constants in
+    Atomic.set round_constants_cell rc;
+    rc
+  end
+
+(* One MDS lane, [Σⱼ mds.(i).(j)·sⱼ], folded from [zero] as [sum] folds:
+   the fold fixes the order of the terms the circuit digest covers. *)
+let mds_lane ctx i s0 s1 s2 =
+  let m = Poseidon.mds.(i) in
+  materialize ctx
+    (add (add (add zero (scale m.(0) s0)) (scale m.(1) s1)) (scale m.(2) s2))
+
+(* One width-3 round. Lanes are let-bound left to right: sboxes and
+   materializations allocate witnesses, and an array literal would
+   evaluate its elements right to left, reordering the witness. *)
+let round ctx rc s r ~full =
+  let k = r * Poseidon.width in
+  let a0 = sbox ctx (add s.(0) rc.(k)) in
+  let a1 = add s.(1) rc.(k + 1) in
+  let a1 = if full then sbox ctx a1 else a1 in
+  let a2 = add s.(2) rc.(k + 2) in
+  let a2 = if full then sbox ctx a2 else a2 in
+  let l0 = mds_lane ctx 0 a0 a1 a2 in
+  let l1 = mds_lane ctx 1 a0 a1 a2 in
+  let l2 = mds_lane ctx 2 a0 a1 a2 in
+  [| l0; l1; l2 |]
 
 let permute ctx state0 =
-  let state = ref (Array.copy state0) in
-  let rounds_total = Poseidon.rounds_full + Poseidon.rounds_partial in
   let half_full = Poseidon.rounds_full / 2 in
-  let round r full =
-    let s =
-      Array.mapi
-        (fun i w ->
-          add w (const Poseidon.round_constants.((r * Poseidon.width) + i)))
-        !state
-    in
-    let s =
-      if full then Array.map (sbox ctx) s
-      else Array.mapi (fun i w -> if i = 0 then sbox ctx w else w) s
-    in
-    state := apply_mds ctx s
-  in
-  for r = 0 to half_full - 1 do
-    round r true
-  done;
-  for r = half_full to half_full + Poseidon.rounds_partial - 1 do
-    round r false
-  done;
-  for r = half_full + Poseidon.rounds_partial to rounds_total - 1 do
-    round r true
+  let partial_end = half_full + Poseidon.rounds_partial in
+  let rc = round_constants () in
+  let state = ref state0 in
+  for r = 0 to Poseidon.rounds_full + Poseidon.rounds_partial - 1 do
+    state := round ctx rc !state r ~full:(r < half_full || r >= partial_end)
   done;
   !state
 
+let two_to_one_capacity = const (Fp.of_int 2)
+
 let poseidon2 ctx a b =
-  let out = permute ctx [| a; b; const (Fp.of_int 2) |] in
+  let out = permute ctx [| a; b; two_to_one_capacity |] in
   out.(0)
 
 let poseidon_hash ctx wires =
@@ -196,7 +219,7 @@ let poseidon_hash ctx wires =
      length in the capacity lane. *)
   let n = List.length wires in
   let arr = Array.of_list wires in
-  let state = ref [| const Fp.zero; const Fp.zero; const (Fp.of_int (n + 3)) |] in
+  let state = ref [| zero; zero; const (Fp.of_int (n + 3)) |] in
   let i = ref 0 in
   while !i < n do
     let s = Array.copy !state in
@@ -218,9 +241,7 @@ let merkle_root ctx ~leaf ~path_bits ~siblings =
       poseidon2 ctx left right)
     leaf path_bits siblings
 
-let assignment ctx =
-  ( Array.of_list (List.rev ctx.public_rev),
-    Array.of_list (List.rev ctx.witness_rev) )
+let assignment ctx = (contents ctx.public, contents ctx.witness)
 
 let finalize ~name ctx =
   match ctx.mode with

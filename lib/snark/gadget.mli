@@ -17,14 +17,19 @@ val create : unit -> ctx
 (** Synthesis (shape) context: gadget calls emit constraints into an
     R1CS builder while computing wire values. *)
 
-val create_eval : unit -> ctx
+val create_eval : public:int -> witness:int -> ctx
 (** Witness-only evaluation context for compile-once templates: the
     same gadget code runs, but no constraints are emitted and no linear
     combinations are built — only the public/witness value sequences
     are recorded (read them back with {!assignment}). Because a wire's
     term count is tracked in both modes, every structural decision
     (e.g. lc materialization) replays identically, so the assignment is
-    bit-identical to what synthesis would have produced. *)
+    bit-identical to what synthesis would have produced.
+
+    [public] and [witness] are size hints: the value arrays start at
+    those lengths and grow by doubling past them. A template passes its
+    circuit's {!R1cs.num_public} and {!R1cs.num_witness}, so a fill
+    allocates each array once and {!assignment} copies nothing. *)
 
 val input : ctx -> Fp.t -> wire
 (** Allocates a public-input wire carrying the given value. Must be
@@ -81,7 +86,10 @@ val merkle_root : ctx -> leaf:wire -> path_bits:wire list -> siblings:wire list 
 
 val assignment : ctx -> Fp.t array * Fp.t array
 (** The [(public, witness)] value segments accumulated so far. Works in
-    both modes; this is how an evaluation context's result is read. *)
+    both modes; this is how an evaluation context's result is read.
+    A segment that filled its size hint exactly is returned without a
+    copy, so it shares storage with the context; the context itself
+    never writes to it again. *)
 
 val finalize : name:string -> ctx -> R1cs.circuit * Fp.t array * Fp.t array
 (** Freezes the circuit and returns [(circuit, public, witness)] — the

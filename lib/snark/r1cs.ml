@@ -14,12 +14,15 @@ type builder = {
   mutable num_constraints : int;
 }
 
-(* A finalized constraint system stores each matrix (A, B, C) in CSR
-   form: the terms of constraint [i] live at [row.(i) .. row.(i+1)-1]
-   in the parallel [idx]/[coef] arrays. [Fp.t] is an immediate int, so
-   all three arrays are flat unboxed memory and evaluating a row is a
-   tight loop with zero allocation — this is what makes compile-once
-   circuit templates pay off on the per-prove hot path. *)
+(* A finalized constraint system splits its rows in two. A gate row,
+   [1·z[a] × 1·z[b] = 1·z[c]] (every multiplication a gadget emits),
+   is three variable indices in the flat [ga]/[gb]/[gc] arrays. Every
+   other row keeps each matrix (A, B, C) in CSR form: the terms of the
+   [k]-th such row live at [row.(k) .. row.(k+1)-1] in the parallel
+   [idx]/[coef] arrays. [gate_rows] and [csr_rows] map each stored row
+   back to its index in synthesis order, so no row is stored twice.
+   [Fp.t] is an immediate int, so every array is flat unboxed memory
+   and both check loops run with zero allocation. *)
 type csr = { row : int array; idx : int array; coef : Fp.t array }
 
 type circuit = {
@@ -27,9 +30,14 @@ type circuit = {
   n_public : int;
   n_vars : int;
   n_constraints : int;
+  ga : int array;
+  gb : int array;
+  gc : int array;
+  gate_rows : int array;
   ma : csr;
   mb : csr;
   mc : csr;
+  csr_rows : int array;
   labels : string option array;
   digest : Hash.t;
 }
@@ -105,6 +113,10 @@ let csr_of_rows select cs =
     cs;
   { row; idx; coef }
 
+let gate_var = function [ (k, v) ] when Fp.equal k Fp.one -> v | _ -> -1
+
+let is_gate c = gate_var c.a >= 0 && gate_var c.b >= 0 && gate_var c.c >= 0
+
 let finalize ~name b =
   Zen_obs.Counter.incr finalizes;
   let cs = Array.of_list (List.rev b.constraints) in
@@ -122,14 +134,24 @@ let finalize ~name b =
       Sha256.feed ctx (lc_bytes c);
       Sha256.feed ctx "|")
     cs;
+  let indices = List.init (Array.length cs) Fun.id in
+  let gate_rows, csr_rows = List.partition (fun i -> is_gate cs.(i)) indices in
+  let gates = Array.of_list (List.map (fun i -> cs.(i)) gate_rows) in
+  let others = Array.of_list (List.map (fun i -> cs.(i)) csr_rows) in
+  let gate_vars select = Array.map (fun c -> gate_var (select c)) gates in
   {
     name;
     n_public = b.num_public;
     n_vars = b.next_var;
     n_constraints = Array.length cs;
-    ma = csr_of_rows (fun c -> c.a) cs;
-    mb = csr_of_rows (fun c -> c.b) cs;
-    mc = csr_of_rows (fun c -> c.c) cs;
+    ga = gate_vars (fun c -> c.a);
+    gb = gate_vars (fun c -> c.b);
+    gc = gate_vars (fun c -> c.c);
+    gate_rows = Array.of_list gate_rows;
+    ma = csr_of_rows (fun c -> c.a) others;
+    mb = csr_of_rows (fun c -> c.b) others;
+    mc = csr_of_rows (fun c -> c.c) others;
+    csr_rows = Array.of_list csr_rows;
     labels = Array.map (fun c -> c.label) cs;
     digest = Hash.of_raw (Sha256.finalize ctx);
   }
@@ -141,42 +163,98 @@ let num_vars c = c.n_vars
 let num_witness c = c.n_vars - 1 - c.n_public
 let digest c = c.digest
 
-let eval_lc z lc =
-  List.fold_left (fun acc (coeff, v) -> Fp.add acc (Fp.mul coeff z.(v))) Fp.zero lc
+let eval_row m z k =
+  let acc = ref Fp.zero in
+  for j = m.row.(k) to m.row.(k + 1) - 1 do
+    acc := Fp.add !acc (Fp.mul m.coef.(j) z.(m.idx.(j)))
+  done;
+  !acc
 
-let eval_row m z i =
-  let stop = m.row.(i + 1) in
-  let rec go j acc =
-    if j = stop then acc
-    else go (j + 1) (Fp.add acc (Fp.mul m.coef.(j) z.(m.idx.(j))))
+(* The first gate that fails, as its position in [gate_rows]; the gate
+   count when none does. [ga], [gb] and [gc] have one entry per gate,
+   so [g < n] bounds all three. *)
+let first_failing_gate circuit z =
+  let ga = circuit.ga and gb = circuit.gb and gc = circuit.gc in
+  let n = Array.length ga in
+  let rec loop g =
+    if g = n then n
+    else if
+      Fp.equal
+        (Fp.mul z.(Array.unsafe_get ga g) z.(Array.unsafe_get gb g))
+        z.(Array.unsafe_get gc g)
+    then loop (g + 1)
+    else g
   in
-  go m.row.(i) Fp.zero
+  loop 0
 
+(* The first CSR row that fails, as its position in [csr_rows]; the
+   CSR row count when none does. *)
+let first_failing_row circuit z =
+  let n = Array.length circuit.csr_rows in
+  let rec loop k =
+    if k = n then n
+    else
+      let va = eval_row circuit.ma z k
+      and vb = eval_row circuit.mb z k
+      and vc = eval_row circuit.mc z k in
+      if Fp.equal (Fp.mul va vb) vc then loop (k + 1) else k
+  in
+  loop 0
+
+(* Both loops stop at their own first failure; since each keeps
+   synthesis order, the earlier of the two is the first failing
+   constraint overall. The evaluation count is the one an in-order scan
+   would have made: up to and including that constraint. *)
 let check circuit z =
   if Array.length z <> circuit.n_vars then Error "assignment length mismatch"
   else if not (Fp.equal z.(0) Fp.one) then Error "z.(0) must be 1"
   else begin
-    let n = circuit.n_constraints in
-    let rec loop i =
-      if i = n then begin
-        Zen_obs.Counter.add constraint_evals n;
-        Ok ()
-      end
-      else
-        let va = eval_row circuit.ma z i
-        and vb = eval_row circuit.mb z i
-        and vc = eval_row circuit.mc z i in
-        if Fp.equal (Fp.mul va vb) vc then loop (i + 1)
-        else begin
-          Zen_obs.Counter.add constraint_evals (i + 1);
-          match circuit.labels.(i) with
-          | Some l ->
-            Error (Printf.sprintf "unsatisfied constraint %d (%s)" i l)
-          | None -> Error (Printf.sprintf "unsatisfied constraint %d" i)
-        end
-    in
-    loop 0
+    let g = first_failing_gate circuit z and k = first_failing_row circuit z in
+    let at rows j = if j < Array.length rows then rows.(j) else max_int in
+    let i = min (at circuit.gate_rows g) (at circuit.csr_rows k) in
+    if i = max_int then begin
+      Zen_obs.Counter.add constraint_evals circuit.n_constraints;
+      Ok ()
+    end
+    else begin
+      Zen_obs.Counter.add constraint_evals (i + 1);
+      match circuit.labels.(i) with
+      | Some l -> Error (Printf.sprintf "unsatisfied constraint %d (%s)" i l)
+      | None -> Error (Printf.sprintf "unsatisfied constraint %d" i)
+    end
   end
+
+let lc_at m k =
+  let start = m.row.(k) in
+  List.init (m.row.(k + 1) - start) (fun t ->
+      (m.coef.(start + t), m.idx.(start + t)))
+
+let constraints circuit =
+  let out =
+    Array.make circuit.n_constraints { a = []; b = []; c = []; label = None }
+  in
+  let one v = [ (Fp.one, v) ] in
+  Array.iteri
+    (fun g i ->
+      out.(i) <-
+        {
+          a = one circuit.ga.(g);
+          b = one circuit.gb.(g);
+          c = one circuit.gc.(g);
+          label = circuit.labels.(i);
+        })
+    circuit.gate_rows;
+  Array.iteri
+    (fun k i ->
+      out.(i) <-
+        {
+          a = lc_at circuit.ma k;
+          b = lc_at circuit.mb k;
+          c = lc_at circuit.mc k;
+          label = circuit.labels.(i);
+        })
+    circuit.csr_rows;
+  out
 
 let satisfied circuit ~public ~witness =
   if Array.length public <> circuit.n_public then

@@ -14,6 +14,9 @@ type var = private int
 type lc = (Fp.t * var) list
 (** A linear combination [Σ cᵢ·varᵢ]. *)
 
+type constr = { a : lc; b : lc; c : lc; label : string option }
+(** One constraint [⟨a,z⟩·⟨b,z⟩ = ⟨c,z⟩] and its optional label. *)
+
 type builder
 type circuit
 
@@ -34,9 +37,13 @@ val constrain : ?label:string -> builder -> lc -> lc -> lc -> unit
 
 val finalize : name:string -> builder -> circuit
 (** Freezes the builder: digests every constraint (SHA-256, once) and
-    compiles the three matrices into flat CSR arrays so satisfiability
-    checks run allocation-free. Expensive — meant to run once per
-    circuit family, not per proof. *)
+    compiles it into flat arrays so satisfiability checks run
+    allocation-free. Storage is split by row shape, and no row is stored
+    twice. A gate row — [a], [b] and [c] each one variable with
+    coefficient 1, as every gadget multiplication emits — is three
+    variable indices. Every other row keeps its three matrices in CSR
+    form. Both parts record each row's index in synthesis order.
+    Expensive — meant to run once per circuit family, not per proof. *)
 
 val name : circuit -> string
 val num_constraints : circuit -> int
@@ -48,12 +55,19 @@ val num_vars : circuit -> int
 val digest : circuit -> Hash.t
 (** Collision-resistant identifier of the full constraint system. *)
 
-val eval_lc : Fp.t array -> lc -> Fp.t
+val constraints : circuit -> constr array
+(** The constraints in synthesis order, read back from the finalized
+    storage. For tests and reference checkers; not a hot path. *)
 
 val check : circuit -> Fp.t array -> (unit, string) result
 (** [check c z] verifies every constraint against a full assignment
     [z] (including the leading 1); on failure reports the label or
-    index of the first violated constraint. *)
+    index of the first violated constraint in synthesis order. The gate
+    rows and the CSR rows are checked by two loops, each stopping at its
+    own first failure; the earlier of the two is the first violated
+    constraint. [snark.r1cs.constraint_evals] grows by what an in-order
+    scan would evaluate: every constraint when all hold, else the index
+    of the first violated one plus one. *)
 
 val satisfied : circuit -> public:Fp.t array -> witness:Fp.t array -> (unit, string) result
 (** Assembles [z = 1 ‖ public ‖ witness] and checks; also validates the

@@ -25,12 +25,16 @@ let setup ~name body dummy =
   { pk; vk; constraints = R1cs.num_constraints circuit }
 
 let compile ~name body dummy =
+  let keys = setup ~name body dummy in
+  let circuit = Backend.pk_circuit keys.pk in
+  let public = R1cs.num_public circuit
+  and witness = R1cs.num_witness circuit in
   let assign v =
-    let ctx = Gadget.create_eval () in
+    let ctx = Gadget.create_eval ~public ~witness in
     body ctx v;
     Ok (Gadget.assignment ctx)
   in
-  { name; body; keys = setup ~name body dummy; assign }
+  { name; body; keys; assign }
 
 let compile_resynth ~name body dummy =
   let keys = setup ~name body dummy in

@@ -24,7 +24,8 @@ type 'v t
 val compile : name:string -> (Gadget.ctx -> 'v -> unit) -> 'v -> 'v t
 (** [compile ~name body dummy] synthesizes [body] on [dummy] values,
     finalizes the circuit under [name] and sets up its keys. The
-    witness generator runs [body] in evaluation mode. *)
+    witness generator runs [body] in evaluation mode, into value arrays
+    pre-sized from the circuit's public and witness counts. *)
 
 val compile_resynth : name:string -> (Gadget.ctx -> 'v -> unit) -> 'v -> 'v t
 (** The reference constructor: the same circuit and keys as {!compile},

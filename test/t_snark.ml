@@ -314,12 +314,123 @@ let test_fold_equivalence_exhaustive_lengths () =
       done)
     [ 1; 2; 4 ]
 
+(* ---- The gate-split check against the all-rows oracle ---- *)
+
+(* Runs [f] with the registry on and returns its result with the
+   growth of [snark.r1cs.constraint_evals] it caused. *)
+let with_evals f =
+  Zen_obs.Registry.with_enabled @@ fun () ->
+  let evals = Zen_obs.Counter.make "snark.r1cs.constraint_evals" in
+  let before = Zen_obs.Counter.value evals in
+  let r = f () in
+  (r, Zen_obs.Counter.value evals - before)
+
+(* A random circuit with a satisfying assignment, built row by row.
+   Each row solves for a fresh witness variable on its C side, so it
+   holds for the assignment. Rows mix gates ([1·a × 1·b = 1·c]),
+   single-term rows with coefficients 0, 1 and random (never all 1),
+   and rows of zero to three terms per side. *)
+let random_circuit rs =
+  let b = R1cs.create () in
+  let z = ref [| Fp.one |] in
+  let value (v : R1cs.var) = !z.((v :> int)) in
+  let fresh alloc x =
+    let v = alloc b in
+    z := Array.append !z [| x |];
+    v
+  in
+  let rand () = Fp.of_int (Random.State.full_int rs max_int) in
+  let n_public = Random.State.int rs 4 in
+  let vars =
+    ref
+      (R1cs.one_var
+      :: List.init n_public (fun _ -> fresh R1cs.alloc_input (rand ())))
+  in
+  for _ = 0 to Random.State.int rs 4 do
+    vars := fresh R1cs.alloc_witness (rand ()) :: !vars
+  done;
+  let pick () = List.nth !vars (Random.State.int rs (List.length !vars)) in
+  let coef () =
+    match Random.State.int rs 3 with 0 -> Fp.zero | 1 -> Fp.one | _ -> rand ()
+  in
+  let eval lc =
+    List.fold_left
+      (fun acc (k, v) -> Fp.add acc (Fp.mul k (value v)))
+      Fp.zero lc
+  in
+  let terms () =
+    List.init (Random.State.int rs 4) (fun _ -> (coef (), pick ()))
+  in
+  let rows = ref [] in
+  for i = 0 to Random.State.int rs 40 do
+    let a, bb, c_rest, kc =
+      match Random.State.int rs 3 with
+      | 0 -> ([ (Fp.one, pick ()) ], [ (Fp.one, pick ()) ], [], Fp.one)
+      | 1 ->
+        let ka = coef () and kb = coef () in
+        let kc =
+          if Fp.equal ka Fp.one && Fp.equal kb Fp.one then rand ()
+          else coef ()
+        in
+        (* A zero C coefficient leaves nothing to solve for: make the
+           product zero instead. *)
+        let ka = if Fp.is_zero kc then Fp.zero else ka in
+        ([ (ka, pick ()) ], [ (kb, pick ()) ], [], kc)
+      | _ ->
+        let kc = rand () in
+        (terms (), terms (), terms (), if Fp.is_zero kc then Fp.one else kc)
+    in
+    let target = Fp.sub (Fp.mul (eval a) (eval bb)) (eval c_rest) in
+    let out =
+      if Fp.is_zero kc then fresh R1cs.alloc_witness (rand ())
+      else fresh R1cs.alloc_witness (Fp.div target kc)
+    in
+    vars := out :: !vars;
+    let c = c_rest @ [ (kc, out) ] in
+    let label =
+      if i mod 3 = 0 then None else Some (Printf.sprintf "row%d" i)
+    in
+    R1cs.constrain ?label b a bb c;
+    rows := { R1cs.a; b = bb; c; label } :: !rows
+  done;
+  (R1cs.finalize ~name:"random" b, Array.of_list (List.rev !rows), !z)
+
+(* Overwrites up to three public or witness entries with random
+   values; a rewrite may leave an entry unchanged. *)
+let corrupt rs z =
+  let z = Array.copy z in
+  if Array.length z > 1 then
+    for _ = 1 to Random.State.int rs 4 do
+      z.(1 + Random.State.int rs (Array.length z - 1)) <-
+        Fp.of_int (Random.State.full_int rs max_int)
+    done;
+  z
+
+let split_matches_oracle circuit z =
+  let split = with_evals (fun () -> R1cs.check circuit z) in
+  let oracle =
+    with_evals (fun () -> R1cs_oracle.check (R1cs_oracle.of_circuit circuit) z)
+  in
+  split = oracle
+
+let test_check_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"r1cs split check = all-rows oracle" ~count:500
+       QCheck2.Gen.int
+       (fun seed ->
+         let rs = Random.State.make [| seed |] in
+         let circuit, rows, z = random_circuit rs in
+         R1cs.constraints circuit = rows
+         && Result.is_ok (R1cs.check circuit z)
+         && split_matches_oracle circuit (corrupt rs z)))
+
 let suite =
   ( "snark",
     [
       Alcotest.test_case "r1cs satisfied" `Quick test_r1cs_satisfied;
       Alcotest.test_case "r1cs unsatisfied" `Quick test_r1cs_unsatisfied;
       Alcotest.test_case "r1cs digest stable" `Quick test_r1cs_digest_stability;
+      test_check_matches_oracle;
       Alcotest.test_case "gadget bits" `Quick test_gadget_bits;
       Alcotest.test_case "gadget is_zero/select" `Quick test_gadget_is_zero_select;
       Alcotest.test_case "gadget poseidon" `Quick test_gadget_poseidon_matches_native;

@@ -177,7 +177,7 @@ let test_eval_assignment_matches_synthesis () =
   let shape = Zen_snark.Gadget.create () in
   body shape v;
   let circuit, pub_s, wit_s = Zen_snark.Gadget.finalize ~name:"eval-eq" shape in
-  let eval = Zen_snark.Gadget.create_eval () in
+  let eval = Zen_snark.Gadget.create_eval ~public:0 ~witness:0 in
   body eval v;
   let pub_e, wit_e = Zen_snark.Gadget.assignment eval in
   checkb "public identical" true (pub_s = pub_e);
@@ -268,6 +268,183 @@ let test_no_finalize_in_merges () =
   checki "no finalize in an epoch or a 64-leaf aggregate" 0
     (Zen_obs.Counter.value finalizes - fin0)
 
+(* ---- Pinned digests ---- *)
+
+(* Every compiled circuit's R1CS digest and the proof bytes of one
+   fixed epoch, as literal hex. The order in which a gadget allocates
+   variables is part of the digest, so a reordered witness shows up
+   here even when eval mode and synthesis still agree with each other.
+   A verification key's encoding starts with its circuit's raw R1CS
+   digest. *)
+let r1cs_hex vk =
+  Hash.to_hex (Hash.of_raw (String.sub (Zen_snark.Backend.vk_encode vk) 0 32))
+
+let circuit_digests depth =
+  let f = Circuits.make { Params.default with mst_depth = depth } in
+  List.map2
+    (fun name vk -> (Printf.sprintf "%s@%d" name depth, r1cs_hex vk))
+    [
+      "latus.remove"; "latus.insert"; "latus.append_bt"; "latus.wcert";
+      "latus.ownership";
+    ]
+    (Circuits.base_vks f
+    @ [ (Circuits.wcert_keys f).vk; (Circuits.ownership_keys f).vk ])
+
+let pinned_circuits =
+  [
+    ("latus.remove@12",
+     "becfc57c785c635456b4d3e5ab29d1a6a074334a1a45514146cb0fb9e718c57d");
+    ("latus.insert@12",
+     "2a04940ba2a03dfb1f1c7f5c8be6474c8ba6b7dd62ec51176893c67c4c58420f");
+    ("latus.append_bt@12",
+     "c003fb857123e749f93f2cdc99883877acbc3302cebc3f9c7c4242c380e60cdf");
+    ("latus.wcert@12",
+     "d41eacb79c623ea6ce03798f24db658aa2278a1a93aee82d4f3a1cfd30d7720a");
+    ("latus.ownership@12",
+     "a61085cd388810a0683e6d291efca0e0144476e9f56610f18d03ac4f3ad9d3a1");
+    ("latus.remove@18",
+     "8b41903b26dffd7d2458650cee2da7eafffd25077c4406b3fcb30eee6729e216");
+    ("latus.insert@18",
+     "ccb534549bc0e81479e87c9b3143321dc6a928172061ed62825fa3e87e4b0c82");
+    ("latus.append_bt@18",
+     "c003fb857123e749f93f2cdc99883877acbc3302cebc3f9c7c4242c380e60cdf");
+    ("latus.wcert@18",
+     "d41eacb79c623ea6ce03798f24db658aa2278a1a93aee82d4f3a1cfd30d7720a");
+    ("latus.ownership@18",
+     "1482e8ded47af807c49398310853a84d1b4ea4e4a1b14cb78a3e2c395957ffd5");
+    ("cli.merge",
+     "d5d0369d7311764b322563ee86020700d0292dec5fbaba531284f21727081d82");
+    ("zendoo.aggregate",
+     "f0c1932d396d7f904af5d569e14c1679db5f00fff32ff6a200b894dd14eafa8f");
+  ]
+
+(* The epoch of [zendoo-cli prove --steps 13]: 13 inserts at the default
+   depth, 4 workers, dispatch seed 77. *)
+let pinned_epoch_proof =
+  String.concat ""
+    [
+      "26953227de718080496d66c503908d0626e628ed1d5e726f3233f21b876554d8";
+      "d6666e9c35265780671ba4e6f43c8c71c7b293e323daf6d163d5fbdf204161fc";
+      "80498a9a8bb71b1c9b3eca28d13bc47556da0b080fc203994f892034a5eadfa2";
+    ]
+
+let pinned_epoch_rewards = "w0:4 w1:5 w2:1 w3:3"
+
+let test_pinned_digests () =
+  let default = Circuits.make Params.default in
+  let rsys =
+    Zen_snark.Recursive.create ~name:"cli"
+      ~base_vks:(Circuits.base_vks default)
+  in
+  let digests =
+    circuit_digests Params.default.mst_depth
+    @ circuit_digests 18
+    @ [
+        ( "cli.merge",
+          r1cs_hex
+            (Template.keys (Zen_snark.Recursive.merge_template rsys)).vk );
+        ( "zendoo.aggregate",
+          r1cs_hex (Zen_snark.Aggregate.vk (Zen_snark.Aggregate.shared ())) );
+      ]
+  in
+  let steps =
+    List.init 13 (fun i ->
+        Sc_tx.Insert
+          (Utxo.make ~addr:(Hash.of_string "cli-prove")
+             ~amount:(Amount.of_int_exn (i + 1))
+             ~nonce:(Hash.of_string (Printf.sprintf "cli-77-%d" i))))
+  in
+  let _, stats, top =
+    ok
+      (Prover_pool.prove_and_merge default rsys
+         ~initial:(Sc_state.create Params.default) ~steps ~workers:4 ~seed:77)
+  in
+  let proof =
+    Zen_snark.Backend.proof_encode (Zen_snark.Recursive.final_proof top)
+  in
+  let rewards =
+    String.concat " "
+      (List.map
+         (fun (w, r) -> Printf.sprintf "w%d:%d" w r)
+         stats.Prover_pool.rewards)
+  in
+  Alcotest.(check (list (pair string string)))
+    "R1CS digests" pinned_circuits digests;
+  Alcotest.(check string) "epoch proof bytes" pinned_epoch_proof
+    (Sha256.to_hex proof);
+  Alcotest.(check string) "epoch rewards" pinned_epoch_rewards rewards
+
+(* ---- The gate-split check on the depth-18 slot circuits ---- *)
+
+(* The remove, insert and append_bt circuits at depth 18, each with a
+   satisfying assignment: corrupting up to three public or witness
+   entries must make the split check and the all-rows oracle agree on
+   the result (error string included) and on the evaluation count. *)
+let test_slot_circuits_match_oracle () =
+  let params18 = { Params.default with mst_depth = 18 } in
+  let f = Circuits.make params18 in
+  let u = utxo 7 in
+  let st0 = Sc_state.create params18 in
+  let st1 = ok (Sc_tx.apply_step st0 (Sc_tx.Insert u)) in
+  let bt =
+    Backward_transfer.make ~receiver_addr:(Hash.of_string "bt-18")
+      ~amount:(Amount.of_int_exn 9)
+  in
+  let rs = Random.State.make [| 18 |] in
+  List.iter
+    (fun (st, step) ->
+      let keys, public, witness, _, _ =
+        ok (Circuits.step_assignment f st step)
+      in
+      let circuit = Zen_snark.Backend.pk_circuit keys.pk in
+      let oracle = R1cs_oracle.of_circuit circuit in
+      let z = Array.concat [ [| Fp.one |]; public; witness ] in
+      for case = 0 to 99 do
+        let z = Array.copy z in
+        for _ = 0 to case mod 3 do
+          z.(1 + Random.State.int rs (Array.length z - 1)) <-
+            Fp.of_int (Random.State.full_int rs max_int)
+        done;
+        checkb
+          (Printf.sprintf "%s case %d" (Zen_snark.R1cs.name circuit) case)
+          true
+          (T_snark.with_evals (fun () -> Zen_snark.R1cs.check circuit z)
+          = T_snark.with_evals (fun () -> R1cs_oracle.check oracle z))
+      done)
+    [ (st0, Sc_tx.Insert u); (st1, Sc_tx.Remove u); (st1, Sc_tx.Append_bt bt) ]
+
+(* A body whose value counts differ from the compiled circuit's by
+   one in either direction still reaches the backend's length check:
+   the evaluation arrays grow past their size hints and shrink below
+   them. An input after a witness still raises in evaluation mode. *)
+let test_mis_sized_bodies () =
+  let module G = Zen_snark.Gadget in
+  let body ctx (n_public, n_witness, late_input) =
+    for i = 1 to n_public do
+      ignore (G.input ctx (Fp.of_int i))
+    done;
+    for i = 1 to n_witness do
+      ignore (G.witness ctx (Fp.of_int i))
+    done;
+    if late_input then ignore (G.input ctx Fp.one)
+  in
+  let tpl = Template.compile ~name:"mis-sized" body (2, 3, false) in
+  let prove counts =
+    match Template.prove tpl counts with Ok _ -> "ok" | Error e -> e
+  in
+  Alcotest.(check string) "exact" "ok" (prove (2, 3, false));
+  Alcotest.(check string) "one public more"
+    "public input length 3, expected 2" (prove (3, 3, false));
+  Alcotest.(check string) "one public fewer"
+    "public input length 1, expected 2" (prove (1, 3, false));
+  Alcotest.(check string) "one witness more" "witness length 4, expected 3"
+    (prove (2, 4, false));
+  Alcotest.(check string) "one witness fewer" "witness length 2, expected 3"
+    (prove (2, 2, false));
+  Alcotest.check_raises "input after a witness"
+    (Invalid_argument "Gadget.input: witness allocation already started")
+    (fun () -> ignore (Template.assign tpl (2, 3, true)))
+
 let suite =
   ( "template",
     [
@@ -282,4 +459,8 @@ let suite =
       test_aggregate_template;
       Alcotest.test_case "no finalize in merges or aggregation" `Quick
         test_no_finalize_in_merges;
+      Alcotest.test_case "pinned digests" `Quick test_pinned_digests;
+      Alcotest.test_case "split check = oracle on depth-18 slot circuits"
+        `Quick test_slot_circuits_match_oracle;
+      Alcotest.test_case "mis-sized bodies" `Quick test_mis_sized_bodies;
     ] )
