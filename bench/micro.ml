@@ -10,7 +10,7 @@ let tests () =
   let blob = String.make 1024 'x' in
   let sk, pk = Schnorr.of_seed "bench" in
   let signature = Schnorr.sign sk "msg" in
-  let scalar = Bignum.of_hex (Sha256.to_hex (Sha256.digest "bench")) in
+  let scalar = Ec.Scalar.reduce (Sha256.digest "bench") in
   let tree = Merkle.of_data (List.init 1024 string_of_int) in
   let proof = Merkle.prove tree 512 in
   let leaf = Hash.of_string "512" in

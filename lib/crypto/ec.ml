@@ -30,15 +30,9 @@
    mixed Jacobian+affine addition, and converts back with one
    inversion. *)
 
-let p =
-  Bignum.of_hex
-    "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"
-
-let n =
-  Bignum.of_hex
-    "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"
-
-let scalar_ring = Bignum.Modring.create n
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
 
 module Field = struct
   type t = int array
@@ -354,17 +348,17 @@ module Field = struct
       nbits := !nbits - 8
     done
 
-  let of_bignum x =
+  let of_bytes s =
     let r = create () in
-    load_bytes r (Bignum.to_bytes_be ~len:32 x) 0;
+    load_bytes r s 0;
     r
 
-  let to_bignum a =
+  let to_bytes a =
     let r = Array.copy a in
     normalize r;
     let b = Bytes.create 32 in
     store_bytes b 0 r;
-    Bignum.of_bytes_be (Bytes.unsafe_to_string b)
+    Bytes.unsafe_to_string b
 
   let of_limbs l =
     if Array.length l <> 10
@@ -375,6 +369,106 @@ module Field = struct
 end
 
 module F = Field
+
+(* ---- scalars mod n ---- *)
+
+(* A scalar is its 32 big-endian bytes, always below the group order n.
+   Arithmetic runs on sixteen-bit digits, little-endian, so bit 256
+   starts digit 16 and a column of digit products stays far below the
+   63-bit int (libsecp256k1's scalar_8x32 uses 32-bit digits, whose
+   products would not fit). Reduction follows its scalar_reduce_512:
+   the digits above 2^256 fold back with
+   2^256 ≡ n_c = 2^256 - n (mod n), a 129-bit constant, so each fold
+   takes about 127 bits off a wide value, and once it is below
+   2^256 < 2n at most one subtraction of n remains. *)
+module Scalar = struct
+  type t = string
+
+  let digits s =
+    Array.init 16 (fun i ->
+        Char.code s.[31 - (2 * i)] lor (Char.code s.[30 - (2 * i)] lsl 8))
+
+  let of_digits d =
+    String.init 32 (fun j ->
+        Char.chr ((d.((31 - j) / 2) lsr (8 * (1 - (j land 1)))) land 0xff))
+
+  let n =
+    digits
+      (of_hex "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141")
+
+  let half_n =
+    digits
+      (of_hex "7fffffffffffffffffffffffffffffff5d576e7357a4501ddfe92f46681b20a0")
+
+  (* 2^256 - n = 0x1_45512319_50b75fc4_402da173_2fc9bebf, low digit first. *)
+  let n_c = [| 0xbebf; 0x2fc9; 0xa173; 0x402d; 0x5fc4; 0x50b7; 0x2319; 0x4551; 1 |]
+
+  (* a ≥ b, and a - b for a ≥ b, on sixteen exact digits. *)
+  let geq a b =
+    let rec go i = i < 0 || a.(i) > b.(i) || (a.(i) = b.(i) && go (i - 1)) in
+    go 15
+
+  let sub a b =
+    let borrow = ref 0 in
+    Array.init 16 (fun i ->
+        let d = a.(i) - b.(i) - !borrow in
+        borrow := if d < 0 then 1 else 0;
+        d land 0xffff)
+
+  (* Non-negative digit sums (at least sixteen, with room for the
+     carries) mod n. A fold writes lo + hi * n_c, which is below
+     2^256 + 2^(16 (len - 7) - 15), into max (len - 7) 16 + 1 digits. *)
+  let rec reduce_digits t =
+    let len = Array.length t in
+    for i = 0 to len - 2 do
+      t.(i + 1) <- t.(i + 1) + (t.(i) lsr 16);
+      t.(i) <- t.(i) land 0xffff
+    done;
+    let rec high_zero i = i >= len || (t.(i) = 0 && high_zero (i + 1)) in
+    if high_zero 16 then begin
+      let r = Array.sub t 0 16 in
+      of_digits (if geq r n then sub r n else r)
+    end
+    else begin
+      let r = Array.make (max (len - 7) 16 + 1) 0 in
+      Array.blit t 0 r 0 16;
+      for i = 16 to len - 1 do
+        for j = 0 to 8 do
+          r.(i - 16 + j) <- r.(i - 16 + j) + (t.(i) * n_c.(j))
+        done
+      done;
+      reduce_digits r
+    end
+
+  let reduce s =
+    if String.length s <> 32 then invalid_arg "Ec.Scalar.reduce: not 32 bytes";
+    reduce_digits (digits s)
+
+  let of_bytes s =
+    if String.length s = 32 && not (geq (digits s) n) then Some s else None
+
+  let to_bytes s = s
+  let zero = String.make 32 '\000'
+  let is_zero = String.equal zero
+
+  let add a b =
+    let a = digits a and b = digits b in
+    reduce_digits (Array.init 17 (fun i -> if i < 16 then a.(i) + b.(i) else 0))
+
+  let mul a b =
+    let a = digits a and b = digits b in
+    let t = Array.make 32 0 in
+    for i = 0 to 15 do
+      for j = 0 to 15 do
+        t.(i + j) <- t.(i + j) + (a.(i) * b.(j))
+      done
+    done;
+    reduce_digits t
+
+  (* Above n/2, and n - s for s ≠ 0: [mul_g]'s flip. *)
+  let is_high s = not (geq half_n (digits s))
+  let neg s = of_digits (sub n (digits s))
+end
 
 (* An affine point: canonical x limbs then canonical y limbs. *)
 type point = Infinity | Affine of int array
@@ -405,30 +499,8 @@ let of_fields x y =
   Array.blit y 0 a 10 10;
   Affine a
 
-let on_curve x y =
-  Bignum.compare x p < 0
-  && Bignum.compare y p < 0
-  && curve_eq (F.of_bignum x) (F.of_bignum y)
-
-let of_affine x y =
-  if not (on_curve x y) then invalid_arg "Ec.of_affine: not on curve";
-  of_fields (F.of_bignum x) (F.of_bignum y)
-
 let coords a =
   (Array.sub a 0 10, Array.sub a 10 10)
-
-let to_affine = function
-  | Infinity -> None
-  | Affine a ->
-    let x, y = coords a in
-    Some (F.to_bignum x, F.to_bignum y)
-
-let g =
-  of_affine
-    (Bignum.of_hex
-       "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798")
-    (Bignum.of_hex
-       "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8")
 
 let neg = function
   | Infinity -> Infinity
@@ -457,6 +529,11 @@ let decode s =
     else Some (of_fields x y)
   end
   else None
+
+let g =
+  let x = "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"
+  and y = "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8" in
+  Option.get (decode (of_hex ("04" ^ x ^ y)))
 
 (* ---- Jacobian arithmetic on a per-call workspace ---- *)
 
@@ -696,18 +773,12 @@ let load_entry ws tbl i d =
   done;
   if d < 0 then F.neg ws.ay ws.ay
 
-let scalar_bytes k =
-  Bignum.to_bytes_be ~len:32 (Bignum.Modring.reduce scalar_ring k)
-
-let half_n = Bignum.shift_right n 1
-
 (* Sixty-four signed digits in [-7, 8]. A scalar above n/2 is replaced
    by n - k with every digit negated, so the scalar is below 2^255, its
    top window is at most 7 and no carry leaves window 63. *)
 let mul_g k =
-  let k = Bignum.Modring.reduce scalar_ring k in
-  let flip = Bignum.compare k half_n > 0 in
-  let kb = Bignum.to_bytes_be ~len:32 (if flip then Bignum.sub n k else k) in
+  let flip = Scalar.is_high k in
+  let kb = Scalar.to_bytes (if flip then Scalar.neg k else k) in
   let tbl = table () in
   let ws = workspace () in
   let carry = ref 0 in
@@ -752,7 +823,7 @@ let wnaf w kb =
    digits add window 0's affine odd multiples 1..7; the width-5 pt
    digits add pt's odd multiples 1..15, kept Jacobian. *)
 let strauss ws ~s ~e pt =
-  let ns = wnaf 4 (scalar_bytes s) and ne = wnaf 5 (scalar_bytes e) in
+  let ns = wnaf 4 (Scalar.to_bytes s) and ne = wnaf 5 (Scalar.to_bytes e) in
   let nonzero = Array.exists (fun d -> d <> 0) in
   let tbl = if nonzero ns then table () else [||] in
   let odd = Array.init 8 (fun _ -> jac ()) in
@@ -786,7 +857,7 @@ let strauss ws ~s ~e pt =
 
 let mul k pt =
   let ws = workspace () in
-  strauss ws ~s:Bignum.zero ~e:k pt;
+  strauss ws ~s:Scalar.zero ~e:k pt;
   to_point ws ws.acc
 
 let add p1 p2 =

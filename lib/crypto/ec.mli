@@ -1,8 +1,9 @@
 (** The secp256k1 elliptic curve y² = x³ + 7 over F_p, on a dedicated
     field layer: ten 26-bit limbs per element and the
     p = 2^256 − 2^32 − 977 fold instead of generic modular arithmetic
-    (after libsecp256k1's 10x26 field). {!Bignum} appears only at the
-    boundary ([of_affine], [to_affine], [mul]'s scalar, [p], [n]).
+    (after libsecp256k1's 10x26 field). Scalars mod the group order n
+    are {!Scalar}s, fixed-width and always reduced; points cross the
+    boundary only as bytes ([encode], [decode]).
 
     Points are affine with canonical coordinates, so encoding and
     comparison need no inversion. Scalar multiplication runs in Jacobian
@@ -20,36 +21,41 @@ val infinity : point
 val g : point
 (** The standard generator. *)
 
-val p : Bignum.t
-(** Base field modulus. *)
-
-val n : Bignum.t
-(** Group order (prime). *)
-
 val is_infinity : point -> bool
 val equal : point -> point -> bool
 
-val of_affine : Bignum.t -> Bignum.t -> point
-(** Raises [Invalid_argument] if the coordinates are not on the curve. *)
+(** Scalars mod the group order n (prime), held as their 32 big-endian
+    bytes and always below n. *)
+module Scalar : sig
+  type t
 
-val to_affine : point -> (Bignum.t * Bignum.t) option
-(** [None] for the point at infinity. *)
+  val reduce : string -> t
+  (** 32 big-endian bytes, reduced mod n. Raises [Invalid_argument] for
+      any other length. *)
+
+  val of_bytes : string -> t option
+  (** Canonical decoding: [None] unless 32 bytes below n. *)
+
+  val to_bytes : t -> string
+  (** 32 big-endian bytes. *)
+
+  val is_zero : t -> bool
+  val add : t -> t -> t
+  val mul : t -> t -> t
+end
 
 val add : point -> point -> point
 val double : point -> point
 val neg : point -> point
-val mul : Bignum.t -> point -> point
-(** Scalar multiplication; the scalar is reduced mod [n]. *)
+val mul : Scalar.t -> point -> point
 
-val mul_g : Bignum.t -> point
+val mul_g : Scalar.t -> point
 (** [mul_g k = mul k g], from the fixed-base table: 64 mixed additions
     and no doubling. *)
 
-val sg_minus_ep_eq : s:Bignum.t -> e:Bignum.t -> point -> point -> bool
+val sg_minus_ep_eq : s:Scalar.t -> e:Scalar.t -> point -> point -> bool
 (** [sg_minus_ep_eq ~s ~e p r] is whether s·G − e·p = r; false when
     [r] is infinity. *)
-
-val on_curve : Bignum.t -> Bignum.t -> bool
 
 val encode : point -> string
 (** 65-byte uncompressed encoding (0x04 ‖ x ‖ y); a single 0x00 byte for
@@ -59,9 +65,6 @@ val decode : string -> point option
 (** Inverse of [encode]. [None] for any other input, including
     coordinates ≥ p and points off the curve; never raises. *)
 
-val scalar_ring : Bignum.Modring.ring
-(** Arithmetic mod [n], for building signature schemes on top. *)
-
 (** The base field F_p. Elements are mutable limb arrays; each
     operation writes its first argument, which may alias an input. *)
 module Field : sig
@@ -70,16 +73,16 @@ module Field : sig
   val create : unit -> t
   (** Zero. *)
 
-  val of_bignum : Bignum.t -> t
-  (** Any value below 2^256, reduced lazily. *)
+  val of_bytes : string -> t
+  (** 32 big-endian bytes: any value below 2^256, reduced lazily. *)
 
   val of_limbs : int array -> t
   (** Ten raw limbs, each within the bound every operation accepts:
       limbs 0–8 below 2^28, limb 9 below 2^22. Raises
       [Invalid_argument] otherwise. *)
 
-  val to_bignum : t -> Bignum.t
-  (** The canonical value, below [p]. *)
+  val to_bytes : t -> string
+  (** The canonical value, below p, as 32 big-endian bytes. *)
 
   val add : t -> t -> t -> unit
   val sub : t -> t -> t -> unit

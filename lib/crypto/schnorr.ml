@@ -1,19 +1,17 @@
-(* A secret key carries its public key, computed once at generation,
-   and its scalar's bytes (the nonce HMAC key). *)
-type secret_key = { scalar : Bignum.t; key_bytes : string; pk : Ec.point }
+(* A secret key carries its public key, computed once at generation.
+   A signature keeps the 32 bytes of [s] it was decoded from: any value
+   decodes, and [verify] refuses s ≥ n. *)
+type secret_key = { scalar : Ec.Scalar.t; pk : Ec.point }
 type public_key = Ec.point
-type signature = { r : Ec.point; s : Bignum.t }
+type signature = { r : Ec.point; s : string }
 
-let ring = Ec.scalar_ring
+module S = Ec.Scalar
 
 (* Map 32 hash bytes to a non-zero scalar mod n. *)
 let scalar_of_hash_material material =
   let rec go counter =
-    let h =
-      Sha256.digest_list [ material; string_of_int counter ]
-    in
-    let k = Bignum.Modring.reduce ring (Bignum.of_bytes_be h) in
-    if Bignum.is_zero k then go (counter + 1) else k
+    let k = S.reduce (Sha256.digest_list [ material; string_of_int counter ]) in
+    if S.is_zero k then go (counter + 1) else k
   in
   go 0
 
@@ -24,7 +22,7 @@ let of_seed seed =
     scalar_of_hash_material (Sha256.digest ("zendoo.schnorr.keygen" ^ seed))
   in
   let pk = Ec.mul_g scalar in
-  ({ scalar; key_bytes = Bignum.to_bytes_be ~len:32 scalar; pk }, pk)
+  ({ scalar; pk }, pk)
 
 let generate rng = of_seed (Rng.bytes rng 32)
 
@@ -44,30 +42,31 @@ let challenge r pk msg =
 
 let sign sk msg =
   (* Deterministic nonce: HMAC(sk, msg), per-key-and-message. *)
-  let k = scalar_of_hash_material (Sha256.hmac ~key:sk.key_bytes msg) in
+  let k = scalar_of_hash_material (Sha256.hmac ~key:(S.to_bytes sk.scalar) msg) in
   let r = Ec.mul_g k in
   let e = challenge r sk.pk msg in
-  let s = Bignum.Modring.add ring k (Bignum.Modring.mul ring e sk.scalar) in
-  { r; s }
+  { r; s = S.to_bytes (S.add k (S.mul e sk.scalar)) }
 
 let verify pk msg { r; s } =
   (not (Ec.is_infinity pk))
   && (not (Ec.is_infinity r))
-  && Bignum.compare s Ec.n < 0
   &&
-  let e = challenge r pk msg in
-  (* s·G = R + e·P *)
-  Ec.sg_minus_ep_eq ~s ~e pk r
+  match S.of_bytes s with
+  | None -> false
+  | Some s ->
+    let e = challenge r pk msg in
+    (* s·G = R + e·P *)
+    Ec.sg_minus_ep_eq ~s ~e pk r
 
 let sig_encode { r; s } =
   if Ec.is_infinity r then String.make 96 '\000'
-  else String.sub (Ec.encode r) 1 64 ^ Bignum.to_bytes_be ~len:32 s
+  else String.sub (Ec.encode r) 1 64 ^ s
 
 let sig_decode b =
   if String.length b <> 96 then None
   else begin
     let xy = String.sub b 0 64 in
-    let s = Bignum.of_bytes_be (String.sub b 64 32) in
+    let s = String.sub b 64 32 in
     if String.for_all (fun c -> c = '\000') xy then Some { r = Ec.infinity; s }
     else Option.map (fun r -> { r; s }) (Ec.decode ("\004" ^ xy))
   end

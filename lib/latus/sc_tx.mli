@@ -116,6 +116,6 @@ val apply_steps :
     [batched] is a leftover label: the benchmark in [perfbench/] still
     passes [~batched:true], the only accepted value; [~batched:false]
     raises [Invalid_argument]. The label goes when the benchmark stops
-    passing it (ROADMAP item 2). *)
+    passing it (ROADMAP item 1). *)
 
 val pp : Format.formatter -> t -> unit

@@ -99,7 +99,7 @@ val create :
     [pipeline] is a leftover label: the benchmark in [perfbench/] still
     passes [~pipeline:true], the only accepted value; [~pipeline:false]
     raises [Invalid_argument]. The label goes when the benchmark stops
-    passing it (ROADMAP item 2). *)
+    passing it (ROADMAP item 1). *)
 
 val sidechains : t -> sidechain list
 (** Registered sidechains in registration order (the order {!tick}

@@ -87,4 +87,4 @@ val run :
     [batched] and [snapshots] are leftover labels: the benchmark in
     [perfbench/] still passes [~batched:true ~snapshots:true], the only
     accepted values; [false] for either raises [Invalid_argument]. The
-    labels go when the benchmark stops passing them (ROADMAP item 2). *)
+    labels go when the benchmark stops passing them (ROADMAP item 1). *)

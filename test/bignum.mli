@@ -4,9 +4,10 @@
     normalized (no trailing zero limbs). All numbers are non-negative;
     [sub a b] raises [Invalid_argument] when [a < b].
 
-    This module is the arithmetic substrate for the elliptic-curve and
-    Schnorr-signature code; see {!Bignum.Modring} for modular arithmetic
-    with Barrett reduction. *)
+    This module is the arithmetic substrate of the reference curve and
+    Schnorr scheme in [Ec_oracle], which the production [Ec] and
+    [Schnorr] are tested against; see {!Bignum.Modring} for modular
+    arithmetic with Barrett reduction. *)
 
 type t
 

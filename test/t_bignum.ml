@@ -1,6 +1,5 @@
-(* Unit and property tests for the arbitrary-precision substrate. *)
-
-open Zen_crypto
+(* Unit and property tests for the arbitrary-precision integers behind
+   the curve oracle. *)
 
 let check = Alcotest.(check string)
 let checki = Alcotest.(check int)

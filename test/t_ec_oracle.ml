@@ -1,16 +1,18 @@
 (* The secp256k1 field, curve and Schnorr layer against the Bignum
-   reference in [Ec_oracle]: field arithmetic, variable- and fixed-base
-   scalar multiplication, signature bytes, verification decisions and
-   point decoding must agree, on random inputs and at the edges. *)
+   reference in [Ec_oracle]: field arithmetic, scalars mod n, variable-
+   and fixed-base scalar multiplication, signature bytes, verification
+   decisions and point decoding must agree, on random inputs and at the
+   edges. *)
 
 open Zen_crypto
 module O = Ec_oracle
 
 let checkb = Alcotest.(check bool)
-let fp_ring = Bignum.Modring.create Ec.p
+let fp_ring = Bignum.Modring.create O.p
 let two_256 = Bignum.shift_left Bignum.one 256
 let max_256 = Bignum.sub two_256 Bignum.one
 let bytes32 = Bignum.to_bytes_be ~len:32
+let scalar k = Ec.Scalar.reduce (bytes32 k)
 
 (* Every limb at the bound the field accepts as input: the largest
    columns and carries the multiply can see. *)
@@ -24,14 +26,14 @@ let bignum_of_limbs l =
 (* A field element and the value it stands for. *)
 type elt = { f : Ec.Field.t; v : Bignum.t }
 
-let of_bignum v = { f = Ec.Field.of_bignum v; v }
+let of_bignum v = { f = Ec.Field.of_bytes (bytes32 v); v }
 let of_limbs l = { f = Ec.Field.of_limbs l; v = bignum_of_limbs l }
 
 let edge_elts () =
   List.map of_bignum
     [
-      Bignum.zero; Bignum.one; Bignum.sub Ec.p Bignum.one; Ec.p;
-      Bignum.add Ec.p Bignum.one; max_256;
+      Bignum.zero; Bignum.one; Bignum.sub O.p Bignum.one; O.p;
+      Bignum.add O.p Bignum.one; max_256;
     ]
   @ [ of_limbs max_limbs ]
 
@@ -57,7 +59,7 @@ let field_agrees a b =
   let r = Ec.Field.create () in
   let agree what op expect =
     op r;
-    let got = Ec.Field.to_bignum r in
+    let got = Bignum.of_bytes_be (Ec.Field.to_bytes r) in
     if not (Bignum.equal got expect) then
       QCheck2.Test.fail_reportf "%s: got %s, want %s" what (Bignum.to_hex got)
         (Bignum.to_hex expect)
@@ -83,19 +85,20 @@ let test_field_edges () =
 (* Scalars at the edges of reduction mod n, and either side of n/2,
    where the fixed-base multiply switches to n - k. *)
 let edge_scalars =
-  let half = Bignum.shift_right Ec.n 1 in
+  let half = Bignum.shift_right O.n 1 in
   [
-    Bignum.zero; Bignum.one; Bignum.sub Ec.n Bignum.one; Ec.n;
-    Bignum.add Ec.n Bignum.one; max_256; half; Bignum.add half Bignum.one;
+    Bignum.zero; Bignum.one; Bignum.sub O.n Bignum.one; O.n;
+    Bignum.add O.n Bignum.one; max_256; half; Bignum.add half Bignum.one;
   ]
 
 let same_point p q = String.equal (Ec.encode p) (O.encode q)
 
 let mul_agrees k =
   let c = Bignum.of_int 0xC0FFEE in
-  same_point (Ec.mul_g k) (O.mul k O.g)
-  && same_point (Ec.mul k Ec.g) (O.mul k O.g)
-  && same_point (Ec.mul k (Ec.mul_g c)) (O.mul k (O.mul c O.g))
+  let ks = scalar k in
+  same_point (Ec.mul_g ks) (O.mul k O.g)
+  && same_point (Ec.mul ks Ec.g) (O.mul k O.g)
+  && same_point (Ec.mul ks (Ec.mul_g (scalar c))) (O.mul k (O.mul c O.g))
 
 let test_mul_edges () =
   List.iter
@@ -106,7 +109,7 @@ let test_mul_edges () =
    opposite points and infinity. *)
 let test_add_edges () =
   let c = Bignum.of_int 0xC0FFEE in
-  let p = Ec.mul_g c and op = O.mul c O.g in
+  let p = Ec.mul_g (scalar c) and op = O.mul c O.g in
   let cases =
     [
       ("P + P", Ec.add p p, O.add op op);
@@ -117,6 +120,46 @@ let test_add_edges () =
     ]
   in
   List.iter (fun (what, got, want) -> checkb what true (same_point got want)) cases
+
+(* [Ec.Scalar] against [Modring] mod n: reduction, canonical decoding
+   (refused iff ≥ n) and its round trip, addition and multiplication,
+   on any 32 bytes. *)
+let scalar_agrees a b =
+  let ring = O.scalar_ring in
+  let va = Bignum.of_bytes_be a in
+  let ra = Bignum.Modring.reduce ring va
+  and rb = Bignum.Modring.reduce ring (Bignum.of_bytes_be b) in
+  let sa = Ec.Scalar.reduce a and sb = Ec.Scalar.reduce b in
+  let agree what got want =
+    if not (String.equal (Ec.Scalar.to_bytes got) (bytes32 want)) then
+      QCheck2.Test.fail_reportf "%s: got %s, want %s" what
+        (Sha256.to_hex (Ec.Scalar.to_bytes got))
+        (Bignum.to_hex want)
+  in
+  agree "reduce" sa ra;
+  (match Ec.Scalar.of_bytes a with
+   | None ->
+     if Bignum.compare va O.n < 0 then
+       QCheck2.Test.fail_reportf "of_bytes refused %s" (Bignum.to_hex va)
+   | Some s ->
+     if Bignum.compare va O.n >= 0 then
+       QCheck2.Test.fail_reportf "of_bytes took %s" (Bignum.to_hex va);
+     if not (String.equal (Ec.Scalar.to_bytes s) a) then
+       QCheck2.Test.fail_reportf "round trip of %s" (Bignum.to_hex va));
+  agree "add" (Ec.Scalar.add sa sb) (Bignum.Modring.add ring ra rb);
+  agree "mul" (Ec.Scalar.mul sa sb) (Bignum.Modring.mul ring ra rb);
+  true
+
+let edge_scalar_bytes = List.map bytes32 edge_scalars
+
+let test_scalar_edges () =
+  List.iter
+    (fun a -> List.iter (fun b -> ignore (scalar_agrees a b)) edge_scalar_bytes)
+    edge_scalar_bytes
+
+let gen_scalar_bytes =
+  QCheck2.Gen.(
+    oneof [ string_size ~gen:char (return 32); oneofl edge_scalar_bytes ])
 
 (* Verification decisions on a signature's 96 bytes, both layers
    decoding the same bytes. *)
@@ -151,7 +194,7 @@ let variants seed msg =
   let sk, _ = Schnorr.of_seed seed in
   let good = Schnorr.sig_encode (Schnorr.sign sk msg) in
   let rxy = String.sub good 0 64 and s = Bignum.of_bytes_be (String.sub good 64 32) in
-  let s_plus_n = Bignum.add s Ec.n in
+  let s_plus_n = Bignum.add s O.n in
   [
     ("valid", seed, msg, good);
     ("wrong message", seed, msg ^ "!", good);
@@ -159,11 +202,12 @@ let variants seed msg =
     ("R.x bit", seed, msg, flip good 7);
     ("R.y bit", seed, msg, flip good (256 + 100));
     ("s bit", seed, msg, flip good (512 + 255));
-    ("s = n", seed, msg, rxy ^ bytes32 Ec.n);
+    ("s = n", seed, msg, rxy ^ bytes32 O.n);
     ( "s + n",
       seed,
       msg,
-      rxy ^ if Bignum.compare s_plus_n two_256 < 0 then bytes32 s_plus_n else bytes32 Ec.n );
+      rxy ^ if Bignum.compare s_plus_n two_256 < 0 then bytes32 s_plus_n else bytes32 O.n );
+    ("s = 2^256 - 1", seed, msg, rxy ^ bytes32 max_256);
     ("R at infinity", seed, msg, String.make 64 '\000' ^ String.sub good 64 32);
     ("mirrored R", seed, msg, mirrored seed msg);
   ]
@@ -198,9 +242,9 @@ let test_decode_edges () =
   let cases =
     [
       ("small point", enc x y, true);
-      ("x + p", enc (Bignum.add x Ec.p) y, false);
-      ("y = p", enc x Ec.p, false);
-      ("x = p", enc Ec.p y, false);
+      ("x + p", enc (Bignum.add x O.p) y, false);
+      ("y = p", enc x O.p, false);
+      ("x = p", enc O.p y, false);
       ("all ones", enc max_256 max_256, false);
       ("infinity", "\000", true);
       ("short", "\004", false);
@@ -217,7 +261,7 @@ let gen_encoding =
   let open QCheck2.Gen in
   let coord = string_size ~gen:char (return 32) in
   let at_least_p =
-    map (fun r -> bytes32 (Bignum.add Ec.p (Bignum.of_int r))) (int_bound 0xfffffff)
+    map (fun r -> bytes32 (Bignum.add O.p (Bignum.of_int r))) (int_bound 0xfffffff)
   in
   map
     (fun (x, y) -> "\004" ^ x ^ y)
@@ -248,7 +292,10 @@ let props =
     prop ~count:200 "decode random 65 bytes = oracle" gen_encoding
       decode_agrees;
     prop ~count:8 "decode of an encoding = oracle" gen_bignum256 (fun k ->
-        decode_agrees (Ec.encode (Ec.mul_g k)));
+        decode_agrees (Ec.encode (Ec.mul_g (scalar k))));
+    prop ~count:500 "Scalar = Modring"
+      QCheck2.Gen.(pair gen_scalar_bytes gen_scalar_bytes)
+      (fun (a, b) -> scalar_agrees a b);
   ]
 
 let suite =
@@ -260,4 +307,5 @@ let suite =
       Alcotest.test_case "verify edges" `Quick test_verify_edges;
       Alcotest.test_case "decode edges" `Quick test_decode_edges;
     ]
-    @ props )
+    @ props
+    @ [ Alcotest.test_case "scalar edges" `Quick test_scalar_edges ] )
