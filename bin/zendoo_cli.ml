@@ -23,10 +23,11 @@ let resolve_domains d = if d <= 0 then Pool.recommended_domains () else d
 
 (* ---- observability plumbing ----
 
-   [--metrics] prints the human summary on stdout after the run;
-   [--trace-out FILE] writes the Chrome trace; [--report FILE] writes
-   the zen-report/1 analysis (critical path, self times, quantiles)
-   and prints its human rendering. Any one switches the registry on for
+   [--metrics] prints the human report (Zen_obs.Report.human: critical
+   path, self times, latency, counters, gauges) on stdout after the
+   run; [--trace-out FILE] writes the Chrome trace; [--report FILE]
+   writes the zen-report/1 document and prints the same human report
+   (once, even with --metrics). Any one switches the registry on for
    the whole run; with none, recording stays a single disabled-branch
    per site. *)
 
@@ -34,32 +35,29 @@ let resolve_domains d = if d <= 0 then Pool.recommended_domains () else d
    body fills this in before returning (worker costs, scoreboard). *)
 let report_extras : (string * Zen_obs.Json.t) list ref = ref []
 
+let write_file path s =
+  let oc = open_out path in
+  output_string oc s;
+  close_out oc
+
 let with_obs ~metrics ~trace_out ~report f =
   let wanted = metrics || trace_out <> None || report <> None in
   if wanted then Zen_obs.Registry.enable ();
   let code = f () in
-  if wanted then begin
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Zen_obs.Export.chrome_trace ());
-        close_out oc;
-        Printf.eprintf
-          "trace written to %s (load in chrome://tracing or ui.perfetto.dev)\n"
-          path)
-      trace_out;
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc
-          (Zen_obs.Report.to_json_string ~extras:!report_extras ());
-        output_char oc '\n';
-        close_out oc;
-        print_string (Zen_obs.Report.human ());
-        Printf.eprintf "report written to %s (zen-report/1)\n" path)
-      report;
-    if metrics then print_string (Zen_obs.Export.summary ())
-  end;
+  Option.iter
+    (fun path ->
+      write_file path (Zen_obs.Report.chrome_trace ());
+      Printf.eprintf
+        "trace written to %s (load in chrome://tracing or ui.perfetto.dev)\n"
+        path)
+    trace_out;
+  Option.iter
+    (fun path ->
+      write_file path
+        (Zen_obs.Report.to_json_string ~extras:!report_extras () ^ "\n");
+      Printf.eprintf "report written to %s (zen-report/1)\n" path)
+    report;
+  if metrics || report <> None then print_string (Zen_obs.Report.human ());
   code
 
 (* ---- simulate ---- *)
@@ -182,19 +180,26 @@ let simulate seed ticks epoch_len submit_len fts withhold sidechains domains
 (* ---- schedule ---- *)
 
 let schedule start epoch_len submit_len epochs =
-  let s = { Epoch.start_block = start; epoch_len; submit_len } in
-  Printf.printf "%-6s %-16s %-16s %s\n" "epoch" "MC heights" "cert window"
-    "ceased if no cert by";
-  for e = 0 to epochs - 1 do
-    let lo, hi = Epoch.submission_window s ~epoch:e in
-    Printf.printf "%-6d %-16s %-16s %d\n" e
-      (Printf.sprintf "%d..%d"
-         (Epoch.first_height s ~epoch:e)
-         (Epoch.last_height s ~epoch:e))
-      (Printf.sprintf "%d..%d" lo hi)
-      (hi + 1);
-  done;
-  0
+  match
+    Sidechain_config.check_schedule ~start_block:start ~epoch_len ~submit_len
+  with
+  | Error e ->
+    Printf.eprintf "error: %s\n" e;
+    1
+  | Ok () ->
+    let s = { Epoch.start_block = start; epoch_len; submit_len } in
+    Printf.printf "%-6s %-16s %-16s %s\n" "epoch" "MC heights" "cert window"
+      "ceased if no cert by";
+    for e = 0 to epochs - 1 do
+      let lo, hi = Epoch.submission_window s ~epoch:e in
+      Printf.printf "%-6d %-16s %-16s %d\n" e
+        (Printf.sprintf "%d..%d"
+           (Epoch.first_height s ~epoch:e)
+           (Epoch.last_height s ~epoch:e))
+        (Printf.sprintf "%d..%d" lo hi)
+        (hi + 1)
+    done;
+    0
 
 (* ---- keys ---- *)
 
@@ -408,12 +413,7 @@ let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
     (Zen_mainchain.Chain.height h.chain)
     retries identical;
   print_string (Buffer.contents buf);
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc (Buffer.contents buf);
-      close_out oc)
-    log_out;
+  Option.iter (fun path -> write_file path (Buffer.contents buf)) log_out;
   report_extras := [ ("scoreboard", Zen_sim.Harness.scoreboard_json h) ];
   0
 
@@ -443,12 +443,7 @@ let soak profile_str seed log_out metrics trace_out report =
       1
     | Ok stats ->
       print_string (Buffer.contents buf);
-      Option.iter
-        (fun path ->
-          let oc = open_out path in
-          output_string oc (Buffer.contents buf);
-          close_out oc)
-        log_out;
+      Option.iter (fun path -> write_file path (Buffer.contents buf)) log_out;
       (* Not in the log: wall clock and heap vary run to run. *)
       Printf.printf
         "soak %s: %d txs in %.2f s (%.0f tx/s) | peak heap %d words\n"

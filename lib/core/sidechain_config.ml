@@ -25,27 +25,22 @@ let check_vk what vk =
          what (Backend.vk_num_public vk) expected_public)
   else Ok ()
 
+(* [submit_len] may exceed [epoch_len]: a grace window longer than an
+   epoch makes consecutive submission windows overlap, which is a
+   legitimate configuration (slow certifiers get more time). The ledger
+   enforces sequential certification so overlap can never strand an
+   uncertified epoch (see Sc_ledger.accept_cert). *)
+let check_schedule ~start_block ~epoch_len ~submit_len =
+  if epoch_len < 2 then Error "sidechain config: epoch_len must be >= 2"
+  else if submit_len < 1 then Error "sidechain config: submit_len must be >= 1"
+  else if start_block < 0 then Error "sidechain config: negative start_block"
+  else Ok ()
+
 let make ~ledger_id ~start_block ~epoch_len ~submit_len ~wcert_vk ?btr_vk
     ?csw_vk ?(wcert_proofdata = []) ?(btr_proofdata = [])
     ?(csw_proofdata = []) () =
   let ( let* ) = Result.bind in
-  let* () =
-    if epoch_len < 2 then Error "sidechain config: epoch_len must be >= 2"
-    else Ok ()
-  in
-  (* [submit_len] may exceed [epoch_len]: a grace window longer than
-     an epoch makes consecutive submission windows overlap, which is a
-     legitimate configuration (slow certifiers get more time). The
-     ledger enforces sequential certification so overlap can never
-     strand an uncertified epoch (see Sc_ledger.accept_cert). *)
-  let* () =
-    if submit_len < 1 then Error "sidechain config: submit_len must be >= 1"
-    else Ok ()
-  in
-  let* () =
-    if start_block < 0 then Error "sidechain config: negative start_block"
-    else Ok ()
-  in
+  let* () = check_schedule ~start_block ~epoch_len ~submit_len in
   let* () = check_vk "wcert" wcert_vk in
   let* () =
     match btr_vk with None -> Ok () | Some vk -> check_vk "btr" vk

@@ -37,9 +37,16 @@ val make :
   ?csw_proofdata:Proofdata.schema ->
   unit ->
   (t, string) result
-(** Validates: [epoch_len >= 2], [1 <= submit_len <= epoch_len],
-    [start_block >= 0], and that each verification key expects the
-    unified 5-element public input (see {!Verifier}). *)
+(** Validates the schedule with {!check_schedule} and that each
+    verification key expects the unified 5-element public input (see
+    {!Verifier}). *)
+
+val check_schedule :
+  start_block:int -> epoch_len:int -> submit_len:int -> (unit, string) result
+(** The withdrawal-epoch bounds every registered sidechain satisfies:
+    [epoch_len >= 2], [submit_len >= 1] and [start_block >= 0], checked
+    in that order. [submit_len] may exceed [epoch_len] (consecutive
+    submission windows then overlap). *)
 
 val hash : t -> Hash.t
 

@@ -214,14 +214,6 @@ let get ~domains =
     t
   end
 
-let shared () = get ~domains:(recommended_domains ())
-
-let with_pool ?domains f =
-  let domains =
-    match domains with Some d -> d | None -> recommended_domains ()
-  in
-  f (get ~domains)
-
 (* ---- adaptive chunk granularity ----
 
    [cost] is the caller's estimate of one index's work in milliseconds.

@@ -15,22 +15,21 @@
     {e parallel operation} on an already-running pool costs
     microseconds. The API is shaped around that asymmetry:
 
-    - {!get} / {!shared} return {b process-wide persistent pools} — one
-      per domain count, spawned on first use, reused by every workload,
-      joined once at process exit (an [at_exit] hook calls
-      {!shutdown_shared}). This is what the CLI, the harness, the
-      benches and the tests use.
+    - {!get} returns {b process-wide persistent pools} — one per
+      domain count, spawned on first use, reused by every workload,
+      joined once at process exit by an [at_exit] hook. This is what
+      the CLI, the harness, the benches and the tests use.
     - {!create} / {!shutdown} manage a {b transient} pool whose worker
       lifetime the caller bounds explicitly. Use them only when the
       shared registry is wrong (a test exercising shutdown semantics, a
       host that must reclaim the domains early).
 
-    Per-workload pool churn — the old [with_pool]-around-every-operation
-    pattern — is exactly what made multi-domain runs {e slower} than
-    sequential once per-prove work dropped to milliseconds; don't bring
-    it back. Spawned workers get a larger minor heap ([Gc.set] at
-    startup) so allocation-heavy proving stays domain-local instead of
-    contending in the shared major heap.
+    Per-workload pool churn — a fresh pool around every operation —
+    is exactly what made multi-domain runs {e slower} than sequential
+    once per-prove work dropped to milliseconds; don't bring it back.
+    Spawned workers get a larger minor heap ([Gc.set] at startup) so
+    allocation-heavy proving stays domain-local instead of contending
+    in the shared major heap.
 
     {2 Granularity: cost-hinted adaptive chunking}
 
@@ -81,27 +80,9 @@ val get : domains:int -> t
 (** [get ~domains] returns the process-wide persistent pool with that
     total parallelism, spawning it on first use and reusing it on every
     later call ([get ~domains:1] is {!sequential}). Registry pools live
-    until process exit ({!shutdown_shared} runs from [at_exit]); a
-    registry pool that was shut down by hand is replaced by a fresh one
-    on the next [get]. Raises [Invalid_argument] if [domains < 1]. *)
-
-val shared : unit -> t
-(** [shared ()] is [get ~domains:(recommended_domains ())] — the pool
-    sized to the hardware, shared by the whole process. *)
-
-val shutdown_shared : unit -> unit
-(** Shuts down and joins every registry pool. Runs automatically at
-    process exit; call it earlier only to reclaim the worker domains.
-    Subsequent {!get}/{!shared} calls spawn fresh pools. *)
-
-val with_pool : ?domains:int -> (t -> 'a) -> 'a
-(** [with_pool f] runs [f] with the {e shared} registry pool for
-    [domains] (default {!recommended_domains}[ ()]) — it borrows
-    {!get}'s pool rather than spawning one, and does {b not} shut it
-    down afterwards. Kept as the convenient scoped spelling; semantics
-    changed when the registry was introduced (it used to create and
-    destroy a pool per call, which is the churn the registry exists to
-    eliminate). *)
+    until process exit (an [at_exit] hook joins them); a registry pool
+    that was shut down by hand is replaced by a fresh one on the next
+    [get]. Raises [Invalid_argument] if [domains < 1]. *)
 
 val create : domains:int -> t
 (** [create ~domains] spawns [domains - 1] fresh worker domains (so

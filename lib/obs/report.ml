@@ -1,5 +1,7 @@
 (* Span-tree reconstruction and critical-path / self-time analysis on
-   top of the raw Trace buffers, plus the "zen-report/1" document. *)
+   top of the raw Trace buffers, and every rendering of the registry:
+   the human report, the "zen-report/1" document and the Chrome
+   trace. *)
 
 type node = { event : Trace.event; children : node list }
 
@@ -87,21 +89,25 @@ type agg = {
 
 let ranked ~key_of forest =
   let tbl : (string, agg ref) Hashtbl.t = Hashtbl.create 32 in
-  let add _ n =
-    let key = key_of n.event in
-    (match Hashtbl.find_opt tbl key with
-    | None ->
-      Hashtbl.add tbl key
-        (ref { key; agg_count = 1; total_s = dur n; agg_self_s = self_s n })
-    | Some a ->
-      a :=
-        {
-          !a with
-          agg_count = !a.agg_count + 1;
-          total_s = !a.total_s +. dur n;
-          agg_self_s = !a.agg_self_s +. self_s n;
-        });
-    ()
+  (* Instants (harness log lines mirrored by Events, trace points) are
+     not spans: they take no time and must not crowd the rankings. *)
+  let add () n =
+    match n.event.Trace.phase with
+    | Trace.Instant -> ()
+    | Trace.Complete -> (
+      let key = key_of n.event in
+      match Hashtbl.find_opt tbl key with
+      | None ->
+        Hashtbl.add tbl key
+          (ref { key; agg_count = 1; total_s = dur n; agg_self_s = self_s n })
+      | Some a ->
+        a :=
+          {
+            !a with
+            agg_count = !a.agg_count + 1;
+            total_s = !a.total_s +. dur n;
+            agg_self_s = !a.agg_self_s +. self_s n;
+          })
   in
   fold_forest add () forest;
   Hashtbl.fold (fun _ a acc -> !a :: acc) tbl []
@@ -179,7 +185,30 @@ let critical_path_of ?root forest =
 
 let critical_path ?root () = critical_path_of ?root (forest ())
 
-(* ---- rendering ---- *)
+(* ---- registry snapshots shared by both renderings ---- *)
+
+let nonzero_counters () =
+  List.filter_map
+    (fun c ->
+      let v = Counter.value c in
+      if v = 0 then None else Some (Counter.name c, v))
+    (Counter.all ())
+
+let nonzero_gauges () =
+  List.filter_map
+    (fun g ->
+      let v = Gauge.value g in
+      if v = 0. then None else Some (Gauge.name g, v))
+    (Gauge.all ())
+
+let nonempty_histograms () =
+  List.filter_map
+    (fun h ->
+      let s = Histogram.snapshot h in
+      if s.Histogram.count = 0 then None else Some (h, s))
+    (Histogram.all ())
+
+(* ---- human rendering ---- *)
 
 let pp_seconds s =
   if s < 1e-6 then Printf.sprintf "%.0fns" (s *. 1e9)
@@ -189,8 +218,9 @@ let pp_seconds s =
 
 let pp_share f = Printf.sprintf "%.1f%%" (100. *. f)
 
-let add_table buf ~columns rows =
+let add_table buf ~title ~columns rows =
   if rows <> [] then begin
+    Buffer.add_string buf ("\n" ^ title ^ "\n");
     let widths =
       List.mapi
         (fun i c ->
@@ -215,13 +245,6 @@ let add_table buf ~columns rows =
 let args_string args =
   String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) args)
 
-let nonempty_histograms () =
-  List.filter_map
-    (fun h ->
-      let s = Histogram.snapshot h in
-      if s.Histogram.count = 0 then None else Some (h, s))
-    (Histogram.all ())
-
 let human () =
   let f = forest () in
   let wall = total_wall_s f in
@@ -229,12 +252,11 @@ let human () =
   Buffer.add_string buf "\n=== zen_obs report ===\n";
   (match critical_path_of f with
   | [] -> Buffer.add_string buf "\n(no spans recorded)\n"
-  | path ->
-    let root = List.hd path in
-    Buffer.add_string buf
-      (Printf.sprintf "\ncritical path (root %s, %s; observed wall %s)\n"
-         root.step_name (pp_seconds root.dur_s) (pp_seconds wall));
+  | root :: _ as path ->
     add_table buf
+      ~title:
+        (Printf.sprintf "critical path (root %s, %s; observed wall %s)"
+           root.step_name (pp_seconds root.dur_s) (pp_seconds wall))
       ~columns:[ "#"; "name"; "cat"; "dur"; "self"; "share"; "args" ]
       (List.mapi
          (fun i s ->
@@ -260,40 +282,30 @@ let human () =
         ])
       aggs
   in
-  let cats = self_time_by_category f in
-  if cats <> [] then begin
-    Buffer.add_string buf "\nself time by category\n";
-    add_table buf
-      ~columns:[ "category"; "spans"; "total"; "self"; "share" ]
-      (agg_rows cats)
-  end;
-  let names = self_time_by_name f in
-  if names <> [] then begin
-    let top = List.filteri (fun i _ -> i < 12) names in
-    Buffer.add_string buf
-      (Printf.sprintf "\nself time by span name (top %d of %d)\n"
-         (List.length top) (List.length names));
-    add_table buf
-      ~columns:[ "name"; "count"; "total"; "self"; "share" ]
-      (agg_rows top)
-  end;
-  (match nonempty_histograms () with
-  | [] -> ()
-  | hs ->
-    Buffer.add_string buf "\nlatency quantiles\n";
-    add_table buf
-      ~columns:[ "histogram"; "count"; "p50"; "p90"; "p99"; "max" ]
-      (List.map
-         (fun (h, s) ->
-           [
-             Histogram.name h;
-             string_of_int s.Histogram.count;
-             pp_seconds (Histogram.quantile s 0.5);
-             pp_seconds (Histogram.quantile s 0.9);
-             pp_seconds (Histogram.quantile s 0.99);
-             pp_seconds s.Histogram.max;
-           ])
-         hs));
+  add_table buf ~title:"self time by category"
+    ~columns:[ "category"; "spans"; "total"; "self"; "share" ]
+    (agg_rows (self_time_by_category f));
+  add_table buf ~title:"self time by span name"
+    ~columns:[ "name"; "count"; "total"; "self"; "share" ]
+    (agg_rows (self_time_by_name f));
+  add_table buf ~title:"latency quantiles"
+    ~columns:[ "histogram"; "count"; "mean"; "p50"; "p90"; "p99"; "max" ]
+    (List.map
+       (fun (h, s) ->
+         [
+           Histogram.name h;
+           string_of_int s.Histogram.count;
+           pp_seconds (s.Histogram.sum /. float_of_int s.Histogram.count);
+           pp_seconds (Histogram.quantile s 0.5);
+           pp_seconds (Histogram.quantile s 0.9);
+           pp_seconds (Histogram.quantile s 0.99);
+           pp_seconds s.Histogram.max;
+         ])
+       (nonempty_histograms ()));
+  add_table buf ~title:"counters" ~columns:[ "name"; "value" ]
+    (List.map (fun (n, v) -> [ n; string_of_int v ]) (nonzero_counters ()));
+  add_table buf ~title:"gauges" ~columns:[ "name"; "value" ]
+    (List.map (fun (n, v) -> [ n; Printf.sprintf "%g" v ]) (nonzero_gauges ()));
   let dropped = Trace.dropped () in
   if dropped > 0 then
     Buffer.add_string buf
@@ -375,6 +387,12 @@ let to_json ?(extras = []) () =
              ("by_name", agg_json (self_time_by_name f));
            ] );
        ("histograms", histograms);
+       ( "counters",
+         Json.Obj
+           (List.map (fun (n, v) -> (n, Json.Int v)) (nonzero_counters ())) );
+       ( "gauges",
+         Json.Obj
+           (List.map (fun (n, v) -> (n, Json.Float v)) (nonzero_gauges ())) );
        ( "trace",
          Json.Obj
            [
@@ -386,3 +404,68 @@ let to_json ?(extras = []) () =
     @ extras)
 
 let to_json_string ?extras () = Json.to_string (to_json ?extras ())
+
+(* ---- Chrome trace-event format ---- *)
+
+let chrome_trace () =
+  let events = Trace.events () in
+  let t0 =
+    List.fold_left
+      (fun acc (e : Trace.event) -> Float.min acc e.ts)
+      infinity events
+  in
+  let t0 = if t0 = infinity then 0. else t0 in
+  let us t = (t -. t0) *. 1e6 in
+  let args_json args =
+    ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args))
+  in
+  let tids =
+    List.sort_uniq Int.compare
+      (List.map (fun (e : Trace.event) -> e.tid) events)
+  in
+  let thread_names =
+    List.map
+      (fun tid ->
+        Json.Obj
+          [
+            ("name", Json.Str "thread_name");
+            ("ph", Json.Str "M");
+            ("pid", Json.Int 1);
+            ("tid", Json.Int tid);
+            args_json [ ("name", Printf.sprintf "domain %d" tid) ];
+          ])
+      tids
+  in
+  let records =
+    List.map
+      (fun (e : Trace.event) ->
+        let common =
+          [
+            ("name", Json.Str e.name);
+            ("cat", Json.Str (cat_key e));
+            ("pid", Json.Int 1);
+            ("tid", Json.Int e.tid);
+            ("ts", Json.Float (us e.ts));
+          ]
+        in
+        match e.phase with
+        | Trace.Complete ->
+          Json.Obj
+            (common
+            @ [
+                ("ph", Json.Str "X");
+                ("dur", Json.Float (e.dur *. 1e6));
+                args_json e.args;
+              ])
+        | Trace.Instant ->
+          Json.Obj
+            (common
+            @ [ ("ph", Json.Str "i"); ("s", Json.Str "t"); args_json e.args ]))
+      events
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("traceEvents", Json.Arr (thread_names @ records));
+         ("displayTimeUnit", Json.Str "ms");
+       ])

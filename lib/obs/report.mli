@@ -1,7 +1,9 @@
-(** Post-hoc analysis over the raw {!Trace} buffers: span-tree
+(** Post-hoc analysis over the raw {!Trace} buffers — span-tree
     reconstruction, self-time attribution, the critical path of the
-    longest recorded span, latency quantiles — and the ["zen-report/1"]
-    JSON document that packages all of it.
+    longest recorded span, latency quantiles — and every rendering of
+    the registry: the human report, the ["zen-report/1"] JSON document
+    and the Chrome trace. All are read-only merges of the per-domain
+    buffers; none mutates or stops recording.
 
     {!Trace.with_span} records each span {e when it closes}, so within
     one domain children always precede their parent in [seq] order and
@@ -45,8 +47,9 @@ type agg = {
 }
 
 val self_time_by_name : node list -> agg list
-(** Self-time attribution per span name, ranked by self time
-    descending (ties broken by key, for deterministic output). *)
+(** Self-time attribution per span name over the [Complete] spans
+    (instants are skipped), ranked by self time descending (ties
+    broken by key, for deterministic output). *)
 
 val self_time_by_category : node list -> agg list
 (** Same, grouped by {!Trace.event.cat} (empty category reported as
@@ -73,14 +76,36 @@ val critical_path : ?root:string -> unit -> path_step list
 (** [critical_path_of ?root (forest ())]. *)
 
 val human : unit -> string
-(** Aligned text report: critical path, self time by category and by
-    span name, latency quantiles (p50/p90/p99/max per histogram), and
-    a truncation warning when {!Trace.dropped} is non-zero. *)
+(** Aligned text report, printed by [zendoo-cli --metrics] and
+    [--report]: critical path, self time by category and by span name
+    (every name), latency per histogram (count, mean, p50/p90/p99,
+    max), the nonzero counters and gauges sorted by name, and a
+    truncation warning when {!Trace.dropped} is non-zero. *)
 
 val to_json : ?extras:(string * Json.t) list -> unit -> Json.t
-(** The ["zen-report/1"] document: critical path, self-time rankings,
-    histogram quantiles and trace buffer accounting. [extras] are
-    appended as additional top-level fields (e.g. the prover pool's
-    per-worker costs, the harness scoreboard). *)
+(** The ["zen-report/1"] document:
+    {v
+    { "schema": "zen-report/1",
+      "wall_s": float,
+      "critical_path": null | {"root", "root_s",
+                               "steps": [{"name", "cat", "tid", "dur_s",
+                                          "self_s", "share", "args"}]},
+      "self_time": {"by_category": [agg], "by_name": [agg]},
+                   // agg: {"key", "count", "total_s", "self_s", "share"}
+      "histograms": [{"name", "count", "sum", "p50", "p90", "p99", "max"}],
+      "counters": {name: int},    // nonzero only, sorted by name
+      "gauges":   {name: float},  // nonzero only, sorted by name
+      "trace": {"events", "dropped", "buffer_limit"} }
+    v}
+    [extras] are appended as additional top-level fields (e.g. the
+    prover pool's per-worker costs, the harness scoreboard). *)
 
 val to_json_string : ?extras:(string * Json.t) list -> unit -> string
+
+val chrome_trace : unit -> string
+(** Chrome trace-event format (the JSON-object form with a
+    ["traceEvents"] array) loadable in [chrome://tracing] or Perfetto.
+    Spans become ["ph":"X"] complete events and instants ["ph":"i"],
+    with [ts]/[dur] in microseconds relative to the earliest event,
+    [pid] 1 and [tid] = recording domain id, plus one thread-name
+    metadata record per domain so lanes are labelled. *)

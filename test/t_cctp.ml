@@ -248,10 +248,10 @@ let test_commitment_memoized_root_unchanged () =
              ~entry_hash:(Sc_commitment.entry_hash e) m))
     entries;
   (* Parallel build takes the same memoized path chunks; same root. *)
-  Zen_crypto.Pool.with_pool ~domains:3 (fun pool ->
-      let t_par = ok (Sc_commitment.build ~pool entries) in
-      checkb "pooled build, same root" true
-        (Hash.equal (Sc_commitment.root t) (Sc_commitment.root t_par)))
+  let pool = Zen_crypto.Pool.get ~domains:3 in
+  let t_par = ok (Sc_commitment.build ~pool entries) in
+  checkb "pooled build, same root" true
+    (Hash.equal (Sc_commitment.root t) (Sc_commitment.root t_par))
 
 (* ---- bt list roots / wcert ---- *)
 

@@ -1,7 +1,7 @@
 (* Zen_obs: counter accuracy under the Domain pool, span nesting and
-   durations under a deterministic clock, exporter validity (both JSON
-   documents parse with the library's own strict parser), the Chrome
-   trace's per-domain lanes, and the load-bearing guarantee of the
+   durations under a deterministic clock, Report's renderings (both
+   JSON documents parse with the library's own strict parser), the
+   Chrome trace's per-domain lanes, and the load-bearing guarantee of the
    whole subsystem — observation only: proofs, certificates and
    rewards are byte-identical with instrumentation on, off, or across
    domain counts. *)
@@ -35,7 +35,7 @@ let test_counter_parallel_accuracy () =
   List.iter
     (fun domains ->
       with_fresh_obs @@ fun () ->
-      Pool.with_pool ~domains @@ fun pool ->
+      let pool = Pool.get ~domains in
       Pool.parallel_for pool ~chunk:1 ~n:1000 (fun _ ->
           Zen_obs.Counter.incr c);
       checki
@@ -90,12 +90,12 @@ let test_span_records_on_exception () =
   checki "span recorded despite raise" 1
     (List.length (Zen_obs.Trace.events ()))
 
-(* ---- exporters ---- *)
+(* ---- renderings ---- *)
 
 let parses s =
   match Zen_obs.Json.of_string s with
   | Ok v -> v
-  | Error e -> Alcotest.fail ("exporter output is not valid JSON: " ^ e)
+  | Error e -> Alcotest.fail ("rendering is not valid JSON: " ^ e)
 
 let test_exporters_emit_valid_json () =
   with_fresh_obs @@ fun () ->
@@ -110,24 +110,31 @@ let test_exporters_emit_valid_json () =
   Zen_obs.Trace.with_span "t_obs.span"
     ~args:[ ("weird", "quote\" slash\\ \x01") ]
     (fun () -> ());
-  let doc = parses (Zen_obs.Export.json_string ()) in
+  let doc = parses (Zen_obs.Report.to_json_string ()) in
   checkb "schema tag" true
-    (Zen_obs.Json.member "schema" doc = Some (Zen_obs.Json.Str "zen-obs/1"));
-  let trace = parses (Zen_obs.Export.chrome_trace ()) in
+    (Zen_obs.Json.member "schema" doc = Some (Zen_obs.Json.Str "zen-report/1"));
+  let field section key =
+    Option.bind (Zen_obs.Json.member section doc) (Zen_obs.Json.member key)
+  in
+  checkb "counter in the report" true
+    (field "counters" "t_obs.export" = Some (Zen_obs.Json.Int 3));
+  checkb "gauge in the report" true
+    (field "gauges" "t_obs.gauge" = Some (Zen_obs.Json.Float 2.5));
+  let trace = parses (Zen_obs.Report.chrome_trace ()) in
   let events =
     match Zen_obs.Json.member "traceEvents" trace with
     | Some a -> Zen_obs.Json.to_list a
     | None -> Alcotest.fail "no traceEvents key"
   in
   checkb "trace has events" true (events <> []);
-  (* the summary never raises and mentions what we recorded *)
-  let s = Zen_obs.Export.summary () in
+  (* the human report never raises and mentions what we recorded *)
+  let s = Zen_obs.Report.human () in
   let contains ~sub s =
     let n = String.length sub and m = String.length s in
     let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
     go 0
   in
-  checkb "summary mentions counter" true (contains ~sub:"t_obs.export" s)
+  checkb "human report mentions counter" true (contains ~sub:"t_obs.export" s)
 
 let tids_of_trace trace =
   List.filter_map
@@ -153,7 +160,7 @@ let workload steps seed =
 let test_chrome_trace_multidomain_lanes () =
   with_fresh_obs @@ fun () ->
   let fam = Lazy.force family in
-  Pool.with_pool ~domains:4 @@ fun pool ->
+  let pool = Pool.get ~domains:4 in
   let rsys =
     Zen_snark.Recursive.create ~name:"t-obs-lanes"
       ~base_vks:(Circuits.base_vks fam)
@@ -164,7 +171,7 @@ let test_chrome_trace_multidomain_lanes () =
          ~initial:(Sc_state.create params)
          ~steps:(workload 32 11) ~workers:3 ~seed:11)
   in
-  let trace = parses (Zen_obs.Export.chrome_trace ()) in
+  let trace = parses (Zen_obs.Report.chrome_trace ()) in
   (* 32 heavyweight single-step futures on 4 domains: the helper domains
      essentially cannot all sit the epoch out. *)
   checkb "at least two distinct tid lanes" true
@@ -181,7 +188,7 @@ let epoch_fingerprint ~obs ~domains ~steps ~seed =
       Zen_obs.Registry.disable ();
       Zen_obs.Registry.reset ())
   @@ fun () ->
-  Pool.with_pool ~domains @@ fun pool ->
+  let pool = Pool.get ~domains in
   let rsys =
     Zen_snark.Recursive.create ~name:"t-obs"
       ~base_vks:(Circuits.base_vks fam)

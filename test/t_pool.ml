@@ -14,12 +14,10 @@ let ok = function Ok v -> v | Error e -> Alcotest.fail e
 let params = Params.default
 let family = lazy (Circuits.make params)
 
-let with_domains domains f = Pool.with_pool ~domains f
-
 (* ---- scheduling edge cases ---- *)
 
 let test_empty_input () =
-  with_domains 4 @@ fun pool ->
+  let pool = Pool.get ~domains:4 in
   checki "init_array 0" 0 (Array.length (Pool.init_array pool 0 (fun _ -> assert false)));
   checkb "map_list []" true (Pool.map_list pool (fun x -> x + 1) [] = []);
   Pool.parallel_for pool ~n:0 (fun _ -> assert false)
@@ -37,7 +35,7 @@ let test_one_domain_is_sequential () =
     (Pool.map_list Pool.sequential string_of_int [ 1; 2 ] = [ "1"; "2" ])
 
 let test_more_domains_than_tasks () =
-  with_domains 8 @@ fun pool ->
+  let pool = Pool.get ~domains:8 in
   let r = Pool.init_array pool ~chunk:1 3 (fun i -> i * i) in
   checkb "3 tasks on 8 domains" true (r = [| 0; 1; 4 |]);
   (* n=1 runs inline even on a wide pool *)
@@ -45,7 +43,7 @@ let test_more_domains_than_tasks () =
   checkb "single task" true (r1 = [| 41 |])
 
 let test_exception_propagates () =
-  with_domains 4 @@ fun pool ->
+  let pool = Pool.get ~domains:4 in
   let raised =
     try
       Pool.parallel_for pool ~chunk:1 ~n:16 (fun i ->
@@ -85,12 +83,10 @@ let test_exception_propagates () =
 
 let test_shared_pool_reuse () =
   (* One persistent pool per domain count: consecutive gets return the
-     same spawned pool, and with_pool borrows it instead of spawning. *)
+     same spawned pool. *)
   let p = Pool.get ~domains:3 in
   checki "domains" 3 (Pool.domains p);
   checkb "get is idempotent" true (p == Pool.get ~domains:3);
-  checkb "with_pool borrows the registry pool" true
-    (Pool.with_pool ~domains:3 (fun q -> q == p));
   checkb "get ~domains:1 is the sequential handle" true
     (Pool.get ~domains:1 == Pool.sequential);
   (* the same pool serves consecutive operations of different shapes *)
@@ -160,7 +156,7 @@ let prop_chunking_deterministic =
 let test_merkle_parallel_identical () =
   let data = List.init 100 (fun i -> Printf.sprintf "block-%d" i) in
   let seq = Merkle.of_data data in
-  with_domains 4 @@ fun pool ->
+  let pool = Pool.get ~domains:4 in
   let par = Merkle.of_data ~pool data in
   checkb "merkle root identical" true
     (Hash.equal (Merkle.root seq) (Merkle.root par))
@@ -168,7 +164,7 @@ let test_merkle_parallel_identical () =
 let test_smt_batch_identical () =
   let bindings = List.init 200 (fun i -> (i * 7, Fp.of_int (i + 1))) in
   let seq = ok (Smt.of_bindings ~depth:12 bindings) in
-  with_domains 4 @@ fun pool ->
+  let pool = Pool.get ~domains:4 in
   let par = ok (Smt.of_bindings ~pool ~depth:12 bindings) in
   let folded =
     List.fold_left (fun t (k, v) -> Smt.set t k v) (Smt.create ~depth:12)
@@ -193,7 +189,7 @@ let test_mst_batch_identical () =
       (fun m u -> fst (ok (Mst.insert m u)))
       (Mst.create params) utxos
   in
-  with_domains 4 @@ fun pool ->
+  let pool = Pool.get ~domains:4 in
   let batch = ok (Mst.of_utxos ~pool params utxos) in
   checkb "mst batch = incremental inserts" true
     (Fp.equal (Mst.root incremental) (Mst.root batch))
@@ -213,7 +209,7 @@ let workload steps seed =
    certificate-facing binding proof, and the certificate hash. *)
 let epoch_fingerprint ~domains ~steps ~seed =
   let family = Lazy.force family in
-  with_domains domains @@ fun pool ->
+  let pool = Pool.get ~domains in
   let rsys =
     Zen_snark.Recursive.create ~name:"t-pool"
       ~base_vks:(Circuits.base_vks family)
@@ -287,7 +283,7 @@ let test_fold_balanced_parallel_identical () =
              ~s_from:tp.s_from ~s_to:tp.s_to ~extra:[||] tp.proof))
       proofs
   in
-  with_domains 2 @@ fun pool ->
+  let pool = Pool.get ~domains:2 in
   let par = ok (Fold_oracle.fold_balanced ~pool rsys transitions) in
   checkb "odd-width merge tree identical" true
     (String.equal

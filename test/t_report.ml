@@ -1,11 +1,11 @@
 (* Zen_obs.Report: span-forest reconstruction round-trips randomly
    generated span trees (emitted exactly as Trace records them —
    children before parents, per-domain seq order), self time sums back
-   to the root's wall-clock, the histogram quantile estimate always
-   lands in the same bucket as an exact sorted-list oracle (and q = 1
-   is exactly the max), dropped parents flatten instead of losing
-   descendants, and report generation is byte-identical across reruns
-   under a deterministic clock. *)
+   to the root's wall-clock and its rankings ignore instants, the
+   histogram quantile estimate always lands in the same bucket as an
+   exact sorted-list oracle (and q = 1 is exactly the max), dropped
+   parents flatten instead of losing descendants, and report generation
+   is byte-identical across reruns under a deterministic clock. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -112,6 +112,37 @@ let prop_self_time_sums_to_wall =
                 exact *)
              sum root = Zen_obs.Report.dur root)
            forest))
+
+(* Log lines mirrored by Events are instants in the forest: one
+   before each span closes (a child of it) and one leading root. The
+   self-time rankings must aggregate the Complete spans only, with the
+   same counts and totals as the forest without them. *)
+let with_instants events =
+  let log (e : Zen_obs.Trace.event) ~depth =
+    { e with name = "log " ^ e.name; cat = "event"; dur = 0.; depth;
+             ts = e.ts +. e.dur; phase = Zen_obs.Trace.Instant }
+  in
+  (match events with [] -> [] | e :: _ -> [ log e ~depth:0 ])
+  @ List.concat_map
+      (fun (e : Zen_obs.Trace.event) -> [ log e ~depth:(e.depth + 1); e ])
+      events
+  |> List.mapi (fun seq e -> { e with Zen_obs.Trace.seq })
+
+let prop_rankings_skip_instants =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"self-time rankings skip instants" ~count:200
+       gen_forest
+       (fun shape ->
+         let events, _, _ = events_of_forest shape in
+         let plain = Zen_obs.Report.span_forest events in
+         let mixed = Zen_obs.Report.span_forest (with_instants events) in
+         Zen_obs.Report.self_time_by_name mixed
+         = Zen_obs.Report.self_time_by_name plain
+         && Zen_obs.Report.self_time_by_category mixed
+            = Zen_obs.Report.self_time_by_category plain
+         && List.for_all
+              (fun a -> a.Zen_obs.Report.key <> "event")
+              (Zen_obs.Report.self_time_by_category mixed)))
 
 let test_two_tid_forests_merge () =
   let ev1, roots1, exp1 = events_of_forest ~tid:1 [ Node [ Node [] ] ] in
@@ -272,6 +303,7 @@ let suite =
     [
       prop_forest_roundtrip;
       prop_self_time_sums_to_wall;
+      prop_rankings_skip_instants;
       Alcotest.test_case "two-tid forests merge by start time" `Quick
         test_two_tid_forests_merge;
       Alcotest.test_case "dropped parent flattens, loses nothing" `Quick

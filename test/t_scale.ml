@@ -135,9 +135,7 @@ let test_batch_matches_sequential () =
               Verifier.Cache.set_enabled cache_on;
               let run () =
                 if domains = 1 then Verifier.verify_batch jobs
-                else
-                  Pool.with_pool ~domains (fun pool ->
-                      Verifier.verify_batch ~pool jobs)
+                else Verifier.verify_batch ~pool:(Pool.get ~domains) jobs
               in
               let first = run () in
               checkb

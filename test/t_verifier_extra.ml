@@ -50,6 +50,27 @@ let test_config_parameter_bounds () =
   checkb "submit > epoch ok" true (Result.is_ok (make ~epoch_len:4 ~submit_len:5));
   checkb "submit = epoch ok" true (Result.is_ok (make ~epoch_len:4 ~submit_len:4))
 
+(* The schedule bounds shared by registration and [zendoo-cli
+   schedule]: exact messages just past each edge, in check order. *)
+let test_config_schedule_edges () =
+  let check ~start_block ~epoch_len ~submit_len expected =
+    Alcotest.(check (result unit string))
+      (Printf.sprintf "start %d, epoch %d, submit %d" start_block epoch_len
+         submit_len)
+      expected
+      (Sidechain_config.check_schedule ~start_block ~epoch_len ~submit_len)
+  in
+  check ~start_block:0 ~epoch_len:2 ~submit_len:1 (Ok ());
+  check ~start_block:0 ~epoch_len:1 ~submit_len:1
+    (Error "sidechain config: epoch_len must be >= 2");
+  check ~start_block:0 ~epoch_len:2 ~submit_len:0
+    (Error "sidechain config: submit_len must be >= 1");
+  check ~start_block:(-1) ~epoch_len:2 ~submit_len:1
+    (Error "sidechain config: negative start_block");
+  check ~start_block:(-5) ~epoch_len:0 ~submit_len:0
+    (Error "sidechain config: epoch_len must be >= 2");
+  check ~start_block:100 ~epoch_len:10 ~submit_len:11 (Ok ())
+
 let test_disabled_withdrawals () =
   (* vkBTR/vkCSW set to NULL (§4.1.2.1): requests must be refused. *)
   let vk = vk_with_arity 5 in
@@ -198,6 +219,8 @@ let suite =
     [
       Alcotest.test_case "config vk arity" `Quick test_config_rejects_wrong_arity;
       Alcotest.test_case "config bounds" `Quick test_config_parameter_bounds;
+      Alcotest.test_case "config schedule edges" `Quick
+        test_config_schedule_edges;
       Alcotest.test_case "disabled withdrawals" `Quick test_disabled_withdrawals;
       Alcotest.test_case "wcert binds boundaries" `Quick
         test_verify_wcert_binds_boundaries;
