@@ -141,8 +141,11 @@ let job_key j = j.key
    binds every certificate field the public input is derived from
    (quality, BTList root, proofdata encoding) but not the proof, so the
    proof bytes and the chain-supplied boundary hashes enter the key
-   explicitly. Deliberately cheap: the expensive part of verification
-   is MH(proofdata), which the key never computes. *)
+   explicitly. Cheap because the certificate and the vk carry their
+   digests (computed once when they were made; the private certificate
+   type keeps the id in agreement with the fields), so the key is one
+   short hash; the expensive part of verification is MH(proofdata),
+   which the key never computes. *)
 let wcert_job ~vk ~(cert : Withdrawal_certificate.t) ~end_prev_epoch ~end_epoch
     =
   {

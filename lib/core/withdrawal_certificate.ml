@@ -8,20 +8,26 @@ type t = {
   bt_list : Backward_transfer.t list;
   proofdata : Proofdata.t;
   proof : Backend.proof;
+  id : Hash.t;
 }
 
+(* The id is computed here, once: a certificate is immutable, and block
+   validation asks for it several times per certificate (tx root,
+   commitment tree, ledger leaf, verifier cache keys). *)
 let make ~ledger_id ~epoch_id ~quality ~bt_list ~proofdata ~proof =
-  { ledger_id; epoch_id; quality; bt_list; proofdata; proof }
+  let id =
+    Hash.tagged "cctp.wcert"
+      [
+        Hash.to_raw ledger_id;
+        string_of_int epoch_id;
+        string_of_int quality;
+        Hash.to_raw (Backward_transfer.list_root bt_list);
+        Proofdata.encode proofdata;
+      ]
+  in
+  { ledger_id; epoch_id; quality; bt_list; proofdata; proof; id }
 
-let hash t =
-  Hash.tagged "cctp.wcert"
-    [
-      Hash.to_raw t.ledger_id;
-      string_of_int t.epoch_id;
-      string_of_int t.quality;
-      Hash.to_raw (Backward_transfer.list_root t.bt_list);
-      Proofdata.encode t.proofdata;
-    ]
+let hash t = t.id
 
 let total_withdrawn t =
   Amount.sum (List.map (fun (bt : Backward_transfer.t) -> bt.amount) t.bt_list)

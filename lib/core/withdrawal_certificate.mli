@@ -9,14 +9,20 @@
 open Zen_crypto
 open Zen_snark
 
-type t = {
+type t = private {
   ledger_id : Hash.t;
   epoch_id : int;
   quality : int;
   bt_list : Backward_transfer.t list;
   proofdata : Proofdata.t;
   proof : Backend.proof;
+  id : Hash.t;  (** {!hash}, computed by {!make}. *)
 }
+(** Private: fields are readable everywhere, but only {!make} builds a
+    certificate, so [id] always agrees with the other fields. That is
+    what makes {!hash} safe as a cache key — a record whose [id] came
+    from another certificate would share that certificate's verifier
+    cache entry. *)
 
 val make :
   ledger_id:Hash.t ->
@@ -29,7 +35,9 @@ val make :
 
 val hash : t -> Hash.t
 (** Certificate identifier (excluding the proof bytes, which are
-    recomputable from the statement in this backend). *)
+    recomputable from the statement in this backend): the [cctp.wcert]
+    digest of the ledger id, epoch, quality, BT-list root and proofdata
+    encoding. Computed once by {!make}; this is a field read. *)
 
 val total_withdrawn : t -> (Amount.t, string) result
 (** Sum of the certificate's backward transfers — what the safeguard

@@ -1,5 +1,8 @@
-(* FIPS 180-4 SHA-256 on 32-bit words carried in OCaml ints (masked to
-   32 bits after every operation that can carry past bit 31). *)
+(* FIPS 180-4 SHA-256 on 32-bit words carried in OCaml's 63-bit ints.
+   Only the words that get rotated are masked to 32 bits: the working
+   variables [a] and [e] and the message schedule. Every other sum may
+   carry past bit 31, and its low 32 bits stay exact, because addition,
+   [land], [lor] and [lxor] never move high bits down. *)
 
 let k =
   [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
@@ -21,7 +24,7 @@ type ctx = {
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total : int; (* total bytes fed *)
-  w : int array; (* message schedule scratch *)
+  w : int array; (* message schedule: a ring of the last 16 words *)
 }
 
 let init () =
@@ -32,57 +35,86 @@ let init () =
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
-    w = Array.make 64 0;
+    w = Array.make 16 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
+(* Rotations of a 32-bit [x]: [d = x ‖ x] (bit 31 of the upper copy
+   falls off the 63-bit int, and no shift below needs it), so bits
+   [0..31] of [d lsr n] are [x] rotated right by [n]. The bits above 31
+   are garbage; callers mask the sums these feed into. *)
+let[@inline] sum0 a =
+  let d = a lor (a lsl 32) in
+  (d lsr 2) lxor (d lsr 13) lxor (d lsr 22)
+
+let[@inline] sum1 e =
+  let d = e lor (e lsl 32) in
+  (d lsr 6) lxor (d lsr 11) lxor (d lsr 25)
+
+let[@inline] sigma0 x =
+  let d = x lor (x lsl 32) in
+  (d lsr 7) lxor (d lsr 18) lxor (x lsr 3)
+
+let[@inline] sigma1 x =
+  let d = x lor (x lsl 32) in
+  (d lsr 17) lxor (d lsr 19) lxor (x lsr 10)
+
+(* Ring slot [j mod 16], and round [r + j]'s constant plus schedule word
+   (in slot [o + j]). Callers keep [r + j < 64] and [o + j < 16]. *)
+let[@inline] slot (w : int array) j = Array.unsafe_get w (j land 15)
+let[@inline] kw w r o j = Array.unsafe_get k (r + j) + Array.unsafe_get w (o + j)
+
+let[@inline] ch e f g = g lxor (e land (f lxor g))
+let[@inline] maj a b c = (a land b) lor (c land (a lor b))
 
 let compress ctx block off =
-  let w = ctx.w in
+  let w = ctx.w and h = ctx.h in
   for i = 0 to 15 do
-    let j = off + (4 * i) in
-    w.(i) <-
-      (Char.code (Bytes.get block j) lsl 24)
-      lor (Char.code (Bytes.get block (j + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (j + 2)) lsl 8)
-      lor Char.code (Bytes.get block (j + 3))
+    w.(i) <- Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask32
   done;
-  for i = 16 to 63 do
-    let s0 =
-      rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3)
-    in
-    let s1 =
-      rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10)
-    in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask32
+  let ra = ref h.(0) and rb = ref h.(1) and rc = ref h.(2) and rd = ref h.(3) in
+  let re = ref h.(4) and rf = ref h.(5) and rg = ref h.(6) and rh = ref h.(7) in
+  for blk = 0 to 7 do
+    let r = 8 * blk and o = 8 * (blk land 1) in
+    (* Rounds r..r+7 read ring slots o..o+7; from round 16 on, first
+       overwrite them with schedule words r..r+7. *)
+    if blk >= 2 then
+      for i = o to o + 7 do
+        w.(i) <-
+          (slot w i + sigma0 (slot w (i + 1)) + slot w (i + 9)
+          + sigma1 (slot w (i + 14)))
+          land mask32
+      done;
+    (* Round j makes the new [a] and [e] (named a(j+1), e(j+1)); the
+       other six roles are the previous rounds' values, renamed. *)
+    let a = !ra and b = !rb and c = !rc and d = !rd in
+    let e = !re and f = !rf and g = !rg and hh = !rh in
+    let t = hh + sum1 e + ch e f g + kw w r o 0 in
+    let e1 = (d + t) land mask32 and a1 = (t + sum0 a + maj a b c) land mask32 in
+    let t = g + sum1 e1 + ch e1 e f + kw w r o 1 in
+    let e2 = (c + t) land mask32 and a2 = (t + sum0 a1 + maj a1 a b) land mask32 in
+    let t = f + sum1 e2 + ch e2 e1 e + kw w r o 2 in
+    let e3 = (b + t) land mask32 and a3 = (t + sum0 a2 + maj a2 a1 a) land mask32 in
+    let t = e + sum1 e3 + ch e3 e2 e1 + kw w r o 3 in
+    let e4 = (a + t) land mask32 and a4 = (t + sum0 a3 + maj a3 a2 a1) land mask32 in
+    let t = e1 + sum1 e4 + ch e4 e3 e2 + kw w r o 4 in
+    let e5 = (a1 + t) land mask32 and a5 = (t + sum0 a4 + maj a4 a3 a2) land mask32 in
+    let t = e2 + sum1 e5 + ch e5 e4 e3 + kw w r o 5 in
+    let e6 = (a2 + t) land mask32 and a6 = (t + sum0 a5 + maj a5 a4 a3) land mask32 in
+    let t = e3 + sum1 e6 + ch e6 e5 e4 + kw w r o 6 in
+    let e7 = (a3 + t) land mask32 and a7 = (t + sum0 a6 + maj a6 a5 a4) land mask32 in
+    let t = e4 + sum1 e7 + ch e7 e6 e5 + kw w r o 7 in
+    let e8 = (a4 + t) land mask32 and a8 = (t + sum0 a7 + maj a7 a6 a5) land mask32 in
+    ra := a8; rb := a7; rc := a6; rd := a5;
+    re := e8; rf := e7; rg := e6; rh := e5
   done;
-  let h = ctx.h in
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land mask32 land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask32 in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask32;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask32
-  done;
-  h.(0) <- (h.(0) + !a) land mask32;
-  h.(1) <- (h.(1) + !b) land mask32;
-  h.(2) <- (h.(2) + !c) land mask32;
-  h.(3) <- (h.(3) + !d) land mask32;
-  h.(4) <- (h.(4) + !e) land mask32;
-  h.(5) <- (h.(5) + !f) land mask32;
-  h.(6) <- (h.(6) + !g) land mask32;
-  h.(7) <- (h.(7) + !hh) land mask32
+  h.(0) <- (h.(0) + !ra) land mask32;
+  h.(1) <- (h.(1) + !rb) land mask32;
+  h.(2) <- (h.(2) + !rc) land mask32;
+  h.(3) <- (h.(3) + !rd) land mask32;
+  h.(4) <- (h.(4) + !re) land mask32;
+  h.(5) <- (h.(5) + !rf) land mask32;
+  h.(6) <- (h.(6) + !rg) land mask32;
+  h.(7) <- (h.(7) + !rh) land mask32
 
 let feed_sub ctx (data : Bytes.t) pos len =
   ctx.total <- ctx.total + len;

@@ -7,6 +7,9 @@ type verification_key = {
      key derived from the circuit. Within the system, proofs are only
      ever produced via [prove]; see DESIGN.md §3. *)
   tag_key : string;
+  (* [vk_digest], computed once by [make_vk]: every verifier cache key
+     and aggregate leaf asks for it. *)
+  digest : Hash.t;
 }
 
 type proving_key = { circuit : R1cs.circuit; vk : verification_key }
@@ -14,6 +17,12 @@ type proving_key = { circuit : R1cs.circuit; vk : verification_key }
 type proof = string (* exactly proof_size_bytes bytes *)
 
 let proof_size_bytes = 96
+
+let make_vk ~circuit_digest ~n_public ~tag_key =
+  let digest =
+    Hash.tagged "snark.vk" [ Hash.to_raw circuit_digest; string_of_int n_public ]
+  in
+  { circuit_digest; n_public; tag_key; digest }
 
 let setups =
   Zen_obs.Counter.make ~help:"SNARK circuit setups performed" "snark.setup"
@@ -40,7 +49,7 @@ let setup circuit =
   let tag_key =
     Sha256.digest ("zendoo.snark.tag" ^ Hash.to_raw circuit_digest)
   in
-  let vk = { circuit_digest; n_public = R1cs.num_public circuit; tag_key } in
+  let vk = make_vk ~circuit_digest ~n_public:(R1cs.num_public circuit) ~tag_key in
   ({ circuit; vk }, vk)
 
 let public_bytes public =
@@ -83,9 +92,7 @@ let verify vk ~public proof =
 
 let pk_circuit pk = pk.circuit
 
-let vk_digest vk =
-  Hash.tagged "snark.vk"
-    [ Hash.to_raw vk.circuit_digest; string_of_int vk.n_public ]
+let vk_digest vk = vk.digest
 
 let vk_num_public vk = vk.n_public
 
@@ -110,11 +117,9 @@ let vk_decode s =
       | None -> None
       | Some n_public ->
       Some
-        {
-          circuit_digest = Hash.of_raw (String.sub s 0 32);
-          n_public;
-          tag_key = String.sub s 40 32;
-        }
+        (make_vk
+           ~circuit_digest:(Hash.of_raw (String.sub s 0 32))
+           ~n_public ~tag_key:(String.sub s 40 32))
 
 let proof_encode p = p
 let proof_decode s = if String.length s = proof_size_bytes then Some s else None

@@ -33,7 +33,8 @@ val pk_circuit : proving_key -> R1cs.circuit
 
 val vk_digest : verification_key -> Hash.t
 (** Identifier of a verification key — what a sidechain registers in
-    the mainchain at creation time. *)
+    the mainchain at creation time. Computed once when the key is made
+    ({!setup}, {!vk_decode}); this is a field read. *)
 
 val vk_num_public : verification_key -> int
 

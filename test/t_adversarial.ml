@@ -164,19 +164,32 @@ let test_tampered_cert_rejected () =
     let st = Chain.tip_state w.chain in
     Chain_state.apply_tx st ~height:(st.height + 1) ~block_hash:Hash.zero tx
   in
+  (* Each forgery is a fresh [make], so its id covers its own fields.
+     The genuine certificate is verified first with the cache on: a
+     forgery that aliased its cache key would be accepted from there. *)
+  let forge ?(bt_list = cert.bt_list) ?(quality = cert.quality)
+      ?(proof = cert.proof) ?(epoch_id = cert.epoch_id) () =
+    Tx.Certificate
+      (Withdrawal_certificate.make ~ledger_id:cert.ledger_id ~epoch_id ~quality
+         ~bt_list ~proofdata:cert.proofdata ~proof)
+  in
+  let cache_was_on = Verifier.Cache.enabled () in
+  Verifier.Cache.set_enabled true;
+  Fun.protect ~finally:(fun () -> Verifier.Cache.set_enabled cache_was_on)
+  @@ fun () ->
+  checkb "genuine accepted (cached)" true (Result.is_ok (try_apply cert_tx));
+  let hits_before = (Verifier.Cache.stats ()).hits in
   (* 1. extra backward transfer injected after proving *)
   let forged_bts =
-    Tx.Certificate
-      {
-        cert with
-        bt_list =
-          cert.bt_list
-          @ [ Backward_transfer.make ~receiver_addr:user_addr ~amount:(amount 1) ];
-      }
+    forge
+      ~bt_list:
+        (cert.bt_list
+        @ [ Backward_transfer.make ~receiver_addr:user_addr ~amount:(amount 1) ])
+      ()
   in
   checkb "forged bt list rejected" true (Result.is_error (try_apply forged_bts));
   (* 2. inflated quality *)
-  let forged_quality = Tx.Certificate { cert with quality = cert.quality + 10 } in
+  let forged_quality = forge ~quality:(cert.quality + 10) () in
   checkb "forged quality rejected" true (Result.is_error (try_apply forged_quality));
   (* 3. corrupted proof bytes *)
   let corrupt =
@@ -185,12 +198,16 @@ let test_tampered_cert_rejected () =
     Option.get (Zen_snark.Backend.proof_decode (Bytes.to_string b))
   in
   checkb "corrupted proof rejected" true
-    (Result.is_error (try_apply (Tx.Certificate { cert with proof = corrupt })));
+    (Result.is_error (try_apply (forge ~proof:corrupt ())));
   (* 4. wrong epoch id *)
   checkb "wrong epoch rejected" true
-    (Result.is_error (try_apply (Tx.Certificate { cert with epoch_id = 5 })));
-  (* and the genuine one still passes *)
-  checkb "genuine accepted" true (Result.is_ok (try_apply cert_tx))
+    (Result.is_error (try_apply (forge ~epoch_id:5 ())));
+  checki "no forgery hit the genuine cache entry" hits_before
+    (Verifier.Cache.stats ()).hits;
+  (* and the genuine one still passes, now from the cache *)
+  checkb "genuine accepted" true (Result.is_ok (try_apply cert_tx));
+  checkb "genuine served from the cache" true
+    ((Verifier.Cache.stats ()).hits > hits_before)
 
 (* ---- the safeguard against a fully corrupt sidechain ---- *)
 

@@ -14,11 +14,14 @@ let test_sha256_vectors () =
       ("abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
       ( "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
         "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" );
+      ( String.make 1_000_000 'a',
+        "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0" );
     ]
   in
   List.iter
     (fun (input, expected) ->
-      check input expected (Sha256.to_hex (Sha256.digest input)))
+      let name = if String.length input > 64 then "1M x a" else input in
+      check name expected (Sha256.to_hex (Sha256.digest input)))
     cases
 
 let test_sha256_incremental () =
@@ -44,6 +47,49 @@ let test_hmac () =
     "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8"
     (Sha256.to_hex
        (Sha256.hmac ~key:"key" "The quick brown fox jumps over the lazy dog"))
+
+(* Messages of 0-300 bytes, weighted toward the padding edges (where the
+   length field does or does not fit the last block), with the cut
+   points of an incremental feed. *)
+let gen_sha_input =
+  let open QCheck2.Gen in
+  let* len =
+    frequency
+      [ (1, oneofl [ 0; 1; 55; 56; 63; 64; 65; 119; 120; 127; 128 ]);
+        (2, int_range 0 300) ]
+  in
+  let* msg = string_size ~gen:char (pure len) in
+  let* cuts = list_size (int_range 0 6) (int_range 0 len) in
+  pure (msg, List.sort_uniq compare cuts)
+
+(* Feeds [msg] in pieces ending at [cuts], alternating [feed] and
+   [feed_bytes]. *)
+let digest_in_pieces msg cuts =
+  let ctx = Sha256.init () in
+  let last =
+    List.fold_left
+      (fun (pos, i) cut ->
+        let piece = String.sub msg pos (cut - pos) in
+        if i land 1 = 0 then Sha256.feed ctx piece
+        else Sha256.feed_bytes ctx (Bytes.of_string piece);
+        (cut, i + 1))
+      (0, 0) cuts
+    |> fst
+  in
+  Sha256.feed ctx (String.sub msg last (String.length msg - last));
+  Sha256.finalize ctx
+
+let sha256_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"sha256 digest, feed, hmac = oracle" ~count:500
+         gen_sha_input (fun (msg, cuts) ->
+           let expected = Sha256_oracle.digest msg in
+           let key = String.sub msg 0 (min 100 (String.length msg)) in
+           Sha256.digest msg = expected
+           && digest_in_pieces msg cuts = expected
+           && Sha256.hmac ~key msg = Sha256_oracle.hmac ~key msg));
+  ]
 
 let test_tagged_framing () =
   (* Length framing must prevent concatenation ambiguity. *)
@@ -331,4 +377,4 @@ let suite =
       Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
       Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutes;
     ]
-    @ props )
+    @ sha256_props @ props )

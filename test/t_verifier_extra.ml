@@ -120,7 +120,10 @@ let test_verify_wcert_binds_boundaries () =
   checkb "wrong cur" false
     (Verifier.verify_wcert ~vk ~cert ~end_prev_epoch:prev ~end_epoch:prev);
   (* quality is bound too *)
-  let cert2 = { cert with quality = 2 } in
+  let cert2 =
+    Withdrawal_certificate.make ~ledger_id:cert.ledger_id ~epoch_id:0
+      ~quality:2 ~bt_list:[] ~proofdata ~proof
+  in
   checkb "quality bound" false
     (Verifier.verify_wcert ~vk ~cert:cert2 ~end_prev_epoch:prev ~end_epoch:cur)
 

@@ -129,6 +129,15 @@ let test_wcert_roundtrip () =
   checkb "same proof" true
     (Zen_snark.Backend.proof_equal sample_cert.proof decoded.proof)
 
+(* The certificate id is a consensus value (tx ids, the commitment tree,
+   verifier cache keys): pinned so a preimage change cannot pass
+   silently. *)
+let test_wcert_id_pinned () =
+  Alcotest.(check string)
+    "sample cert id"
+    "c46cffdd1b847bfd0245e4b231697debc6bce8e427aa0d267d9991189916de85"
+    (Hash.to_hex (Withdrawal_certificate.hash sample_cert))
+
 let test_withdrawal_roundtrip () =
   List.iter
     (fun kind ->
@@ -383,8 +392,56 @@ let test_sc_infinity_key_rejected () =
 let prop name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count:100 gen f)
 
+(* The [cctp.wcert] preimage, recomputed here from the fields. *)
+let wcert_id_of_fields (c : Withdrawal_certificate.t) =
+  Hash.tagged "cctp.wcert"
+    [
+      Hash.to_raw c.ledger_id;
+      string_of_int c.epoch_id;
+      string_of_int c.quality;
+      Hash.to_raw (Backward_transfer.list_root c.bt_list);
+      Proofdata.encode c.proofdata;
+    ]
+
+let gen_wcert =
+  let open QCheck2.Gen in
+  let gen_hash = map Hash.of_string (string_size (int_bound 8)) in
+  let gen_bt =
+    map2
+      (fun receiver_addr n ->
+        Backward_transfer.make ~receiver_addr ~amount:(amount n))
+      gen_hash (int_range 1 1_000_000)
+  in
+  let gen_elem =
+    oneof
+      [
+        map (fun n -> Proofdata.Field (Fp.of_int n)) (int_bound max_int);
+        map (fun h -> Proofdata.Digest h) gen_hash;
+        map (fun n -> Proofdata.Uint n) (int_bound 1_000_000);
+        map (fun b -> Proofdata.Blob b) (string_size (int_bound 600));
+      ]
+  in
+  let* ledger_id = gen_hash in
+  let* epoch_id = int_bound 10_000 in
+  let* quality = int_bound 10_000 in
+  let* bt_list = list_size (int_bound 6) gen_bt in
+  let* proofdata = list_size (int_bound 4) gen_elem in
+  pure
+    (Withdrawal_certificate.make ~ledger_id ~epoch_id ~quality ~bt_list
+       ~proofdata ~proof:Zen_snark.Backend.dummy_proof)
+
 let props =
   [
+    prop "wcert id = cctp.wcert digest of its fields, kept by the codec"
+      gen_wcert (fun c ->
+        let id = Withdrawal_certificate.hash c in
+        Hash.equal id (wcert_id_of_fields c)
+        &&
+        match Codec.decode_wcert (Codec.encode_wcert c) with
+        | Ok c' ->
+          Hash.equal (Withdrawal_certificate.hash c') id
+          && Hash.equal (wcert_id_of_fields c') id
+        | Error _ -> false);
     prop "ft roundtrip"
       QCheck2.Gen.(pair (string_size (int_bound 100)) (int_bound 1_000_000))
       (fun (meta, amt) ->
@@ -416,6 +473,7 @@ let suite =
       Alcotest.test_case "hollow bt count" `Quick
         test_wcert_hollow_bt_count_rejected;
       Alcotest.test_case "wcert roundtrip" `Quick test_wcert_roundtrip;
+      Alcotest.test_case "wcert id pinned" `Quick test_wcert_id_pinned;
       Alcotest.test_case "withdrawal roundtrip" `Quick test_withdrawal_roundtrip;
       Alcotest.test_case "config roundtrip" `Quick test_config_roundtrip;
       Alcotest.test_case "config decode validates" `Quick test_config_decode_validates;
