@@ -208,7 +208,9 @@ let e5_mst_ops () =
             Utxo.make ~addr:(Hash.of_string "addr") ~amount:(amount (i + 1))
               ~nonce:(Hash.of_string (Printf.sprintf "pre-%d-%d" depth i))
           in
-          match Mst.insert !m u with Ok (m', _) -> m := m' | Error _ -> ()
+          match Mst.apply_ops !m [ Mst.Op_insert u ] with
+          | Ok m' -> m := m'
+          | Error _ -> ()
         done;
         let fresh i =
           Utxo.make ~addr:(Hash.of_string "addr") ~amount:(amount 7)
@@ -218,7 +220,7 @@ let e5_mst_ops () =
         let insert_t =
           Util.time_per_run ~budget:0.1 (fun () ->
               incr counter;
-              ignore (Mst.insert !m (fresh !counter)))
+              ignore (Mst.apply_ops !m [ Mst.Op_insert (fresh !counter) ]))
         in
         let pos = 5 in
         let prove_t =
@@ -427,8 +429,8 @@ let e7_wcert_verification () =
         in
         List.iter
           (fun u ->
-            match Mst.insert !st.Sc_state.mst u with
-            | Ok (m, _) -> st := Sc_state.with_mst !st m
+            match Mst.apply_ops !st.Sc_state.mst [ Mst.Op_insert u ] with
+            | Ok m -> st := Sc_state.with_mst !st m
             | Error _ -> ())
           coins;
         let initial = !st in
@@ -470,7 +472,10 @@ let e8_csw_btr () =
           ~nonce:(Hash.of_string (Printf.sprintf "e8-%d" i)))
   in
   List.iter
-    (fun u -> match Mst.insert !m u with Ok (m', _) -> m := m' | Error _ -> ())
+    (fun u ->
+      match Mst.apply_ops !m [ Mst.Op_insert u ] with
+      | Ok m' -> m := m'
+      | Error _ -> ())
     utxos;
   let u = List.hd utxos in
   let proofdata = [ Proofdata.Blob (Utxo.encode u) ] in
@@ -602,7 +607,9 @@ let e10_latus_txs () =
             Utxo.make ~addr ~amount:(amount 1000)
               ~nonce:(Hash.of_string (Printf.sprintf "e10-%d" i))
           in
-          match Mst.insert m u with Ok (m', _) -> m' | Error _ -> m)
+          match Mst.apply_ops m [ Mst.Op_insert u ] with
+          | Ok m' -> m'
+          | Error _ -> m)
         st.Sc_state.mst (List.init 128 Fun.id)
     in
     Sc_state.with_mst st mst

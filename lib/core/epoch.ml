@@ -16,6 +16,14 @@ let epoch_of_height s ~height =
 let first_height s ~epoch = s.start_block + (epoch * s.epoch_len)
 let last_height s ~epoch = first_height s ~epoch:(epoch + 1) - 1
 
+let boundary_hashes s ~epoch ~block_hash_at =
+  let resolve h = if h < 0 then Some Zen_crypto.Hash.zero else block_hash_at h in
+  match
+    (resolve (last_height s ~epoch:(epoch - 1)), resolve (last_height s ~epoch))
+  with
+  | Some a, Some b -> Some (a, b)
+  | _ -> None
+
 let submission_window s ~epoch =
   let lo = first_height s ~epoch:(epoch + 1) in
   (lo, lo + s.submit_len - 1)

@@ -20,6 +20,19 @@ val epoch_of_height : schedule -> height:int -> int option
 val first_height : schedule -> epoch:int -> int
 val last_height : schedule -> epoch:int -> int
 
+val boundary_hashes :
+  schedule ->
+  epoch:int ->
+  block_hash_at:(int -> Zen_crypto.Hash.t option) ->
+  (Zen_crypto.Hash.t * Zen_crypto.Hash.t) option
+(** The [(end_prev_epoch, end_epoch)] block hashes a certificate for
+    [epoch] binds in its [wcert_sysdata]: the blocks at the last
+    heights of epochs [epoch − 1] and [epoch], looked up with
+    [block_hash_at], and [Hash.zero] for a height below 0 (before
+    genesis). [None] when either block is not on the queried chain.
+    The node builds certificates and the mainchain checks them through
+    this one function, so both bind the same blocks. *)
+
 val submission_window : schedule -> epoch:int -> int * int
 (** Inclusive MC-height range in which a certificate for [epoch] is
     accepted. *)

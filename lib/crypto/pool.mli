@@ -4,8 +4,8 @@
     story: proving tasks whose inputs were snapshotted up front are
     independent, so they can be executed by real domains instead of the
     accounted simulation the repository used to ship. The same pool
-    drives batch Merkle/SMT tree builds ({!Merkle.of_leaves},
-    {!Smt.of_bindings}), the per-level merges of a block's certificate
+    drives batch Merkle tree builds ({!Merkle.of_leaves}), the
+    per-level merges of a block's certificate
     aggregate ([Zen_snark.Aggregate.build]) and mainchain batch
     verification ([Zendoo.Verifier.verify_batch]).
 

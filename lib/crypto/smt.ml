@@ -49,147 +49,14 @@ let get t pos =
   in
   go t.tree t.depth
 
-let update t pos value =
-  check_pos t pos;
-  let rec go node h =
-    if h = 0 then
-      match value with Some v -> Leaf v | None -> Empty
-    else begin
-      let l, r =
-        match node with
-        | Empty -> (Empty, Empty)
-        | Node { l; r; _ } -> (l, r)
-        | Leaf _ -> assert false (* leaves only live at height 0 *)
-      in
-      let l, r =
-        if (pos lsr (h - 1)) land 1 = 0 then (go l (h - 1), r)
-        else (l, go r (h - 1))
-      in
-      match (l, r) with
-      | Empty, Empty -> Empty
-      | _ ->
-        let hl = node_hash_at (h - 1) l and hr = node_hash_at (h - 1) r in
-        Node { h = Poseidon.hash2 hl hr; l; r }
-    end
-  in
-  let was = get t pos <> None in
-  let is = value <> None in
-  let occupied = t.occupied + (if is then 1 else 0) - if was then 1 else 0 in
-  { t with tree = go t.tree t.depth; occupied }
-
-let set t pos v = update t pos (Some v)
-let remove t pos = update t pos None
-
-(* ---- Batch construction ---- *)
-
-(* Builds the subtree of height [h] whose leftmost leaf is [base] from
-   bindings sorted by position. Structure (and hence every hash) is a
-   function of the occupied-position set alone, so this agrees exactly
-   with a fold of [set] over the same bindings. *)
-let rec build_sub h base = function
-  | [] -> Empty
-  | bs -> (
-    if h = 0 then
-      match bs with
-      | [ (_, v) ] -> Leaf v
-      | _ -> assert false (* duplicates are rejected up front *)
-    else begin
-      let mid = base + (1 lsl (h - 1)) in
-      let l_bs, r_bs = List.partition (fun (p, _) -> p < mid) bs in
-      let l = build_sub (h - 1) base l_bs in
-      let r = build_sub (h - 1) mid r_bs in
-      match (l, r) with
-      | Empty, Empty -> Empty
-      | _ ->
-        let hl = node_hash_at (h - 1) l and hr = node_hash_at (h - 1) r in
-        Node { h = Poseidon.hash2 hl hr; l; r }
-    end)
-
-let of_bindings ?(pool = Pool.sequential) ~depth bindings =
-  Zen_obs.Trace.with_span ~cat:"crypto"
-    ~args:[ ("bindings", string_of_int (List.length bindings)) ]
-    "smt.of_bindings"
-  @@ fun () ->
-  if depth < 1 || depth > max_depth then Error "smt: depth out of range"
-  else begin
-    let cap = 1 lsl depth in
-    if List.exists (fun (p, _) -> p < 0 || p >= cap) bindings then
-      Error "smt: position out of range"
-    else begin
-      let sorted =
-        List.sort (fun (a, _) (b, _) -> Int.compare a b) bindings
-      in
-      let rec has_dup = function
-        | (a, _) :: ((b, _) :: _ as rest) -> a = b || has_dup rest
-        | _ -> false
-      in
-      if has_dup sorted then Error "smt: duplicate position"
-      else begin
-        (* Split the top [k] levels into 2^k independent subtrees built
-           in parallel, then hash the top levels sequentially (2^k is
-           tiny). k = 0 — i.e. the plain recursive build — when the
-           pool is sequential. *)
-        let k = if Pool.domains pool = 1 then 0 else min depth 6 in
-        let sub_h = depth - k in
-        let tree =
-          if k = 0 then build_sub depth 0 sorted
-          else begin
-            let groups = Array.make (1 lsl k) [] in
-            (* reverse iteration keeps each group sorted ascending *)
-            List.iter
-              (fun (p, v) ->
-                let g = p lsr sub_h in
-                groups.(g) <- (p, v) :: groups.(g))
-              (List.rev sorted);
-            let subs =
-              (* Estimated Poseidon work per subtree (bindings spread
-                 over 2^k groups, ~9 µs per hash, sub_h levels each):
-                 dense builds keep one chunk per subtree for stealing,
-                 sparse ones batch several near-empty subtrees. *)
-              let per_group_ms =
-                float_of_int (List.length sorted * max 1 sub_h)
-                *. 0.009
-                /. float_of_int (1 lsl k)
-              in
-              Pool.init_array pool ~cost:per_group_ms (1 lsl k) (fun g ->
-                  build_sub sub_h (g lsl sub_h) groups.(g))
-            in
-            let rec combine h level =
-              if Array.length level = 1 then level.(0)
-              else
-                combine (h + 1)
-                  (Array.init
-                     (Array.length level / 2)
-                     (fun i ->
-                       match (level.(2 * i), level.((2 * i) + 1)) with
-                       | Empty, Empty -> Empty
-                       | l, r ->
-                         Node
-                           {
-                             h =
-                               Poseidon.hash2 (node_hash_at h l)
-                                 (node_hash_at h r);
-                             l;
-                             r;
-                           }))
-            in
-            combine sub_h subs
-          end
-        in
-        Ok { depth; tree; occupied = List.length sorted }
-      end
-    end
-  end
-
 module Im = Map.Make (Int)
 
-(* ---- Batched incremental update ----
+(* ---- Writes ----
 
-   One merged traversal for k updates: the batch is grouped by subtree
+   The only way a tree changes. One merged traversal for k updates: the batch is grouped by subtree
    at every level, so a node on the path to several updated slots is
    rehashed once instead of once per slot. Untouched subtrees are
-   shared with the input tree, which is what distinguishes this from
-   [of_bindings] (a from-scratch build). *)
+   shared with the input tree. *)
 
 let update_batch t updates =
   match updates with
@@ -203,8 +70,8 @@ let update_batch t updates =
         ~args:[ ("updates", string_of_int (List.length updates)) ]
         "smt.update_batch"
       @@ fun () ->
-      (* Last write wins per position — the semantics of folding
-         [update] left to right over the same list. *)
+      (* Last write wins per position, as if the writes were applied
+         one at a time, left to right. *)
       let final =
         List.fold_left (fun m (p, v) -> Im.add p v m) Im.empty updates
       in

@@ -6,9 +6,10 @@
     subtrees are shared and their hashes precomputed per level, so a
     tree over 2^32 slots with k occupied leaves takes O(k·D) memory.
 
-    The structure is persistent: [set] returns a new tree sharing all
-    unmodified branches with the old one, which is what makes sidechain
-    state snapshots per block essentially free. *)
+    The structure is persistent: {!update_batch}, the only write,
+    returns a new tree sharing all unmodified branches with the old
+    one, which is what makes sidechain state snapshots per block
+    essentially free. *)
 
 type t
 
@@ -27,32 +28,17 @@ val get : t -> int -> Fp.t option
 (** [get t pos] is the leaf at [pos], or [None] when the slot is empty.
     Raises [Invalid_argument] when out of range. *)
 
-val set : t -> int -> Fp.t -> t
-(** Occupies a slot (replacing any previous value). *)
-
-val of_bindings :
-  ?pool:Pool.t -> depth:int -> (int * Fp.t) list -> (t, string) result
-(** [of_bindings ~depth [(pos, v); …]] is the batch constructor:
-    equivalent to folding {!set} over the bindings from {!create}, but
-    built bottom-up in one pass, with the top levels split into
-    independent subtrees hashed in parallel when [pool] has more than
-    one domain. The result is bit-identical for every domain count
-    (tree structure is a function of the occupied-position set alone).
-    Errors on an out-of-range [depth] or position, or on duplicate
-    positions. *)
-
-val remove : t -> int -> t
-(** Empties a slot (no-op if already empty). *)
-
 val update_batch : t -> (int * Fp.t option) list -> (t, string) result
 (** [update_batch t [(pos, v); …]] applies k slot writes ([Some v]
-    occupies, [None] empties) in one merged traversal: every node on
-    the union of the k root paths is rehashed exactly once, instead of
-    once per write as with a fold of {!set}/{!remove}. The result is
-    identical to that fold — duplicated positions resolve last-write-
-    wins, untouched subtrees are shared with [t]. For a batch of k
-    writes over a depth-D tree this costs O(k·(D − log₂ k)) hashes
-    rather than O(k·D). Errors on an out-of-range position. *)
+    occupies, replacing any previous value; [None] empties, a no-op on
+    an empty slot) in one merged traversal: every node on the union of
+    the k root paths is rehashed exactly once. The result is that of
+    applying the writes one at a time, left to right — duplicated
+    positions resolve last-write-wins — and untouched subtrees are
+    shared with [t]. For a batch of k writes over a depth-D tree this
+    costs O(k·(D − log₂ k)) hashes rather than O(k·D); a single write
+    rehashes its one root path. Errors on an out-of-range position,
+    leaving nothing written. *)
 
 val empty_leaf_hash : Fp.t
 (** The hash placed in empty slots, H(Null) in the paper's Fig. 9. *)

@@ -245,14 +245,14 @@ let step_assignment f (state : Sc_state.t) step =
     match Mst.find_utxo state.mst utxo with
     | None -> Error "prove: utxo not in state"
     | Some pos ->
-      let* mst_after, _ = Mst.remove state.mst utxo in
+      let* mst_after = Mst.apply_ops state.mst [ Mst.Op_remove utxo ] in
       assign_slot_write f.remove state ~s_from_v ~mst_after utxo pos)
   | Sc_tx.Insert utxo -> (
     let pos = Utxo.position ~mst_depth:f.params.Params.mst_depth utxo in
     match Mst.get state.mst pos with
     | Some _ -> Error "prove: slot occupied"
     | None ->
-      let* mst_after, _ = Mst.insert state.mst utxo in
+      let* mst_after = Mst.apply_ops state.mst [ Mst.Op_insert utxo ] in
       assign_slot_write f.insert state ~s_from_v ~mst_after utxo pos)
   | Sc_tx.Append_bt bt ->
     let recv, amt = Backward_transfer.to_fp_pair bt in

@@ -19,39 +19,6 @@ let create params =
     modified = Int_set.empty;
   }
 
-let of_utxos ?pool params utxos =
-  Zen_obs.Trace.with_span ~cat:"latus"
-    ~args:[ ("utxos", string_of_int (List.length utxos)) ]
-    "latus.mst.of_utxos"
-  @@ fun () ->
-  let bindings =
-    List.map
-      (fun u -> (Utxo.position ~mst_depth:params.Params.mst_depth u, u))
-      utxos
-  in
-  let positions = List.map fst bindings in
-  if
-    Int_set.cardinal (Int_set.of_list positions) <> List.length positions
-  then Error "mst: slot collision"
-  else begin
-    match
-      Smt.of_bindings ?pool ~depth:params.Params.mst_depth
-        (List.map (fun (p, u) -> (p, Utxo.commitment u)) bindings)
-    with
-    | Error e -> Error ("mst: " ^ e)
-    | Ok tree ->
-      Ok
-        {
-          params;
-          tree;
-          utxos =
-            List.fold_left
-              (fun m (p, u) -> Int_map.add p u m)
-              Int_map.empty bindings;
-          modified = Int_set.of_list positions;
-        }
-  end
-
 let depth t = t.params.mst_depth
 let root t = Smt.root t.tree
 let occupied t = Smt.occupied t.tree
@@ -63,40 +30,12 @@ let find_utxo t utxo =
   | Some u when Utxo.equal u utxo -> Some pos
   | Some _ | None -> None
 
-let insert t utxo =
-  let pos = Utxo.position ~mst_depth:t.params.mst_depth utxo in
-  match get t pos with
-  | Some _ -> Error "mst: slot collision"
-  | None ->
-    Ok
-      ( {
-          t with
-          tree = Smt.set t.tree pos (Utxo.commitment utxo);
-          utxos = Int_map.add pos utxo t.utxos;
-          modified = Int_set.add pos t.modified;
-        },
-        pos )
-
-let remove t utxo =
-  match find_utxo t utxo with
-  | None -> Error "mst: utxo not present"
-  | Some pos ->
-    Ok
-      ( {
-          t with
-          tree = Smt.remove t.tree pos;
-          utxos = Int_map.remove pos t.utxos;
-          modified = Int_set.add pos t.modified;
-        },
-        pos )
-
 type op = Op_insert of Utxo.t | Op_remove of Utxo.t
 
-(* Batched application: the opening map and modification set evolve
-   op by op (so ordering semantics — including a remove freeing a slot
-   for a later insert — match a sequential fold of insert/remove
-   exactly), but the tree itself is committed in one merged
-   [Smt.update_batch] traversal at the end. *)
+(* The only write: the opening map and modification set evolve op by
+   op (so a remove frees its slot for a later insert, and the first
+   failing op decides the error), but the tree itself is committed in
+   one merged [Smt.update_batch] traversal at the end. *)
 let apply_ops t ops =
   let staged =
     List.fold_left

@@ -15,13 +15,6 @@ type t
 
 val create : Params.t -> t
 
-val of_utxos : ?pool:Pool.t -> Params.t -> Utxo.t list -> (t, string) result
-(** Batch constructor: equivalent to folding {!insert} over the list
-    into {!create}, but built bottom-up via {!Smt.of_bindings} — with a
-    [pool], the tree is hashed across domains (bit-identical result for
-    every domain count). All positions count as modified, exactly as
-    after individual inserts. Fails on an [MST_Position] collision. *)
-
 val depth : t -> int
 val root : t -> Fp.t
 val occupied : t -> int
@@ -30,23 +23,20 @@ val get : t -> int -> Utxo.t option
 val find_utxo : t -> Utxo.t -> int option
 (** The slot of this exact UTXO if it is currently in the tree. *)
 
-val insert : t -> Utxo.t -> (t * int, string) result
-(** Fails when [MST_Position] maps to an occupied slot — the collision
-    failure mode of §5.3.2. Returns the slot used. *)
-
-val remove : t -> Utxo.t -> (t * int, string) result
-(** Fails unless this exact UTXO occupies its slot. *)
-
 type op = Op_insert of Utxo.t | Op_remove of Utxo.t
 
 val apply_ops : t -> op list -> (t, string) result
-(** Batched mutation: semantically identical to folding {!insert} /
-    {!remove} over the ops left to right (same result, same first
-    error — ordering matters, e.g. a remove frees its slot for a later
-    insert), but the tree is rehashed in one merged
-    {!Smt.update_batch} traversal, costing one root-path rehash per
-    {e distinct} touched slot instead of one per op. Either the whole
-    batch applies or the state is unchanged. *)
+(** The only way the tree changes. The ops take effect left to right,
+    so ordering matters: a remove frees its slot for a later insert.
+    [Op_insert u] fails with ["mst: slot collision"] when
+    [MST_Position] maps [u] to an occupied slot (the collision failure
+    mode of §5.3.2); [Op_remove u] fails with ["mst: utxo not present"]
+    unless this exact UTXO occupies its slot. The first failing op
+    decides the error, and either the whole list applies or the state
+    is unchanged. The tree is rehashed in one merged
+    {!Smt.update_batch} traversal, one root-path rehash per
+    {e distinct} touched slot; a single-op list is the single-slot
+    write. Every touched slot counts as modified for the delta. *)
 
 val balance_of : t -> Hash.t -> Amount.t
 (** Total value held by an address — the stake function for leader

@@ -497,16 +497,13 @@ let build_certificate t ~mc =
         ]
     in
     let mc_state = Chain.tip_state mc in
-    let resolve h =
-      if h < 0 then Some Hash.zero else Chain_state.block_hash_at mc_state h
-    in
     let* end_prev_epoch, end_epoch =
       match
-        ( resolve (Epoch.last_height t.schedule ~epoch:(epoch - 1)),
-          resolve (Epoch.last_height t.schedule ~epoch) )
+        Epoch.boundary_hashes t.schedule ~epoch
+          ~block_hash_at:(Chain_state.block_hash_at mc_state)
       with
-      | Some a, Some b -> Ok (a, b)
-      | _ -> Error "certificate: epoch boundary blocks not on MC best chain"
+      | Some pair -> Ok pair
+      | None -> Error "certificate: epoch boundary blocks not on MC best chain"
     in
     let bt_root = Backward_transfer.list_root bt_list in
     let* proof =

@@ -33,16 +33,6 @@ let reset_epoch t =
 
 let with_mst t mst = { t with mst }
 
-(* Copy-on-write snapshots: the whole state is persistent (the MST
-   shares unmodified branches across versions), so a checkpoint is the
-   value itself and restore is a pointer swap. Retaining a checkpoint
-   costs O(1); memory is bounded by the structural deltas applied since
-   it was taken. *)
-type checkpoint = t
-
-let checkpoint t = t
-let restore c = c
-
 let pp fmt t =
   Format.fprintf fmt "state(mst=%a, %d utxos, %d bts)" Fp.pp (Mst.root t.mst)
     (Mst.occupied t.mst) t.bt_count

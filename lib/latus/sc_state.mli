@@ -4,7 +4,11 @@
     [backward_transfers] is the transient list accumulated over the
     current withdrawal epoch, mirrored by a Poseidon accumulator so the
     state hash — the public input of every transition proof — is a
-    single field element: [H(mst_root, bt_acc)]. *)
+    single field element: [H(mst_root, bt_acc)].
+
+    A state is a persistent value: the MST shares unmodified branches
+    across versions, so keeping an earlier state is an O(1) checkpoint
+    for reorg rollback. *)
 
 open Zen_crypto
 open Zendoo
@@ -41,21 +45,5 @@ val reset_epoch : t -> t
     an MST delta snapshot (Appendix A). *)
 
 val with_mst : t -> Mst.t -> t
-
-(** {2 Copy-on-write snapshots}
-
-    The state is fully persistent, so snapshotting for reorg rollback
-    needs no copying: a checkpoint pins a version, restoring it is
-    O(1), and memory for the pinned version is shared structurally
-    with every later one. This is what lets the workload engine (and
-    any reorg handler) roll an epoch back without replaying blocks. *)
-
-type checkpoint
-
-val checkpoint : t -> checkpoint
-(** Pin the current version. O(1). *)
-
-val restore : checkpoint -> t
-(** The pinned version, exactly as it was. O(1). *)
 
 val pp : Format.formatter -> t -> unit

@@ -183,20 +183,11 @@ type step =
   | Insert of Utxo.t
   | Append_bt of Backward_transfer.t
 
-let apply_step (state : Sc_state.t) = function
-  | Remove u ->
-    let* mst, _ = Mst.remove state.mst u in
-    Ok (Sc_state.with_mst state mst)
-  | Insert u ->
-    let* mst, _ = Mst.insert state.mst u in
-    Ok (Sc_state.with_mst state mst)
-  | Append_bt bt -> Ok (Sc_state.append_bt state bt)
-
 (* The merged commit: MST inserts/removes go through one
    [Mst.apply_ops] traversal, BT appends fold separately (they touch
    the accumulator, not the tree, so the two commute). Ordering within
    each component is preserved, which keeps the result — and the first
-   error — identical to folding [apply_step]. *)
+   error — identical to applying the steps one at a time. *)
 let apply_steps ?(batched = true) (state : Sc_state.t) steps =
   if not batched then
     invalid_arg "Sc_tx.apply_steps: ~batched:false (the per-key fold) is gone";
@@ -218,6 +209,8 @@ let apply_steps ?(batched = true) (state : Sc_state.t) steps =
       state steps
   in
   Ok (Sc_state.with_mst state mst)
+
+let apply_step state step = apply_steps state [ step ]
 
 (* The one step fold: applies each step once, consing [(pre-state,
    step)] onto [out] (so [out] comes back reversed). *)

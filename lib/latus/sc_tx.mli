@@ -99,23 +99,24 @@ val validate : Sc_state.t -> t -> (unit, string) result
 val apply : Sc_state.t -> t -> (Sc_state.t, string) result
 (** {!transition}'s post-state. *)
 
-val apply_step : Sc_state.t -> step -> (Sc_state.t, string) result
-
-val trace :
-  Sc_state.t -> step list -> (Sc_state.t * (Sc_state.t * step) list, string) result
-(** Folds {!apply_step} over a step list, pairing each step with the
-    state before it: the inputs of the step's base proof. *)
-
 val apply_steps :
   ?batched:bool -> Sc_state.t -> step list -> (Sc_state.t, string) result
 (** Commits a step sequence: the MST inserts/removes go through one
     merged {!Mst.apply_ops} traversal (one root-path rehash per
     distinct touched slot) while BT appends fold in order. Result and
-    first error equal those of folding {!apply_step}.
+    first error equal those of applying the steps one at a time.
 
     [batched] is a leftover label: the benchmark in [perfbench/] still
     passes [~batched:true], the only accepted value; [~batched:false]
     raises [Invalid_argument]. The label goes when the benchmark stops
     passing it (ROADMAP item 1). *)
+
+val apply_step : Sc_state.t -> step -> (Sc_state.t, string) result
+(** [apply_steps] of the one step. *)
+
+val trace :
+  Sc_state.t -> step list -> (Sc_state.t * (Sc_state.t * step) list, string) result
+(** Folds {!apply_step} over a step list, pairing each step with the
+    state before it: the inputs of the step's base proof. *)
 
 val pp : Format.formatter -> t -> unit

@@ -83,16 +83,8 @@ let reference_block_for sc =
    caller queries through [block_hash_at]. Shared by acceptance and by
    the prediction jobs below so both build identical cache keys. *)
 let epoch_boundaries sc ~(cert : Withdrawal_certificate.t) ~block_hash_at =
-  let schedule = Epoch.of_config sc.config in
-  let prev_h = Epoch.last_height schedule ~epoch:(cert.epoch_id - 1) in
-  let cur_h = Epoch.last_height schedule ~epoch:cert.epoch_id in
-  let resolve h =
-    if h < 0 then Some Hash.zero (* before epoch 0: genesis sentinel *)
-    else block_hash_at h
-  in
-  match (resolve prev_h, resolve cur_h) with
-  | Some a, Some b -> Some (a, b)
-  | _ -> None
+  Epoch.boundary_hashes (Epoch.of_config sc.config) ~epoch:cert.epoch_id
+    ~block_hash_at
 
 let wcert_verify_job t ~(cert : Withdrawal_certificate.t) ~block_hash_at =
   match find t cert.ledger_id with

@@ -24,6 +24,10 @@ let fault_to_string = function
   | Reorg { tick; depth } -> Printf.sprintf "reorg@%d:d%d" tick depth
   | Clock_skew { tick; millis } -> Printf.sprintf "skew@%d:+%dms" tick millis
 
+(* Each copy is a queued resubmission, so the count is capped well
+   above what the storm draws (1–2) to keep a typo from stalling a run. *)
+let max_duplicates = 16
+
 let fault_of_string s =
   let attempt fmt k =
     try Some (Scanf.sscanf s fmt k)
@@ -59,7 +63,11 @@ let fault_of_string s =
       epoch >= 0 && worker >= 0 && factor >= 1
     | Cert_fault { epoch; fault } -> (
       epoch >= 0
-      && match fault with Delay t -> t >= 1 | Duplicate n -> n >= 1 | _ -> true)
+      &&
+      match fault with
+      | Delay t -> t >= 1
+      | Duplicate n -> n >= 1 && n <= max_duplicates
+      | _ -> true)
     | Reorg { tick; depth } -> tick >= 1 && depth >= 1
     | Clock_skew { tick; millis } -> tick >= 1 && millis >= 1
   in

@@ -22,7 +22,9 @@ open Zen_latus
 type cert_fault =
   | Drop  (** the built certificate never reaches the mempool *)
   | Delay of int  (** submission postponed by that many ticks *)
-  | Duplicate of int  (** resubmitted that many extra times, one per tick *)
+  | Duplicate of int
+      (** resubmitted that many extra times, one per tick; 1 to 16,
+          and {!fault_of_string} rejects more as out of range *)
   | Withhold  (** the node never builds the certificate (ceasing path) *)
 
 type fault =

@@ -493,9 +493,8 @@ let submit_certificate t sc =
         let s = score () in
         s.submitted <- s.submitted + 1;
         s.duplicated <- s.duplicated + n;
-        for j = 1 to n do
-          t.pending_certs <- t.pending_certs @ [ (t.time + j, cert_tx) ]
-        done;
+        t.pending_certs <-
+          t.pending_certs @ List.init n (fun j -> (t.time + j + 1, cert_tx));
         logf t "fault: %s certificate for epoch %d duplicated x%d" sc.name
           epoch n
       | Some (_, _, Faults.Withhold) | None ->

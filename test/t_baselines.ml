@@ -61,8 +61,10 @@ let test_direct_validation_replays () =
     Zen_latus.Utxo.make ~addr ~amount:(amount 50) ~nonce:(Hash.of_string "n")
   in
   let st0 = Zen_latus.Sc_state.create params in
-  let mst, _ =
-    Result.get_ok (Zen_latus.Mst.insert st0.Zen_latus.Sc_state.mst coin)
+  let mst =
+    Result.get_ok
+      (Zen_latus.Mst.apply_ops st0.Zen_latus.Sc_state.mst
+         [ Zen_latus.Mst.Op_insert coin ])
   in
   let st0 = Zen_latus.Sc_state.with_mst st0 mst in
   let tx =

@@ -47,7 +47,13 @@ let test_plan_codec () =
   checkb "bad depth rejected" true
     (Result.is_error (Faults.plan_of_string "reorg@4:d0"));
   checkb "trailing junk rejected" true
-    (Result.is_error (Faults.plan_of_string "drop@3zzz"))
+    (Result.is_error (Faults.plan_of_string "drop@3zzz"));
+  checkb "16 duplicates accepted" true
+    (Result.is_ok (Faults.plan_of_string "dup@0:x16"));
+  checkb "17 duplicates rejected" true
+    (Result.is_error (Faults.plan_of_string "dup@0:x17"));
+  checkb "huge duplicate count rejected" true
+    (Result.is_error (Faults.plan_of_string "dup@0:x100000"))
 
 let test_storm_deterministic () =
   let a = Faults.storm ~seed:7 ~intensity:60 () in
@@ -346,6 +352,41 @@ let test_prover_crash_exhaustion () =
   checki "slow run no retries" 0 sstats.Prover_pool.retries;
   checkb "slow proofs identical" true (same_proofs clean slowed)
 
+(* ---- a Duplicate fault queues its copies one tick apart ---- *)
+
+let test_duplicate_queues_copies () =
+  let faults = Faults.create ~seed:1 (ok (Faults.plan_of_string "dup@0:x3")) in
+  let h = Harness.create ~faults ~seed:"faults.dup" () in
+  Harness.fund h ~blocks:5;
+  let _sc =
+    ok
+      (Harness.add_latus h ~name:"sc" ~family ~epoch_len:2 ~submit_len:5
+         ~activation_delay:1 ())
+  in
+  let rec until_queued n =
+    if n = 0 then Alcotest.fail "the duplicate fault never fired"
+    else begin
+      Harness.tick h;
+      if h.pending_certs = [] then until_queued (n - 1)
+    end
+  in
+  until_queued 12;
+  let copies = h.pending_certs in
+  checki "three copies queued" 3 (List.length copies);
+  let tx = snd (List.hd copies) in
+  checkb "copies of one certificate" true
+    (List.for_all (fun (_, c) -> Hash.equal (Tx.txid c) (Tx.txid tx)) copies);
+  let at = List.map fst copies in
+  let first = List.hd at in
+  checkb "one tick apart, in order" true (at = [ first; first + 1; first + 2 ]);
+  Harness.tick_n h 3;
+  checkb "all delivered" true (h.pending_certs = []);
+  checki "three deliveries logged" 3
+    (List.length
+       (List.filter
+          (String.equal "fault: postponed certificate submitted")
+          (Harness.dump_log h)))
+
 (* ---- full-run replay determinism ---- *)
 
 let chaos_run () =
@@ -386,6 +427,8 @@ let suite =
     [
       Alcotest.test_case "plan codec" `Quick test_plan_codec;
       Alcotest.test_case "storm deterministic" `Quick test_storm_deterministic;
+      Alcotest.test_case "duplicate queues its copies" `Quick
+        test_duplicate_queues_copies;
       Alcotest.test_case "certificate gap rejected" `Quick
         test_certificate_gap_rejected;
       Alcotest.test_case "cert at window end" `Quick test_cert_at_window_end;

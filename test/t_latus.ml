@@ -37,22 +37,31 @@ let test_utxo_commitment_binds_fields () =
 
 (* ---- mst + delta ---- *)
 
+(* One-op writes through [Mst.apply_ops], returning the slot used. *)
+let mst_write op m u =
+  Result.map
+    (fun m -> (m, Utxo.position ~mst_depth:(Mst.depth m) u))
+    (Mst.apply_ops m [ op u ])
+
+let mst_insert = mst_write (fun u -> Mst.Op_insert u)
+let mst_remove = mst_write (fun u -> Mst.Op_remove u)
+
 let test_mst_insert_remove () =
   let m = Mst.create params in
   let u = utxo "a" in
-  let m1, pos = ok (Mst.insert m u) in
+  let m1, pos = ok (mst_insert m u) in
   checkb "present" true (Mst.find_utxo m1 u = Some pos);
-  checkb "collision rejected" true (Result.is_error (Mst.insert m1 u));
-  let m2, _ = ok (Mst.remove m1 u) in
+  checkb "collision rejected" true (Result.is_error (mst_insert m1 u));
+  let m2, _ = ok (mst_remove m1 u) in
   checkb "gone" true (Mst.find_utxo m2 u = None);
   checkb "root restored" true (Fp.equal (Mst.root m) (Mst.root m2));
-  checkb "remove absent fails" true (Result.is_error (Mst.remove m2 u))
+  checkb "remove absent fails" true (Result.is_error (mst_remove m2 u))
 
 let test_mst_balance () =
   let m = Mst.create params in
-  let m, _ = ok (Mst.insert m (utxo ~addr:"alice" ~amt:5 "x")) in
-  let m, _ = ok (Mst.insert m (utxo ~addr:"alice" ~amt:7 "y")) in
-  let m, _ = ok (Mst.insert m (utxo ~addr:"bob" ~amt:11 "z")) in
+  let m, _ = ok (mst_insert m (utxo ~addr:"alice" ~amt:5 "x")) in
+  let m, _ = ok (mst_insert m (utxo ~addr:"alice" ~amt:7 "y")) in
+  let m, _ = ok (mst_insert m (utxo ~addr:"bob" ~amt:11 "z")) in
   checki "alice" 12 (Amount.to_int (Mst.balance_of m (Hash.of_string "alice")));
   checki "bob" 11 (Amount.to_int (Mst.balance_of m (Hash.of_string "bob")));
   checki "total" 23 (Amount.to_int (Mst.total_value m))
@@ -60,8 +69,8 @@ let test_mst_balance () =
 let test_mst_delta () =
   let m = Mst.create params in
   let u1 = utxo "d1" and u2 = utxo "d2" in
-  let m, p1 = ok (Mst.insert m u1) in
-  let m, p2 = ok (Mst.insert m u2) in
+  let m, p1 = ok (mst_insert m u1) in
+  let m, p2 = ok (mst_insert m u2) in
   let delta = Mst.delta_bits m in
   checkb "bit p1" true (Mst.delta_bit delta p1);
   checkb "bit p2" true (Mst.delta_bit delta p2);
@@ -69,7 +78,7 @@ let test_mst_delta () =
   (* snapshot clears; removal after snapshot re-marks *)
   let m = Mst.snapshot m in
   checki "cleared" 0 (List.length (Mst.modified_since_snapshot m));
-  let m, _ = ok (Mst.remove m u1) in
+  let m, _ = ok (mst_remove m u1) in
   let delta2 = Mst.delta_bits m in
   checkb "re-marked" true (Mst.delta_bit delta2 p1);
   checkb "untouched not marked" false (Mst.delta_bit delta2 p2)
@@ -78,15 +87,15 @@ let test_mst_delta_appendix_a_scenario () =
   (* Appendix A: prove a utxo survived epochs by unset delta bits. *)
   let m = Mst.create params in
   let survivor = utxo "appendix-survivor" in
-  let m, pos = ok (Mst.insert m survivor) in
+  let m, pos = ok (mst_insert m survivor) in
   let m = Mst.snapshot m in
   (* epoch 2: unrelated activity *)
-  let m, _ = ok (Mst.insert m (utxo "other1")) in
+  let m, _ = ok (mst_insert m (utxo "other1")) in
   let delta_e2 = Mst.delta_bits m in
   checkb "survivor untouched in e2" false (Mst.delta_bit delta_e2 pos);
   let m = Mst.snapshot m in
   (* epoch 3: survivor is spent *)
-  let m, _ = ok (Mst.remove m survivor) in
+  let m, _ = ok (mst_remove m survivor) in
   let delta_e3 = Mst.delta_bits m in
   checkb "survivor touched in e3" true (Mst.delta_bit delta_e3 pos)
 
@@ -95,7 +104,7 @@ let test_mst_delta_appendix_a_scenario () =
 let test_mst_slot_proofs () =
   let m = Mst.create params in
   let u = utxo "slot" in
-  let m, pos = ok (Mst.insert m u) in
+  let m, pos = ok (mst_insert m u) in
   let p = Mst.prove_slot m pos in
   checkb "member" true
     (Mst.verify_slot ~root:(Mst.root m) ~pos ~utxo:(Some u)
@@ -114,7 +123,7 @@ let wallet seed =
 let state_with utxos =
   let st = Sc_state.create params in
   let mst =
-    List.fold_left (fun m u -> fst (ok (Mst.insert m u))) st.Sc_state.mst utxos
+    List.fold_left (fun m u -> fst (ok (mst_insert m u))) st.Sc_state.mst utxos
   in
   Sc_state.with_mst st mst
 
@@ -186,7 +195,7 @@ let test_payment_output_slots () =
   let rec grind i pred = if pred (coin i) then coin i else grind (i + 1) pred in
   let single c =
     let st = Sc_state.create params in
-    Sc_state.with_mst st (fst (ok (Mst.insert st.Sc_state.mst c)))
+    Sc_state.with_mst st (fst (ok (mst_insert st.Sc_state.mst c)))
   in
   let pay st = Sc_wallet.build_payment w1 st ~to_:a2 ~amount:(amount 30) in
   (* payee and change derive to one slot *)
@@ -224,7 +233,7 @@ let test_payment_output_slots () =
     |> fun u -> { u with Utxo.addr = Hash.of_string "someone" }
   in
   let st = single c in
-  let st = Sc_state.with_mst st (fst (ok (Mst.insert st.Sc_state.mst squatter))) in
+  let st = Sc_state.with_mst st (fst (ok (mst_insert st.Sc_state.mst squatter))) in
   checkb "occupied slot refused" true (Result.is_error (pay st))
 
 (* A transaction's steps apply once: validating or applying a payment
@@ -417,8 +426,8 @@ let test_leader_empty () =
 
 let test_leader_of_mst () =
   let m = Mst.create params in
-  let m, _ = ok (Mst.insert m (utxo ~addr:"s1" ~amt:10 "l1")) in
-  let m, _ = ok (Mst.insert m (utxo ~addr:"s1" ~amt:10 "l2")) in
+  let m, _ = ok (mst_insert m (utxo ~addr:"s1" ~amt:10 "l1")) in
+  let m, _ = ok (mst_insert m (utxo ~addr:"s1" ~amt:10 "l2")) in
   let d = Leader.of_mst m in
   checki "total stake" 20 (Amount.to_int (Leader.total_stake d))
 
@@ -458,7 +467,7 @@ let test_step_proof_requires_valid_step () =
 
 let test_ownership_proof () =
   let u = utxo "own" in
-  let m, _ = ok (Mst.insert (Mst.create params) u) in
+  let m, _ = ok (mst_insert (Mst.create params) u) in
   let receiver = Hash.of_string "mc-recv" in
   let reference_block = Hash.of_string "refblock" in
   let proofdata = [ Proofdata.Blob (Utxo.encode u) ] in

@@ -58,35 +58,76 @@ let test_mht_second_preimage_guard () =
   checkb "tag separation" false
     (Merkle.verify ~root:(Merkle.root t) ~leaf:fake p)
 
-(* ---- SMT ---- *)
+(* ---- SMT: Smt.update_batch against Smt_oracle ---- *)
 
 let fp = Fp.of_int
+let ok = function Ok v -> v | Error e -> Alcotest.fail e
+
+(* One write at a time, each its own batch. *)
+let write t pos v = ok (Smt.update_batch t [ (pos, v) ])
+let set t pos v = write t pos (Some v)
+let remove t pos = write t pos None
+
+let check_oracle msg smt writes =
+  let o = ok (Smt_oracle.apply (Smt_oracle.create ~depth:(Smt.depth smt)) writes) in
+  checkb msg true (Smt_oracle.agrees smt o)
 
 let test_smt_set_get_remove () =
   let t = Smt.create ~depth:8 in
-  let t = Smt.set t 5 (fp 55) in
-  let t = Smt.set t 200 (fp 77) in
+  let t = set t 5 (fp 55) in
+  let t = set t 200 (fp 77) in
   Alcotest.(check (option int))
     "get 5" (Some 55)
     (Option.map Fp.to_int (Smt.get t 5));
   checki "occupied" 2 (Smt.occupied t);
-  let t = Smt.remove t 5 in
+  let t = remove t 5 in
   Alcotest.(check (option int)) "removed" None (Option.map Fp.to_int (Smt.get t 5));
-  checki "occupied after remove" 1 (Smt.occupied t)
+  checki "occupied after remove" 1 (Smt.occupied t);
+  check_oracle "= oracle" t [ (200, Some (fp 77)) ]
 
 let test_smt_empty_root_depth_dependent () =
   checkb "roots differ by depth" false
-    (Fp.equal (Smt.root (Smt.create ~depth:4)) (Smt.root (Smt.create ~depth:5)))
+    (Fp.equal (Smt.root (Smt.create ~depth:4)) (Smt.root (Smt.create ~depth:5)));
+  List.iter
+    (fun depth ->
+      checkb
+        (Printf.sprintf "empty root = oracle, depth %d" depth)
+        true
+        (Fp.equal
+           (Smt.root (Smt.create ~depth))
+           (Smt_oracle.root (Smt_oracle.create ~depth))))
+    [ 1; 4; 18; 60 ]
 
 let test_smt_remove_restores_root () =
   let t0 = Smt.create ~depth:10 in
-  let t1 = Smt.set t0 17 (fp 1) in
-  let t2 = Smt.remove t1 17 in
-  checkb "root restored" true (Fp.equal (Smt.root t0) (Smt.root t2))
+  let t1 = set t0 17 (fp 1) in
+  let t2 = remove t1 17 in
+  checkb "root restored" true (Fp.equal (Smt.root t0) (Smt.root t2));
+  let t3 = ok (Smt.update_batch t0 [ (17, Some (fp 1)); (17, None) ]) in
+  checkb "root restored in one batch" true (Fp.equal (Smt.root t0) (Smt.root t3))
+
+(* Later writes to a position override earlier ones in the same batch;
+   emptying an empty slot changes nothing. *)
+let test_smt_batch_semantics () =
+  let t0 = ok (Smt.update_batch (Smt.create ~depth:6) [ (3, Some (fp 3)) ]) in
+  let dup = [ (5, Some (fp 1)); (9, Some (fp 9)); (5, Some (fp 2)) ] in
+  let t = ok (Smt.update_batch t0 dup) in
+  Alcotest.(check (option int))
+    "last write wins" (Some 2)
+    (Option.map Fp.to_int (Smt.get t 5));
+  check_oracle "duplicates = oracle" t ((3, Some (fp 3)) :: dup);
+  let t' = ok (Smt.update_batch t0 [ (40, None); (41, None) ]) in
+  checkb "removing empty slots keeps the root" true
+    (Fp.equal (Smt.root t0) (Smt.root t'));
+  checki "removing empty slots keeps occupancy" 1 (Smt.occupied t');
+  check_oracle "empty removes = oracle" t' [ (3, Some (fp 3)) ]
 
 let test_smt_proofs () =
-  let t = List.fold_left (fun t i -> Smt.set t i (fp (i * 7))) (Smt.create ~depth:10)
-      [ 0; 1; 513; 1023 ] in
+  let t =
+    ok
+      (Smt.update_batch (Smt.create ~depth:10)
+         (List.map (fun i -> (i, Some (fp (i * 7)))) [ 0; 1; 513; 1023 ]))
+  in
   List.iter
     (fun pos ->
       let p = Smt.prove t pos in
@@ -105,10 +146,19 @@ let test_smt_proofs () =
 let test_smt_order_independence () =
   let ops = [ (3, 30); (900, 90); (44, 44); (1000, 10) ] in
   let build l =
-    List.fold_left (fun t (p, v) -> Smt.set t p (fp v)) (Smt.create ~depth:10) l
+    List.fold_left (fun t (p, v) -> set t p (fp v)) (Smt.create ~depth:10) l
+  in
+  let batch l =
+    ok
+      (Smt.update_batch (Smt.create ~depth:10)
+         (List.map (fun (p, v) -> (p, Some (fp v))) l))
   in
   checkb "insertion order irrelevant" true
-    (Fp.equal (Smt.root (build ops)) (Smt.root (build (List.rev ops))))
+    (Fp.equal (Smt.root (build ops)) (Smt.root (build (List.rev ops))));
+  checkb "batch order irrelevant" true
+    (Fp.equal (Smt.root (batch ops)) (Smt.root (batch (List.rev ops))));
+  checkb "one batch = one write at a time" true
+    (Fp.equal (Smt.root (batch ops)) (Smt.root (build ops)))
 
 let test_smt_bounds () =
   let t = Smt.create ~depth:4 in
@@ -118,34 +168,37 @@ let test_smt_bounds () =
 let prop name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count:100 gen f)
 
-let gen_ops =
+(* Writes over a depth-8 tree: a small value range and [None] make
+   duplicate positions, overwrites and removes of empty slots common. *)
+let gen_writes =
   QCheck2.Gen.(
     list_size (int_bound 40)
-      (pair (int_bound 255) (map Fp.of_int (int_bound 1000000))))
+      (pair (int_bound 255) (option (map Fp.of_int (int_bound 1000000)))))
+
+let oracle_of writes = ok (Smt_oracle.apply (Smt_oracle.create ~depth:8) writes)
 
 let props =
   [
-    prop "smt fold = applied ops" gen_ops (fun ops ->
+    prop "smt fold = applied ops" gen_writes (fun writes ->
         let t =
-          List.fold_left (fun t (p, v) -> Smt.set t p v) (Smt.create ~depth:8) ops
+          List.fold_left
+            (fun t (p, v) -> write t p v)
+            (Smt.create ~depth:8) writes
         in
-        let expected =
-          List.fold_left (fun m (p, v) -> (p, v) :: List.remove_assoc p m) [] ops
-        in
-        Smt.occupied t = List.length expected
-        && List.for_all
-             (fun (p, v) ->
-               match Smt.get t p with Some v' -> Fp.equal v v' | None -> false)
-             expected);
-    prop "smt proofs verify for random ops" gen_ops (fun ops ->
-        let t =
-          List.fold_left (fun t (p, v) -> Smt.set t p v) (Smt.create ~depth:8) ops
-        in
+        Smt_oracle.agrees t (oracle_of writes));
+    prop "smt update_batch = oracle" QCheck2.Gen.(pair gen_writes gen_writes)
+      (fun (base, writes) ->
+        let t0 = ok (Smt.update_batch (Smt.create ~depth:8) base) in
+        let t = ok (Smt.update_batch t0 writes) in
+        Smt_oracle.agrees t0 (oracle_of base)
+        && Smt_oracle.agrees t (oracle_of (base @ writes)));
+    prop "smt proofs verify for random ops" gen_writes (fun writes ->
+        let t = ok (Smt.update_batch (Smt.create ~depth:8) writes) in
         List.for_all
           (fun (p, _) ->
             Smt.verify ~root:(Smt.root t) ~pos:p ~leaf:(Smt.get t p) ~depth:8
               (Smt.prove t p))
-          ops);
+          writes);
     prop "mht proofs verify for random sizes" QCheck2.Gen.(int_range 1 64)
       (fun n ->
         let t = Merkle.of_data (data n) in
@@ -169,6 +222,7 @@ let suite =
       Alcotest.test_case "smt set/get/remove" `Quick test_smt_set_get_remove;
       Alcotest.test_case "smt empty roots" `Quick test_smt_empty_root_depth_dependent;
       Alcotest.test_case "smt remove restores" `Quick test_smt_remove_restores_root;
+      Alcotest.test_case "smt batch semantics" `Quick test_smt_batch_semantics;
       Alcotest.test_case "smt proofs" `Quick test_smt_proofs;
       Alcotest.test_case "smt order independence" `Quick test_smt_order_independence;
       Alcotest.test_case "smt bounds" `Quick test_smt_bounds;

@@ -161,39 +161,6 @@ let test_merkle_parallel_identical () =
   checkb "merkle root identical" true
     (Hash.equal (Merkle.root seq) (Merkle.root par))
 
-let test_smt_batch_identical () =
-  let bindings = List.init 200 (fun i -> (i * 7, Fp.of_int (i + 1))) in
-  let seq = ok (Smt.of_bindings ~depth:12 bindings) in
-  let pool = Pool.get ~domains:4 in
-  let par = ok (Smt.of_bindings ~pool ~depth:12 bindings) in
-  let folded =
-    List.fold_left (fun t (k, v) -> Smt.set t k v) (Smt.create ~depth:12)
-      bindings
-  in
-  checkb "smt batch = batch on pool" true (Fp.equal (Smt.root seq) (Smt.root par));
-  checkb "smt batch = fold of set" true
-    (Fp.equal (Smt.root folded) (Smt.root par));
-  checkb "smt duplicate position rejected" true
-    (Result.is_error (Smt.of_bindings ~depth:12 [ (1, Fp.one); (1, Fp.one) ]))
-
-let test_mst_batch_identical () =
-  let utxos =
-    List.init 50 (fun i ->
-        Utxo.make
-          ~addr:(Hash.of_string "pool-test")
-          ~amount:(Amount.of_int_exn (i + 1))
-          ~nonce:(Hash.of_string (Printf.sprintf "n%d" i)))
-  in
-  let incremental =
-    List.fold_left
-      (fun m u -> fst (ok (Mst.insert m u)))
-      (Mst.create params) utxos
-  in
-  let pool = Pool.get ~domains:4 in
-  let batch = ok (Mst.of_utxos ~pool params utxos) in
-  checkb "mst batch = incremental inserts" true
-    (Fp.equal (Mst.root incremental) (Mst.root batch))
-
 (* ---- epoch proofs and certificates across domain counts ---- *)
 
 let workload steps seed =
@@ -307,8 +274,6 @@ let suite =
       prop_chunking_deterministic;
       Alcotest.test_case "merkle parallel identical" `Quick
         test_merkle_parallel_identical;
-      Alcotest.test_case "smt batch identical" `Quick test_smt_batch_identical;
-      Alcotest.test_case "mst batch identical" `Quick test_mst_batch_identical;
       Alcotest.test_case "odd-width fold identical" `Slow
         test_fold_balanced_parallel_identical;
       prop_epoch_identical_across_domains;

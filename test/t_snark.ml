@@ -86,10 +86,11 @@ let test_gadget_poseidon_matches_native () =
 
 let test_gadget_merkle_matches_smt () =
   let t =
-    List.fold_left
-      (fun t (p, v) -> Smt.set t p (Fp.of_int v))
-      (Smt.create ~depth:6)
-      [ (0, 5); (9, 9); (33, 1); (63, 7) ]
+    Result.get_ok
+      (Smt.update_batch (Smt.create ~depth:6)
+         (List.map
+            (fun (p, v) -> (p, Some (Fp.of_int v)))
+            [ (0, 5); (9, 9); (33, 1); (63, 7) ]))
   in
   let pos = 9 in
   let proof = Smt.prove t pos in

@@ -265,7 +265,7 @@ let test_sc_tx_roundtrips () =
   let addr = Sc_wallet.fresh_address w in
   let st = Sc_state.create Params.default in
   let coin = Utxo.make ~addr ~amount:(amount 500) ~nonce:(Hash.of_string "c") in
-  let mst, _ = Result.get_ok (Mst.insert st.Sc_state.mst coin) in
+  let mst = Result.get_ok (Mst.apply_ops st.Sc_state.mst [ Mst.Op_insert coin ]) in
   let st = Sc_state.with_mst st mst in
   let pay = ok (Sc_wallet.build_payment w st ~to_:addr ~amount:(amount 100)) in
   let bt = ok (Sc_wallet.build_backward_transfer w st ~utxo:coin ~mc_receiver:addr) in
@@ -377,7 +377,7 @@ let test_sc_infinity_key_rejected () =
   let addr = Sc_wallet.fresh_address w in
   let st = Sc_state.create Params.default in
   let coin = Utxo.make ~addr ~amount:(amount 500) ~nonce:(Hash.of_string "c") in
-  let mst, _ = Result.get_ok (Mst.insert st.Sc_state.mst coin) in
+  let mst = Result.get_ok (Mst.apply_ops st.Sc_state.mst [ Mst.Op_insert coin ]) in
   let st = Sc_state.with_mst st mst in
   let pay = ok (Sc_wallet.build_payment w st ~to_:addr ~amount:(amount 100)) in
   let pk =

@@ -1,11 +1,10 @@
-(* The million-user-soak layer: batched state updates must be
-   observationally identical to the per-key paths they replace
-   (Smt.update_batch, Mst.apply_ops, Sc_tx.apply_steps,
-   Utxo_set.apply_batch and the per-address coin index), checkpoints
-   must behave like replay, the workload engine must be a pure function
-   of (seed, profile) with pinned digests, and the
-   ported Sc_mempool must fix the O(n²) admission and reorg
-   double-queue bugs. *)
+(* The million-user-soak layer: batched state updates must equal their
+   references (Smt.update_batch and Mst.apply_ops against Smt_oracle,
+   Sc_tx.apply_steps against a step-at-a-time fold, Utxo_set.apply_batch
+   and the per-address coin index against naive scans), a kept state
+   must stay a valid checkpoint, the workload engine must be a pure
+   function of (seed, profile) with pinned digests, and the ported
+   Sc_mempool must fix the O(n²) admission and reorg double-queue bugs. *)
 
 open Zen_crypto
 open Zen_mainchain
@@ -21,7 +20,7 @@ let amount n = Amount.of_int_exn n
 let prop ?(count = 30) ?print name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count ?print gen f)
 
-(* ---- Smt.update_batch ≡ fold of set/remove ---- *)
+(* ---- Smt.update_batch ≡ Smt_oracle ---- *)
 
 let smt_depth = 6
 
@@ -44,33 +43,33 @@ let smt_batch_equiv =
   prop ~count:60 ~print:show_smt_updates "update_batch ≡ set/remove fold"
     gen_smt_updates (fun ups ->
       (* start from a non-empty tree so removals have targets *)
-      let t0 =
-        List.fold_left
-          (fun t i -> Smt.set t (7 * i mod 64) (Fp.of_int (i + 1)))
-          (Smt.create ~depth:smt_depth)
-          (List.init 10 Fun.id)
+      let base =
+        List.init 10 (fun i -> (7 * i mod 64, Some (Fp.of_int (i + 1))))
       in
+      let t0 = ok (Smt.update_batch (Smt.create ~depth:smt_depth) base) in
       let ups = List.map (fun (p, v) -> (p, Option.map Fp.of_int v)) ups in
-      let seq =
-        List.fold_left
-          (fun t (p, v) ->
-            match v with Some x -> Smt.set t p x | None -> Smt.remove t p)
-          t0 ups
+      let oracle =
+        ok (Smt_oracle.apply (Smt_oracle.create ~depth:smt_depth) (base @ ups))
       in
-      let batch = ok (Smt.update_batch t0 ups) in
-      Fp.equal (Smt.root seq) (Smt.root batch)
-      && Smt.occupied seq = Smt.occupied batch)
+      Smt_oracle.agrees (ok (Smt.update_batch t0 ups)) oracle)
 
 let smt_batch_bounds () =
   let t = Smt.create ~depth:4 in
-  (match Smt.update_batch t [ (16, Some Fp.one) ] with
-  | Error e -> checks "out of range" "smt: position out of range" e
-  | Ok _ -> Alcotest.fail "expected out-of-range error");
-  match Smt.update_batch t [ (-1, None) ] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected out-of-range error"
+  let o = Smt_oracle.create ~depth:4 in
+  List.iter
+    (fun ups ->
+      (match Smt.update_batch t ups with
+      | Error e -> checks "out of range" "smt: position out of range" e
+      | Ok _ -> Alcotest.fail "expected out-of-range error");
+      checkb "oracle agrees" true (Result.is_error (Smt_oracle.apply o ups)))
+    [
+      [ (16, Some Fp.one) ];
+      [ (-1, None) ];
+      (* one bad position fails the whole batch *)
+      [ (3, Some Fp.one); (16, None); (5, Some Fp.one) ];
+    ]
 
-(* ---- Mst.apply_ops ≡ sequential insert/remove ---- *)
+(* ---- Mst.apply_ops ≡ an opening map over Smt_oracle ---- *)
 
 let wl_params =
   let p = { Params.default with mst_depth = 8 } in
@@ -94,10 +93,41 @@ let show_mst_ops ops =
        (fun (ins, i) -> Printf.sprintf "%s%d" (if ins then "+" else "-") i)
        ops)
 
+(* The reference: the openings as an [Int_map], changed one op at a
+   time with [Mst]'s insert/remove rules, and the tree's root and proofs
+   from [Smt_oracle] over the openings' commitments. *)
+let oracle_ops ops =
+  let module M = Smt_oracle.Int_map in
+  let depth = wl_params.Params.mst_depth in
+  let step acc op =
+    Result.bind acc (fun (utxos, touched) ->
+        match op with
+        | Mst.Op_insert u ->
+          let pos = Utxo.position ~mst_depth:depth u in
+          if M.mem pos utxos then Error "mst: slot collision"
+          else Ok (M.add pos u utxos, pos :: touched)
+        | Mst.Op_remove u -> (
+          let pos = Utxo.position ~mst_depth:depth u in
+          match M.find_opt pos utxos with
+          | Some u' when Utxo.equal u u' -> Ok (M.remove pos utxos, pos :: touched)
+          | Some _ | None -> Error "mst: utxo not present"))
+  in
+  Result.map
+    (fun (utxos, touched) ->
+      let tree =
+        ok
+          (Smt_oracle.apply
+             (Smt_oracle.create ~depth)
+             (List.map
+                (fun (p, u) -> (p, Some (Utxo.commitment u)))
+                (M.bindings utxos)))
+      in
+      (M.bindings utxos, List.sort_uniq Int.compare touched, tree))
+    (List.fold_left step (Ok (M.empty, [])) ops)
+
 let mst_ops_equiv =
   prop ~count:60 ~print:show_mst_ops "apply_ops ≡ insert/remove fold"
     gen_mst_ops (fun ops ->
-      let t0 = Mst.create wl_params in
       let ops =
         List.map
           (fun (ins, i) ->
@@ -105,28 +135,28 @@ let mst_ops_equiv =
             if ins then Mst.Op_insert u else Mst.Op_remove u)
           ops
       in
-      let seq =
-        List.fold_left
-          (fun acc op ->
-            Result.bind acc (fun t ->
-                match op with
-                | Mst.Op_insert u -> Result.map fst (Mst.insert t u)
-                | Mst.Op_remove u -> Result.map fst (Mst.remove t u)))
-          (Ok t0) ops
-      in
-      match (seq, Mst.apply_ops t0 ops) with
+      match (oracle_ops ops, Mst.apply_ops (Mst.create wl_params) ops) with
       | Error a, Error b -> String.equal a b
-      | Ok a, Ok b ->
-        Fp.equal (Mst.root a) (Mst.root b)
-        && Mst.occupied a = Mst.occupied b
+      | Ok (utxos, touched, tree), Ok m ->
+        Fp.equal (Mst.root m) (Smt_oracle.root tree)
+        && Mst.occupied m = Smt_oracle.occupied tree
         && List.equal
-             (fun (i, _) (j, _) -> i = j)
-             (Mst.all_utxos a) (Mst.all_utxos b)
+             (fun (i, u) (j, u') -> i = j && Utxo.equal u u')
+             utxos (Mst.all_utxos m)
+        && Mst.modified_since_snapshot m = touched
+        && List.for_all
+             (fun (pos, u) ->
+               Mst.verify_slot ~root:(Mst.root m) ~pos ~utxo:(Some u)
+                 ~depth:(Mst.depth m) (Mst.prove_slot m pos)
+               && List.equal Fp.equal
+                    (Smt.proof_siblings (Mst.prove_slot m pos))
+                    (Smt_oracle.siblings tree pos))
+             utxos
       | _ -> false)
 
 (* ---- Sc_tx.apply_steps batched ≡ sequential ---- *)
 
-(* The per-key reference: one MST path rehash per step. *)
+(* The per-step reference: each step its own one-op batch. *)
 let fold_steps st steps =
   List.fold_left
     (fun acc step -> Result.bind acc (fun st -> Sc_tx.apply_step st step))
@@ -165,7 +195,7 @@ let apply_steps_equiv =
         && Sc_state.bt_count a = Sc_state.bt_count b
       | _ -> false)
 
-(* ---- Sc_state checkpoints ---- *)
+(* ---- Sc_state checkpoints: a kept state is one ---- *)
 
 let checkpoint_restores () =
   let st0 = Sc_state.create wl_params in
@@ -174,7 +204,7 @@ let checkpoint_restores () =
       (Sc_tx.apply_steps st0
          (List.init 6 (fun i -> Sc_tx.Insert (mk_utxo i))))
   in
-  let cp = Sc_state.checkpoint st1 in
+  let hash1 = Sc_state.hash st1 and root1 = Mst.root st1.mst in
   let st2 =
     ok
       (Sc_tx.apply_steps st1
@@ -188,10 +218,11 @@ let checkpoint_restores () =
   in
   checkb "state moved" false
     (Fp.equal (Sc_state.hash st1) (Sc_state.hash st2));
-  let back = Sc_state.restore cp in
-  checkb "restored ≡ original" true
-    (Fp.equal (Sc_state.hash st1) (Sc_state.hash back));
-  checki "bts restored" (Sc_state.bt_count st1) (Sc_state.bt_count back)
+  checkb "kept state unchanged" true (Fp.equal hash1 (Sc_state.hash st1));
+  checkb "kept mst unchanged" true (Fp.equal root1 (Mst.root st1.mst));
+  checki "kept bts unchanged" 0 (Sc_state.bt_count st1);
+  checkb "kept state still holds the removed coin" true
+    (Option.is_some (Mst.find_utxo st1.mst (mk_utxo 0)))
 
 (* ---- Utxo_set: per-address index ≡ naive scan ---- *)
 
