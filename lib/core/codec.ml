@@ -178,20 +178,9 @@ let read_config r =
     ~wcert_vk ?btr_vk ?csw_vk ~wcert_proofdata ~btr_proofdata ~csw_proofdata
     ()
 
-let with_writer f =
-  let w = Wire.writer () in
-  f w;
-  Wire.contents w
-
-let framed read s =
-  let r = Wire.reader s in
-  let* v = read r in
-  let* () = Wire.expect_end r in
-  Ok v
-
-let encode_wcert c = with_writer (fun w -> write_wcert w c)
-let decode_wcert s = framed read_wcert s
-let encode_withdrawal m = with_writer (fun w -> write_withdrawal w m)
-let decode_withdrawal s = framed read_withdrawal s
-let encode_config c = with_writer (fun w -> write_config w c)
-let decode_config s = framed read_config s
+let encode_wcert c = Wire.encode write_wcert c
+let decode_wcert s = Wire.decode read_wcert s
+let encode_withdrawal m = Wire.encode write_withdrawal m
+let decode_withdrawal s = Wire.decode read_withdrawal s
+let encode_config c = Wire.encode write_config c
+let decode_config s = Wire.decode read_config s

@@ -232,22 +232,19 @@ let get ~domains =
 let target_chunk_ms = 0.5
 let steal_slices = 4
 
-let chunk_size ~domains ~n ~chunk ~cost =
-  match chunk with
-  | Some c -> max 1 c
-  | None -> (
-    match cost with
-    | None -> max 1 (n / (domains * 8))
-    | Some cost ->
-      let amortize =
-        if cost <= 0. then n
-        else
-          let c = ceil (target_chunk_ms /. cost) in
-          if c >= float_of_int n then n else int_of_float c
-      in
-      let slices = domains * steal_slices in
-      let balance = (n + slices - 1) / slices in
-      min n (max 1 (max amortize balance)))
+let chunk_size ~domains ~n ~cost =
+  match cost with
+  | None -> max 1 (n / (domains * 8))
+  | Some cost ->
+    let amortize =
+      if cost <= 0. then n
+      else
+        let c = ceil (target_chunk_ms /. cost) in
+        if c >= float_of_int n then n else int_of_float c
+    in
+    let slices = domains * steal_slices in
+    let balance = (n + slices - 1) / slices in
+    min n (max 1 (max amortize balance))
 
 (* One span per executed chunk, recorded by the executing domain —
    this is what renders the per-domain task timeline in the Chrome
@@ -264,9 +261,9 @@ let chunk_span ~lo ~hi body =
         body i
       done)
 
-let parallel_for t ?chunk ?cost ~n body =
+let parallel_for t ?cost ~n body =
   if n > 0 then begin
-    let chunk = chunk_size ~domains:t.domains ~n ~chunk ~cost in
+    let chunk = chunk_size ~domains:t.domains ~n ~cost in
     let nchunks = (n + chunk - 1) / chunk in
     if t.domains = 1 || nchunks = 1 then begin
       Zen_obs.Counter.incr ops_inline;
@@ -324,23 +321,23 @@ let parallel_for t ?chunk ?cost ~n body =
     end
   end
 
-let init_array t ?chunk ?cost n f =
+let init_array t ?cost n f =
   if n < 0 then invalid_arg "Pool.init_array: negative length";
   if n = 0 then [||]
   else if t.domains = 1 || n = 1 then Array.init n f
   else begin
     let out = Array.make n None in
-    parallel_for t ?chunk ?cost ~n (fun i -> out.(i) <- Some (f i));
+    parallel_for t ?cost ~n (fun i -> out.(i) <- Some (f i));
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-let map_array t ?chunk ?cost f arr =
+let map_array t ?cost f arr =
   if t.domains = 1 then Array.map f arr
-  else init_array t ?chunk ?cost (Array.length arr) (fun i -> f arr.(i))
+  else init_array t ?cost (Array.length arr) (fun i -> f arr.(i))
 
-let map_list t ?chunk ?cost f l =
+let map_list t ?cost f l =
   if t.domains = 1 then List.map f l
-  else Array.to_list (map_array t ?chunk ?cost f (Array.of_list l))
+  else Array.to_list (map_array t ?cost f (Array.of_list l))
 
 (* ---- single-task futures ----
 

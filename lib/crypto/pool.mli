@@ -41,10 +41,9 @@
     work (~0.5 ms) to amortize synchronization while still leaving a
     few chunks per domain for stealing; operations too small to be
     worth fanning out run inline in the caller, untouched by the
-    queue. [?chunk] overrides the computed size exactly; with neither,
-    the index space splits into 8 chunks per domain. Granularity
-    decisions are observable: [pool.chunks], [pool.chunk.items],
-    [pool.steals], [pool.ops.inline]/[.fanned] and
+    queue. Without a hint the index space splits into 8 chunks per
+    domain. Granularity decisions are observable: [pool.chunks],
+    [pool.chunk.items], [pool.steals], [pool.ops.inline]/[.fanned] and
     [pool.worker.busy_us]/[.idle_us] in the [Zen_obs] registry.
 
     The caller always participates, so:
@@ -105,26 +104,25 @@ val recommended_domains : unit -> int
 val domains : t -> int
 (** Total parallelism of the pool, including the calling domain. *)
 
-val parallel_for : t -> ?chunk:int -> ?cost:float -> n:int -> (int -> unit) -> unit
+val parallel_for : t -> ?cost:float -> n:int -> (int -> unit) -> unit
 (** [parallel_for t ~n body] runs [body i] for every [i] in [[0, n)],
     partitioned into chunks claimed dynamically by the participants.
     [cost] is the estimated milliseconds one call of [body] takes and
-    drives the adaptive chunk size (see the module preamble); [chunk]
-    overrides it with an exact size; with neither, chunks default to
-    [max 1 (n / (domains * 8))]. [body] must be safe to run
-    concurrently at distinct indices. If any [body i] raises, one such
-    exception is re-raised in the caller after the index space is
-    drained; with [domains = 1] the exception propagates directly from
-    the failing index. *)
+    drives the adaptive chunk size (see the module preamble); without
+    it, chunks default to [max 1 (n / (domains * 8))]. [body] must be
+    safe to run concurrently at distinct indices. If any [body i]
+    raises, one such exception is re-raised in the caller after the
+    index space is drained; with [domains = 1] the exception propagates
+    directly from the failing index. *)
 
-val init_array : t -> ?chunk:int -> ?cost:float -> int -> (int -> 'a) -> 'a array
+val init_array : t -> ?cost:float -> int -> (int -> 'a) -> 'a array
 (** Parallel [Array.init]. For pure [f] the result is bit-identical to
-    [Array.init] for every domain count, chunk size and cost hint. *)
+    [Array.init] for every domain count and cost hint. *)
 
-val map_array : t -> ?chunk:int -> ?cost:float -> ('a -> 'b) -> 'a array -> 'b array
+val map_array : t -> ?cost:float -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map] (same contract as {!init_array}). *)
 
-val map_list : t -> ?chunk:int -> ?cost:float -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : t -> ?cost:float -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map] (same contract as {!init_array}). *)
 
 (** {2 Single-task futures}

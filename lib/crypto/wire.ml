@@ -138,3 +138,14 @@ let read_option r f =
 let expect_end r =
   if remaining r = 0 then Ok ()
   else Error (Printf.sprintf "wire: %d trailing bytes" (remaining r))
+
+let encode write v =
+  let w = writer () in
+  write w v;
+  contents w
+
+let decode read s =
+  let r = reader s in
+  let* v = read r in
+  let* () = expect_end r in
+  Ok v

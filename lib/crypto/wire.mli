@@ -76,4 +76,13 @@ val expect_end : reader -> (unit, string) result
 (** Fails when trailing bytes remain — every top-level decoder should
     finish with this. *)
 
+(** {2 Framing} *)
+
+val encode : (writer -> 'a -> unit) -> 'a -> string
+(** Writes one value into a fresh writer and returns its bytes. *)
+
+val decode : (reader -> ('a, string) result) -> string -> ('a, string) result
+(** Reads one value from the whole string, then {!expect_end}: trailing
+    bytes are an error. *)
+
 val ( let* ) : ('a, string) result -> ('a -> ('b, string) result) -> ('b, string) result

@@ -337,7 +337,7 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
         Int_map.update wepoch
           (function None -> Some [ record ] | Some rs -> Some (record :: rs))
           t.by_epoch;
-      t.mempool <- Sc_mempool.remove_included t.mempool included;
+      t.mempool <- Sc_mempool.remove_txs t.mempool included;
       Zen_obs.Counter.incr blocks_forged;
       Ok (Some block)
     end

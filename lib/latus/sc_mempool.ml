@@ -1,69 +1,1 @@
-open Zen_crypto
-
-(* The mainchain Mempool design ported to sidechain transactions:
-   newest-first order list (O(1) admission), a txid set for O(1)
-   membership/dedup, and a carried count so size never walks the
-   list. The historical node mempool was a plain oldest-first list —
-   O(n) append per submission (O(n²) across an epoch), O(n) size, and
-   no dedup on reorg reinjection. *)
-
-type t = {
-  order : Sc_tx.t list; (* newest first *)
-  ids : Hash.Set.t;
-  count : int; (* |order|, carried so [size] is O(1) *)
-}
-
-let empty = { order = []; ids = Hash.Set.empty; count = 0 }
-
-let add t tx =
-  let id = Sc_tx.txid tx in
-  if Hash.Set.mem id t.ids then t
-  else
-    {
-      order = tx :: t.order;
-      ids = Hash.Set.add id t.ids;
-      count = t.count + 1;
-    }
-
-let remove_included t txs =
-  match txs with
-  | [] -> t
-  | _ ->
-    let included = Hash.Set.of_list (List.map Sc_tx.txid txs) in
-    let kept = ref 0 in
-    let order =
-      List.filter
-        (fun tx ->
-          let keep = not (Hash.Set.mem (Sc_tx.txid tx) included) in
-          if keep then incr kept;
-          keep)
-        t.order
-    in
-    { order; ids = Hash.Set.diff t.ids included; count = !kept }
-
-(* Reorg recovery: transactions of dropped sidechain blocks go back to
-   the FRONT of the pool (they are older than anything waiting), each
-   at most once — a tx already in the pool, or appearing twice across
-   the dropped blocks, is not double-queued. *)
-let reinject_front t recovered =
-  let fresh, _ =
-    List.fold_left
-      (fun (acc, seen) tx ->
-        let id = Sc_tx.txid tx in
-        if Hash.Set.mem id seen then (acc, seen)
-        else (tx :: acc, Hash.Set.add id seen))
-      ([], t.ids) recovered
-  in
-  (* [fresh] is newest-first among the recovered; the recovered txs are
-     older than the current pool, so they append at the newest-first
-     list's tail. *)
-  {
-    order = t.order @ fresh;
-    ids =
-      List.fold_left (fun s tx -> Hash.Set.add (Sc_tx.txid tx) s) t.ids fresh;
-    count = t.count + List.length fresh;
-  }
-
-let txs t = List.rev t.order
-let mem t id = Hash.Set.mem id t.ids
-let size t = t.count
+include Zen_mainchain.Mempool.Make (Sc_tx)

@@ -1,34 +1,5 @@
-(** The sidechain node's transaction pool: FIFO of candidate Latus
-    transactions, indexed by txid.
+(** The sidechain node's transaction pool: the mainchain's txid-indexed
+    FIFO ({!Zen_mainchain.Mempool.Make}) over Latus transactions.
+    Validation stays at submission and at forge selection. *)
 
-    Same design as the mainchain [Mempool]: a newest-first order list
-    makes admission O(1) (the historical list-append pool was O(n) per
-    submission, O(n²) over an epoch of traffic), a txid set dedups
-    submissions and reorg reinjections, and the size is carried rather
-    than recounted. Validation stays where it always was — at
-    submission and at forge selection. *)
-
-open Zen_crypto
-
-type t
-
-val empty : t
-
-val add : t -> Sc_tx.t -> t
-(** O(1) admission; duplicates (by txid) are ignored. *)
-
-val remove_included : t -> Sc_tx.t list -> t
-(** Drops the given transactions (typically a forged block's) by txid. *)
-
-val reinject_front : t -> Sc_tx.t list -> t
-(** Reorg recovery: [recovered] (oldest first, as read off the dropped
-    blocks) returns to the {e front} of the FIFO so recovered traffic
-    re-forges before anything newer — minus any tx already pooled or
-    repeated, so a reorg can never double-queue a payment. *)
-
-val txs : t -> Sc_tx.t list
-(** FIFO order (oldest first) — the order the forger applies them. *)
-
-val mem : t -> Hash.t -> bool
-val size : t -> int
-(** O(1). *)
+include Zen_mainchain.Mempool.S with type elt = Sc_tx.t

@@ -1,26 +1,23 @@
 open Zen_crypto
 open Zendoo
+module Wallet = Zen_mainchain.Wallet
 
-type key = { sk : Schnorr.secret_key; pk : Schnorr.public_key; addr : Hash.t }
+(* The mainchain wallet's key ring under its own seed space: key [i] of
+   seed [s] derives from [latus.s.i]. *)
+type t = Wallet.t
 
-type t = { seed : string; mutable keys : key list; mutable next : int }
+let create ~seed = Wallet.create ~seed:("latus." ^ seed)
+let fresh_address = Wallet.fresh_address
+let addresses = Wallet.addresses
+let sign_request = Wallet.sign_for
+let secret_for = Wallet.secret_for
 
-let create ~seed = { seed; keys = []; next = 0 }
-
-let fresh_address t =
-  let sk, pk = Schnorr.of_seed (Printf.sprintf "latus.%s.%d" t.seed t.next) in
-  let key = { sk; pk; addr = Schnorr.pk_hash pk } in
-  t.keys <- key :: t.keys;
-  t.next <- t.next + 1;
-  key.addr
-
-let addresses t = List.rev_map (fun k -> k.addr) t.keys
-let key_for t addr = List.find_opt (fun k -> Hash.equal k.addr addr) t.keys
-
+(* Newest key first, so equal amounts keep that order through the
+   stable sort. *)
 let utxos t (state : Sc_state.t) =
   List.concat_map
-    (fun k -> List.map snd (Mst.utxos_of state.mst k.addr))
-    t.keys
+    (fun addr -> List.map snd (Mst.utxos_of state.mst addr))
+    (List.rev (addresses t))
   |> List.sort (fun (a : Utxo.t) (b : Utxo.t) ->
          Amount.compare b.amount a.amount)
 
@@ -30,34 +27,20 @@ let balance t state =
       match Amount.add acc u.amount with Ok v -> v | Error _ -> acc)
     Amount.zero (utxos t state)
 
-let sign_request t ~addr ~msg =
-  Option.map (fun k -> (k.pk, Schnorr.sign k.sk msg)) (key_for t addr)
-
-let secret_for t addr = Option.map (fun k -> k.sk) (key_for t addr)
-
 let ( let* ) = Result.bind
 
 (* Pick at most two coins covering the target (largest-first greedy). *)
 let select_inputs t state amount =
   match utxos t state with
   | [] -> Error "sc wallet: no funds"
-  | (first :: rest) as all ->
-    if Amount.( <= ) amount first.amount then Ok [ first ]
-    else begin
-      (* Try to complete with a second coin. *)
-      let missing =
-        match Amount.sub amount first.amount with
-        | Ok m -> m
-        | Error _ -> Amount.zero
-      in
-      match
-        List.find_opt (fun (u : Utxo.t) -> Amount.( <= ) missing u.amount) rest
-      with
-      | Some second -> Ok [ first; second ]
-      | None ->
-        ignore all;
-        Error "sc wallet: amount not coverable by two inputs"
-    end
+  | first :: _ when Amount.( <= ) amount first.Utxo.amount -> Ok [ first ]
+  | first :: rest -> (
+    let* missing = Amount.sub amount first.amount in
+    match
+      List.find_opt (fun (u : Utxo.t) -> Amount.( <= ) missing u.amount) rest
+    with
+    | Some second -> Ok [ first; second ]
+    | None -> Error "sc wallet: amount not coverable by two inputs")
 
 let build_payment t (state : Sc_state.t) ~to_ ~amount =
   let* inputs = select_inputs t state amount in
@@ -71,16 +54,12 @@ let build_payment t (state : Sc_state.t) ~to_ ~amount =
   in
   let outputs =
     if Amount.is_zero change then [ out0 ]
-    else begin
-      let change_addr =
-        match t.keys with k :: _ -> k.addr | [] -> assert false
-      in
+    else
       [
         out0;
-        Utxo.make ~addr:change_addr ~amount:change
+        Utxo.make ~addr:(Wallet.change_address t) ~amount:change
           ~nonce:(Sc_tx.output_nonce ~seed ~index:1);
       ]
-    end
   in
   (* Output nonces, hence MST slots, derive from the inputs alone: a
      payment whose outputs share a slot, or land on one the inputs do

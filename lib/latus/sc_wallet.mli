@@ -1,6 +1,7 @@
-(** Sidechain wallet: keys, UTXO scanning over the MST, and
-    construction of payment / backward-transfer transactions with the
-    nonce discipline {!Sc_tx.validate} expects. *)
+(** Sidechain wallet: UTXO scanning over the MST, and construction of
+    payment / backward-transfer transactions with the nonce discipline
+    {!Sc_tx.validate} expects. The keys are a {!Zen_mainchain.Wallet}
+    key ring whose seed is prefixed with ["latus."]. *)
 
 open Zen_crypto
 open Zendoo

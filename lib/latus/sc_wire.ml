@@ -132,21 +132,10 @@ let read_block r =
       state_hash;
     }
 
-let with_writer f =
-  let w = Wire.writer () in
-  f w;
-  Wire.contents w
-
-let framed read s =
-  let r = Wire.reader s in
-  let* v = read r in
-  let* () = Wire.expect_end r in
-  Ok v
-
-let encode_tx tx = with_writer (fun w -> write_tx w tx)
-let decode_tx s = framed read_tx s
-let encode_block b = with_writer (fun w -> write_block w b)
-let decode_block s = framed read_block s
+let encode_tx tx = Wire.encode write_tx tx
+let decode_tx s = Wire.decode read_tx s
+let encode_block b = Wire.encode write_block b
+let decode_block s = Wire.decode read_block s
 let block_size_bytes b = String.length (encode_block b)
-let encode_mc_ref m = with_writer (fun w -> write_mc_ref w m)
+let encode_mc_ref m = Wire.encode write_mc_ref m
 let mc_ref_size_bytes m = String.length (encode_mc_ref m)

@@ -154,23 +154,12 @@ let read_block r =
   let* aggregate = Wire.read_option r read_aggregate in
   Ok { Block.header; txs; aggregate }
 
-let with_writer f =
-  let w = Wire.writer () in
-  f w;
-  Wire.contents w
-
-let framed read s =
-  let r = Wire.reader s in
-  let* v = read r in
-  let* () = Wire.expect_end r in
-  Ok v
-
-let encode_tx tx = with_writer (fun w -> write_tx w tx)
-let decode_tx s = framed read_tx s
-let encode_block b = with_writer (fun w -> write_block w b)
-let decode_block s = framed read_block s
-let encode_header h = with_writer (fun w -> write_header w h)
-let decode_header s = framed read_header s
+let encode_tx tx = Wire.encode write_tx tx
+let decode_tx s = Wire.decode read_tx s
+let encode_block b = Wire.encode write_block b
+let decode_block s = Wire.decode read_block s
+let encode_header h = Wire.encode write_header h
+let decode_header s = Wire.decode read_header s
 
 let tx_size_bytes tx = String.length (encode_tx tx)
 let block_size_bytes b = String.length (encode_block b)

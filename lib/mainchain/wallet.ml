@@ -3,11 +3,8 @@ open Zendoo
 
 type key = { sk : Schnorr.secret_key; pk : Schnorr.public_key; addr : Hash.t }
 
-type t = {
-  seed : string;
-  mutable keys : key list; (* newest first *)
-  mutable next : int;
-}
+(* [keys] is newest first. *)
+type t = { seed : string; mutable keys : key list; mutable next : int }
 
 let create ~seed = { seed; keys = []; next = 0 }
 
@@ -20,6 +17,13 @@ let fresh_address t =
 
 let addresses t = List.rev_map (fun k -> k.addr) t.keys
 let key_for t addr = List.find_opt (fun k -> Hash.equal k.addr addr) t.keys
+let secret_for t addr = Option.map (fun k -> k.sk) (key_for t addr)
+
+(* Change reuses the newest key to keep the wallet small. *)
+let change_address t =
+  match t.keys with
+  | k :: _ -> k.addr
+  | [] -> invalid_arg "Wallet.change_address: no key yet"
 
 (* Per-address index queries instead of a full-set scan; the final sort
    (outpoint keys are unique) restores the exact order the historical
@@ -41,16 +45,12 @@ let balance t state =
     Amount.zero (spendable_coins t state)
 
 let sign_for t ~addr ~msg =
-  Option.map
-    (fun k -> (k.pk, Schnorr.sign k.sk msg))
-    (key_for t addr)
+  Option.map (fun k -> (k.pk, Schnorr.sign k.sk msg)) (key_for t addr)
 
 let build_transfer t state ~outputs ~fee =
   let ( let* ) = Result.bind in
   let* target = Tx.transfer_value_out outputs in
-  let* need =
-    match Amount.add target fee with Ok a -> Ok a | Error e -> Error e
-  in
+  let* need = Amount.add target fee in
   (* Greedy largest-first selection. *)
   let coins =
     List.sort
@@ -61,26 +61,16 @@ let build_transfer t state ~outputs ~fee =
   let rec pick acc total = function
     | _ when Amount.( <= ) need total -> Ok (acc, total)
     | [] -> Error "wallet: insufficient funds"
-    | (o, (c : Utxo_set.coin)) :: rest -> (
-      match Amount.add total c.amount with
-      | Ok total -> pick ((o, c) :: acc) total rest
-      | Error e -> Error e)
+    | (o, (c : Utxo_set.coin)) :: rest ->
+      let* total = Amount.add total c.amount in
+      pick ((o, c) :: acc) total rest
   in
   let* picked, total = pick [] Amount.zero coins in
-  let* change =
-    match Amount.sub total need with Ok c -> Ok c | Error e -> Error e
-  in
+  let* change = Amount.sub total need in
   let outputs =
     if Amount.is_zero change then outputs
-    else begin
-      let change_addr =
-        (* Reuse the newest key for change to keep the wallet small. *)
-        match t.keys with
-        | k :: _ -> k.addr
-        | [] -> assert false (* picked is non-empty, so a key exists *)
-      in
-      outputs @ [ Tx.Coin { Tx.addr = change_addr; amount = change } ]
-    end
+    else
+      outputs @ [ Tx.Coin { Tx.addr = change_address t; amount = change } ]
   in
   let outpoints = List.map fst picked in
   let sighash = Tx.sighash ~inputs:outpoints ~outputs in

@@ -16,6 +16,11 @@ val fresh_address : t -> Hash.t
 (** Derives the next address (mutates the key counter). *)
 
 val addresses : t -> Hash.t list
+(** Oldest first. *)
+
+val change_address : t -> Hash.t
+(** The newest address, where change goes. Raises [Invalid_argument]
+    before the first {!fresh_address}. *)
 
 val balance : t -> Chain_state.t -> Amount.t
 (** Spendable balance at the chain tip (maturity respected). *)
@@ -40,3 +45,6 @@ val build_forward_transfer :
 
 val sign_for : t -> addr:Hash.t -> msg:string -> (Schnorr.public_key * Schnorr.signature) option
 (** Signs with the key owning [addr], if this wallet has it. *)
+
+val secret_for : t -> Hash.t -> Schnorr.secret_key option
+(** The signing key behind an address, if this wallet has it. *)

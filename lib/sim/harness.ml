@@ -195,7 +195,7 @@ let mine_n t n =
 let submit t tx = t.mempool <- Mempool.add t.mempool tx
 let fund t ~blocks = mine_n t blocks
 
-let add_latus t ~name ?(params = Params.default) ?family ?pool ~epoch_len
+let add_latus t ~name ?(params = Params.default) ?family ~epoch_len
     ~submit_len ~activation_delay () =
   let family = match family with Some f -> f | None -> Circuits.make params in
   (* A monotonic counter, never the list length: removal or ceasing of
@@ -216,10 +216,7 @@ let add_latus t ~name ?(params = Params.default) ?family ?pool ~epoch_len
   | Ok config -> (
     let forger = Sc_wallet.create ~seed:("forger." ^ name) in
     let (_ : Hash.t) = Sc_wallet.fresh_address forger in
-    let node_pool = match pool with Some p -> p | None -> t.pool in
-    match
-      Node.create ~config ~params ~family ~forger ~pool:node_pool ()
-    with
+    match Node.create ~config ~params ~family ~forger ~pool:t.pool () with
     | Error e -> Error e
     | Ok node ->
       submit t (Tx.Sc_create config);
@@ -468,8 +465,7 @@ let submit_certificate t sc =
          already accepted on another branch) it is purged — the node
          rebuilds and resubmits while the epoch is still certifiable,
          so nothing lingers in the mempool. *)
-      let manage () = Hashtbl.replace t.managed_certs (Tx.txid cert_tx) () in
-      manage ();
+      Hashtbl.replace t.managed_certs (Tx.txid cert_tx) ();
       match cert_fault with
       | Some (f, epoch, Faults.Drop) ->
         if Faults.fire f (Printf.sprintf "drop@%d:%s" epoch sc.name) then
@@ -479,7 +475,6 @@ let submit_certificate t sc =
       | Some (f, epoch, Faults.Delay k) ->
         if Faults.fire f (Printf.sprintf "delay@%d:%s" epoch sc.name) then
           Zen_obs.Counter.incr fault_injections;
-        manage ();
         (score ()).delayed <- (score ()).delayed + 1;
         t.pending_certs <- t.pending_certs @ [ (t.time + k, cert_tx) ];
         logf t "fault: %s certificate for epoch %d delayed %d ticks" sc.name
@@ -489,7 +484,6 @@ let submit_certificate t sc =
           Zen_obs.Counter.incr fault_injections;
         submit t cert_tx;
         logf t "%s submitted certificate" sc.name;
-        manage ();
         let s = score () in
         s.submitted <- s.submitted + 1;
         s.duplicated <- s.duplicated + n;

@@ -132,7 +132,6 @@ val add_latus :
   name:string ->
   ?params:Params.t ->
   ?family:Circuits.family ->
-  ?pool:Pool.t ->
   epoch_len:int ->
   submit_len:int ->
   activation_delay:int ->
@@ -141,8 +140,7 @@ val add_latus :
 (** Registers a new Latus sidechain (creation tx mined immediately);
     activation at [tip + activation_delay]. [family] lets several
     sidechains share one compiled circuit family (compilation is the
-    expensive part); [pool] hands the node a multicore worker pool for
-    epoch-proof folding (default: the harness pool). *)
+    expensive part). The node folds epoch proofs on the harness pool. *)
 
 val set_workload :
   t -> profile:Workload.profile -> seed:int -> (unit, string) result

@@ -287,6 +287,127 @@ let test_mempool () =
   let m = Mempool.remove_included m block in
   checki "removed" 0 (Mempool.size m)
 
+(* The pool functor over strings, against a plain-list model that holds
+   each id once, oldest first. *)
+module Str_pool = Mempool.Make (struct
+  type t = string
+
+  let txid = Hash.of_string
+end)
+
+type pool_op =
+  | Add of string
+  | Remove of string
+  | Remove_txs of string list
+  | Reinject of string list
+
+let pool_ids = List.init 8 (Printf.sprintf "tx%d")
+
+let pool_apply pool = function
+  | Add s -> Str_pool.add pool s
+  | Remove s -> Str_pool.remove pool (Hash.of_string s)
+  | Remove_txs l -> Str_pool.remove_txs pool l
+  | Reinject l -> Str_pool.reinject_front pool l
+
+let model_apply model = function
+  | Add s -> if List.mem s model then model else model @ [ s ]
+  | Remove s -> List.filter (fun x -> x <> s) model
+  | Remove_txs l -> List.filter (fun x -> not (List.mem x l)) model
+  | Reinject l ->
+    let fresh =
+      List.fold_left
+        (fun acc s ->
+          if List.mem s acc || List.mem s model then acc else acc @ [ s ])
+        [] l
+    in
+    fresh @ model
+
+let pool_agrees pool model =
+  let txs = Str_pool.txs pool in
+  txs = model
+  && List.length (List.sort_uniq String.compare txs) = List.length txs
+  && Str_pool.size pool = List.length model
+  && List.for_all
+       (fun s -> Str_pool.mem pool (Hash.of_string s) = List.mem s model)
+       pool_ids
+
+let prop_pool_model =
+  let open QCheck2.Gen in
+  let id = oneofl pool_ids in
+  let ids = list_size (int_range 0 5) id in
+  let op =
+    oneof
+      [
+        map (fun s -> Add s) id;
+        map (fun s -> Remove s) id;
+        map (fun l -> Remove_txs l) ids;
+        map (fun l -> Reinject l) ids;
+      ]
+  in
+  let print_op = function
+    | Add s -> "add " ^ s
+    | Remove s -> "remove " ^ s
+    | Remove_txs l -> "remove_txs [" ^ String.concat ";" l ^ "]"
+    | Reinject l -> "reinject [" ^ String.concat ";" l ^ "]"
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"pool functor = list model" ~count:300
+       ~print:(fun ops -> String.concat ", " (List.map print_op ops))
+       (list_size (int_range 0 40) op)
+       (fun ops ->
+         let rec go pool model = function
+           | [] -> true
+           | op :: rest ->
+             let pool = pool_apply pool op and model = model_apply model op in
+             pool_agrees pool model && go pool model rest
+         in
+         go Str_pool.empty [] ops))
+
+let test_pool_reinject_dedup () =
+  (* The reinjected batch repeats tx0 and carries the pooled tx1. *)
+  let pool = Str_pool.add Str_pool.empty "tx1" in
+  let pool = Str_pool.reinject_front pool [ "tx0"; "tx2"; "tx0"; "tx1" ] in
+  checkb "recovered first, each once, pooled tx kept in place" true
+    (Str_pool.txs pool = [ "tx0"; "tx2"; "tx1" ]);
+  checki "size" 3 (Str_pool.size pool);
+  let pool = Str_pool.add pool "tx2" in
+  checki "re-adding a reinjected id is a no-op" 3 (Str_pool.size pool)
+
+(* The block-level latency histograms belong to the mainchain pool:
+   another instance of the functor (Latus's pool is one) never feeds
+   them. *)
+let test_pool_histograms_mainchain_only () =
+  let count name =
+    (Zen_obs.Histogram.snapshot (Zen_obs.Histogram.make ~bounds:[ 1. ] name))
+      .count
+  in
+  let purge = "mempool.remove_included.seconds"
+  and reinject = "mempool.reinject.seconds" in
+  Zen_obs.Registry.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Zen_obs.Registry.disable ();
+      Zen_obs.Registry.reset ())
+  @@ fun () ->
+  Zen_obs.Registry.with_enabled @@ fun () ->
+  let pool = Str_pool.add Str_pool.empty "tx0" in
+  let pool = Str_pool.remove_txs pool [ "tx0" ] in
+  let pool = Str_pool.reinject_front pool [ "tx1" ] in
+  ignore (Str_pool.remove (Str_pool.add pool "tx2") (Hash.of_string "tx1"));
+  checki "functor ops record no purge" 0 (count purge);
+  checki "functor ops record no reinjection" 0 (count reinject);
+  let tx = Tx.Sc_create (dummy_config ()) in
+  let block =
+    ok
+      (Block.assemble ~prev:Hash.zero ~height:1 ~time:1 ~txs:[ tx ]
+         ~pow:Pow.trivial ())
+  in
+  let m = Mempool.remove_included (Mempool.add Mempool.empty tx) block in
+  ignore
+    (Mempool.reinject_disconnected m ~disconnected:[ block ] ~connected:[]);
+  checki "block purge recorded" 1 (count purge);
+  checki "reinjection recorded" 1 (count reinject)
+
 let test_miner_skips_invalid () =
   let chain, wallet, addr = fresh_world "skip" in
   mine_n chain ~addr 5;
@@ -332,6 +453,10 @@ let suite =
       Alcotest.test_case "ft rules" `Quick test_ft_rules;
       Alcotest.test_case "ceasing detection" `Quick test_ceasing_detection;
       Alcotest.test_case "mempool" `Quick test_mempool;
+      prop_pool_model;
+      Alcotest.test_case "pool reinject dedup" `Quick test_pool_reinject_dedup;
+      Alcotest.test_case "pool histograms mainchain only" `Quick
+        test_pool_histograms_mainchain_only;
       Alcotest.test_case "miner skips invalid" `Quick test_miner_skips_invalid;
       Alcotest.test_case "supply audit" `Quick test_supply_audit;
     ] )

@@ -36,7 +36,7 @@ let test_one_domain_is_sequential () =
 
 let test_more_domains_than_tasks () =
   let pool = Pool.get ~domains:8 in
-  let r = Pool.init_array pool ~chunk:1 3 (fun i -> i * i) in
+  let r = Pool.init_array pool ~cost:1.0 3 (fun i -> i * i) in
   checkb "3 tasks on 8 domains" true (r = [| 0; 1; 4 |]);
   (* n=1 runs inline even on a wide pool *)
   let r1 = Pool.init_array pool 1 (fun i -> i + 41) in
@@ -46,14 +46,14 @@ let test_exception_propagates () =
   let pool = Pool.get ~domains:4 in
   let raised =
     try
-      Pool.parallel_for pool ~chunk:1 ~n:16 (fun i ->
+      Pool.parallel_for pool ~cost:1.0 ~n:16 (fun i ->
           if i mod 5 = 2 then failwith "boom");
       false
     with Failure msg -> String.equal msg "boom"
   in
   checkb "worker exception re-raised in caller" true raised;
   (* the pool survives a failed operation *)
-  let r = Pool.map_array pool ~chunk:1 (fun x -> x * 2) [| 1; 2; 3; 4 |] in
+  let r = Pool.map_array pool ~cost:1.0 (fun x -> x * 2) [| 1; 2; 3; 4 |] in
   checkb "pool usable after failure" true (r = [| 2; 4; 6; 8 |]);
   (* even Stack_overflow from a body reaches the caller, not a worker
      wrapper — the wrapper's swallow counter must stay untouched *)
@@ -69,14 +69,14 @@ let test_exception_propagates () =
   let before = swallowed () in
   let overflow =
     try
-      Pool.parallel_for pool ~chunk:1 ~n:8 (fun i ->
+      Pool.parallel_for pool ~cost:1.0 ~n:8 (fun i ->
           if i = 3 then raise Stack_overflow);
       false
     with Stack_overflow -> true
   in
   checkb "stack overflow re-raised in caller" true overflow;
   checki "no exception swallowed by worker wrappers" before (swallowed ());
-  let r = Pool.map_array pool ~chunk:1 (fun x -> x + 1) [| 1; 2 |] in
+  let r = Pool.map_array pool ~cost:1.0 (fun x -> x + 1) [| 1; 2 |] in
   checkb "pool usable after overflow" true (r = [| 2; 3 |])
 
 (* ---- the shared registry ---- *)
@@ -108,8 +108,9 @@ let test_nested_parallel_shared () =
         Array.init inner (fun j -> (i * 1000) + (j * j)))
   in
   let got = Array.make outer [||] in
-  Pool.parallel_for p ~chunk:1 ~n:outer (fun i ->
-      got.(i) <- Pool.init_array p ~chunk:4 inner (fun j -> (i * 1000) + (j * j)));
+  Pool.parallel_for p ~cost:1.0 ~n:outer (fun i ->
+      got.(i) <-
+        Pool.init_array p ~cost:0.125 inner (fun j -> (i * 1000) + (j * j)));
   checkb "nested parallel on the shared pool is correct" true (got = expected)
 
 let test_shutdown_then_reuse () =
@@ -118,38 +119,27 @@ let test_shutdown_then_reuse () =
      the next get. *)
   let p = Pool.get ~domains:4 in
   Pool.shutdown p;
-  let r = Pool.map_array p ~chunk:1 (fun x -> x * x) [| 1; 2; 3 |] in
+  let r = Pool.map_array p ~cost:1.0 (fun x -> x * x) [| 1; 2; 3 |] in
   checkb "shut-down pool still completes operations" true (r = [| 1; 4; 9 |]);
   let p' = Pool.get ~domains:4 in
   checkb "registry replaces a shut-down pool" true (not (p' == p));
   let r' = Pool.init_array p' 64 (fun i -> i + 1) in
   checkb "replacement pool works" true (r' = Array.init 64 (fun i -> i + 1))
 
-(* Chunk batching is scheduling only: for any (n, domains, granularity)
-   — explicit chunk size or cost hint, including hints coarse enough to
-   force the inline path — the result is bit-identical to Array.init. *)
+(* Chunk batching is scheduling only: for any (n, domains, cost hint)
+   — from one-index chunks to hints coarse enough to force the inline
+   path — the result is bit-identical to Array.init. *)
 let prop_chunking_deterministic =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"batched = sequential bit-identical" ~count:30
        QCheck2.Gen.(
          tup4 (int_range 0 200) (int_range 1 5)
-           (oneof
-              [
-                map (fun c -> `Chunk c) (int_range 1 64);
-                map (fun ms -> `Cost (float_of_int ms /. 100.))
-                  (int_range 0 400);
-              ])
+           (map (fun ms -> float_of_int ms /. 100.) (int_range 0 400))
            (int_range 0 1000))
-       (fun (n, domains, gran, salt) ->
+       (fun (n, domains, cost, salt) ->
          let f i = Hash.to_hex (Hash.of_string (Printf.sprintf "%d-%d" salt i)) in
          let expected = Array.init n f in
-         let pool = Pool.get ~domains in
-         let got =
-           match gran with
-           | `Chunk c -> Pool.init_array pool ~chunk:c n f
-           | `Cost ms -> Pool.init_array pool ~cost:ms n f
-         in
-         got = expected))
+         Pool.init_array (Pool.get ~domains) ~cost n f = expected))
 
 (* ---- determinism of the parallel builders ---- *)
 

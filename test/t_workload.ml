@@ -314,7 +314,7 @@ let mempool_fifo_and_reinject () =
   checkb "fifo order" true
     (List.map Sc_tx.txid (Sc_mempool.txs m)
     = List.map Sc_tx.txid [ a; b; c ]);
-  let m = Sc_mempool.remove_included m [ a; c ] in
+  let m = Sc_mempool.remove_txs m [ a; c ] in
   checki "included removed" 1 (Sc_mempool.size m);
   (* a reorg recovers [a; c; a]: the duplicate a and the still-pooled b
      must not double-queue, and recovered txs go to the front *)
