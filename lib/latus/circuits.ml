@@ -219,12 +219,18 @@ let ownership_keys f = Template.keys f.ownership
 
 let ( let* ) = Result.bind
 
+type _ kind = Slot : slot_values kind | Append : append_values kind
+
+type step_job =
+  | Step : 'v kind * 'v Template.t * 'v * Fp.t * Fp.t -> step_job
+
 (* The two slot-write directions share one witness shape. *)
-let assign_slot_write c (state : Sc_state.t) ~s_from_v ~mst_after utxo pos =
+let slot_write_job kind c (state : Sc_state.t) ~s_from_v ~mst_after utxo pos =
   let siblings = Smt.proof_siblings (Mst.prove_slot state.mst pos) in
   let s_to_v = Poseidon.hash2 (Mst.root mst_after) state.bt_acc in
-  let* public, witness =
-    Template.assign c
+  Step
+    ( kind,
+      c,
       {
         acc = state.bt_acc;
         addr = Hash.to_fp utxo.Utxo.addr;
@@ -234,11 +240,11 @@ let assign_slot_write c (state : Sc_state.t) ~s_from_v ~mst_after utxo pos =
         siblings;
         s_from_v;
         s_to_v;
-      }
-  in
-  Ok (Template.keys c, public, witness, s_from_v, s_to_v)
+      },
+      s_from_v,
+      s_to_v )
 
-let step_assignment f (state : Sc_state.t) step =
+let step_job f (state : Sc_state.t) step =
   let s_from_v = Sc_state.hash state in
   match step with
   | Sc_tx.Remove utxo -> (
@@ -246,36 +252,43 @@ let step_assignment f (state : Sc_state.t) step =
     | None -> Error "prove: utxo not in state"
     | Some pos ->
       let* mst_after = Mst.apply_ops state.mst [ Mst.Op_remove utxo ] in
-      assign_slot_write f.remove state ~s_from_v ~mst_after utxo pos)
+      Ok (slot_write_job Slot f.remove state ~s_from_v ~mst_after utxo pos))
   | Sc_tx.Insert utxo -> (
     let pos = Utxo.position ~mst_depth:f.params.Params.mst_depth utxo in
     match Mst.get state.mst pos with
     | Some _ -> Error "prove: slot occupied"
     | None ->
       let* mst_after = Mst.apply_ops state.mst [ Mst.Op_insert utxo ] in
-      assign_slot_write f.insert state ~s_from_v ~mst_after utxo pos)
+      Ok (slot_write_job Slot f.insert state ~s_from_v ~mst_after utxo pos))
   | Sc_tx.Append_bt bt ->
     let recv, amt = Backward_transfer.to_fp_pair bt in
     let acc1 = Sc_state.bt_acc_step state.bt_acc bt in
     let root = Mst.root state.mst in
     let s_to_v = Poseidon.hash2 root acc1 in
-    let* public, witness =
-      Template.assign f.append
-        {
-          a_root = root;
-          a_acc0 = state.bt_acc;
-          a_recv = recv;
-          a_amt = amt;
-          a_s_from = s_from_v;
-          a_s_to = s_to_v;
-        }
-    in
-    Ok (Template.keys f.append, public, witness, s_from_v, s_to_v)
+    Ok
+      (Step
+         ( Append,
+           f.append,
+           {
+             a_root = root;
+             a_acc0 = state.bt_acc;
+             a_recv = recv;
+             a_amt = amt;
+             a_s_from = s_from_v;
+             a_s_to = s_to_v;
+           },
+           s_from_v,
+           s_to_v ))
+
+let step_assignment f state step =
+  let* (Step (_, c, v, s_from, s_to)) = step_job f state step in
+  let* public, witness = Template.assign c v in
+  Ok (Template.keys c, public, witness, s_from, s_to)
 
 let prove_step f state step =
-  let* keys, public, witness, s_from, s_to = step_assignment f state step in
-  let* proof = Backend.prove keys.pk ~public ~witness in
-  Ok (proof, keys.vk, s_from, s_to)
+  let* (Step (_, c, v, s_from, s_to)) = step_job f state step in
+  let* proof = Template.prove c v in
+  Ok (proof, (Template.keys c).vk, s_from, s_to)
 
 let prove_wcert_binding f ~quality ~bt_root ~end_prev_epoch ~end_epoch
     ~proofdata ~s_prev ~s_last =

@@ -27,7 +27,61 @@ type keys = Template.keys = {
   constraints : int;
 }
 
-type family
+(** {2 Circuit values}
+
+    What each circuit's gadget body reads. A template proves any value
+    of its type: the body's assertions decide whether the values form a
+    true statement. *)
+
+type slot_values = {
+  acc : Fp.t;  (** the BT accumulator, unchanged by a slot write *)
+  addr : Fp.t;
+  amt : Fp.t;
+  nonce : Fp.t;
+  pos : int;  (** the MST slot; its [mst_depth] low bits are the path *)
+  siblings : Fp.t list;  (** leaf to root *)
+  s_from_v : Fp.t;
+  s_to_v : Fp.t;
+}
+(** Remove (occupied → empty) and Insert (empty → occupied) of one MST
+    slot. *)
+
+type append_values = {
+  a_root : Fp.t;
+  a_acc0 : Fp.t;
+  a_recv : Fp.t;
+  a_amt : Fp.t;
+  a_s_from : Fp.t;
+  a_s_to : Fp.t;
+}
+(** One backward-transfer accumulator step. *)
+
+type wcert_values = {
+  w_public : Fp.t array;
+      (** quality, bt_root, end_prev_epoch, end_epoch, proofdata root *)
+  w_s_prev : Fp.t;
+  w_s_last : Fp.t;
+}
+
+type ownership_values = {
+  o_public : Fp.t array;
+      (** reference block, nullifier, receiver, amount, proofdata root *)
+  o_addr : Fp.t;
+  o_amt : Fp.t;
+  o_nonce : Fp.t;
+  o_pos : int;
+  o_siblings : Fp.t list;
+  o_root : Fp.t;
+}
+
+type family = private {
+  params : Params.t;
+  remove : slot_values Template.t;
+  insert : slot_values Template.t;
+  append : append_values Template.t;
+  wcert : wcert_values Template.t;
+  ownership : ownership_values Template.t;
+}
 
 val make : Params.t -> family
 (** Compiles and sets up every circuit for the given MST depth.
@@ -58,8 +112,9 @@ val prove_step :
   (Backend.proof * Backend.verification_key * Fp.t * Fp.t, string) result
 (** Proves one primitive transition from the given state; returns
     (proof, vk, s_from, s_to). The caller applies the step natively to
-    continue. It is {!step_assignment} followed by
-    {!Zen_snark.Backend.prove}. *)
+    continue. It is {!Zen_snark.Template.prove} on {!step_job}'s
+    template and values: one evaluation-mode run of the circuit's body,
+    with no second pass over its rows on a {!make} family. *)
 
 val step_assignment :
   family ->
@@ -69,7 +124,23 @@ val step_assignment :
 (** Everything {!prove_step} proves, without proving: the keys of the
     step's circuit, its (public, witness) assignment from the template's
     evaluation-mode fill, and (s_from, s_to). Tests and micro-benchmarks
-    use it to reach a slot circuit and a satisfying assignment. *)
+    use it to reach a slot circuit and a satisfying assignment. It is
+    {!Zen_snark.Template.assign} on {!step_job}'s template and values. *)
+
+type _ kind = Slot : slot_values kind | Append : append_values kind
+
+type step_job =
+  | Step : 'v kind * 'v Template.t * 'v * Fp.t * Fp.t -> step_job
+      (** The step's template, the values it proves and
+          (s_from, s_to). *)
+
+val step_job :
+  family -> Sc_state.t -> Sc_tx.step -> (step_job, string) result
+(** The one place a step picks its circuit ([remove], [insert] or
+    [append]) and computes its values from the state. Fails, as
+    {!prove_step} does, on a Remove of a UTXO the state lacks and on an
+    Insert into an occupied slot. The [kind] lets tests alter the
+    values before proving them. *)
 
 val prove_wcert_binding :
   family ->

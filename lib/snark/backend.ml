@@ -71,7 +71,9 @@ let tag vk public =
   ^ Sha256.digest ("zendoo.snark.g2" ^ mac)
   ^ Sha256.digest ("zendoo.snark.g1b" ^ mac)
 
-let prove pk ~public ~witness =
+(* Both provers end here: one counted prove, tagged when [verdict ()]
+   finds the assignment satisfying. *)
+let prove_with pk ~public verdict =
   Zen_obs.Counter.incr proves;
   Zen_obs.Counter.add constraints_proved (R1cs.num_constraints pk.circuit);
   Zen_obs.Trace.with_span ~cat:"snark"
@@ -79,9 +81,30 @@ let prove pk ~public ~witness =
       [ ("constraints", string_of_int (R1cs.num_constraints pk.circuit)) ]
     "snark.prove"
   @@ fun () ->
-  match R1cs.satisfied pk.circuit ~public ~witness with
+  match verdict () with
   | Error e -> Error e
   | Ok () -> Ok (tag pk.vk public)
+
+let prove pk ~public ~witness =
+  prove_with pk ~public (fun () -> R1cs.satisfied pk.circuit ~public ~witness)
+
+(* The prover holds the body the keys were set up from, so the only
+   unchecked tag is for an assignment that body filled with every
+   assertion holding. *)
+let setup_body ~name body dummy =
+  let shape = Gadget.create () in
+  body shape dummy;
+  let circuit, _, _ = Gadget.finalize ~name shape in
+  let pk, vk = setup circuit in
+  let public = R1cs.num_public circuit
+  and witness = R1cs.num_witness circuit in
+  let prove v =
+    let ctx = Gadget.create_eval ~public ~witness in
+    body ctx v;
+    let verdict = Gadget.verdict circuit ctx in
+    prove_with pk ~public:(fst (Gadget.assignment ctx)) (fun () -> verdict)
+  in
+  (pk, vk, prove)
 
 (* Counter only, no span: verification is the hottest backend entry
    point (every merge verifies both children) and a span per call would

@@ -1,13 +1,17 @@
 (** The SNARK proving system (Setup, Prove, Verify) of paper Def. 2.3.
 
     This is a *simulated* backend (DESIGN.md §3, substitution 1): Setup
-    compiles a real R1CS circuit; Prove evaluates every constraint over
-    the field — linear cost in circuit size, like a real prover — and
-    refuses without a satisfying assignment; the emitted proof is a
-    constant 96 bytes and Verify runs in time O(|public input|),
-    independent of circuit size. Knowledge soundness holds within the
-    simulation because the proof tag can only be produced through
-    [prove], which demands the witness. *)
+    compiles a real R1CS circuit. Prove refuses without a satisfying
+    assignment, at a cost linear in circuit size like a real prover,
+    in one of two ways. {!prove} evaluates every constraint of the
+    [(public, witness)] it is given. The prover {!setup_body} returns
+    runs the gadget body the circuit was synthesized from, in evaluation
+    mode: each row either holds by construction or is checked when the
+    fill reaches it ({!Gadget.verdict}). The emitted proof is a constant
+    96 bytes and Verify runs in time O(|public input|), independent of
+    circuit size. Knowledge soundness holds within the simulation
+    because the proof tag can only be produced by these two provers,
+    and each demands a satisfying witness. *)
 
 open Zen_crypto
 
@@ -25,7 +29,23 @@ val setup : R1cs.circuit -> proving_key * verification_key
 val prove :
   proving_key -> public:Fp.t array -> witness:Fp.t array -> (proof, string) result
 (** Fails with a description of the first violated constraint when
-    [(public, witness)] is not a satisfying assignment. *)
+    [(public, witness)] is not a satisfying assignment: runs
+    {!R1cs.satisfied} over every constraint. *)
+
+val setup_body :
+  name:string ->
+  (Gadget.ctx -> 'v -> unit) ->
+  'v ->
+  proving_key * verification_key * ('v -> (proof, string) result)
+(** [setup_body ~name body dummy] synthesizes [body] on [dummy] values,
+    finalizes the circuit under [name] and sets it up as {!setup} does.
+    The returned prover runs [body] on its values in an evaluation
+    context ({!Gadget.create_eval}) and tags the public input when
+    {!Gadget.verdict} accepts the fill, without {!R1cs.check}; it
+    refuses with the verdict's error otherwise, and lets an exception of
+    [body] escape unproven. Proof bytes and errors equal {!prove}'s on
+    the same assignment whenever [body]'s rows do not depend on its
+    values. {!Template.compile} is built on it. *)
 
 val verify : verification_key -> public:Fp.t array -> proof -> bool
 

@@ -6,13 +6,17 @@ open Zen_crypto
    [materialize]) without touching the lists themselves. *)
 type wire = { lc : R1cs.lc; terms : int; value : Fp.t }
 
+(* An evaluation run's row tally: the rows reached so far, in synthesis
+   order, and the first one whose verdict was false with its label. *)
+type rows = { mutable count : int; mutable failed : (int * string option) option }
+
 (* [Shape] emits constraints into an R1CS builder while computing
    values — the original synthesis mode. [Eval] runs the same gadget
-   code but only records the public/witness value sequences: linear
-   combinations stay empty and [emit] is a no-op, so filling the
-   assignment for a compile-once template costs the field arithmetic
-   and nothing else. *)
-type mode = Shape of R1cs.builder | Eval
+   code but only records the public/witness value sequences and counts
+   rows: linear combinations stay empty, so filling the assignment for
+   a compile-once template costs the field arithmetic and nothing
+   else. *)
+type mode = Shape of R1cs.builder | Eval of rows
 
 (* A growable value column: [n] values live in [vals.(0 .. n-1)]. A
    full column is replaced, never written past, so an array handed out
@@ -39,21 +43,33 @@ let create () =
   { mode = Shape (R1cs.create ()); public = column 0; witness = column 0 }
 
 let create_eval ~public ~witness =
-  { mode = Eval; public = column public; witness = column witness }
+  {
+    mode = Eval { count = 0; failed = None };
+    public = column public;
+    witness = column witness;
+  }
 
-let emit ?label ctx a bb c =
+(* One row [⟨a,z⟩·⟨bb,z⟩ = ⟨c,z⟩]. Every wire's value is its linear
+   combination evaluated on the assignment, so [holds], computed from
+   wire values, is the row's verdict. Only assertions pass it: every
+   other row defines its output wire as the value that satisfies it. *)
+let emit ?label ?(holds = true) ctx a bb c =
   match ctx.mode with
   | Shape builder -> R1cs.constrain ?label builder a bb c
-  | Eval -> ()
+  | Eval rows ->
+    if (not holds) && Option.is_none rows.failed then
+      rows.failed <- Some (rows.count, label);
+    rows.count <- rows.count + 1
 
+(* Both modes refuse a late input with the same exception, so a
+   template and its re-synthesis reference fail alike. *)
 let input ctx v =
+  if ctx.witness.n > 0 then
+    invalid_arg "Gadget.input: witness allocation already started";
   let lc =
     match ctx.mode with
     | Shape builder -> [ (Fp.one, R1cs.alloc_input builder) ]
-    | Eval ->
-      if ctx.witness.n > 0 then
-        invalid_arg "Gadget.input: witness allocation already started";
-      []
+    | Eval _ -> []
   in
   push ctx.public v;
   { lc; terms = 1; value = v }
@@ -62,7 +78,7 @@ let witness ctx v =
   let lc =
     match ctx.mode with
     | Shape builder -> [ (Fp.one, R1cs.alloc_witness builder) ]
-    | Eval -> []
+    | Eval _ -> []
   in
   push ctx.witness v;
   { lc; terms = 1; value = v }
@@ -99,16 +115,16 @@ let square ctx a = mul ctx a a
 let one_lc = [ (Fp.one, R1cs.one_var) ]
 
 let assert_eq ?label ctx a b =
-  emit ?label ctx (sub a b).lc one_lc [ (Fp.zero, R1cs.one_var) ]
+  emit ?label ~holds:(Fp.equal a.value b.value) ctx (sub a b).lc one_lc
+    [ (Fp.zero, R1cs.one_var) ]
 
 let assert_zero ?label ctx a = assert_eq ?label ctx a zero
 
 let assert_bool ?label ctx a =
-  emit ?label ctx a.lc (sub a (const Fp.one)).lc [ (Fp.zero, R1cs.one_var) ]
-
-let assert_nonzero ?label ctx a =
-  let inv = witness ctx (Fp.inv a.value) in
-  emit ?label ctx a.lc inv.lc one_lc
+  let a_minus_1 = sub a (const Fp.one) in
+  emit ?label
+    ~holds:(Fp.is_zero (Fp.mul a.value a_minus_1.value))
+    ctx a.lc a_minus_1.lc [ (Fp.zero, R1cs.one_var) ]
 
 let is_zero ctx v =
   (* y = 1 iff v = 0: constraints v·y = 0 and v·m = 1 − y, with m the
@@ -243,9 +259,25 @@ let merkle_root ctx ~leaf ~path_bits ~siblings =
 
 let assignment ctx = (contents ctx.public, contents ctx.witness)
 
+let verdict circuit ctx =
+  match ctx.mode with
+  | Shape _ -> invalid_arg "Gadget.verdict: synthesis context"
+  | Eval rows -> (
+    match
+      R1cs.check_lengths circuit ~public:ctx.public.n ~witness:ctx.witness.n
+    with
+    | Error _ as e -> e
+    | Ok () ->
+      if rows.count <> R1cs.num_constraints circuit then
+        Error "circuit shape diverged from setup"
+      else
+        match rows.failed with
+        | None -> Ok ()
+        | Some (i, label) -> Error (R1cs.unsatisfied i label))
+
 let finalize ~name ctx =
   match ctx.mode with
-  | Eval -> invalid_arg "Gadget.finalize: evaluation-only context"
+  | Eval _ -> invalid_arg "Gadget.finalize: evaluation-only context"
   | Shape builder ->
     let circuit = R1cs.finalize ~name builder in
     let public, witness = assignment ctx in

@@ -26,6 +26,15 @@ val create_eval : public:int -> witness:int -> ctx
     (e.g. lc materialization) replays identically, so the assignment is
     bit-identical to what synthesis would have produced.
 
+    The context also counts the rows synthesis would have emitted, in
+    synthesis order, and checks each assertion row ({!assert_eq},
+    {!assert_zero}, {!assert_bool}, and so {!to_bits}'s bool and sum
+    rows) on the wire values when the run reaches it, keeping the first
+    that fails. Every other row holds by construction: a
+    multiplication, a materialization or {!is_zero}'s hints compute
+    their output wire as the value that satisfies the row. Read the
+    result with {!verdict}.
+
     [public] and [witness] are size hints: the value arrays start at
     those lengths and grow by doubling past them. A template passes its
     circuit's {!R1cs.num_public} and {!R1cs.num_witness}, so a fill
@@ -33,7 +42,8 @@ val create_eval : public:int -> witness:int -> ctx
 
 val input : ctx -> Fp.t -> wire
 (** Allocates a public-input wire carrying the given value. Must be
-    called before any witness allocation. *)
+    called before any witness allocation; raises [Invalid_argument]
+    otherwise, with the same message in both modes. *)
 
 val witness : ctx -> Fp.t -> wire
 val const : Fp.t -> wire
@@ -53,10 +63,6 @@ val assert_eq : ?label:string -> ctx -> wire -> wire -> unit
 val assert_zero : ?label:string -> ctx -> wire -> unit
 val assert_bool : ?label:string -> ctx -> wire -> unit
 (** Constrains [w·(w−1) = 0]. *)
-
-val assert_nonzero : ?label:string -> ctx -> wire -> unit
-(** Allocates the inverse as witness and constrains [w·w⁻¹ = 1].
-    Raises [Division_by_zero] at synthesis when the value is zero. *)
 
 val is_zero : ctx -> wire -> wire
 (** Boolean wire: 1 iff the input is zero (standard inv-or-zero trick). *)
@@ -90,6 +96,17 @@ val assignment : ctx -> Fp.t array * Fp.t array
     A segment that filled its size hint exactly is returned without a
     copy, so it shares storage with the context; the context itself
     never writes to it again. *)
+
+val verdict : R1cs.circuit -> ctx -> (unit, string) result
+(** For an evaluation context whose body has run to the end: what
+    {!R1cs.satisfied} would say of its assignment against [circuit],
+    without evaluating a row. The public and witness lengths are checked
+    first, with {!R1cs.check_lengths}'s errors; then a row count other
+    than the circuit's is ["circuit shape diverged from setup"]; then
+    the first failed assertion row is reported as {!R1cs.check} reports
+    it. Equal to {!R1cs.satisfied} whenever the body emits [circuit]'s
+    rows in order, which a template's value-independent body does.
+    Raises [Invalid_argument] on a synthesis context. *)
 
 val finalize : name:string -> ctx -> R1cs.circuit * Fp.t array * Fp.t array
 (** Freezes the circuit and returns [(circuit, public, witness)] — the

@@ -201,6 +201,10 @@ let first_failing_row circuit z =
   in
   loop 0
 
+let unsatisfied i = function
+  | Some l -> Printf.sprintf "unsatisfied constraint %d (%s)" i l
+  | None -> Printf.sprintf "unsatisfied constraint %d" i
+
 (* Both loops stop at their own first failure; since each keeps
    synthesis order, the earlier of the two is the first failing
    constraint overall. The evaluation count is the one an in-order scan
@@ -218,9 +222,7 @@ let check circuit z =
     end
     else begin
       Zen_obs.Counter.add constraint_evals (i + 1);
-      match circuit.labels.(i) with
-      | Some l -> Error (Printf.sprintf "unsatisfied constraint %d (%s)" i l)
-      | None -> Error (Printf.sprintf "unsatisfied constraint %d" i)
+      Error (unsatisfied i circuit.labels.(i))
     end
   end
 
@@ -256,18 +258,25 @@ let constraints circuit =
     circuit.csr_rows;
   out
 
-let satisfied circuit ~public ~witness =
-  if Array.length public <> circuit.n_public then
+let check_lengths circuit ~public ~witness =
+  if public <> circuit.n_public then
     Error
-      (Printf.sprintf "public input length %d, expected %d"
-         (Array.length public) circuit.n_public)
-  else if Array.length witness <> num_witness circuit then
+      (Printf.sprintf "public input length %d, expected %d" public
+         circuit.n_public)
+  else if witness <> num_witness circuit then
     Error
-      (Printf.sprintf "witness length %d, expected %d" (Array.length witness)
+      (Printf.sprintf "witness length %d, expected %d" witness
          (num_witness circuit))
-  else begin
+  else Ok ()
+
+let satisfied circuit ~public ~witness =
+  match
+    check_lengths circuit ~public:(Array.length public)
+      ~witness:(Array.length witness)
+  with
+  | Error _ as e -> e
+  | Ok () ->
     let z = Array.make circuit.n_vars Fp.one in
     Array.blit public 0 z 1 (Array.length public);
     Array.blit witness 0 z (1 + circuit.n_public) (Array.length witness);
     check circuit z
-  end

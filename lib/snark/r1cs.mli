@@ -67,8 +67,20 @@ val check : circuit -> Fp.t array -> (unit, string) result
     own first failure; the earlier of the two is the first violated
     constraint. [snark.r1cs.constraint_evals] grows by what an in-order
     scan would evaluate: every constraint when all hold, else the index
-    of the first violated one plus one. *)
+    of the first violated one plus one. Only this function adds to that
+    counter. A compiled template's prove ({!Template.prove}) checks its
+    rows during the witness fill instead and adds nothing, so the
+    counter measures the full checks still made: raw-witness
+    {!Backend.prove} calls and re-synthesis templates. *)
+
+val unsatisfied : int -> string option -> string
+(** [unsatisfied i label] is {!check}'s error for violated constraint
+    [i] with the given label. *)
+
+val check_lengths : circuit -> public:int -> witness:int -> (unit, string) result
+(** The segment-length validation of {!satisfied}, with its error
+    strings, for a public input and a witness of the given lengths. *)
 
 val satisfied : circuit -> public:Fp.t array -> witness:Fp.t array -> (unit, string) result
-(** Assembles [z = 1 ‖ public ‖ witness] and checks; also validates the
-    segment lengths. *)
+(** Assembles [z = 1 ‖ public ‖ witness] and checks; first validates the
+    segment lengths ({!check_lengths}). *)

@@ -5,7 +5,9 @@
     once, sets up its keys from it, and afterwards fills the witness
     assignment for concrete values by re-running the same gadget body
     in evaluation mode ({!Gadget.create_eval}): field arithmetic only,
-    no constraint lists, no {!R1cs.finalize}, no re-digesting. The
+    no constraint lists, no {!R1cs.finalize}, no re-digesting. The fill
+    checks each assertion row as it reaches it, so a compiled
+    template's prove is that one pass and no {!R1cs.check}. The
     Latus circuits ([Zen_latus.Circuits]), the merge circuit of
     {!Recursive} and the aggregation circuit of {!Aggregate} are all
     templates. *)
@@ -23,15 +25,17 @@ type 'v t
 
 val compile : name:string -> (Gadget.ctx -> 'v -> unit) -> 'v -> 'v t
 (** [compile ~name body dummy] synthesizes [body] on [dummy] values,
-    finalizes the circuit under [name] and sets up its keys. The
-    witness generator runs [body] in evaluation mode, into value arrays
-    pre-sized from the circuit's public and witness counts. *)
+    finalizes the circuit under [name] and sets up its keys
+    ({!Backend.setup_body}). The witness generator runs [body] in
+    evaluation mode, into value arrays pre-sized from the circuit's
+    public and witness counts. *)
 
 val compile_resynth : name:string -> (Gadget.ctx -> 'v -> unit) -> 'v -> 'v t
 (** The reference constructor: the same circuit and keys as {!compile},
     but every {!assign} re-synthesizes the circuit, re-digests it and
-    refuses a shape that diverged from the keys. Tests and experiment
-    E16 use it to check and to price {!compile}. *)
+    refuses a shape that diverged from the keys, and every {!prove}
+    runs {!Backend.prove}'s full check on that assignment. Tests and
+    experiment E16 use it to check and to price {!compile}. *)
 
 val keys : 'v t -> keys
 
@@ -44,4 +48,13 @@ val synthesize : 'v t -> 'v -> R1cs.circuit * Fp.t array * Fp.t array
     reference an evaluation-mode {!assign} is tested against. *)
 
 val prove : 'v t -> 'v -> (Backend.proof, string) result
-(** {!assign} then {!Backend.prove} under the template's keys. *)
+(** A proof of the template's statement for the given values. On a
+    {!compile}d template this is one evaluation-mode run of the body:
+    it refuses when the run's public length, witness length or row
+    count differs from the circuit's (the first two with
+    {!R1cs.satisfied}'s errors, the last as ["circuit shape diverged
+    from setup"]) or when an assertion row fails (with {!R1cs.check}'s
+    error for it), and otherwise tags without a second pass over the
+    rows. Proof bytes and errors equal {!Backend.prove} on {!assign}'s
+    assignment. On a {!compile_resynth} template it is {!assign} then
+    {!Backend.prove}. *)

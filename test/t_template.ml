@@ -443,7 +443,323 @@ let test_mis_sized_bodies () =
     (prove (2, 2, false));
   Alcotest.check_raises "input after a witness"
     (Invalid_argument "Gadget.input: witness allocation already started")
-    (fun () -> ignore (Template.assign tpl (2, 3, true)))
+    (fun () -> ignore (Template.assign tpl (2, 3, true)));
+  Alcotest.check_raises "input after a witness, re-synthesized"
+    (Invalid_argument "Gadget.input: witness allocation already started")
+    (fun () ->
+      ignore
+        (Template.assign
+           (Template.compile_resynth ~name:"mis-sized" body (2, 3, false))
+           (2, 3, true)))
+
+(* A body whose row count follows its values while its lengths stay
+   put: a compiled template refuses the values that change the count,
+   with the error the re-synthesis template gives for the same values. *)
+let test_row_count_divergence () =
+  let module G = Zen_snark.Gadget in
+  let body ctx rows =
+    let w = G.witness ctx Fp.one in
+    for _ = 1 to rows do
+      G.assert_eq ~label:"row" ctx w w
+    done
+  in
+  let prove tpl rows =
+    match Template.prove tpl rows with Ok _ -> "ok" | Error e -> e
+  in
+  List.iter
+    (fun tpl ->
+      Alcotest.(check string) "as set up" "ok" (prove tpl 2);
+      Alcotest.(check string) "one row fewer"
+        "circuit shape diverged from setup" (prove tpl 1);
+      Alcotest.(check string) "one row more"
+        "circuit shape diverged from setup" (prove tpl 3))
+    [
+      Template.compile ~name:"row-count" body 2;
+      Template.compile_resynth ~name:"row-count" body 2;
+    ]
+
+(* A compiled template's prove evaluates no constraint: the evaluation
+   counter belongs to R1cs.check, which the re-synthesis family still
+   runs over every row. Both count one prove covering the circuit. *)
+let test_fused_prove_counters () =
+  Zen_obs.Registry.with_enabled @@ fun () ->
+  let counter = Zen_obs.Counter.make in
+  let evals = counter "snark.r1cs.constraint_evals"
+  and proves = counter "snark.prove"
+  and proved = counter "snark.constraints_proved" in
+  let st = Sc_state.create params and step = Sc_tx.Insert (utxo 3) in
+  let rows = (Template.keys (Lazy.force family).Circuits.insert).constraints in
+  let growth f =
+    let v () = List.map Zen_obs.Counter.value [ evals; proves; proved ] in
+    let before = v () in
+    ignore (ok (Circuits.prove_step (Lazy.force f) st step));
+    List.map2 ( - ) (v ()) before
+  in
+  Alcotest.(check (list int)) "compiled: evals, proves, constraints"
+    [ 0; 1; rows ] (growth family);
+  Alcotest.(check (list int)) "re-synthesis: evals, proves, constraints"
+    [ rows; 1; rows ] (growth resynth)
+
+(* ---- One pass per proof: the fused prover against the full check ---- *)
+
+module Backend = Zen_snark.Backend
+module Gadget = Zen_snark.Gadget
+
+(* What a prove came to: proof bytes, an error, or an exception. *)
+type outcome = Proof of string | Refused of string | Raised of exn
+
+let outcome f =
+  match f () with
+  | Ok p -> Proof (Backend.proof_encode p)
+  | Error e -> Refused e
+  | exception e -> Raised e
+
+let pp_outcome = function
+  | Proof p -> "proof " ^ Sha256.to_hex (Sha256.digest p)
+  | Refused e -> "refused: " ^ e
+  | Raised e -> "raised " ^ Printexc.to_string e
+
+(* [Template.prove] (one evaluation run that checks its rows as it
+   fills) against [Backend.prove]'s full check of [Template.assign]'s
+   assignment: the same proof bytes, the same error or the same
+   exception. Returns the shared outcome. *)
+let fused_equals_raw tpl v =
+  let fused = outcome (fun () -> Template.prove tpl v) in
+  let raw =
+    outcome (fun () ->
+        Result.bind (Template.assign tpl v) (fun (public, witness) ->
+            Backend.prove (Template.keys tpl).pk ~public ~witness))
+  in
+  Alcotest.(check string) "fused verdict = full check" (pp_outcome raw)
+    (pp_outcome fused);
+  fused
+
+let is_proof = function Proof _ -> true | _ -> false
+
+(* A value perturbed by [k] >= 1, so it never equals the original. *)
+let bump k x = Fp.add x (Fp.of_int k)
+
+let too_big = Fp.of_int (1 lsl Amount.amount_bits)
+
+(* Tampers 1-6 make a slot write's statement false; 0 keeps it. *)
+let tamper_slot (v : Circuits.slot_values) k t =
+  match t with
+  | 0 -> v
+  | 1 ->
+    let i = k mod List.length v.siblings in
+    { v with siblings = List.mapi (fun j s -> if j = i then bump k s else s) v.siblings }
+  | 2 -> { v with acc = bump k v.acc }
+  | 3 -> { v with s_from_v = bump k v.s_from_v }
+  | 4 -> { v with s_to_v = bump k v.s_to_v }
+  | 5 -> { v with pos = v.pos lxor (1 lsl (k mod List.length v.siblings)) }
+  | _ -> { v with amt = too_big }
+
+let tamper_append (v : Circuits.append_values) k t =
+  match t with
+  | 0 -> v
+  | 1 -> { v with a_root = bump k v.a_root }
+  | 2 -> { v with a_acc0 = bump k v.a_acc0 }
+  | 3 -> { v with a_s_from = bump k v.a_s_from }
+  | 4 -> { v with a_s_to = bump k v.a_s_to }
+  | 5 -> { v with a_recv = bump k v.a_recv }
+  | _ -> { v with a_amt = too_big }
+
+(* The step circuits through [Circuits.step_job], honest and tampered. *)
+let check_step_job f st step k t =
+  let verdict =
+    match ok (Circuits.step_job f st step) with
+    | Circuits.Step (Circuits.Slot, tpl, v, _, _) ->
+      fused_equals_raw tpl (tamper_slot v k t)
+    | Circuits.Step (Circuits.Append, tpl, v, _, _) ->
+      fused_equals_raw tpl (tamper_append v k t)
+  in
+  checkb
+    (Printf.sprintf "tamper %d proves iff honest" t)
+    (t = 0) (is_proof verdict)
+
+(* The ownership values [Circuits.prove_ownership] builds, with a
+   random public input around the amount. *)
+let ownership_values mst u rand =
+  let pos = Option.get (Mst.find_utxo mst u) in
+  {
+    Circuits.o_public =
+      [| rand 0; rand 1; rand 2; Amount.to_fp u.Utxo.amount; rand 4 |];
+    o_addr = Hash.to_fp u.addr;
+    o_amt = Amount.to_fp u.amount;
+    o_nonce = Hash.to_fp u.nonce;
+    o_pos = pos;
+    o_siblings = Smt.proof_siblings (Mst.prove_slot mst pos);
+    o_root = Mst.root mst;
+  }
+
+let tamper_ownership (v : Circuits.ownership_values) k t =
+  match t with
+  | 0 -> v
+  | 1 ->
+    let o_public = Array.copy v.o_public in
+    o_public.(3) <- bump k o_public.(3);
+    { v with o_public }
+  | 2 -> { v with o_siblings = List.map (bump k) v.o_siblings }
+  | 3 -> { v with o_root = bump k v.o_root }
+  | 4 -> { v with o_nonce = bump k v.o_nonce }
+  | 5 -> { v with o_public = Array.sub v.o_public 0 4 }
+  | _ ->
+    let o_public = Array.copy v.o_public in
+    o_public.(3) <- too_big;
+    { v with o_amt = too_big; o_public }
+
+let test_fused_equals_full_check =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make
+       ~name:"every template: fused prove = Backend.prove on assign"
+       ~count:25
+       QCheck2.Gen.(
+         quad (int_range 0 60) (int_range 1 1_000_000) (int_range 0 6)
+           (list_size (return 8) gen_fp))
+       (fun (salt, k, t, rands) ->
+         let f = Lazy.force family in
+         let rand i = List.nth rands i in
+         let a = utxo salt in
+         let st = state_with [ a ] in
+         let rec fresh i =
+           let u = utxo (salt + 61 + i) in
+           if Result.is_ok (Sc_tx.apply_step st (Sc_tx.Insert u)) then u
+           else fresh (i + 1)
+         in
+         let bt =
+           Backward_transfer.make
+             ~receiver_addr:(Hash.of_string (Printf.sprintf "fz-%d" salt))
+             ~amount:(Amount.of_int_exn k)
+         in
+         check_step_job f st (Sc_tx.Remove a) k t;
+         check_step_job f st (Sc_tx.Insert (fresh 0)) k t;
+         check_step_job f st (Sc_tx.Append_bt bt) k t;
+         (* The wcert and merge bodies derive their binding copy, so
+            every value set proves; a public input one short is the
+            hostile case. *)
+         let w_public = Array.init 5 rand in
+         let wcert =
+           fused_equals_raw f.Circuits.wcert
+             {
+               Circuits.w_public =
+                 (if t = 5 then Array.sub w_public 0 4 else w_public);
+               w_s_prev = rand 5;
+               w_s_last = rand 6;
+             }
+         in
+         checkb "wcert proves iff its public input is whole" (t <> 5)
+           (is_proof wcert);
+         let own =
+           fused_equals_raw f.Circuits.ownership
+             (tamper_ownership (ownership_values st.Sc_state.mst a rand) k t)
+         in
+         checkb "ownership proves iff honest" (t = 0) (is_proof own);
+         let merge = Zen_snark.Recursive.merge_template (Lazy.force rsys) in
+         let agg = Zen_snark.Aggregate.template (Zen_snark.Aggregate.shared ()) in
+         is_proof (fused_equals_raw merge (rand 0, rand 1, rand 2))
+         && is_proof (fused_equals_raw agg (rand 3, rand 4))))
+
+(* A wrong binding copy in a raw wcert witness: the full check refuses
+   it at the binding row, which a fused prove cannot be handed. *)
+let test_wcert_binding_row () =
+  let f = Lazy.force family in
+  let v =
+    {
+      Circuits.w_public = Array.init 5 Fp.of_int;
+      w_s_prev = Fp.of_int 7;
+      w_s_last = Fp.of_int 8;
+    }
+  in
+  let public, witness = ok (Template.assign f.Circuits.wcert v) in
+  let witness = Array.copy witness in
+  let last = Array.length witness - 1 in
+  witness.(last) <- bump 1 witness.(last);
+  match Backend.prove (Template.keys f.Circuits.wcert).pk ~public ~witness with
+  | Ok _ -> Alcotest.fail "a wrong binding copy was proven"
+  | Error e ->
+    checkb ("refused at the binding row: " ^ e) true
+      (String.ends_with ~suffix:"(wcert.binding)" e)
+
+(* Random small gadget bodies: the evaluation run's verdict equals
+   R1cs.satisfied on the circuit and assignment that shape-mode
+   synthesis of the same body produces, exceptions included. Values are
+   small so that equalities, booleans and bit widths go both ways. *)
+type gop =
+  | Mul of int * int
+  | Add of int * int
+  | Eq of int * int * bool
+  | Bool of int * bool
+  | Bits of int * int
+  | Is_zero of int
+  | Select of int * int * int
+
+let gen_gop =
+  QCheck2.Gen.(
+    let i = int_bound 50 in
+    oneof
+      [
+        map2 (fun a b -> Mul (a, b)) i i;
+        map2 (fun a b -> Add (a, b)) i i;
+        map3 (fun a b l -> Eq (a, b, l)) i i bool;
+        map2 (fun a l -> Bool (a, l)) i bool;
+        map2 (fun a n -> Bits (a, n)) i (int_range 1 3);
+        map (fun a -> Is_zero a) i;
+        map3 (fun c a b -> Select (c, a, b)) i i i;
+      ])
+
+let gadget_body (inputs, witnesses, ops) ctx =
+  let wires = ref [||] in
+  let push w = wires := Array.append !wires [| w |] in
+  let get i = !wires.(i mod Array.length !wires) in
+  let label l name = if l then Some name else None in
+  List.iter (fun v -> push (Gadget.input ctx (Fp.of_int v))) inputs;
+  List.iter (fun v -> push (Gadget.witness ctx (Fp.of_int v))) witnesses;
+  List.iter
+    (function
+      | Mul (a, b) -> push (Gadget.mul ctx (get a) (get b))
+      | Add (a, b) -> push (Gadget.add (get a) (get b))
+      | Eq (a, b, l) -> Gadget.assert_eq ?label:(label l "eq") ctx (get a) (get b)
+      | Bool (a, l) -> Gadget.assert_bool ?label:(label l "bool") ctx (get a)
+      | Bits (a, n) -> List.iter push (Gadget.to_bits ctx (get a) n)
+      | Is_zero a -> push (Gadget.is_zero ctx (get a))
+      | Select (c, a, b) -> push (Gadget.select ctx ~cond:(get c) (get a) (get b)))
+    ops
+
+let test_gadget_verdict_equals_check =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"random bodies: eval verdict = R1cs.satisfied"
+       ~count:500
+       QCheck2.Gen.(
+         triple
+           (list_size (int_range 0 2) (int_bound 3))
+           (list_size (int_range 1 3) (int_bound 3))
+           (list_size (int_range 0 12) gen_gop))
+       (fun spec ->
+         let body = gadget_body spec in
+         let full =
+           match
+             let shape = Gadget.create () in
+             body shape;
+             Gadget.finalize ~name:"random" shape
+           with
+           | circuit, public, witness ->
+             (Some circuit, outcome (fun () ->
+                  Result.map (fun () -> Backend.dummy_proof)
+                    (Zen_snark.R1cs.satisfied circuit ~public ~witness)))
+           | exception e -> (None, Raised e)
+         in
+         let fused =
+           outcome (fun () ->
+               let ctx = Gadget.create_eval ~public:0 ~witness:0 in
+               body ctx;
+               match fst full with
+               | None -> Ok Backend.dummy_proof
+               | Some circuit ->
+                 Result.map
+                   (fun () -> Backend.dummy_proof)
+                   (Gadget.verdict circuit ctx))
+         in
+         pp_outcome (snd full) = pp_outcome fused))
 
 let suite =
   ( "template",
@@ -463,4 +779,9 @@ let suite =
       Alcotest.test_case "split check = oracle on depth-18 slot circuits"
         `Quick test_slot_circuits_match_oracle;
       Alcotest.test_case "mis-sized bodies" `Quick test_mis_sized_bodies;
+      Alcotest.test_case "row count diverged" `Quick test_row_count_divergence;
+      Alcotest.test_case "fused prove counters" `Quick test_fused_prove_counters;
+      test_fused_equals_full_check;
+      Alcotest.test_case "wcert binding row" `Quick test_wcert_binding_row;
+      test_gadget_verdict_equals_check;
     ] )
