@@ -225,14 +225,13 @@ type step_job =
   | Step : 'v kind * 'v Template.t * 'v * Fp.t * Fp.t -> step_job
 
 (* The two slot-write directions share one witness shape. *)
-let slot_write_job kind c (state : Sc_state.t) ~s_from_v ~mst_after utxo pos =
-  let siblings = Smt.proof_siblings (Mst.prove_slot state.mst pos) in
-  let s_to_v = Poseidon.hash2 (Mst.root mst_after) state.bt_acc in
+let slot_write_job kind c (pre : Sc_state.t) ~s_from_v ~s_to_v utxo pos =
+  let siblings = Smt.proof_siblings (Mst.prove_slot pre.mst pos) in
   Step
     ( kind,
       c,
       {
-        acc = state.bt_acc;
+        acc = pre.bt_acc;
         addr = Hash.to_fp utxo.Utxo.addr;
         amt = Amount.to_fp utxo.amount;
         nonce = Hash.to_fp utxo.nonce;
@@ -244,34 +243,28 @@ let slot_write_job kind c (state : Sc_state.t) ~s_from_v ~mst_after utxo pos =
       s_from_v,
       s_to_v )
 
-let step_job f (state : Sc_state.t) step =
-  let s_from_v = Sc_state.hash state in
+let step_job f ({ pre; step; post } : Sc_tx.traced) =
+  let s_from_v = Sc_state.hash pre and s_to_v = Sc_state.hash post in
   match step with
   | Sc_tx.Remove utxo -> (
-    match Mst.find_utxo state.mst utxo with
+    match Mst.find_utxo pre.mst utxo with
     | None -> Error "prove: utxo not in state"
     | Some pos ->
-      let* mst_after = Mst.apply_ops state.mst [ Mst.Op_remove utxo ] in
-      Ok (slot_write_job Slot f.remove state ~s_from_v ~mst_after utxo pos))
+      Ok (slot_write_job Slot f.remove pre ~s_from_v ~s_to_v utxo pos))
   | Sc_tx.Insert utxo -> (
     let pos = Utxo.position ~mst_depth:f.params.Params.mst_depth utxo in
-    match Mst.get state.mst pos with
+    match Mst.get pre.mst pos with
     | Some _ -> Error "prove: slot occupied"
-    | None ->
-      let* mst_after = Mst.apply_ops state.mst [ Mst.Op_insert utxo ] in
-      Ok (slot_write_job Slot f.insert state ~s_from_v ~mst_after utxo pos))
+    | None -> Ok (slot_write_job Slot f.insert pre ~s_from_v ~s_to_v utxo pos))
   | Sc_tx.Append_bt bt ->
     let recv, amt = Backward_transfer.to_fp_pair bt in
-    let acc1 = Sc_state.bt_acc_step state.bt_acc bt in
-    let root = Mst.root state.mst in
-    let s_to_v = Poseidon.hash2 root acc1 in
     Ok
       (Step
          ( Append,
            f.append,
            {
-             a_root = root;
-             a_acc0 = state.bt_acc;
+             a_root = Mst.root pre.mst;
+             a_acc0 = pre.bt_acc;
              a_recv = recv;
              a_amt = amt;
              a_s_from = s_from_v;
@@ -280,15 +273,27 @@ let step_job f (state : Sc_state.t) step =
            s_from_v,
            s_to_v ))
 
-let step_assignment f state step =
-  let* (Step (_, c, v, s_from, s_to)) = step_job f state step in
-  let* public, witness = Template.assign c v in
-  Ok (Template.keys c, public, witness, s_from, s_to)
+(* One step traced on its own. [Sc_tx.apply_step] fails on exactly the
+   steps [step_job] refuses on their pre-state (a Remove of an absent
+   UTXO, an Insert into an occupied slot), so such a step gets
+   [step_job]'s error and the stand-in [post] is never read. *)
+let traced_job f state step =
+  let post =
+    match Sc_tx.apply_step state step with Ok post -> post | Error _ -> state
+  in
+  step_job f { Sc_tx.pre = state; step; post }
 
-let prove_step f state step =
-  let* (Step (_, c, v, s_from, s_to)) = step_job f state step in
+let prove_job (Step (_, c, v, s_from, s_to)) =
   let* proof = Template.prove c v in
   Ok (proof, (Template.keys c).vk, s_from, s_to)
+
+let prove_traced f traced = Result.bind (step_job f traced) prove_job
+let prove_step f state step = Result.bind (traced_job f state step) prove_job
+
+let step_assignment f state step =
+  let* (Step (_, c, v, s_from, s_to)) = traced_job f state step in
+  let* public, witness = Template.assign c v in
+  Ok (Template.keys c, public, witness, s_from, s_to)
 
 let prove_wcert_binding f ~quality ~bt_root ~end_prev_epoch ~end_epoch
     ~proofdata ~s_prev ~s_last =

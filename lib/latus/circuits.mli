@@ -105,16 +105,26 @@ val base_vks : family -> Backend.verification_key list
 val wcert_keys : family -> keys
 val ownership_keys : family -> keys
 
+val prove_traced :
+  family ->
+  Sc_tx.traced ->
+  (Backend.proof * Backend.verification_key * Fp.t * Fp.t, string) result
+(** Proves one traced primitive transition; returns
+    (proof, vk, s_from, s_to). It is {!Zen_snark.Template.prove} on
+    {!step_job}'s template and values: one evaluation-mode run of the
+    circuit's body, with no second pass over its rows on a {!make}
+    family. The provers ([Prover_pool], [Proof_pipeline]) call it on
+    the records {!Sc_tx.trace} and {!Sc_tx.transition} return, so no
+    step is applied twice. *)
+
 val prove_step :
   family ->
   Sc_state.t ->
   Sc_tx.step ->
   (Backend.proof * Backend.verification_key * Fp.t * Fp.t, string) result
-(** Proves one primitive transition from the given state; returns
-    (proof, vk, s_from, s_to). The caller applies the step natively to
-    continue. It is {!Zen_snark.Template.prove} on {!step_job}'s
-    template and values: one evaluation-mode run of the circuit's body,
-    with no second pass over its rows on a {!make} family. *)
+(** {!prove_traced} on the record of [step] applied once at the given
+    state. A step invalid at that state fails with {!step_job}'s error.
+    The caller applies the step natively to continue. *)
 
 val step_assignment :
   family ->
@@ -125,7 +135,8 @@ val step_assignment :
     step's circuit, its (public, witness) assignment from the template's
     evaluation-mode fill, and (s_from, s_to). Tests and micro-benchmarks
     use it to reach a slot circuit and a satisfying assignment. It is
-    {!Zen_snark.Template.assign} on {!step_job}'s template and values. *)
+    {!Zen_snark.Template.assign} on {!step_job}'s template and values,
+    for the step traced as {!prove_step} traces it. *)
 
 type _ kind = Slot : slot_values kind | Append : append_values kind
 
@@ -134,13 +145,16 @@ type step_job =
       (** The step's template, the values it proves and
           (s_from, s_to). *)
 
-val step_job :
-  family -> Sc_state.t -> Sc_tx.step -> (step_job, string) result
+val step_job : family -> Sc_tx.traced -> (step_job, string) result
 (** The one place a step picks its circuit ([remove], [insert] or
-    [append]) and computes its values from the state. Fails, as
-    {!prove_step} does, on a Remove of a UTXO the state lacks and on an
-    Insert into an occupied slot. The [kind] lets tests alter the
-    values before proving them. *)
+    [append]) and computes its values. The witness and [s_from] come
+    from [pre]; [s_to] is [Sc_state.hash post], so no step is applied
+    here. Fails on a Remove of a UTXO [pre] lacks ("prove: utxo not in
+    state") and on an Insert into a slot [pre] has occupied ("prove:
+    slot occupied"). A [post] that is not [step] applied to [pre] is
+    not checked here: the circuit recomputes the post-state root and
+    refuses the proof at [slot.s_to] or [append.s_to]. The [kind] lets
+    tests alter the values before proving them. *)
 
 val prove_wcert_binding :
   family ->

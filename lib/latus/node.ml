@@ -319,10 +319,7 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
          proving tasks may now enter the epoch stream (enqueueing any
          earlier would let an aborted forge pollute the certificate). *)
       let leaf_base = Proof_pipeline.leaves t.pipeline ~epoch:wepoch in
-      List.iter
-        (fun (st, step) ->
-          Proof_pipeline.enqueue t.pipeline ~epoch:wepoch ~state:st ~step)
-        snaps2;
+      List.iter (Proof_pipeline.enqueue t.pipeline ~epoch:wepoch) snaps2;
       let record =
         {
           block;

@@ -110,7 +110,7 @@ let leaves t ~epoch =
 let outstanding t = t.outstanding
 let certificate_log t = t.certificate_log
 
-let enqueue t ~epoch ~state ~step =
+let enqueue t ~epoch traced =
   let s = stream_for t ~epoch in
   if s.n >= Array.length s.leaves then begin
     let bigger = Array.make (2 * Array.length s.leaves) None in
@@ -120,8 +120,8 @@ let enqueue t ~epoch ~state ~step =
   let observing = Zen_obs.Registry.enabled () in
   let t_submit = if observing then Zen_obs.Clock.now () else 0. in
   let fam = t.fam and rsys = t.rsys in
-  (* The thunk is pure in the pool's sense: the snapshot state, the step
-     and the keys are all captured here; it may run on any worker domain
+  (* The thunk is pure in the pool's sense: the traced step and the
+     keys are all captured here; it may run on any worker domain
      or inline at harvest. It must never raise — failures travel as
      [Error] so the worker-side exception accounting stays quiet. *)
   let fut =
@@ -130,7 +130,7 @@ let enqueue t ~epoch ~state ~step =
           Zen_obs.Histogram.observe queue_wait_s
             (Zen_obs.Clock.now () -. t_submit);
         Zen_obs.Histogram.time prove_s @@ fun () ->
-        let* proof, vk, s_from, s_to = Circuits.prove_step fam state step in
+        let* proof, vk, s_from, s_to = Circuits.prove_traced fam traced in
         Recursive.of_base rsys ~vk ~s_from ~s_to ~extra:[||] proof)
   in
   s.leaves.(s.n) <- Some { fut; cached = None };

@@ -5,10 +5,10 @@
     arXiv:2103.13754) generate base proofs and merge proofs
     {e continuously across the epoch}, not in a burst at the boundary.
     This module is the node-side realization: {!Node.forge} applies
-    steps natively, snapshots the pre-step state, and {!enqueue}s one
-    proving task per step as a {!Pool.future}; the tasks complete on the
-    shared Domain pool in the background while the node forges the next
-    block. As sibling proofs land, {!pump} folds them through
+    steps natively, recording each step's pre- and post-state
+    ({!Sc_tx.traced}), and {!enqueue}s one proving task per step as a
+    {!Pool.future}; the tasks complete on the shared Domain pool in the
+    background while the node forges the next block. As sibling proofs land, {!pump} folds them through
     {!Recursive.Incremental} — the online balanced fold — so by
     certify time the epoch's merge tree is already built except for the
     ≤ ⌈log₂ n⌉ binary-counter carry merges, which {!await_epoch} runs
@@ -52,11 +52,12 @@ val create : pool:Zen_crypto.Pool.t -> family:Circuits.family -> rsys:Recursive.
 (** The pipeline borrows [pool] (it does not own or shut it down) and
     proves under [family]'s circuits, wrapping into [rsys]. *)
 
-val enqueue : t -> epoch:int -> state:Sc_state.t -> step:Sc_tx.step -> unit
-(** Submits the proof of [step] applied at [state] for background
-    execution, appended to [epoch]'s stream in application order. Call
-    only with snapshots of steps that are definitely part of a forged
-    block, in block order. *)
+val enqueue : t -> epoch:int -> Sc_tx.traced -> unit
+(** Submits the proof of a traced step ({!Circuits.prove_traced}) for
+    background execution, appended to [epoch]'s stream in application
+    order. The proof's [s_to] is the record's [post], so the step is
+    not applied again. Call only with records of steps that are
+    definitely part of a forged block, in block order. *)
 
 val pump : t -> unit
 (** Non-blocking drain point, called between ticks: folds every already

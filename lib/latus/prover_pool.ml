@@ -60,7 +60,6 @@ let ( let* ) = Result.bind
    any domain. *)
 let run_task ~family ~fault_of ~crashed ~survivors ~attempt_budget ~rng
     ~assignment ~snaps index =
-  let state, step = snaps.(index) in
   let task_rng = Rng.derive rng index in
   let rec attempt k w =
     if crashed w then begin
@@ -90,7 +89,7 @@ let run_task ~family ~fault_of ~crashed ~survivors ~attempt_budget ~rng
           ]
         "latus.prove_step"
       @@ fun () ->
-      match Circuits.prove_step family state step with
+      match Circuits.prove_traced family snaps.(index) with
       | Error e -> Error e
       | Ok (proof, vk, s_from, s_to) ->
         let public = Recursive.base_public ~s_from ~s_to ~extra:[||] in
@@ -184,7 +183,7 @@ let prove_and_merge ?(pool = Pool.sequential) ?(faults = [])
      retries do not depend on scheduling. *)
   let rng = Rng.create seed in
   let assignment = dispatch ~rng ~workers ~tasks:(List.length steps) in
-  (* The pre-state of each step: after this, every proving task is
+  (* Each step's pre- and post-state: after this, every proving task is
      independent of the others. *)
   let* _, snaps = Sc_tx.trace initial steps in
   let snaps = Array.of_list snaps in

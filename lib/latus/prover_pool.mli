@@ -101,7 +101,9 @@ val prove_and_merge :
   seed:int ->
   (task_proof list * stats * Recursive.transition_proof, string) result
 (** Proves every step of the epoch under a random dispatch and folds
-    the base proofs into the single epoch proof (Fig. 11). Every
+    the base proofs into the single epoch proof (Fig. 11). The steps
+    are applied once, by {!Sc_tx.trace} from [initial], and each task
+    proves its {!Sc_tx.traced} record ({!Circuits.prove_traced}). Every
     proving task becomes a {!Pool.future} on [pool] (default
     {!Pool.sequential}), and completed base proofs are folded — in step
     order — through {!Recursive.Incremental} while later tasks are

@@ -212,13 +212,15 @@ let apply_steps ?(batched = true) (state : Sc_state.t) steps =
 
 let apply_step state step = apply_steps state [ step ]
 
-(* The one step fold: applies each step once, consing [(pre-state,
-   step)] onto [out] (so [out] comes back reversed). *)
+type traced = { pre : Sc_state.t; step : step; post : Sc_state.t }
+
+(* The one step fold: applies each step once, consing its [traced]
+   record onto [out] (so [out] comes back reversed). *)
 let rec trace_onto state out = function
   | [] -> Ok (state, out)
   | step :: rest ->
-    let* state' = apply_step state step in
-    trace_onto state' ((state, step) :: out) rest
+    let* post = apply_step state step in
+    trace_onto post ({ pre = state; step; post } :: out) rest
 
 let trace state steps =
   let* state, out = trace_onto state [] steps in

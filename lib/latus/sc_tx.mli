@@ -81,15 +81,21 @@ type step =
   | Insert of Utxo.t
   | Append_bt of Backward_transfer.t
 
+type traced = { pre : Sc_state.t; step : step; post : Sc_state.t }
+(** One applied step with the state before it and the state it left:
+    everything the step's base proof needs. [post] is the state the
+    one application of [step] computed, so a prover reads its [s_to]
+    from it instead of applying the step again. *)
+
 val transition :
-  Sc_state.t -> t -> (Sc_state.t * (Sc_state.t * step) list, string) result
+  Sc_state.t -> t -> (Sc_state.t * traced list, string) result
 (** Checks the static rules of a payment or BT (inputs present,
     witnesses, nonce discipline, conservation, BT amount), then applies
-    each step exactly once. Returns the post-state and every step in
-    application order, paired with the state before it. FT and BTR
-    outcomes are computed against the state their predecessors left
-    (an FT bounces on a slot collision, a BTR is skipped when its coin
-    is gone); they never fail. *)
+    each step exactly once. Returns the post-state and the {!traced}
+    record of every step in application order. FT and BTR outcomes are
+    computed against the state their predecessors left (an FT bounces
+    on a slot collision, a BTR is skipped when its coin is gone); they
+    never fail. *)
 
 val validate : Sc_state.t -> t -> (unit, string) result
 (** {!transition}'s verdict. FT and BTR transactions are always [Ok]:
@@ -115,8 +121,10 @@ val apply_step : Sc_state.t -> step -> (Sc_state.t, string) result
 (** [apply_steps] of the one step. *)
 
 val trace :
-  Sc_state.t -> step list -> (Sc_state.t * (Sc_state.t * step) list, string) result
-(** Folds {!apply_step} over a step list, pairing each step with the
-    state before it: the inputs of the step's base proof. *)
+  Sc_state.t -> step list -> (Sc_state.t * traced list, string) result
+(** Folds {!apply_step} over a step list, applying each step once and
+    recording it as a {!traced} record: the inputs of the step's base
+    proof. Returns the final state and the records in order, or the
+    first step's error. *)
 
 val pp : Format.formatter -> t -> unit

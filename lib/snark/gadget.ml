@@ -3,8 +3,11 @@ open Zen_crypto
 (* A wire's [terms] is the length of its linear combination. It is
    maintained incrementally in both modes so that witness-only
    evaluation reproduces every structural decision of synthesis (see
-   [materialize]) without touching the lists themselves. *)
-type wire = { lc : R1cs.lc; terms : int; value : Fp.t }
+   [materialize]) without building the lists themselves. [lc] is
+   always [Some] in synthesis. In evaluation, an input or witness wire
+   has [None], and so has every combination that reaches one; only a
+   combination of constants alone still carries its list. *)
+type wire = { lc : R1cs.lc option; terms : int; value : Fp.t }
 
 (* An evaluation run's row tally: the rows reached so far, in synthesis
    order, and the first one whose verdict was false with its label. *)
@@ -13,9 +16,9 @@ type rows = { mutable count : int; mutable failed : (int * string option) option
 (* [Shape] emits constraints into an R1CS builder while computing
    values — the original synthesis mode. [Eval] runs the same gadget
    code but only records the public/witness value sequences and counts
-   rows: linear combinations stay empty, so filling the assignment for
-   a compile-once template costs the field arithmetic and nothing
-   else. *)
+   rows: it builds no linear combination over a variable, so filling
+   the assignment for a compile-once template costs the field
+   arithmetic, one record per wire and the value columns. *)
 type mode = Shape of R1cs.builder | Eval of rows
 
 (* A growable value column: [n] values live in [vals.(0 .. n-1)]. A
@@ -55,7 +58,9 @@ let create_eval ~public ~witness =
    other row defines its output wire as the value that satisfies it. *)
 let emit ?label ?(holds = true) ctx a bb c =
   match ctx.mode with
-  | Shape builder -> R1cs.constrain ?label builder a bb c
+  | Shape builder ->
+    R1cs.constrain ?label builder (Option.get a) (Option.get bb)
+      (Option.get c)
   | Eval rows ->
     if (not holds) && Option.is_none rows.failed then
       rows.failed <- Some (rows.count, label);
@@ -68,8 +73,8 @@ let input ctx v =
     invalid_arg "Gadget.input: witness allocation already started";
   let lc =
     match ctx.mode with
-    | Shape builder -> [ (Fp.one, R1cs.alloc_input builder) ]
-    | Eval _ -> []
+    | Shape builder -> Some [ (Fp.one, R1cs.alloc_input builder) ]
+    | Eval _ -> None
   in
   push ctx.public v;
   { lc; terms = 1; value = v }
@@ -77,27 +82,34 @@ let input ctx v =
 let witness ctx v =
   let lc =
     match ctx.mode with
-    | Shape builder -> [ (Fp.one, R1cs.alloc_witness builder) ]
-    | Eval _ -> []
+    | Shape builder -> Some [ (Fp.one, R1cs.alloc_witness builder) ]
+    | Eval _ -> None
   in
   push ctx.witness v;
   { lc; terms = 1; value = v }
 
-let const v = { lc = [ (v, R1cs.one_var) ]; terms = 1; value = v }
+let const v = { lc = Some [ (v, R1cs.one_var) ]; terms = 1; value = v }
 let const_int n = const (Fp.of_int n)
 let value w = w.value
 
 (* Linear operations merge coefficient lists; no constraints emitted.
-   In eval mode both lists are empty and only [terms]/[value] move. *)
+   An operand without a list makes a result without one, so in eval
+   mode only [terms]/[value] move. *)
 let add a b =
-  { lc = a.lc @ b.lc; terms = a.terms + b.terms; value = Fp.add a.value b.value }
+  let lc =
+    match (a.lc, b.lc) with
+    | Some x, Some y -> Some (x @ y)
+    | None, _ | _, None -> None
+  in
+  { lc; terms = a.terms + b.terms; value = Fp.add a.value b.value }
 
 let scale k a =
-  {
-    lc = List.map (fun (c, v) -> (Fp.mul k c, v)) a.lc;
-    terms = a.terms;
-    value = Fp.mul k a.value;
-  }
+  let lc =
+    match a.lc with
+    | None -> None
+    | Some l -> Some (List.map (fun (c, v) -> (Fp.mul k c, v)) l)
+  in
+  { lc; terms = a.terms; value = Fp.mul k a.value }
 
 let sub a b = add a (scale (Fp.neg Fp.one) b)
 
@@ -112,11 +124,12 @@ let mul ctx a b =
 
 let square ctx a = mul ctx a a
 
-let one_lc = [ (Fp.one, R1cs.one_var) ]
+let one_lc = Some [ (Fp.one, R1cs.one_var) ]
+let zero_lc = Some [ (Fp.zero, R1cs.one_var) ]
 
 let assert_eq ?label ctx a b =
   emit ?label ~holds:(Fp.equal a.value b.value) ctx (sub a b).lc one_lc
-    [ (Fp.zero, R1cs.one_var) ]
+    zero_lc
 
 let assert_zero ?label ctx a = assert_eq ?label ctx a zero
 
@@ -124,14 +137,14 @@ let assert_bool ?label ctx a =
   let a_minus_1 = sub a (const Fp.one) in
   emit ?label
     ~holds:(Fp.is_zero (Fp.mul a.value a_minus_1.value))
-    ctx a.lc a_minus_1.lc [ (Fp.zero, R1cs.one_var) ]
+    ctx a.lc a_minus_1.lc zero_lc
 
 let is_zero ctx v =
   (* y = 1 iff v = 0: constraints v·y = 0 and v·m = 1 − y, with m the
      inverse-or-zero hint. *)
   let m = witness ctx (if Fp.is_zero v.value then Fp.zero else Fp.inv v.value) in
   let y = witness ctx (if Fp.is_zero v.value then Fp.one else Fp.zero) in
-  emit ~label:"is_zero.vy" ctx v.lc y.lc [ (Fp.zero, R1cs.one_var) ];
+  emit ~label:"is_zero.vy" ctx v.lc y.lc zero_lc;
   emit ~label:"is_zero.vm" ctx v.lc m.lc (sub (const Fp.one) y).lc;
   y
 

@@ -19,12 +19,18 @@ val create : unit -> ctx
 
 val create_eval : public:int -> witness:int -> ctx
 (** Witness-only evaluation context for compile-once templates: the
-    same gadget code runs, but no constraints are emitted and no linear
-    combinations are built — only the public/witness value sequences
-    are recorded (read them back with {!assignment}). Because a wire's
-    term count is tracked in both modes, every structural decision
-    (e.g. lc materialization) replays identically, so the assignment is
-    bit-identical to what synthesis would have produced.
+    same gadget code runs, but no constraints are emitted and only the
+    public/witness value sequences are recorded (read them back with
+    {!assignment}). A run does the field arithmetic and allocates one
+    small record per wire plus the two value arrays. It builds no
+    linear combination over a variable: an {!input} or {!witness} wire
+    carries none, and neither does any {!add}, {!sub}, {!scale} or
+    {!sum} that reaches one. Only a combination of constants alone
+    ({!const} and sums of constants) keeps its short list, as in
+    synthesis. Because a wire's term count is tracked in both modes,
+    every structural decision (e.g. lc materialization) replays
+    identically, so the assignment is bit-identical to what synthesis
+    would have produced.
 
     The context also counts the rows synthesis would have emitted, in
     synthesis order, and checks each assertion row ({!assert_eq},

@@ -4,8 +4,10 @@
     for, so a template synthesizes and SHA-digests the shape exactly
     once, sets up its keys from it, and afterwards fills the witness
     assignment for concrete values by re-running the same gadget body
-    in evaluation mode ({!Gadget.create_eval}): field arithmetic only,
-    no constraint lists, no {!R1cs.finalize}, no re-digesting. The fill
+    in evaluation mode ({!Gadget.create_eval}): the field arithmetic,
+    one record per wire and the two value arrays, with no linear
+    combination over a variable, no constraint, no {!R1cs.finalize}
+    and no re-digesting. The fill
     checks each assertion row as it reaches it, so a compiled
     template's prove is that one pass and no {!R1cs.check}. The
     Latus circuits ([Zen_latus.Circuits]), the merge circuit of

@@ -303,24 +303,19 @@ let test_prove_and_merge_identical () =
 
 (* ---- Proof_pipeline = synchronous prove + fold_balanced ---- *)
 
-(* Applies [steps] natively from [state]: the end state and each step
-   paired with its pre-step snapshot, as the node enqueues them. *)
-let snapshots state steps =
-  let state, rev =
-    List.fold_left
-      (fun (st, acc) step -> (ok (Sc_tx.apply_step st step), (st, step) :: acc))
-      (state, []) steps
-  in
-  (state, List.rev rev)
+(* Applies [steps] natively from [state]: the end state and each step's
+   traced record, as the node enqueues them. *)
+let snapshots state steps = ok (Sc_tx.trace state steps)
 
-(* The burst prover: every snapshot proven synchronously in order (the
-   first failure is the error), then one batch fold. *)
+(* The burst prover: every step proven synchronously in order from its
+   pre-state alone (the first failure is the error), then one batch
+   fold. *)
 let burst_top rsys snaps =
   let* leaves_rev =
     List.fold_left
-      (fun acc (st, step) ->
+      (fun acc { Sc_tx.pre; step; _ } ->
         let* out = acc in
-        let* proof, vk, s_from, s_to = Circuits.prove_step family st step in
+        let* proof, vk, s_from, s_to = Circuits.prove_step family pre step in
         let* tp = Recursive.of_base rsys ~vk ~s_from ~s_to ~extra:[||] proof in
         Ok (tp :: out))
       (Ok []) snaps
@@ -342,17 +337,16 @@ let test_pipeline_matches_burst () =
       ~nonce:(Hash.of_string "tp-burst-stranger")
   in
   let _, after = snapshots s8 (pipe_steps 1 "after") in
-  let failing = good @ [ (s8, Sc_tx.Remove stranger) ] @ after in
+  let failing =
+    good @ [ { Sc_tx.pre = s8; step = Sc_tx.Remove stranger; post = s8 } ] @ after
+  in
   (* Two links that are not adjacent: the fold's merge fails. *)
   let broken = [ List.nth prefix 0; List.nth prefix 2 ] in
   List.iter
     (fun domains ->
       let label s = Printf.sprintf "domains %d: %s" domains s in
       let p = Proof_pipeline.create ~pool:(Pool.get ~domains) ~family ~rsys in
-      let enqueue epoch =
-        List.iter (fun (state, step) ->
-            Proof_pipeline.enqueue p ~epoch ~state ~step)
-      in
+      let enqueue epoch = List.iter (Proof_pipeline.enqueue p ~epoch) in
       enqueue 0 fresh;
       enqueue 1 (prefix @ stale);
       Proof_pipeline.pump p;

@@ -150,14 +150,18 @@ let props =
           match Sc_tx.transition state tx with
           | Error _ -> true
           | Ok (_, traced) ->
-            (* Each traced pre-state is the fold's state before that step. *)
+            (* Each traced pre-state is the fold's state before that
+               step, and each post-state the fold's state after it. *)
+            let same a b = Fp.equal (Sc_state.hash a) (Sc_state.hash b) in
             let via_steps =
               List.fold_left
-                (fun acc (pre, s) ->
+                (fun acc { Sc_tx.pre; step; post } ->
                   Result.bind acc (fun st ->
-                      if Fp.equal (Sc_state.hash st) (Sc_state.hash pre) then
-                        Sc_tx.apply_step st s
-                      else Error "pre-state mismatch"))
+                      if not (same st pre) then Error "pre-state mismatch"
+                      else
+                        Result.bind (Sc_tx.apply_step st step) (fun st' ->
+                            if same st' post then Ok st'
+                            else Error "post-state mismatch")))
                 (Ok state) traced
             in
             (match (Sc_tx.apply state tx, via_steps) with

@@ -330,8 +330,10 @@ let pinned_epoch_proof =
 
 let pinned_epoch_rewards = "w0:4 w1:5 w2:1 w3:3"
 
+let default_family = lazy (Circuits.make Params.default)
+
 let test_pinned_digests () =
-  let default = Circuits.make Params.default in
+  let default = Lazy.force default_family in
   let rsys =
     Zen_snark.Recursive.create ~name:"cli"
       ~base_vks:(Circuits.base_vks default)
@@ -564,10 +566,14 @@ let tamper_append (v : Circuits.append_values) k t =
   | 5 -> { v with a_recv = bump k v.a_recv }
   | _ -> { v with a_amt = too_big }
 
+(* [step] applied once at [st], as [Sc_tx.trace] records it. *)
+let traced st step =
+  { Sc_tx.pre = st; step; post = ok (Sc_tx.apply_step st step) }
+
 (* The step circuits through [Circuits.step_job], honest and tampered. *)
 let check_step_job f st step k t =
   let verdict =
-    match ok (Circuits.step_job f st step) with
+    match ok (Circuits.step_job f (traced st step)) with
     | Circuits.Step (Circuits.Slot, tpl, v, _, _) ->
       fused_equals_raw tpl (tamper_slot v k t)
     | Circuits.Step (Circuits.Append, tpl, v, _, _) ->
@@ -692,10 +698,19 @@ type gop =
   | Bits of int * int
   | Is_zero of int
   | Select of int * int * int
+  | Const of int
+  | Scale of int * int
+  | Sub of int * int
+  | Sum of int list
+  | Poseidon2 of int * int
+  | Const_eq of int * int
+  | Const_bool of int
 
 let gen_gop =
   QCheck2.Gen.(
     let i = int_bound 50 in
+    (* Small field elements, and their negations. *)
+    let k = map2 (fun v neg -> if neg then -v else v) (int_bound 3) bool in
     oneof
       [
         map2 (fun a b -> Mul (a, b)) i i;
@@ -705,6 +720,13 @@ let gen_gop =
         map2 (fun a n -> Bits (a, n)) i (int_range 1 3);
         map (fun a -> Is_zero a) i;
         map3 (fun c a b -> Select (c, a, b)) i i i;
+        map (fun v -> Const v) k;
+        map2 (fun c a -> Scale (c, a)) k i;
+        map2 (fun a b -> Sub (a, b)) i i;
+        map (fun l -> Sum l) (list_size (int_range 0 3) i);
+        map2 (fun a b -> Poseidon2 (a, b)) i i;
+        map2 (fun a b -> Const_eq (a, b)) k k;
+        map (fun a -> Const_bool a) k;
       ])
 
 let gadget_body (inputs, witnesses, ops) ctx =
@@ -722,12 +744,22 @@ let gadget_body (inputs, witnesses, ops) ctx =
       | Bool (a, l) -> Gadget.assert_bool ?label:(label l "bool") ctx (get a)
       | Bits (a, n) -> List.iter push (Gadget.to_bits ctx (get a) n)
       | Is_zero a -> push (Gadget.is_zero ctx (get a))
-      | Select (c, a, b) -> push (Gadget.select ctx ~cond:(get c) (get a) (get b)))
+      | Select (c, a, b) -> push (Gadget.select ctx ~cond:(get c) (get a) (get b))
+      | Const v -> push (Gadget.const_int v)
+      | Scale (c, a) -> push (Gadget.scale (Fp.of_int c) (get a))
+      | Sub (a, b) -> push (Gadget.sub (get a) (get b))
+      | Sum l -> push (Gadget.sum (List.map get l))
+      | Poseidon2 (a, b) -> push (Gadget.poseidon2 ctx (get a) (get b))
+      | Const_eq (a, b) ->
+        Gadget.assert_eq ~label:"const" ctx (Gadget.const_int a)
+          (Gadget.const_int b)
+      | Const_bool a -> Gadget.assert_bool ctx (Gadget.const_int a))
     ops
 
 let test_gadget_verdict_equals_check =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"random bodies: eval verdict = R1cs.satisfied"
+    (QCheck2.Test.make
+       ~name:"random bodies: eval verdict = R1cs.satisfied, eval = synthesis"
        ~count:500
        QCheck2.Gen.(
          triple
@@ -743,23 +775,158 @@ let test_gadget_verdict_equals_check =
              Gadget.finalize ~name:"random" shape
            with
            | circuit, public, witness ->
-             (Some circuit, outcome (fun () ->
+             (Some (circuit, (public, witness)), outcome (fun () ->
                   Result.map (fun () -> Backend.dummy_proof)
                     (Zen_snark.R1cs.satisfied circuit ~public ~witness)))
            | exception e -> (None, Raised e)
          in
+         let ctx = Gadget.create_eval ~public:0 ~witness:0 in
          let fused =
            outcome (fun () ->
-               let ctx = Gadget.create_eval ~public:0 ~witness:0 in
                body ctx;
                match fst full with
                | None -> Ok Backend.dummy_proof
-               | Some circuit ->
+               | Some (circuit, _) ->
                  Result.map
                    (fun () -> Backend.dummy_proof)
                    (Gadget.verdict circuit ctx))
          in
-         pp_outcome (snd full) = pp_outcome fused))
+         let same_assignment =
+           match fst full with
+           | None -> true
+           | Some (_, synthesized) -> Gadget.assignment ctx = synthesized
+         in
+         pp_outcome (snd full) = pp_outcome fused && same_assignment))
+
+(* ---- The fill builds no linear combination ---- *)
+
+(* An evaluation run allocates one record per wire and the value
+   columns, not the coefficient lists synthesis builds: one insert
+   fill at the default depth allocates 111,484 minor words. A fill
+   that copies the constant wires' lists, as synthesis does, takes
+   261,908; the bound sits halfway. *)
+let test_fill_allocation () =
+  let f = Lazy.force default_family in
+  let st = Sc_state.create Params.default in
+  match ok (Circuits.step_job f (traced st (Sc_tx.Insert (utxo 0)))) with
+  | Circuits.Step (_, tpl, v, _, _) ->
+    (* The first fill builds the shared round-constant wires. *)
+    ignore (ok (Template.assign tpl v));
+    let before = Gc.minor_words () in
+    ignore (ok (Template.assign tpl v));
+    let words = Gc.minor_words () -. before in
+    checkb
+      (Printf.sprintf "depth-%d insert fill: %.0f minor words < 185k"
+         Params.default.mst_depth words)
+      true (words < 185_000.)
+
+(* ---- Each step's post-state comes from its trace ---- *)
+
+let proof_hex (proof, _, _, _) =
+  Sha256.to_hex (Sha256.digest (Backend.proof_encode proof))
+
+(* A state holding [a], a removal of [a], an insertion of a fresh UTXO
+   and a backward transfer, all valid at that state. *)
+let trace_fixture () =
+  let a = utxo 11 and b = utxo_with_parity 1 in
+  let st = state_with [ a ] in
+  let bt =
+    Backward_transfer.make ~receiver_addr:(Hash.of_string "trace-bt")
+      ~amount:(Amount.of_int_exn 17)
+  in
+  (st, [ Sc_tx.Remove a; Sc_tx.Insert b; Sc_tx.Append_bt bt ])
+
+(* The record [Sc_tx.trace] returns proves to the bytes, keys and
+   endpoints [prove_step] gives from the pre-state alone. *)
+let test_traced_equals_prove_step () =
+  let f = Lazy.force family in
+  let st, steps = trace_fixture () in
+  List.iter
+    (fun step ->
+      let t =
+        match ok (Sc_tx.trace st [ step ]) with
+        | _, [ t ] -> t
+        | _ -> Alcotest.fail "one step, one record"
+      in
+      let ((_, vk_t, from_t, to_t) as traced) = ok (Circuits.prove_traced f t) in
+      let ((_, vk_s, from_s, to_s) as direct) =
+        ok (Circuits.prove_step f st step)
+      in
+      Alcotest.(check string) "proof bytes" (proof_hex direct) (proof_hex traced);
+      checkb "same vk" true (Backend.vk_encode vk_t = Backend.vk_encode vk_s);
+      checkb "s_from is the pre-state's hash" true
+        (Fp.equal from_t from_s && Fp.equal from_t (Sc_state.hash st));
+      checkb "s_to is the post-state's hash" true
+        (Fp.equal to_t to_s && Fp.equal to_t (Sc_state.hash t.post)))
+    steps
+
+(* A record whose [post] is not its step applied to [pre] still builds
+   a job, but the circuit recomputes the post-state root and refuses it
+   at the s_to row, with the error the full check of the raw assignment
+   gives. *)
+let test_wrong_post_refused () =
+  let f = Lazy.force family in
+  let st, steps = trace_fixture () in
+  let posts = List.map (fun step -> (traced st step).post) steps in
+  List.iteri
+    (fun i step ->
+      let other = List.nth posts ((i + 1) mod List.length posts) in
+      List.iter
+        (fun post ->
+          let job = ok (Circuits.step_job f { Sc_tx.pre = st; step; post }) in
+          let verdict =
+            match job with
+            | Circuits.Step (Circuits.Slot, tpl, v, _, _) -> fused_equals_raw tpl v
+            | Circuits.Step (Circuits.Append, tpl, v, _, _) ->
+              fused_equals_raw tpl v
+          in
+          let row =
+            match step with
+            | Sc_tx.Append_bt _ -> "(append.s_to)"
+            | Sc_tx.Remove _ | Sc_tx.Insert _ -> "(slot.s_to)"
+          in
+          match verdict with
+          | Refused e ->
+            checkb ("refused at " ^ row ^ ": " ^ e) true
+              (String.ends_with ~suffix:row e);
+            Alcotest.(check (result reject string))
+              "prove_traced gives the same error" (Error e)
+              (Result.map ignore
+                 (Circuits.prove_traced f { Sc_tx.pre = st; step; post }))
+          | v -> Alcotest.fail ("a wrong post-state was " ^ pp_outcome v))
+        [ st; other ])
+    steps
+
+(* A step invalid at its state keeps [prove_step]'s errors, and the
+   traced and assignment paths give the same ones. *)
+let test_invalid_step_errors () =
+  let f = Lazy.force family in
+  let a = utxo 11 in
+  let st = state_with [ a ] in
+  (* Another UTXO bound for [a]'s slot. *)
+  let clash =
+    let slot = Utxo.position ~mst_depth:params.Params.mst_depth in
+    let rec search i =
+      let u = { a with nonce = Hash.of_string (Printf.sprintf "clash-%d" i) } in
+      if slot u = slot a then u else search (i + 1)
+    in
+    search 0
+  in
+  List.iter
+    (fun (step, expected) ->
+      let err r = match r with Ok _ -> "ok" | Error e -> e in
+      Alcotest.(check string) "prove_step" expected
+        (err (Circuits.prove_step f st step));
+      Alcotest.(check string) "step_assignment" expected
+        (err (Circuits.step_assignment f st step));
+      Alcotest.(check string) "prove_traced with post = pre" expected
+        (err (Circuits.prove_traced f { Sc_tx.pre = st; step; post = st })))
+    [
+      (Sc_tx.Remove (utxo 12), "prove: utxo not in state");
+      (Sc_tx.Remove clash, "prove: utxo not in state");
+      (Sc_tx.Insert a, "prove: slot occupied");
+      (Sc_tx.Insert clash, "prove: slot occupied");
+    ]
 
 let suite =
   ( "template",
@@ -784,4 +951,10 @@ let suite =
       test_fused_equals_full_check;
       Alcotest.test_case "wcert binding row" `Quick test_wcert_binding_row;
       test_gadget_verdict_equals_check;
+      Alcotest.test_case "fill allocation" `Quick test_fill_allocation;
+      Alcotest.test_case "traced record = prove_step" `Quick
+        test_traced_equals_prove_step;
+      Alcotest.test_case "wrong post-state refused" `Quick
+        test_wrong_post_refused;
+      Alcotest.test_case "invalid step errors" `Quick test_invalid_step_errors;
     ] )
