@@ -819,7 +819,8 @@ let e13_prover_pool () =
         (Zen_snark.Backend.proof_encode (Zen_snark.Recursive.final_proof top)
         :: List.map
              (fun tp ->
-               Zen_snark.Backend.proof_encode tp.Prover_pool.proof)
+               Zen_snark.Backend.proof_encode
+                 (Zen_snark.Recursive.final_proof tp.Prover_pool.transition))
              proofs)
     in
     (stats, total, fingerprint)
@@ -887,7 +888,9 @@ let e14_fault_storm () =
   let digest proofs =
     Hash.tagged "e14.run"
       (List.map
-         (fun tp -> Zen_snark.Backend.proof_encode tp.Prover_pool.proof)
+         (fun tp ->
+           Zen_snark.Backend.proof_encode
+             (Zen_snark.Recursive.final_proof tp.Prover_pool.transition))
          proofs)
   in
   let clean_digest =
@@ -1196,7 +1199,9 @@ let e16_template () =
       Hash.tagged "e16.run"
         (Zen_snark.Backend.proof_encode (Zen_snark.Recursive.final_proof top)
         :: List.map
-             (fun tp -> Zen_snark.Backend.proof_encode tp.Prover_pool.proof)
+             (fun tp ->
+               Zen_snark.Backend.proof_encode
+                 (Zen_snark.Recursive.final_proof tp.Prover_pool.transition))
              proofs)
     in
     (wall, fin, fingerprint)

@@ -362,7 +362,8 @@ let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
          (String.concat ""
             (List.map
                (fun tp ->
-                 Zen_snark.Backend.proof_encode tp.Prover_pool.proof)
+                 Zen_snark.Backend.proof_encode
+                   (Zen_snark.Recursive.final_proof tp.Prover_pool.transition))
                proofs)))
   in
   let worker_faults =

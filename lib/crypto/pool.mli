@@ -127,9 +127,10 @@ val map_list : t -> ?cost:float -> ('a -> 'b) -> 'a list -> 'b list
 
 (** {2 Single-task futures}
 
-    The building block of pipelined proving ([Zen_latus.Proof_pipeline]
-    and [Zen_latus.Prover_pool.prove_and_merge]):
-    a one-shot task submitted now and forced later, so independent work
+    The building block of pipelined proving
+    ([Zen_latus.Proof_pipeline], which both the node and
+    [Zen_latus.Prover_pool.prove_and_merge] prove through): a one-shot
+    task submitted now and forced later, so independent work
     (a base proof) can overlap with whatever the submitting domain does
     next (forging the following block). The execution site is decided
     late — a pool worker may pick the task up in the background, or the

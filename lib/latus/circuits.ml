@@ -243,8 +243,8 @@ let slot_write_job kind c (pre : Sc_state.t) ~s_from_v ~s_to_v utxo pos =
       s_from_v,
       s_to_v )
 
-let step_job f ({ pre; step; post } : Sc_tx.traced) =
-  let s_from_v = Sc_state.hash pre and s_to_v = Sc_state.hash post in
+let step_job f ~s_from:s_from_v ~s_to:s_to_v
+    ({ pre; step; _ } : Sc_tx.traced) =
   match step with
   | Sc_tx.Remove utxo -> (
     match Mst.find_utxo pre.mst utxo with
@@ -281,13 +281,15 @@ let traced_job f state step =
   let post =
     match Sc_tx.apply_step state step with Ok post -> post | Error _ -> state
   in
-  step_job f { Sc_tx.pre = state; step; post }
+  step_job f ~s_from:(Sc_state.hash state) ~s_to:(Sc_state.hash post)
+    { Sc_tx.pre = state; step; post }
 
 let prove_job (Step (_, c, v, s_from, s_to)) =
   let* proof = Template.prove c v in
   Ok (proof, (Template.keys c).vk, s_from, s_to)
 
-let prove_traced f traced = Result.bind (step_job f traced) prove_job
+let prove_traced f ~s_from ~s_to traced =
+  Result.bind (step_job f ~s_from ~s_to traced) prove_job
 let prove_step f state step = Result.bind (traced_job f state step) prove_job
 
 let step_assignment f state step =

@@ -107,15 +107,18 @@ val ownership_keys : family -> keys
 
 val prove_traced :
   family ->
+  s_from:Fp.t ->
+  s_to:Fp.t ->
   Sc_tx.traced ->
   (Backend.proof * Backend.verification_key * Fp.t * Fp.t, string) result
-(** Proves one traced primitive transition; returns
-    (proof, vk, s_from, s_to). It is {!Zen_snark.Template.prove} on
-    {!step_job}'s template and values: one evaluation-mode run of the
-    circuit's body, with no second pass over its rows on a {!make}
-    family. The provers ([Prover_pool], [Proof_pipeline]) call it on
-    the records {!Sc_tx.trace} and {!Sc_tx.transition} return, so no
-    step is applied twice. *)
+(** Proves one traced primitive transition whose pre- and post-state
+    hash to [s_from] and [s_to]; returns (proof, vk, s_from, s_to). It
+    is {!Zen_snark.Template.prove} on {!step_job}'s template and
+    values: one evaluation-mode run of the circuit's body, with no
+    second pass over its rows on a {!make} family. [Proof_pipeline]
+    calls it on the records {!Sc_tx.trace} and {!Sc_tx.transition}
+    return, so no step is applied twice, and passes each state's hash
+    to both records that share the state. *)
 
 val prove_step :
   family ->
@@ -145,16 +148,19 @@ type step_job =
       (** The step's template, the values it proves and
           (s_from, s_to). *)
 
-val step_job : family -> Sc_tx.traced -> (step_job, string) result
+val step_job :
+  family -> s_from:Fp.t -> s_to:Fp.t -> Sc_tx.traced -> (step_job, string) result
 (** The one place a step picks its circuit ([remove], [insert] or
-    [append]) and computes its values. The witness and [s_from] come
-    from [pre]; [s_to] is [Sc_state.hash post], so no step is applied
+    [append]) and computes its values. The witness comes from [pre];
+    [s_from] and [s_to] are the caller's [Sc_state.hash pre] and
+    [Sc_state.hash post], so no step is applied and no state is hashed
     here. Fails on a Remove of a UTXO [pre] lacks ("prove: utxo not in
     state") and on an Insert into a slot [pre] has occupied ("prove:
-    slot occupied"). A [post] that is not [step] applied to [pre] is
-    not checked here: the circuit recomputes the post-state root and
-    refuses the proof at [slot.s_to] or [append.s_to]. The [kind] lets
-    tests alter the values before proving them. *)
+    slot occupied"). Neither hash is checked here: the circuit
+    recomputes both state roots and refuses a [post] that is not [step]
+    applied to [pre], or a hash that is not its state's, at the
+    [slot.s_from]/[slot.s_to] or [append.s_from]/[append.s_to] row.
+    The [kind] lets tests alter the values before proving them. *)
 
 val prove_wcert_binding :
   family ->

@@ -45,9 +45,13 @@ let prove_s =
 
 (* ---- streams ---- *)
 
+(* A leaf's wrapped base proof (or the first error of its task) and
+   the seconds its task took. *)
+type leaf_result = (Recursive.transition_proof, string) result * float
+
 type leaf = {
-  fut : (Recursive.transition_proof, string) result Pool.future;
-  mutable cached : (Recursive.transition_proof, string) result option;
+  fut : leaf_result Pool.future;
+  mutable cached : leaf_result option;
       (* set once at harvest so reorg truncation can replay the kept
          prefix without re-proving *)
 }
@@ -58,6 +62,9 @@ type stream = {
   mutable harvested : int; (* leaves already folded into [inc] *)
   mutable inc : Recursive.Incremental.acc;
   mutable base_error : string option; (* first failing leaf, in order *)
+  mutable last_post : (Sc_state.t * Fp.t) option;
+      (* the last enqueued record's post-state and its hash: the next
+         record's pre-state when the steps are consecutive *)
 }
 
 type certificate_stats = {
@@ -92,6 +99,7 @@ let fresh_stream sys =
     harvested = 0;
     inc = Recursive.Incremental.create sys;
     base_error = None;
+    last_post = None;
   }
 
 let stream_for t ~epoch =
@@ -110,6 +118,20 @@ let leaves t ~epoch =
 let outstanding t = t.outstanding
 let certificate_log t = t.certificate_log
 
+(* Each state is hashed once per stream: a record whose pre-state is
+   the previous record's post-state (the same value, as [Sc_tx.trace]
+   and [Sc_tx.transition] chain them) reuses that record's hash. States
+   are persistent, so a physically equal state has the same hash. *)
+let hashes s (traced : Sc_tx.traced) =
+  let s_from =
+    match s.last_post with
+    | Some (post, h) when post == traced.pre -> h
+    | _ -> Sc_state.hash traced.pre
+  in
+  let s_to = Sc_state.hash traced.post in
+  s.last_post <- Some (traced.post, s_to);
+  (s_from, s_to)
+
 let enqueue t ~epoch traced =
   let s = stream_for t ~epoch in
   if s.n >= Array.length s.leaves then begin
@@ -119,19 +141,28 @@ let enqueue t ~epoch traced =
   end;
   let observing = Zen_obs.Registry.enabled () in
   let t_submit = if observing then Zen_obs.Clock.now () else 0. in
-  let fam = t.fam and rsys = t.rsys in
-  (* The thunk is pure in the pool's sense: the traced step and the
-     keys are all captured here; it may run on any worker domain
+  let fam = t.fam and rsys = t.rsys and index = s.n in
+  let s_from, s_to = hashes s traced in
+  (* The thunk is pure in the pool's sense: the traced step, its hashes
+     and the keys are all captured here; it may run on any worker domain
      or inline at harvest. It must never raise — failures travel as
-     [Error] so the worker-side exception accounting stays quiet. *)
+     [Error] so the worker-side exception accounting stays quiet. The
+     wrap's verification is the proof's only check. *)
   let fut =
     Pool.async t.pool (fun () ->
-        if observing then
-          Zen_obs.Histogram.observe queue_wait_s
-            (Zen_obs.Clock.now () -. t_submit);
-        Zen_obs.Histogram.time prove_s @@ fun () ->
-        let* proof, vk, s_from, s_to = Circuits.prove_traced fam traced in
-        Recursive.of_base rsys ~vk ~s_from ~s_to ~extra:[||] proof)
+        let t0 = Zen_obs.Clock.now () in
+        if observing then Zen_obs.Histogram.observe queue_wait_s (t0 -. t_submit);
+        let result =
+          Zen_obs.Trace.with_span ~cat:"latus"
+            ~args:[ ("step", string_of_int index) ]
+            "latus.prove_step"
+          @@ fun () ->
+          let* proof, vk, _, _ = Circuits.prove_traced fam ~s_from ~s_to traced in
+          Recursive.of_base rsys ~vk ~s_from ~s_to ~extra:[||] proof
+        in
+        let seconds = Zen_obs.Clock.now () -. t0 in
+        Zen_obs.Histogram.observe prove_s seconds;
+        (result, seconds))
   in
   s.leaves.(s.n) <- Some { fut; cached = None };
   s.n <- s.n + 1;
@@ -142,7 +173,7 @@ let enqueue t ~epoch traced =
 (* Folds leaf [i]'s result into the stream's incremental accumulator.
    Eager merges run here — off the certify path unless certify itself
    is forcing stragglers. *)
-let absorb t s result =
+let absorb t s ((result, _) : leaf_result) =
   (match result with
   | Ok tp ->
     let before = Recursive.Incremental.eager_merges s.inc in
@@ -197,6 +228,11 @@ let await_epoch t ~epoch =
         { cert_epoch = epoch; cert_leaves = s.n; cert_carry_merges = carries }
         :: t.certificate_log;
       Recursive.Incremental.finish s.inc)
+
+let leaf_results t ~epoch =
+  match Int_map.find_opt epoch t.epochs with
+  | None -> []
+  | Some s -> List.init s.n (fun i -> Pool.await (Option.get s.leaves.(i)).fut)
 
 (* Unharvested leaves dropped by a truncation may still be running on a
    worker; they finish harmlessly and are never read. *)

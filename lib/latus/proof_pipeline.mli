@@ -1,18 +1,24 @@
-(** Pipelined epoch proving: overlap base-proof generation and merging
-    with block production.
+(** Pipelined epoch proving: the one prover of the repository.
 
     The paper's §5.4.1 provers (and the Latus incentive-scheme paper,
     arXiv:2103.13754) generate base proofs and merge proofs
     {e continuously across the epoch}, not in a burst at the boundary.
-    This module is the node-side realization: {!Node.forge} applies
-    steps natively, recording each step's pre- and post-state
-    ({!Sc_tx.traced}), and {!enqueue}s one proving task per step as a
-    {!Pool.future}; the tasks complete on the shared Domain pool in the
-    background while the node forges the next block. As sibling proofs land, {!pump} folds them through
+    Each step applied natively is recorded with its pre- and post-state
+    ({!Sc_tx.traced}), and {!enqueue} turns the record into one proving
+    task — {!Circuits.prove_traced}, then {!Recursive.of_base}, whose
+    verification is the proof's only check — submitted as a
+    {!Pool.future}. As sibling proofs land, {!pump} folds them through
     {!Recursive.Incremental} — the online balanced fold — so by
     certify time the epoch's merge tree is already built except for the
     ≤ ⌈log₂ n⌉ binary-counter carry merges, which {!await_epoch} runs
     together with any straggler base proofs.
+
+    Two callers drive it. {!Node.forge} enqueues each forged block's
+    records and the tasks complete on the shared Domain pool in the
+    background while the node forges the next block.
+    [Prover_pool.prove_and_merge] traces a whole epoch, enqueues every
+    record at once, awaits it and does the §5.4.1 worker accounting
+    around the result ({!leaf_results}).
 
     {2 Determinism}
 
@@ -31,6 +37,7 @@
 
     [latus.pipeline.depth] (gauge: tasks in flight),
     [latus.pipeline.queue_wait.seconds] / [.prove.seconds] (histograms),
+    one [latus.prove_step] span per task,
     and [latus.pipeline.enqueued] / [.merges.eager] / [.merges.carry] /
     [.truncations] (counters). The certify-path shrink shows up as the
     [latus.fold] span collapsing in [Zen_obs.Report]. *)
@@ -56,8 +63,12 @@ val enqueue : t -> epoch:int -> Sc_tx.traced -> unit
 (** Submits the proof of a traced step ({!Circuits.prove_traced}) for
     background execution, appended to [epoch]'s stream in application
     order. The proof's [s_to] is the record's [post], so the step is
-    not applied again. Call only with records of steps that are
-    definitely part of a forged block, in block order. *)
+    not applied again. Both states are hashed here, in order, except a
+    [pre] that is the previous record's [post] (the same value, as
+    {!Sc_tx.trace} chains them): its hash is reused, so an epoch of
+    [n] consecutive steps hashes [n + 1] states. Call only with
+    records of steps that are definitely part of a forged block, in
+    block order. *)
 
 val pump : t -> unit
 (** Non-blocking drain point, called between ticks: folds every already
@@ -73,6 +84,14 @@ val await_epoch : t -> epoch:int -> (Recursive.transition_proof, string) result
     prove-then-fold path: the first failing base proof in application
     order, else the first failing merge in the level-by-level fold's
     (level, pair) order. Appends to {!certificate_log}. *)
+
+val leaf_results :
+  t ->
+  epoch:int ->
+  ((Recursive.transition_proof, string) result * float) list
+(** [epoch]'s leaves in leaf order (none for an unknown epoch): each
+    leaf's wrapped base proof, or its task's error, and the seconds its
+    task took. Awaits any leaf {!await_epoch} has not harvested. *)
 
 val leaves : t -> epoch:int -> int
 (** Tasks enqueued for [epoch] so far (0 for an unknown epoch). *)

@@ -7,10 +7,7 @@ type task_proof = {
   index : int;
   worker : int;
   attempts : int;
-  proof : Backend.proof;
-  vk : Backend.verification_key;
-  s_from : Fp.t;
-  s_to : Fp.t;
+  transition : Recursive.transition_proof;
   seconds : float;
 }
 
@@ -38,31 +35,21 @@ let reassignments =
     ~help:"Prover tasks re-dispatched away from a crashed worker"
     "latus.prover.reassignments"
 
-let prove_step_s =
-  Zen_obs.Histogram.make
-    ~help:"per-base-proof proving latency (after any Slow-fault inflation)"
-    ~bounds:(Zen_obs.Histogram.exponential_bounds ~lo:1e-4 ~factor:4. ~n:8)
-    "latus.prove_step.seconds"
-
-(* Swappable clock: tests install [Zen_obs.Clock.deterministic] to make
-   the per-task [seconds] and [wall] fields reproducible. *)
-let now () = Zen_obs.Clock.now ()
-
 let dispatch ~rng ~workers ~tasks =
   if workers <= 0 then invalid_arg "Prover_pool.dispatch: no workers";
   Array.init tasks (fun _ -> Rng.int rng workers)
 
 let ( let* ) = Result.bind
 
-(* One §5.4.1 proving task: honour the seeded dispatch (re-dispatching
-   away from crashed workers via the task's derived rng), prove,
-   spot-verify, account. A pure function of its index, so it may run on
-   any domain. *)
-let run_task ~family ~fault_of ~crashed ~survivors ~attempt_budget ~rng
-    ~assignment ~snaps index =
+(* Where task [index] lands: its seeded assignment, re-dispatched away
+   from crashed workers with the task's derived rng, one attempt of the
+   budget per try. A function of the seed, the index and the faults
+   alone — never of a proof — so every route is drawn before proving. *)
+let route ~crashed ~survivors ~attempt_budget ~rng ~assignment index =
   let task_rng = Rng.derive rng index in
   let rec attempt k w =
-    if crashed w then begin
+    if not (crashed w) then Ok (w, k)
+    else begin
       Zen_obs.Counter.incr reassignments;
       Zen_obs.Trace.instant ~cat:"fault"
         ~args:
@@ -78,49 +65,33 @@ let run_task ~family ~fault_of ~crashed ~survivors ~attempt_budget ~rng
              index attempt_budget)
       else attempt (k + 1) survivors.(Rng.int task_rng (Array.length survivors))
     end
-    else begin
-      let t = now () in
-      Zen_obs.Trace.with_span ~cat:"latus"
-        ~args:
-          [
-            ("step", string_of_int index);
-            ("worker", string_of_int w);
-            ("attempt", string_of_int k);
-          ]
-        "latus.prove_step"
-      @@ fun () ->
-      match Circuits.prove_traced family snaps.(index) with
-      | Error e -> Error e
-      | Ok (proof, vk, s_from, s_to) ->
-        let public = Recursive.base_public ~s_from ~s_to ~extra:[||] in
-        if not (Backend.verify vk ~public proof) then
-          Error "prover pool: worker submitted an invalid proof"
-        else
-          let seconds = now () -. t in
-          let seconds =
-            match fault_of w with
-            | Some (Slow f) when f > 1 -> seconds *. float_of_int f
-            | _ -> seconds
-          in
-          Zen_obs.Histogram.observe prove_step_s seconds;
-          Ok { index; worker = w; attempts = k; proof; vk; s_from; s_to; seconds }
-    end
   in
   attempt 1 assignment.(index)
 
+(* The routes of the records in order, up to the first task whose
+   routing fails; then that failure. *)
+let rec routed route index = function
+  | [] -> ([], Ok ())
+  | record :: rest -> (
+    match route index with
+    | Error e -> ([], Error e)
+    | Ok wk ->
+      let ok, failure = routed route (index + 1) rest in
+      ((wk, record) :: ok, failure))
+
 let stats_of ~workers ~domains ~wall proofs =
-  let rewards = Array.make workers 0 in
-  let busy = Array.make workers 0.0 in
-  let worker_retries = Array.make workers 0 in
-  let retries, total_work =
-    List.fold_left
-      (fun (retries, acc) tp ->
-        rewards.(tp.worker) <- rewards.(tp.worker) + 1;
-        busy.(tp.worker) <- busy.(tp.worker) +. tp.seconds;
-        worker_retries.(tp.worker) <- worker_retries.(tp.worker) + tp.attempts - 1;
-        (retries + tp.attempts - 1, acc +. tp.seconds))
-      (0, 0.0) proofs
+  let sum f l = List.fold_left (fun acc x -> acc +. f x) 0.0 l in
+  let cost w =
+    let mine = List.filter (fun tp -> tp.worker = w) proofs in
+    {
+      wc_worker = w;
+      busy_s = sum (fun tp -> tp.seconds) mine;
+      wc_proofs = List.length mine;
+      wc_retries = List.fold_left (fun acc tp -> acc + tp.attempts - 1) 0 mine;
+    }
   in
+  let worker_costs = List.init workers cost in
+  let total_work = sum (fun tp -> tp.seconds) proofs in
   {
     tasks = List.length proofs;
     workers;
@@ -128,16 +99,9 @@ let stats_of ~workers ~domains ~wall proofs =
     total_work;
     wall;
     concurrency = (if wall > 0.0 then total_work /. wall else 1.0);
-    retries;
-    rewards = Array.to_list rewards |> List.mapi (fun i r -> (i, r));
-    worker_costs =
-      List.init workers (fun w ->
-          {
-            wc_worker = w;
-            busy_s = busy.(w);
-            wc_proofs = rewards.(w);
-            wc_retries = worker_retries.(w);
-          });
+    retries = List.fold_left (fun acc wc -> acc + wc.wc_retries) 0 worker_costs;
+    rewards = List.map (fun wc -> (wc.wc_worker, wc.wc_proofs)) worker_costs;
+    worker_costs;
   }
 
 let worker_costs_json stats =
@@ -169,52 +133,46 @@ let prove_and_merge ?(pool = Pool.sequential) ?(faults = [])
   let fault_of w = List.assoc_opt w faults in
   let crashed w = fault_of w = Some Crash in
   let survivors =
-    Array.init workers Fun.id |> Array.to_list
-    |> List.filter (fun w -> not (crashed w))
-    |> Array.of_list
+    Array.of_list
+      (List.filter (fun w -> not (crashed w)) (List.init workers Fun.id))
   in
   let* () =
     if workers > 0 && Array.length survivors = 0 then
       Error "prover pool: no surviving workers (all crashed)"
     else Ok ()
   in
-  (* The incentive layer: the dispatch is drawn from the seeded rng
-     before anything executes, so worker assignment, rewards and
-     retries do not depend on scheduling. *)
   let rng = Rng.create seed in
   let assignment = dispatch ~rng ~workers ~tasks:(List.length steps) in
-  (* Each step's pre- and post-state: after this, every proving task is
-     independent of the others. *)
-  let* _, snaps = Sc_tx.trace initial steps in
-  let snaps = Array.of_list snaps in
-  let t0 = now () in
-  (* Pipelined execution: every task is a future, so base proofs run
-     concurrently while this domain folds finished ones — in index
-     order — through the incremental merge tree. The tree shape (hence
-     the proof bytes) is the balanced Fig. 10 tree and the reported
-     error is the first failing index, whatever the domain count; only
-     scheduling and the timing fields vary. *)
-  let futures =
-    Array.init (Array.length snaps) (fun index ->
-        Pool.async pool (fun () ->
-            run_task ~family ~fault_of ~crashed ~survivors ~attempt_budget ~rng
-              ~assignment ~snaps index))
+  let* _, records = Sc_tx.trace initial steps in
+  let routes, unrouted =
+    routed (route ~crashed ~survivors ~attempt_budget ~rng ~assignment) 0
+      records
   in
-  let inc = Recursive.Incremental.create rsys in
-  let* proofs_rev =
-    Array.fold_left
-      (fun acc fut ->
-        let* out = acc in
-        let* tp = Pool.await fut in
-        let* transition =
-          Recursive.of_base rsys ~vk:tp.vk ~s_from:tp.s_from ~s_to:tp.s_to
-            ~extra:[||] tp.proof
+  let t0 = Zen_obs.Clock.now () in
+  let pipeline = Proof_pipeline.create ~pool ~family ~rsys in
+  List.iter (fun (_, r) -> Proof_pipeline.enqueue pipeline ~epoch:0 r) routes;
+  let top = Proof_pipeline.await_epoch pipeline ~epoch:0 in
+  let wall = Zen_obs.Clock.now () -. t0 in
+  let leaves = Proof_pipeline.leaf_results pipeline ~epoch:0 in
+  (* The task whose routing failed comes after every routed one, so a
+     failed base proof among those is the first error. *)
+  let* top =
+    match unrouted with
+    | Ok () -> top
+    | Error e ->
+      let base_error = function Error e, _ -> Some e | Ok _, _ -> None in
+      Error (Option.value ~default:e (List.find_map base_error leaves))
+  in
+  (* Only now is any reward credited: every proof has verified. *)
+  let proofs =
+    List.mapi
+      (fun index (((worker, attempts), _), (r, seconds)) ->
+        let seconds =
+          match fault_of worker with
+          | Some (Slow f) when f > 1 -> seconds *. float_of_int f
+          | _ -> seconds
         in
-        Recursive.Incremental.push inc transition;
-        Ok (tp :: out))
-      (Ok []) futures
+        { index; worker; attempts; transition = Result.get_ok r; seconds })
+      (List.combine routes leaves)
   in
-  let proofs = List.rev proofs_rev in
-  let* top = Recursive.Incremental.finish inc in
-  let wall = now () -. t0 in
   Ok (proofs, stats_of ~workers ~domains:(Pool.domains pool) ~wall proofs, top)

@@ -6,24 +6,14 @@
     scheme: proving tasks are assigned randomly to interested parties
     who work in parallel and are rewarded per valid submission.
 
-    This module realizes the scheme on real hardware. It has two
-    layers, deliberately kept separate:
-
-    - the {e incentive} layer — {!dispatch} assigns every task to one
-      of [workers] parties uniformly at random from a seeded generator,
-      and each valid submission earns that party a reward. This
-      assignment is deterministic in the seed and independent of how
-      the work is actually scheduled;
-    - the {e hardware} layer — a {!Pool.t} of OCaml domains executes
-      the tasks concurrently. The epoch's steps are first applied
-      natively to capture each task's state snapshot — which is what
-      makes the tasks independent — then proven as pool futures, each
-      proof spot-verified as it would be on submission and folded into
-      the epoch proof as soon as its predecessors are in.
-
-    Every output (proof bytes, task order, rewards, error selection) is
-    bit-identical for every domain count; only the wall-clock numbers in
-    {!stats} change. Experiment E13 measures exactly that. *)
+    This module is that incentive layer: {!dispatch} assigns every
+    task to one of [workers] parties uniformly at random from a seeded
+    generator, crashed parties' tasks are re-dispatched, and each valid
+    submission earns its party a reward. The work itself runs through
+    a {!Proof_pipeline}, the node's prover, on a {!Pool.t} of OCaml
+    domains. Every output (proof bytes, task order, rewards, error
+    selection) is bit-identical for every domain count; only the
+    wall-clock numbers in {!stats} change (experiment E13). *)
 
 open Zen_crypto
 open Zen_snark
@@ -36,18 +26,15 @@ type task_proof = {
   index : int;  (** position of the step within the epoch *)
   worker : int;  (** the §5.4.1 party whose submission was credited *)
   attempts : int;  (** dispatch attempts consumed (1 = no retry) *)
-  proof : Backend.proof;
-  vk : Backend.verification_key;
-  s_from : Fp.t;
-  s_to : Fp.t;
-  seconds : float;  (** wall-clock spent proving this task *)
+  transition : Recursive.transition_proof;  (** the wrapped base proof *)
+  seconds : float;
+      (** wall-clock spent proving and wrapping this task (after any
+          [Slow] inflation) *)
 }
 
 type worker_cost = {
   wc_worker : int;  (** §5.4.1 party id *)
-  busy_s : float;
-      (** summed proving wall-clock of the tasks credited to this
-          worker (after any [Slow] inflation) *)
+  busy_s : float;  (** summed [seconds] of the tasks credited to it *)
   wc_proofs : int;  (** valid submissions, same as the reward count *)
   wc_retries : int;
       (** dispatch attempts burnt before the tasks this worker finally
@@ -62,20 +49,15 @@ type stats = {
   wall : float;
       (** elapsed wall-clock of the overlapped prove+merge phase *)
   concurrency : float;
-      (** [total_work /. wall] — average number of tasks in flight.
-          Not a speedup: on an oversubscribed machine per-task times
-          inflate with contention, so compare [wall] against a
-          1-domain run to measure real gain (experiment E13 does). *)
+      (** [total_work /. wall] — average number of tasks in flight, not
+          a speedup: per-task times inflate with contention, so compare
+          [wall] against a 1-domain run (experiment E13 does). *)
   retries : int;
       (** dispatch attempts beyond the first, summed over all tasks —
           0 when no worker faults were injected *)
   rewards : (int * int) list;
-      (** worker id → valid submissions; only the worker whose proof
-          actually verified is credited, so a crashed worker earns 0 *)
-  worker_costs : worker_cost list;
-      (** per-worker cost accounting, one entry per worker id in order —
-          busy time, credited proofs and retry attribution; the
-          [busy_s] values sum to [total_work] *)
+      (** worker id → valid submissions; a crashed worker earns 0 *)
+  worker_costs : worker_cost list;  (** one entry per worker id, in order *)
 }
 
 val dispatch : rng:Rng.t -> workers:int -> tasks:int -> int array
@@ -102,27 +84,22 @@ val prove_and_merge :
   (task_proof list * stats * Recursive.transition_proof, string) result
 (** Proves every step of the epoch under a random dispatch and folds
     the base proofs into the single epoch proof (Fig. 11). The steps
-    are applied once, by {!Sc_tx.trace} from [initial], and each task
-    proves its {!Sc_tx.traced} record ({!Circuits.prove_traced}). Every
-    proving task becomes a {!Pool.future} on [pool] (default
-    {!Pool.sequential}), and completed base proofs are folded — in step
-    order — through {!Recursive.Incremental} while later tasks are
-    still proving, so merging overlaps proving instead of waiting for
-    the last base proof. The returned proofs are in step order and each
-    has been verified; the epoch proof's bytes equal the level-by-level
-    balanced fold of the wrapped base proofs. On failure
-    the reported error is the first failing step in epoch order. All of
-    this is independent of the domain count: only [stats.wall] (the
-    overlapped prove+merge) and the per-task timings vary.
+    are applied once, by {!Sc_tx.trace} from [initial]; the routed
+    records are {!Proof_pipeline.enqueue}d on a fresh pipeline over
+    [pool] (default {!Pool.sequential}) and the epoch is awaited, so
+    merging overlaps proving. The proofs are returned in step order,
+    and a reward is credited only once every proof has verified. The
+    epoch proof's bytes are those of the level-by-level balanced fold
+    of the wrapped base proofs. On
+    failure the reported error is the first failing step in epoch
+    order, whatever the domain count.
 
     [faults] (worker id → fault, default none) injects §5.4.1 worker
     misbehaviour deterministically: a [Crash]ed worker never returns
     its tasks, so each is re-dispatched to a surviving worker — drawn
-    from [Rng.derive] of the task index, hence reproducible for every
-    domain count — burning one of [attempt_budget] attempts (default 3)
-    per try; [Slow] inflates the reported proving time without
-    affecting the result. Proof bytes, task order and error selection
-    are identical to the fault-free run — only [worker], [attempts],
-    [retries] and the timing fields change — so a certificate built
-    from a faulted epoch is byte-identical to the clean one. All
-    workers crashed, or a task exhausting its budget, is an [Error]. *)
+    from [Rng.derive] of the task index — burning one of
+    [attempt_budget] attempts (default 3) per try; [Slow] inflates the
+    reported proving time. Proof bytes, task order and error selection
+    are those of the fault-free run — only [worker], [attempts],
+    [retries] and the timing fields change. All workers crashed, or a
+    task exhausting its budget, is an [Error]. *)

@@ -295,8 +295,10 @@ let same_proofs a b =
   List.for_all2
     (fun a b ->
       String.equal
-        (Zen_snark.Backend.proof_encode a.Prover_pool.proof)
-        (Zen_snark.Backend.proof_encode b.Prover_pool.proof))
+        (Zen_snark.Backend.proof_encode
+           (Zen_snark.Recursive.final_proof a.Prover_pool.transition))
+        (Zen_snark.Backend.proof_encode
+           (Zen_snark.Recursive.final_proof b.Prover_pool.transition)))
     a b
 
 let test_prover_crash_retry () =

@@ -206,7 +206,9 @@ let epoch_fingerprint ~obs ~domains ~steps ~seed =
       ~proof:(Zen_snark.Recursive.final_proof top)
   in
   ( List.map
-      (fun tp -> Zen_snark.Backend.proof_encode tp.Prover_pool.proof)
+      (fun tp ->
+        Zen_snark.Backend.proof_encode
+          (Zen_snark.Recursive.final_proof tp.Prover_pool.transition))
       proofs,
     stats.Prover_pool.rewards,
     Zen_snark.Backend.proof_encode (Zen_snark.Recursive.final_proof top),

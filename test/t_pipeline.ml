@@ -275,7 +275,8 @@ let test_prove_and_merge_identical () =
                w = b.Prover_pool.worker
                && k = b.Prover_pool.attempts
                && String.equal (Backend.proof_encode p)
-                    (Backend.proof_encode b.Prover_pool.proof))
+                    (Backend.proof_encode
+                       (Recursive.final_proof b.Prover_pool.transition)))
              proofs proofs')
       | Error e, _ | _, Error e -> Alcotest.fail (label e))
     [ 1; 2 ];
@@ -390,6 +391,96 @@ let test_pipeline_matches_burst () =
         Alcotest.fail
           (label (Printf.sprintf "%d certificate log entries" (List.length l))))
     [ 1; 2 ]
+
+(* ---- prove_and_merge is the node's prover ---- *)
+
+let pp_rsys =
+  lazy
+    (Recursive.create ~name:"t-pipe-node" ~base_vks:(Circuits.base_vks family))
+
+let prove_and_merge ?pool steps =
+  Prover_pool.prove_and_merge ?pool family (Lazy.force pp_rsys)
+    ~initial:(Sc_state.create params) ~steps ~workers:3 ~seed:4
+
+(* The same traced records, enqueued block by block into a pipeline
+   the way a node forges them and awaited at certify time, give the
+   epoch proof prove_and_merge gives. *)
+let test_node_pipeline_equals_prove_and_merge () =
+  let steps = pipe_steps 9 "node" in
+  let _, records = snapshots (Sc_state.create params) steps in
+  List.iter
+    (fun domains ->
+      let label s = Printf.sprintf "domains %d: %s" domains s in
+      let pool = Pool.get ~domains in
+      let p = Proof_pipeline.create ~pool ~family ~rsys:(Lazy.force pp_rsys) in
+      List.iteri
+        (fun i r ->
+          Proof_pipeline.enqueue p ~epoch:5 r;
+          if i mod 4 = 3 then Proof_pipeline.pump p)
+        records;
+      let node_top = ok (Proof_pipeline.await_epoch p ~epoch:5) in
+      let proofs, _, top = ok (prove_and_merge ~pool steps) in
+      checks (label "epoch proof bytes") (bytes_of node_top) (bytes_of top);
+      checkb (label "leaf transitions") true
+        (List.for_all2
+           (fun (leaf, _) tp ->
+             String.equal
+               (bytes_of (ok leaf))
+               (bytes_of tp.Prover_pool.transition))
+           (Proof_pipeline.leaf_results p ~epoch:5)
+           proofs))
+    [ 1; 2 ]
+
+(* [name]'s count over [f], with the registry on. *)
+let counted name f =
+  Zen_obs.Registry.reset ();
+  Fun.protect ~finally:Zen_obs.Registry.reset @@ fun () ->
+  Zen_obs.Registry.with_enabled @@ fun () ->
+  let c = Zen_obs.Counter.make name in
+  let before = Zen_obs.Counter.value c in
+  ignore (f ());
+  Zen_obs.Counter.value c - before
+
+(* Each base proof is checked once, at its wrap; each merge checks its
+   two children. *)
+let test_verify_count () =
+  List.iter
+    (fun n ->
+      let steps = pipe_steps n "verify" in
+      checki
+        (Printf.sprintf "%d steps: n wraps + 2 per merge" n)
+        ((3 * n) - 2)
+        (counted "snark.verify" (fun () -> ok (prove_and_merge steps))))
+    [ 1; 2; 7 ]
+
+(* An epoch of n consecutive steps hashes its n + 1 states once each: a
+   prover that hashes both states of every record, with the same trace,
+   proofs, wraps and fold, does n - 1 more Poseidon permutations. *)
+let test_each_state_hashed_once () =
+  let rsys = Lazy.force pp_rsys in
+  List.iter
+    (fun n ->
+      let steps = pipe_steps n "hash" in
+      let per_record () =
+        let _, records = snapshots (Sc_state.create params) steps in
+        let inc = Recursive.Incremental.create rsys in
+        List.iter
+          (fun (r : Sc_tx.traced) ->
+            let s_from = Sc_state.hash r.pre and s_to = Sc_state.hash r.post in
+            let proof, vk, _, _ =
+              ok (Circuits.prove_traced family ~s_from ~s_to r)
+            in
+            Recursive.Incremental.push inc
+              (ok (Recursive.of_base rsys ~vk ~s_from ~s_to ~extra:[||] proof)))
+          records;
+        ok (Recursive.Incremental.finish inc)
+      in
+      let perms = "crypto.poseidon.permutations" in
+      checki
+        (Printf.sprintf "%d steps: n - 1 fewer permutations" n)
+        (counted perms per_record - (n - 1))
+        (counted perms (fun () -> ok (prove_and_merge steps))))
+    [ 1; 2; 7 ]
 
 (* ---- harness determinism: fault storm ---- *)
 
@@ -537,6 +628,12 @@ let suite =
         test_prove_and_merge_identical;
       Alcotest.test_case "pipeline = burst prover oracle" `Quick
         test_pipeline_matches_burst;
+      Alcotest.test_case "node pipeline = prove_and_merge" `Quick
+        test_node_pipeline_equals_prove_and_merge;
+      Alcotest.test_case "verifies: n wraps + 2 per merge" `Quick
+        test_verify_count;
+      Alcotest.test_case "each state hashed once per epoch" `Quick
+        test_each_state_hashed_once;
       Alcotest.test_case "storm: pinned log digests" `Quick test_storm_pinned;
       Alcotest.test_case "harness rejects ~pipeline:false" `Quick
         test_burst_label_rejected;

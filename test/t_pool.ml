@@ -192,7 +192,9 @@ let epoch_fingerprint ~domains ~steps ~seed =
       ~quality:1 ~bt_list:[] ~proofdata ~proof:binding
   in
   ( List.map
-      (fun tp -> Zen_snark.Backend.proof_encode tp.Prover_pool.proof)
+      (fun tp ->
+        Zen_snark.Backend.proof_encode
+          (Zen_snark.Recursive.final_proof tp.Prover_pool.transition))
       proofs,
     stats.Prover_pool.rewards,
     Zen_snark.Backend.proof_encode (Zen_snark.Recursive.final_proof top),
@@ -221,25 +223,17 @@ let prop_epoch_identical_across_domains =
    wrapped base proofs folded by fold_balanced on two domains. *)
 let test_fold_balanced_parallel_identical () =
   let family = Lazy.force family in
-  let rsys () =
+  let rsys =
     Zen_snark.Recursive.create ~name:"t-pool-fold"
       ~base_vks:(Circuits.base_vks family)
   in
   let proofs, _, seq =
     ok
-      (Prover_pool.prove_and_merge family (rsys ())
+      (Prover_pool.prove_and_merge family rsys
          ~initial:(Sc_state.create params)
          ~steps:(workload 7 5) ~workers:2 ~seed:5)
   in
-  let rsys = rsys () in
-  let transitions =
-    List.map
-      (fun tp ->
-        ok
-          (Zen_snark.Recursive.of_base rsys ~vk:tp.Prover_pool.vk
-             ~s_from:tp.s_from ~s_to:tp.s_to ~extra:[||] tp.proof))
-      proofs
-  in
+  let transitions = List.map (fun tp -> tp.Prover_pool.transition) proofs in
   let pool = Pool.get ~domains:2 in
   let par = ok (Fold_oracle.fold_balanced ~pool rsys transitions) in
   checkb "odd-width merge tree identical" true

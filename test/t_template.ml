@@ -570,10 +570,20 @@ let tamper_append (v : Circuits.append_values) k t =
 let traced st step =
   { Sc_tx.pre = st; step; post = ok (Sc_tx.apply_step st step) }
 
+(* [Circuits.step_job] and [Circuits.prove_traced] given the record's
+   own state hashes. *)
+let step_job f (t : Sc_tx.traced) =
+  Circuits.step_job f ~s_from:(Sc_state.hash t.pre)
+    ~s_to:(Sc_state.hash t.post) t
+
+let prove_traced f (t : Sc_tx.traced) =
+  Circuits.prove_traced f ~s_from:(Sc_state.hash t.pre)
+    ~s_to:(Sc_state.hash t.post) t
+
 (* The step circuits through [Circuits.step_job], honest and tampered. *)
 let check_step_job f st step k t =
   let verdict =
-    match ok (Circuits.step_job f (traced st step)) with
+    match ok (step_job f (traced st step)) with
     | Circuits.Step (Circuits.Slot, tpl, v, _, _) ->
       fused_equals_raw tpl (tamper_slot v k t)
     | Circuits.Step (Circuits.Append, tpl, v, _, _) ->
@@ -808,7 +818,7 @@ let test_gadget_verdict_equals_check =
 let test_fill_allocation () =
   let f = Lazy.force default_family in
   let st = Sc_state.create Params.default in
-  match ok (Circuits.step_job f (traced st (Sc_tx.Insert (utxo 0)))) with
+  match ok (step_job f (traced st (Sc_tx.Insert (utxo 0)))) with
   | Circuits.Step (_, tpl, v, _, _) ->
     (* The first fill builds the shared round-constant wires. *)
     ignore (ok (Template.assign tpl v));
@@ -848,7 +858,7 @@ let test_traced_equals_prove_step () =
         | _, [ t ] -> t
         | _ -> Alcotest.fail "one step, one record"
       in
-      let ((_, vk_t, from_t, to_t) as traced) = ok (Circuits.prove_traced f t) in
+      let ((_, vk_t, from_t, to_t) as traced) = ok (prove_traced f t) in
       let ((_, vk_s, from_s, to_s) as direct) =
         ok (Circuits.prove_step f st step)
       in
@@ -863,7 +873,8 @@ let test_traced_equals_prove_step () =
 (* A record whose [post] is not its step applied to [pre] still builds
    a job, but the circuit recomputes the post-state root and refuses it
    at the s_to row, with the error the full check of the raw assignment
-   gives. *)
+   gives. A pre-state hash that is not [pre]'s is refused at the s_from
+   row. *)
 let test_wrong_post_refused () =
   let f = Lazy.force family in
   let st, steps = trace_fixture () in
@@ -873,7 +884,7 @@ let test_wrong_post_refused () =
       let other = List.nth posts ((i + 1) mod List.length posts) in
       List.iter
         (fun post ->
-          let job = ok (Circuits.step_job f { Sc_tx.pre = st; step; post }) in
+          let job = ok (step_job f { Sc_tx.pre = st; step; post }) in
           let verdict =
             match job with
             | Circuits.Step (Circuits.Slot, tpl, v, _, _) -> fused_equals_raw tpl v
@@ -892,9 +903,23 @@ let test_wrong_post_refused () =
             Alcotest.(check (result reject string))
               "prove_traced gives the same error" (Error e)
               (Result.map ignore
-                 (Circuits.prove_traced f { Sc_tx.pre = st; step; post }))
+                 (prove_traced f { Sc_tx.pre = st; step; post }))
           | v -> Alcotest.fail ("a wrong post-state was " ^ pp_outcome v))
-        [ st; other ])
+        [ st; other ];
+      let honest = traced st step in
+      let row =
+        match step with
+        | Sc_tx.Append_bt _ -> "(append.s_from)"
+        | Sc_tx.Remove _ | Sc_tx.Insert _ -> "(slot.s_from)"
+      in
+      match
+        Circuits.prove_traced f ~s_from:(Sc_state.hash other)
+          ~s_to:(Sc_state.hash honest.post) honest
+      with
+      | Error e ->
+        checkb ("wrong s_from refused at " ^ row ^ ": " ^ e) true
+          (String.ends_with ~suffix:row e)
+      | Ok _ -> Alcotest.fail "a wrong pre-state hash was proven")
     steps
 
 (* A step invalid at its state keeps [prove_step]'s errors, and the
@@ -920,7 +945,7 @@ let test_invalid_step_errors () =
       Alcotest.(check string) "step_assignment" expected
         (err (Circuits.step_assignment f st step));
       Alcotest.(check string) "prove_traced with post = pre" expected
-        (err (Circuits.prove_traced f { Sc_tx.pre = st; step; post = st })))
+        (err (prove_traced f { Sc_tx.pre = st; step; post = st })))
     [
       (Sc_tx.Remove (utxo 12), "prove: utxo not in state");
       (Sc_tx.Remove clash, "prove: utxo not in state");
