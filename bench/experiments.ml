@@ -1145,10 +1145,11 @@ let e16_template () =
     "Epoch proving through the re-synthesis reference family\n\
      (Circuits.make_resynth: every prove re-synthesizes and re-digests\n\
      its circuit) versus compile-once templates (Circuits.make): each\n\
-     circuit is synthesized and SHA-digested once at startup, and every\n\
-     prove afterwards only runs the witness generator and checks it\n\
-     against the compiled constraint system (gate rows as flat index\n\
-     arrays, the rest as CSR matrices). Both prove and merge the epoch\n\
+     circuit is synthesized and SHA-digested once at startup and keeps\n\
+     only its key, its counts and its body, and every prove afterwards\n\
+     is one evaluation run of the body that fills the witness and checks\n\
+     each assertion row as it reaches it (the re-synthesis family scans\n\
+     every row with R1cs.check instead). Both prove and merge the epoch\n\
      with Prover_pool.prove_and_merge. Proof bytes are checked identical\n\
      across every configuration.";
   let params = Params.default in

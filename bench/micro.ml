@@ -66,10 +66,18 @@ let tests () =
            ~amount:(Zendoo.Amount.of_int_exn 1)
            ~nonce:(Hash.of_string "micro"))
     in
-    let keys, public, witness, _, _ =
-      Result.get_ok (Circuits.step_assignment family state step)
+    (* A compiled template keeps no rows: the check runs on the step's
+       circuit synthesized anew, with the same assignment. *)
+    let post = Result.get_ok (Sc_tx.apply_step state step) in
+    let traced = { Sc_tx.pre = state; step; post } in
+    let circuit, public, witness =
+      match
+        Result.get_ok
+          (Circuits.step_job family ~s_from:(Sc_state.hash state)
+             ~s_to:(Sc_state.hash post) traced)
+      with
+      | Circuits.Step (_, tpl, v, _, _) -> Zen_snark.Template.synthesize tpl v
     in
-    let circuit = Zen_snark.Backend.pk_circuit keys.Circuits.pk in
     let z = Array.concat [ [| Fp.one |]; public; witness ] in
     ( (fun () -> Circuits.step_assignment family state step),
       fun () -> Zen_snark.R1cs.check circuit z )

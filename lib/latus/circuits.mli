@@ -22,7 +22,6 @@ open Zen_snark
 open Zendoo
 
 type keys = Template.keys = {
-  pk : Backend.proving_key;
   vk : Backend.verification_key;
   constraints : int;
 }

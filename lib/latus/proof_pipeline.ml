@@ -49,12 +49,9 @@ let prove_s =
    the seconds its task took. *)
 type leaf_result = (Recursive.transition_proof, string) result * float
 
-type leaf = {
-  fut : leaf_result Pool.future;
-  mutable cached : leaf_result option;
-      (* set once at harvest so reorg truncation can replay the kept
-         prefix without re-proving *)
-}
+(* A leaf is its task's future. [Pool.await] keeps the result, so a
+   reorg truncation replays the kept prefix without re-proving. *)
+type leaf = leaf_result Pool.future
 
 type stream = {
   mutable leaves : leaf option array; (* growable; slots [0, n) filled *)
@@ -78,7 +75,6 @@ type t = {
   fam : Circuits.family;
   rsys : Recursive.system;
   mutable epochs : stream Int_map.t;
-  mutable outstanding : int; (* enqueued - harvested, across epochs *)
   mutable certificate_log : certificate_stats list; (* newest first *)
 }
 
@@ -88,7 +84,6 @@ let create ~pool ~family ~rsys =
     fam = family;
     rsys;
     epochs = Int_map.empty;
-    outstanding = 0;
     certificate_log = [];
   }
 
@@ -110,12 +105,15 @@ let stream_for t ~epoch =
     t.epochs <- Int_map.add epoch s t.epochs;
     s
 
-let set_depth t = Zen_obs.Gauge.set_int depth_gauge t.outstanding
+(* Leaves enqueued but not yet folded, across the live streams. *)
+let outstanding t =
+  Int_map.fold (fun _ s acc -> acc + s.n - s.harvested) t.epochs 0
+
+let set_depth t = Zen_obs.Gauge.set_int depth_gauge (outstanding t)
 
 let leaves t ~epoch =
   match Int_map.find_opt epoch t.epochs with None -> 0 | Some s -> s.n
 
-let outstanding t = t.outstanding
 let certificate_log t = t.certificate_log
 
 (* Each state is hashed once per stream: a record whose pre-state is
@@ -164,9 +162,8 @@ let enqueue t ~epoch traced =
         Zen_obs.Histogram.observe prove_s seconds;
         (result, seconds))
   in
-  s.leaves.(s.n) <- Some { fut; cached = None };
+  s.leaves.(s.n) <- Some fut;
   s.n <- s.n + 1;
-  t.outstanding <- t.outstanding + 1;
   Zen_obs.Counter.incr enqueued_c;
   set_depth t
 
@@ -182,7 +179,6 @@ let absorb t s ((result, _) : leaf_result) =
       (Recursive.Incremental.eager_merges s.inc - before)
   | Error e -> if s.base_error = None then s.base_error <- Some e);
   s.harvested <- s.harvested + 1;
-  t.outstanding <- t.outstanding - 1;
   set_depth t
 
 (* Advances a stream's fold over every leaf whose proof is available.
@@ -194,16 +190,9 @@ let harvest t ?(force = false) s =
   while !continue && s.harvested < s.n do
     match s.leaves.(s.harvested) with
     | None -> assert false
-    | Some leaf -> (
-      match leaf.cached with
-      | Some r -> absorb t s r
-      | None ->
-        if force || Pool.poll leaf.fut then begin
-          let r = Pool.await leaf.fut in
-          leaf.cached <- Some r;
-          absorb t s r
-        end
-        else continue := false)
+    | Some fut ->
+      if force || Pool.poll fut then absorb t s (Pool.await fut)
+      else continue := false
   done
 
 let pump t =
@@ -232,16 +221,7 @@ let await_epoch t ~epoch =
 let leaf_results t ~epoch =
   match Int_map.find_opt epoch t.epochs with
   | None -> []
-  | Some s -> List.init s.n (fun i -> Pool.await (Option.get s.leaves.(i)).fut)
-
-(* Unharvested leaves dropped by a truncation may still be running on a
-   worker; they finish harmlessly and are never read. *)
-let forget_tail t s ~keep =
-  for i = keep to s.n - 1 do
-    match s.leaves.(i) with
-    | Some leaf when leaf.cached = None -> t.outstanding <- t.outstanding - 1
-    | _ -> ()
-  done
+  | Some s -> List.init s.n (fun i -> Pool.await (Option.get s.leaves.(i)))
 
 let truncate t ~epoch ~keep =
   match Int_map.find_opt epoch t.epochs with
@@ -250,33 +230,23 @@ let truncate t ~epoch ~keep =
     if keep >= s.n then ()
     else begin
       Zen_obs.Counter.incr truncations_c;
-      forget_tail t s ~keep;
+      (* Unharvested leaves dropped here may still be running on a
+         worker; they finish harmlessly and are never read. *)
       if keep = 0 then t.epochs <- Int_map.remove epoch t.epochs
       else begin
         (* Rebuild the fold over the kept prefix. Kept leaves that were
-           already harvested replay from [cached] (no re-prove; the
-           merges re-run — a reorg is rare and shallow, so this is still
-           far below a full certify-time fold); unharvested kept leaves
-           keep their futures. *)
+           already harvested replay their futures' kept results (no
+           re-prove; the merges re-run — a reorg is rare and shallow, so
+           this is still far below a full certify-time fold). *)
         s.n <- keep;
         s.harvested <- 0;
         s.base_error <- None;
         s.inc <- Recursive.Incremental.create t.rsys;
-        (* Replayed leaves were already counted out of [outstanding] at
-           first harvest; count them back in before re-harvesting. *)
-        for i = 0 to keep - 1 do
-          match s.leaves.(i) with
-          | Some leaf when leaf.cached <> None ->
-            t.outstanding <- t.outstanding + 1
-          | _ -> ()
-        done;
         harvest t s
       end;
       set_depth t
     end
 
 let drop_below t ~epoch =
-  let dropped, kept = Int_map.partition (fun e _ -> e < epoch) t.epochs in
-  Int_map.iter (fun _ s -> forget_tail t s ~keep:0) dropped;
-  t.epochs <- kept;
+  t.epochs <- Int_map.filter (fun e _ -> e >= epoch) t.epochs;
   set_depth t

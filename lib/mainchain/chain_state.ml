@@ -346,18 +346,10 @@ let apply_block ?pool t (b : Block.t) =
       (* Aggregated path: certificate proofs are discharged by the one
          aggregate verification; only withdrawal (BTR/CSW) proofs remain
          individual, so prewarm just those. *)
-      (if Verifier.Cache.enabled () then
-         match
-           List.filter_map
-             (fun tx ->
-               match tx with
-               | Tx.Withdrawal_request w ->
-                 Sc_ledger.withdrawal_verify_job t.scs ~request:w
-               | _ -> None)
-             rest
-         with
-        | [] -> ()
-        | jobs -> ignore (Verifier.verify_batch ?pool jobs : bool list));
+      prewarm_verifier ?pool t
+        (List.filter
+           (function Tx.Withdrawal_request _ -> true | _ -> false)
+           rest);
       match settle_aggregate t rest agg with
       | Ok s -> Ok s
       | Error e ->

@@ -71,40 +71,43 @@ let tag vk public =
   ^ Sha256.digest ("zendoo.snark.g2" ^ mac)
   ^ Sha256.digest ("zendoo.snark.g1b" ^ mac)
 
-(* Both provers end here: one counted prove, tagged when [verdict ()]
-   finds the assignment satisfying. *)
-let prove_with pk ~public verdict =
+(* Both provers end here: one counted prove over [constraints] rows,
+   tagged when [verdict ()] finds the assignment satisfying. *)
+let prove_with vk ~constraints ~public verdict =
   Zen_obs.Counter.incr proves;
-  Zen_obs.Counter.add constraints_proved (R1cs.num_constraints pk.circuit);
+  Zen_obs.Counter.add constraints_proved constraints;
   Zen_obs.Trace.with_span ~cat:"snark"
-    ~args:
-      [ ("constraints", string_of_int (R1cs.num_constraints pk.circuit)) ]
+    ~args:[ ("constraints", string_of_int constraints) ]
     "snark.prove"
   @@ fun () ->
   match verdict () with
   | Error e -> Error e
-  | Ok () -> Ok (tag pk.vk public)
+  | Ok () -> Ok (tag vk public)
 
 let prove pk ~public ~witness =
-  prove_with pk ~public (fun () -> R1cs.satisfied pk.circuit ~public ~witness)
+  prove_with pk.vk ~constraints:(R1cs.num_constraints pk.circuit) ~public
+    (fun () -> R1cs.satisfied pk.circuit ~public ~witness)
 
 (* The prover holds the body the keys were set up from, so the only
    unchecked tag is for an assignment that body filled with every
-   assertion holding. *)
+   assertion holding. Of the circuit it keeps the vk and three counts:
+   the rows are the caller's to keep or drop. *)
 let setup_body ~name body dummy =
   let shape = Gadget.create () in
   body shape dummy;
   let circuit, _, _ = Gadget.finalize ~name shape in
-  let pk, vk = setup circuit in
+  let _, vk = setup circuit in
   let public = R1cs.num_public circuit
-  and witness = R1cs.num_witness circuit in
+  and witness = R1cs.num_witness circuit
+  and rows = R1cs.num_constraints circuit in
   let prove v =
     let ctx = Gadget.create_eval ~public ~witness in
     body ctx v;
-    let verdict = Gadget.verdict circuit ctx in
-    prove_with pk ~public:(fst (Gadget.assignment ctx)) (fun () -> verdict)
+    let verdict = Gadget.verdict ~public ~witness ~rows ctx in
+    prove_with vk ~constraints:rows ~public:(fst (Gadget.assignment ctx))
+      (fun () -> verdict)
   in
-  (pk, vk, prove)
+  (circuit, vk, prove)
 
 (* Counter only, no span: verification is the hottest backend entry
    point (every merge verifies both children) and a span per call would
@@ -112,8 +115,6 @@ let setup_body ~name body dummy =
 let verify vk ~public proof =
   Zen_obs.Counter.incr verifies;
   Array.length public = vk.n_public && String.equal proof (tag vk public)
-
-let pk_circuit pk = pk.circuit
 
 let vk_digest vk = vk.digest
 

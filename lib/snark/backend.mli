@@ -24,7 +24,12 @@ val proof_size_bytes : int
 
 val setup : R1cs.circuit -> proving_key * verification_key
 (** Deterministic per-circuit key generation, so independently compiled
-    identical circuits agree on keys. *)
+    identical circuits agree on keys. The proving key holds the circuit,
+    rows included: it serves the raw-witness {!prove}, which hand-built
+    circuits, {!Template.compile_resynth} and tests use. A test that
+    needs a compiled template's raw key passes {!Template.synthesize}'s
+    circuit to [setup]: keys are deterministic per circuit, so that is
+    the template's own key. *)
 
 val prove :
   proving_key -> public:Fp.t array -> witness:Fp.t array -> (proof, string) result
@@ -36,20 +41,22 @@ val setup_body :
   name:string ->
   (Gadget.ctx -> 'v -> unit) ->
   'v ->
-  proving_key * verification_key * ('v -> (proof, string) result)
+  R1cs.circuit * verification_key * ('v -> (proof, string) result)
 (** [setup_body ~name body dummy] synthesizes [body] on [dummy] values,
-    finalizes the circuit under [name] and sets it up as {!setup} does.
-    The returned prover runs [body] on its values in an evaluation
-    context ({!Gadget.create_eval}) and tags the public input when
-    {!Gadget.verdict} accepts the fill, without {!R1cs.check}; it
+    finalizes the circuit under [name], sets it up as {!setup} does and
+    returns the circuit, its verification key and a prover. The prover
+    keeps the key, the circuit's public, witness and row counts and
+    [body], and none of the circuit's rows: once the caller drops the
+    circuit, they are garbage. It runs [body] on its values in an
+    evaluation context ({!Gadget.create_eval}) and tags the public input
+    when {!Gadget.verdict} accepts the fill, without {!R1cs.check}; it
     refuses with the verdict's error otherwise, and lets an exception of
     [body] escape unproven. Proof bytes and errors equal {!prove}'s on
-    the same assignment whenever [body]'s rows do not depend on its
-    values. {!Template.compile} is built on it. *)
+    the same assignment, with {!setup}'s key for the circuit, whenever
+    [body]'s rows do not depend on its values. {!Template.compile} is
+    built on it. *)
 
 val verify : verification_key -> public:Fp.t array -> proof -> bool
-
-val pk_circuit : proving_key -> R1cs.circuit
 
 val vk_digest : verification_key -> Hash.t
 (** Identifier of a verification key — what a sidechain registers in

@@ -272,19 +272,19 @@ let merkle_root ctx ~leaf ~path_bits ~siblings =
 
 let assignment ctx = (contents ctx.public, contents ctx.witness)
 
-let verdict circuit ctx =
+let verdict ~public ~witness ~rows ctx =
   match ctx.mode with
   | Shape _ -> invalid_arg "Gadget.verdict: synthesis context"
-  | Eval rows -> (
+  | Eval tally -> (
     match
-      R1cs.check_lengths circuit ~public:ctx.public.n ~witness:ctx.witness.n
+      R1cs.check_lengths ~n_public:public ~n_witness:witness
+        ~public:ctx.public.n ~witness:ctx.witness.n
     with
     | Error _ as e -> e
     | Ok () ->
-      if rows.count <> R1cs.num_constraints circuit then
-        Error "circuit shape diverged from setup"
+      if tally.count <> rows then Error "circuit shape diverged from setup"
       else
-        match rows.failed with
+        match tally.failed with
         | None -> Ok ()
         | Some (i, label) -> Error (R1cs.unsatisfied i label))
 

@@ -103,16 +103,20 @@ val assignment : ctx -> Fp.t array * Fp.t array
     copy, so it shares storage with the context; the context itself
     never writes to it again. *)
 
-val verdict : R1cs.circuit -> ctx -> (unit, string) result
+val verdict :
+  public:int -> witness:int -> rows:int -> ctx -> (unit, string) result
 (** For an evaluation context whose body has run to the end: what
-    {!R1cs.satisfied} would say of its assignment against [circuit],
-    without evaluating a row. The public and witness lengths are checked
-    first, with {!R1cs.check_lengths}'s errors; then a row count other
-    than the circuit's is ["circuit shape diverged from setup"]; then
-    the first failed assertion row is reported as {!R1cs.check} reports
-    it. Equal to {!R1cs.satisfied} whenever the body emits [circuit]'s
-    rows in order, which a template's value-independent body does.
-    Raises [Invalid_argument] on a synthesis context. *)
+    {!R1cs.satisfied} would say of its assignment against a circuit
+    with [public] public inputs, [witness] witness variables and [rows]
+    constraints, without evaluating a row. The counts are all a caller
+    keeps of the circuit, so a compiled template holds no rows. The
+    public and witness lengths are checked first, with
+    {!R1cs.check_lengths}'s errors; then a row count other than [rows]
+    is ["circuit shape diverged from setup"]; then the first failed
+    assertion row is reported as {!R1cs.check} reports it. Equal to
+    {!R1cs.satisfied} whenever the body emits the circuit's rows in
+    order, which a template's value-independent body does. Raises
+    [Invalid_argument] on a synthesis context. *)
 
 val finalize : name:string -> ctx -> R1cs.circuit * Fp.t array * Fp.t array
 (** Freezes the circuit and returns [(circuit, public, witness)] — the

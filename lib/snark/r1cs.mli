@@ -37,13 +37,11 @@ val constrain : ?label:string -> builder -> lc -> lc -> lc -> unit
 
 val finalize : name:string -> builder -> circuit
 (** Freezes the builder: digests every constraint (SHA-256, once) and
-    compiles it into flat arrays so satisfiability checks run
-    allocation-free. Storage is split by row shape, and no row is stored
-    twice. A gate row — [a], [b] and [c] each one variable with
-    coefficient 1, as every gadget multiplication emits — is three
-    variable indices. Every other row keeps its three matrices in CSR
-    form. Both parts record each row's index in synthesis order.
-    Expensive — meant to run once per circuit family, not per proof. *)
+    keeps the rows as synthesis built them, in synthesis order.
+    Expensive — meant to run once per circuit family, not per proof. A
+    compiled template ({!Template.compile}) keeps only its verification
+    key and the row and value counts, so its rows are garbage once it
+    is set up. *)
 
 val name : circuit -> string
 val num_constraints : circuit -> int
@@ -56,18 +54,16 @@ val digest : circuit -> Hash.t
 (** Collision-resistant identifier of the full constraint system. *)
 
 val constraints : circuit -> constr array
-(** The constraints in synthesis order, read back from the finalized
-    storage. For tests and reference checkers; not a hot path. *)
+(** A copy of the constraints, in synthesis order. For tests and
+    reference checkers; not a hot path. *)
 
 val check : circuit -> Fp.t array -> (unit, string) result
 (** [check c z] verifies every constraint against a full assignment
-    [z] (including the leading 1); on failure reports the label or
-    index of the first violated constraint in synthesis order. The gate
-    rows and the CSR rows are checked by two loops, each stopping at its
-    own first failure; the earlier of the two is the first violated
-    constraint. [snark.r1cs.constraint_evals] grows by what an in-order
-    scan would evaluate: every constraint when all hold, else the index
-    of the first violated one plus one. Only this function adds to that
+    [z] (including the leading 1), scanning the rows in synthesis order
+    and stopping at the first violated one, which it reports by label
+    or index. [snark.r1cs.constraint_evals] grows by the rows the scan
+    evaluated: every constraint when all hold, else the index of the
+    first violated one plus one. Only this function adds to that
     counter. A compiled template's prove ({!Template.prove}) checks its
     rows during the witness fill instead and adds nothing, so the
     counter measures the full checks still made: raw-witness
@@ -77,9 +73,13 @@ val unsatisfied : int -> string option -> string
 (** [unsatisfied i label] is {!check}'s error for violated constraint
     [i] with the given label. *)
 
-val check_lengths : circuit -> public:int -> witness:int -> (unit, string) result
+val check_lengths :
+  n_public:int -> n_witness:int -> public:int -> witness:int ->
+  (unit, string) result
 (** The segment-length validation of {!satisfied}, with its error
-    strings, for a public input and a witness of the given lengths. *)
+    strings: a public input of length [public] and a witness of length
+    [witness] against a circuit with [n_public] public inputs and
+    [n_witness] witness variables. *)
 
 val satisfied : circuit -> public:Fp.t array -> witness:Fp.t array -> (unit, string) result
 (** Assembles [z = 1 ‖ public ‖ witness] and checks; first validates the

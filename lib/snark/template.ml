@@ -1,10 +1,6 @@
 open Zen_crypto
 
-type keys = {
-  pk : Backend.proving_key;
-  vk : Backend.verification_key;
-  constraints : int;
-}
+type keys = { vk : Backend.verification_key; constraints : int }
 
 type 'v t = {
   name : string;
@@ -19,20 +15,17 @@ let synth ~name body v =
   body ctx v;
   Gadget.finalize ~name ctx
 
-let keys_of pk vk =
-  { pk; vk; constraints = R1cs.num_constraints (Backend.pk_circuit pk) }
-
 let compile ~name body dummy =
-  let pk, vk, prove = Backend.setup_body ~name body dummy in
-  let circuit = Backend.pk_circuit pk in
+  let circuit, vk, prove = Backend.setup_body ~name body dummy in
   let public = R1cs.num_public circuit
-  and witness = R1cs.num_witness circuit in
+  and witness = R1cs.num_witness circuit
+  and constraints = R1cs.num_constraints circuit in
   let assign v =
     let ctx = Gadget.create_eval ~public ~witness in
     body ctx v;
     Ok (Gadget.assignment ctx)
   in
-  { name; body; keys = keys_of pk vk; assign; prove }
+  { name; body; keys = { vk; constraints }; assign; prove }
 
 let compile_resynth ~name body dummy =
   let circuit, _, _ = synth ~name body dummy in
@@ -47,7 +40,8 @@ let compile_resynth ~name body dummy =
     Result.bind (assign v) (fun (public, witness) ->
         Backend.prove pk ~public ~witness)
   in
-  { name; body; keys = keys_of pk vk; assign; prove }
+  let keys = { vk; constraints = R1cs.num_constraints circuit } in
+  { name; body; keys; assign; prove }
 
 let keys t = t.keys
 let assign t v = t.assign v

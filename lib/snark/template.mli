@@ -16,11 +16,13 @@
 
 open Zen_crypto
 
-type keys = {
-  pk : Backend.proving_key;
-  vk : Backend.verification_key;
-  constraints : int;
-}
+type keys = { vk : Backend.verification_key; constraints : int }
+(** What a template keeps of its setup: the verification key and the
+    circuit's row count. There is no raw proving key: a compiled
+    template proves with its body ({!prove}) and holds none of the
+    circuit's rows. A test that needs the raw key derives it with
+    {!synthesize} and {!Backend.setup}; keys are deterministic per
+    circuit, so it is the same key. *)
 
 type 'v t
 (** A compiled circuit over witness values of type ['v]. *)
@@ -30,7 +32,9 @@ val compile : name:string -> (Gadget.ctx -> 'v -> unit) -> 'v -> 'v t
     finalizes the circuit under [name] and sets up its keys
     ({!Backend.setup_body}). The witness generator runs [body] in
     evaluation mode, into value arrays pre-sized from the circuit's
-    public and witness counts. *)
+    public and witness counts. The template keeps [body], the
+    verification key and those counts; the circuit's rows are garbage
+    once this returns. *)
 
 val compile_resynth : name:string -> (Gadget.ctx -> 'v -> unit) -> 'v -> 'v t
 (** The reference constructor: the same circuit and keys as {!compile},

@@ -1,9 +1,9 @@
-(* The all-rows CSR satisfiability check that [R1cs.check] replaced with
-   its gate-split form, kept as the reference the split check is tested
-   against. It compiles a circuit's constraints, read back in synthesis
-   order, into one CSR matrix per side and scans every row in order,
-   stopping at the first violated one. It adds to the same
-   [snark.r1cs.constraint_evals] counter the production check does. *)
+(* An all-rows CSR satisfiability check, kept as the reference the
+   in-order [R1cs.check] is tested against. It compiles a circuit's
+   constraints, read back in synthesis order, into one CSR matrix per
+   side and scans every row in order, stopping at the first violated
+   one. It adds to the same [snark.r1cs.constraint_evals] counter the
+   production check does. *)
 
 open Zen_crypto
 open Zen_snark

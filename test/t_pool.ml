@@ -18,9 +18,10 @@ let family = lazy (Circuits.make params)
 
 let test_empty_input () =
   let pool = Pool.get ~domains:4 in
-  checki "init_array 0" 0 (Array.length (Pool.init_array pool 0 (fun _ -> assert false)));
-  checkb "map_list []" true (Pool.map_list pool (fun x -> x + 1) [] = []);
-  Pool.parallel_for pool ~n:0 (fun _ -> assert false)
+  checki "init_array 0" 0
+    (Array.length (Pool.init_array pool ~cost:1.0 0 (fun _ -> assert false)));
+  checkb "map_list []" true (Pool.map_list pool ~cost:1.0 (fun x -> x + 1) [] = []);
+  Pool.parallel_for pool ~cost:1.0 ~n:0 (fun _ -> assert false)
 
 let test_one_domain_is_sequential () =
   (* domains=1 must never spawn: tasks run on the caller's domain, in
@@ -28,18 +29,18 @@ let test_one_domain_is_sequential () =
   let pool = Pool.create ~domains:1 in
   checki "domains" 1 (Pool.domains pool);
   let trace = ref [] in
-  Pool.parallel_for pool ~n:5 (fun i -> trace := i :: !trace);
+  Pool.parallel_for pool ~cost:1.0 ~n:5 (fun i -> trace := i :: !trace);
   checkb "in order on caller" true (!trace = [ 4; 3; 2; 1; 0 ]);
   Pool.shutdown pool;
   checkb "sequential handle reusable after shutdown" true
-    (Pool.map_list Pool.sequential string_of_int [ 1; 2 ] = [ "1"; "2" ])
+    (Pool.map_list Pool.sequential ~cost:1.0 string_of_int [ 1; 2 ] = [ "1"; "2" ])
 
 let test_more_domains_than_tasks () =
   let pool = Pool.get ~domains:8 in
   let r = Pool.init_array pool ~cost:1.0 3 (fun i -> i * i) in
   checkb "3 tasks on 8 domains" true (r = [| 0; 1; 4 |]);
   (* n=1 runs inline even on a wide pool *)
-  let r1 = Pool.init_array pool 1 (fun i -> i + 41) in
+  let r1 = Pool.init_array pool ~cost:1.0 1 (fun i -> i + 41) in
   checkb "single task" true (r1 = [| 41 |])
 
 let test_exception_propagates () =
@@ -90,9 +91,9 @@ let test_shared_pool_reuse () =
   checkb "get ~domains:1 is the sequential handle" true
     (Pool.get ~domains:1 == Pool.sequential);
   (* the same pool serves consecutive operations of different shapes *)
-  let a = Pool.init_array p 100 (fun i -> i * 3) in
-  let b = Pool.map_array p (fun x -> x + 1) a in
-  let c = Pool.map_list p string_of_int [ 7; 8; 9 ] in
+  let a = Pool.init_array p ~cost:1.0 100 (fun i -> i * 3) in
+  let b = Pool.map_array p ~cost:1.0 (fun x -> x + 1) a in
+  let c = Pool.map_list p ~cost:1.0 string_of_int [ 7; 8; 9 ] in
   checkb "first op" true (a = Array.init 100 (fun i -> i * 3));
   checkb "second op" true (b = Array.init 100 (fun i -> (i * 3) + 1));
   checkb "third op" true (c = [ "7"; "8"; "9" ])
@@ -123,7 +124,7 @@ let test_shutdown_then_reuse () =
   checkb "shut-down pool still completes operations" true (r = [| 1; 4; 9 |]);
   let p' = Pool.get ~domains:4 in
   checkb "registry replaces a shut-down pool" true (not (p' == p));
-  let r' = Pool.init_array p' 64 (fun i -> i + 1) in
+  let r' = Pool.init_array p' ~cost:1.0 64 (fun i -> i + 1) in
   checkb "replacement pool works" true (r' = Array.init 64 (fun i -> i + 1))
 
 (* Chunk batching is scheduling only: for any (n, domains, cost hint)

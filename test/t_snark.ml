@@ -315,7 +315,7 @@ let test_fold_equivalence_exhaustive_lengths () =
       done)
     [ 1; 2; 4 ]
 
-(* ---- The gate-split check against the all-rows oracle ---- *)
+(* ---- The in-order check against the all-rows oracle ---- *)
 
 (* Runs [f] with the registry on and returns its result with the
    growth of [snark.r1cs.constraint_evals] it caused. *)
@@ -407,23 +407,23 @@ let corrupt rs z =
     done;
   z
 
-let split_matches_oracle circuit z =
-  let split = with_evals (fun () -> R1cs.check circuit z) in
+let check_matches_oracle circuit z =
+  let check = with_evals (fun () -> R1cs.check circuit z) in
   let oracle =
     with_evals (fun () -> R1cs_oracle.check (R1cs_oracle.of_circuit circuit) z)
   in
-  split = oracle
+  check = oracle
 
 let test_check_matches_oracle =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"r1cs split check = all-rows oracle" ~count:500
+    (QCheck2.Test.make ~name:"r1cs check = all-rows oracle" ~count:500
        QCheck2.Gen.int
        (fun seed ->
          let rs = Random.State.make [| seed |] in
          let circuit, rows, z = random_circuit rs in
          R1cs.constraints circuit = rows
          && Result.is_ok (R1cs.check circuit z)
-         && split_matches_oracle circuit (corrupt rs z)))
+         && check_matches_oracle circuit (corrupt rs z)))
 
 let suite =
   ( "snark",

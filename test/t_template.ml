@@ -195,13 +195,14 @@ let rsys =
        ~base_vks:(Circuits.base_vks (Lazy.force family)))
 
 (* An evaluation-mode assignment equals the Shape-mode synthesis of the
-   same values, and that synthesis has the compiled circuit's digest. *)
+   same values, and that synthesis sets up the compiled template's key
+   (a vk digest binds the circuit digest). *)
 let eval_equals_synthesis tpl v =
   let circuit, public, witness = Template.synthesize tpl v in
   Template.assign tpl v = Ok (public, witness)
-  && Hash.equal (Zen_snark.R1cs.digest circuit)
-       (Zen_snark.R1cs.digest
-          (Zen_snark.Backend.pk_circuit (Template.keys tpl).pk))
+  && Hash.equal
+       (Zen_snark.Backend.vk_digest (snd (Zen_snark.Backend.setup circuit)))
+       (Zen_snark.Backend.vk_digest (Template.keys tpl).vk)
 
 let gen_fp = QCheck2.Gen.map Fp.of_int QCheck2.Gen.(int_bound max_int)
 
@@ -376,12 +377,32 @@ let test_pinned_digests () =
     (Sha256.to_hex proof);
   Alcotest.(check string) "epoch rewards" pinned_epoch_rewards rewards
 
-(* ---- The gate-split check on the depth-18 slot circuits ---- *)
+(* [step] applied once at [st], as [Sc_tx.trace] records it. *)
+let traced st step =
+  { Sc_tx.pre = st; step; post = ok (Sc_tx.apply_step st step) }
+
+(* [Circuits.step_job] and [Circuits.prove_traced] given the record's
+   own state hashes. *)
+let step_job f (t : Sc_tx.traced) =
+  Circuits.step_job f ~s_from:(Sc_state.hash t.pre)
+    ~s_to:(Sc_state.hash t.post) t
+
+let prove_traced f (t : Sc_tx.traced) =
+  Circuits.prove_traced f ~s_from:(Sc_state.hash t.pre)
+    ~s_to:(Sc_state.hash t.post) t
+
+(* The circuit a step proves on and its assignment, synthesized: a
+   compiled template keeps neither. *)
+let synthesized_step f st step =
+  match ok (step_job f (traced st step)) with
+  | Circuits.Step (_, tpl, v, _, _) -> Template.synthesize tpl v
+
+(* ---- The in-order check on the depth-18 slot circuits ---- *)
 
 (* The remove, insert and append_bt circuits at depth 18, each with a
    satisfying assignment: corrupting up to three public or witness
-   entries must make the split check and the all-rows oracle agree on
-   the result (error string included) and on the evaluation count. *)
+   entries must make the check and the all-rows oracle agree on the
+   result (error string included) and on the evaluation count. *)
 let test_slot_circuits_match_oracle () =
   let params18 = { Params.default with mst_depth = 18 } in
   let f = Circuits.make params18 in
@@ -395,10 +416,7 @@ let test_slot_circuits_match_oracle () =
   let rs = Random.State.make [| 18 |] in
   List.iter
     (fun (st, step) ->
-      let keys, public, witness, _, _ =
-        ok (Circuits.step_assignment f st step)
-      in
-      let circuit = Zen_snark.Backend.pk_circuit keys.pk in
+      let circuit, public, witness = synthesized_step f st step in
       let oracle = R1cs_oracle.of_circuit circuit in
       let z = Array.concat [ [| Fp.one |]; public; witness ] in
       for case = 0 to 99 do
@@ -502,6 +520,25 @@ let test_fused_prove_counters () =
   Alcotest.(check (list int)) "re-synthesis: evals, proves, constraints"
     [ rows; 1; rows ] (growth resynth)
 
+(* A compiled template keeps its verification key, its counts and its
+   body, and none of its circuit's rows. A first family warms every
+   table the circuits share; a second one at the default parameters
+   then retains a few hundred words, and its rows alone would be over
+   300k. *)
+let test_family_holds_no_rows () =
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  ignore (Sys.opaque_identity (Circuits.make Params.default));
+  let before = live_words () in
+  let f = Circuits.make Params.default in
+  let retained = live_words () - before in
+  ignore (Sys.opaque_identity f);
+  checkb
+    (Printf.sprintf "a warm family retains %d words (at most 30000)" retained)
+    true (retained <= 30_000)
+
 (* ---- One pass per proof: the fused prover against the full check ---- *)
 
 module Backend = Zen_snark.Backend
@@ -521,16 +558,35 @@ let pp_outcome = function
   | Refused e -> "refused: " ^ e
   | Raised e -> "raised " ^ Printexc.to_string e
 
+(* A compiled template's raw proving key, set up from the synthesis of
+   [honest], values its body proves with the template's shape. Keys are
+   deterministic per circuit, so it is the template's own key; each is
+   derived once. *)
+let raw_keys = Hashtbl.create 8
+
+let raw_key tpl honest =
+  let vk = (Template.keys tpl).vk in
+  let id = Hash.to_raw (Backend.vk_digest vk) in
+  match Hashtbl.find_opt raw_keys id with
+  | Some pk -> pk
+  | None ->
+    let circuit, _, _ = Template.synthesize tpl honest in
+    let pk, raw_vk = Backend.setup circuit in
+    checkb "derived key = template key" true
+      (Hash.equal (Backend.vk_digest raw_vk) (Backend.vk_digest vk));
+    Hashtbl.add raw_keys id pk;
+    pk
+
 (* [Template.prove] (one evaluation run that checks its rows as it
    fills) against [Backend.prove]'s full check of [Template.assign]'s
-   assignment: the same proof bytes, the same error or the same
-   exception. Returns the shared outcome. *)
-let fused_equals_raw tpl v =
+   assignment under the template's raw key [pk]: the same proof bytes,
+   the same error or the same exception. Returns the shared outcome. *)
+let fused_equals_raw pk tpl v =
   let fused = outcome (fun () -> Template.prove tpl v) in
   let raw =
     outcome (fun () ->
         Result.bind (Template.assign tpl v) (fun (public, witness) ->
-            Backend.prove (Template.keys tpl).pk ~public ~witness))
+            Backend.prove pk ~public ~witness))
   in
   Alcotest.(check string) "fused verdict = full check" (pp_outcome raw)
     (pp_outcome fused);
@@ -566,28 +622,14 @@ let tamper_append (v : Circuits.append_values) k t =
   | 5 -> { v with a_recv = bump k v.a_recv }
   | _ -> { v with a_amt = too_big }
 
-(* [step] applied once at [st], as [Sc_tx.trace] records it. *)
-let traced st step =
-  { Sc_tx.pre = st; step; post = ok (Sc_tx.apply_step st step) }
-
-(* [Circuits.step_job] and [Circuits.prove_traced] given the record's
-   own state hashes. *)
-let step_job f (t : Sc_tx.traced) =
-  Circuits.step_job f ~s_from:(Sc_state.hash t.pre)
-    ~s_to:(Sc_state.hash t.post) t
-
-let prove_traced f (t : Sc_tx.traced) =
-  Circuits.prove_traced f ~s_from:(Sc_state.hash t.pre)
-    ~s_to:(Sc_state.hash t.post) t
-
 (* The step circuits through [Circuits.step_job], honest and tampered. *)
 let check_step_job f st step k t =
   let verdict =
     match ok (step_job f (traced st step)) with
     | Circuits.Step (Circuits.Slot, tpl, v, _, _) ->
-      fused_equals_raw tpl (tamper_slot v k t)
+      fused_equals_raw (raw_key tpl v) tpl (tamper_slot v k t)
     | Circuits.Step (Circuits.Append, tpl, v, _, _) ->
-      fused_equals_raw tpl (tamper_append v k t)
+      fused_equals_raw (raw_key tpl v) tpl (tamper_append v k t)
   in
   checkb
     (Printf.sprintf "tamper %d proves iff honest" t)
@@ -654,26 +696,27 @@ let test_fused_equals_full_check =
             every value set proves; a public input one short is the
             hostile case. *)
          let w_public = Array.init 5 rand in
+         let w = { Circuits.w_public; w_s_prev = rand 5; w_s_last = rand 6 } in
+         let short = { w with w_public = Array.sub w_public 0 4 } in
          let wcert =
-           fused_equals_raw f.Circuits.wcert
-             {
-               Circuits.w_public =
-                 (if t = 5 then Array.sub w_public 0 4 else w_public);
-               w_s_prev = rand 5;
-               w_s_last = rand 6;
-             }
+           fused_equals_raw (raw_key f.Circuits.wcert w) f.Circuits.wcert
+             (if t = 5 then short else w)
          in
          checkb "wcert proves iff its public input is whole" (t <> 5)
            (is_proof wcert);
+         let o = ownership_values st.Sc_state.mst a rand in
          let own =
-           fused_equals_raw f.Circuits.ownership
-             (tamper_ownership (ownership_values st.Sc_state.mst a rand) k t)
+           fused_equals_raw (raw_key f.Circuits.ownership o)
+             f.Circuits.ownership (tamper_ownership o k t)
          in
          checkb "ownership proves iff honest" (t = 0) (is_proof own);
          let merge = Zen_snark.Recursive.merge_template (Lazy.force rsys) in
          let agg = Zen_snark.Aggregate.template (Zen_snark.Aggregate.shared ()) in
-         is_proof (fused_equals_raw merge (rand 0, rand 1, rand 2))
-         && is_proof (fused_equals_raw agg (rand 3, rand 4))))
+         let fused_proves tpl v =
+           is_proof (fused_equals_raw (raw_key tpl v) tpl v)
+         in
+         fused_proves merge (rand 0, rand 1, rand 2)
+         && fused_proves agg (rand 3, rand 4)))
 
 (* A wrong binding copy in a raw wcert witness: the full check refuses
    it at the binding row, which a fused prove cannot be handed. *)
@@ -690,7 +733,7 @@ let test_wcert_binding_row () =
   let witness = Array.copy witness in
   let last = Array.length witness - 1 in
   witness.(last) <- bump 1 witness.(last);
-  match Backend.prove (Template.keys f.Circuits.wcert).pk ~public ~witness with
+  match Backend.prove (raw_key f.Circuits.wcert v) ~public ~witness with
   | Ok _ -> Alcotest.fail "a wrong binding copy was proven"
   | Error e ->
     checkb ("refused at the binding row: " ^ e) true
@@ -799,7 +842,11 @@ let test_gadget_verdict_equals_check =
                | Some (circuit, _) ->
                  Result.map
                    (fun () -> Backend.dummy_proof)
-                   (Gadget.verdict circuit ctx))
+                   (Gadget.verdict
+                      ~public:(Zen_snark.R1cs.num_public circuit)
+                      ~witness:(Zen_snark.R1cs.num_witness circuit)
+                      ~rows:(Zen_snark.R1cs.num_constraints circuit)
+                      ctx))
          in
          let same_assignment =
            match fst full with
@@ -887,9 +934,10 @@ let test_wrong_post_refused () =
           let job = ok (step_job f { Sc_tx.pre = st; step; post }) in
           let verdict =
             match job with
-            | Circuits.Step (Circuits.Slot, tpl, v, _, _) -> fused_equals_raw tpl v
-            | Circuits.Step (Circuits.Append, tpl, v, _, _) ->
-              fused_equals_raw tpl v
+            | Circuits.Step (_, tpl, v, _, _) ->
+              (* The shape does not follow the values, so the key set up
+                 from these is the template's. *)
+              fused_equals_raw (raw_key tpl v) tpl v
           in
           let row =
             match step with
@@ -968,11 +1016,13 @@ let suite =
       Alcotest.test_case "no finalize in merges or aggregation" `Quick
         test_no_finalize_in_merges;
       Alcotest.test_case "pinned digests" `Quick test_pinned_digests;
-      Alcotest.test_case "split check = oracle on depth-18 slot circuits"
+      Alcotest.test_case "check = oracle on depth-18 slots"
         `Quick test_slot_circuits_match_oracle;
       Alcotest.test_case "mis-sized bodies" `Quick test_mis_sized_bodies;
       Alcotest.test_case "row count diverged" `Quick test_row_count_divergence;
       Alcotest.test_case "fused prove counters" `Quick test_fused_prove_counters;
+      Alcotest.test_case "compiled family holds no rows" `Quick
+        test_family_holds_no_rows;
       test_fused_equals_full_check;
       Alcotest.test_case "wcert binding row" `Quick test_wcert_binding_row;
       test_gadget_verdict_equals_check;
