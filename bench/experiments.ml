@@ -904,7 +904,7 @@ let e14_fault_storm () =
           Zen_sim.Faults.storm ~seed:42 ~first_tick:8 ~ticks
             ~epochs:(ticks / epoch_len) ~workers:4 ~intensity ()
         in
-        let faults = Zen_sim.Faults.create ~seed:42 plan in
+        let faults = Zen_sim.Faults.create plan in
         let h = Zen_sim.Harness.create ~faults ~seed:"e14" () in
         Zen_sim.Harness.fund h ~blocks:5;
         let sc =

@@ -328,7 +328,7 @@ let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
     ~submit_len ~fts ~sidechains ~domains ~aggregate ~workload
     ~faults:
       (Result.map
-         (fun plan -> Some (Zen_sim.Faults.create ~seed plan))
+         (fun plan -> Some (Zen_sim.Faults.create plan))
          plan_result)
     ~user_seed:(Printf.sprintf "chaos.%d.user" seed)
     ~workload_seed:seed

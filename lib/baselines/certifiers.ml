@@ -13,7 +13,6 @@ let committee_of_seed ~seed ~size =
   }
 
 let size c = Array.length c.keys
-let member_pks c = Array.to_list (Array.map snd c.keys)
 
 type endorsement = { member : int; signature : Schnorr.signature }
 
@@ -70,8 +69,3 @@ let verify c ~threshold cert =
     in
     if all_valid then Ok () else Error "baseline cert: invalid signature"
   end
-
-let certificate_size_bytes cert =
-  Hash.size + 8
-  + (List.length cert.bt_list * (Hash.size + 8))
-  + (List.length cert.endorsements * (4 + 96))

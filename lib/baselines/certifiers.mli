@@ -17,9 +17,6 @@ type committee
 val committee_of_seed : seed:string -> size:int -> committee
 (** Deterministic committee with per-member Schnorr keys. *)
 
-val size : committee -> int
-val member_pks : committee -> Schnorr.public_key list
-
 type endorsement
 
 type certificate = {
@@ -28,12 +25,6 @@ type certificate = {
   bt_list : Backward_transfer.t list;
   endorsements : endorsement list;
 }
-
-val certificate_message : ledger_id:Hash.t -> epoch_id:int -> bt_list:Backward_transfer.t list -> Hash.t
-
-val endorse :
-  committee -> member:int -> ledger_id:Hash.t -> epoch_id:int ->
-  bt_list:Backward_transfer.t list -> endorsement
 
 val make_certificate :
   committee ->
@@ -47,5 +38,3 @@ val verify :
   committee -> threshold:int -> certificate -> (unit, string) result
 (** Checks distinctness of signers, membership, and [threshold] valid
     signatures — the mainchain-side cost being measured. *)
-
-val certificate_size_bytes : certificate -> int

@@ -28,8 +28,6 @@ let sum amounts =
 let compare = Stdlib.compare
 let equal (a : int) b = a = b
 let ( <= ) (a : int) b = a <= b
-let ( < ) (a : int) b = a < b
 let is_zero a = a = 0
 let to_fp a = Zen_crypto.Fp.of_int a
 let to_string a = Printf.sprintf "%d.%08d" (a / 100_000_000) (a mod 100_000_000)
-let pp fmt a = Format.pp_print_string fmt (to_string a)

@@ -28,7 +28,6 @@ val sum : t list -> (t, string) result
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val ( <= ) : t -> t -> bool
-val ( < ) : t -> t -> bool
 
 val is_zero : t -> bool
 
@@ -38,5 +37,4 @@ val to_fp : t -> Zen_crypto.Fp.t
 val amount_bits : int
 (** Bit width used by in-circuit range checks (51). *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

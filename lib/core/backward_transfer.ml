@@ -16,7 +16,3 @@ let list_root_fp bts = Hash.to_fp (list_root bts)
 let membership_proof bts i = Merkle.prove (list_tree bts) i
 
 let to_fp_pair t = (Hash.to_fp t.receiver_addr, Amount.to_fp t.amount)
-
-let pp fmt t =
-  Format.fprintf fmt "BT(to=%a, amount=%a)" Hash.pp t.receiver_addr Amount.pp
-    t.amount

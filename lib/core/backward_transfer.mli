@@ -24,5 +24,3 @@ val membership_proof : t list -> int -> Merkle.proof
 
 val to_fp_pair : t -> Fp.t * Fp.t
 (** (receiver, amount) as field elements, for in-circuit accumulation. *)
-
-val pp : Format.formatter -> t -> unit

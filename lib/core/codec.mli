@@ -19,15 +19,6 @@ val read_ft : Wire.reader -> (Forward_transfer.t, string) result
 val write_bt : Wire.writer -> Backward_transfer.t -> unit
 val read_bt : Wire.reader -> (Backward_transfer.t, string) result
 
-val write_proofdata : Wire.writer -> Proofdata.t -> unit
-val read_proofdata : Wire.reader -> (Proofdata.t, string) result
-
-val write_proof : Wire.writer -> Zen_snark.Backend.proof -> unit
-val read_proof : Wire.reader -> (Zen_snark.Backend.proof, string) result
-
-val write_vk : Wire.writer -> Zen_snark.Backend.verification_key -> unit
-val read_vk : Wire.reader -> (Zen_snark.Backend.verification_key, string) result
-
 val write_wcert : Wire.writer -> Withdrawal_certificate.t -> unit
 val read_wcert : Wire.reader -> (Withdrawal_certificate.t, string) result
 

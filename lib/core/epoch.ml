@@ -39,7 +39,3 @@ let ceased_at s ~last_certified_epoch ~height =
   in
   let _, window_end = submission_window s ~epoch:next_due in
   height > window_end
-
-let pp fmt s =
-  Format.fprintf fmt "epochs(start=%d, len=%d, submit=%d)" s.start_block
-    s.epoch_len s.submit_len

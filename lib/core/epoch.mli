@@ -44,5 +44,3 @@ val ceased_at : schedule -> last_certified_epoch:int option -> height:int -> boo
     [last_certified_epoch] (or none) implies the sidechain has ceased:
     true iff some epoch's submission window has fully elapsed without
     its certificate. *)
-
-val pp : Format.formatter -> schedule -> unit

@@ -26,7 +26,3 @@ let hash t =
     ]
 
 let equal a b = Hash.equal (hash a) (hash b)
-
-let pp fmt t =
-  Format.fprintf fmt "FT(sc=%a, amount=%a)" Hash.pp t.ledger_id Amount.pp
-    t.amount

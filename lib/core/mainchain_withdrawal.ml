@@ -42,9 +42,3 @@ let public_input t ~reference_block =
     (sysdata ~reference_block ~nullifier:t.nullifier ~receiver:t.receiver
        ~amount:t.amount)
     [| Proofdata.root_fp t.proofdata |]
-
-let pp fmt t =
-  Format.fprintf fmt "%s(sc=%a, to=%a, amount=%a, nf=%a)"
-    (match t.kind with Btr -> "BTR" | Csw -> "CSW")
-    Hash.pp t.ledger_id Hash.pp t.receiver Amount.pp t.amount Hash.pp
-    t.nullifier

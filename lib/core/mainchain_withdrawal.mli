@@ -46,5 +46,3 @@ val sysdata :
 
 val public_input : t -> reference_block:Hash.t -> Fp.t array
 (** sysdata ‖ MH(proofdata). *)
-
-val pp : Format.formatter -> t -> unit

@@ -37,12 +37,3 @@ let verify_membership ~root elem proof =
   Merkle.verify ~root ~leaf:(elem_hash elem) proof
 
 let encode pd = String.concat ";" (List.map encode_elem pd)
-
-let pp_elem fmt = function
-  | Field f -> Format.fprintf fmt "field:%a" Fp.pp f
-  | Digest d -> Format.fprintf fmt "digest:%a" Hash.pp d
-  | Uint n -> Format.fprintf fmt "uint:%d" n
-  | Blob b -> Format.fprintf fmt "blob[%d]" (String.length b)
-
-let pp fmt pd =
-  Format.fprintf fmt "[%a]" (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f "; ") pp_elem) pd

@@ -19,11 +19,9 @@ type elem_type = Tfield | Tdigest | Tuint | Tblob
 type t = elem list
 type schema = elem_type list
 
-val type_of : elem -> elem_type
 val matches : schema -> t -> bool
 (** Structural check the mainchain performs on submission. *)
 
-val elem_hash : elem -> Hash.t
 val root : t -> Hash.t
 (** [MH(proofdata)]: Merkle root over the element hashes. *)
 
@@ -37,4 +35,3 @@ val membership_proof : t -> int -> Merkle.proof
 val verify_membership : root:Hash.t -> elem -> Merkle.proof -> bool
 
 val encode : t -> string
-val pp : Format.formatter -> t -> unit

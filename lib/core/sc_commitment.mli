@@ -35,9 +35,6 @@ val entry_hash : entry -> Hash.t
 (** [SCXHash]: reconstructible by a sidechain node from its own view of
     the block's FTs/BTRs/certificate. *)
 
-val ft_subtree_root : Forward_transfer.t list -> Hash.t
-val btr_subtree_root : Mainchain_withdrawal.t list -> Hash.t
-
 type membership
 (** The [mproof] of §5.5.1. *)
 

@@ -1,25 +1,19 @@
 open Zen_crypto
 open Zen_snark
 
-let public_input_arity = 5
-
 (* ---------------------------------------------------------------- *)
 (* Verification cache                                               *)
 (* ---------------------------------------------------------------- *)
 
-let obs_hit =
-  Zen_obs.Counter.make ~help:"MC verification-cache hits" "mc.verify.cache.hit"
+let obs_hit = Zen_obs.Counter.make "mc.verify.cache.hit"
 
-let obs_miss =
-  Zen_obs.Counter.make ~help:"MC verification-cache misses"
-    "mc.verify.cache.miss"
+let obs_miss = Zen_obs.Counter.make "mc.verify.cache.miss"
 
-let obs_evict =
-  Zen_obs.Counter.make ~help:"MC verification-cache evictions"
-    "mc.verify.cache.eviction"
+let obs_evict = Zen_obs.Counter.make "mc.verify.cache.eviction"
 
+(* Per-proof verification latency (cache misses only). *)
 let obs_verify_s =
-  Zen_obs.Histogram.make ~help:"per-proof MC verification latency (cache misses)"
+  Zen_obs.Histogram.make
     ~bounds:(Zen_obs.Histogram.exponential_bounds ~lo:1e-5 ~factor:4. ~n:8)
     "mc.verify.seconds"
 
@@ -53,7 +47,6 @@ module Cache = struct
 
   let enabled () = Atomic.get enabled_flag
   let set_enabled b = Atomic.set enabled_flag b
-  let capacity () = Atomic.get cap
   let size () = locked (fun () -> Hashtbl.length table)
 
   let stats () =

@@ -13,9 +13,6 @@
 open Zen_crypto
 open Zen_snark
 
-val public_input_arity : int
-(** 5: four sysdata elements plus the proofdata root. *)
-
 (** {2 Verification cache}
 
     A process-wide bounded memo of verification outcomes, keyed by a
@@ -36,7 +33,6 @@ module Cache : sig
   (** Disabling also stops stat recording; cached entries are kept but
       not consulted until re-enabled. *)
 
-  val capacity : unit -> int
   val set_capacity : int -> unit
   (** Maximum number of cached outcomes (default 4096); FIFO eviction.
       Shrinking evicts immediately. Raises [Invalid_argument] below 1. *)

@@ -46,7 +46,3 @@ let public_input t ~end_prev_epoch ~end_epoch =
        ~bt_root:(Backward_transfer.list_root t.bt_list)
        ~end_prev_epoch ~end_epoch)
     [| Proofdata.root_fp t.proofdata |]
-
-let pp fmt t =
-  Format.fprintf fmt "WCert(sc=%a, epoch=%d, quality=%d, bts=%d)" Hash.pp
-    t.ledger_id t.epoch_id t.quality (List.length t.bt_list)

@@ -54,5 +54,3 @@ val sysdata :
 val public_input :
   t -> end_prev_epoch:Hash.t -> end_epoch:Hash.t -> Fp.t array
 (** The full 5-element public input: sysdata ‖ MH(proofdata). *)
-
-val pp : Format.formatter -> t -> unit

@@ -43,7 +43,6 @@ let of_bytes_le s =
   reduce !acc
 
 let equal (a : int) b = a = b
-let compare (a : int) b = Stdlib.compare a b
 let is_zero a = a = 0
 
 let[@inline] add a b =
@@ -79,13 +78,4 @@ let inv a =
 
 let div a b = mul a (inv b)
 
-let random gen =
-  (* Rejection-sample 61 bits to stay uniform. *)
-  let rec go () =
-    let x = Int64.to_int (gen ()) land p in
-    if x >= p then go () else x
-  in
-  go ()
-
 let to_string = string_of_int
-let pp fmt a = Format.fprintf fmt "%d" a

@@ -23,7 +23,6 @@ val of_bytes_le : string -> t
 (** Folds up to the first 8 bytes (little-endian) into a field element. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val is_zero : t -> bool
 
 val add : t -> t -> t
@@ -39,8 +38,4 @@ val inv : t -> t
 
 val div : t -> t -> t
 
-val random : (unit -> int64) -> t
-(** [random gen] draws a uniform element using [gen] as a 64-bit source. *)
-
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -9,7 +9,6 @@ let of_raw s =
 let to_raw t = t
 let zero = String.make size '\000'
 let of_string s = Sha256.digest s
-let concat ts = Sha256.digest_list ts
 
 (* Length-framed, tagged hashing: H(len(tag) | tag | len(p1) | p1 | ...)
    so distinct part lists can never produce the same preimage. *)
@@ -36,7 +35,6 @@ let of_hex s =
 let to_fp t = Fp.of_bytes_le t
 let equal = String.equal
 let compare = String.compare
-let pp fmt t = Format.pp_print_string fmt (short_hex t)
 
 module Map = Map.Make (String)
 module Set = Set.Make (String)

@@ -23,9 +23,6 @@ val zero : t
 val of_string : string -> t
 (** [of_string s] hashes arbitrary bytes. *)
 
-val concat : t list -> t
-(** Hash of the concatenation of digests — the Merkle-node combiner. *)
-
 val tagged : string -> string list -> t
 (** [tagged tag parts] hashes [tag] and [parts] with length framing, the
     domain-separated constructor used for every protocol object. *)
@@ -45,7 +42,6 @@ val to_fp : t -> Fp.t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

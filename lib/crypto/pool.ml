@@ -67,40 +67,28 @@ let is_closed t =
    spawned workers did with their lifetime. All of it is observation
    only and gated on the registry switch. *)
 
-let chunks_run =
-  Zen_obs.Counter.make ~help:"Chunks executed by pool operations"
-    "pool.chunks"
+let chunks_run = Zen_obs.Counter.make "pool.chunks"
 
+(* Indices per executed chunk (adaptive granularity). *)
 let chunk_items =
   Zen_obs.Histogram.make
-    ~help:"Indices per executed chunk (adaptive granularity)"
     ~bounds:(Zen_obs.Histogram.exponential_bounds ~lo:1. ~factor:4. ~n:8)
     "pool.chunk.items"
 
-let steals =
-  Zen_obs.Counter.make
-    ~help:"Chunks executed by helper domains (not the issuing caller)"
-    "pool.steals"
+(* Chunks executed by helper domains, not the issuing caller. *)
+let steals = Zen_obs.Counter.make "pool.steals"
 
-let ops_inline =
-  Zen_obs.Counter.make
-    ~help:"Parallel operations that ran as a single inline chunk"
-    "pool.ops.inline"
+(* Parallel operations that ran as a single inline chunk. *)
+let ops_inline = Zen_obs.Counter.make "pool.ops.inline"
 
-let ops_fanned =
-  Zen_obs.Counter.make
-    ~help:"Parallel operations that published help closures to the queue"
-    "pool.ops.fanned"
+(* Parallel operations that published help closures to the queue. *)
+let ops_fanned = Zen_obs.Counter.make "pool.ops.fanned"
 
-let worker_busy_us =
-  Zen_obs.Counter.make
-    ~help:"Microseconds pool workers spent executing tasks"
-    "pool.worker.busy_us"
+(* Microseconds pool workers spent executing tasks. *)
+let worker_busy_us = Zen_obs.Counter.make "pool.worker.busy_us"
 
-let worker_idle_us =
-  Zen_obs.Counter.make
-    ~help:"Microseconds pool workers spent blocked waiting for work"
-    "pool.worker.idle_us"
+(* Microseconds pool workers spent blocked waiting for work. *)
+let worker_idle_us = Zen_obs.Counter.make "pool.worker.idle_us"
 
 (* A worker wrapper that raises is a bug (the closures built below
    catch their own exceptions), but swallowing everything with
@@ -110,10 +98,7 @@ let worker_idle_us =
    domain dies and [Domain.join] in {!shutdown} rethrows them in the
    caller — and anything else is counted so it can never vanish
    silently. *)
-let swallowed =
-  Zen_obs.Counter.make
-    ~help:"Exceptions swallowed by pool worker wrappers (should stay 0)"
-    "pool.worker.swallowed"
+let swallowed = Zen_obs.Counter.make "pool.worker.swallowed"
 
 (* Per-worker GC tuning, applied once per spawned domain. Template-
    cached proving allocates short-lived structures at a high rate from
@@ -357,9 +342,7 @@ type 'a future = {
   mutable fstate : 'a fstate;
 }
 
-let async_submitted =
-  Zen_obs.Counter.make ~help:"Futures submitted to pool queues"
-    "pool.async.submitted"
+let async_submitted = Zen_obs.Counter.make "pool.async.submitted"
 
 (* Runs the thunk if (and only if) this caller wins the claim. *)
 let run_future fut =

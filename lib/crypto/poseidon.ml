@@ -33,9 +33,7 @@ let[@inline] sbox x =
   let x16 = Fp.sq x8 in
   Fp.mul x16 x
 
-let permutations =
-  Zen_obs.Counter.make ~help:"Poseidon permutations executed"
-    "crypto.poseidon.permutations"
+let permutations = Zen_obs.Counter.make "crypto.poseidon.permutations"
 
 let half_full = rounds_full / 2
 

@@ -21,10 +21,6 @@ let next64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let s = next64 t in
-  { state = Int64.logxor s 0x5851f42d4c957f2dL }
-
 (* Pure per-task derivation: the parent is NOT advanced, so any number
    of domains can derive their streams from a shared parent value
    without synchronization. Mixing (state + (i+1)·golden) through the

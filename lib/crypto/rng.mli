@@ -13,9 +13,8 @@
 
     - never capture an [Rng.t] inside a task that a pool may run on
       another domain;
-    - instead, derive one generator {e per task, before dispatch} —
-      either sequentially with {!split}, or in any order (even from
-      inside the tasks) with {!derive}, which is a pure function of the
+    - instead, derive one generator {e per task} with {!derive}, in any
+      order (even from inside the tasks): it is a pure function of the
       parent's current state and the task index;
     - anything drawn before the parallel section (e.g. the
       worker-dispatch assignment of §5.4.1) can keep using the parent
@@ -33,9 +32,6 @@ val create : int -> t
 val of_hash : Hash.t -> t
 (** Seed from a digest (e.g. epoch randomness). *)
 
-val split : t -> t
-(** Derives an independent stream; the parent advances. *)
-
 val derive : t -> int -> t
 (** [derive t i] is an independent stream for task [i], a {e pure}
     function of [t]'s current state and [i]: the parent does not
@@ -49,7 +45,6 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [[0, bound)]. Raises [Invalid_argument]
     if [bound <= 0]. *)
 
-val int64_nonneg : t -> int64
 val bool : t -> bool
 val bytes : t -> int -> string
 val pick : t -> 'a array -> 'a

@@ -24,8 +24,6 @@ let of_seed seed =
   let pk = Ec.mul_g scalar in
   ({ scalar; pk }, pk)
 
-let generate rng = of_seed (Rng.bytes rng 32)
-
 let pk_encode = Ec.encode
 (* The point at infinity is no key: s·G = R + e·O holds for R = s·G on
    every message. *)
@@ -33,7 +31,6 @@ let pk_decode s =
   match Ec.decode s with
   | Some pk when not (Ec.is_infinity pk) -> Some pk
   | _ -> None
-let pk_equal = Ec.equal
 let pk_hash pk = Hash.tagged "schnorr.pk" [ Ec.encode pk ]
 
 let challenge r pk msg =
@@ -70,5 +67,3 @@ let sig_decode b =
     if String.for_all (fun c -> c = '\000') xy then Some { r = Ec.infinity; s }
     else Option.map (fun r -> { r; s }) (Ec.decode ("\004" ^ xy))
   end
-
-let pp_pk fmt pk = Hash.pp fmt (pk_hash pk)

@@ -10,9 +10,6 @@ type secret_key
 type public_key
 type signature
 
-val generate : Rng.t -> secret_key * public_key
-(** Fresh keypair from the deterministic RNG. *)
-
 val of_seed : string -> secret_key * public_key
 (** Keypair derived from a seed string (for reproducible fixtures). *)
 
@@ -32,8 +29,6 @@ val pk_decode : string -> public_key option
 (** [None] for anything but an on-curve point; the point at infinity
     (encoded as one zero byte) is not a key. *)
 
-val pk_equal : public_key -> public_key -> bool
-
 val pk_hash : public_key -> Hash.t
 (** Address derivation: H(encoded pk). *)
 
@@ -41,5 +36,3 @@ val sig_encode : signature -> string
 (** 96-byte encoding (R.x ‖ R.y ‖ s). *)
 
 val sig_decode : string -> signature option
-
-val pp_pk : Format.formatter -> public_key -> unit

@@ -141,9 +141,8 @@ let feed_sub ctx (data : Bytes.t) pos len =
     ctx.buf_len <- !len
   end
 
-let bytes_hashed =
-  Zen_obs.Counter.make ~help:"Message bytes absorbed by SHA-256 (pre-padding)"
-    "crypto.sha256.bytes"
+(* Message bytes absorbed, before padding. *)
+let bytes_hashed = Zen_obs.Counter.make "crypto.sha256.bytes"
 
 let feed_bytes ctx b =
   Zen_obs.Counter.add bytes_hashed (Bytes.length b);

@@ -137,7 +137,6 @@ let prove t pos =
   in
   { position = pos; siblings = go t.tree t.depth [] }
 
-let proof_position p = p.position
 let proof_siblings p = p.siblings
 
 let verify ~root ~pos ~leaf ~depth proof =
@@ -155,13 +154,3 @@ let verify ~root ~pos ~leaf ~depth proof =
   in
   go 0 (leaf_hash leaf) proof.siblings
 
-let fold t ~init ~f =
-  let rec go node h base acc =
-    match node with
-    | Empty -> acc
-    | Leaf v -> f acc base v
-    | Node { l; r; _ } ->
-      let acc = go l (h - 1) base acc in
-      go r (h - 1) (base + (1 lsl (h - 1))) acc
-  in
-  go t.tree t.depth 0 init

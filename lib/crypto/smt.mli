@@ -17,8 +17,6 @@ val create : depth:int -> t
 (** The all-empty tree. [depth] must be in [[1, 60]]. *)
 
 val depth : t -> int
-val capacity : t -> int
-(** [2^depth]. *)
 
 val root : t -> Fp.t
 val occupied : t -> int
@@ -48,7 +46,6 @@ type proof
     current leaf value (or emptiness of the slot). *)
 
 val prove : t -> int -> proof
-val proof_position : proof -> int
 val proof_siblings : proof -> Fp.t list
 
 val verify : root:Fp.t -> pos:int -> leaf:Fp.t option -> depth:int -> proof -> bool
@@ -56,6 +53,3 @@ val verify : root:Fp.t -> pos:int -> leaf:Fp.t option -> depth:int -> proof -> b
     contains [leaf] (with [None] meaning "empty") under [root]. *)
 
 val leaf_hash : Fp.t option -> Fp.t
-
-val fold : t -> init:'a -> f:('a -> int -> Fp.t -> 'a) -> 'a
-(** Folds over occupied slots in increasing position order. *)

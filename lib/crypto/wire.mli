@@ -42,7 +42,6 @@ val option : writer -> ('a -> unit) -> 'a option -> unit
 type reader
 
 val reader : string -> reader
-val remaining : reader -> int
 
 val read_u8 : reader -> (int, string) result
 val read_u32 : reader -> (int, string) result

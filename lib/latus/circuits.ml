@@ -294,7 +294,7 @@ let prove_step f state step = Result.bind (traced_job f state step) prove_job
 let step_assignment f state step =
   let* (Step (_, c, v, s_from, s_to)) = traced_job f state step in
   let* public, witness = Template.assign c v in
-  Ok (Template.keys c, public, witness, s_from, s_to)
+  Ok (public, witness, s_from, s_to)
 
 let prove_wcert_binding f ~quality ~bt_root ~end_prev_epoch ~end_epoch
     ~proofdata ~s_prev ~s_last =

@@ -132,10 +132,10 @@ val step_assignment :
   family ->
   Sc_state.t ->
   Sc_tx.step ->
-  (keys * Fp.t array * Fp.t array * Fp.t * Fp.t, string) result
-(** Everything {!prove_step} proves, without proving: the keys of the
-    step's circuit, its (public, witness) assignment from the template's
-    evaluation-mode fill, and (s_from, s_to). Tests and micro-benchmarks
+  (Fp.t array * Fp.t array * Fp.t * Fp.t, string) result
+(** Everything {!prove_step} proves, without proving: the step's
+    (public, witness) assignment from the template's evaluation-mode
+    fill, and (s_from, s_to). Tests and micro-benchmarks
     use it to reach a slot circuit and a satisfying assignment. It is
     {!Zen_snark.Template.assign} on {!step_job}'s template and values,
     for the step traced as {!prove_step} traces it. *)

@@ -77,9 +77,7 @@ let create ~config ~params ~family ~forger ?(pool = Pool.sequential) () =
         }
     end
 
-let params t = t.params
 let family t = t.fam
-let ledger_id t = t.config.ledger_id
 
 let tip_record t = match t.records with [] -> None | r :: _ -> Some r
 
@@ -130,15 +128,14 @@ let submit_tx t tx =
 
 let mempool_size t = Sc_mempool.size t.mempool
 
-let stake_distribution t = Leader.of_mst (tip_state t).mst
-
 let epoch_randomness t =
   match tip_record t with
   | None -> Hash.tagged "latus.rand.genesis" [ Hash.to_raw t.config.ledger_id ]
   | Some r -> Sc_block.hash r.block
 
 let leader_for_slot t ~slot =
-  Leader.select (stake_distribution t) ~rand:(epoch_randomness t) ~slot
+  Leader.select (Leader.of_mst (tip_state t).mst) ~rand:(epoch_randomness t)
+    ~slot
 
 let ( let* ) = Result.bind
 
@@ -225,12 +222,10 @@ let build_refs t ~mc =
   in
   go (max (synced + 1) t.config.start_block) []
 
-let blocks_forged =
-  Zen_obs.Counter.make ~help:"Sidechain blocks forged" "latus.blocks_forged"
+let blocks_forged = Zen_obs.Counter.make "latus.blocks_forged"
 
-let certificates =
-  Zen_obs.Counter.make ~help:"Withdrawal certificates built"
-    "latus.certificates"
+(* Withdrawal certificates built. *)
+let certificates = Zen_obs.Counter.make "latus.certificates"
 
 let forge t ~mc ~slot ?(enforce_leader = false) () =
   Zen_obs.Trace.with_span ~cat:"latus"
@@ -344,10 +339,14 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
 
 let certified_epochs t = List.map fst (Int_map.bindings t.archives)
 
-let next_uncertified_epoch t =
-  match Int_map.max_binding_opt t.archives with
-  | None -> 0
-  | Some (e, _) -> e + 1
+(* The mainchain's earliest uncertified epoch of this sidechain, or
+   [None] while the mainchain does not know the sidechain. *)
+let mc_next_epoch t ~mc =
+  Sc_ledger.find (Chain.tip_state mc).scs t.config.ledger_id
+  |> Option.map (fun s ->
+         match Sc_ledger.last_cert s with
+         | None -> 0
+         | Some r -> r.cert.epoch_id + 1)
 
 (* The epoch to certify next is decided by the mainchain, not by the
    node's archive: a certificate the node built can be lost before
@@ -357,17 +356,15 @@ let next_uncertified_epoch t =
    epoch lets the node rebuild and resubmit a lost certificate from its
    retained records instead of stranding the sidechain. *)
 let certificate_target t ~mc =
-  let node_next = next_uncertified_epoch t in
-  let mc_state = Chain.tip_state mc in
-  match Sc_ledger.find mc_state.scs t.config.ledger_id with
+  (* The node's own view: one past the newest epoch it has archived. *)
+  let node_next =
+    match Int_map.max_binding_opt t.archives with
+    | None -> 0
+    | Some (e, _) -> e + 1
+  in
+  match mc_next_epoch t ~mc with
   | None -> node_next
-  | Some s ->
-    let mc_next =
-      match Sc_ledger.last_cert s with
-      | None -> 0
-      | Some r -> r.cert.epoch_id + 1
-    in
-    min node_next mc_next
+  | Some mc_next -> min node_next mc_next
 
 (* The block completing [epoch] carries that epoch's last MC reference,
    so it lives in [epoch]'s own bucket. *)
@@ -389,25 +386,17 @@ let epoch_start_hash t ~epoch =
       | Some a -> Sc_state.hash (Sc_state.reset_epoch a.end_state)
       | None -> Sc_state.hash t.genesis_state)
 
-let records_pruned =
-  Zen_obs.Counter.make
-    ~help:"Sidechain block records pruned below the certified horizon"
-    "latus.records.pruned"
+(* Sidechain block records pruned below the certified horizon. *)
+let records_pruned = Zen_obs.Counter.make "latus.records.pruned"
 
 (* Forget records of epochs long since certified by the mainchain. The
    retention margin covers certificate rebuilds after a reorg reverts
    recent certificates (storm reorgs are ≤ 3 MC blocks deep, well inside
    the margin); withdrawals replay from [archives], which are kept. *)
 let prune_certified t ~mc =
-  let mc_state = Chain.tip_state mc in
-  match Sc_ledger.find mc_state.scs t.config.ledger_id with
+  match mc_next_epoch t ~mc with
   | None -> ()
-  | Some s ->
-    let mc_next =
-      match Sc_ledger.last_cert s with
-      | None -> 0
-      | Some r -> r.cert.epoch_id + 1
-    in
+  | Some mc_next ->
     let keep_from = mc_next - retain_epochs in
     let stale =
       match Int_map.min_binding_opt t.by_epoch with
@@ -422,8 +411,9 @@ let prune_certified t ~mc =
       Zen_obs.Counter.add records_pruned (before - List.length t.records)
     end
 
+(* Certificate build wall-clock (the certify path). *)
 let certify_s =
-  Zen_obs.Histogram.make ~help:"certificate build wall-clock (certify path)"
+  Zen_obs.Histogram.make
     ~bounds:(Zen_obs.Histogram.exponential_bounds ~lo:1e-4 ~factor:4. ~n:10)
     "latus.certify.seconds"
 
@@ -511,17 +501,13 @@ let build_certificate t ~mc =
       Withdrawal_certificate.make ~ledger_id:t.config.ledger_id
         ~epoch_id:epoch ~quality ~bt_list ~proofdata ~proof
     in
-    (* A rebuild of an already-archived epoch (lost certificate)
-       must not duplicate the archive entry. *)
-    if not (Int_map.mem epoch t.archives) then
-      t.archives <-
-        Int_map.add epoch
-          {
-            end_state;
-            delta;
-            end_block_hash = Sc_block.hash last_record.block;
-          }
-          t.archives;
+    (* A rebuild of an already-archived epoch (a certificate lost to a
+       reorg) replaces its entry: withdrawals must prove against the
+       state of the certificate the mainchain will hold. *)
+    t.archives <-
+      Int_map.add epoch
+        { end_state; delta; end_block_hash = Sc_block.hash last_record.block }
+        t.archives;
     Zen_obs.Counter.incr certificates;
     Ok (Some (Tx.Certificate cert))
 

@@ -18,9 +18,6 @@ val wcert_schema : Proofdata.schema
 (** Latus WCert proofdata: [H(SB_last); MST root; mst_delta]
     (§5.5.3.1). *)
 
-val withdrawal_schema : Proofdata.schema
-(** Latus BTR/CSW proofdata: the claimed UTXO (§5.5.3.2). *)
-
 val config_for :
   ledger_id:Hash.t ->
   start_block:int ->
@@ -53,9 +50,7 @@ val create :
     reorgs stay inside that margin, and withdrawals replay from the kept
     per-epoch archives. *)
 
-val params : t -> Params.t
 val family : t -> Circuits.family
-val ledger_id : t -> Hash.t
 
 val tip_state : t -> Sc_state.t
 (** State after the last forged block (before any epoch reset). *)
@@ -98,16 +93,12 @@ val build_certificate : t -> mc:Chain.t -> (Tx.t option, string) result
 
 val certified_epochs : t -> int list
 
-val next_uncertified_epoch : t -> int
-(** The node's own view: one past the newest epoch it has archived (0
-    before any certificate). *)
-
 val certificate_target : t -> mc:Chain.t -> int
 (** The epoch {!build_certificate} will actually target: the
     mainchain's earliest uncertified epoch when that lags the node's
     archive (a built certificate was lost to a reorg or never landed —
-    the node rebuilds and resubmits it), the node's own
-    {!next_uncertified_epoch} otherwise. *)
+    the node rebuilds and resubmits it), otherwise one past the newest
+    epoch the node has archived. *)
 
 val state_at_epoch_end : t -> epoch:int -> Sc_state.t option
 
@@ -125,7 +116,6 @@ val create_withdrawal_request :
     epoch is used, the node first replays the mst_delta chain
     (Appendix A) to confirm the slot was never touched since. *)
 
-val stake_distribution : t -> Leader.distribution
 val leader_for_slot : t -> slot:int -> Hash.t option
 
 (** {2 Proving pipeline} *)

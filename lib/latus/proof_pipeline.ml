@@ -7,39 +7,29 @@ let ( let* ) = Result.bind
 
 (* ---- metrics ---- *)
 
-let depth_gauge =
-  Zen_obs.Gauge.make
-    ~help:"Proving tasks enqueued but not yet folded (all epochs)"
-    "latus.pipeline.depth"
+(* Proving tasks enqueued but not yet folded (all epochs). *)
+let depth_gauge = Zen_obs.Gauge.make "latus.pipeline.depth"
 
-let enqueued_c =
-  Zen_obs.Counter.make ~help:"Proving tasks enqueued by the pipeline"
-    "latus.pipeline.enqueued"
+let enqueued_c = Zen_obs.Counter.make "latus.pipeline.enqueued"
 
-let eager_merges_c =
-  Zen_obs.Counter.make
-    ~help:"Recursive merges performed off the certify path (during pumping)"
-    "latus.pipeline.merges.eager"
+(* Recursive merges done off the certify path (during pumping). *)
+let eager_merges_c = Zen_obs.Counter.make "latus.pipeline.merges.eager"
 
-let carry_merges_c =
-  Zen_obs.Counter.make
-    ~help:"Recursive carry merges performed on the certify path"
-    "latus.pipeline.merges.carry"
+(* Recursive carry merges done on the certify path. *)
+let carry_merges_c = Zen_obs.Counter.make "latus.pipeline.merges.carry"
 
-let truncations_c =
-  Zen_obs.Counter.make
-    ~help:"Pipeline stream truncations caused by MC reorg rollbacks"
-    "latus.pipeline.truncations"
+(* Stream truncations caused by mainchain reorg rollbacks. *)
+let truncations_c = Zen_obs.Counter.make "latus.pipeline.truncations"
 
+(* Enqueue-to-execution wait of pipelined proving tasks. *)
 let queue_wait_s =
   Zen_obs.Histogram.make
-    ~help:"enqueue-to-execution wait of pipelined proving tasks"
     ~bounds:(Zen_obs.Histogram.exponential_bounds ~lo:1e-4 ~factor:4. ~n:10)
     "latus.pipeline.queue_wait.seconds"
 
+(* Pipelined base-proof latency (prove_step + recursive wrap). *)
 let prove_s =
   Zen_obs.Histogram.make
-    ~help:"pipelined base-proof latency (prove_step + recursive wrap)"
     ~bounds:(Zen_obs.Histogram.exponential_bounds ~lo:1e-4 ~factor:4. ~n:8)
     "latus.pipeline.prove.seconds"
 

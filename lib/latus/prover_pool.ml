@@ -30,10 +30,8 @@ type stats = {
   worker_costs : worker_cost list;
 }
 
-let reassignments =
-  Zen_obs.Counter.make
-    ~help:"Prover tasks re-dispatched away from a crashed worker"
-    "latus.prover.reassignments"
+(* Prover tasks re-dispatched away from a crashed worker. *)
+let reassignments = Zen_obs.Counter.make "latus.prover.reassignments"
 
 let dispatch ~rng ~workers ~tasks =
   if workers <= 0 then invalid_arg "Prover_pool.dispatch: no workers";

@@ -52,7 +52,3 @@ let forge ~parent ~height ~slot ~sk ~mc_refs ~txs ~state_hash =
 
 let verify_signature t =
   Schnorr.verify t.forger_pk (Hash.to_raw (sighash t)) t.signature
-
-let pp fmt t =
-  Format.fprintf fmt "SCBlock(h=%d, slot=%d, %d refs, %d txs)" t.height t.slot
-    (List.length t.mc_refs) (List.length t.txs)

@@ -23,9 +23,6 @@ type t = {
 val hash : t -> Hash.t
 val forger_addr : t -> Hash.t
 
-val sighash : t -> Hash.t
-(** Everything except the signature. *)
-
 val forge :
   parent:Hash.t ->
   height:int ->
@@ -40,5 +37,3 @@ val verify_signature : t -> bool
 
 val genesis_parent : Hash.t
 (** Sentinel parent hash of the first sidechain block. *)
-
-val pp : Format.formatter -> t -> unit

@@ -32,7 +32,3 @@ let reset_epoch t =
   { mst = Mst.snapshot t.mst; bts_rev = []; bt_count = 0; bt_acc = Fp.zero }
 
 let with_mst t mst = { t with mst }
-
-let pp fmt t =
-  Format.fprintf fmt "state(mst=%a, %d utxos, %d bts)" Fp.pp (Mst.root t.mst)
-    (Mst.occupied t.mst) t.bt_count

@@ -45,5 +45,3 @@ val reset_epoch : t -> t
     an MST delta snapshot (Appendix A). *)
 
 val with_mst : t -> Mst.t -> t
-
-val pp : Format.formatter -> t -> unit

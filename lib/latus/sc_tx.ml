@@ -276,14 +276,3 @@ let validate state tx =
     Ok ()
 
 let apply state tx = Result.map fst (transition state tx)
-
-let pp fmt = function
-  | Payment p ->
-    Format.fprintf fmt "PTx(%d in, %d out)" (List.length p.inputs)
-      (List.length p.outputs)
-  | Forward_transfers_tx { fts; _ } ->
-    Format.fprintf fmt "FTTx(%d fts)" (List.length fts)
-  | Backward_transfer_tx b ->
-    Format.fprintf fmt "BTTx(%a)" Backward_transfer.pp b.bt
-  | Backward_transfer_requests_tx { btrs; _ } ->
-    Format.fprintf fmt "BTRTx(%d btrs)" (List.length btrs)

@@ -50,7 +50,6 @@ val bt_sighash : input:Utxo.t -> bt:Backward_transfer.t -> Hash.t
 (** {2 Forward-transfer metadata (Latus encoding, §5.3.2)} *)
 
 val ft_metadata : receiver:Hash.t -> payback:Hash.t -> string
-val parse_ft_metadata : string -> (Hash.t * Hash.t) option
 
 type ft_outcome =
   | Ft_accepted of Utxo.t
@@ -126,5 +125,3 @@ val trace :
     recording it as a {!traced} record: the inputs of the step's base
     proof. Returns the final state and the records in order, or the
     first step's error. *)
-
-val pp : Format.formatter -> t -> unit

@@ -2,27 +2,12 @@
     block references (with their commitment proofs) and sidechain
     blocks — everything a Latus node gossips to its peers. *)
 
-open Zen_crypto
-
-val write_utxo : Wire.writer -> Utxo.t -> unit
-val read_utxo : Wire.reader -> (Utxo.t, string) result
-
-val write_tx : Wire.writer -> Sc_tx.t -> unit
-val read_tx : Wire.reader -> (Sc_tx.t, string) result
-
 val encode_tx : Sc_tx.t -> string
 val decode_tx : string -> (Sc_tx.t, string) result
 
-val write_mc_ref : Wire.writer -> Mc_ref.t -> unit
-val read_mc_ref : Wire.reader -> (Mc_ref.t, string) result
-
-val encode_mc_ref : Mc_ref.t -> string
 val mc_ref_size_bytes : Mc_ref.t -> int
 (** Exact wire size — the quantity behind the §5.5.1 light-sync claim
     (experiment E12 compares it against full MC block bytes). *)
-
-val write_block : Wire.writer -> Sc_block.t -> unit
-val read_block : Wire.reader -> (Sc_block.t, string) result
 
 val encode_block : Sc_block.t -> string
 val decode_block : string -> (Sc_block.t, string) result

@@ -48,7 +48,3 @@ let decode s =
     | Error _ -> None
     | Ok amount -> Some { addr; amount; nonce }
   end
-
-let pp fmt t =
-  Format.fprintf fmt "utxo(%a, %a, %a)" Hash.pp t.addr Amount.pp t.amount
-    Hash.pp t.nonce

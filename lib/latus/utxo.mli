@@ -26,7 +26,6 @@ val position : mst_depth:int -> t -> int
 val nullifier : t -> Hash.t
 (** The mainchain-facing unique identifier of the coins (Defs. 4.5/4.6). *)
 
-val hash : t -> Hash.t
 val equal : t -> t -> bool
 
 val encode : t -> string
@@ -34,5 +33,3 @@ val encode : t -> string
     Latus BTR/CSW carries in its proofdata. *)
 
 val decode : string -> t option
-
-val pp : Format.formatter -> t -> unit

@@ -183,7 +183,3 @@ let validate_structure ?pool ~pow b =
     | _ -> Error "block: first transaction must be the coinbase"
   in
   Ok ()
-
-let pp fmt b =
-  Format.fprintf fmt "Block(h=%d, %a, %d txs)" b.header.height Hash.pp (hash b)
-    (List.length b.txs)

@@ -30,8 +30,6 @@ type t = {
 val header_hash : header -> Hash.t
 val hash : t -> Hash.t
 
-val tx_root : ?pool:Pool.t -> Tx.t list -> Hash.t
-
 val sc_commitment_of_txs :
   ?pool:Pool.t -> Tx.t list -> (Sc_commitment.t, string) result
 (** Groups the block's sidechain actions (FT outputs, BTRs, at most one
@@ -61,5 +59,3 @@ val validate_structure :
     aggregate-commitment consistency (count must match the block's
     certificates), exactly one leading coinbase, at most one
     certificate per sidechain. *)
-
-val pp : Format.formatter -> t -> unit

@@ -6,7 +6,6 @@ type t = {
   params : Chain_state.params;
   nodes : node Hash.Map.t;
   tip : Hash.t;
-  genesis : Hash.t;
 }
 
 type outcome =
@@ -18,10 +17,9 @@ let create ?(params = Chain_state.default_params) ~time () =
   let g = Block.genesis ~time in
   let gh = Block.hash g in
   let node = { block = g; state = Chain_state.of_genesis params g; work = 0 } in
-  { params; nodes = Hash.Map.add gh node Hash.Map.empty; tip = gh; genesis = gh }
+  { params; nodes = Hash.Map.add gh node Hash.Map.empty; tip = gh }
 
 let params t = t.params
-let genesis_hash t = t.genesis
 let tip_hash t = t.tip
 
 let node_exn t h = Hash.Map.find h t.nodes
@@ -31,7 +29,6 @@ let height t = (tip_state t).height
 
 let block t h = Option.map (fun n -> n.block) (Hash.Map.find_opt h t.nodes)
 let state_of t h = Option.map (fun n -> n.state) (Hash.Map.find_opt h t.nodes)
-let contains t h = Hash.Map.mem h t.nodes
 
 (* Depth of the reorg: how many blocks of the old best chain are not
    ancestors of the new tip. *)

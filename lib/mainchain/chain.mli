@@ -20,7 +20,6 @@ type outcome =
 val create : ?params:Chain_state.params -> time:int -> unit -> t
 val params : t -> Chain_state.params
 
-val genesis_hash : t -> Hash.t
 val tip_hash : t -> Hash.t
 val tip_state : t -> Chain_state.t
 val tip_block : t -> Block.t
@@ -39,8 +38,6 @@ val add_block : ?pool:Pool.t -> t -> Block.t -> (t * outcome, string) result
 
 val best_chain : t -> Block.t list
 (** Genesis → tip. *)
-
-val contains : t -> Hash.t -> bool
 
 val on_best_chain : t -> Hash.t -> bool
 (** Whether a block hash lies on the current best chain. *)

@@ -84,21 +84,12 @@ end
 (** Process-wide aggregation-path counters (diagnostics; the CI smoke
     job asserts [proof_checks = blocks], i.e. one proof per block). *)
 
-val proof_jobs : t -> Tx.t list -> Verifier.job list
-(** The SNARK verifications applying [txs] to this state would run,
-    predicted from the current state (order preserved; transactions
-    with nothing to verify, or whose sidechain/boundary cannot be
-    resolved, contribute nothing). *)
-
 val prewarm_verifier : ?pool:Pool.t -> t -> Tx.t list -> unit
-(** [Verifier.verify_batch] over {!proof_jobs}, populating the
+(** [Verifier.verify_batch] over the SNARK verifications that applying
+    the transactions to this state would run, populating the
     verification cache so a subsequent sequential application never
     re-verifies. A no-op when the cache is disabled (results would be
     thrown away). *)
-
-val spendable : t -> Tx.outpoint -> at_height:int -> Utxo_set.coin option
-(** The coin if it exists and has matured for inclusion at
-    [at_height]. *)
 
 val sc_balance : t -> Hash.t -> Amount.t option
 val circulating : t -> Amount.t

@@ -161,5 +161,4 @@ let decode_block s = Wire.decode read_block s
 let encode_header h = Wire.encode write_header h
 let decode_header s = Wire.decode read_header s
 
-let tx_size_bytes tx = String.length (encode_tx tx)
 let block_size_bytes b = String.length (encode_block b)

@@ -5,15 +5,8 @@
     (PoW, state transition) still happens in {!Chain_state} — decoding
     only guarantees well-formedness. *)
 
-
-val write_tx : Zen_crypto.Wire.writer -> Tx.t -> unit
-val read_tx : Zen_crypto.Wire.reader -> (Tx.t, string) result
-
 val encode_tx : Tx.t -> string
 val decode_tx : string -> (Tx.t, string) result
-
-val write_block : Zen_crypto.Wire.writer -> Block.t -> unit
-val read_block : Zen_crypto.Wire.reader -> (Block.t, string) result
 
 val encode_block : Block.t -> string
 val decode_block : string -> (Block.t, string) result
@@ -21,5 +14,4 @@ val decode_block : string -> (Block.t, string) result
 val encode_header : Block.header -> string
 val decode_header : string -> (Block.header, string) result
 
-val tx_size_bytes : Tx.t -> int
 val block_size_bytes : Block.t -> int

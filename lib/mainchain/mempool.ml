@@ -90,13 +90,13 @@ include Make (Tx)
 
 let op_bounds = Zen_obs.Histogram.exponential_bounds ~lo:1e-7 ~factor:4. ~n:8
 
+(* Block-connect purge latency. *)
 let remove_included_s =
-  Zen_obs.Histogram.make ~help:"mempool block-connect purge latency"
-    ~bounds:op_bounds "mempool.remove_included.seconds"
+  Zen_obs.Histogram.make ~bounds:op_bounds "mempool.remove_included.seconds"
 
+(* Reorg-reinjection latency. *)
 let reinject_s =
-  Zen_obs.Histogram.make ~help:"mempool reorg-reinjection latency"
-    ~bounds:op_bounds "mempool.reinject.seconds"
+  Zen_obs.Histogram.make ~bounds:op_bounds "mempool.reinject.seconds"
 
 let remove_included t (b : Block.t) =
   Zen_obs.Histogram.time remove_included_s @@ fun () -> remove_txs t b.txs

@@ -6,7 +6,6 @@
     proof of work. *)
 
 open Zen_crypto
-open Zendoo
 
 val build_block :
   ?pool:Pool.t ->
@@ -33,6 +32,3 @@ val build_block :
 
 val mine_empty :
   Chain.t -> time:int -> miner_addr:Hash.t -> (Block.t, string) result
-
-val coinbase_for :
-  Chain.t -> height:int -> miner_addr:Hash.t -> fees:Amount.t -> Tx.t

@@ -60,14 +60,3 @@ let forward_transfers = function
   | Transfer { outputs; _ } ->
     List.filter_map (function Ft ft -> Some ft | Coin _ -> None) outputs
   | Coinbase _ | Sc_create _ | Certificate _ | Withdrawal_request _ -> []
-
-let pp fmt t =
-  match t with
-  | Coinbase { height; reward } ->
-    Format.fprintf fmt "Coinbase(h=%d, %a)" height Amount.pp reward.amount
-  | Transfer { inputs; outputs } ->
-    Format.fprintf fmt "Transfer(%d in, %d out)" (List.length inputs)
-      (List.length outputs)
-  | Sc_create c -> Format.fprintf fmt "ScCreate(%a)" Hash.pp c.ledger_id
-  | Certificate c -> Withdrawal_certificate.pp fmt c
-  | Withdrawal_request w -> Mainchain_withdrawal.pp fmt w

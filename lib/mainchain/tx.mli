@@ -45,5 +45,3 @@ val forward_transfers : t -> Forward_transfer.t list
 
 val outpoint_equal : outpoint -> outpoint -> bool
 val outpoint_encode : outpoint -> string
-
-val pp : Format.formatter -> t -> unit

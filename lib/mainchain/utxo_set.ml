@@ -24,8 +24,6 @@ let akey (c : coin) = Hash.to_raw c.addr
 let find t o =
   Option.map (fun e -> e.coin) (M.find_opt (key o) t.coins)
 
-let mem t o = M.mem (key o) t.coins
-
 let index_remove by_addr addr k =
   match M.find_opt addr by_addr with
   | None -> by_addr

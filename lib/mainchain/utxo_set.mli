@@ -19,7 +19,6 @@ type t
 
 val empty : t
 val find : t -> Tx.outpoint -> coin option
-val mem : t -> Tx.outpoint -> bool
 val add : t -> Tx.outpoint -> coin -> t
 val remove : t -> Tx.outpoint -> t
 val cardinal : t -> int

@@ -1,16 +1,16 @@
-type t = { name : string; help : string; cells : int ref Sharded.t }
+type t = { name : string; cells : int ref Sharded.t }
 
 let registered : t list ref = ref []
 let mu = Mutex.create ()
 
-let make ?(help = "") name =
+let make name =
   Mutex.lock mu;
   match List.find_opt (fun c -> String.equal c.name name) !registered with
   | Some c ->
     Mutex.unlock mu;
     c
   | None ->
-    let c = { name; help; cells = Sharded.create (fun () -> ref 0) } in
+    let c = { name; cells = Sharded.create (fun () -> ref 0) } in
     registered := c :: !registered;
     Mutex.unlock mu;
     Registry.on_reset (fun () -> Sharded.iter c.cells ~f:(fun r -> r := 0));
@@ -25,7 +25,6 @@ let add t n =
 let incr t = add t 1
 let value t = Sharded.fold t.cells ~init:0 ~f:(fun acc r -> acc + !r)
 let name t = t.name
-let help t = t.help
 
 let all () =
   Mutex.lock mu;

@@ -6,7 +6,7 @@
 
 type t
 
-val make : ?help:string -> string -> t
+val make : string -> t
 (** [make name] registers a counter (idempotent: a second [make] with
     the same name returns the existing counter, keeping module-level
     instrumentation and tests from fighting over registration). *)
@@ -18,7 +18,6 @@ val value : t -> int
 (** Sum over every domain's cell. *)
 
 val name : t -> string
-val help : t -> string
 
 val all : unit -> t list
 (** Every registered counter, sorted by name (for exporters). *)

@@ -1,16 +1,16 @@
-type t = { name : string; help : string; cell : float Atomic.t }
+type t = { name : string; cell : float Atomic.t }
 
 let registered : t list ref = ref []
 let mu = Mutex.create ()
 
-let make ?(help = "") name =
+let make name =
   Mutex.lock mu;
   match List.find_opt (fun g -> String.equal g.name name) !registered with
   | Some g ->
     Mutex.unlock mu;
     g
   | None ->
-    let g = { name; help; cell = Atomic.make 0. } in
+    let g = { name; cell = Atomic.make 0. } in
     registered := g :: !registered;
     Mutex.unlock mu;
     Registry.on_reset (fun () -> Atomic.set g.cell 0.);
@@ -20,7 +20,6 @@ let set t v = if Registry.enabled () then Atomic.set t.cell v
 let set_int t n = set t (float_of_int n)
 let value t = Atomic.get t.cell
 let name t = t.name
-let help t = t.help
 
 let all () =
   Mutex.lock mu;

@@ -5,14 +5,13 @@
 
 type t
 
-val make : ?help:string -> string -> t
+val make : string -> t
 (** Idempotent by name, like {!Counter.make}. *)
 
 val set : t -> float -> unit
 val set_int : t -> int -> unit
 val value : t -> float
 val name : t -> string
-val help : t -> string
 
 val all : unit -> t list
 (** Sorted by name. *)

@@ -7,7 +7,6 @@ type cell = {
 
 type t = {
   name : string;
-  help : string;
   bounds : float array; (* finite upper bounds, ascending *)
   cells : cell Sharded.t;
 }
@@ -27,7 +26,7 @@ let exponential_bounds ~lo ~factor ~n =
     invalid_arg "Histogram.exponential_bounds";
   List.init n (fun i -> lo *. (factor ** float_of_int i))
 
-let make ?(help = "") ~bounds name =
+let make ~bounds name =
   let bounds = Array.of_list bounds in
   if Array.length bounds = 0 then invalid_arg "Histogram.make: no bounds";
   Array.iteri
@@ -45,7 +44,6 @@ let make ?(help = "") ~bounds name =
     let h =
       {
         name;
-        help;
         bounds;
         cells =
           Sharded.create (fun () ->
@@ -138,7 +136,6 @@ let quantile s q =
   end
 
 let name t = t.name
-let help t = t.help
 
 let all () =
   Mutex.lock mu;

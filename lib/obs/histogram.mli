@@ -16,7 +16,7 @@ type snapshot = {
           [infinity]. *)
 }
 
-val make : ?help:string -> bounds:float list -> string -> t
+val make : bounds:float list -> string -> t
 (** [make ~bounds name]: [bounds] are the finite upper bounds, strictly
     ascending; an implicit [+inf] bucket is appended. Idempotent by
     name (the first registration's bounds win). Raises
@@ -47,7 +47,6 @@ val quantile : snapshot -> float -> float
     clamp. [0.] when the snapshot is empty. *)
 
 val name : t -> string
-val help : t -> string
 
 val all : unit -> t list
 (** Sorted by name. *)

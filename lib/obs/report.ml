@@ -311,8 +311,7 @@ let human () =
     Buffer.add_string buf
       (Printf.sprintf
          "\nWARNING: %d trace events dropped at the per-domain buffer cap \
-          (%d); the tree, critical path and self times above are partial — \
-          raise it with Trace.set_buffer_limit\n"
+          (%d); the tree, critical path and self times above are partial\n"
          dropped (Trace.buffer_limit ()));
   Buffer.contents buf
 

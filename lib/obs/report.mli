@@ -36,9 +36,6 @@ val self_s : node -> float
     clamped at [0.]. Over any tree, self times sum to the root's
     duration (up to the clamp). *)
 
-val total_wall_s : node list -> float
-(** Summed root durations — the observed wall-clock of the forest. *)
-
 type agg = {
   key : string;  (** span name, or category *)
   agg_count : int;
@@ -65,15 +62,12 @@ type path_step = {
   share : float;  (** of the path root's duration *)
 }
 
-val critical_path_of : ?root:string -> node list -> path_step list
-(** The dominant chain: starting from the longest root span (or the
-    longest span named [root] anywhere in the forest), repeatedly
-    descend into the longest child span. First element is the root;
-    empty if the forest holds no [Complete] span. Ties resolve to the
-    earliest [(ts, seq)] so the path is deterministic. *)
-
 val critical_path : ?root:string -> unit -> path_step list
-(** [critical_path_of ?root (forest ())]. *)
+(** The dominant chain of {!forest}: starting from the longest root span
+    (or the longest span named [root] anywhere in the forest),
+    repeatedly descend into the longest child span. First element is
+    the root; empty if the forest holds no [Complete] span. Ties resolve
+    to the earliest [(ts, seq)] so the path is deterministic. *)
 
 val human : unit -> string
 (** Aligned text report, printed by [zendoo-cli --metrics] and
@@ -82,7 +76,7 @@ val human : unit -> string
     max), the nonzero counters and gauges sorted by name, and a
     truncation warning when {!Trace.dropped} is non-zero. *)
 
-val to_json : ?extras:(string * Json.t) list -> unit -> Json.t
+val to_json_string : ?extras:(string * Json.t) list -> unit -> string
 (** The ["zen-report/1"] document:
     {v
     { "schema": "zen-report/1",
@@ -99,8 +93,6 @@ val to_json : ?extras:(string * Json.t) list -> unit -> Json.t
     v}
     [extras] are appended as additional top-level fields (e.g. the
     prover pool's per-worker costs, the harness scoreboard). *)
-
-val to_json_string : ?extras:(string * Json.t) list -> unit -> string
 
 val chrome_trace : unit -> string
 (** Chrome trace-event format (the JSON-object form with a

@@ -20,9 +20,8 @@ type cell = {
   mutable seq : int;
 }
 
-let limit = Atomic.make 200_000
-let set_buffer_limit n = Atomic.set limit (max 0 n)
-let buffer_limit () = Atomic.get limit
+let limit = 200_000
+let buffer_limit () = limit
 
 let buffers : cell Sharded.t =
   Sharded.create (fun () ->
@@ -39,7 +38,7 @@ let () =
 let self_tid () = (Domain.self () :> int)
 
 let push c ev =
-  if c.count >= Atomic.get limit then c.dropped <- c.dropped + 1
+  if c.count >= limit then c.dropped <- c.dropped + 1
   else begin
     c.events <- ev :: c.events;
     c.count <- c.count + 1

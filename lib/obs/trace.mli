@@ -39,13 +39,10 @@ val events : unit -> event list
     [(ts, tid, seq)]. *)
 
 val dropped : unit -> int
-(** Events discarded because a domain's buffer hit {!set_buffer_limit};
+(** Events discarded because a domain's buffer hit {!buffer_limit};
     exporters surface this so truncation is never silent. *)
 
-val set_buffer_limit : int -> unit
-(** Per-domain event cap (default 200_000). Recording past the cap
-    drops the new event and counts it in {!dropped}. *)
-
 val buffer_limit : unit -> int
-(** The current per-domain cap — exporters quote it next to
-    {!dropped} so a truncated report says how to raise the ceiling. *)
+(** The per-domain event cap (200_000): recording past it drops the new
+    event and counts it in {!dropped}. Exporters quote it next to
+    {!dropped}. *)

@@ -131,14 +131,12 @@ let storm ~seed ?(first_tick = 1) ?(ticks = 32) ?(epochs = 8) ?(workers = 4)
   List.rev !out
 
 type t = {
-  seed : int;
   plan : plan;
   mutable injected : int;
   fired : (string, unit) Hashtbl.t;
 }
 
-let create ~seed plan = { seed; plan; injected = 0; fired = Hashtbl.create 16 }
-let seed t = t.seed
+let create plan = { plan; injected = 0; fired = Hashtbl.create 16 }
 let plan t = t.plan
 let injected t = t.injected
 

@@ -24,7 +24,7 @@ type cert_fault =
   | Delay of int  (** submission postponed by that many ticks *)
   | Duplicate of int
       (** resubmitted that many extra times, one per tick; 1 to 16,
-          and {!fault_of_string} rejects more as out of range *)
+          and {!plan_of_string} rejects more as out of range *)
   | Withhold  (** the node never builds the certificate (ceasing path) *)
 
 type fault =
@@ -38,9 +38,6 @@ type fault =
       (** at [tick], {!Zen_obs.Clock.skew} jumps the clock forward *)
 
 type plan = fault list
-
-val fault_to_string : fault -> string
-val fault_of_string : string -> (fault, string) result
 
 val plan_to_string : plan -> string
 (** Compact, comma-separated codec — ["none"] for the empty plan, e.g.
@@ -73,8 +70,7 @@ type t
     counts injections. Mutable, but deterministically driven — the
     harness is single-threaded. *)
 
-val create : seed:int -> plan -> t
-val seed : t -> int
+val create : plan -> t
 val plan : t -> plan
 
 val injected : t -> int

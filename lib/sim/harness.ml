@@ -342,20 +342,18 @@ let inject_workload t ~tick_no =
 let workload_injected t =
   match t.workload with None -> 0 | Some d -> d.wl_injected
 
-let ticks = Zen_obs.Counter.make ~help:"Harness rounds executed" "sim.ticks"
+let ticks = Zen_obs.Counter.make "sim.ticks"
 
+(* Harness tick latency (mine + forge + submit). *)
 let tick_s =
-  Zen_obs.Histogram.make ~help:"harness tick latency (mine + forge + submit)"
+  Zen_obs.Histogram.make
     ~bounds:(Zen_obs.Histogram.exponential_bounds ~lo:1e-4 ~factor:4. ~n:8)
     "sim.tick.seconds"
 
-let mempool_depth =
-  Zen_obs.Gauge.make ~help:"Mainchain mempool depth after the last tick"
-    "sim.mempool.depth"
+(* Mainchain mempool depth after the last tick. *)
+let mempool_depth = Zen_obs.Gauge.make "sim.mempool.depth"
 
-let fault_injections =
-  Zen_obs.Counter.make ~help:"Faults injected by the harness"
-    "sim.faults.injected"
+let fault_injections = Zen_obs.Counter.make "sim.faults.injected"
 
 let adversary_addr = Hash.of_string "sim.fault.adversary"
 

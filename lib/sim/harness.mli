@@ -118,9 +118,6 @@ val force_reorg : t -> depth:int -> unit
     (clamped to the chain height). Also available in fault plans as
     [reorg@tick:dN]. *)
 
-val mine_n : t -> int -> unit
-(** [mine] [n] times. *)
-
 val submit : t -> Tx.t -> unit
 (** Adds a transaction to the mempool (included by the next {!mine}). *)
 

@@ -32,9 +32,6 @@ type profile = {
 val smoke : profile
 (** Seconds-scale: 5k users, 2k txs/epoch — CI and tests. *)
 
-val steady : profile
-(** 100k users, 20k txs/epoch, no bursts, no reorgs. *)
-
 val soak : profile
 (** The E17 profile: 1M users, 110k txs/epoch over 16 phases, 40%
     bursts, reorg every 7th phase. *)

@@ -106,18 +106,14 @@ let prove_node sys ~root ~count =
   | Error e -> Error ("aggregate: " ^ e)
   | Ok proof -> Ok { root; count; proof }
 
-let wraps =
-  Zen_obs.Counter.make ~help:"Certificate-aggregation leaf wraps"
-    "snark.aggregate.wraps"
+let wraps = Zen_obs.Counter.make "snark.aggregate.wraps"
 
-let merges =
-  Zen_obs.Counter.make
-    ~help:"Certificate-aggregation merges (includes failed attempts)"
-    "snark.aggregate.merges"
+(* Includes failed attempts. *)
+let merges = Zen_obs.Counter.make "snark.aggregate.merges"
 
+(* Aggregate build latency (wraps + merge tree). *)
 let build_s =
   Zen_obs.Histogram.make
-    ~help:"certificate-aggregate build latency (wraps + merge tree)"
     ~bounds:(Zen_obs.Histogram.exponential_bounds ~lo:1e-4 ~factor:4. ~n:8)
     "snark.aggregate.build.seconds"
 

@@ -24,20 +24,15 @@ let make_vk ~circuit_digest ~n_public ~tag_key =
   in
   { circuit_digest; n_public; tag_key; digest }
 
-let setups =
-  Zen_obs.Counter.make ~help:"SNARK circuit setups performed" "snark.setup"
+let setups = Zen_obs.Counter.make "snark.setup"
 
-let proves =
-  Zen_obs.Counter.make ~help:"SNARK proofs produced (includes failed attempts)"
-    "snark.prove"
+(* Includes failed attempts. *)
+let proves = Zen_obs.Counter.make "snark.prove"
 
-let verifies =
-  Zen_obs.Counter.make ~help:"SNARK proof verifications" "snark.verify"
+let verifies = Zen_obs.Counter.make "snark.verify"
 
-let constraints_proved =
-  Zen_obs.Counter.make
-    ~help:"R1CS constraints covered by prove calls (sum over circuits)"
-    "snark.constraints_proved"
+(* R1CS constraints covered by prove calls (sum over circuits). *)
+let constraints_proved = Zen_obs.Counter.make "snark.constraints_proved"
 
 let setup circuit =
   Zen_obs.Counter.incr setups;

@@ -131,8 +131,6 @@ let assert_eq ?label ctx a b =
   emit ?label ~holds:(Fp.equal a.value b.value) ctx (sub a b).lc one_lc
     zero_lc
 
-let assert_zero ?label ctx a = assert_eq ?label ctx a zero
-
 let assert_bool ?label ctx a =
   let a_minus_1 = sub a (const Fp.one) in
   emit ?label

@@ -34,7 +34,7 @@ val create_eval : public:int -> witness:int -> ctx
 
     The context also counts the rows synthesis would have emitted, in
     synthesis order, and checks each assertion row ({!assert_eq},
-    {!assert_zero}, {!assert_bool}, and so {!to_bits}'s bool and sum
+    {!assert_bool}, and so {!to_bits}'s bool and sum
     rows) on the wire values when the run reaches it, keeping the first
     that fails. Every other row holds by construction: a
     multiplication, a materialization or {!is_zero}'s hints compute
@@ -63,10 +63,8 @@ val scale : Fp.t -> wire -> wire
 val sum : wire list -> wire
 
 val mul : ctx -> wire -> wire -> wire
-val square : ctx -> wire -> wire
 
 val assert_eq : ?label:string -> ctx -> wire -> wire -> unit
-val assert_zero : ?label:string -> ctx -> wire -> unit
 val assert_bool : ?label:string -> ctx -> wire -> unit
 (** Constrains [w·(w−1) = 0]. *)
 

@@ -21,15 +21,11 @@ type circuit = {
   digest : Hash.t;
 }
 
-let finalizes =
-  Zen_obs.Counter.make
-    ~help:"R1CS circuits finalized (synthesis + constraint digesting)"
-    "snark.r1cs.finalize"
+(* Circuits finalized (synthesis + constraint digesting). *)
+let finalizes = Zen_obs.Counter.make "snark.r1cs.finalize"
 
-let constraint_evals =
-  Zen_obs.Counter.make
-    ~help:"R1CS constraints evaluated by satisfiability checks"
-    "snark.r1cs.constraint_evals"
+(* Constraints evaluated by satisfiability checks. *)
+let constraint_evals = Zen_obs.Counter.make "snark.r1cs.constraint_evals"
 
 let one_var = 0
 

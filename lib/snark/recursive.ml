@@ -72,12 +72,12 @@ let of_base sys ~vk ~s_from ~s_to ~extra proof =
     if verify sys t then Ok t else Error "of_base: base proof does not verify"
   end
 
-let merges =
-  Zen_obs.Counter.make ~help:"Recursive proof merges (includes failed attempts)"
-    "snark.merges"
+(* Includes failed attempts. *)
+let merges = Zen_obs.Counter.make "snark.merges"
 
+(* Single merge latency (verify children + prove). *)
 let merge_s =
-  Zen_obs.Histogram.make ~help:"single recursive-merge latency (verify children + prove)"
+  Zen_obs.Histogram.make
     ~bounds:(Zen_obs.Histogram.exponential_bounds ~lo:1e-4 ~factor:4. ~n:8)
     "snark.merge.seconds"
 

@@ -27,10 +27,6 @@ val create : name:string -> base_vks:Backend.verification_key list -> system
 (** Sets up the merge circuit for a family of base circuits; only
     proofs under one of [base_vks] are accepted as leaves. *)
 
-val merge_vk : system -> Backend.verification_key
-(** The verification key of the merge circuit — what a verifier of the
-    final folded proof needs (together with the endpoint states). *)
-
 val merge_template : system -> (Fp.t * Fp.t * Fp.t) Template.t
 (** The compiled merge circuit over [(s_from, s_mid, s_to)]: its keys
     are set up once by {!create}, and {!merge} only fills its witness

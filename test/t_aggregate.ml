@@ -123,7 +123,7 @@ let family = Zen_latus.Circuits.make params
 let world ~aggregate ?(plan = []) seed =
   Verifier.Cache.clear ();
   let faults =
-    match plan with [] -> None | p -> Some (Faults.create ~seed:7 p)
+    match plan with [] -> None | p -> Some (Faults.create p)
   in
   let h = Harness.create ~aggregate ?faults ~seed () in
   Harness.fund h ~blocks:3;

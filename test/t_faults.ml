@@ -357,7 +357,7 @@ let test_prover_crash_exhaustion () =
 (* ---- a Duplicate fault queues its copies one tick apart ---- *)
 
 let test_duplicate_queues_copies () =
-  let faults = Faults.create ~seed:1 (ok (Faults.plan_of_string "dup@0:x3")) in
+  let faults = Faults.create (ok (Faults.plan_of_string "dup@0:x3")) in
   let h = Harness.create ~faults ~seed:"faults.dup" () in
   Harness.fund h ~blocks:5;
   let _sc =
@@ -389,6 +389,60 @@ let test_duplicate_queues_copies () =
           (String.equal "fault: postponed certificate submitted")
           (Harness.dump_log h)))
 
+(* ---- a rebuilt certificate replaces the node's epoch archive ---- *)
+
+(* Epoch 0 (MC heights 7..12) gets an FT at height 11 and is certified;
+   a 3-block reorg then abandons both the FT block and the certificate,
+   and the node rebuilds epoch 0's certificate without the FT. The
+   archive that withdrawals prove against (the ownership proof's MST,
+   the Appendix A deltas) must be the state of the certificate the
+   mainchain now holds, not of the one it dropped. *)
+let test_rebuilt_certificate_replaces_archive () =
+  let h = Harness.create ~seed:"faults.archive" () in
+  Harness.fund h ~blocks:5;
+  let sc =
+    ok
+      (Harness.add_latus h ~name:"sc" ~family ~epoch_len:6 ~submit_len:5
+         ~activation_delay:1 ())
+  in
+  while Chain.height h.chain < 10 do
+    Harness.tick h
+  done;
+  ok
+    (Harness.forward_transfer h sc ~receiver:(Hash.of_string "archive.rx")
+       ~payback:(Hash.of_string "archive.payback") ~amount:(amount 5_000));
+  checki "FT mined in epoch 0" 11 (Chain.height h.chain);
+  let mc_root () =
+    match Sc_ledger.find (Chain.tip_state h.chain).scs sc.ledger_id with
+    | None -> None
+    | Some s -> (
+      match Sc_ledger.cert_for_epoch s ~epoch:0 with
+      | Some { cert = { proofdata = [ _; Proofdata.Field root; _ ]; _ }; _ }
+        ->
+        Some root
+      | _ -> None)
+  in
+  let rec until_certified n =
+    if n = 0 then Alcotest.fail "epoch 0 was never certified"
+    else if mc_root () = None then begin
+      Harness.tick h;
+      until_certified (n - 1)
+    end
+  in
+  until_certified 6;
+  let certified = Option.get (mc_root ()) in
+  Harness.force_reorg h ~depth:3;
+  Harness.tick_n h 8;
+  let rebuilt =
+    match mc_root () with
+    | Some r -> r
+    | None -> Alcotest.fail "epoch 0 was not certified again"
+  in
+  checkb "rebuilt without the reorged FT" false (Fp.equal certified rebuilt);
+  let archived = Option.get (Node.state_at_epoch_end sc.node ~epoch:0) in
+  checks "archive holds the certified state" (Fp.to_string rebuilt)
+    (Fp.to_string (Mst.root archived.mst))
+
 (* ---- full-run replay determinism ---- *)
 
 let chaos_run () =
@@ -396,7 +450,7 @@ let chaos_run () =
     Faults.storm ~seed:11 ~first_tick:8 ~ticks:12 ~epochs:4 ~workers:4
       ~intensity:40 ()
   in
-  let faults = Faults.create ~seed:11 plan in
+  let faults = Faults.create plan in
   let h = Harness.create ~faults ~seed:"faults.chaos" () in
   Harness.fund h ~blocks:5;
   let sc =
@@ -443,6 +497,8 @@ let suite =
       Alcotest.test_case "prover crash retry" `Quick test_prover_crash_retry;
       Alcotest.test_case "prover crash exhaustion" `Quick
         test_prover_crash_exhaustion;
+      Alcotest.test_case "rebuilt certificate replaces archive" `Quick
+        test_rebuilt_certificate_replaces_archive;
       Alcotest.test_case "chaos replay identical" `Quick
         test_chaos_replay_identical;
     ] )

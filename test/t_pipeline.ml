@@ -492,7 +492,7 @@ let storm_run ?(sidechains = 1) ?workload ~domains () =
     Faults.storm ~seed:11 ~first_tick:8 ~ticks:12 ~epochs:4 ~workers:4
       ~intensity:40 ()
   in
-  let faults = Faults.create ~seed:11 plan in
+  let faults = Faults.create plan in
   let pool = Pool.get ~domains in
   let h = Harness.create ~pool ~faults ~seed:"pipe.storm" () in
   Harness.fund h ~blocks:5;

@@ -242,7 +242,7 @@ let run_world ~cache ~plan seed =
   let faults =
     match plan with
     | [] -> None
-    | p -> Some (Faults.create ~seed:9 p)
+    | p -> Some (Faults.create p)
   in
   let h = Harness.create ?faults ~seed () in
   Harness.fund h ~blocks:3;
