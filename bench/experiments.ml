@@ -286,9 +286,11 @@ let e6_recursive_proof () =
         let base_t, chain = Util.time_of_run (fun () -> make_chain n) in
         let merge_t, top =
           Util.time_of_run (fun () ->
-              let acc = Zen_snark.Recursive.Incremental.create rsys in
-              List.iter (Zen_snark.Recursive.Incremental.push acc) chain;
-              Result.get_ok (Zen_snark.Recursive.Incremental.finish acc))
+              let fold =
+                Zen_snark.Fold.create ~merge:(Zen_snark.Recursive.merge rsys)
+              in
+              List.iter (Zen_snark.Fold.push fold) chain;
+              Result.get_ok (Zen_snark.Fold.finish fold))
         in
         let seq_t, seq =
           Util.time_of_run (fun () ->

@@ -40,7 +40,6 @@ type t = {
   genesis_state : Sc_state.t;
   schedule : Epoch.schedule;
   mutable records : record list; (* newest first *)
-  mutable by_epoch : record list Int_map.t; (* newest first, per wepoch *)
   mutable mempool : Sc_mempool.t;
   mutable archives : epoch_archive Int_map.t; (* by certified epoch *)
 }
@@ -71,7 +70,6 @@ let create ~config ~params ~family ~forger ?(pool = Pool.sequential) () =
           genesis_state = Sc_state.create params;
           schedule = Epoch.of_config config;
           records = [];
-          by_epoch = Int_map.empty;
           mempool = Sc_mempool.empty;
           archives = Int_map.empty;
         }
@@ -139,14 +137,6 @@ let leader_for_slot t ~slot =
 
 let ( let* ) = Result.bind
 
-let index_records records =
-  List.fold_left
-    (fun m r ->
-      Int_map.update r.wepoch
-        (function None -> Some [ r ] | Some rs -> Some (r :: rs))
-        m)
-    Int_map.empty (List.rev records)
-
 (* ---- MC reorg reconciliation ---- *)
 
 (* Drop sidechain blocks whose MC references are no longer on the MC
@@ -177,7 +167,6 @@ let reconcile t ~mc =
         dropped
     in
     t.records <- List.rev kept;
-    t.by_epoch <- index_records t.records;
     (* Roll the proving pipeline back with the records: keep only the
        leaves of blocks that survived. The first dropped record of each
        epoch (oldest first in [dropped]) marks the cut. *)
@@ -325,10 +314,6 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
         }
       in
       t.records <- record :: t.records;
-      t.by_epoch <-
-        Int_map.update wepoch
-          (function None -> Some [ record ] | Some rs -> Some (record :: rs))
-          t.by_epoch;
       t.mempool <- Sc_mempool.remove_txs t.mempool included;
       Zen_obs.Counter.incr blocks_forged;
       Ok (Some block)
@@ -366,12 +351,8 @@ let certificate_target t ~mc =
   | None -> node_next
   | Some mc_next -> min node_next mc_next
 
-(* The block completing [epoch] carries that epoch's last MC reference,
-   so it lives in [epoch]'s own bucket. *)
 let completing_record t ~epoch =
-  match Int_map.find_opt epoch t.by_epoch with
-  | None -> None
-  | Some rs -> List.find_opt (fun r -> r.completes_epoch = Some epoch) rs
+  List.find_opt (fun r -> r.completes_epoch = Some epoch) t.records
 
 let epoch_start_hash t ~epoch =
   if epoch = 0 then Sc_state.hash t.genesis_state
@@ -398,15 +379,9 @@ let prune_certified t ~mc =
   | None -> ()
   | Some mc_next ->
     let keep_from = mc_next - retain_epochs in
-    let stale =
-      match Int_map.min_binding_opt t.by_epoch with
-      | Some (e, _) -> e < keep_from
-      | None -> false
-    in
-    if stale then begin
+    if List.exists (fun r -> r.wepoch < keep_from) t.records then begin
       let before = List.length t.records in
       t.records <- List.filter (fun r -> r.wepoch >= keep_from) t.records;
-      t.by_epoch <- Int_map.filter (fun e _ -> e >= keep_from) t.by_epoch;
       Proof_pipeline.drop_below t.pipeline ~epoch:keep_from;
       Zen_obs.Counter.add records_pruned (before - List.length t.records)
     end

@@ -47,7 +47,7 @@ type stream = {
   mutable leaves : leaf option array; (* growable; slots [0, n) filled *)
   mutable n : int;
   mutable harvested : int; (* leaves already folded into [inc] *)
-  mutable inc : Recursive.Incremental.acc;
+  mutable inc : Recursive.transition_proof Fold.t;
   mutable base_error : string option; (* first failing leaf, in order *)
   mutable last_post : (Sc_state.t * Fp.t) option;
       (* the last enqueued record's post-state and its hash: the next
@@ -82,7 +82,7 @@ let fresh_stream sys =
     leaves = Array.make 16 None;
     n = 0;
     harvested = 0;
-    inc = Recursive.Incremental.create sys;
+    inc = Fold.create ~merge:(Recursive.merge sys);
     base_error = None;
     last_post = None;
   }
@@ -163,10 +163,9 @@ let enqueue t ~epoch traced =
 let absorb t s ((result, _) : leaf_result) =
   (match result with
   | Ok tp ->
-    let before = Recursive.Incremental.eager_merges s.inc in
-    Recursive.Incremental.push s.inc tp;
-    Zen_obs.Counter.add eager_merges_c
-      (Recursive.Incremental.eager_merges s.inc - before)
+    let before = Fold.eager_merges s.inc in
+    Fold.push s.inc tp;
+    Zen_obs.Counter.add eager_merges_c (Fold.eager_merges s.inc - before)
   | Error e -> if s.base_error = None then s.base_error <- Some e);
   s.harvested <- s.harvested + 1;
   set_depth t
@@ -201,12 +200,12 @@ let await_epoch t ~epoch =
     match s.base_error with
     | Some e -> Error e
     | None ->
-      let carries = Recursive.Incremental.pending_merges s.inc in
+      let carries = Fold.pending_merges s.inc in
       Zen_obs.Counter.add carry_merges_c carries;
       t.certificate_log <-
         { cert_epoch = epoch; cert_leaves = s.n; cert_carry_merges = carries }
         :: t.certificate_log;
-      Recursive.Incremental.finish s.inc)
+      Fold.finish s.inc)
 
 let leaf_results t ~epoch =
   match Int_map.find_opt epoch t.epochs with
@@ -231,7 +230,7 @@ let truncate t ~epoch ~keep =
         s.n <- keep;
         s.harvested <- 0;
         s.base_error <- None;
-        s.inc <- Recursive.Incremental.create t.rsys;
+        s.inc <- Fold.create ~merge:(Recursive.merge t.rsys);
         harvest t s
       end;
       set_depth t

@@ -8,7 +8,7 @@
     task — {!Circuits.prove_traced}, then {!Recursive.of_base}, whose
     verification is the proof's only check — submitted as a
     {!Pool.future}. As sibling proofs land, {!pump} folds them through
-    {!Recursive.Incremental} — the online balanced fold — so by
+    a {!Fold} over {!Recursive.merge} — the online balanced fold — so by
     certify time the epoch's merge tree is already built except for the
     ≤ ⌈log₂ n⌉ binary-counter carry merges, which {!await_epoch} runs
     together with any straggler base proofs.

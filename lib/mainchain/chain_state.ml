@@ -224,37 +224,13 @@ let prewarm_verifier ?pool t txs =
     | jobs -> ignore (Verifier.verify_batch ?pool jobs : bool list)
   end
 
-(* Process-wide diagnostics of the aggregation path (mirrors the
-   Verifier.Cache stats discipline): how many blocks validated through
-   an aggregate, how many certificate verifications that settled, and
-   how many aggregates were rejected. *)
-module Aggregate_stats = struct
-  type t = {
-    blocks : int;
-    certs_settled : int;
-    proof_checks : int;
-    rejected : int;
-  }
-
-  let blocks_c = Atomic.make 0
-  let certs_c = Atomic.make 0
-  let checks_c = Atomic.make 0
-  let rejected_c = Atomic.make 0
-
-  let snapshot () =
-    {
-      blocks = Atomic.get blocks_c;
-      certs_settled = Atomic.get certs_c;
-      proof_checks = Atomic.get checks_c;
-      rejected = Atomic.get rejected_c;
-    }
-
-  let reset () =
-    Atomic.set blocks_c 0;
-    Atomic.set certs_c 0;
-    Atomic.set checks_c 0;
-    Atomic.set rejected_c 0
-end
+(* The aggregation path: blocks validated through an aggregate, the
+   certificate verifications those settled, aggregate proof decisions
+   (cached or not) and blocks rejected for a bad aggregate. *)
+let agg_blocks = Zen_obs.Counter.make "mc.aggregate.blocks"
+let agg_certs_settled = Zen_obs.Counter.make "mc.aggregate.certs_settled"
+let agg_proof_checks = Zen_obs.Counter.make "mc.aggregate.proof_checks"
+let agg_rejected = Zen_obs.Counter.make "mc.aggregate.rejected"
 
 (* Validate a block-level certificate aggregate against this (pre-block)
    state: recompute the expected leaves for the block's certificates in
@@ -303,11 +279,10 @@ let settle_aggregate t txs agg =
     | Some r when Hash.equal r (Zen_snark.Aggregate.root agg) -> Ok ()
     | _ -> Error "block: aggregate does not cover this block's certificates"
   in
-  ignore (Atomic.fetch_and_add Aggregate_stats.checks_c 1 : int);
+  Zen_obs.Counter.incr agg_proof_checks;
   if Verifier.run_job (Verifier.aggregate_job sys agg) then begin
-    ignore (Atomic.fetch_and_add Aggregate_stats.blocks_c 1 : int);
-    ignore
-      (Atomic.fetch_and_add Aggregate_stats.certs_c (List.length pairs) : int);
+    Zen_obs.Counter.incr agg_blocks;
+    Zen_obs.Counter.add agg_certs_settled (List.length pairs);
     Ok
       (List.fold_left
          (fun s (_, j) -> Hash.Set.add (Verifier.job_key j) s)
@@ -353,7 +328,7 @@ let apply_block ?pool t (b : Block.t) =
       match settle_aggregate t rest agg with
       | Ok s -> Ok s
       | Error e ->
-        ignore (Atomic.fetch_and_add Aggregate_stats.rejected_c 1 : int);
+        Zen_obs.Counter.incr agg_rejected;
         Error e)
   in
   let* state, fees =

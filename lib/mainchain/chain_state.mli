@@ -68,21 +68,10 @@ val apply_block : ?pool:Pool.t -> t -> Block.t -> (t, string) result
     rejected proof — rejects the block (never a silent fallback).
     Accept/reject decisions are identical to the per-certificate path
     by construction. Blocks without an aggregate validate exactly as
-    before. *)
-
-module Aggregate_stats : sig
-  type t = {
-    blocks : int;  (** blocks validated through an aggregate *)
-    certs_settled : int;  (** certificate verifications discharged *)
-    proof_checks : int;  (** aggregate proof decisions (cached or not) *)
-    rejected : int;  (** blocks rejected for a bad aggregate *)
-  }
-
-  val snapshot : unit -> t
-  val reset : unit -> unit
-end
-(** Process-wide aggregation-path counters (diagnostics; the CI smoke
-    job asserts [proof_checks = blocks], i.e. one proof per block). *)
+    before. The aggregated path counts into [mc.aggregate.blocks],
+    [.certs_settled], [.proof_checks] and [.rejected] ({!Zen_obs}
+    counters; the CI smoke job asserts [proof_checks = blocks], i.e.
+    one proof per block). *)
 
 val prewarm_verifier : ?pool:Pool.t -> t -> Tx.t list -> unit
 (** [Verifier.verify_batch] over the SNARK verifications that applying

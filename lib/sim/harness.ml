@@ -562,9 +562,8 @@ let scoreboard_json t =
   let reorgs = List.rev t.reorgs in
   let cache = Verifier.Cache.stats () in
   let lookups = cache.hits + cache.misses in
-  let retries =
-    Zen_obs.Counter.value
-      (Zen_obs.Counter.make "latus.prover.reassignments")
+  let counter name =
+    Int (Zen_obs.Counter.value (Zen_obs.Counter.make ("mc.aggregate." ^ name)))
   in
   Obj
     [
@@ -577,17 +576,12 @@ let scoreboard_json t =
              reorgs) );
       ( "max_reorg_depth",
         Int (List.fold_left (fun m (_, d) -> max m d) 0 reorgs) );
-      ("proof_retries", Int retries);
       ( "aggregate",
-        (let a = Chain_state.Aggregate_stats.snapshot () in
-         Obj
-           [
-             ("enabled", Bool t.aggregate);
-             ("blocks", Int a.Chain_state.Aggregate_stats.blocks);
-             ("certs_settled", Int a.Chain_state.Aggregate_stats.certs_settled);
-             ("proof_checks", Int a.Chain_state.Aggregate_stats.proof_checks);
-             ("rejected", Int a.Chain_state.Aggregate_stats.rejected);
-           ]) );
+        Obj
+          (("enabled", Bool t.aggregate)
+          :: List.map
+               (fun name -> (name, counter name))
+               [ "blocks"; "certs_settled"; "proof_checks"; "rejected" ]) );
       ( "verify_cache",
         Obj
           [

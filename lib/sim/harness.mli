@@ -182,9 +182,10 @@ val is_ceased : t -> sidechain -> bool
 val scoreboard_json : t -> Zen_obs.Json.t
 (** The flight recorder as JSON — per-(sidechain, epoch) certificate
     outcomes (submitted/dropped/delayed/duplicated/withheld/errors),
-    every reorg with its depth, prover retry count, the MC
-    verification-cache hit rate, the certificate-aggregation
-    counters ({!Zen_mainchain.Chain_state.Aggregate_stats}) and the
+    every reorg with its depth, the MC verification-cache hit rate,
+    the certificate-aggregation counters ([mc.aggregate.*], read from
+    the {!Zen_obs} registry, so they count only while it is enabled,
+    as under the CLI's [--report]) and the
     proving pipeline's per-certificate certify-path accounting
     ([pipeline.certs]: leaves folded and carry merges run at certify
     time — both deterministic in the seed). The shape the CLI embeds

@@ -25,26 +25,10 @@ let leaf_digest l =
 let node_hash l r =
   Hash.tagged "zendoo.aggregate.node" [ Hash.to_raw l; Hash.to_raw r ]
 
-(* Must mirror the level structure of [build] below (and of the
-   balanced tree [Recursive.Incremental] builds): pair positionally,
-   carry an odd trailing element up unchanged. *)
-let root_of_digests = function
-  | [] -> None
-  | ds ->
-    let rec level arr =
-      let n = Array.length arr in
-      if n = 1 then arr.(0)
-      else begin
-        let pairs = n / 2 in
-        level
-          (Array.init
-             ((n + 1) / 2)
-             (fun i ->
-               if i < pairs then node_hash arr.(2 * i) arr.((2 * i) + 1)
-               else arr.(n - 1)))
-      end
-    in
-    Some (level (Array.of_list ds))
+let root_of_digests ds =
+  let fold = Fold.create ~merge:(fun l r -> Ok (node_hash l r)) in
+  List.iter (Fold.push fold) ds;
+  Result.to_option (Fold.finish fold)
 
 type system = { tpl : (Fp.t * Fp.t) Template.t; vk_digest : Hash.t }
 
@@ -150,42 +134,10 @@ let build ?(pool = Pool.sequential) sys = function
           let leaf, check = leaf_arr.(i) in
           of_leaf sys leaf ~check)
     in
-    let first_error arr n =
-      let rec go i =
-        if i >= n then None
-        else match arr.(i) with Error e -> Some e | Ok _ -> go (i + 1)
-      in
-      go 0
-    in
-    (match first_error wrapped (Array.length wrapped) with
+    let first_error = function Error e -> Some e | Ok _ -> None in
+    match Array.find_map first_error wrapped with
     | Some e -> Error e
     | None ->
-      let rec level ~lvl arr =
-        let n = Array.length arr in
-        if n = 1 then Ok arr.(0)
-        else begin
-          let pairs = n / 2 in
-          let merged =
-            Zen_obs.Trace.with_span ~cat:"snark"
-              ~args:
-                [
-                  ("level", string_of_int lvl); ("pairs", string_of_int pairs);
-                ]
-              "aggregate.merge_level"
-            @@ fun () ->
-            Pool.init_array pool ~cost:0.2 pairs (fun i ->
-                merge sys arr.(2 * i) arr.((2 * i) + 1))
-          in
-          match first_error merged pairs with
-          | Some e -> Error e
-          | None ->
-            level ~lvl:(lvl + 1)
-              (Array.init
-                 ((n + 1) / 2)
-                 (fun i ->
-                   if i < pairs then
-                     match merged.(i) with Ok m -> m | Error _ -> assert false
-                   else arr.(n - 1)))
-        end
-      in
-      level ~lvl:0 (Array.map (function Ok t -> t | Error _ -> assert false) wrapped))
+      let fold = Fold.create ~merge:(merge sys) in
+      Array.iter (fun w -> Fold.push fold (Result.get_ok w)) wrapped;
+      Fold.finish fold

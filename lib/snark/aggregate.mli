@@ -19,11 +19,11 @@
     path would run — and then proves a constant-size binding circuit.
     An aggregate is only producible through {!build}, which refuses any
     leaf whose certificate verification fails, so "aggregate verifies"
-    is equivalent to "every covered certificate verifies". The pairing
-    is positional with the odd trailing element carried up, identical
-    to {!Recursive.Incremental}'s tree, so {!root_of_digests} lets a verifier
-    recompute the expected root from the block's certificates without
-    touching proofs. *)
+    is equivalent to "every covered certificate verifies". Both the
+    proofs and the root are folded through {!Fold}, the merge tree the
+    epoch prover uses (pair positionally, carry the odd trailing element
+    up), so {!root_of_digests} lets a verifier recompute the expected
+    root from the block's certificates without touching proofs. *)
 
 open Zen_crypto
 
@@ -46,9 +46,9 @@ val leaf_digest : leaf -> Hash.t
 val node_hash : Hash.t -> Hash.t -> Hash.t
 
 val root_of_digests : Hash.t list -> Hash.t option
-(** The merge-tree root over leaf digests in block order — the same
-    positional pairwise reduction {!build} performs (odd trailing
-    element carried up unchanged). [None] on the empty list. *)
+(** The merge-tree root over leaf digests in block order: a {!Fold}
+    with {!node_hash} as its merge, the tree {!build} proves. [None] on
+    the empty list. *)
 
 type system
 (** Setup of the constant-size aggregation circuit (one circuit serves
@@ -87,9 +87,10 @@ val build :
 (** Folds the given certificate instances (block order) into one
     aggregate. Each leaf's [check] thunk must run that certificate's
     native SNARK verification — the simulation stand-in for in-circuit
-    verification; a leaf whose check fails aborts the build. Leaf wraps
-    and each merge level fan out on [pool] (default
-    {!Pool.sequential}); result and error are bit-identical for every
+    verification; a leaf whose check fails aborts the build, reporting
+    the first failing leaf in block order. Leaf wraps fan out on [pool]
+    (default {!Pool.sequential}); the wrapped leaves are then merged
+    through a {!Fold}. Result and error are bit-identical for every
     domain count. Fails on the empty list. *)
 
 val verify : system -> t -> bool

@@ -11,9 +11,10 @@
     (DESIGN.md §3, substitution 2). The merge circuit is a compile-once
     {!Template}: [create] synthesizes it, [merge] never does.
 
-    {!Incremental} builds the Fig. 10/11 merge tree online: total work
-    linear in the number of base transitions, tree depth logarithmic,
-    final proof constant-size. *)
+    {!Fold} builds the Fig. 10/11 merge tree over {!merge} online
+    ([Fold.create ~merge:(merge sys)]): total work linear in the number
+    of base transitions, tree depth logarithmic, final proof
+    constant-size. *)
 
 open Zen_crypto
 
@@ -51,50 +52,6 @@ val merge :
   system -> transition_proof -> transition_proof -> (transition_proof, string) result
 (** Fails when the proofs are not adjacent ([s_to] of the first differs
     from [s_from] of the second) or either child fails verification. *)
-
-(** The balanced Fig. 10 merge tree, built online: feed transitions
-    one at a time, in adjacency order, as their base proofs complete;
-    most merges happen {e during} feeding ({!Incremental.push} merges
-    equal-sized aligned subtrees eagerly, a binary-counter carry
-    structure), leaving {!Incremental.finish} at most ⌈log₂ n⌉ carry
-    merges. The tree is the level-by-level one: level [k] pairs adjacent
-    aligned blocks of 2{^k} leaves, and an odd trailing block is carried
-    up unchanged. The finished proof — and, on failure, the reported
-    error — is {b byte-identical} to folding the same list level by
-    level (the test suite keeps that batch fold as its oracle). This is
-    what keeps the certify path of a pipelined node logarithmic
-    ([Zen_latus.Proof_pipeline]). *)
-module Incremental : sig
-  type acc
-  (** Mutable fold state. Not thread-safe: push from one domain. *)
-
-  val create : system -> acc
-
-  val push : acc -> transition_proof -> unit
-  (** Appends the next transition, running any eager merges it enables
-      (amortized O(1) merges per push, worst case one carry chain). A
-      failed merge is recorded and poisons the affected subtree;
-      {!finish} reports the same error the level-by-level fold would. *)
-
-  val count : acc -> int
-  (** Transitions pushed so far. *)
-
-  val eager_merges : acc -> int
-  (** Merges already performed by {!push} — off the certify path. *)
-
-  val pending_merges : acc -> int
-  (** Carry merges {!finish} would run now: the stack height minus one,
-      ≤ ⌈log₂ {!count}⌉. *)
-
-  val finish : acc -> (transition_proof, string) result
-  (** Folds the outstanding subtrees into the final proof (the carried
-      trailing-element chain of the level-by-level fold). Non-destructive:
-      the acc may be extended with further {!push}es and finished again —
-      how a lost certificate is rebuilt without re-proving. Errors:
-      ["fold_balanced: empty transition list"] when nothing was pushed,
-      otherwise the first failing merge in the level-by-level fold's
-      (level, pair) execution order. *)
-end
 
 val s_from : transition_proof -> Fp.t
 (** The state the covered transition chain starts from. *)

@@ -1,18 +1,19 @@
 (* The batch balanced fold: the Fig. 10 merge tree built level by
-   level, the reference [Recursive.Incremental] (and through it the
-   node's proving pipeline) must reproduce byte for byte. Each pass
-   merges adjacent pairs, halving the list; an odd trailing element is
-   carried up unchanged. The pairs of one level share no state, so a
-   level is a parallel map on [pool]; the result, and on failure the
-   first error in pair order, is the same for every domain count
-   because the pairing is positional and [merge] is deterministic. *)
+   level, the reference [Zen_snark.Fold] (and through it the node's
+   proving pipeline and certificate aggregation) must reproduce byte
+   for byte. Each pass merges adjacent pairs, halving the list; an odd
+   trailing element is carried up unchanged. The pairs of one level
+   share no state, so a level is a parallel map on [pool]; the result,
+   and on failure the first error in pair order, is the same for every
+   domain count because the pairing is positional and [merge] is
+   deterministic. *)
 
 open Zen_crypto
 open Zen_snark
 
-let fold_balanced ?(pool = Pool.sequential) sys = function
+let levels ?(pool = Pool.sequential) ~merge = function
   | [] -> Error "fold_balanced: empty transition list"
-  | ts ->
+  | xs ->
     let rec level arr =
       let n = Array.length arr in
       if n = 1 then Ok arr.(0)
@@ -20,7 +21,7 @@ let fold_balanced ?(pool = Pool.sequential) sys = function
         let pairs = n / 2 in
         let merged =
           Pool.init_array pool ~cost:0.2 pairs (fun i ->
-              Recursive.merge sys arr.(2 * i) arr.((2 * i) + 1))
+              merge arr.(2 * i) arr.((2 * i) + 1))
         in
         let rec first_error i =
           if i >= pairs then None
@@ -39,4 +40,6 @@ let fold_balanced ?(pool = Pool.sequential) sys = function
                  if i < pairs then Result.get_ok merged.(i) else arr.(n - 1)))
       end
     in
-    level (Array.of_list ts)
+    level (Array.of_list xs)
+
+let fold_balanced ?pool sys = levels ?pool ~merge:(Recursive.merge sys)

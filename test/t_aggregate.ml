@@ -115,6 +115,42 @@ let test_root_positional_pairing () =
        (n (n (d 0) (d 1)) (d 2)));
   checkb "empty is None" true (Aggregate.root_of_digests [] = None)
 
+(* The root is the level-by-level fold over the digests, for every
+   leaf count (odd carries at every level). *)
+let test_root_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"root_of_digests = level-by-level oracle"
+       ~count:100
+       ~print:(fun seeds -> Printf.sprintf "%d digests" (List.length seeds))
+       QCheck2.Gen.(list_size (int_range 1 80) (string_size (return 8)))
+       (fun seeds ->
+         let ds = List.map Hash.of_string seeds in
+         match
+           ( Aggregate.root_of_digests ds,
+             Fold_oracle.levels
+               ~merge:(fun a b -> Ok (Aggregate.node_hash a b))
+               ds )
+         with
+         | Some r, Ok o -> Hash.equal r o
+         | _ -> false))
+
+(* The aggregate's bytes, pinned: root, count and proof over 1, 7 and
+   64 test leaves. *)
+let test_digest_pinned () =
+  let sys = Aggregate.shared () in
+  List.iter
+    (fun (n, expected) ->
+      let agg = ok (Aggregate.build sys (passing (leaves n))) in
+      Alcotest.(check string)
+        (Printf.sprintf "n=%d digest" n)
+        expected
+        (Hash.to_hex (Aggregate.digest agg)))
+    [
+      (1, "dc5b69876a404aaa8810d2dc15a5bd8e9f97f93b6d011f8aacea725cf51ea23a");
+      (7, "d0abb9521ba22fae34e08b3aae3180580351d762fe31262f208edbf6e963e3ec");
+      (64, "45fd8e8aac664c841fb2ac1437a82a309e48b8d24528a85d258052fb73e18c63");
+    ]
+
 (* ---- the validation path, end to end ---- *)
 
 let params = Zen_latus.Params.default
@@ -159,7 +195,8 @@ let aggregated_blocks h =
   |> List.filter (fun (b : Block.t) -> b.aggregate <> None)
 
 let test_one_proof_per_block () =
-  Chain_state.Aggregate_stats.reset ();
+  Zen_obs.Registry.reset ();
+  Zen_obs.Registry.with_enabled @@ fun () ->
   let h, sca, scb = world ~aggregate:true "agg-one-proof" in
   let aggd = aggregated_blocks h in
   checkb "some blocks carried an aggregate" true (List.length aggd >= 2);
@@ -170,16 +207,17 @@ let test_one_proof_per_block () =
        aggd);
   checkb "certificates landed" true
     (certified_epochs h sca <> [] && certified_epochs h scb <> []);
-  let s = Chain_state.Aggregate_stats.snapshot () in
-  checki "exactly one proof decision per aggregated block"
-    s.Chain_state.Aggregate_stats.blocks
-    s.Chain_state.Aggregate_stats.proof_checks;
+  let stat name =
+    Zen_obs.Counter.value (Zen_obs.Counter.make ("mc.aggregate." ^ name))
+  in
+  let blocks = stat "blocks" in
+  checki "exactly one proof decision per aggregated block" blocks
+    (stat "proof_checks");
   checkb "stats cover the chain's aggregated blocks" true
-    (s.Chain_state.Aggregate_stats.blocks >= List.length aggd);
+    (blocks >= List.length aggd);
   checkb "settled at least one cert per aggregated block" true
-    (s.Chain_state.Aggregate_stats.certs_settled
-    >= s.Chain_state.Aggregate_stats.blocks);
-  checki "nothing rejected" 0 s.Chain_state.Aggregate_stats.rejected
+    (stat "certs_settled" >= blocks);
+  checki "nothing rejected" 0 (stat "rejected")
 
 let test_wire_roundtrip_with_aggregate () =
   let h, _, _ = world ~aggregate:true "agg-wire" in
@@ -302,6 +340,8 @@ let suite =
       Alcotest.test_case "tampered aggregate rejected" `Quick
         test_tamper_rejected;
       Alcotest.test_case "positional root" `Quick test_root_positional_pairing;
+      test_root_matches_oracle;
+      Alcotest.test_case "pinned digests" `Quick test_digest_pinned;
       Alcotest.test_case "one proof per block" `Quick test_one_proof_per_block;
       Alcotest.test_case "wire roundtrip" `Quick
         test_wire_roundtrip_with_aggregate;

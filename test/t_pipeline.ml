@@ -1,5 +1,5 @@
-(* Pipelined epoch proving: the Recursive.Incremental online fold must
-   be byte-identical to the batch fold_balanced oracle for every prefix
+(* Pipelined epoch proving: the Fold online fold over Recursive.merge
+   must be byte-identical to the batch fold_balanced oracle for every prefix
    length and every domain count (including error selection),
    Prover_pool.prove_and_merge must reproduce the two-phase prover
    (below: prove every step, then fold) exactly, Proof_pipeline must
@@ -30,7 +30,7 @@ let popcount n =
   let rec go acc n = if n = 0 then acc else go (acc + (n land 1)) (n lsr 1) in
   go 0 n
 
-(* ---- Incremental = fold_balanced, on a cheap synthetic chain ---- *)
+(* ---- Fold = fold_balanced, on a cheap synthetic chain ---- *)
 
 (* The t_snark step circuit: s_to = Poseidon(s_from, x). Cheap enough
    to build a 17-link chain once and reuse across all the prefix
@@ -70,10 +70,12 @@ let drop_nth n l = List.filteri (fun i _ -> i <> n) l
 
 let bytes_of tp = Backend.proof_encode (Recursive.final_proof tp)
 
+let fold_of sys = Fold.create ~merge:(Recursive.merge sys)
+
 let incremental_of sys ts =
-  let acc = Recursive.Incremental.create sys in
-  List.iter (Recursive.Incremental.push acc) ts;
-  (acc, Recursive.Incremental.finish acc)
+  let acc = fold_of sys in
+  List.iter (Fold.push acc) ts;
+  (acc, Fold.finish acc)
 
 (* Every prefix length 1..17 (all binary-counter shapes), every pool
    arity, one growing accumulator: each [finish] must match the batch
@@ -81,25 +83,23 @@ let incremental_of sys ts =
    lost-certificate rebuild path. *)
 let test_incremental_all_prefixes () =
   let sys, chain = Lazy.force chain17 in
-  let acc = Recursive.Incremental.create sys in
+  let acc = fold_of sys in
   checkb "empty finish is the fold_balanced error" true
-    (Recursive.Incremental.finish acc
-    = Error "fold_balanced: empty transition list");
+    (Fold.finish acc = Error "fold_balanced: empty transition list");
   List.iteri
     (fun i tp ->
       let len = i + 1 in
-      Recursive.Incremental.push acc tp;
-      checki (Printf.sprintf "len %d count" len) len
-        (Recursive.Incremental.count acc);
+      Fold.push acc tp;
+      checki (Printf.sprintf "len %d count" len) len (Fold.count acc);
       checkb
         (Printf.sprintf "len %d pending <= ceil(log2 %d)" len len)
         true
-        (Recursive.Incremental.pending_merges acc <= ceil_log2 len);
+        (Fold.pending_merges acc <= ceil_log2 len);
       checki
         (Printf.sprintf "len %d pending = popcount - 1" len)
         (popcount len - 1)
-        (Recursive.Incremental.pending_merges acc);
-      let inc = ok (Recursive.Incremental.finish acc) in
+        (Fold.pending_merges acc);
+      let inc = ok (Fold.finish acc) in
       List.iter
         (fun domains ->
           let pool = Pool.get ~domains in
@@ -138,7 +138,7 @@ let equivalence_prop (len, domains, gap) =
 
 let test_incremental_equivalence =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"Incremental = fold_balanced" ~count:60
+    (QCheck2.Test.make ~name:"Fold = fold_balanced" ~count:60
        ~print:(fun (len, domains, gap) ->
          Printf.sprintf "len=%d domains=%d gap=%s" len domains
            (match gap with None -> "-" | Some k -> string_of_int k))
@@ -463,17 +463,17 @@ let test_each_state_hashed_once () =
       let steps = pipe_steps n "hash" in
       let per_record () =
         let _, records = snapshots (Sc_state.create params) steps in
-        let inc = Recursive.Incremental.create rsys in
+        let inc = fold_of rsys in
         List.iter
           (fun (r : Sc_tx.traced) ->
             let s_from = Sc_state.hash r.pre and s_to = Sc_state.hash r.post in
             let proof, vk, _, _ =
               ok (Circuits.prove_traced family ~s_from ~s_to r)
             in
-            Recursive.Incremental.push inc
+            Fold.push inc
               (ok (Recursive.of_base rsys ~vk ~s_from ~s_to ~extra:[||] proof)))
           records;
-        ok (Recursive.Incremental.finish inc)
+        ok (Fold.finish inc)
       in
       let perms = "crypto.poseidon.permutations" in
       checki

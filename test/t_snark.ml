@@ -172,9 +172,9 @@ let setup_rec () =
 
 (* The production fold: the balanced tree, built online. *)
 let fold_incremental sys ts =
-  let acc = Recursive.Incremental.create sys in
-  List.iter (Recursive.Incremental.push acc) ts;
-  Recursive.Incremental.finish acc
+  let fold = Fold.create ~merge:(Recursive.merge sys) in
+  List.iter (Fold.push fold) ts;
+  Fold.finish fold
 
 let test_recursion_balanced () =
   let sys, pk, vk = setup_rec () in
