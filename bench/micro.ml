@@ -51,11 +51,11 @@ let tests () =
     let t1 = base 1 and t2 = base 2 in
     fun () -> Zen_snark.Recursive.merge rsys t1 t2
   in
-  (* The two per-proof loops of a depth-18 insert step: the template's
-     evaluation-mode witness fill (with the native MST update and
-     sibling read that feed it) and the R1CS satisfiability check of
-     its ~10.9k constraints. *)
-  let insert18_assign, insert18_check =
+  (* The per-proof loops of a depth-18 insert step: the template's
+     value-recording witness fill and its prover's count-only run (each
+     with the native MST update and sibling read that feed it), and the
+     R1CS satisfiability check of its ~10.9k constraints. *)
+  let insert18_assign, insert18_prove, insert18_check =
     let open Zen_latus in
     let params = { Params.default with mst_depth = 18 } in
     let family = Circuits.make params in
@@ -80,6 +80,7 @@ let tests () =
     in
     let z = Array.concat [ [| Fp.one |]; public; witness ] in
     ( (fun () -> Circuits.step_assignment family state step),
+      (fun () -> Circuits.prove_step family state step),
       fun () -> Zen_snark.R1cs.check circuit z )
   in
   Test.make_grouped ~name:"micro"
@@ -102,6 +103,7 @@ let tests () =
       Test.make ~name:"recursive-merge" (Staged.stage merge_pair);
       Test.make ~name:"template-assign-insert18"
         (Staged.stage insert18_assign);
+      Test.make ~name:"template-prove-insert18" (Staged.stage insert18_prove);
       Test.make ~name:"r1cs-check-insert18" (Staged.stage insert18_check);
     ]
 

@@ -41,9 +41,9 @@ let half_full = rounds_full / 2
    the lanes live in local variables (refs that never escape compile to
    registers). Returns lane 0; lanes 1 and 2 are stored into [out] when
    it has width 3, and dropped when it is empty (a caller that only
-   reads lane 0 passes [[||]]). *)
+   reads lane 0 passes [[||]]). Uncounted: each native caller counts
+   its own permutations. *)
 let core out s0 s1 s2 =
-  Zen_obs.Counter.incr permutations;
   let s0 = ref s0 and s1 = ref s1 and s2 = ref s2 in
   for r = 0 to rounds_total - 1 do
     let k = r * width in
@@ -64,13 +64,20 @@ let core out s0 s1 s2 =
   end;
   !s0
 
-let permute input =
+let permute_uncounted input =
   if Array.length input <> width then invalid_arg "Poseidon.permute: width 3";
   let out = Array.make width Fp.zero in
   out.(0) <- core out input.(0) input.(1) input.(2);
   out
 
-let hash2 a b = core [||] a b Fp.two (* domain: 2-to-1 *)
+let permute input =
+  let out = permute_uncounted input in
+  Zen_obs.Counter.incr permutations;
+  out
+
+let hash2 a b =
+  Zen_obs.Counter.incr permutations;
+  core [||] a b Fp.two (* domain: 2-to-1 *)
 
 let hash_fields fields =
   (* Sponge with rate 2: absorb two elements per permutation; the
@@ -78,10 +85,14 @@ let hash_fields fields =
      domain separation between lengths. *)
   let n = Array.length fields in
   let state = [| Fp.zero; Fp.zero; Fp.of_int (n + 3) |] in
-  if n = 0 then core [||] Fp.zero Fp.zero state.(2)
+  if n = 0 then begin
+    Zen_obs.Counter.incr permutations;
+    core [||] Fp.zero Fp.zero state.(2)
+  end
   else begin
     let i = ref 0 in
     while !i < n do
+      Zen_obs.Counter.incr permutations;
       let s0 = Fp.add state.(0) fields.(!i) in
       let s1 = if !i + 1 < n then Fp.add state.(1) fields.(!i + 1) else state.(1) in
       state.(0) <- core state s0 s1 state.(2);

@@ -17,6 +17,12 @@ val permute : Fp.t array -> Fp.t array
     has length 3. The input array is not mutated; the result is a fresh
     array, the only allocation. *)
 
+val permute_uncounted : Fp.t array -> Fp.t array
+(** {!permute}, without counting it in
+    [crypto.poseidon.permutations]. The in-circuit Poseidon of a
+    prover's run ([Zen_snark.Gadget.create_count]) computes its lanes
+    with it: those permutations are circuit rows, not native hashes. *)
+
 val hash2 : Fp.t -> Fp.t -> Fp.t
 (** Two-to-one compression — the Merkle-node combiner. Allocates
     nothing. *)

@@ -87,9 +87,9 @@ val make : Params.t -> family
     Deterministic: two nodes with equal params derive equal keys.
 
     Each circuit is compiled once into a template: the R1CS shape is
-    synthesized and digested here, and every later prove only fills the
-    witness assignment (evaluation-mode gadget run, no constraint
-    emission, no re-digesting). *)
+    synthesized and digested here, and every later prove only runs the
+    body once more (a count-only gadget run that stores no witness, no
+    constraint emission, no re-digesting). *)
 
 val make_resynth : Params.t -> family
 (** The reference family: the same circuits and keys as {!make}, but
@@ -113,8 +113,9 @@ val prove_traced :
 (** Proves one traced primitive transition whose pre- and post-state
     hash to [s_from] and [s_to]; returns (proof, vk, s_from, s_to). It
     is {!Zen_snark.Template.prove} on {!step_job}'s template and
-    values: one evaluation-mode run of the circuit's body, with no
-    second pass over its rows on a {!make} family. [Proof_pipeline]
+    values: one count-only run of the circuit's body
+    ({!Zen_snark.Gadget.create_count}), with no second pass over its
+    rows on a {!make} family. [Proof_pipeline]
     calls it on the records {!Sc_tx.trace} and {!Sc_tx.transition}
     return, so no step is applied twice, and passes each state's hash
     to both records that share the state. *)
@@ -134,7 +135,7 @@ val step_assignment :
   Sc_tx.step ->
   (Fp.t array * Fp.t array * Fp.t * Fp.t, string) result
 (** Everything {!prove_step} proves, without proving: the step's
-    (public, witness) assignment from the template's evaluation-mode
+    (public, witness) assignment from the template's value-recording
     fill, and (s_from, s_to). Tests and micro-benchmarks
     use it to reach a slot circuit and a satisfying assignment. It is
     {!Zen_snark.Template.assign} on {!step_job}'s template and values,

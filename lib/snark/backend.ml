@@ -86,7 +86,8 @@ let prove pk ~public ~witness =
 (* The prover holds the body the keys were set up from, so the only
    unchecked tag is for an assignment that body filled with every
    assertion holding. Of the circuit it keeps the vk and three counts:
-   the rows are the caller's to keep or drop. *)
+   the rows are the caller's to keep or drop. Of its run it keeps the
+   public values and the counts: the tag reads nothing else. *)
 let setup_body ~name body dummy =
   let shape = Gadget.create () in
   body shape dummy;
@@ -96,10 +97,10 @@ let setup_body ~name body dummy =
   and witness = R1cs.num_witness circuit
   and rows = R1cs.num_constraints circuit in
   let prove v =
-    let ctx = Gadget.create_eval ~public ~witness in
+    let ctx = Gadget.create_count ~public in
     body ctx v;
     let verdict = Gadget.verdict ~public ~witness ~rows ctx in
-    prove_with vk ~constraints:rows ~public:(fst (Gadget.assignment ctx))
+    prove_with vk ~constraints:rows ~public:(Gadget.public_values ctx)
       (fun () -> verdict)
   in
   (circuit, vk, prove)

@@ -5,9 +5,10 @@
     assignment, at a cost linear in circuit size like a real prover,
     in one of two ways. {!prove} evaluates every constraint of the
     [(public, witness)] it is given. The prover {!setup_body} returns
-    runs the gadget body the circuit was synthesized from, in evaluation
-    mode: each row either holds by construction or is checked when the
-    fill reaches it ({!Gadget.verdict}). The emitted proof is a constant
+    runs the gadget body the circuit was synthesized from, in a
+    count-only evaluation mode that computes every wire value and keeps
+    only the witness count: each row either holds by construction or is
+    checked when the run reaches it ({!Gadget.verdict}). The emitted proof is a constant
     96 bytes and Verify runs in time O(|public input|), independent of
     circuit size. Knowledge soundness holds within the simulation
     because the proof tag can only be produced by these two provers,
@@ -47,9 +48,11 @@ val setup_body :
     returns the circuit, its verification key and a prover. The prover
     keeps the key, the circuit's public, witness and row counts and
     [body], and none of the circuit's rows: once the caller drops the
-    circuit, they are garbage. It runs [body] on its values in an
-    evaluation context ({!Gadget.create_eval}) and tags the public input
-    when {!Gadget.verdict} accepts the fill, without {!R1cs.check}; it
+    circuit, they are garbage. It runs [body] on its values in a
+    count-only evaluation context ({!Gadget.create_count}), which keeps
+    the public values and only the length of the witness, and tags the
+    public input when {!Gadget.verdict} accepts the run, without
+    {!R1cs.check}; it
     refuses with the verdict's error otherwise, and lets an exception of
     [body] escape unproven. Proof bytes and errors equal {!prove}'s on
     the same assignment, with {!setup}'s key for the circuit, whenever

@@ -18,8 +18,10 @@ type rows = { mutable count : int; mutable failed : (int * string option) option
    code but only records the public/witness value sequences and counts
    rows: it builds no linear combination over a variable, so filling
    the assignment for a compile-once template costs the field
-   arithmetic, one record per wire and the value columns. *)
-type mode = Shape of R1cs.builder | Eval of rows
+   arithmetic, one record per wire and the value columns. [Count] is
+   [Eval] for the prover: its witness column keeps only its length,
+   and its Poseidon runs the native permutation (see [permute]). *)
+type mode = Shape of R1cs.builder | Eval of rows | Count of rows
 
 (* A growable value column: [n] values live in [vals.(0 .. n-1)]. A
    full column is replaced, never written past, so an array handed out
@@ -52,6 +54,13 @@ let create_eval ~public ~witness =
     witness = column witness;
   }
 
+let create_count ~public =
+  {
+    mode = Count { count = 0; failed = None };
+    public = column public;
+    witness = column 0;
+  }
+
 (* One row [⟨a,z⟩·⟨bb,z⟩ = ⟨c,z⟩]. Every wire's value is its linear
    combination evaluated on the assignment, so [holds], computed from
    wire values, is the row's verdict. Only assertions pass it: every
@@ -61,7 +70,7 @@ let emit ?label ?(holds = true) ctx a bb c =
   | Shape builder ->
     R1cs.constrain ?label builder (Option.get a) (Option.get bb)
       (Option.get c)
-  | Eval rows ->
+  | Eval rows | Count rows ->
     if (not holds) && Option.is_none rows.failed then
       rows.failed <- Some (rows.count, label);
     rows.count <- rows.count + 1
@@ -74,7 +83,7 @@ let input ctx v =
   let lc =
     match ctx.mode with
     | Shape builder -> Some [ (Fp.one, R1cs.alloc_input builder) ]
-    | Eval _ -> None
+    | Eval _ | Count _ -> None
   in
   push ctx.public v;
   { lc; terms = 1; value = v }
@@ -82,15 +91,22 @@ let input ctx v =
 let witness ctx v =
   let lc =
     match ctx.mode with
-    | Shape builder -> Some [ (Fp.one, R1cs.alloc_witness builder) ]
-    | Eval _ -> None
+    | Shape builder ->
+      push ctx.witness v;
+      Some [ (Fp.one, R1cs.alloc_witness builder) ]
+    | Eval _ ->
+      push ctx.witness v;
+      None
+    | Count _ ->
+      ctx.witness.n <- ctx.witness.n + 1;
+      None
   in
-  push ctx.witness v;
   { lc; terms = 1; value = v }
 
 let const v = { lc = Some [ (v, R1cs.one_var) ]; terms = 1; value = v }
 let const_int n = const (Fp.of_int n)
 let value w = w.value
+let terms w = w.terms
 
 (* Linear operations merge coefficient lists; no constraints emitted.
    An operand without a list makes a result without one, so in eval
@@ -225,7 +241,7 @@ let round ctx rc s r ~full =
   let l2 = mds_lane ctx 2 a0 a1 a2 in
   [| l0; l1; l2 |]
 
-let permute ctx state0 =
+let generic_permute ctx state0 =
   let half_full = Poseidon.rounds_full / 2 in
   let partial_end = half_full + Poseidon.rounds_partial in
   let rc = round_constants () in
@@ -234,6 +250,49 @@ let permute ctx state0 =
     state := round ctx rc !state r ~full:(r < half_full || r >= partial_end)
   done;
   !state
+
+(* What one permutation adds to a run: its witnesses, its rows and its
+   output lanes' term counts. These do not depend on the input wires:
+   round 0 is full, so every lane enters an S-box, whose first square
+   is a fresh witness whatever its operand; from there on every
+   [materialize] decision follows from the round index alone. The tally
+   is read off one generic run, built on first use like
+   [round_constants_cell]. *)
+type tally = { witnesses : int; rows : int; out_terms : int array }
+
+let tally_cell = Atomic.make None
+
+let tally () =
+  match Atomic.get tally_cell with
+  | Some t -> t
+  | None ->
+    let rows = { count = 0; failed = None } in
+    let ctx = { mode = Eval rows; public = column 0; witness = column 0 } in
+    let out = generic_permute ctx [| zero; zero; zero |] in
+    let t =
+      {
+        witnesses = ctx.witness.n;
+        rows = rows.count;
+        out_terms = Array.map (fun w -> w.terms) out;
+      }
+    in
+    Atomic.set tally_cell (Some t);
+    t
+
+(* A count-only run needs the output values and the tally, not the
+   rows: every Poseidon row holds by construction, so the native
+   permutation stands in for the rounds. *)
+let permute ctx state0 =
+  match ctx.mode with
+  | Shape _ | Eval _ -> generic_permute ctx state0
+  | Count rows ->
+    let t = tally () in
+    let out = Poseidon.permute_uncounted (Array.map value state0) in
+    ctx.witness.n <- ctx.witness.n + t.witnesses;
+    rows.count <- rows.count + t.rows;
+    Array.mapi
+      (fun i v -> { lc = None; terms = t.out_terms.(i); value = v })
+      out
 
 let two_to_one_capacity = const (Fp.of_int 2)
 
@@ -268,27 +327,32 @@ let merkle_root ctx ~leaf ~path_bits ~siblings =
       poseidon2 ctx left right)
     leaf path_bits siblings
 
-let assignment ctx = (contents ctx.public, contents ctx.witness)
+let public_values ctx = contents ctx.public
+
+let assignment ctx =
+  match ctx.mode with
+  | Count _ -> invalid_arg "Gadget.assignment: count-only context"
+  | Shape _ | Eval _ -> (contents ctx.public, contents ctx.witness)
 
 let verdict ~public ~witness ~rows ctx =
   match ctx.mode with
   | Shape _ -> invalid_arg "Gadget.verdict: synthesis context"
-  | Eval tally -> (
+  | Eval run | Count run -> (
     match
       R1cs.check_lengths ~n_public:public ~n_witness:witness
         ~public:ctx.public.n ~witness:ctx.witness.n
     with
     | Error _ as e -> e
     | Ok () ->
-      if tally.count <> rows then Error "circuit shape diverged from setup"
+      if run.count <> rows then Error "circuit shape diverged from setup"
       else
-        match tally.failed with
+        match run.failed with
         | None -> Ok ()
         | Some (i, label) -> Error (R1cs.unsatisfied i label))
 
 let finalize ~name ctx =
   match ctx.mode with
-  | Eval _ -> invalid_arg "Gadget.finalize: evaluation-only context"
+  | Eval _ | Count _ -> invalid_arg "Gadget.finalize: evaluation-only context"
   | Shape builder ->
     let circuit = R1cs.finalize ~name builder in
     let public, witness = assignment ctx in

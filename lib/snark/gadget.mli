@@ -18,7 +18,8 @@ val create : unit -> ctx
     R1CS builder while computing wire values. *)
 
 val create_eval : public:int -> witness:int -> ctx
-(** Witness-only evaluation context for compile-once templates: the
+(** Value-recording evaluation context: {!Template.assign}'s fill, and
+    the oracle the prover's {!create_count} run is tested against. The
     same gadget code runs, but no constraints are emitted and only the
     public/witness value sequences are recorded (read them back with
     {!assignment}). A run does the field arithmetic and allocates one
@@ -46,6 +47,22 @@ val create_eval : public:int -> witness:int -> ctx
     circuit's {!R1cs.num_public} and {!R1cs.num_witness}, so a fill
     allocates each array once and {!assignment} copies nothing. *)
 
+val create_count : public:int -> ctx
+(** The prover's evaluation context ({!Backend.setup_body}): a
+    {!create_eval} context whose witness column keeps only its length.
+    Every wire value is computed and every assertion row checked as in
+    {!create_eval}, so {!verdict} says the same of both runs, and the
+    public column holds its values (read it with {!public_values}); no
+    witness value is stored. Its {!poseidon2} and {!poseidon_hash}
+    compute each permutation natively
+    ({!Zen_crypto.Poseidon.permute_uncounted}) and add the
+    permutation's fixed witness and row counts, read once off a generic
+    run: every Poseidon row holds by construction, and the counts do
+    not depend on the inputs because the first round is full.
+    Output wires carry the term counts synthesis would give them, so a
+    later materialization decides alike. [public] is the public
+    column's size hint. *)
+
 val input : ctx -> Fp.t -> wire
 (** Allocates a public-input wire carrying the given value. Must be
     called before any witness allocation; raises [Invalid_argument]
@@ -56,6 +73,11 @@ val const : Fp.t -> wire
 val const_int : int -> wire
 
 val value : wire -> Fp.t
+
+val terms : wire -> int
+(** The length of the wire's linear combination, tracked in every mode:
+    the in-circuit Poseidon's materialization decisions read it, so
+    modes that agree on it replay the same witnesses and rows. *)
 
 val add : wire -> wire -> wire
 val sub : wire -> wire -> wire
@@ -94,16 +116,22 @@ val merkle_root : ctx -> leaf:wire -> path_bits:wire list -> siblings:wire list 
     position bits (leaf-to-root, booleans) and sibling hash wires;
     matches {!Zen_crypto.Smt.verify}. *)
 
+val public_values : ctx -> Fp.t array
+(** The public values accumulated so far, in any context, shared as
+    {!assignment} shares them. *)
+
 val assignment : ctx -> Fp.t array * Fp.t array
 (** The [(public, witness)] value segments accumulated so far. Works in
-    both modes; this is how an evaluation context's result is read.
+    a synthesis and a {!create_eval} context; this is how an evaluation
+    context's result is read. Raises [Invalid_argument] on a
+    {!create_count} context, which keeps no witness values.
     A segment that filled its size hint exactly is returned without a
     copy, so it shares storage with the context; the context itself
     never writes to it again. *)
 
 val verdict :
   public:int -> witness:int -> rows:int -> ctx -> (unit, string) result
-(** For an evaluation context whose body has run to the end: what
+(** For an evaluation context ({!create_eval} or {!create_count}) whose body has run to the end: what
     {!R1cs.satisfied} would say of its assignment against a circuit
     with [public] public inputs, [witness] witness variables and [rows]
     constraints, without evaluating a row. The counts are all a caller

@@ -7,9 +7,11 @@
     in evaluation mode ({!Gadget.create_eval}): the field arithmetic,
     one record per wire and the two value arrays, with no linear
     combination over a variable, no constraint, no {!R1cs.finalize}
-    and no re-digesting. The fill
-    checks each assertion row as it reaches it, so a compiled
-    template's prove is that one pass and no {!R1cs.check}. The
+    and no re-digesting. A compiled template's prove runs the body once
+    more in the prover's count-only variant of that mode
+    ({!Gadget.create_count}), which stores no witness value and hashes
+    natively; the run checks each assertion row as it reaches it, so
+    the prove is that one pass and no {!R1cs.check}. The
     Latus circuits ([Zen_latus.Circuits]), the merge circuit of
     {!Recursive} and the aggregation circuit of {!Aggregate} are all
     templates. *)
@@ -55,12 +57,15 @@ val synthesize : 'v t -> 'v -> R1cs.circuit * Fp.t array * Fp.t array
 
 val prove : 'v t -> 'v -> (Backend.proof, string) result
 (** A proof of the template's statement for the given values. On a
-    {!compile}d template this is one evaluation-mode run of the body:
+    {!compile}d template this is one count-only run of the body
+    ({!Gadget.create_count}), which keeps the public values and the
+    witness and row counts and stores no witness value:
     it refuses when the run's public length, witness length or row
     count differs from the circuit's (the first two with
     {!R1cs.satisfied}'s errors, the last as ["circuit shape diverged
     from setup"]) or when an assertion row fails (with {!R1cs.check}'s
     error for it), and otherwise tags without a second pass over the
     rows. Proof bytes and errors equal {!Backend.prove} on {!assign}'s
-    assignment. On a {!compile_resynth} template it is {!assign} then
-    {!Backend.prove}. *)
+    assignment: {!assign}'s value-recording run is the oracle this
+    prover is tested against. On a {!compile_resynth} template it is
+    {!assign} then {!Backend.prove}. *)

@@ -741,8 +741,12 @@ let test_wcert_binding_row () =
 
 (* Random small gadget bodies: the evaluation run's verdict equals
    R1cs.satisfied on the circuit and assignment that shape-mode
-   synthesis of the same body produces, exceptions included. Values are
-   small so that equalities, booleans and bit widths go both ways. *)
+   synthesis of the same body produces, exceptions included. The
+   prover's count-only run of the body agrees with the evaluation run:
+   the same public column, and the same verdict on every probe of
+   witness and row counts one off the circuit's either way, so the same
+   counts, the same error and the same failing row. Values are small so
+   that equalities, booleans and bit widths go both ways. *)
 type gop =
   | Mul of int * int
   | Add of int * int
@@ -853,7 +857,92 @@ let test_gadget_verdict_equals_check =
            | None -> true
            | Some (_, synthesized) -> Gadget.assignment ctx = synthesized
          in
-         pp_outcome (snd full) = pp_outcome fused && same_assignment))
+         let counted = Gadget.create_count ~public:0 in
+         let probes ctx raised =
+           match (raised, fst full) with
+           | Some e, _ -> [ "raised " ^ Printexc.to_string e ]
+           | None, None -> [ "ran where synthesis raised" ]
+           | None, Some (circuit, _) ->
+             List.concat_map
+               (fun dw ->
+                 List.map
+                   (fun dr ->
+                     match
+                       Gadget.verdict
+                         ~public:(Zen_snark.R1cs.num_public circuit)
+                         ~witness:(Zen_snark.R1cs.num_witness circuit + dw)
+                         ~rows:(Zen_snark.R1cs.num_constraints circuit + dr)
+                         ctx
+                     with
+                     | Ok () -> "ok"
+                     | Error e -> e)
+                   [ -1; 0; 1 ])
+               [ -1; 0; 1 ]
+         in
+         let eval_probes =
+           probes ctx (match fused with Raised e -> Some e | _ -> None)
+         and count_probes =
+           probes counted
+             (match body counted with () -> None | exception e -> Some e)
+         in
+         pp_outcome (snd full) = pp_outcome fused
+         && same_assignment && eval_probes = count_probes
+         && Gadget.public_values counted = Gadget.public_values ctx))
+
+(* The in-circuit Poseidon over long linear combinations: each input is
+   a sum of 1-20 witnesses. Synthesis, the value-recording run and the
+   prover's count-only run, which hashes natively, agree on the output
+   values and term counts, and on the witness and row counts. No
+   exported gadget reads a Poseidon output's term count (every
+   permutation opens with a full round), so the test reads it, through
+   an add chain long enough that a Poseidon lane would materialize it,
+   and through one more hash of that chain. *)
+let test_poseidon_modes_agree =
+  let sums = QCheck2.Gen.(list_size (int_range 1 20) (int_bound 1_000_000)) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"poseidon: synthesis = eval = count-only"
+       ~count:100
+       QCheck2.Gen.(
+         quad (pair sums sums) (list_size (int_range 0 5) sums) bool
+           (int_range 0 5))
+       (fun ((a, b), rest, sponge, chain) ->
+         let body ctx =
+           let lc vs =
+             Gadget.sum
+               (List.map (fun v -> Gadget.witness ctx (Fp.of_int v)) vs)
+           in
+           let a = lc a and b = lc b in
+           let rest = List.map lc rest in
+           let out =
+             if sponge then Gadget.poseidon_hash ctx (a :: b :: rest)
+             else Gadget.poseidon2 ctx a b
+           in
+           let long =
+             List.fold_left Gadget.add out (List.init (3 + chain) (fun _ -> out))
+           in
+           [ out; long; Gadget.poseidon2 ctx long out ]
+         in
+         let seen wires =
+           List.map (fun w -> (Gadget.value w, Gadget.terms w)) wires
+         in
+         let shape = Gadget.create () in
+         let synthesized = seen (body shape) in
+         let circuit, public, witness =
+           Gadget.finalize ~name:"poseidon" shape
+         in
+         let same_counts ctx =
+           Gadget.verdict ~public:(Array.length public)
+             ~witness:(Array.length witness)
+             ~rows:(Zen_snark.R1cs.num_constraints circuit)
+             ctx
+           = Ok ()
+         in
+         let eval = Gadget.create_eval ~public:0 ~witness:0 in
+         let counted = Gadget.create_count ~public:0 in
+         seen (body eval) = synthesized
+         && seen (body counted) = synthesized
+         && Gadget.assignment eval = (public, witness)
+         && same_counts eval && same_counts counted))
 
 (* ---- The fill builds no linear combination ---- *)
 
@@ -876,6 +965,52 @@ let test_fill_allocation () =
       (Printf.sprintf "depth-%d insert fill: %.0f minor words < 185k"
          Params.default.mst_depth words)
       true (words < 185_000.)
+
+(* The prover's run stores no witness value and hashes natively: one
+   insert prove at the default depth allocates ~5.5k minor words and
+   nothing directly on the major heap, where a value-recording run
+   allocated 111,888 minor words and a 7,755-word witness array. Words
+   allocated directly on the major heap are its count less the words
+   promoted to it. *)
+let test_prove_allocation () =
+  let f = Lazy.force default_family in
+  let st = Sc_state.create Params.default in
+  match ok (step_job f (traced st (Sc_tx.Insert (utxo 0)))) with
+  | Circuits.Step (_, tpl, v, _, _) ->
+    (* The first prove builds the shared Poseidon tally. *)
+    ignore (ok (Template.prove tpl v));
+    let _, promoted0, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () in
+    ignore (ok (Template.prove tpl v));
+    let minor = Gc.minor_words () -. minor0 in
+    let _, promoted1, major1 = Gc.counters () in
+    let major = major1 -. major0 -. (promoted1 -. promoted0) in
+    checkb
+      (Printf.sprintf "depth-%d insert prove: %.0f minor words < 20k"
+         Params.default.mst_depth minor)
+      true (minor < 20_000.);
+    checkb
+      (Printf.sprintf "depth-%d insert prove: %.0f major words < 2k"
+         Params.default.mst_depth major)
+      true (major < 2_000.)
+
+(* [crypto.poseidon.permutations] counts native hashes only: a prove's
+   in-circuit permutations are rows of its circuit, even where the
+   count-only run computes them with the native permutation. *)
+let test_prove_counts_no_native_hash () =
+  Zen_obs.Registry.with_enabled @@ fun () ->
+  let perms = Zen_obs.Counter.make "crypto.poseidon.permutations" in
+  let f = Lazy.force default_family in
+  let st = Sc_state.create Params.default in
+  match ok (step_job f (traced st (Sc_tx.Insert (utxo 0)))) with
+  | Circuits.Step (_, tpl, v, _, _) ->
+    let before = Zen_obs.Counter.value perms in
+    ignore (ok (Template.prove tpl v));
+    checki "a prove counts no native permutation" before
+      (Zen_obs.Counter.value perms);
+    ignore (Poseidon.hash2 Fp.one Fp.two);
+    checki "a native hash counts one" (before + 1)
+      (Zen_obs.Counter.value perms)
 
 (* ---- Each step's post-state comes from its trace ---- *)
 
@@ -1026,7 +1161,11 @@ let suite =
       test_fused_equals_full_check;
       Alcotest.test_case "wcert binding row" `Quick test_wcert_binding_row;
       test_gadget_verdict_equals_check;
+      test_poseidon_modes_agree;
       Alcotest.test_case "fill allocation" `Quick test_fill_allocation;
+      Alcotest.test_case "prover allocation" `Quick test_prove_allocation;
+      Alcotest.test_case "prove counts no native hash" `Quick
+        test_prove_counts_no_native_hash;
       Alcotest.test_case "traced record = prove_step" `Quick
         test_traced_equals_prove_step;
       Alcotest.test_case "wrong post-state refused" `Quick
