@@ -29,8 +29,7 @@ let tests () =
   let snark_proof = Result.get_ok (Zen_snark.Backend.prove bpk ~public ~witness) in
   let state = [| a; b; Fp.two |] in
   (* One recursive merge of two adjacent base transitions s -> s+1 ->
-     s+2: verify both children, fill the merge circuit's assignment,
-     prove. *)
+     s+2: verify both children, then prove the merge circuit. *)
   let merge_pair =
     let module G = Zen_snark.Gadget in
     let step =
@@ -51,11 +50,11 @@ let tests () =
     let t1 = base 1 and t2 = base 2 in
     fun () -> Zen_snark.Recursive.merge rsys t1 t2
   in
-  (* The per-proof loops of a depth-18 insert step: the template's
-     value-recording witness fill and its prover's count-only run (each
-     with the native MST update and sibling read that feed it), and the
-     R1CS satisfiability check of its ~10.9k constraints. *)
-  let insert18_assign, insert18_prove, insert18_check =
+  (* The per-proof loops of a depth-18 insert step: the template
+     prover's count-only run (with the native MST update and sibling
+     read that feed it), and the R1CS satisfiability check of its ~10.9k
+     constraints. *)
+  let insert18_prove, insert18_check =
     let open Zen_latus in
     let params = { Params.default with mst_depth = 18 } in
     let family = Circuits.make params in
@@ -79,8 +78,7 @@ let tests () =
       | Circuits.Step (_, tpl, v, _, _) -> Zen_snark.Template.synthesize tpl v
     in
     let z = Array.concat [ [| Fp.one |]; public; witness ] in
-    ( (fun () -> Circuits.step_assignment family state step),
-      (fun () -> Circuits.prove_step family state step),
+    ( (fun () -> Circuits.prove_step family state step),
       fun () -> Zen_snark.R1cs.check circuit z )
   in
   Test.make_grouped ~name:"micro"
@@ -101,8 +99,6 @@ let tests () =
         (Staged.stage (fun () ->
              Zen_snark.Backend.verify bvk ~public snark_proof));
       Test.make ~name:"recursive-merge" (Staged.stage merge_pair);
-      Test.make ~name:"template-assign-insert18"
-        (Staged.stage insert18_assign);
       Test.make ~name:"template-prove-insert18" (Staged.stage insert18_prove);
       Test.make ~name:"r1cs-check-insert18" (Staged.stage insert18_check);
     ]
@@ -117,11 +113,16 @@ let run () =
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) ()
   in
-  let raw = Benchmark.all cfg instances (tests ()) in
+  let tests = tests () in
+  let raw = Benchmark.all cfg instances tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "%-24s %12.1f ns\n" name est
-      | _ -> Printf.printf "%-24s (no estimate)\n" name)
-    results
+  (* Rows in [Test.make] order, so two trees' tables line up. *)
+  let names = Test.names tests in
+  let width = List.fold_left (fun w n -> max w (String.length n)) 0 names in
+  List.iter
+    (fun name ->
+      let result = Hashtbl.find_opt results name in
+      match Option.bind result Analyze.OLS.estimates with
+      | Some [ est ] -> Printf.printf "%-*s %12.1f ns\n" width name est
+      | _ -> Printf.printf "%-*s (no estimate)\n" width name)
+    names

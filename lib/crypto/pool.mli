@@ -4,10 +4,11 @@
     story: proving tasks whose inputs were snapshotted up front are
     independent, so they can be executed by real domains instead of the
     accounted simulation the repository used to ship. The same pool
-    drives batch Merkle tree builds ({!Merkle.of_leaves}), the
-    per-level merges of a block's certificate
-    aggregate ([Zen_snark.Aggregate.build]) and mainchain batch
-    verification ([Zendoo.Verifier.verify_batch]).
+    drives batch Merkle tree builds ({!Merkle.of_leaves}), the leaf
+    wraps of a block's certificate aggregate
+    ([Zen_snark.Aggregate.build], which folds their merges in order)
+    and mainchain batch verification
+    ([Zendoo.Verifier.verify_batch]).
 
     {2 Lifecycle: one shared pool per process}
 

@@ -291,11 +291,6 @@ let prove_traced f ~s_from ~s_to traced =
   Result.bind (step_job f ~s_from ~s_to traced) prove_job
 let prove_step f state step = Result.bind (traced_job f state step) prove_job
 
-let step_assignment f state step =
-  let* (Step (_, c, v, s_from, s_to)) = traced_job f state step in
-  let* public, witness = Template.assign c v in
-  Ok (public, witness, s_from, s_to)
-
 let prove_wcert_binding f ~quality ~bt_root ~end_prev_epoch ~end_epoch
     ~proofdata ~s_prev ~s_last =
   let w_public =

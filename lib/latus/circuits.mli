@@ -129,18 +129,6 @@ val prove_step :
     state. A step invalid at that state fails with {!step_job}'s error.
     The caller applies the step natively to continue. *)
 
-val step_assignment :
-  family ->
-  Sc_state.t ->
-  Sc_tx.step ->
-  (Fp.t array * Fp.t array * Fp.t * Fp.t, string) result
-(** Everything {!prove_step} proves, without proving: the step's
-    (public, witness) assignment from the template's value-recording
-    fill, and (s_from, s_to). Tests and micro-benchmarks
-    use it to reach a slot circuit and a satisfying assignment. It is
-    {!Zen_snark.Template.assign} on {!step_job}'s template and values,
-    for the step traced as {!prove_step} traces it. *)
-
 type _ kind = Slot : slot_values kind | Append : append_values kind
 
 type step_job =

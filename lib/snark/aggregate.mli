@@ -64,8 +64,7 @@ val vk_digest : system -> Hash.t
 
 val template : system -> (Fp.t * Fp.t) Template.t
 (** The compiled aggregation circuit over [(root, count)]: set up once
-    by {!shared}; leaf wraps and merges only fill its witness
-    assignment. *)
+    by {!shared}; leaf wraps and merges only prove with it. *)
 
 type t
 (** A sealed aggregate: merge-tree root, covered-certificate count, and

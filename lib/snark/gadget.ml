@@ -1,27 +1,25 @@
 open Zen_crypto
 
 (* A wire's [terms] is the length of its linear combination. It is
-   maintained incrementally in both modes so that witness-only
-   evaluation reproduces every structural decision of synthesis (see
+   maintained incrementally in both modes so that a count-only run
+   reproduces every structural decision of synthesis (see
    [materialize]) without building the lists themselves. [lc] is
-   always [Some] in synthesis. In evaluation, an input or witness wire
-   has [None], and so has every combination that reaches one; only a
-   combination of constants alone still carries its list. *)
+   always [Some] in synthesis. In a count-only run, an input or witness
+   wire has [None], and so has every combination that reaches one;
+   only a combination of constants alone still carries its list. *)
 type wire = { lc : R1cs.lc option; terms : int; value : Fp.t }
 
-(* An evaluation run's row tally: the rows reached so far, in synthesis
+(* A count-only run's row tally: the rows reached so far, in synthesis
    order, and the first one whose verdict was false with its label. *)
 type rows = { mutable count : int; mutable failed : (int * string option) option }
 
 (* [Shape] emits constraints into an R1CS builder while computing
-   values — the original synthesis mode. [Eval] runs the same gadget
-   code but only records the public/witness value sequences and counts
-   rows: it builds no linear combination over a variable, so filling
-   the assignment for a compile-once template costs the field
-   arithmetic, one record per wire and the value columns. [Count] is
-   [Eval] for the prover: its witness column keeps only its length,
-   and its Poseidon runs the native permutation (see [permute]). *)
-type mode = Shape of R1cs.builder | Eval of rows | Count of rows
+   values: synthesis, at setup. [Count] is the prover's run of the same
+   gadget code: it builds no linear combination over a variable, keeps
+   the public values and only the length of the witness, counts the
+   rows and checks the assertions among them, and its Poseidon runs the
+   native permutation (see [permute]). *)
+type mode = Shape of R1cs.builder | Count of rows
 
 (* A growable value column: [n] values live in [vals.(0 .. n-1)]. A
    full column is replaced, never written past, so an array handed out
@@ -47,13 +45,6 @@ type ctx = { mode : mode; public : column; witness : column }
 let create () =
   { mode = Shape (R1cs.create ()); public = column 0; witness = column 0 }
 
-let create_eval ~public ~witness =
-  {
-    mode = Eval { count = 0; failed = None };
-    public = column public;
-    witness = column witness;
-  }
-
 let create_count ~public =
   {
     mode = Count { count = 0; failed = None };
@@ -70,20 +61,20 @@ let emit ?label ?(holds = true) ctx a bb c =
   | Shape builder ->
     R1cs.constrain ?label builder (Option.get a) (Option.get bb)
       (Option.get c)
-  | Eval rows | Count rows ->
+  | Count rows ->
     if (not holds) && Option.is_none rows.failed then
       rows.failed <- Some (rows.count, label);
     rows.count <- rows.count + 1
 
 (* Both modes refuse a late input with the same exception, so a
-   template and its re-synthesis reference fail alike. *)
+   compiled template and its re-synthesis reference fail alike. *)
 let input ctx v =
   if ctx.witness.n > 0 then
     invalid_arg "Gadget.input: witness allocation already started";
   let lc =
     match ctx.mode with
     | Shape builder -> Some [ (Fp.one, R1cs.alloc_input builder) ]
-    | Eval _ | Count _ -> None
+    | Count _ -> None
   in
   push ctx.public v;
   { lc; terms = 1; value = v }
@@ -94,9 +85,6 @@ let witness ctx v =
     | Shape builder ->
       push ctx.witness v;
       Some [ (Fp.one, R1cs.alloc_witness builder) ]
-    | Eval _ ->
-      push ctx.witness v;
-      None
     | Count _ ->
       ctx.witness.n <- ctx.witness.n + 1;
       None
@@ -109,8 +97,8 @@ let value w = w.value
 let terms w = w.terms
 
 (* Linear operations merge coefficient lists; no constraints emitted.
-   An operand without a list makes a result without one, so in eval
-   mode only [terms]/[value] move. *)
+   An operand without a list makes a result without one, so in a
+   count-only run only [terms]/[value] move. *)
 let add a b =
   let lc =
     match (a.lc, b.lc) with
@@ -196,7 +184,7 @@ let sbox ctx x =
    combination has grown long; without this, the non-S-boxed lanes of
    partial rounds triple in term count per round (3^22 terms). One
    constraint buys back a constant-size lc. The [terms] threshold makes
-   the decision identical in eval mode, where the lists are empty. *)
+   the decision identical in a count-only run, which builds no list. *)
 let materialize ctx w =
   if w.terms <= 12 then w
   else begin
@@ -256,8 +244,8 @@ let generic_permute ctx state0 =
    round 0 is full, so every lane enters an S-box, whose first square
    is a fresh witness whatever its operand; from there on every
    [materialize] decision follows from the round index alone. The tally
-   is read off one generic run, built on first use like
-   [round_constants_cell]. *)
+   is read off one generic run in a count-only context, built on first
+   use like [round_constants_cell]. *)
 type tally = { witnesses : int; rows : int; out_terms : int array }
 
 let tally_cell = Atomic.make None
@@ -267,7 +255,7 @@ let tally () =
   | Some t -> t
   | None ->
     let rows = { count = 0; failed = None } in
-    let ctx = { mode = Eval rows; public = column 0; witness = column 0 } in
+    let ctx = { mode = Count rows; public = column 0; witness = column 0 } in
     let out = generic_permute ctx [| zero; zero; zero |] in
     let t =
       {
@@ -284,7 +272,7 @@ let tally () =
    permutation stands in for the rounds. *)
 let permute ctx state0 =
   match ctx.mode with
-  | Shape _ | Eval _ -> generic_permute ctx state0
+  | Shape _ -> generic_permute ctx state0
   | Count rows ->
     let t = tally () in
     let out = Poseidon.permute_uncounted (Array.map value state0) in
@@ -329,15 +317,10 @@ let merkle_root ctx ~leaf ~path_bits ~siblings =
 
 let public_values ctx = contents ctx.public
 
-let assignment ctx =
-  match ctx.mode with
-  | Count _ -> invalid_arg "Gadget.assignment: count-only context"
-  | Shape _ | Eval _ -> (contents ctx.public, contents ctx.witness)
-
 let verdict ~public ~witness ~rows ctx =
   match ctx.mode with
   | Shape _ -> invalid_arg "Gadget.verdict: synthesis context"
-  | Eval run | Count run -> (
+  | Count run -> (
     match
       R1cs.check_lengths ~n_public:public ~n_witness:witness
         ~public:ctx.public.n ~witness:ctx.witness.n
@@ -352,8 +335,6 @@ let verdict ~public ~witness ~rows ctx =
 
 let finalize ~name ctx =
   match ctx.mode with
-  | Eval _ | Count _ -> invalid_arg "Gadget.finalize: evaluation-only context"
+  | Count _ -> invalid_arg "Gadget.finalize: count-only context"
   | Shape builder ->
-    let circuit = R1cs.finalize ~name builder in
-    let public, witness = assignment ctx in
-    (circuit, public, witness)
+    (R1cs.finalize ~name builder, contents ctx.public, contents ctx.witness)

@@ -1,12 +1,19 @@
-(** Circuit gadgets: synthesis-time helpers that emit constraints and
-    compute the witness simultaneously.
+(** Circuit gadgets: the helpers a circuit body is written with.
+
+    A body runs in one of two contexts. At setup, synthesis
+    ({!create}) emits its constraints into an R1CS builder while
+    computing every wire's value. Each prove then runs the same body in
+    a count-only context ({!create_count}), which computes the same
+    values, counts the rows and checks the assertions among them,
+    without building a constraint.
 
     A {!wire} pairs a linear combination with its concrete value, so
     additions and scalings are free (no constraint, no new variable)
     while multiplications allocate one witness variable and one
     constraint — the R1CS cost model. The in-circuit Poseidon
     permutation built here is what gives the Latus state-transition
-    circuits their realistic size (≈230 constraints per hash). *)
+    circuits their realistic size: one {!poseidon2} adds 263
+    constraints and 263 witness variables. *)
 
 open Zen_crypto
 
@@ -15,58 +22,45 @@ type wire
 
 val create : unit -> ctx
 (** Synthesis (shape) context: gadget calls emit constraints into an
-    R1CS builder while computing wire values. *)
-
-val create_eval : public:int -> witness:int -> ctx
-(** Value-recording evaluation context: {!Template.assign}'s fill, and
-    the oracle the prover's {!create_count} run is tested against. The
-    same gadget code runs, but no constraints are emitted and only the
-    public/witness value sequences are recorded (read them back with
-    {!assignment}). A run does the field arithmetic and allocates one
-    small record per wire plus the two value arrays. It builds no
-    linear combination over a variable: an {!input} or {!witness} wire
-    carries none, and neither does any {!add}, {!sub}, {!scale} or
-    {!sum} that reaches one. Only a combination of constants alone
-    ({!const} and sums of constants) keeps its short list, as in
-    synthesis. Because a wire's term count is tracked in both modes,
-    every structural decision (e.g. lc materialization) replays
-    identically, so the assignment is bit-identical to what synthesis
-    would have produced.
-
-    The context also counts the rows synthesis would have emitted, in
-    synthesis order, and checks each assertion row ({!assert_eq},
-    {!assert_bool}, and so {!to_bits}'s bool and sum
-    rows) on the wire values when the run reaches it, keeping the first
-    that fails. Every other row holds by construction: a
-    multiplication, a materialization or {!is_zero}'s hints compute
-    their output wire as the value that satisfies the row. Read the
-    result with {!verdict}.
-
-    [public] and [witness] are size hints: the value arrays start at
-    those lengths and grow by doubling past them. A template passes its
-    circuit's {!R1cs.num_public} and {!R1cs.num_witness}, so a fill
-    allocates each array once and {!assignment} copies nothing. *)
+    R1CS builder while computing wire values. Read the result with
+    {!finalize}. *)
 
 val create_count : public:int -> ctx
-(** The prover's evaluation context ({!Backend.setup_body}): a
-    {!create_eval} context whose witness column keeps only its length.
-    Every wire value is computed and every assertion row checked as in
-    {!create_eval}, so {!verdict} says the same of both runs, and the
-    public column holds its values (read it with {!public_values}); no
-    witness value is stored. Its {!poseidon2} and {!poseidon_hash}
-    compute each permutation natively
-    ({!Zen_crypto.Poseidon.permute_uncounted}) and add the
+(** The prover's evaluation context ({!Backend.setup_body}). The same
+    gadget code runs, but no constraint is emitted and no linear
+    combination over a variable is built: an {!input} or {!witness}
+    wire carries none, and neither does any {!add}, {!sub}, {!scale}
+    or {!sum} that reaches one. Only a combination of constants alone
+    ({!const} and sums of constants) keeps its short list, as in
+    synthesis. A wire's term count is tracked in both contexts, so
+    every structural decision (e.g. lc materialization) replays
+    identically and the run allocates the witnesses and rows synthesis
+    would, in the same order.
+
+    The public column holds its values (read it with
+    {!public_values}); the witness column keeps only its length. The
+    run counts the rows synthesis would have emitted, in synthesis
+    order, and checks each assertion row ({!assert_eq},
+    {!assert_bool}, and so {!to_bits}'s bool and sum rows) on the wire
+    values when it reaches it, keeping the first that fails. Every
+    other row holds by construction: a multiplication, a
+    materialization or {!is_zero}'s hints compute their output wire as
+    the value that satisfies the row. Read the result with {!verdict}.
+
+    Its {!poseidon2} and {!poseidon_hash} compute each permutation
+    natively ({!Zen_crypto.Poseidon.permute_uncounted}) and add the
     permutation's fixed witness and row counts, read once off a generic
     run: every Poseidon row holds by construction, and the counts do
-    not depend on the inputs because the first round is full.
-    Output wires carry the term counts synthesis would give them, so a
-    later materialization decides alike. [public] is the public
-    column's size hint. *)
+    not depend on the inputs because the first round is full. Output
+    wires carry the term counts synthesis would give them, so a later
+    materialization decides alike. [public] is the public column's
+    size hint: a template passes its circuit's {!R1cs.num_public}, so
+    the column is allocated once. *)
 
 val input : ctx -> Fp.t -> wire
 (** Allocates a public-input wire carrying the given value. Must be
     called before any witness allocation; raises [Invalid_argument]
-    otherwise, with the same message in both modes. *)
+    otherwise, with the same message in both contexts. *)
 
 val witness : ctx -> Fp.t -> wire
 val const : Fp.t -> wire
@@ -75,9 +69,10 @@ val const_int : int -> wire
 val value : wire -> Fp.t
 
 val terms : wire -> int
-(** The length of the wire's linear combination, tracked in every mode:
-    the in-circuit Poseidon's materialization decisions read it, so
-    modes that agree on it replay the same witnesses and rows. *)
+(** The length of the wire's linear combination, tracked in both
+    contexts: the in-circuit Poseidon's materialization decisions read
+    it, so contexts that agree on it replay the same witnesses and
+    rows. *)
 
 val add : wire -> wire -> wire
 val sub : wire -> wire -> wire
@@ -117,21 +112,14 @@ val merkle_root : ctx -> leaf:wire -> path_bits:wire list -> siblings:wire list 
     matches {!Zen_crypto.Smt.verify}. *)
 
 val public_values : ctx -> Fp.t array
-(** The public values accumulated so far, in any context, shared as
-    {!assignment} shares them. *)
-
-val assignment : ctx -> Fp.t array * Fp.t array
-(** The [(public, witness)] value segments accumulated so far. Works in
-    a synthesis and a {!create_eval} context; this is how an evaluation
-    context's result is read. Raises [Invalid_argument] on a
-    {!create_count} context, which keeps no witness values.
-    A segment that filled its size hint exactly is returned without a
-    copy, so it shares storage with the context; the context itself
-    never writes to it again. *)
+(** The public values accumulated so far, in either context. A column
+    that filled its size hint exactly is returned without a copy, so it
+    shares storage with the context; the context itself never writes
+    to it again. *)
 
 val verdict :
   public:int -> witness:int -> rows:int -> ctx -> (unit, string) result
-(** For an evaluation context ({!create_eval} or {!create_count}) whose body has run to the end: what
+(** For a {!create_count} context whose body has run to the end: what
     {!R1cs.satisfied} would say of its assignment against a circuit
     with [public] public inputs, [witness] witness variables and [rows]
     constraints, without evaluating a row. The counts are all a caller
@@ -140,11 +128,12 @@ val verdict :
     {!R1cs.check_lengths}'s errors; then a row count other than [rows]
     is ["circuit shape diverged from setup"]; then the first failed
     assertion row is reported as {!R1cs.check} reports it. Equal to
-    {!R1cs.satisfied} whenever the body emits the circuit's rows in
-    order, which a template's value-independent body does. Raises
-    [Invalid_argument] on a synthesis context. *)
+    {!R1cs.satisfied} on the synthesis of the same values whenever the
+    body emits the circuit's rows in order, which a template's
+    value-independent body does. Raises [Invalid_argument] on a
+    synthesis context. *)
 
 val finalize : name:string -> ctx -> R1cs.circuit * Fp.t array * Fp.t array
 (** Freezes the circuit and returns [(circuit, public, witness)] — the
     assignment segments accumulated during synthesis. Raises
-    [Invalid_argument] on an evaluation-only context. *)
+    [Invalid_argument] on a count-only context. *)

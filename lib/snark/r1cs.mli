@@ -65,7 +65,7 @@ val check : circuit -> Fp.t array -> (unit, string) result
     evaluated: every constraint when all hold, else the index of the
     first violated one plus one. Only this function adds to that
     counter. A compiled template's prove ({!Template.prove}) checks its
-    rows during the witness fill instead and adds nothing, so the
+    rows during its count-only run instead and adds nothing, so the
     counter measures the full checks still made: raw-witness
     {!Backend.prove} calls and re-synthesis templates. *)
 

@@ -30,8 +30,7 @@ val create : name:string -> base_vks:Backend.verification_key list -> system
 
 val merge_template : system -> (Fp.t * Fp.t * Fp.t) Template.t
 (** The compiled merge circuit over [(s_from, s_mid, s_to)]: its keys
-    are set up once by {!create}, and {!merge} only fills its witness
-    assignment. *)
+    are set up once by {!create}, and {!merge} only proves with it. *)
 
 val base_public : s_from:Fp.t -> s_to:Fp.t -> extra:Fp.t array -> Fp.t array
 (** Assembles the public-input vector convention for base circuits:

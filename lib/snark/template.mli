@@ -2,16 +2,13 @@
 
     A circuit's R1CS shape never depends on the values it is proven
     for, so a template synthesizes and SHA-digests the shape exactly
-    once, sets up its keys from it, and afterwards fills the witness
-    assignment for concrete values by re-running the same gadget body
-    in evaluation mode ({!Gadget.create_eval}): the field arithmetic,
-    one record per wire and the two value arrays, with no linear
-    combination over a variable, no constraint, no {!R1cs.finalize}
-    and no re-digesting. A compiled template's prove runs the body once
-    more in the prover's count-only variant of that mode
-    ({!Gadget.create_count}), which stores no witness value and hashes
-    natively; the run checks each assertion row as it reaches it, so
-    the prove is that one pass and no {!R1cs.check}. The
+    once and sets up its keys from it. Each prove then re-runs the same
+    gadget body on the concrete values in the prover's count-only
+    context ({!Gadget.create_count}): the field arithmetic and one
+    record per wire, with no linear combination over a variable, no
+    constraint, no stored witness value, no {!R1cs.finalize} and no
+    re-digesting. The run checks each assertion row as it reaches it,
+    so the prove is that one pass and no {!R1cs.check}. The
     Latus circuits ([Zen_latus.Circuits]), the merge circuit of
     {!Recursive} and the aggregation circuit of {!Aggregate} are all
     templates. *)
@@ -32,28 +29,24 @@ type 'v t
 val compile : name:string -> (Gadget.ctx -> 'v -> unit) -> 'v -> 'v t
 (** [compile ~name body dummy] synthesizes [body] on [dummy] values,
     finalizes the circuit under [name] and sets up its keys
-    ({!Backend.setup_body}). The witness generator runs [body] in
-    evaluation mode, into value arrays pre-sized from the circuit's
-    public and witness counts. The template keeps [body], the
-    verification key and those counts; the circuit's rows are garbage
-    once this returns. *)
+    ({!Backend.setup_body}). The template keeps [body], the
+    verification key and the circuit's counts; the circuit's rows are
+    garbage once this returns. *)
 
 val compile_resynth : name:string -> (Gadget.ctx -> 'v -> unit) -> 'v -> 'v t
 (** The reference constructor: the same circuit and keys as {!compile},
-    but every {!assign} re-synthesizes the circuit, re-digests it and
-    refuses a shape that diverged from the keys, and every {!prove}
-    runs {!Backend.prove}'s full check on that assignment. Tests and
-    experiment E16 use it to check and to price {!compile}. *)
+    but every {!prove} re-synthesizes the circuit, re-digests it,
+    refuses a shape that diverged from the keys and runs
+    {!Backend.prove}'s full check on the synthesized assignment. Tests
+    and experiment E16 use it to check and to price {!compile}. *)
 
 val keys : 'v t -> keys
 
-val assign : 'v t -> 'v -> (Fp.t array * Fp.t array, string) result
-(** The [(public, witness)] assignment for the given values. *)
-
 val synthesize : 'v t -> 'v -> R1cs.circuit * Fp.t array * Fp.t array
 (** Shape-mode synthesis of the body for the given values, as
-    {!Gadget.finalize} returns it. Always finalizes; this is the
-    reference an evaluation-mode {!assign} is tested against. *)
+    {!Gadget.finalize} returns it. Always finalizes; with
+    {!Backend.prove} on its assignment, this is the reference a
+    compiled {!prove} is tested against. *)
 
 val prove : 'v t -> 'v -> (Backend.proof, string) result
 (** A proof of the template's statement for the given values. On a
@@ -65,7 +58,7 @@ val prove : 'v t -> 'v -> (Backend.proof, string) result
     {!R1cs.satisfied}'s errors, the last as ["circuit shape diverged
     from setup"]) or when an assertion row fails (with {!R1cs.check}'s
     error for it), and otherwise tags without a second pass over the
-    rows. Proof bytes and errors equal {!Backend.prove} on {!assign}'s
-    assignment: {!assign}'s value-recording run is the oracle this
-    prover is tested against. On a {!compile_resynth} template it is
-    {!assign} then {!Backend.prove}. *)
+    rows. Proof bytes and errors equal {!Backend.prove} on
+    {!synthesize}'s assignment under the circuit's key. On a
+    {!compile_resynth} template it is that synthesis and
+    {!Backend.prove}. *)

@@ -160,31 +160,6 @@ let test_finalize_off_hot_path () =
   checki "re-synthesis finalizes once" 1 (fin2 - fin1);
   checki "one more prove" 1 (prv2 - prv1)
 
-(* Gadget-level: an evaluation-mode run fills exactly the assignment
-   synthesis would have produced, including materialization decisions
-   inside the Poseidon rounds. *)
-let test_eval_assignment_matches_synthesis () =
-  let body ctx (a, b) =
-    let wa = Zen_snark.Gadget.input ctx a in
-    let wb = Zen_snark.Gadget.witness ctx b in
-    let h = Zen_snark.Gadget.poseidon2 ctx wa wb in
-    let bits = Zen_snark.Gadget.to_bits ctx wb 20 in
-    let sum = Zen_snark.Gadget.sum (h :: bits) in
-    Zen_snark.Gadget.assert_eq ctx sum
-      (Zen_snark.Gadget.witness ctx (Zen_snark.Gadget.value sum))
-  in
-  let v = (Fp.of_int 123456, Fp.of_int 987654) in
-  let shape = Zen_snark.Gadget.create () in
-  body shape v;
-  let circuit, pub_s, wit_s = Zen_snark.Gadget.finalize ~name:"eval-eq" shape in
-  let eval = Zen_snark.Gadget.create_eval ~public:0 ~witness:0 in
-  body eval v;
-  let pub_e, wit_e = Zen_snark.Gadget.assignment eval in
-  checkb "public identical" true (pub_s = pub_e);
-  checkb "witness identical" true (wit_s = wit_e);
-  checkb "assignment satisfies the template" true
-    (Result.is_ok (Zen_snark.R1cs.satisfied circuit ~public:pub_e ~witness:wit_e))
-
 (* ---- The merge and aggregation circuits are templates too ---- *)
 
 module Template = Zen_snark.Template
@@ -194,15 +169,23 @@ let rsys =
     (Zen_snark.Recursive.create ~name:"tpl"
        ~base_vks:(Circuits.base_vks (Lazy.force family)))
 
-(* An evaluation-mode assignment equals the Shape-mode synthesis of the
-   same values, and that synthesis sets up the compiled template's key
-   (a vk digest binds the circuit digest). *)
-let eval_equals_synthesis tpl v =
+(* The Shape-mode synthesis of the values sets up the compiled
+   template's key (a vk digest binds the circuit digest), and the
+   template's count-only prove (the evaluation run the test names call
+   "eval") gives the proof [Backend.prove] gives on that synthesis's
+   assignment. *)
+let prove_equals_synthesis tpl v =
   let circuit, public, witness = Template.synthesize tpl v in
-  Template.assign tpl v = Ok (public, witness)
-  && Hash.equal
-       (Zen_snark.Backend.vk_digest (snd (Zen_snark.Backend.setup circuit)))
-       (Zen_snark.Backend.vk_digest (Template.keys tpl).vk)
+  let pk, vk = Zen_snark.Backend.setup circuit in
+  Hash.equal
+    (Zen_snark.Backend.vk_digest vk)
+    (Zen_snark.Backend.vk_digest (Template.keys tpl).vk)
+  &&
+  match
+    (Template.prove tpl v, Zen_snark.Backend.prove pk ~public ~witness)
+  with
+  | Ok fused, Ok raw -> Zen_snark.Backend.proof_equal fused raw
+  | _ -> false
 
 let gen_fp = QCheck2.Gen.map Fp.of_int QCheck2.Gen.(int_bound max_int)
 
@@ -211,7 +194,7 @@ let test_merge_template =
     (QCheck2.Test.make ~name:"merge circuit: eval = synthesis" ~count:20
        QCheck2.Gen.(triple gen_fp gen_fp gen_fp)
        (fun v ->
-         eval_equals_synthesis
+         prove_equals_synthesis
            (Zen_snark.Recursive.merge_template (Lazy.force rsys))
            v))
 
@@ -221,7 +204,7 @@ let test_aggregate_template =
        ~count:20
        QCheck2.Gen.(pair gen_fp (int_range 1 10_000))
        (fun (root, count) ->
-         eval_equals_synthesis
+         prove_equals_synthesis
            (Zen_snark.Aggregate.template (Zen_snark.Aggregate.shared ()))
            (root, Fp.of_int count)))
 
@@ -274,7 +257,8 @@ let test_no_finalize_in_merges () =
 (* Every compiled circuit's R1CS digest and the proof bytes of one
    fixed epoch, as literal hex. The order in which a gadget allocates
    variables is part of the digest, so a reordered witness shows up
-   here even when eval mode and synthesis still agree with each other.
+   here even when the count-only run and synthesis still agree with
+   each other.
    A verification key's encoding starts with its circuit's raw R1CS
    digest. *)
 let r1cs_hex vk =
@@ -435,8 +419,8 @@ let test_slot_circuits_match_oracle () =
 
 (* A body whose value counts differ from the compiled circuit's by
    one in either direction still reaches the backend's length check:
-   the evaluation arrays grow past their size hints and shrink below
-   them. An input after a witness still raises in evaluation mode. *)
+   the public column grows past its size hint and shrinks below it. An
+   input after a witness raises in the count-only run as in synthesis. *)
 let test_mis_sized_bodies () =
   let module G = Zen_snark.Gadget in
   let body ctx (n_public, n_witness, late_input) =
@@ -463,12 +447,12 @@ let test_mis_sized_bodies () =
     (prove (2, 2, false));
   Alcotest.check_raises "input after a witness"
     (Invalid_argument "Gadget.input: witness allocation already started")
-    (fun () -> ignore (Template.assign tpl (2, 3, true)));
+    (fun () -> ignore (Template.prove tpl (2, 3, true)));
   Alcotest.check_raises "input after a witness, re-synthesized"
     (Invalid_argument "Gadget.input: witness allocation already started")
     (fun () ->
       ignore
-        (Template.assign
+        (Template.prove
            (Template.compile_resynth ~name:"mis-sized" body (2, 3, false))
            (2, 3, true)))
 
@@ -577,16 +561,17 @@ let raw_key tpl honest =
     Hashtbl.add raw_keys id pk;
     pk
 
-(* [Template.prove] (one evaluation run that checks its rows as it
-   fills) against [Backend.prove]'s full check of [Template.assign]'s
-   assignment under the template's raw key [pk]: the same proof bytes,
-   the same error or the same exception. Returns the shared outcome. *)
+(* [Template.prove] (one count-only run that checks its rows as it
+   reaches them) against [Backend.prove]'s full check of
+   [Template.synthesize]'s assignment under the template's raw key
+   [pk]: the same proof bytes, the same error or the same exception.
+   Returns the shared outcome. *)
 let fused_equals_raw pk tpl v =
   let fused = outcome (fun () -> Template.prove tpl v) in
   let raw =
     outcome (fun () ->
-        Result.bind (Template.assign tpl v) (fun (public, witness) ->
-            Backend.prove pk ~public ~witness))
+        let _, public, witness = Template.synthesize tpl v in
+        Backend.prove pk ~public ~witness)
   in
   Alcotest.(check string) "fused verdict = full check" (pp_outcome raw)
     (pp_outcome fused);
@@ -669,7 +654,7 @@ let tamper_ownership (v : Circuits.ownership_values) k t =
 let test_fused_equals_full_check =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make
-       ~name:"every template: fused prove = Backend.prove on assign"
+       ~name:"every template: fused prove = Backend.prove on synthesis"
        ~count:25
        QCheck2.Gen.(
          quad (int_range 0 60) (int_range 1 1_000_000) (int_range 0 6)
@@ -729,7 +714,7 @@ let test_wcert_binding_row () =
       w_s_last = Fp.of_int 8;
     }
   in
-  let public, witness = ok (Template.assign f.Circuits.wcert v) in
+  let _, public, witness = Template.synthesize f.Circuits.wcert v in
   let witness = Array.copy witness in
   let last = Array.length witness - 1 in
   witness.(last) <- bump 1 witness.(last);
@@ -739,14 +724,15 @@ let test_wcert_binding_row () =
     checkb ("refused at the binding row: " ^ e) true
       (String.ends_with ~suffix:"(wcert.binding)" e)
 
-(* Random small gadget bodies: the evaluation run's verdict equals
-   R1cs.satisfied on the circuit and assignment that shape-mode
-   synthesis of the same body produces, exceptions included. The
-   prover's count-only run of the body agrees with the evaluation run:
-   the same public column, and the same verdict on every probe of
-   witness and row counts one off the circuit's either way, so the same
-   counts, the same error and the same failing row. Values are small so
-   that equalities, booleans and bit widths go both ways. *)
+(* Random small gadget bodies: the prover's count-only run of a body
+   agrees with shape-mode synthesis of it. It raises what synthesis
+   raises; otherwise it keeps synthesis's public column, and its
+   verdict on every probe of witness and row counts one off the
+   circuit's either way is what the synthesized lengths predict:
+   [R1cs.check_lengths]'s error, then a diverged shape for a row count
+   off by one, then [R1cs.satisfied] on the synthesized assignment. So
+   the run has synthesis's counts, error and failing row. Values are
+   small so that equalities, booleans and bit widths go both ways. *)
 type gop =
   | Mul of int * int
   | Add of int * int
@@ -816,7 +802,7 @@ let gadget_body (inputs, witnesses, ops) ctx =
 let test_gadget_verdict_equals_check =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make
-       ~name:"random bodies: eval verdict = R1cs.satisfied, eval = synthesis"
+       ~name:"random bodies: eval verdict = R1cs.satisfied on synthesis"
        ~count:500
        QCheck2.Gen.(
          triple
@@ -825,74 +811,49 @@ let test_gadget_verdict_equals_check =
            (list_size (int_range 0 12) gen_gop))
        (fun spec ->
          let body = gadget_body spec in
-         let full =
-           match
-             let shape = Gadget.create () in
-             body shape;
-             Gadget.finalize ~name:"random" shape
-           with
-           | circuit, public, witness ->
-             (Some (circuit, (public, witness)), outcome (fun () ->
-                  Result.map (fun () -> Backend.dummy_proof)
-                    (Zen_snark.R1cs.satisfied circuit ~public ~witness)))
-           | exception e -> (None, Raised e)
-         in
-         let ctx = Gadget.create_eval ~public:0 ~witness:0 in
-         let fused =
-           outcome (fun () ->
-               body ctx;
-               match fst full with
-               | None -> Ok Backend.dummy_proof
-               | Some (circuit, _) ->
-                 Result.map
-                   (fun () -> Backend.dummy_proof)
-                   (Gadget.verdict
-                      ~public:(Zen_snark.R1cs.num_public circuit)
-                      ~witness:(Zen_snark.R1cs.num_witness circuit)
-                      ~rows:(Zen_snark.R1cs.num_constraints circuit)
-                      ctx))
-         in
-         let same_assignment =
-           match fst full with
-           | None -> true
-           | Some (_, synthesized) -> Gadget.assignment ctx = synthesized
+         let synthesized =
+           let shape = Gadget.create () in
+           match body shape with
+           | () -> Ok (Gadget.finalize ~name:"random" shape)
+           | exception e -> Error e
          in
          let counted = Gadget.create_count ~public:0 in
-         let probes ctx raised =
-           match (raised, fst full) with
-           | Some e, _ -> [ "raised " ^ Printexc.to_string e ]
-           | None, None -> [ "ran where synthesis raised" ]
-           | None, Some (circuit, _) ->
-             List.concat_map
-               (fun dw ->
-                 List.map
-                   (fun dr ->
-                     match
-                       Gadget.verdict
-                         ~public:(Zen_snark.R1cs.num_public circuit)
-                         ~witness:(Zen_snark.R1cs.num_witness circuit + dw)
-                         ~rows:(Zen_snark.R1cs.num_constraints circuit + dr)
-                         ctx
-                     with
-                     | Ok () -> "ok"
-                     | Error e -> e)
-                   [ -1; 0; 1 ])
-               [ -1; 0; 1 ]
+         let ran =
+           match body counted with () -> Ok () | exception e -> Error e
          in
-         let eval_probes =
-           probes ctx (match fused with Raised e -> Some e | _ -> None)
-         and count_probes =
-           probes counted
-             (match body counted with () -> None | exception e -> Some e)
-         in
-         pp_outcome (snd full) = pp_outcome fused
-         && same_assignment && eval_probes = count_probes
-         && Gadget.public_values counted = Gadget.public_values ctx))
+         let err = function Ok () -> "ok" | Error e -> e in
+         match (synthesized, ran) with
+         | Error e, Error e' -> Printexc.to_string e = Printexc.to_string e'
+         | Error _, Ok () | Ok _, Error _ -> false
+         | Ok (circuit, public, witness), Ok () ->
+           let n_public = Zen_snark.R1cs.num_public circuit
+           and n_witness = Zen_snark.R1cs.num_witness circuit
+           and n_rows = Zen_snark.R1cs.num_constraints circuit in
+           let expected dw dr =
+             match
+               Zen_snark.R1cs.check_lengths ~n_public
+                 ~n_witness:(n_witness + dw) ~public:(Array.length public)
+                 ~witness:(Array.length witness)
+             with
+             | Error _ as e -> e
+             | Ok () when dr <> 0 -> Error "circuit shape diverged from setup"
+             | Ok () -> Zen_snark.R1cs.satisfied circuit ~public ~witness
+           in
+           let probe dw dr =
+             err
+               (Gadget.verdict ~public:n_public ~witness:(n_witness + dw)
+                  ~rows:(n_rows + dr) counted)
+             = err (expected dw dr)
+           in
+           List.for_all
+             (fun dw -> List.for_all (probe dw) [ -1; 0; 1 ])
+             [ -1; 0; 1 ]
+           && Gadget.public_values counted = public))
 
 (* The in-circuit Poseidon over long linear combinations: each input is
-   a sum of 1-20 witnesses. Synthesis, the value-recording run and the
-   prover's count-only run, which hashes natively, agree on the output
-   values and term counts, and on the witness and row counts. No
+   a sum of 1-20 witnesses. Synthesis and the prover's count-only run,
+   which hashes natively, agree on the output values and term counts,
+   and on the witness and row counts. No
    exported gadget reads a Poseidon output's term count (every
    permutation opens with a full round), so the test reads it, through
    an add chain long enough that a Poseidon lane would materialize it,
@@ -900,7 +861,7 @@ let test_gadget_verdict_equals_check =
 let test_poseidon_modes_agree =
   let sums = QCheck2.Gen.(list_size (int_range 1 20) (int_bound 1_000_000)) in
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"poseidon: synthesis = eval = count-only"
+    (QCheck2.Test.make ~name:"poseidon: synthesis = count-only"
        ~count:100
        QCheck2.Gen.(
          quad (pair sums sums) (list_size (int_range 0 5) sums) bool
@@ -930,46 +891,43 @@ let test_poseidon_modes_agree =
          let circuit, public, witness =
            Gadget.finalize ~name:"poseidon" shape
          in
-         let same_counts ctx =
-           Gadget.verdict ~public:(Array.length public)
-             ~witness:(Array.length witness)
-             ~rows:(Zen_snark.R1cs.num_constraints circuit)
-             ctx
-           = Ok ()
-         in
-         let eval = Gadget.create_eval ~public:0 ~witness:0 in
          let counted = Gadget.create_count ~public:0 in
-         seen (body eval) = synthesized
-         && seen (body counted) = synthesized
-         && Gadget.assignment eval = (public, witness)
-         && same_counts eval && same_counts counted))
+         seen (body counted) = synthesized
+         && Gadget.public_values counted = public
+         && Gadget.verdict ~public:(Array.length public)
+              ~witness:(Array.length witness)
+              ~rows:(Zen_snark.R1cs.num_constraints circuit)
+              counted
+            = Ok ()))
 
-(* ---- The fill builds no linear combination ---- *)
-
-(* An evaluation run allocates one record per wire and the value
-   columns, not the coefficient lists synthesis builds: one insert
-   fill at the default depth allocates 111,484 minor words. A fill
-   that copies the constant wires' lists, as synthesis does, takes
-   261,908; the bound sits halfway. *)
-let test_fill_allocation () =
-  let f = Lazy.force default_family in
-  let st = Sc_state.create Params.default in
-  match ok (step_job f (traced st (Sc_tx.Insert (utxo 0)))) with
-  | Circuits.Step (_, tpl, v, _, _) ->
-    (* The first fill builds the shared round-constant wires. *)
-    ignore (ok (Template.assign tpl v));
-    let before = Gc.minor_words () in
-    ignore (ok (Template.assign tpl v));
-    let words = Gc.minor_words () -. before in
-    checkb
-      (Printf.sprintf "depth-%d insert fill: %.0f minor words < 185k"
-         Params.default.mst_depth words)
-      true (words < 185_000.)
+(* One two-to-one hash in the circuit costs 263 rows and 263 witness
+   variables: 230 S-box multiplications (8 full rounds of 3 S-boxes and
+   22 partial rounds of 1, five rows each) and 33 materializations,
+   each one row with one fresh witness. The count-only run adds the
+   same counts without building the rounds. *)
+let test_poseidon2_cost () =
+  let body ctx =
+    let a = Gadget.witness ctx (Fp.of_int 3) in
+    let b = Gadget.witness ctx (Fp.of_int 5) in
+    ignore (Gadget.poseidon2 ctx a b)
+  in
+  let shape = Gadget.create () in
+  body shape;
+  let circuit, _, _ = Gadget.finalize ~name:"poseidon2" shape in
+  checki "rows" 263 (Zen_snark.R1cs.num_constraints circuit);
+  checki "witnesses past the two inputs" 263
+    (Zen_snark.R1cs.num_witness circuit - 2);
+  let counted = Gadget.create_count ~public:0 in
+  body counted;
+  Alcotest.(check (result unit string))
+    "count-only run: the same counts" (Ok ())
+    (Gadget.verdict ~public:0 ~witness:(2 + 263) ~rows:263 counted)
 
 (* The prover's run stores no witness value and hashes natively: one
    insert prove at the default depth allocates ~5.5k minor words and
-   nothing directly on the major heap, where a value-recording run
-   allocated 111,888 minor words and a 7,755-word witness array. Words
+   nothing directly on the major heap, where the value-recording fill
+   it replaced allocated 111,888 minor words and a 7,755-word witness
+   array. Words
    allocated directly on the major heap are its count less the words
    promoted to it. *)
 let test_prove_allocation () =
@@ -1106,7 +1064,7 @@ let test_wrong_post_refused () =
     steps
 
 (* A step invalid at its state keeps [prove_step]'s errors, and the
-   traced and assignment paths give the same ones. *)
+   traced path gives the same ones. *)
 let test_invalid_step_errors () =
   let f = Lazy.force family in
   let a = utxo 11 in
@@ -1125,8 +1083,6 @@ let test_invalid_step_errors () =
       let err r = match r with Ok _ -> "ok" | Error e -> e in
       Alcotest.(check string) "prove_step" expected
         (err (Circuits.prove_step f st step));
-      Alcotest.(check string) "step_assignment" expected
-        (err (Circuits.step_assignment f st step));
       Alcotest.(check string) "prove_traced with post = pre" expected
         (err (prove_traced f { Sc_tx.pre = st; step; post = st })))
     [
@@ -1144,8 +1100,6 @@ let suite =
       test_qcheck_equivalence;
       Alcotest.test_case "finalize off the hot path" `Quick
         test_finalize_off_hot_path;
-      Alcotest.test_case "eval assignment = synthesis" `Quick
-        test_eval_assignment_matches_synthesis;
       test_merge_template;
       test_aggregate_template;
       Alcotest.test_case "no finalize in merges or aggregation" `Quick
@@ -1162,7 +1116,7 @@ let suite =
       Alcotest.test_case "wcert binding row" `Quick test_wcert_binding_row;
       test_gadget_verdict_equals_check;
       test_poseidon_modes_agree;
-      Alcotest.test_case "fill allocation" `Quick test_fill_allocation;
+      Alcotest.test_case "poseidon2 costs 263 rows" `Quick test_poseidon2_cost;
       Alcotest.test_case "prover allocation" `Quick test_prove_allocation;
       Alcotest.test_case "prove counts no native hash" `Quick
         test_prove_counts_no_native_hash;
