@@ -1,4 +1,3 @@
-open Zendoo
 open Zen_latus
 
 let replay_epoch ~params:_ ~initial ~txs =
@@ -11,12 +10,3 @@ let epoch_data_bytes ~txs =
   List.fold_left
     (fun a tx -> a + String.length (Sc_wire.encode_tx tx))
     0 txs
-
-let check_withdrawals ~final ~claimed =
-  let produced = Sc_state.backward_transfers final in
-  if List.length produced <> List.length claimed then
-    Error "direct validation: withdrawal count mismatch"
-  else if
-    List.for_all2 Backward_transfer.equal produced claimed
-  then Ok ()
-  else Error "direct validation: withdrawal mismatch"

@@ -8,8 +8,6 @@
     Cost grows linearly with sidechain activity; experiment E7 plots it
     against the constant SNARK verification. *)
 
-open Zendoo
-
 val replay_epoch :
   params:Zen_latus.Params.t ->
   initial:Zen_latus.Sc_state.t ->
@@ -20,8 +18,3 @@ val replay_epoch :
 
 val epoch_data_bytes : txs:Zen_latus.Sc_tx.t list -> int
 (** Bytes the MC would need to download for the replay. *)
-
-val check_withdrawals :
-  final:Zen_latus.Sc_state.t ->
-  claimed:Backward_transfer.t list ->
-  (unit, string) result

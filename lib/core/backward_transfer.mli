@@ -19,6 +19,8 @@ val list_root : t list -> Hash.t
     [wcert_sysdata] (paper §4.1.2). *)
 
 val list_root_fp : t list -> Zen_crypto.Fp.t
+(** {!list_root} as a field element, the form a certificate proof that
+    binds its BT list would take; nothing proves that binding yet. *)
 
 val membership_proof : t list -> int -> Merkle.proof
 

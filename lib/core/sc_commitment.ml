@@ -142,7 +142,6 @@ let build ?(pool = Pool.sequential) entries =
   end
 
 let root t = Merkle.root t.tree
-let sidechain_count t = Hash.Map.cardinal t.by_id
 
 type membership = Merkle.proof
 

@@ -56,8 +56,6 @@ val verify_absence : root:Hash.t -> ledger_id:Hash.t -> absence -> bool
 
 val absence_size_bytes : absence -> int
 
-val sidechain_count : t -> int
-
 (** {2 Wire formats} — consumed by {!Zen_latus.Mc_ref}'s codec. *)
 
 val write_membership : Wire.writer -> membership -> unit

@@ -35,7 +35,8 @@ module Cache : sig
 
   val set_capacity : int -> unit
   (** Maximum number of cached outcomes (default 4096); FIFO eviction.
-      Shrinking evicts immediately. Raises [Invalid_argument] below 1. *)
+      Shrinking evicts immediately. Raises [Invalid_argument] below 1.
+      A test hook: only the eviction tests resize the cache. *)
 
   val size : unit -> int
   val clear : unit -> unit

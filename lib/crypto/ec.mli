@@ -79,7 +79,9 @@ module Field : sig
   val of_limbs : int array -> t
   (** Ten raw limbs, each within the bound every operation accepts:
       limbs 0–8 below 2^28, limb 9 below 2^22. Raises
-      [Invalid_argument] otherwise. *)
+      [Invalid_argument] otherwise. A test hook: the field tests feed
+      the operations non-canonical inputs at that bound, which
+      {!of_bytes} cannot build. *)
 
   val to_bytes : t -> string
   (** The canonical value, below p, as 32 big-endian bytes. *)

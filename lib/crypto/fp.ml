@@ -76,6 +76,4 @@ let inv a =
   if a = 0 then raise Division_by_zero;
   pow a (p - 2)
 
-let div a b = mul a (inv b)
-
 let to_string = string_of_int

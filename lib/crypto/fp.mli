@@ -36,6 +36,4 @@ val pow : t -> int -> t
 val inv : t -> t
 (** Multiplicative inverse. Raises [Division_by_zero] on zero. *)
 
-val div : t -> t -> t
-
 val to_string : t -> string

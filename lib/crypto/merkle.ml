@@ -55,7 +55,6 @@ let root t =
   let top = t.levels.(Array.length t.levels - 1) in
   top.(0)
 
-let leaf_count t = t.leaf_count
 let depth t = Array.length t.levels - 1
 
 let prove t i =

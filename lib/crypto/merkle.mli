@@ -24,7 +24,6 @@ val of_data : ?pool:Pool.t -> string list -> t
 (** Convenience: hashes each data block first. *)
 
 val root : t -> Hash.t
-val leaf_count : t -> int
 val depth : t -> int
 
 val prove : t -> int -> proof

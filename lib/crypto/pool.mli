@@ -105,19 +105,15 @@ val recommended_domains : unit -> int
 val domains : t -> int
 (** Total parallelism of the pool, including the calling domain. *)
 
-val parallel_for : t -> cost:float -> n:int -> (int -> unit) -> unit
-(** [parallel_for t ~cost ~n body] runs [body i] for every [i] in
-    [[0, n)], partitioned into chunks claimed dynamically by the
-    participants. [cost] is the estimated milliseconds one call of
-    [body] takes and drives the adaptive chunk size (see the module
-    preamble). [body] must be
-    safe to run concurrently at distinct indices. If any [body i]
-    raises, one such exception is re-raised in the caller after the
-    index space is drained; with [domains = 1] the exception propagates
-    directly from the failing index. *)
-
 val init_array : t -> cost:float -> int -> (int -> 'a) -> 'a array
-(** Parallel [Array.init]. For pure [f] the result is bit-identical to
+(** Parallel [Array.init]: the indices are partitioned into chunks
+    claimed dynamically by the participants. [cost] is the estimated
+    milliseconds one call of [f] takes and drives the adaptive chunk
+    size (see the module preamble). [f] must be safe to run
+    concurrently at distinct indices. If any [f i] raises, one such
+    exception is re-raised in the caller after the index space is
+    drained; with [domains = 1] the exception propagates directly from
+    the failing index. For pure [f] the result is bit-identical to
     [Array.init] for every domain count and cost hint. *)
 
 val map_array : t -> cost:float -> ('a -> 'b) -> 'a array -> 'b array

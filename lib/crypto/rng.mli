@@ -7,7 +7,7 @@
     {2 Seeding discipline under domains}
 
     A generator is a single mutable cell and is {b not} safe to share
-    across domains: concurrent [next64] calls race on [state] and, worse,
+    across domains: concurrent draws race on [state] and, worse,
     make every drawn value depend on scheduling, destroying
     reproducibility. The discipline for parallel code (see {!Pool}):
 
@@ -40,7 +40,6 @@ val derive : t -> int -> t
     finalizer over the offset state). This is the per-task seeding
     primitive for {!Pool}-parallel code. *)
 
-val next64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [[0, bound)]. Raises [Invalid_argument]
     if [bound <= 0]. *)

@@ -144,10 +144,6 @@ let feed_sub ctx (data : Bytes.t) pos len =
 (* Message bytes absorbed, before padding. *)
 let bytes_hashed = Zen_obs.Counter.make "crypto.sha256.bytes"
 
-let feed_bytes ctx b =
-  Zen_obs.Counter.add bytes_hashed (Bytes.length b);
-  feed_sub ctx b 0 (Bytes.length b)
-
 let feed ctx s =
   Zen_obs.Counter.add bytes_hashed (String.length s);
   feed_sub ctx (Bytes.unsafe_of_string s) 0 (String.length s)

@@ -7,7 +7,6 @@ type ctx
 
 val init : unit -> ctx
 val feed : ctx -> string -> unit
-val feed_bytes : ctx -> bytes -> unit
 
 val finalize : ctx -> string
 (** Returns the 32-byte digest. The context must not be reused. *)

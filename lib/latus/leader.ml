@@ -41,7 +41,6 @@ let of_mst mst =
   in
   of_list (M.bindings stakes)
 
-let total_stake d = d.total
 let is_empty d = Array.length d.bounds = 0
 
 let select d ~rand ~slot =

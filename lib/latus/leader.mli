@@ -16,7 +16,5 @@ val of_mst : Mst.t -> distribution
 
 val of_list : (Hash.t * Amount.t) list -> distribution
 
-val total_stake : distribution -> Amount.t
-
 val select : distribution -> rand:Hash.t -> slot:int -> Hash.t option
 (** The leader of [slot], or [None] on an empty distribution. *)

@@ -83,24 +83,3 @@ let verify ~ledger_id t =
 
 let block_hash t = Block.header_hash t.header
 let height t = t.header.height
-
-let size_bytes t =
-  let header_size = 4 + 4 + 4 + (4 * Hash.size) in
-  header_size
-  + (match t.mproof with
-    | Some m -> Sc_commitment.membership_size_bytes m
-    | None -> 0)
-  + (match t.proof_of_no_data with
-    | Some a -> Sc_commitment.absence_size_bytes a
-    | None -> 0)
-  + List.fold_left
-      (fun acc (ft : Forward_transfer.t) ->
-        acc + Hash.size + String.length ft.receiver_metadata + 8)
-      0 t.fts
-  + (List.length t.btrs * (Hash.size * 4))
-  + match t.wcert with
-    | None -> 0
-    | Some c ->
-      Hash.size + 16
-      + (List.length c.bt_list * (Hash.size + 8))
-      + Zen_snark.Backend.proof_size_bytes

@@ -30,8 +30,3 @@ val verify : ledger_id:Hash.t -> t -> (unit, string) result
 
 val block_hash : t -> Hash.t
 val height : t -> int
-val has_data : t -> bool
-
-val size_bytes : t -> int
-(** Approximate wire size: what the light-sync claim of §5.5.1 is
-    measured on (vs shipping the full MC block). *)

@@ -1,5 +1,4 @@
 open Zen_crypto
-open Zendoo
 
 module Int_map = Map.Make (Int)
 module Int_set = Set.Make (Int)
@@ -71,14 +70,6 @@ let apply_ops t ops =
     | Error e -> Error ("mst: " ^ e)
     | Ok tree -> Ok { t with tree; utxos; modified })
 
-let balance_of t addr =
-  Int_map.fold
-    (fun _ (u : Utxo.t) acc ->
-      if Hash.equal u.addr addr then
-        match Amount.add acc u.amount with Ok v -> v | Error _ -> acc
-      else acc)
-    t.utxos Amount.zero
-
 let utxos_of t addr =
   Int_map.fold
     (fun pos (u : Utxo.t) acc ->
@@ -87,18 +78,7 @@ let utxos_of t addr =
 
 let all_utxos t = Int_map.bindings t.utxos
 
-let total_value t =
-  Int_map.fold
-    (fun _ (u : Utxo.t) acc ->
-      match Amount.add acc u.amount with Ok v -> v | Error _ -> acc)
-    t.utxos Amount.zero
-
 let prove_slot t pos = Smt.prove t.tree pos
-
-let verify_slot ~root ~pos ~utxo ~depth proof =
-  Smt.verify ~root ~pos ~leaf:(Option.map Utxo.commitment utxo) ~depth proof
-
-let modified_since_snapshot t = Int_set.elements t.modified
 
 let delta_bits t =
   let nbytes = max 1 ((1 lsl t.params.mst_depth) / 8) in

@@ -9,7 +9,6 @@
     provers can open leaves. *)
 
 open Zen_crypto
-open Zendoo
 
 type t
 
@@ -38,25 +37,16 @@ val apply_ops : t -> op list -> (t, string) result
     {e distinct} touched slot; a single-op list is the single-slot
     write. Every touched slot counts as modified for the delta. *)
 
-val balance_of : t -> Hash.t -> Amount.t
-(** Total value held by an address — the stake function for leader
-    election. *)
-
 val utxos_of : t -> Hash.t -> (int * Utxo.t) list
 
 val all_utxos : t -> (int * Utxo.t) list
 (** Every occupied slot, in position order. *)
 
-val total_value : t -> Amount.t
-
 val prove_slot : t -> int -> Smt.proof
-val verify_slot :
-  root:Fp.t -> pos:int -> utxo:Utxo.t option -> depth:int -> Smt.proof -> bool
+(** The slot's Merkle path; a slot holding [u] opens against {!root}
+    with leaf [Utxo.commitment u] ({!Smt.verify}). *)
 
 (** {2 Delta tracking (Appendix A)} *)
-
-val modified_since_snapshot : t -> int list
-(** Positions written (in either direction) since the last snapshot. *)
 
 val delta_bits : t -> Bytes.t
 (** The [mst_delta] bit vector: bit [p] set iff slot [p] was modified

@@ -489,10 +489,7 @@ let build_certificate t ~mc =
 (* ---- Pipeline surface ---- *)
 
 let pump t = Proof_pipeline.pump t.pipeline
-let pipeline_depth t = Proof_pipeline.outstanding t.pipeline
 let certificate_stats t = List.rev (Proof_pipeline.certificate_log t.pipeline)
-
-let retained_records t = List.length t.records
 
 let state_at_epoch_end t ~epoch =
   Option.map (fun a -> a.end_state) (Int_map.find_opt epoch t.archives)

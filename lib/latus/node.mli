@@ -116,8 +116,6 @@ val create_withdrawal_request :
     epoch is used, the node first replays the mst_delta chain
     (Appendix A) to confirm the slot was never touched since. *)
 
-val leader_for_slot : t -> slot:int -> Hash.t option
-
 (** {2 Proving pipeline} *)
 
 val pump : t -> unit
@@ -127,14 +125,7 @@ val pump : t -> unit
     the epoch boundary. The harness calls this once per sidechain per
     tick, after forging. *)
 
-val pipeline_depth : t -> int
-(** Proving tasks enqueued but not yet folded. *)
-
 val certificate_stats : t -> Proof_pipeline.certificate_stats list
 (** Per-certificate certify-path accounting, oldest first: how many base transitions each epoch proof
     covers and how many merges actually ran at certify time. Both
     fields are deterministic in the seed. *)
-
-val retained_records : t -> int
-(** Block records currently held (after certified-horizon pruning) —
-    observability for the bounded-memory guarantee. *)

@@ -96,10 +96,6 @@ val leaf_results :
 val leaves : t -> epoch:int -> int
 (** Tasks enqueued for [epoch] so far (0 for an unknown epoch). *)
 
-val outstanding : t -> int
-(** Tasks enqueued but not yet folded, across all epochs — the value of
-    the [latus.pipeline.depth] gauge. *)
-
 val truncate : t -> epoch:int -> keep:int -> unit
 (** MC-reorg rollback: keep only the first [keep] leaves of [epoch]'s
     stream and rebuild its fold from the already-proven kept prefix (no

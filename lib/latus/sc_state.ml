@@ -13,16 +13,13 @@ let create params =
 
 let hash t = Poseidon.hash2 (Mst.root t.mst) t.bt_acc
 
-let bt_acc_step acc (bt : Backward_transfer.t) =
-  let recv, amt = Backward_transfer.to_fp_pair bt in
-  Poseidon.hash2 acc (Poseidon.hash2 recv amt)
-
 let append_bt t bt =
+  let recv, amt = Backward_transfer.to_fp_pair bt in
   {
     t with
     bts_rev = bt :: t.bts_rev;
     bt_count = t.bt_count + 1;
-    bt_acc = bt_acc_step t.bt_acc bt;
+    bt_acc = Poseidon.hash2 t.bt_acc (Poseidon.hash2 recv amt);
   }
 
 let backward_transfers t = List.rev t.bts_rev

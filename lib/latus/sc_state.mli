@@ -28,17 +28,16 @@ val hash : t -> Fp.t
 (** [s_i] of §5.4: what base and merge proofs bind. *)
 
 val append_bt : t -> Backward_transfer.t -> t
-(** O(1): prepends internally and steps the accumulator; the
-    accumulator order (oldest first) is unchanged. *)
+(** O(1): prepends internally and steps the accumulator,
+    [bt_acc' = H(bt_acc, H(receiver, amount))] over
+    {!Backward_transfer.to_fp_pair} — the step the BT gadgets replay
+    in-circuit; the accumulator order (oldest first) is unchanged. *)
 
 val backward_transfers : t -> Backward_transfer.t list
 (** The epoch's backward transfers, oldest first — the order the
     accumulator folded them in and the order certificates carry. *)
 
 val bt_count : t -> int
-
-val bt_acc_step : Fp.t -> Backward_transfer.t -> Fp.t
-(** One accumulator step — replayed in-circuit by the BT gadgets. *)
 
 val reset_epoch : t -> t
 (** New withdrawal epoch: clears the BT list and accumulator and takes

@@ -57,18 +57,22 @@ let parse_ft_metadata s =
   else
     Some (Hash.of_raw (String.sub s 0 32), Hash.of_raw (String.sub s 32 32))
 
-type ft_outcome =
-  | Ft_accepted of Utxo.t
-  | Ft_rejected of Backward_transfer.t
+type step =
+  | Remove of Utxo.t
+  | Insert of Utxo.t
+  | Append_bt of Backward_transfer.t
 
-(* A rejected FT with unparseable metadata still needs a payback
+(* An FT mints the receiver's coin, or bounces its amount back as a BT
+   (§5.3.2) when the metadata is malformed or the coin's MST slot is
+   taken. A rejected FT with unparseable metadata still needs a payback
    target; the zero address burns the coins on the mainchain side,
    which is the strictest safe interpretation. *)
-let ft_outcome (state : Sc_state.t) (ft : Forward_transfer.t) =
+let ft_steps (state : Sc_state.t) (ft : Forward_transfer.t) =
+  let bounce receiver_addr =
+    [ Append_bt (Backward_transfer.make ~receiver_addr ~amount:ft.amount) ]
+  in
   match parse_ft_metadata ft.receiver_metadata with
-  | None ->
-    Ft_rejected
-      (Backward_transfer.make ~receiver_addr:Hash.zero ~amount:ft.amount)
+  | None -> bounce Hash.zero
   | Some (receiver, payback) ->
     let nonce =
       Utxo.derive_nonce ~source:(Forward_transfer.hash ft) ~index:0
@@ -76,30 +80,26 @@ let ft_outcome (state : Sc_state.t) (ft : Forward_transfer.t) =
     let utxo = Utxo.make ~addr:receiver ~amount:ft.amount ~nonce in
     let pos = Utxo.position ~mst_depth:(Mst.depth state.mst) utxo in
     (match Mst.get state.mst pos with
-    | Some _ ->
-      Ft_rejected (Backward_transfer.make ~receiver_addr:payback ~amount:ft.amount)
-    | None -> Ft_accepted utxo)
+    | Some _ -> bounce payback
+    | None -> [ Insert utxo ])
 
-type btr_outcome =
-  | Btr_accepted of Utxo.t * Backward_transfer.t
-  | Btr_skipped of string
-
-let btr_outcome (state : Sc_state.t) (btr : Mainchain_withdrawal.t) =
+(* A BTR spends its coin into a BT to the MC receiver, or does nothing
+   when the request names no coin of the current state. *)
+let btr_steps (state : Sc_state.t) (btr : Mainchain_withdrawal.t) =
   match btr.proofdata with
   | [ Proofdata.Blob blob ] -> (
     match Utxo.decode blob with
-    | None -> Btr_skipped "btr: undecodable utxo"
-    | Some utxo ->
-      if not (Amount.equal utxo.amount btr.amount) then
-        Btr_skipped "btr: amount mismatch"
-      else if Mst.find_utxo state.mst utxo = None then
-        Btr_skipped "btr: utxo not in current state"
-      else
-        Btr_accepted
-          ( utxo,
-            Backward_transfer.make ~receiver_addr:btr.receiver
-              ~amount:btr.amount ))
-  | _ -> Btr_skipped "btr: unexpected proofdata shape"
+    | Some utxo
+      when Amount.equal utxo.amount btr.amount
+           && Mst.find_utxo state.mst utxo <> None ->
+      [
+        Remove utxo;
+        Append_bt
+          (Backward_transfer.make ~receiver_addr:btr.receiver
+             ~amount:btr.amount);
+      ]
+    | Some _ | None -> [])
+  | _ -> []
 
 let ( let* ) = Result.bind
 
@@ -178,11 +178,6 @@ let validate_bt (state : Sc_state.t) (b : backward) =
     ~sighash:(bt_sighash ~input:b.bt_input ~bt:b.bt)
     b.bt_input b.bt_witness
 
-type step =
-  | Remove of Utxo.t
-  | Insert of Utxo.t
-  | Append_bt of Backward_transfer.t
-
 (* The merged commit: MST inserts/removes go through one
    [Mst.apply_ops] traversal, BT appends fold separately (they touch
    the accumulator, not the tree, so the two commute). Ordering within
@@ -252,17 +247,9 @@ let transition state tx =
       let* () = validate_bt state b in
       trace_onto state [] [ Remove b.bt_input; Append_bt b.bt ]
     | Forward_transfers_tx { fts; _ } ->
-      Ok
-        (trace_outcomes state fts (fun st ft ->
-             match ft_outcome st ft with
-             | Ft_accepted u -> [ Insert u ]
-             | Ft_rejected bt -> [ Append_bt bt ]))
+      Ok (trace_outcomes state fts ft_steps)
     | Backward_transfer_requests_tx { btrs; _ } ->
-      Ok
-        (trace_outcomes state btrs (fun st btr ->
-             match btr_outcome st btr with
-             | Btr_skipped _ -> []
-             | Btr_accepted (u, bt) -> [ Remove u; Append_bt bt ]))
+      Ok (trace_outcomes state btrs btr_steps)
   in
   Ok (state', List.rev out)
 

@@ -51,22 +51,6 @@ val bt_sighash : input:Utxo.t -> bt:Backward_transfer.t -> Hash.t
 
 val ft_metadata : receiver:Hash.t -> payback:Hash.t -> string
 
-type ft_outcome =
-  | Ft_accepted of Utxo.t
-  | Ft_rejected of Backward_transfer.t
-      (** coins bounce back to the payback address via the standard BT
-          mechanism (§5.3.2) *)
-
-val ft_outcome : Sc_state.t -> Forward_transfer.t -> ft_outcome
-(** Deterministic: malformed metadata or an MST slot collision rejects
-    the transfer. *)
-
-type btr_outcome =
-  | Btr_accepted of Utxo.t * Backward_transfer.t
-  | Btr_skipped of string
-
-val btr_outcome : Sc_state.t -> Mainchain_withdrawal.t -> btr_outcome
-
 (** {2 State transitions}
 
     Every transaction decomposes into a sequence of primitive state
@@ -92,9 +76,12 @@ val transition :
     witnesses, nonce discipline, conservation, BT amount), then applies
     each step exactly once. Returns the post-state and the {!traced}
     record of every step in application order. FT and BTR outcomes are
-    computed against the state their predecessors left (an FT bounces
-    on a slot collision, a BTR is skipped when its coin is gone); they
-    never fail. *)
+    computed against the state their predecessors left; they never
+    fail. An FT inserts its receiver's coin, or appends a BT of its
+    amount when its coin's slot is taken (to the payback address, §5.3.2)
+    or its metadata is malformed (to the zero address, which burns the
+    coins). A BTR removes its coin and appends a BT to its receiver, or
+    has no step when the coin is gone or does not match the request. *)
 
 val validate : Sc_state.t -> t -> (unit, string) result
 (** {!transition}'s verdict. FT and BTR transactions are always [Ok]:

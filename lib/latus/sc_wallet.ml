@@ -9,7 +9,6 @@ type t = Wallet.t
 let create ~seed = Wallet.create ~seed:("latus." ^ seed)
 let fresh_address = Wallet.fresh_address
 let addresses = Wallet.addresses
-let sign_request = Wallet.sign_for
 let secret_for = Wallet.secret_for
 
 (* Newest key first, so equal amounts keep that order through the
@@ -82,7 +81,7 @@ let build_payment t (state : Sc_state.t) ~to_ ~amount =
     List.fold_left
       (fun acc (u : Utxo.t) ->
         let* ws = acc in
-        match sign_request t ~addr:u.addr ~msg:(Hash.to_raw sighash) with
+        match Wallet.sign_for t ~addr:u.addr ~msg:(Hash.to_raw sighash) with
         | None -> Error "sc wallet: missing key"
         | Some w -> Ok (ws @ [ w ]))
       (Ok []) inputs
@@ -95,7 +94,7 @@ let build_backward_transfer t (_state : Sc_state.t) ~utxo ~mc_receiver =
       ~amount:utxo.Utxo.amount
   in
   let sighash = Sc_tx.bt_sighash ~input:utxo ~bt in
-  match sign_request t ~addr:utxo.Utxo.addr ~msg:(Hash.to_raw sighash) with
+  match Wallet.sign_for t ~addr:utxo.Utxo.addr ~msg:(Hash.to_raw sighash) with
   | None -> Error "sc wallet: not our utxo"
   | Some w ->
     Ok (Sc_tx.Backward_transfer_tx { bt_input = utxo; bt_witness = w; bt })

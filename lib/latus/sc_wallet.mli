@@ -38,8 +38,6 @@ val build_backward_transfer :
   (Sc_tx.t, string) result
 (** Spends exactly [utxo] into a BT for the mainchain (§5.3.3). *)
 
-val sign_request : t -> addr:Hash.t -> msg:string -> (Schnorr.public_key * Schnorr.signature) option
-
 val secret_for : t -> Hash.t -> Schnorr.secret_key option
 (** The signing key behind an address — used by the forger to seal
     blocks it leads. *)

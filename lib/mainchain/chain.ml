@@ -24,11 +24,9 @@ let tip_hash t = t.tip
 
 let node_exn t h = Hash.Map.find h t.nodes
 let tip_state t = (node_exn t t.tip).state
-let tip_block t = (node_exn t t.tip).block
 let height t = (tip_state t).height
 
 let block t h = Option.map (fun n -> n.block) (Hash.Map.find_opt h t.nodes)
-let state_of t h = Option.map (fun n -> n.state) (Hash.Map.find_opt h t.nodes)
 
 (* Depth of the reorg: how many blocks of the old best chain are not
    ancestors of the new tip. *)
@@ -75,14 +73,6 @@ let add_block ?pool t (b : Block.t) =
         end
         else Ok (t', Side_branch))
   end
-
-let best_chain t =
-  let rec go h acc =
-    let n = node_exn t h in
-    if n.block.header.height = 0 then n.block :: acc
-    else go n.block.header.prev (n.block :: acc)
-  in
-  go t.tip []
 
 (* What a reorg disconnected and connected, both oldest first. Walking
    from [old_tip] until a block on the (new) best chain gives the

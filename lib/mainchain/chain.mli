@@ -22,11 +22,9 @@ val params : t -> Chain_state.params
 
 val tip_hash : t -> Hash.t
 val tip_state : t -> Chain_state.t
-val tip_block : t -> Block.t
 val height : t -> int
 
 val block : t -> Hash.t -> Block.t option
-val state_of : t -> Hash.t -> Chain_state.t option
 
 val add_block : ?pool:Pool.t -> t -> Block.t -> (t * outcome, string) result
 (** Validates against the parent's state and inserts. Duplicate blocks
@@ -35,9 +33,6 @@ val add_block : ?pool:Pool.t -> t -> Block.t -> (t * outcome, string) result
     {!Chain_state.apply_block} for batch proof verification and the
     commitment rebuild; outcomes are identical for every domain
     count. *)
-
-val best_chain : t -> Block.t list
-(** Genesis → tip. *)
 
 val on_best_chain : t -> Hash.t -> bool
 (** Whether a block hash lies on the current best chain. *)

@@ -43,7 +43,6 @@ let spendable t outpoint ~at_height =
   | Some _ | None -> None
 
 let sc_balance t id = Sc_ledger.balance t.scs id
-let circulating t = Utxo_set.total_value t.utxos
 
 let ( let* ) = Result.bind
 

@@ -35,10 +35,6 @@ val block_hash_at : t -> int -> Hash.t option
 (** Hash of this chain's block at the given height — O(log height),
     called once per certificate verification. *)
 
-val distinct_outpoints : Tx.outpoint list -> bool
-(** No outpoint appears twice (hashed single pass). Exposed for
-    property tests against the naive quadratic reference. *)
-
 val apply_tx :
   ?settled:Hash.Set.t ->
   t ->
@@ -81,5 +77,3 @@ val prewarm_verifier : ?pool:Pool.t -> t -> Tx.t list -> unit
     thrown away). *)
 
 val sc_balance : t -> Hash.t -> Amount.t option
-val circulating : t -> Amount.t
-(** Total value in the UTXO set (supply audit helper). *)

@@ -21,8 +21,6 @@ type t =
 
 let outpoint_encode o = Hash.to_raw o.txid ^ Printf.sprintf "%08x" o.vout
 
-let outpoint_equal a b = a.vout = b.vout && Hash.equal a.txid b.txid
-
 let coin_output_encode (c : coin_output) =
   Hash.to_raw c.addr ^ string_of_int (Amount.to_int c.amount)
 

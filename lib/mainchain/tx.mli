@@ -43,5 +43,4 @@ val transfer_value_out : output list -> (Amount.t, string) result
 
 val forward_transfers : t -> Forward_transfer.t list
 
-val outpoint_equal : outpoint -> outpoint -> bool
 val outpoint_encode : outpoint -> string

@@ -72,12 +72,6 @@ let cardinal t = M.cardinal t.coins
 let fold t ~init ~f =
   M.fold (fun _ e acc -> f acc e.outpoint e.coin) t.coins init
 
-let total_value t =
-  fold t ~init:Amount.zero ~f:(fun acc _ c ->
-      match Amount.add acc c.amount with
-      | Ok v -> v
-      | Error _ -> acc (* unreachable: supply is capped *))
-
 (* Same list the historical full scan produced (descending outpoint
    key): both fold ascending and prepend, and the bucket holds exactly
    the address's entries. *)

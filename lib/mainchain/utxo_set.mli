@@ -22,7 +22,6 @@ val find : t -> Tx.outpoint -> coin option
 val add : t -> Tx.outpoint -> coin -> t
 val remove : t -> Tx.outpoint -> t
 val cardinal : t -> int
-val total_value : t -> Amount.t
 val fold : t -> init:'a -> f:('a -> Tx.outpoint -> coin -> 'a) -> 'a
 
 val apply_batch : t -> (Tx.outpoint * coin option) list -> t

@@ -144,21 +144,14 @@ let longest candidates =
         else best)
     None candidates
 
-let critical_path_of ?root forest =
-  let start =
-    match root with
-    | None -> longest (List.filter (fun n -> n.event.Trace.phase = Trace.Complete) forest)
-    | Some name ->
-      fold_forest
-        (fun best n ->
-          if
-            String.equal n.event.Trace.name name
-            && n.event.Trace.phase = Trace.Complete
-          then longest (n :: Option.to_list best)
-          else best)
-        None forest
-  in
-  match start with
+(* The dominant chain: from the longest root span, repeatedly descend
+   into the longest child span; ties resolve to the earliest
+   [(ts, seq)]. Empty if the forest holds no Complete span. *)
+let critical_path forest =
+  match
+    longest
+      (List.filter (fun n -> n.event.Trace.phase = Trace.Complete) forest)
+  with
   | None -> []
   | Some root_node ->
     let root_dur = dur root_node in
@@ -182,8 +175,6 @@ let critical_path_of ?root forest =
       | Some next -> descend next (step n :: acc)
     in
     descend root_node []
-
-let critical_path ?root () = critical_path_of ?root (forest ())
 
 (* ---- registry snapshots shared by both renderings ---- *)
 
@@ -250,7 +241,7 @@ let human () =
   let wall = total_wall_s f in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "\n=== zen_obs report ===\n";
-  (match critical_path_of f with
+  (match critical_path f with
   | [] -> Buffer.add_string buf "\n(no spans recorded)\n"
   | root :: _ as path ->
     add_table buf
@@ -333,7 +324,7 @@ let path_step_json s =
 let to_json ?(extras = []) () =
   let f = forest () in
   let wall = total_wall_s f in
-  let path = critical_path_of f in
+  let path = critical_path f in
   let agg_json aggs =
     Json.Arr
       (List.map

@@ -79,9 +79,12 @@ let validate p =
   else if p.phases < 1 || p.phases > 1024 then err "phases must be in [1, 1024]"
   else if p.burst < 0 || p.burst > 100 then err "burst must be in [0, 100]"
   else if
-    p.mix.payment < 0 || p.mix.ft < 0 || p.mix.bt < 0 || p.mix.btr < 0
+    (* each share is bounded first, so the sum cannot wrap to 100 *)
+    List.exists
+      (fun share -> share < 0 || share > 100)
+      [ p.mix.payment; p.mix.ft; p.mix.bt; p.mix.btr ]
     || p.mix.payment + p.mix.ft + p.mix.bt + p.mix.btr <> 100
-  then err "mix must be non-negative and sum to 100"
+  then err "mix shares must be in [0, 100] and sum to 100"
   else if p.mst_depth < 4 || p.mst_depth > 28 then
     err "mst-depth must be in [4, 28]"
   else if p.seed_coins < 0 || p.seed_coins > 1 lsl (p.mst_depth - 2) then

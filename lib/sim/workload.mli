@@ -13,7 +13,7 @@
 open Zen_crypto
 
 type mix = { payment : int; ft : int; bt : int; btr : int }
-(** Percentages; must sum to 100. *)
+(** Percentages, each in [[0, 100]], summing to 100. *)
 
 type profile = {
   name : string;
@@ -35,8 +35,6 @@ val smoke : profile
 val soak : profile
 (** The E17 profile: 1M users, 110k txs/epoch over 16 phases, 40%
     bursts, reorg every 7th phase. *)
-
-val builtins : profile list
 
 val validate : profile -> (profile, string) result
 

@@ -143,5 +143,3 @@ let vk_decode s =
 
 let proof_encode p = p
 let proof_decode s = if String.length s = proof_size_bytes then Some s else None
-let proof_equal = String.equal
-let dummy_proof = String.make proof_size_bytes '\000'

@@ -75,9 +75,3 @@ val proof_encode : proof -> string
 (** Exactly [proof_size_bytes] bytes. *)
 
 val proof_decode : string -> proof option
-
-val proof_equal : proof -> proof -> bool
-
-val dummy_proof : proof
-(** An all-zero proof object, guaranteed to fail verification; used by
-    adversarial tests and workload generators. *)

@@ -92,7 +92,6 @@ let witness ctx v =
   { lc; terms = 1; value = v }
 
 let const v = { lc = Some [ (v, R1cs.one_var) ]; terms = 1; value = v }
-let const_int n = const (Fp.of_int n)
 let value w = w.value
 let terms w = w.terms
 
@@ -154,10 +153,10 @@ let select ctx ~cond a b =
   (* b + cond·(a − b): one multiplication. *)
   add b (mul ctx cond (sub a b))
 
-let to_bits ctx w n =
+let assert_le_bits ctx w n =
   let v = Fp.to_int w.value in
   if n < 61 && v lsr n <> 0 then
-    invalid_arg "Gadget.to_bits: value does not fit";
+    invalid_arg "Gadget.assert_le_bits: value does not fit";
   let bits =
     List.init n (fun i -> witness ctx (Fp.of_int ((v lsr i) land 1)))
   in
@@ -165,10 +164,7 @@ let to_bits ctx w n =
   let recomposed =
     List.mapi (fun i b -> scale (Fp.pow Fp.two i) b) bits |> sum
   in
-  assert_eq ~label:"to_bits.sum" ctx recomposed w;
-  bits
-
-let assert_le_bits ctx w n = ignore (to_bits ctx w n)
+  assert_eq ~label:"to_bits.sum" ctx recomposed w
 
 (* In-circuit Poseidon: mirrors Zen_crypto.Poseidon.permute exactly so
    the wire values equal the native hash. The S-box x^17 costs five

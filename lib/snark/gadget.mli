@@ -41,7 +41,7 @@ val create_count : public:int -> ctx
     {!public_values}); the witness column keeps only its length. The
     run counts the rows synthesis would have emitted, in synthesis
     order, and checks each assertion row ({!assert_eq},
-    {!assert_bool}, and so {!to_bits}'s bool and sum rows) on the wire
+    {!assert_bool}, and so {!assert_le_bits}'s bool and sum rows) on the wire
     values when it reaches it, keeping the first that fails. Every
     other row holds by construction: a multiplication, a
     materialization or {!is_zero}'s hints compute their output wire as
@@ -64,7 +64,6 @@ val input : ctx -> Fp.t -> wire
 
 val witness : ctx -> Fp.t -> wire
 val const : Fp.t -> wire
-val const_int : int -> wire
 
 val value : wire -> Fp.t
 
@@ -91,13 +90,11 @@ val is_zero : ctx -> wire -> wire
 val select : ctx -> cond:wire -> wire -> wire -> wire
 (** [select ~cond a b] is [a] when the boolean [cond] is 1, else [b]. *)
 
-val to_bits : ctx -> wire -> int -> wire list
-(** Little-endian bit decomposition into [n] boolean wires, with the
-    recomposition constraint. Raises at synthesis if the value does not
-    fit. Acts as a range check. *)
-
 val assert_le_bits : ctx -> wire -> int -> unit
-(** Range check: value fits in [n] bits. *)
+(** Range check: the value fits in [n] bits. Decomposes it into [n]
+    little-endian boolean witness wires (one bool row each) and
+    constrains their recomposition to equal it (one sum row). Raises
+    [Invalid_argument] at synthesis if the value does not fit. *)
 
 val poseidon2 : ctx -> wire -> wire -> wire
 (** In-circuit two-to-one Poseidon; matches {!Zen_crypto.Poseidon.hash2}. *)

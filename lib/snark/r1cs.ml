@@ -88,7 +88,6 @@ let finalize ~name b =
 let name c = c.name
 let num_constraints c = Array.length c.rows
 let num_public c = c.n_public
-let num_vars c = c.n_vars
 let num_witness c = c.n_vars - 1 - c.n_public
 let digest c = c.digest
 

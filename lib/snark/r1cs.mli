@@ -47,7 +47,6 @@ val name : circuit -> string
 val num_constraints : circuit -> int
 val num_public : circuit -> int
 val num_witness : circuit -> int
-val num_vars : circuit -> int
 (** Total assignment length including the constant. *)
 
 val digest : circuit -> Hash.t

@@ -47,10 +47,7 @@ let create ~name ~base_vks =
 let merge_vk sys = (Template.keys sys.merge_tpl).vk
 let merge_template sys = sys.merge_tpl
 
-let base_public ~s_from ~s_to ~extra =
-  Array.append [| s_from; s_to |] extra
-
-let public_of t = base_public ~s_from:t.s_from ~s_to:t.s_to ~extra:t.extra
+let public_of t = Array.append [| t.s_from; t.s_to |] t.extra
 
 let verify sys t =
   let vk =

@@ -30,11 +30,9 @@ val create : name:string -> base_vks:Backend.verification_key list -> system
 
 val merge_template : system -> (Fp.t * Fp.t * Fp.t) Template.t
 (** The compiled merge circuit over [(s_from, s_mid, s_to)]: its keys
-    are set up once by {!create}, and {!merge} only proves with it. *)
-
-val base_public : s_from:Fp.t -> s_to:Fp.t -> extra:Fp.t array -> Fp.t array
-(** Assembles the public-input vector convention for base circuits:
-    [(s_from, s_to, extra…)]. *)
+    are set up once by {!create}, and {!merge} only proves with it. A
+    test hook: the template tests prove with it directly, to compare
+    the count-only prover against synthesis and to pin its digest. *)
 
 val of_base :
   system ->

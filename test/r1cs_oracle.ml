@@ -45,7 +45,7 @@ let csr_of_rows (select : R1cs.constr -> R1cs.lc) cs =
 let of_circuit circuit =
   let cs = R1cs.constraints circuit in
   {
-    n_vars = R1cs.num_vars circuit;
+    n_vars = 1 + R1cs.num_public circuit + R1cs.num_witness circuit;
     n_constraints = Array.length cs;
     ma = csr_of_rows (fun c -> c.a) cs;
     mb = csr_of_rows (fun c -> c.b) cs;

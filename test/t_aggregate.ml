@@ -190,8 +190,29 @@ let certified_epochs h (sc : Harness.sidechain) =
         c.Sc_ledger.cert.Withdrawal_certificate.epoch_id)
       s.Sc_ledger.certs
 
+(* Genesis → [hash], read back through [Chain.block]. *)
+let blocks_to chain hash =
+  let rec go h acc =
+    let b = Option.get (Chain.block chain h) in
+    if b.Block.header.height = 0 then b :: acc else go b.header.prev (b :: acc)
+  in
+  go hash []
+
+(* The state after block [hash]: its branch replayed onto a fresh
+   chain from the same genesis. *)
+let state_after chain hash =
+  match blocks_to chain hash with
+  | [] -> assert false
+  | genesis :: rest ->
+    List.fold_left
+      (fun c b -> fst (ok (Chain.add_block c b)))
+      (Chain.create ~params:(Chain.params chain) ~time:genesis.header.time ())
+      rest
+    |> Chain.tip_state
+
 let aggregated_blocks h =
-  Chain.best_chain h.Harness.chain
+  let chain = h.Harness.chain in
+  blocks_to chain (Chain.tip_hash chain)
   |> List.filter (fun (b : Block.t) -> b.aggregate <> None)
 
 let test_one_proof_per_block () =
@@ -232,9 +253,10 @@ let test_wire_roundtrip_with_aggregate () =
         (Hash.equal (Aggregate.digest a) (Aggregate.digest a'))
     | _ -> Alcotest.fail "aggregate lost in the codec");
     checkb "decoded block still validates" true
-      (match Chain.state_of h.Harness.chain b.header.prev with
-      | None -> false
-      | Some parent -> Result.is_ok (Chain_state.apply_block parent decoded))
+      (Result.is_ok
+         (Chain_state.apply_block
+            (state_after h.Harness.chain b.header.prev)
+            decoded))
 
 (* Every tampered-aggregate shape must REJECT the block — never fall
    back to per-certificate validation. *)
@@ -251,7 +273,7 @@ let test_tampered_aggregate_rejects_block () =
     | None -> List.hd (aggregated_blocks h)
   in
   let agg = Option.get b.aggregate in
-  let parent = Option.get (Chain.state_of h.Harness.chain b.header.prev) in
+  let parent = state_after h.Harness.chain b.header.prev in
   let pow = (Chain.params h.Harness.chain).pow in
   let reassemble aggregate =
     ok

@@ -31,13 +31,13 @@ let sample_cert =
         Backward_transfer.make ~receiver_addr:(Hash.of_string "fuzz-r")
           ~amount:(amount 11);
       ]
-    ~proofdata:sample_proofdata ~proof:Zen_snark.Backend.dummy_proof
+    ~proofdata:sample_proofdata ~proof:Fixtures.zero_proof
 
 let sample_withdrawal =
   Mainchain_withdrawal.make ~kind:Mainchain_withdrawal.Csw
     ~ledger_id:(Hash.of_string "fuzz-sc") ~receiver:(Hash.of_string "fuzz-w")
     ~amount:(amount 21) ~nullifier:(Hash.of_string "fuzz-nf")
-    ~proofdata:sample_proofdata ~proof:Zen_snark.Backend.dummy_proof
+    ~proofdata:sample_proofdata ~proof:Fixtures.zero_proof
 
 let sample_config =
   ok

@@ -62,9 +62,9 @@ let test_mst_balance () =
   let m, _ = ok (mst_insert m (utxo ~addr:"alice" ~amt:5 "x")) in
   let m, _ = ok (mst_insert m (utxo ~addr:"alice" ~amt:7 "y")) in
   let m, _ = ok (mst_insert m (utxo ~addr:"bob" ~amt:11 "z")) in
-  checki "alice" 12 (Amount.to_int (Mst.balance_of m (Hash.of_string "alice")));
-  checki "bob" 11 (Amount.to_int (Mst.balance_of m (Hash.of_string "bob")));
-  checki "total" 23 (Amount.to_int (Mst.total_value m))
+  checki "alice" 12 (Fixtures.balance m (Hash.of_string "alice"));
+  checki "bob" 11 (Fixtures.balance m (Hash.of_string "bob"));
+  checki "total" 23 (Fixtures.total_value m)
 
 let test_mst_delta () =
   let m = Mst.create params in
@@ -74,10 +74,11 @@ let test_mst_delta () =
   let delta = Mst.delta_bits m in
   checkb "bit p1" true (Mst.delta_bit delta p1);
   checkb "bit p2" true (Mst.delta_bit delta p2);
-  checki "exactly two" 2 (List.length (Mst.modified_since_snapshot m));
+  checki "exactly two" 2
+    (List.length (Fixtures.delta_positions (Mst.delta_bits m)));
   (* snapshot clears; removal after snapshot re-marks *)
   let m = Mst.snapshot m in
-  checki "cleared" 0 (List.length (Mst.modified_since_snapshot m));
+  checki "cleared" 0 (List.length (Fixtures.delta_positions (Mst.delta_bits m)));
   let m, _ = ok (mst_remove m u1) in
   let delta2 = Mst.delta_bits m in
   checkb "re-marked" true (Mst.delta_bit delta2 p1);
@@ -107,10 +108,11 @@ let test_mst_slot_proofs () =
   let m, pos = ok (mst_insert m u) in
   let p = Mst.prove_slot m pos in
   checkb "member" true
-    (Mst.verify_slot ~root:(Mst.root m) ~pos ~utxo:(Some u)
+    (Smt.verify ~root:(Mst.root m) ~pos ~leaf:(Some (Utxo.commitment u))
        ~depth:params.mst_depth p);
   checkb "wrong utxo" false
-    (Mst.verify_slot ~root:(Mst.root m) ~pos ~utxo:(Some (utxo "imposter"))
+    (Smt.verify ~root:(Mst.root m) ~pos
+       ~leaf:(Some (Utxo.commitment (utxo "imposter")))
        ~depth:params.mst_depth p)
 
 (* ---- state / transactions ---- *)
@@ -119,6 +121,18 @@ let wallet seed =
   let w = Sc_wallet.create ~seed in
   let addr = Sc_wallet.fresh_address w in
   (w, addr)
+
+(* A payment witness: the key behind [addr] signs [sighash]. *)
+let sign w addr sighash =
+  let sk = Option.get (Sc_wallet.secret_for w addr) in
+  (Schnorr.public_of_secret sk, Schnorr.sign sk (Hash.to_raw sighash))
+
+(* The steps [tx] applies to [st], in order. *)
+let steps_of st tx =
+  List.map (fun (t : Sc_tx.traced) -> t.step) (snd (ok (Sc_tx.transition st tx)))
+
+let ft_steps st ft =
+  steps_of st (Sc_tx.Forward_transfers_tx { mcid = Hash.zero; fts = [ ft ] })
 
 let state_with utxos =
   let st = Sc_state.create params in
@@ -134,9 +148,9 @@ let test_payment_roundtrip () =
   let st = state_with [ coin ] in
   let tx = ok (Sc_wallet.build_payment w1 st ~to_:a2 ~amount:(amount 30)) in
   let st' = ok (Sc_tx.apply st tx) in
-  checki "receiver" 30 (Amount.to_int (Mst.balance_of st'.Sc_state.mst a2));
-  checki "change" 70 (Amount.to_int (Mst.balance_of st'.Sc_state.mst a1));
-  checki "value conserved" 100 (Amount.to_int (Mst.total_value st'.Sc_state.mst))
+  checki "receiver" 30 (Fixtures.balance st'.Sc_state.mst a2);
+  checki "change" 70 (Fixtures.balance st'.Sc_state.mst a1);
+  checki "value conserved" 100 (Fixtures.total_value st'.Sc_state.mst)
 
 let test_payment_rejects_bad_sig () =
   let w1, a1 = wallet "sig1" in
@@ -165,7 +179,7 @@ let test_payment_rejects_overdraw_and_foreign_nonce () =
   in
   let sighash = Sc_tx.payment_sighash ~inputs ~outputs in
   let witnesses =
-    [ Option.get (Sc_wallet.sign_request w1 ~addr:a1 ~msg:(Hash.to_raw sighash)) ]
+    [ sign w1 a1 sighash ]
   in
   checkb "foreign nonce rejected" true
     (Result.is_error
@@ -213,7 +227,7 @@ let test_payment_output_slots () =
   in
   let sighash = Sc_tx.payment_sighash ~inputs:[ c ] ~outputs in
   let witnesses =
-    [ Option.get (Sc_wallet.sign_request w1 ~addr:a1 ~msg:(Hash.to_raw sighash)) ]
+    [ sign w1 a1 sighash ]
   in
   (match Sc_tx.validate st (Sc_tx.Payment { inputs = [ c ]; witnesses; outputs }) with
   | Error e -> Alcotest.(check string) "node refuses it" "mst: slot collision" e
@@ -277,26 +291,28 @@ let test_ft_accept_and_reject () =
       ~receiver_metadata:(Sc_tx.ft_metadata ~receiver:recv ~payback)
       ~amount:(amount 55)
   in
-  (match Sc_tx.ft_outcome st ft with
-  | Sc_tx.Ft_accepted u ->
+  (match ft_steps st ft with
+  | [ Sc_tx.Insert u ] ->
     checkb "addressed to receiver" true (Hash.equal u.Utxo.addr recv)
-  | Sc_tx.Ft_rejected _ -> Alcotest.fail "valid ft rejected");
+  | _ -> Alcotest.fail "valid ft rejected");
   (* malformed metadata -> rejected with a BT *)
   let bad =
     Forward_transfer.make ~ledger_id:Hash.zero ~receiver_metadata:"short"
       ~amount:(amount 5)
   in
-  (match Sc_tx.ft_outcome st bad with
-  | Sc_tx.Ft_rejected bt ->
-    checki "amount preserved" 5 (Amount.to_int bt.Backward_transfer.amount)
-  | Sc_tx.Ft_accepted _ -> Alcotest.fail "malformed ft accepted");
+  (match ft_steps st bad with
+  | [ Sc_tx.Append_bt bt ] ->
+    checki "amount preserved" 5 (Amount.to_int bt.Backward_transfer.amount);
+    checkb "burnt to the zero address" true
+      (Hash.equal bt.receiver_addr Hash.zero)
+  | _ -> Alcotest.fail "malformed ft accepted");
   (* applying the FTTx mints coins *)
   let st' =
     ok
       (Sc_tx.apply st
          (Sc_tx.Forward_transfers_tx { mcid = Hash.zero; fts = [ ft; bad ] }))
   in
-  checki "minted" 55 (Amount.to_int (Mst.balance_of st'.Sc_state.mst recv));
+  checki "minted" 55 (Fixtures.balance st'.Sc_state.mst recv);
   checki "rejected became bt" 1
     (List.length (Sc_state.backward_transfers st'))
 
@@ -312,11 +328,11 @@ let test_ft_slot_collision () =
   let nonce = Utxo.derive_nonce ~source:(Forward_transfer.hash ft) ~index:0 in
   let squatter = Utxo.make ~addr:recv ~amount:(amount 1) ~nonce in
   let st = state_with [ squatter ] in
-  match Sc_tx.ft_outcome st ft with
-  | Sc_tx.Ft_rejected bt ->
+  match ft_steps st ft with
+  | [ Sc_tx.Append_bt bt ] ->
     checkb "payback address" true
       (Hash.equal bt.Backward_transfer.receiver_addr payback)
-  | Sc_tx.Ft_accepted _ -> Alcotest.fail "collision not detected"
+  | _ -> Alcotest.fail "collision not detected"
 
 let test_bt_tx () =
   let w1, a1 = wallet "bt1" in
@@ -325,7 +341,7 @@ let test_bt_tx () =
   let mc_recv = Hash.of_string "mc-addr" in
   let tx = ok (Sc_wallet.build_backward_transfer w1 st ~utxo:coin ~mc_receiver:mc_recv) in
   let st' = ok (Sc_tx.apply st tx) in
-  checki "coin burnt" 0 (Amount.to_int (Mst.balance_of st'.Sc_state.mst a1));
+  checki "coin burnt" 0 (Fixtures.balance st'.Sc_state.mst a1);
   checki "bt recorded" 1 (List.length (Sc_state.backward_transfers st'));
   checkb "bt acc moved" false (Fp.equal st'.Sc_state.bt_acc Fp.zero)
 
@@ -338,11 +354,15 @@ let test_btr_tx () =
       ~ledger_id:Hash.zero ~receiver:(Hash.of_string "mc")
       ~amount:(amount 25) ~nullifier:(Utxo.nullifier coin)
       ~proofdata:[ Proofdata.Blob (Utxo.encode coin) ]
-      ~proof:Zen_snark.Backend.dummy_proof
+      ~proof:Fixtures.zero_proof
   in
-  (match Sc_tx.btr_outcome st btr with
-  | Sc_tx.Btr_accepted _ -> ()
-  | Sc_tx.Btr_skipped e -> Alcotest.fail e);
+  (match
+     steps_of st
+       (Sc_tx.Backward_transfer_requests_tx { mcid = Hash.zero; btrs = [ btr ] })
+   with
+  | [ Sc_tx.Remove u; Sc_tx.Append_bt _ ] ->
+    checkb "spends the requested coin" true (Utxo.equal u coin)
+  | _ -> Alcotest.fail "btr skipped");
   let st' =
     ok
       (Sc_tx.apply st
@@ -381,7 +401,7 @@ let test_bt_append_linear () =
     (List.for_all2 Backward_transfer.equal bts
        (Sc_state.backward_transfers final));
   (* The accumulator folds oldest-first exactly as before. *)
-  let expected_acc = List.fold_left Sc_state.bt_acc_step Fp.zero bts in
+  let expected_acc = List.fold_left Fixtures.bt_acc_step Fp.zero bts in
   checkb "bt_acc unchanged" true (Fp.equal final.Sc_state.bt_acc expected_acc);
   checkb "certificate bt_root unchanged" true
     (Hash.equal
@@ -428,8 +448,19 @@ let test_leader_of_mst () =
   let m = Mst.create params in
   let m, _ = ok (mst_insert m (utxo ~addr:"s1" ~amt:10 "l1")) in
   let m, _ = ok (mst_insert m (utxo ~addr:"s1" ~amt:10 "l2")) in
+  let m, _ = ok (mst_insert m (utxo ~addr:"s2" ~amt:20 "l3")) in
+  (* s1's two coins count as one stake of 20 *)
   let d = Leader.of_mst m in
-  checki "total stake" 20 (Amount.to_int (Leader.total_stake d))
+  let expected =
+    Leader.of_list
+      [ (Hash.of_string "s1", amount 20); (Hash.of_string "s2", amount 20) ]
+  in
+  checkb "stake folds per address" true
+    (List.for_all
+       (fun slot ->
+         Leader.select d ~rand:Hash.zero ~slot
+         = Leader.select expected ~rand:Hash.zero ~slot)
+       (List.init 64 Fun.id))
 
 (* ---- circuits ---- *)
 
@@ -440,14 +471,14 @@ let test_step_proofs_all_kinds () =
   let u = utxo "step-u" in
   (* insert *)
   let proof, vk, s_from, s_to = ok (Circuits.prove_step family st (Sc_tx.Insert u)) in
-  let public = Zen_snark.Recursive.base_public ~s_from ~s_to ~extra:[||] in
+  let public = [| s_from; s_to |] in
   checkb "insert verifies" true (Zen_snark.Backend.verify vk ~public proof);
   checkb "s_from = state" true (Fp.equal s_from (Sc_state.hash st));
   let st1 = ok (Sc_tx.apply_step st (Sc_tx.Insert u)) in
   checkb "s_to matches" true (Fp.equal s_to (Sc_state.hash st1));
   (* remove *)
   let proof, vk, s_from, s_to = ok (Circuits.prove_step family st1 (Sc_tx.Remove u)) in
-  let public = Zen_snark.Recursive.base_public ~s_from ~s_to ~extra:[||] in
+  let public = [| s_from; s_to |] in
   checkb "remove verifies" true (Zen_snark.Backend.verify vk ~public proof);
   ignore s_from;
   (* append_bt *)
@@ -455,7 +486,7 @@ let test_step_proofs_all_kinds () =
   let proof, vk, s_from2, s_to2 =
     ok (Circuits.prove_step family st1 (Sc_tx.Append_bt bt))
   in
-  let public = Zen_snark.Recursive.base_public ~s_from:s_from2 ~s_to:s_to2 ~extra:[||] in
+  let public = [| s_from2; s_to2 |] in
   checkb "append verifies" true (Zen_snark.Backend.verify vk ~public proof);
   ignore s_to
 

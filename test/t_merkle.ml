@@ -44,7 +44,8 @@ let test_mht_depth_log () =
 
 let test_mht_empty () =
   let t = Merkle.of_leaves [] in
-  checki "no leaves" 0 (Merkle.leaf_count t);
+  Alcotest.check_raises "no leaves" (Invalid_argument "Merkle.prove: empty tree")
+    (fun () -> ignore (Merkle.prove t 0));
   (* Root of empty tree is well-defined and distinct from any data tree. *)
   checkb "distinct from singleton" false
     (Hash.equal (Merkle.root t) (Merkle.root (Merkle.of_data [ "" ])))

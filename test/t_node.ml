@@ -366,9 +366,9 @@ let test_mc_ref_verification () =
   do_ft w ~receiver:user_addr ~payback ~amt:(amount 1_000);
   mine w;
   (* The block that carried the FT: *)
-  let mc_block = Chain.tip_block w.chain in
+  let mc_block = Fixtures.tip_block w.chain in
   let r = ok (Mc_ref.build ~ledger_id:w.ledger_id mc_block) in
-  checkb "has data" true (Mc_ref.has_data r);
+  checkb "has data" true (r.Mc_ref.fts <> [] && r.mproof <> None);
   checkb "verifies" true (Result.is_ok (Mc_ref.verify ~ledger_id:w.ledger_id r));
   (* Dropping the FT from the ref must break verification. *)
   let forged = { r with Mc_ref.fts = [] } in
@@ -377,7 +377,9 @@ let test_mc_ref_verification () =
   (* A sidechain with no data in this block gets an absence proof. *)
   let other = Sidechain_config.derive_ledger_id ~creator:payback ~nonce:9 in
   let r2 = ok (Mc_ref.build ~ledger_id:other mc_block) in
-  checkb "absence" false (Mc_ref.has_data r2);
+  checkb "absence" true
+    (r2.Mc_ref.fts = [] && r2.btrs = [] && r2.wcert = None
+    && r2.proof_of_no_data <> None);
   checkb "absence verifies" true
     (Result.is_ok (Mc_ref.verify ~ledger_id:other r2))
 
@@ -468,7 +470,7 @@ let test_follower_validation () =
   (* stripping an FT from a reference breaks its commitment proof *)
   let strip (r : Mc_ref.t) = { r with Mc_ref.fts = [] } in
   let tampered_refs =
-    List.map (fun r -> if Mc_ref.has_data r then strip r else r) block.mc_refs
+    List.map (fun r -> if r.Mc_ref.fts <> [] then strip r else r) block.mc_refs
   in
   rejects "stripped reference" { block with Sc_block.mc_refs = tampered_refs };
   (* the signature covers the tx list *)
@@ -559,9 +561,11 @@ let test_leader_enforcement () =
   checkb "bootstrap forging allowed" true (b <> None);
   (* Now the MST holds stake owned by [staker_addr], which is NOT a
      forger key of this node: the node must skip slots it does not
-     lead (all of them). *)
-  let leader = Node.leader_for_slot w.node ~slot:5 in
-  checkb "a leader exists" true (leader = Some staker_addr);
+     lead (all of them): whatever the slot's randomness, its leader is
+     [staker_addr]. *)
+  let stake = Leader.of_mst (Node.tip_state w.node).Sc_state.mst in
+  checkb "a leader exists" true
+    (Leader.select stake ~rand:Hash.zero ~slot:5 = Some staker_addr);
   (* force a tx so there would be something to forge *)
   let pay =
     Sc_wallet.build_payment forger_stake_wallet (Node.next_block_state w.node)

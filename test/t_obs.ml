@@ -36,8 +36,8 @@ let test_counter_parallel_accuracy () =
     (fun domains ->
       with_fresh_obs @@ fun () ->
       let pool = Pool.get ~domains in
-      Pool.parallel_for pool ~cost:1.0 ~n:1000 (fun _ ->
-          Zen_obs.Counter.incr c);
+      ignore
+        (Pool.init_array pool ~cost:1.0 1000 (fun _ -> Zen_obs.Counter.incr c));
       checki
         (Printf.sprintf "1000 increments on %d domains" domains)
         1000 (Zen_obs.Counter.value c))

@@ -11,6 +11,9 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let ok = function Ok v -> v | Error e -> Alcotest.fail e
 
+(* A loop body run through [Pool.init_array]. *)
+let parallel_for pool ~cost ~n body = ignore (Pool.init_array pool ~cost n body)
+
 let params = Params.default
 let family = lazy (Circuits.make params)
 
@@ -21,7 +24,7 @@ let test_empty_input () =
   checki "init_array 0" 0
     (Array.length (Pool.init_array pool ~cost:1.0 0 (fun _ -> assert false)));
   checkb "map_list []" true (Pool.map_list pool ~cost:1.0 (fun x -> x + 1) [] = []);
-  Pool.parallel_for pool ~cost:1.0 ~n:0 (fun _ -> assert false)
+  parallel_for pool ~cost:1.0 ~n:0 (fun _ -> assert false)
 
 let test_one_domain_is_sequential () =
   (* domains=1 must never spawn: tasks run on the caller's domain, in
@@ -29,7 +32,7 @@ let test_one_domain_is_sequential () =
   let pool = Pool.create ~domains:1 in
   checki "domains" 1 (Pool.domains pool);
   let trace = ref [] in
-  Pool.parallel_for pool ~cost:1.0 ~n:5 (fun i -> trace := i :: !trace);
+  parallel_for pool ~cost:1.0 ~n:5 (fun i -> trace := i :: !trace);
   checkb "in order on caller" true (!trace = [ 4; 3; 2; 1; 0 ]);
   Pool.shutdown pool;
   checkb "sequential handle reusable after shutdown" true
@@ -47,7 +50,7 @@ let test_exception_propagates () =
   let pool = Pool.get ~domains:4 in
   let raised =
     try
-      Pool.parallel_for pool ~cost:1.0 ~n:16 (fun i ->
+      parallel_for pool ~cost:1.0 ~n:16 (fun i ->
           if i mod 5 = 2 then failwith "boom");
       false
     with Failure msg -> String.equal msg "boom"
@@ -70,7 +73,7 @@ let test_exception_propagates () =
   let before = swallowed () in
   let overflow =
     try
-      Pool.parallel_for pool ~cost:1.0 ~n:8 (fun i ->
+      parallel_for pool ~cost:1.0 ~n:8 (fun i ->
           if i = 3 then raise Stack_overflow);
       false
     with Stack_overflow -> true
@@ -109,7 +112,7 @@ let test_nested_parallel_shared () =
         Array.init inner (fun j -> (i * 1000) + (j * j)))
   in
   let got = Array.make outer [||] in
-  Pool.parallel_for p ~cost:1.0 ~n:outer (fun i ->
+  parallel_for p ~cost:1.0 ~n:outer (fun i ->
       got.(i) <-
         Pool.init_array p ~cost:0.125 inner (fun j -> (i * 1000) + (j * j)));
   checkb "nested parallel on the shared pool is correct" true (got = expected)

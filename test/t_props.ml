@@ -46,7 +46,26 @@ type interp = {
          rejected FTs, whose coins were destroyed on the MC and leave
          again through bounce backward transfers *)
   bt_out : int; (* total value moved into backward transfers *)
+  touched : int list; (* MST slots the applied steps wrote *)
 }
+
+(* Applies [tx] if it is valid: the new state, the slots its steps
+   wrote and the value its steps moved into backward transfers. *)
+let apply acc tx =
+  match Sc_tx.transition acc.state tx with
+  | Error _ -> None
+  | Ok (state, traced) ->
+    let depth = Mst.depth state.Sc_state.mst in
+    Some
+      (List.fold_left
+         (fun (acc, bts) (t : Sc_tx.traced) ->
+           match t.step with
+           | Sc_tx.Insert u | Sc_tx.Remove u ->
+             let pos = Utxo.position ~mst_depth:depth u in
+             ({ acc with touched = pos :: acc.touched }, bts)
+           | Sc_tx.Append_bt bt ->
+             (acc, bts + Amount.to_int bt.Backward_transfer.amount))
+         ({ acc with state }, 0) traced)
 
 let interpret wallets actions =
   let addrs = Array.map (fun w -> List.hd (Sc_wallet.addresses w)) wallets in
@@ -62,18 +81,12 @@ let interpret wallets actions =
               (Sc_tx.ft_metadata ~receiver:addrs.(u) ~payback:addrs.(u))
             ~amount:(amount a)
         in
-        let bounced =
-          match Sc_tx.ft_outcome acc.state ft with
-          | Sc_tx.Ft_accepted _ -> 0
-          | Sc_tx.Ft_rejected _ -> a
-        in
         match
-          Sc_tx.apply acc.state
-            (Sc_tx.Forward_transfers_tx { mcid = Hash.zero; fts = [ ft ] })
+          apply acc (Sc_tx.Forward_transfers_tx { mcid = Hash.zero; fts = [ ft ] })
         with
-        | Ok state ->
-          { state; ft_in = acc.ft_in + a; bt_out = acc.bt_out + bounced }
-        | Error _ -> acc)
+        | Some (acc, bounced) ->
+          { acc with ft_in = acc.ft_in + a; bt_out = acc.bt_out + bounced }
+        | None -> acc)
       | Do_pay (f, t, a) -> (
         match
           Sc_wallet.build_payment wallets.(f) acc.state ~to_:addrs.(t)
@@ -81,9 +94,7 @@ let interpret wallets actions =
         with
         | Error _ -> acc
         | Ok tx -> (
-          match Sc_tx.apply acc.state tx with
-          | Ok state -> { acc with state }
-          | Error _ -> acc))
+          match apply acc tx with Some (acc, _) -> acc | None -> acc))
       | Do_bt u -> (
         match Sc_wallet.utxos wallets.(u) acc.state with
         | [] -> acc
@@ -94,14 +105,15 @@ let interpret wallets actions =
           with
           | Error _ -> acc
           | Ok tx -> (
-            match Sc_tx.apply acc.state tx with
-            | Ok state ->
-              { acc with state; bt_out = acc.bt_out + Amount.to_int coin.Utxo.amount }
-            | Error _ -> acc))))
+            match apply acc tx with
+            | Some (acc, _) ->
+              { acc with bt_out = acc.bt_out + Amount.to_int coin.Utxo.amount }
+            | None -> acc))))
     {
       state = Sc_state.create params;
       ft_in = 0;
       bt_out = 0;
+      touched = [];
     }
     actions
 
@@ -129,7 +141,7 @@ let props =
             (fun acc (bt : Backward_transfer.t) -> acc + Amount.to_int bt.amount)
             0 (Sc_state.backward_transfers r.state)
         in
-        Amount.to_int (Mst.total_value r.state.Sc_state.mst)
+        Fixtures.total_value r.state.Sc_state.mst
         = r.ft_in - r.bt_out
         && bt_list_total = r.bt_out);
     prop "bt accumulator replays the bt list" gen_workload (fun actions ->
@@ -137,7 +149,7 @@ let props =
         let wallets = fresh_wallets (Printf.sprintf "acc%d" !seed_counter) in
         let r = interpret wallets actions in
         let replayed =
-          List.fold_left Sc_state.bt_acc_step Fp.zero
+          List.fold_left Fixtures.bt_acc_step Fp.zero
             (Sc_state.backward_transfers r.state)
         in
         Fp.equal replayed r.state.Sc_state.bt_acc);
@@ -219,7 +231,7 @@ let props =
         let wallets = fresh_wallets (Printf.sprintf "delta%d" !seed_counter) in
         let r = interpret wallets actions in
         let delta = Mst.delta_bits r.state.Sc_state.mst in
-        let touched = Mst.modified_since_snapshot r.state.Sc_state.mst in
+        let touched = List.sort_uniq Int.compare r.touched in
         List.for_all (Mst.delta_bit delta) touched
         &&
         (* and no other bit is set *)

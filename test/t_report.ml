@@ -1,7 +1,7 @@
 (* Zen_obs.Report: span-forest reconstruction round-trips randomly
-   generated span trees (emitted exactly as Trace records them —
-   children before parents, per-domain seq order), self time sums back
-   to the root's wall-clock and its rankings ignore instants, the
+   generated span trees recorded through Trace on one or two domains,
+   self time sums back to the root's wall-clock and the report's
+   rankings ignore instants, the
    histogram quantile estimate always lands in the same bucket as an
    exact sorted-list oracle (and q = 1 is exactly the max), dropped
    parents flatten instead of losing descendants, and report generation
@@ -19,12 +19,12 @@ let with_fresh_obs f =
       Zen_obs.Registry.reset ())
     (fun () -> Zen_obs.Registry.with_enabled f)
 
-(* ---- synthetic span forests ----
+(* ---- recorded span forests ----
 
-   A forest shape is turned into the exact event list Trace would
-   record for it: one Complete event per span, pushed at span end
-   (children before the parent), seq in recording order, ts/dur from a
-   counter clock that advances one unit at every span entry and exit. *)
+   A forest shape is recorded through [Trace.with_span] on a clock the
+   test drives: it advances one unit at every span entry and exit and
+   never on an instant, so starts, durations and their sums are exact
+   small integers. *)
 
 type stree = Node of stree list
 
@@ -40,41 +40,43 @@ let gen_forest =
     in
     list_size (int_range 1 4) tree)
 
-let events_of_forest ?(tid = 0) ?(t0 = 0.) forest =
-  let time = ref t0 and seq = ref 0 and counter = ref 0 in
-  let out = ref [] (* recording order, newest first *) in
+(* Records [forest] on the calling domain from time [t0], with span
+   names prefixed by [prefix]. With [instants], a log line is mirrored
+   as an instant before the first root and inside each span just
+   before it closes, as [Events] does. Returns the root names and each
+   span's child names. *)
+let record_forest ?(prefix = "s") ?(t0 = 0.) ?(instants = false) forest =
+  let time = ref t0 and counter = ref 0 in
+  Zen_obs.Clock.set (fun () -> !time);
   let expected_children : (string, string list) Hashtbl.t =
     Hashtbl.create 16
   in
-  let rec walk depth (Node kids) =
+  let log name =
+    if instants then Zen_obs.Trace.instant ~cat:"event" ("log " ^ name)
+  in
+  let rec walk (Node kids) =
     incr counter;
-    let name = Printf.sprintf "s%d.%d" tid !counter in
-    let start = !time in
+    let name = Printf.sprintf "%s.%d" prefix !counter in
+    Zen_obs.Trace.with_span ~cat:"t" name (fun () ->
+        time := !time +. 1.;
+        Hashtbl.add expected_children name (List.map walk kids);
+        log name);
     time := !time +. 1.;
-    let child_names = List.map (walk (depth + 1)) kids in
-    let stop = !time in
-    time := !time +. 1.;
-    Hashtbl.add expected_children name child_names;
-    out :=
-      {
-        Zen_obs.Trace.name;
-        cat = "t";
-        tid;
-        ts = start;
-        dur = stop -. start;
-        depth;
-        phase = Zen_obs.Trace.Complete;
-        args = [];
-        seq =
-          (let s = !seq in
-           incr seq;
-           s);
-      }
-      :: !out;
     name
   in
-  let roots = List.map (walk 0) forest in
-  (List.rev !out, roots, expected_children)
+  log "start";
+  let roots = List.map walk forest in
+  (roots, expected_children)
+
+(* [f] on a fresh, enabled registry with the test-driven clock. *)
+let recorded f =
+  with_fresh_obs @@ fun () ->
+  Fun.protect ~finally:Zen_obs.Clock.reset f
+
+let report_doc () =
+  match Zen_obs.Json.of_string (Zen_obs.Report.to_json_string ()) with
+  | Ok doc -> doc
+  | Error e -> Alcotest.fail ("report is not valid JSON: " ^ e)
 
 let rec node_matches expected (node : Zen_obs.Report.node) name =
   String.equal node.event.Zen_obs.Trace.name name
@@ -89,8 +91,9 @@ let prop_forest_roundtrip =
        ~name:"span_forest round-trips synthetic recording-order events"
        ~count:200 gen_forest
        (fun shape ->
-         let events, roots, expected = events_of_forest shape in
-         let forest = Zen_obs.Report.span_forest events in
+         recorded @@ fun () ->
+         let roots, expected = record_forest shape in
+         let forest = Zen_obs.Report.forest () in
          List.length forest = List.length roots
          && List.for_all2 (node_matches expected) forest roots))
 
@@ -100,58 +103,57 @@ let prop_self_time_sums_to_wall =
        ~name:"self times over a tree sum to the root's duration" ~count:200
        gen_forest
        (fun shape ->
-         let events, _, _ = events_of_forest shape in
-         let forest = Zen_obs.Report.span_forest events in
+         recorded @@ fun () ->
+         ignore (record_forest shape);
          List.for_all
            (fun root ->
              let rec sum n =
                Zen_obs.Report.self_s n
                +. List.fold_left (fun acc c -> acc +. sum c) 0. n.Zen_obs.Report.children
              in
-             (* counter clock: all values are small integers, sums are
-                exact *)
-             sum root = Zen_obs.Report.dur root)
-           forest))
+             (* test-driven clock: all values are small integers, sums
+                are exact *)
+             sum root = root.event.dur)
+           (Zen_obs.Report.forest ())))
 
-(* Log lines mirrored by Events are instants in the forest: one
-   before each span closes (a child of it) and one leading root. The
-   self-time rankings must aggregate the Complete spans only, with the
-   same counts and totals as the forest without them. *)
-let with_instants events =
-  let log (e : Zen_obs.Trace.event) ~depth =
-    { e with name = "log " ^ e.name; cat = "event"; dur = 0.; depth;
-             ts = e.ts +. e.dur; phase = Zen_obs.Trace.Instant }
-  in
-  (match events with [] -> [] | e :: _ -> [ log e ~depth:0 ])
-  @ List.concat_map
-      (fun (e : Zen_obs.Trace.event) -> [ log e ~depth:(e.depth + 1); e ])
-      events
-  |> List.mapi (fun seq e -> { e with Zen_obs.Trace.seq })
-
+(* Log lines mirrored by Events are instants in the forest. The
+   self-time rankings of the report must aggregate the Complete spans
+   only, with the same counts and totals as the forest without them. *)
 let prop_rankings_skip_instants =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"self-time rankings skip instants" ~count:200
        gen_forest
        (fun shape ->
-         let events, _, _ = events_of_forest shape in
-         let plain = Zen_obs.Report.span_forest events in
-         let mixed = Zen_obs.Report.span_forest (with_instants events) in
-         Zen_obs.Report.self_time_by_name mixed
-         = Zen_obs.Report.self_time_by_name plain
-         && Zen_obs.Report.self_time_by_category mixed
-            = Zen_obs.Report.self_time_by_category plain
-         && List.for_all
-              (fun a -> a.Zen_obs.Report.key <> "event")
-              (Zen_obs.Report.self_time_by_category mixed)))
+         let self_time instants =
+           recorded @@ fun () ->
+           ignore (record_forest ~instants shape);
+           Option.get (Zen_obs.Json.member "self_time" (report_doc ()))
+         in
+         let plain = self_time false and mixed = self_time true in
+         let keys =
+           List.filter_map
+             (fun a -> Zen_obs.Json.member "key" a)
+             (Zen_obs.Json.to_list
+                (Option.get (Zen_obs.Json.member "by_category" mixed)))
+         in
+         mixed = plain && not (List.mem (Zen_obs.Json.Str "event") keys)))
 
 let test_two_tid_forests_merge () =
-  let ev1, roots1, exp1 = events_of_forest ~tid:1 [ Node [ Node [] ] ] in
-  let ev2, roots2, exp2 =
-    events_of_forest ~tid:2 ~t0:1000. [ Node []; Node [] ]
+  recorded @@ fun () ->
+  let roots1, exp1 = record_forest ~prefix:"a" [ Node [ Node [] ] ] in
+  let roots2, exp2 =
+    Domain.join
+      (Domain.spawn (fun () ->
+           record_forest ~prefix:"b" ~t0:1000. [ Node []; Node [] ]))
   in
-  let forest = Zen_obs.Report.span_forest (ev1 @ ev2) in
+  let forest = Zen_obs.Report.forest () in
   checki "three roots" 3 (List.length forest);
-  (* tid 1 starts at t=0, tid 2 at t=1000: roots sort by start time *)
+  checki "two lanes" 2
+    (List.length
+       (List.sort_uniq Int.compare
+          (List.map (fun (n : Zen_obs.Report.node) -> n.event.tid) forest)));
+  (* one domain starts at t=0, the other at t=1000: roots sort by start
+     time *)
   checkb "roots ordered and shaped" true
     (List.for_all2
        (fun n (expected, name) -> node_matches expected n name)
@@ -159,20 +161,31 @@ let test_two_tid_forests_merge () =
        ([ (exp1, List.hd roots1) ]
        @ List.map (fun r -> (exp2, r)) roots2))
 
+(* A full buffer drops the events that close after it filled: a span's
+   parents close after it, so a recorded span can lose its ancestors.
+   It then stands as a root instead of disappearing. *)
 let test_dropped_parent_flattens () =
-  let events, _, _ = events_of_forest [ Node [ Node [ Node [] ] ] ] in
-  (* drop the depth-1 middle span, as a full buffer would *)
-  let truncated =
-    List.filter (fun e -> e.Zen_obs.Trace.depth <> 1) events
-  in
-  let forest = Zen_obs.Report.span_forest truncated in
-  checki "one root survives" 1 (List.length forest);
-  let root = List.hd forest in
-  checki "root is the depth-0 span" 0 root.event.Zen_obs.Trace.depth;
-  checki "orphaned depth-2 span flattened under it" 1
-    (List.length root.children);
-  checki "no further nesting" 0
-    (List.length (List.hd root.children).Zen_obs.Report.children)
+  recorded @@ fun () ->
+  let fill = Zen_obs.Trace.buffer_limit () - 1 in
+  for _ = 1 to fill do
+    Zen_obs.Trace.with_span "fill" ignore
+  done;
+  Zen_obs.Trace.with_span "root" (fun () ->
+      Zen_obs.Trace.with_span "middle" (fun () ->
+          Zen_obs.Trace.with_span "leaf" ignore));
+  checki "the leaf's two ancestors dropped" 2 (Zen_obs.Trace.dropped ());
+  let forest = Zen_obs.Report.forest () in
+  checki "every recorded span survives" (fill + 1) (List.length forest);
+  match
+    List.filter
+      (fun (n : Zen_obs.Report.node) -> n.event.name <> "fill")
+      forest
+  with
+  | [ leaf ] ->
+    checks "the orphan is the leaf" "leaf" leaf.event.name;
+    checki "flattened to a root at its own depth" 2 leaf.event.depth;
+    checki "no further nesting" 0 (List.length leaf.children)
+  | l -> Alcotest.fail (Printf.sprintf "%d non-filler roots" (List.length l))
 
 (* ---- critical path ---- *)
 
@@ -186,18 +199,27 @@ let test_critical_path_follows_longest_child () =
           Zen_obs.Trace.with_span "leaf" (fun () -> ());
           (* pad so "long" clearly dominates "short" *)
           Zen_obs.Trace.with_span "leaf2" (fun () -> ())));
-  let path = Zen_obs.Report.critical_path () in
-  let names = List.map (fun s -> s.Zen_obs.Report.step_name) path in
+  let path =
+    match Zen_obs.Json.member "critical_path" (report_doc ()) with
+    | Some cp ->
+      Zen_obs.Json.to_list (Option.get (Zen_obs.Json.member "steps" cp))
+    | None -> Alcotest.fail "no critical path"
+  in
+  let field k step = Option.get (Zen_obs.Json.member k step) in
+  let names = List.map (field "name") path in
   checkb "path = root -> long -> leaf(2)" true
     (match names with
-    | [ "root"; "long"; l ] -> l = "leaf" || l = "leaf2"
+    | [ Str "root"; Str "long"; Str l ] -> l = "leaf" || l = "leaf2"
     | _ -> false);
-  let root = List.hd path in
-  checkb "root share is 1" true (root.Zen_obs.Report.share = 1.);
+  let share step =
+    match field "share" step with
+    | Zen_obs.Json.Float f -> f
+    | Zen_obs.Json.Int i -> float_of_int i
+    | _ -> Alcotest.fail "share is not a number"
+  in
+  checkb "root share is 1" true (share (List.hd path) = 1.);
   checkb "shares within [0,1] and descending-ish" true
-    (List.for_all
-       (fun s -> s.Zen_obs.Report.share >= 0. && s.Zen_obs.Report.share <= 1.)
-       path)
+    (List.for_all (fun s -> share s >= 0. && share s <= 1.) path)
 
 (* ---- quantiles vs an exact oracle ---- *)
 

@@ -13,7 +13,7 @@ let synth_divides x y =
   let ctx = Gadget.create () in
   let wx = Gadget.input ctx x in
   let wy = Gadget.input ctx y in
-  let z_val = if Fp.is_zero x then Fp.zero else Fp.div y x in
+  let z_val = if Fp.is_zero x then Fp.zero else Fp.mul y (Fp.inv x) in
   let wz = Gadget.witness ctx z_val in
   let prod = Gadget.mul ctx wx wz in
   Gadget.assert_eq ~label:"xz=y" ctx prod wy;
@@ -44,16 +44,17 @@ let test_r1cs_digest_stability () =
 let test_gadget_bits () =
   let ctx = Gadget.create () in
   let w = Gadget.input ctx (Fp.of_int 1234) in
-  let bits = Gadget.to_bits ctx w 11 in
-  checki "11 bits" 11 (List.length bits);
+  Gadget.assert_le_bits ctx w 11;
   let c, public, witness = Gadget.finalize ~name:"bits" ctx in
+  checki "11 bit witnesses" 11 (Array.length witness);
+  checki "11 bool rows and a sum row" 12 (R1cs.num_constraints c);
   checkb "satisfied" true (Result.is_ok (R1cs.satisfied c ~public ~witness));
   (* value too large for the width *)
   let ctx2 = Gadget.create () in
   let w2 = Gadget.input ctx2 (Fp.of_int 5000) in
   Alcotest.check_raises "overflow"
-    (Invalid_argument "Gadget.to_bits: value does not fit") (fun () ->
-      ignore (Gadget.to_bits ctx2 w2 11))
+    (Invalid_argument "Gadget.assert_le_bits: value does not fit") (fun () ->
+      Gadget.assert_le_bits ctx2 w2 11)
 
 let test_gadget_is_zero_select () =
   let run v sel_a =
@@ -61,7 +62,9 @@ let test_gadget_is_zero_select () =
     let w = Gadget.input ctx (Fp.of_int v) in
     let z = Gadget.is_zero ctx w in
     let s =
-      Gadget.select ctx ~cond:z (Gadget.const_int 100) (Gadget.const_int 200)
+      Gadget.select ctx ~cond:z
+        (Gadget.const (Fp.of_int 100))
+        (Gadget.const (Fp.of_int 200))
     in
     let c, public, witness = Gadget.finalize ~name:"sel" ctx in
     checkb "sat" true (Result.is_ok (R1cs.satisfied c ~public ~witness));
@@ -97,7 +100,7 @@ let test_gadget_merkle_matches_smt () =
   let ctx = Gadget.create () in
   let leaf = Gadget.const (Smt.leaf_hash (Some (Fp.of_int 9))) in
   let path_bits =
-    List.init 6 (fun i -> Gadget.const_int ((pos lsr i) land 1))
+    List.init 6 (fun i -> Gadget.const (Fp.of_int ((pos lsr i) land 1)))
   in
   let siblings = List.map Gadget.const (Smt.proof_siblings proof) in
   let root = Gadget.merkle_root ctx ~leaf ~path_bits ~siblings in
@@ -111,7 +114,7 @@ let test_backend_roundtrip () =
   checkb "verifies" true (Backend.verify vk ~public proof);
   checkb "wrong public" false
     (Backend.verify vk ~public:[| Fp.of_int 3; Fp.of_int 22 |] proof);
-  checkb "dummy proof" false (Backend.verify vk ~public Backend.dummy_proof);
+  checkb "dummy proof" false (Backend.verify vk ~public Fixtures.zero_proof);
   checki "proof size" Backend.proof_size_bytes
     (String.length (Backend.proof_encode proof))
 
@@ -384,7 +387,7 @@ let random_circuit rs =
     let target = Fp.sub (Fp.mul (eval a) (eval bb)) (eval c_rest) in
     let out =
       if Fp.is_zero kc then fresh R1cs.alloc_witness (rand ())
-      else fresh R1cs.alloc_witness (Fp.div target kc)
+      else fresh R1cs.alloc_witness (Fp.mul target (Fp.inv kc))
     in
     vars := out :: !vars;
     let c = c_rest @ [ (kc, out) ] in

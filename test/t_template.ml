@@ -30,7 +30,7 @@ let prove_both_ways state step =
     ok (Circuits.prove_step (Lazy.force resynth) state step)
   in
   checkb "proof bytes identical" true
-    (Zen_snark.Backend.proof_equal p_tpl p_syn);
+    (Fixtures.proof_equal p_tpl p_syn);
   checkb "endpoints identical" true
     (Fp.equal from_t from_s && Fp.equal to_t to_s);
   p_tpl
@@ -130,10 +130,10 @@ let test_qcheck_equivalence =
            | u :: _ ->
              let o_tpl = ok (own (Lazy.force family) u) in
              let o_syn = ok (own (Lazy.force resynth) u) in
-             Zen_snark.Backend.proof_equal o_tpl o_syn
+             Fixtures.proof_equal o_tpl o_syn
            | [] -> true
          in
-         Zen_snark.Backend.proof_equal w_tpl w_syn && owned))
+         Fixtures.proof_equal w_tpl w_syn && owned))
 
 (* The acceptance criterion made observable: the template family's
    proves increment snark.prove but never R1cs.finalize; the
@@ -184,7 +184,7 @@ let prove_equals_synthesis tpl v =
   match
     (Template.prove tpl v, Zen_snark.Backend.prove pk ~public ~witness)
   with
-  | Ok fused, Ok raw -> Zen_snark.Backend.proof_equal fused raw
+  | Ok fused, Ok raw -> Fixtures.proof_equal fused raw
   | _ -> false
 
 let gen_fp = QCheck2.Gen.map Fp.of_int QCheck2.Gen.(int_bound max_int)
@@ -785,18 +785,18 @@ let gadget_body (inputs, witnesses, ops) ctx =
       | Add (a, b) -> push (Gadget.add (get a) (get b))
       | Eq (a, b, l) -> Gadget.assert_eq ?label:(label l "eq") ctx (get a) (get b)
       | Bool (a, l) -> Gadget.assert_bool ?label:(label l "bool") ctx (get a)
-      | Bits (a, n) -> List.iter push (Gadget.to_bits ctx (get a) n)
+      | Bits (a, n) -> Gadget.assert_le_bits ctx (get a) n
       | Is_zero a -> push (Gadget.is_zero ctx (get a))
       | Select (c, a, b) -> push (Gadget.select ctx ~cond:(get c) (get a) (get b))
-      | Const v -> push (Gadget.const_int v)
+      | Const v -> push (Gadget.const (Fp.of_int v))
       | Scale (c, a) -> push (Gadget.scale (Fp.of_int c) (get a))
       | Sub (a, b) -> push (Gadget.sub (get a) (get b))
       | Sum l -> push (Gadget.sum (List.map get l))
       | Poseidon2 (a, b) -> push (Gadget.poseidon2 ctx (get a) (get b))
       | Const_eq (a, b) ->
-        Gadget.assert_eq ~label:"const" ctx (Gadget.const_int a)
-          (Gadget.const_int b)
-      | Const_bool a -> Gadget.assert_bool ctx (Gadget.const_int a))
+        Gadget.assert_eq ~label:"const" ctx (Gadget.const (Fp.of_int a))
+          (Gadget.const (Fp.of_int b))
+      | Const_bool a -> Gadget.assert_bool ctx (Gadget.const (Fp.of_int a)))
     ops
 
 let test_gadget_verdict_equals_check =

@@ -86,7 +86,7 @@ let test_disabled_withdrawals () =
   let request =
     Mainchain_withdrawal.make ~kind:Mainchain_withdrawal.Btr
       ~ledger_id:config.ledger_id ~receiver:Hash.zero ~amount:(amount 5)
-      ~nullifier:(Hash.of_string "nf") ~proofdata:[] ~proof:Backend.dummy_proof
+      ~nullifier:(Hash.of_string "nf") ~proofdata:[] ~proof:Fixtures.zero_proof
   in
   match
     Zen_mainchain.Sc_ledger.check_withdrawal ledger ~request ~height:12
@@ -208,14 +208,12 @@ let test_mc_ref_size_claim () =
   in
   checkb "reference verifies" true
     (Result.is_ok (Zen_latus.Mc_ref.verify ~ledger_id:(Hash.of_string "some-sc") r));
-  let body_estimate =
-    List.length b.txs * 250 (* ~bytes per transfer: outpoints, keys, sigs *)
-  in
+  let ref_bytes = Zen_latus.Sc_wire.mc_ref_size_bytes r in
+  let block_bytes = Zen_mainchain.Mc_wire.block_size_bytes b in
   checkb
-    (Printf.sprintf "ref (%d B) smaller than body (~%d B)"
-       (Zen_latus.Mc_ref.size_bytes r) body_estimate)
-    true
-    (Zen_latus.Mc_ref.size_bytes r < body_estimate)
+    (Printf.sprintf "ref (%d B) smaller than block (%d B)" ref_bytes
+       block_bytes)
+    true (ref_bytes < block_bytes)
 
 let suite =
   ( "verifier-extra",

@@ -118,7 +118,7 @@ let sample_cert =
         Backward_transfer.make ~receiver_addr:(Hash.of_string "r2")
           ~amount:(amount 7);
       ]
-    ~proofdata:sample_proofdata ~proof:Zen_snark.Backend.dummy_proof
+    ~proofdata:sample_proofdata ~proof:Fixtures.zero_proof
 
 let test_wcert_roundtrip () =
   let decoded = ok (Codec.decode_wcert (Codec.encode_wcert sample_cert)) in
@@ -127,7 +127,7 @@ let test_wcert_roundtrip () =
        (Withdrawal_certificate.hash sample_cert)
        (Withdrawal_certificate.hash decoded));
   checkb "same proof" true
-    (Zen_snark.Backend.proof_equal sample_cert.proof decoded.proof)
+    (Fixtures.proof_equal sample_cert.proof decoded.proof)
 
 (* The certificate id is a consensus value (tx ids, the commitment tree,
    verifier cache keys): pinned so a preimage change cannot pass
@@ -145,7 +145,7 @@ let test_withdrawal_roundtrip () =
         Mainchain_withdrawal.make ~kind ~ledger_id:(Hash.of_string "sc")
           ~receiver:(Hash.of_string "recv") ~amount:(amount 999)
           ~nullifier:(Hash.of_string "nf") ~proofdata:sample_proofdata
-          ~proof:Zen_snark.Backend.dummy_proof
+          ~proof:Fixtures.zero_proof
       in
       let decoded = ok (Codec.decode_withdrawal (Codec.encode_withdrawal m)) in
       checkb "same hash" true
@@ -237,7 +237,7 @@ let test_mc_tx_roundtrips () =
         (Mainchain_withdrawal.make ~kind:Mainchain_withdrawal.Csw
            ~ledger_id:(Hash.of_string "sc") ~receiver:addr ~amount:(amount 5)
            ~nullifier:(Hash.of_string "n") ~proofdata:[]
-           ~proof:Zen_snark.Backend.dummy_proof);
+           ~proof:Fixtures.zero_proof);
     ]
   in
   List.iter
@@ -304,7 +304,7 @@ let test_sc_block_roundtrip () =
     let b = ok (Miner.mine_empty !chain ~time:t ~miner_addr:addr) in
     chain := fst (ok (Chain.add_block !chain b))
   done;
-  let mc_block = Chain.tip_block !chain in
+  let mc_block = Fixtures.tip_block !chain in
   let mref = ok (Mc_ref.build ~ledger_id:(Hash.of_string "sc") mc_block) in
   let fw = Sc_wallet.create ~seed:"scbwire.forger" in
   let faddr = Sc_wallet.fresh_address fw in
@@ -428,7 +428,7 @@ let gen_wcert =
   let* proofdata = list_size (int_bound 4) gen_elem in
   pure
     (Withdrawal_certificate.make ~ledger_id ~epoch_id ~quality ~bt_list
-       ~proofdata ~proof:Zen_snark.Backend.dummy_proof)
+       ~proofdata ~proof:Fixtures.zero_proof)
 
 let props =
   [

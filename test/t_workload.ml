@@ -143,10 +143,11 @@ let mst_ops_equiv =
         && List.equal
              (fun (i, u) (j, u') -> i = j && Utxo.equal u u')
              utxos (Mst.all_utxos m)
-        && Mst.modified_since_snapshot m = touched
+        && Fixtures.delta_positions (Mst.delta_bits m) = touched
         && List.for_all
              (fun (pos, u) ->
-               Mst.verify_slot ~root:(Mst.root m) ~pos ~utxo:(Some u)
+               Smt.verify ~root:(Mst.root m) ~pos
+                 ~leaf:(Some (Utxo.commitment u))
                  ~depth:(Mst.depth m) (Mst.prove_slot m pos)
                && List.equal Fp.equal
                     (Smt.proof_siblings (Mst.prove_slot m pos))
@@ -285,7 +286,7 @@ let us_index_equiv =
             let addr = addr_of a in
             List.equal
               (fun (o1, (c1 : Utxo_set.coin)) (o2, (c2 : Utxo_set.coin)) ->
-                Tx.outpoint_equal o1 o2
+                String.equal (Tx.outpoint_encode o1) (Tx.outpoint_encode o2)
                 && Hash.equal c1.addr c2.addr
                 && Amount.to_int c1.amount = Amount.to_int c2.amount)
               (Utxo_set.coins_of_addr t addr)
@@ -404,7 +405,9 @@ let workload_profile_roundtrip () =
       let p' = ok (Zen_sim.Workload.of_string s) in
       checks "builtin name survives" p.Zen_sim.Workload.name p'.name;
       checks "builtin string survives" s (Zen_sim.Workload.to_string p'))
-    Zen_sim.Workload.builtins;
+    (List.map
+       (fun name -> ok (Zen_sim.Workload.of_string name))
+       [ "smoke"; "steady"; "soak" ]);
   (* a non-builtin round-trips through the custom syntax *)
   let s = Zen_sim.Workload.to_string tiny in
   let tiny' = ok (Zen_sim.Workload.of_string s) in
@@ -413,9 +416,16 @@ let workload_profile_roundtrip () =
   let custom = ok (Zen_sim.Workload.of_string "u9:z50:t9:e1:p2:b10:m25-25-25-25:d6:s3:r0") in
   checki "custom users" 9 custom.users;
   checki "custom bt share" 25 custom.mix.bt;
-  match Zen_sim.Workload.of_string "u9:nonsense" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected parse error"
+  List.iter
+    (fun s ->
+      match Zen_sim.Workload.of_string s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail ("expected a refusal of " ^ s))
+    [
+      "u9:nonsense";
+      (* shares above 100 whose sum wraps the 63-bit int to 100 *)
+      "u10:z100:t10:e1:p4:b50:m4611686018427387903-4611686018427387903-102-0:d8:s4:r0";
+    ]
 
 (* ---- the harness driver ---- *)
 
@@ -441,6 +451,89 @@ let harness_driver_deterministic () =
   checki "same injection count" na nb;
   checkb "traffic injected" true (na > 0)
 
+(* A follower that saw none of the traffic replays every block each
+   forger made, over 2 sidechains and at least 3 epochs of smoke
+   traffic, and ends at the forger's state. Between blocks it applies
+   the forger's epoch reset: a block whose last reference closes a
+   withdrawal epoch ends that epoch. *)
+let follower_replays_workload_traffic () =
+  let params = Params.default in
+  let family = Circuits.make params in
+  let h = Zen_sim.Harness.create ~pool:Pool.sequential ~seed:"wl.follow" () in
+  Zen_sim.Harness.fund h ~blocks:5;
+  let scs =
+    List.map
+      (fun name ->
+        ok
+          (Zen_sim.Harness.add_latus h ~name ~params ~family ~epoch_len:4
+             ~submit_len:2 ~activation_delay:1 ()))
+      [ "sca"; "scb" ]
+  in
+  ok (Zen_sim.Harness.set_workload h ~profile:Zen_sim.Workload.smoke ~seed:7);
+  Zen_sim.Harness.tick_n h 16;
+  checkb "traffic injected" true (Zen_sim.Harness.workload_injected h > 0);
+  List.iter
+    (fun (sc : Zen_sim.Harness.sidechain) ->
+      let schedule = Epoch.of_config sc.config in
+      let closes_epoch (b : Sc_block.t) =
+        match List.rev b.mc_refs with
+        | [] -> false
+        | last :: _ -> (
+          let height = Mc_ref.height last in
+          match Epoch.epoch_of_height schedule ~height with
+          | Some epoch -> height = Epoch.last_height schedule ~epoch
+          | None -> false)
+      in
+      let blocks = Node.blocks sc.node in
+      checkb (sc.name ^ ": every block since genesis is kept") true
+        (match blocks with b :: _ -> b.height = 0 | [] -> false);
+      checkb (sc.name ^ ": at least 3 epochs closed") true
+        (List.length (List.filter closes_epoch blocks) >= 3);
+      checkb (sc.name ^ ": blocks carry workload payments or BTs") true
+        (List.exists
+           (fun (b : Sc_block.t) ->
+             List.exists
+               (function
+                 | Sc_tx.Payment _ | Sc_tx.Backward_transfer_tx _ -> true
+                 | Sc_tx.Forward_transfers_tx _
+                 | Sc_tx.Backward_transfer_requests_tx _ -> false)
+               b.txs)
+           blocks);
+      let replay (state, prev_hash, prev_height, mc_synced) (b : Sc_block.t) =
+        let ctx =
+          {
+            Sc_validate.config = sc.config;
+            params;
+            prev_state = state;
+            prev_hash;
+            prev_height;
+            mc_synced;
+            expected_leader = None;
+          }
+        in
+        match Sc_validate.validate ctx ~mc:h.chain b with
+        | Error e ->
+          Alcotest.fail (Printf.sprintf "%s block %d: %s" sc.name b.height e)
+        | Ok post ->
+          let mc_synced =
+            match List.rev b.mc_refs with
+            | last :: _ -> Mc_ref.height last
+            | [] -> mc_synced
+          in
+          ( (if closes_epoch b then Sc_state.reset_epoch post else post),
+            Sc_block.hash b, b.height, mc_synced )
+      in
+      let state, _, _, _ =
+        List.fold_left replay
+          ( Sc_state.create params, Sc_block.genesis_parent, -1,
+            sc.config.start_block - 1 )
+          blocks
+      in
+      checkb (sc.name ^ ": follower ends at the forger's state") true
+        (Fp.equal (Sc_state.hash state)
+           (Sc_state.hash (Node.next_block_state sc.node))))
+    scs
+
 let suite =
   ( "workload",
     [
@@ -459,4 +552,6 @@ let suite =
       Alcotest.test_case "profile codec" `Quick workload_profile_roundtrip;
       Alcotest.test_case "harness driver deterministic" `Slow
         harness_driver_deterministic;
+      Alcotest.test_case "follower replays workload traffic" `Slow
+        follower_replays_workload_traffic;
     ] )
