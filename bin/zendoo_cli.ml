@@ -140,9 +140,8 @@ let run_world ~seed ~ticks ~epoch_len ~submit_len ~fts ~sidechains ~domains
         report h scs ~workload:(workload <> None))
 
 let simulate seed ticks epoch_len submit_len fts withhold sidechains domains
-    aggregate workload no_cache metrics trace_out report =
+    aggregate workload metrics trace_out report =
   with_obs ~metrics ~trace_out ~report @@ fun () ->
-  Verifier.Cache.set_enabled (not no_cache);
   (* the string seed folds to a deterministic workload seed *)
   let workload_seed =
     String.fold_left (fun a c -> ((a * 131) + Char.code c) land max_int) 7 seed
@@ -171,9 +170,8 @@ let simulate seed ticks epoch_len submit_len fts withhold sidechains domains
     Printf.printf "workload injected %d txs\n"
       (Zen_sim.Harness.workload_injected h);
   let st = Verifier.Cache.stats () in
-  Printf.printf "verify cache: %d hits | %d misses | enabled %b\n"
-    st.Verifier.Cache.hits st.Verifier.Cache.misses
-    (Verifier.Cache.enabled ());
+  Printf.printf "verify cache: %d hits | %d misses\n" st.Verifier.Cache.hits
+    st.Verifier.Cache.misses;
   report_extras := [ ("scoreboard", Zen_sim.Harness.scoreboard_json h) ];
   0
 
@@ -500,15 +498,6 @@ let aggregate_t =
            regardless of sidechain count. Decisions and logs are identical \
            either way.")
 
-let no_cache_t =
-  Arg.(
-    value & flag
-    & info [ "no-verify-cache" ]
-        ~doc:
-          "Disable the mainchain verification cache (every duplicate \
-           submission, mempool re-check and reorg replay re-runs SNARK \
-           verification). Decisions are identical either way.")
-
 let metrics_t =
   Arg.(
     value & flag
@@ -555,8 +544,8 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run a mainchain + Latus sidechain world")
     Term.(
       const simulate $ seed_t $ ticks $ epoch_len $ submit_len $ fts $ withhold
-      $ sidechains_t $ domains_t $ aggregate_t $ workload_t $ no_cache_t
-      $ metrics_t $ trace_out_t $ report_t)
+      $ sidechains_t $ domains_t $ aggregate_t $ workload_t $ metrics_t
+      $ trace_out_t $ report_t)
 
 let schedule_cmd =
   let start = Arg.(value & opt int 100 & info [ "start" ] ~doc:"Activation height.") in

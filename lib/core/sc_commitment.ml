@@ -27,15 +27,21 @@ let ft_subtree_root fts =
 let btr_subtree_root btrs =
   Merkle.root (Merkle.of_leaves (List.map Mainchain_withdrawal.hash btrs))
 
+let no_wcert = Hash.tagged "scc.no_wcert" []
+
 let wcert_hash = function
-  | None -> Hash.tagged "scc.no_wcert" []
+  | None -> no_wcert
   | Some c -> Withdrawal_certificate.hash c
 
 (* SCXHash = H(TxsHash | WCertHash | X), with TxsHash = H(FTHash | BTRHash)
    — the shape of Fig. 4. *)
-let entry_hash_of_roots ~ft_root ~btr_root e =
+let entry_hash e =
   let txs_hash =
-    Hash.tagged "scc.txs" [ Hash.to_raw ft_root; Hash.to_raw btr_root ]
+    Hash.tagged "scc.txs"
+      [
+        Hash.to_raw (ft_subtree_root e.fts);
+        Hash.to_raw (btr_subtree_root e.btrs);
+      ]
   in
   Hash.tagged "scc.sc"
     [
@@ -43,10 +49,6 @@ let entry_hash_of_roots ~ft_root ~btr_root e =
       Hash.to_raw (wcert_hash e.wcert);
       Hash.to_raw e.ledger_id;
     ]
-
-let entry_hash e =
-  entry_hash_of_roots ~ft_root:(ft_subtree_root e.fts)
-    ~btr_root:(btr_subtree_root e.btrs) e
 
 let leaf_hash leaf =
   Hash.tagged "scc.leaf" [ Hash.to_raw leaf.id; Hash.to_raw leaf.data ]
@@ -68,54 +70,17 @@ let build ?(pool = Pool.sequential) entries =
       entries
   then Error "sc commitment: reserved ledger id"
   else begin
-    (* Subtree roots are memoized per distinct leaf list within this
-       build: with many sidechains the common case — empty FT/BTR lists,
-       or identical batches — would otherwise rebuild the same Merkle
-       tree once per entry. Distinct subtrees are independent work,
-       mapped across the pool's domains; the per-entry SHA finishers are
-       cheap and stay sequential. The memoized root is asserted
-       unchanged against the direct computation by the test suite
-       (entry_hash stays exported and unmemoized). *)
-    let module SMap = Map.Make (String) in
-    let leaf_key leaves = String.concat "" (List.map Hash.to_raw leaves) in
-    let with_leaves =
-      List.map
-        (fun e ->
-          ( e,
-            List.map Forward_transfer.hash e.fts,
-            List.map Mainchain_withdrawal.hash e.btrs ))
-        entries
-    in
-    let distinct =
-      List.fold_left
-        (fun m (_, fl, bl) ->
-          m
-          |> SMap.add (leaf_key fl) fl
-          |> SMap.add (leaf_key bl) bl)
-        SMap.empty with_leaves
-    in
-    let bindings = SMap.bindings distinct in
-    let roots =
-      (* Most distinct subtrees are empty or a handful of leaves
-         (~tens of µs each); the cost hint batches them so a block's
-         worth of sidechains doesn't pay one sync per subtree. *)
-      Pool.map_list pool ~cost:0.02
-        (fun (key, leaves) -> (key, Merkle.root (Merkle.of_leaves leaves)))
-        bindings
-      |> List.fold_left (fun m (k, r) -> SMap.add k r m) SMap.empty
-    in
+    (* Entries are independent work, mapped across the pool's domains.
+       No two share a subtree worth memoizing: FT and BTR hashes bind
+       their ledger id, so equal non-empty lists never occur under two
+       ids, and an empty list's root is the constant [Merkle] empty
+       root, which costs no hash. Most entries are a handful of leaves
+       (~tens of µs each); the cost hint batches them so a block's
+       worth of sidechains doesn't pay one sync per entry. *)
     let real =
-      List.map
-        (fun (e, fl, bl) ->
-          {
-            id = e.ledger_id;
-            data =
-              entry_hash_of_roots
-                ~ft_root:(SMap.find (leaf_key fl) roots)
-                ~btr_root:(SMap.find (leaf_key bl) roots)
-                e;
-          })
-        with_leaves
+      Pool.map_list pool ~cost:0.02
+        (fun e -> { id = e.ledger_id; data = entry_hash e })
+        entries
     in
     let all =
       { id = min_sentinel; data = Hash.zero }

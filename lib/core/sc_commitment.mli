@@ -23,11 +23,13 @@ type entry = {
 type t
 
 val build : ?pool:Pool.t -> entry list -> (t, string) result
-(** Fails on duplicate ledger ids or entries recorded under the wrong
-    id. The empty list is valid (blocks with no sidechain traffic).
-    [pool] parallelizes the per-sidechain entry hashes and the top-level
-    tree build across domains (default {!Pool.sequential}); the root is
-    bit-identical for every domain count. *)
+(** Fails on duplicate or reserved (sentinel) ledger ids; it does not
+    check that an entry's FTs, BTRs and certificate carry the entry's
+    id (the block builder groups them by id). The empty list is valid
+    (blocks with no sidechain traffic). [pool] maps the per-sidechain
+    {!entry_hash}es and builds the top-level tree across domains
+    (default {!Pool.sequential}); the root is bit-identical for every
+    domain count. *)
 
 val root : t -> Hash.t
 

@@ -22,12 +22,8 @@ module Cache = struct
 
   let mu = Mutex.create ()
 
-  (* [enabled_flag] and [cap] are read on the lock-free fast path of
-     [find]/[store] while [set_enabled]/[set_capacity] write them from
-     other domains — Atomic, not ref-under-mutex, or the unlocked reads
-     are a data race once verification fans out across domains. *)
-  let enabled_flag = Atomic.make true
-  let cap = Atomic.make 4096
+  (* Every field below is read and written under [mu]. *)
+  let cap = ref 4096
   let table : (Hash.t, bool) Hashtbl.t = Hashtbl.create 1024
   let fifo : Hash.t Queue.t = Queue.create ()
   let hits = ref 0
@@ -45,8 +41,10 @@ module Cache = struct
       Mutex.unlock mu;
       raise e
 
-  let enabled () = Atomic.get enabled_flag
-  let set_enabled b = Atomic.set enabled_flag b
+  let set_enabled b =
+    if not b then
+      invalid_arg "Verifier.Cache.set_enabled: the cache cannot be disabled"
+
   let size () = locked (fun () -> Hashtbl.length table)
 
   let stats () =
@@ -71,7 +69,7 @@ module Cache = struct
      so recency tracking would buy nothing over insertion order. *)
   let evict_over_capacity () =
     let evicted = ref 0 in
-    while Queue.length fifo > Atomic.get cap do
+    while Queue.length fifo > !cap do
       let victim = Queue.pop fifo in
       Hashtbl.remove table victim;
       incr evictions;
@@ -81,43 +79,41 @@ module Cache = struct
 
   let set_capacity n =
     if n < 1 then invalid_arg "Verifier.Cache.set_capacity: capacity < 1";
-    Atomic.set cap n;
-    let evicted = locked evict_over_capacity in
+    let evicted =
+      locked (fun () ->
+          cap := n;
+          evict_over_capacity ())
+    in
     Zen_obs.Counter.add obs_evict evicted
 
   let find key =
-    if not (Atomic.get enabled_flag) then None
-    else begin
-      let r =
-        locked (fun () ->
-            match Hashtbl.find_opt table key with
-            | Some _ as r ->
-              incr hits;
-              r
-            | None ->
-              incr misses;
-              None)
-      in
-      (match r with
-      | Some _ -> Zen_obs.Counter.incr obs_hit
-      | None -> Zen_obs.Counter.incr obs_miss);
-      r
-    end
+    let r =
+      locked (fun () ->
+          match Hashtbl.find_opt table key with
+          | Some _ as r ->
+            incr hits;
+            r
+          | None ->
+            incr misses;
+            None)
+    in
+    (match r with
+    | Some _ -> Zen_obs.Counter.incr obs_hit
+    | None -> Zen_obs.Counter.incr obs_miss);
+    r
 
   let store key value =
-    if Atomic.get enabled_flag then begin
-      let evicted =
-        locked (fun () ->
-            if Hashtbl.mem table key then 0
-            else begin
-              Hashtbl.replace table key value;
-              Queue.push key fifo;
-              incr insertions;
-              evict_over_capacity ()
-            end)
-      in
-      Zen_obs.Counter.add obs_evict evicted
-    end
+    let evicted =
+      locked (fun () ->
+          if Hashtbl.mem table key then 0
+          else begin
+            Hashtbl.replace table key value;
+            Queue.push key fifo;
+            incr insertions;
+            evict_over_capacity ()
+          end)
+    in
+    Zen_obs.Counter.add obs_evict evicted
 end
 
 (* ---------------------------------------------------------------- *)
@@ -224,14 +220,6 @@ let verify_batch ?(pool = Pool.sequential) jobs =
       Cache.store arr.(i).key verified.(k))
     miss_idx;
   Array.to_list (Array.map Option.get cached)
-
-let verify_wcert ~vk ~(cert : Withdrawal_certificate.t) ~end_prev_epoch
-    ~end_epoch =
-  run_job (wcert_job ~vk ~cert ~end_prev_epoch ~end_epoch)
-
-let verify_withdrawal ~vk ~(request : Mainchain_withdrawal.t) ~reference_block
-    =
-  run_job (withdrawal_job ~vk ~request ~reference_block)
 
 let check_wcert_statics ~(config : Sidechain_config.t)
     ~(cert : Withdrawal_certificate.t) =

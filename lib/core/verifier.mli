@@ -26,12 +26,14 @@ open Zen_snark
     under the same key, so rejecting resubmissions is equally cheap.
     The cache is shared across chains/branches — safe because the key
     binds every input of the verify function, not because states
-    agree. Thread-safe; enabled by default. *)
+    agree. Thread-safe and always on: a verdict never depends on the
+    cache's contents, so {!Cache.clear} followed by {!run_job} is the
+    cold reference a warm verdict is checked against. *)
 module Cache : sig
-  val enabled : unit -> bool
   val set_enabled : bool -> unit
-  (** Disabling also stops stat recording; cached entries are kept but
-      not consulted until re-enabled. *)
+  (** A leftover label, kept only for the perfbench workloads that
+      call [set_enabled true]: [true] does nothing, [false] raises
+      [Invalid_argument]. *)
 
   val set_capacity : int -> unit
   (** Maximum number of cached outcomes (default 4096); FIFO eviction.
@@ -68,12 +70,16 @@ val wcert_job :
   end_prev_epoch:Hash.t ->
   end_epoch:Hash.t ->
   job
+(** The certificate proof checked against the mainchain-enforced
+    [wcert_sysdata] (quality, MH(BTList), epoch boundary block
+    hashes). *)
 
 val withdrawal_job :
   vk:Backend.verification_key ->
   request:Mainchain_withdrawal.t ->
   reference_block:Hash.t ->
   job
+(** The shared BTR/CSW proof checked against [btr_sysdata]. *)
 
 val aggregate_job : Aggregate.system -> Aggregate.t -> job
 (** The single block-level verification of a certificate aggregate. The
@@ -92,24 +98,6 @@ val verify_batch : ?pool:Pool.t -> job list -> bool list
     misses are verified on [pool] (default {!Pool.sequential}) and
     stored. Verification thunks are pure, so the result is bit-identical
     to the sequential path for every domain count. *)
-
-val verify_wcert :
-  vk:Backend.verification_key ->
-  cert:Withdrawal_certificate.t ->
-  end_prev_epoch:Hash.t ->
-  end_epoch:Hash.t ->
-  bool
-(** Checks the certificate proof against the mainchain-enforced
-    [wcert_sysdata] (quality, MH(BTList), epoch boundary block hashes).
-    Equivalent to {!run_job} on {!wcert_job} — consults the cache. *)
-
-val verify_withdrawal :
-  vk:Backend.verification_key ->
-  request:Mainchain_withdrawal.t ->
-  reference_block:Hash.t ->
-  bool
-(** Shared BTR/CSW verification against [btr_sysdata] — consults the
-    cache. *)
 
 val check_wcert_statics :
   config:Sidechain_config.t -> cert:Withdrawal_certificate.t -> (unit, string) result

@@ -24,11 +24,7 @@ type record = {
   completes_epoch : int option;
 }
 
-type epoch_archive = {
-  end_state : Sc_state.t;
-  delta : Bytes.t;
-  end_block_hash : Hash.t;
-}
+type epoch_archive = { end_state : Sc_state.t; delta : Bytes.t }
 
 type t = {
   config : Sidechain_config.t;
@@ -479,10 +475,7 @@ let build_certificate t ~mc =
     (* A rebuild of an already-archived epoch (a certificate lost to a
        reorg) replaces its entry: withdrawals must prove against the
        state of the certificate the mainchain will hold. *)
-    t.archives <-
-      Int_map.add epoch
-        { end_state; delta; end_block_hash = Sc_block.hash last_record.block }
-        t.archives;
+    t.archives <- Int_map.add epoch { end_state; delta } t.archives;
     Zen_obs.Counter.incr certificates;
     Ok (Some (Tx.Certificate cert))
 

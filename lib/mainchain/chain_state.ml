@@ -209,19 +209,16 @@ let proof_jobs t txs =
     (fun tx ->
       match tx with
       | Tx.Certificate cert ->
-        Sc_ledger.wcert_verify_job t.scs ~cert
-          ~block_hash_at:(block_hash_at t)
-      | Tx.Withdrawal_request w ->
-        Sc_ledger.withdrawal_verify_job t.scs ~request:w
+        Option.map snd
+          (Sc_ledger.wcert_job t.scs ~cert ~block_hash_at:(block_hash_at t))
+      | Tx.Withdrawal_request w -> Sc_ledger.withdrawal_job t.scs ~request:w
       | Tx.Coinbase _ | Tx.Transfer _ | Tx.Sc_create _ -> None)
     txs
 
 let prewarm_verifier ?pool t txs =
-  if Verifier.Cache.enabled () then begin
-    match proof_jobs t txs with
-    | [] -> ()
-    | jobs -> ignore (Verifier.verify_batch ?pool jobs : bool list)
-  end
+  match proof_jobs t txs with
+  | [] -> ()
+  | jobs -> ignore (Verifier.verify_batch ?pool jobs : bool list)
 
 (* The aggregation path: blocks validated through an aggregate, the
    certificate verifications those settled, aggregate proof decisions
@@ -248,7 +245,7 @@ let settle_aggregate t txs agg =
         | Tx.Certificate cert -> (
           let* acc = acc in
           match
-            Sc_ledger.wcert_leaf t.scs ~cert ~block_hash_at:(block_hash_at t)
+            Sc_ledger.wcert_job t.scs ~cert ~block_hash_at:(block_hash_at t)
           with
           | Some pair -> Ok (pair :: acc)
           | None ->

@@ -73,7 +73,7 @@ val prewarm_verifier : ?pool:Pool.t -> t -> Tx.t list -> unit
 (** [Verifier.verify_batch] over the SNARK verifications that applying
     the transactions to this state would run, populating the
     verification cache so a subsequent sequential application never
-    re-verifies. A no-op when the cache is disabled (results would be
-    thrown away). *)
+    re-verifies. The jobs are {!Sc_ledger.wcert_job} and
+    {!Sc_ledger.withdrawal_job}, the ones application runs. *)
 
 val sc_balance : t -> Hash.t -> Amount.t option

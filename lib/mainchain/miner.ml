@@ -47,7 +47,7 @@ let build_block ?pool ?(aggregate = false) chain ~time ~miner_addr ~candidates
             | None, _ -> None
             | Some acc, Tx.Certificate cert -> (
               match
-                Sc_ledger.wcert_leaf state.scs ~cert
+                Sc_ledger.wcert_job state.scs ~cert
                   ~block_hash_at:(Chain_state.block_hash_at state)
               with
               | Some (leaf, job) ->

@@ -79,30 +79,15 @@ let credit_ft t (ft : Forward_transfer.t) ~height =
 let reference_block_for sc =
   match last_cert sc with None -> Hash.zero | Some c -> c.included_in
 
-(* wcert_sysdata epoch-boundary block hashes, resolved on the chain the
-   caller queries through [block_hash_at]. Shared by acceptance and by
-   the prediction jobs below so both build identical cache keys. *)
-let epoch_boundaries sc ~(cert : Withdrawal_certificate.t) ~block_hash_at =
-  Epoch.boundary_hashes (Epoch.of_config sc.config) ~epoch:cert.epoch_id
-    ~block_hash_at
-
-let wcert_verify_job t ~(cert : Withdrawal_certificate.t) ~block_hash_at =
-  match find t cert.ledger_id with
-  | None -> None
-  | Some sc ->
-    Option.map
-      (fun (end_prev_epoch, end_epoch) ->
-        Verifier.wcert_job ~vk:sc.config.wcert_vk ~cert ~end_prev_epoch
-          ~end_epoch)
-      (epoch_boundaries sc ~cert ~block_hash_at)
-
-(* The aggregation leaf for one certificate, paired with the exact
-   per-certificate job the leaf stands in for. Built from the same
-   boundary resolution as [wcert_verify_job], so the leaf digest and
-   the job's cache key bind the same verification instance — the
-   aggregated and per-certificate paths decide identically by
-   construction. *)
-let wcert_leaf t ~(cert : Withdrawal_certificate.t) ~block_hash_at =
+(* The certificate's SNARK check, as its aggregation leaf paired with
+   the per-certificate job the leaf stands in for. Acceptance, the
+   block-level prewarm, aggregate settlement and the miner's aggregate
+   all take the check from here, so the leaf digest and the job's cache
+   key bind the same verification instance (vk digest, certificate
+   hash, proof bytes, and the wcert_sysdata epoch-boundary block hashes
+   resolved through [block_hash_at]): aggregated and per-certificate
+   validation decide identically by construction. *)
+let wcert_job t ~(cert : Withdrawal_certificate.t) ~block_hash_at =
   match find t cert.ledger_id with
   | None -> None
   | Some sc ->
@@ -121,9 +106,13 @@ let wcert_leaf t ~(cert : Withdrawal_certificate.t) ~block_hash_at =
           }
         in
         (leaf, Verifier.wcert_job ~vk ~cert ~end_prev_epoch ~end_epoch))
-      (epoch_boundaries sc ~cert ~block_hash_at)
+      (Epoch.boundary_hashes (Epoch.of_config sc.config) ~epoch:cert.epoch_id
+         ~block_hash_at)
 
-let withdrawal_verify_job t ~(request : Mainchain_withdrawal.t) =
+(* The BTR/CSW proof check against the reference block of the latest
+   accepted certificate; [None] also when the sidechain registered no
+   vk for the request's kind. *)
+let withdrawal_job t ~(request : Mainchain_withdrawal.t) =
   match find t request.ledger_id with
   | None -> None
   | Some sc ->
@@ -188,17 +177,14 @@ let accept_cert ?(settled = Hash.Set.empty) t
              "cert: epoch %d out of order (next uncertified epoch is %d)"
              cert.epoch_id next_due)
   in
-  (* wcert_sysdata: epoch boundary block hashes from this chain. *)
-  let* end_prev_epoch, end_epoch =
-    match epoch_boundaries sc ~cert ~block_hash_at with
-    | Some pair -> Ok pair
+  (* The sidechain is known, so [None] means an epoch boundary block
+     (wcert_sysdata) is not on this chain. *)
+  let* _, job =
+    match wcert_job t ~cert ~block_hash_at with
+    | Some check -> Ok check
     | None -> Error "cert: epoch boundary block not on this chain"
   in
   let* () =
-    let job =
-      Verifier.wcert_job ~vk:sc.config.wcert_vk ~cert ~end_prev_epoch
-        ~end_epoch
-    in
     (* A key in [settled] was covered by this block's already-verified
        aggregate: the aggregate's leaves bind exactly the inputs of this
        job's key, so membership implies this verification would return
@@ -249,22 +235,19 @@ let check_withdrawal t ~(request : Mainchain_withdrawal.t) ~height =
     else Ok ()
   in
   let ceased = is_ceased_sc sc ~height in
-  let* vk =
+  let* () =
     match request.kind with
-    | Mainchain_withdrawal.Btr ->
-      if ceased then Error "btr: sidechain has ceased"
-      else begin
-        match sc.config.btr_vk with
-        | None -> Error "btr: disabled for this sidechain"
-        | Some vk -> Ok vk
-      end
-    | Mainchain_withdrawal.Csw ->
-      if not ceased then Error "csw: sidechain is still active"
-      else begin
-        match sc.config.csw_vk with
-        | None -> Error "csw: disabled for this sidechain"
-        | Some vk -> Ok vk
-      end
+    | Mainchain_withdrawal.Btr when ceased -> Error "btr: sidechain has ceased"
+    | Mainchain_withdrawal.Csw when not ceased ->
+      Error "csw: sidechain is still active"
+    | Mainchain_withdrawal.Btr | Mainchain_withdrawal.Csw -> Ok ()
+  in
+  (* The sidechain is known, so [None] means no vk for this kind. *)
+  let* job =
+    match (withdrawal_job t ~request, request.kind) with
+    | Some job, _ -> Ok job
+    | None, Mainchain_withdrawal.Btr -> Error "btr: disabled for this sidechain"
+    | None, Mainchain_withdrawal.Csw -> Error "csw: disabled for this sidechain"
   in
   let* () =
     match request.kind with
@@ -273,8 +256,7 @@ let check_withdrawal t ~(request : Mainchain_withdrawal.t) ~height =
       else Error "csw: amount exceeds sidechain balance (safeguard)"
     | Mainchain_withdrawal.Btr -> Ok ()
   in
-  let reference_block = reference_block_for sc in
-  if Verifier.verify_withdrawal ~vk ~request ~reference_block then Ok ()
+  if Verifier.run_job job then Ok ()
   else Error "withdrawal: SNARK proof rejected"
 
 let apply_withdrawal t ~(request : Mainchain_withdrawal.t) ~height =

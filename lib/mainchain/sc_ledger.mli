@@ -85,34 +85,30 @@ val reference_block_for : sc_state -> Hash.t
 (** [H(B_w)] of §4.1.2.1: the block that carried the latest accepted
     certificate, or {!Hash.zero} when none exists yet. *)
 
-val wcert_verify_job :
-  t ->
-  cert:Withdrawal_certificate.t ->
-  block_hash_at:(int -> Hash.t option) ->
-  Verifier.job option
-(** The exact SNARK verification {!accept_cert} will run for this
-    certificate against the current state — used to prewarm the
-    {!Verifier.Cache} in a batch before transactions are applied one by
-    one. [None] when the sidechain is unknown or an epoch boundary is
-    unresolvable (acceptance would fail before verifying anyway). *)
-
-val wcert_leaf :
+val wcert_job :
   t ->
   cert:Withdrawal_certificate.t ->
   block_hash_at:(int -> Hash.t option) ->
   (Zen_snark.Aggregate.leaf * Verifier.job) option
-(** The certificate's aggregation leaf, paired with the per-certificate
-    verification job it stands in for. Leaf digest and job key bind the
-    same instance (vk digest, certificate hash, proof bytes, epoch
-    boundaries), which is what makes aggregated and per-certificate
-    validation decide identically. Same [None] conditions as
-    {!wcert_verify_job}. *)
+(** The certificate's one SNARK check against the current state: its
+    aggregation leaf, paired with the per-certificate verification job
+    the leaf stands in for. {!accept_cert} runs the job, block
+    validation prewarms the {!Verifier.Cache} with it, and aggregate
+    building and settlement fold the leaf. Leaf digest and job key bind
+    the same instance (vk digest, certificate hash, proof bytes, epoch
+    boundaries resolved through [block_hash_at]), which is what makes
+    aggregated and per-certificate validation decide identically.
+    [None] when the sidechain is unknown or an epoch boundary is
+    unresolvable (acceptance fails before verifying). *)
 
-val withdrawal_verify_job :
+val withdrawal_job :
   t -> request:Mainchain_withdrawal.t -> Verifier.job option
-(** Same prediction for {!check_withdrawal}'s BTR/CSW proof. The
-    reference block is read from the current state; if an earlier
-    transaction of the same block changes it, the prediction is merely
-    a wasted cache entry — acceptance recomputes its own key. *)
+(** The BTR/CSW proof check {!check_withdrawal} runs, against the
+    reference block read from the current state. [None] when the
+    sidechain is unknown or registered no vk for the request's kind.
+    Used ahead of application to prewarm the cache: if an earlier
+    transaction of the same block changes the reference block, that
+    prediction is merely a wasted cache entry, because acceptance
+    builds its own job from the state it applies to. *)
 
 val balance : t -> Hash.t -> Amount.t option

@@ -23,10 +23,11 @@ let by_start a b =
    after their children ([with_span] pushes at span end), so a single
    pass per domain suffices: completed-but-unclaimed nodes wait in a
    depth-indexed pending set, and a closing span at depth [d] claims
-   everything pending strictly deeper than [d] as its subtree. Normally
-   that is exactly the depth d+1 direct children; if an intermediate
-   parent event was dropped at the buffer cap, its orphaned descendants
-   flatten into the nearest surviving ancestor instead of vanishing. *)
+   the nodes pending at depth d+1 as its children. The buffer drops
+   only at its tail — once full, every later event is dropped — and a
+   span closes after its descendants, so when a node's parent is
+   dropped every ancestor above it is dropped too: the node is never
+   claimed and stays a root. *)
 let span_forest events =
   let by_tid : (int, Trace.event list ref) Hashtbl.t = Hashtbl.create 8 in
   List.iter
@@ -50,21 +51,20 @@ let span_forest events =
       | Some l -> l := n :: !l
       | None -> Hashtbl.add pending d (ref [ n ])
     in
-    let claim_deeper d =
-      let claimed =
-        Hashtbl.fold
-          (fun d' l acc -> if d' > d then !l @ acc else acc)
-          pending []
-      in
-      Hashtbl.iter (fun d' l -> if d' > d then l := []) pending;
-      List.sort by_start claimed
+    let claim_children d =
+      match Hashtbl.find_opt pending (d + 1) with
+      | None -> []
+      | Some l ->
+        let children = !l in
+        l := [];
+        List.sort by_start children
     in
     List.iter
       (fun (e : Trace.event) ->
         match e.phase with
         | Trace.Instant -> push e.depth { event = e; children = [] }
         | Trace.Complete ->
-          let children = claim_deeper e.depth in
+          let children = claim_children e.depth in
           push e.depth { event = e; children })
       evs;
     Hashtbl.fold (fun _ l acc -> !l @ acc) pending []

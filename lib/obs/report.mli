@@ -19,11 +19,11 @@ type node = { event : Trace.event; children : node list }
 val forest : unit -> node list
 (** The span forest rebuilt from {!Trace.events}. Within each [tid], a
     closing [Complete] span at depth [d] adopts every not-yet-claimed
-    node strictly deeper than [d]; unclaimed nodes become roots. If a
-    parent event was dropped at the buffer cap its surviving
-    descendants flatten into the nearest recorded ancestor, or become
-    roots, rather than disappearing. Roots are sorted by
-    [(ts, tid, seq)]. *)
+    node at depth [d + 1]; unclaimed nodes become roots. The buffer
+    drops only events recorded after it filled, and a span closes after
+    its descendants, so a span whose parent was dropped has no recorded
+    ancestor: it becomes a root rather than disappearing. Roots are
+    sorted by [(ts, tid, seq)]. *)
 
 val self_s : node -> float
 (** Self time: the span's duration minus the summed durations of its

@@ -165,7 +165,7 @@ let test_tampered_cert_rejected () =
     Chain_state.apply_tx st ~height:(st.height + 1) ~block_hash:Hash.zero tx
   in
   (* Each forgery is a fresh [make], so its id covers its own fields.
-     The genuine certificate is verified first with the cache on: a
+     The genuine certificate is verified first, into the cache: a
      forgery that aliased its cache key would be accepted from there. *)
   let forge ?(bt_list = cert.bt_list) ?(quality = cert.quality)
       ?(proof = cert.proof) ?(epoch_id = cert.epoch_id) () =
@@ -173,10 +173,6 @@ let test_tampered_cert_rejected () =
       (Withdrawal_certificate.make ~ledger_id:cert.ledger_id ~epoch_id ~quality
          ~bt_list ~proofdata:cert.proofdata ~proof)
   in
-  let cache_was_on = Verifier.Cache.enabled () in
-  Verifier.Cache.set_enabled true;
-  Fun.protect ~finally:(fun () -> Verifier.Cache.set_enabled cache_was_on)
-  @@ fun () ->
   checkb "genuine accepted (cached)" true (Result.is_ok (try_apply cert_tx));
   let hits_before = (Verifier.Cache.stats ()).hits in
   (* 1. extra backward transfer injected after proving *)

@@ -214,11 +214,10 @@ let test_commitment_entry_hash_reconstructible () =
       (Sc_commitment.verify_membership ~root:(Sc_commitment.root t)
          ~ledger_id:id ~entry_hash:rebuilt m)
 
-(* Regression (PR 5): build memoizes FT/BTR subtree roots per distinct
-   leaf list. The root must be unchanged relative to the direct,
-   unmemoized per-entry computation — exercised here with the
-   memo-friendly shapes (shared empty lists, repeated identical
-   batches) and proven leaf by leaf via the exported entry_hash. *)
+(* Each leaf of the commitment is the entry's own entry_hash, serial
+   and pooled, also where entries share subtree lists: empty lists and
+   one FT batch repeated under several ids (which a real block never
+   builds, since FT hashes bind their ledger id). *)
 let test_commitment_memoized_root_unchanged () =
   let id i = Hash.of_string (Printf.sprintf "memo%d" i) in
   let shared_fts = List.init 3 (mk_ft Hash.zero) in
@@ -246,7 +245,7 @@ let test_commitment_memoized_root_unchanged () =
              ~ledger_id:e.Sc_commitment.ledger_id
              ~entry_hash:(Sc_commitment.entry_hash e) m))
     entries;
-  (* Parallel build takes the same memoized path chunks; same root. *)
+  (* A parallel build maps the same entries in chunks; same root. *)
   let pool = Zen_crypto.Pool.get ~domains:3 in
   let t_par = ok (Sc_commitment.build ~pool entries) in
   checkb "pooled build, same root" true

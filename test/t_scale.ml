@@ -1,5 +1,6 @@
 (* Mainchain verification at scale: the verification cache (mechanics,
-   negative caching, batch/sequential equivalence on Domain pools), the
+   negative caching, warm verdicts = cold verdicts, batch/sequential
+   equivalence on Domain pools), the
    many-sidechain harness registration path, and the two hot-path
    regressions — reorg replay must not re-verify first-sight-verified
    certificate proofs, and duplicate submissions must be answered from
@@ -19,13 +20,11 @@ let family = Zen_latus.Circuits.make params
 let wcert_vk = (Zen_latus.Circuits.wcert_keys family).Zen_latus.Circuits.vk
 
 (* The cache is process-global; every test starts from a clean slate
-   and restores the defaults so suite order never matters. *)
+   and restores the default capacity so suite order never matters. *)
 let with_clean_cache f =
   Verifier.Cache.clear ();
-  Verifier.Cache.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
-      Verifier.Cache.set_enabled true;
       Verifier.Cache.set_capacity 4096;
       Verifier.Cache.clear ())
     f
@@ -83,16 +82,22 @@ let test_cache_negative_caching () =
       checkb "valid sibling unaffected" true
         (Verifier.run_job (job ~epoch:0 ~quality:1)))
 
-let test_cache_disabled () =
+(* [set_enabled] is a leftover label: [true] changes nothing, [false]
+   is refused and the cache keeps answering. *)
+let test_disabling_refused () =
   with_clean_cache (fun () ->
-      Verifier.Cache.set_enabled false;
       let j = job ~epoch:7 ~quality:1 in
-      checkb "verifies without cache" true (Verifier.run_job j);
+      Verifier.Cache.set_enabled true;
+      checkb "verifies" true (Verifier.run_job j);
+      checkb "disabling raises" true
+        (try
+           Verifier.Cache.set_enabled false;
+           false
+         with Invalid_argument _ -> true);
       checkb "verifies again" true (Verifier.run_job j);
       let s = Verifier.Cache.stats () in
-      checki "no hits when disabled" 0 s.Verifier.Cache.hits;
-      checki "no misses when disabled" 0 s.Verifier.Cache.misses;
-      checki "nothing stored" 0 (Verifier.Cache.size ()))
+      checki "still cached" 1 s.Verifier.Cache.hits;
+      checki "one entry" 1 (Verifier.Cache.size ()))
 
 let test_cache_eviction () =
   with_clean_cache (fun () ->
@@ -120,6 +125,89 @@ let test_cache_eviction () =
            false
          with Invalid_argument _ -> true))
 
+(* ---- warm verdicts = cold verdicts ---- *)
+
+(* A valid withdrawal proof: ownership of one coin in a fresh MST. *)
+let coin =
+  Zen_latus.Utxo.make ~addr:(Hash.of_string "scale-owner")
+    ~amount:(Amount.of_int_exn 7) ~nonce:(Hash.of_string "scale-coin")
+
+let reference_block = Hash.of_string "scale-ref"
+let receiver = Hash.of_string "scale-recv"
+let coin_proofdata = [ Proofdata.Blob (Zen_latus.Utxo.encode coin) ]
+
+let ownership_proof =
+  lazy
+    (let mst =
+       ok (Zen_latus.Mst.apply_ops (Zen_latus.Mst.create params)
+             [ Zen_latus.Mst.Op_insert coin ])
+     in
+     ok
+       (Zen_latus.Circuits.prove_ownership family ~mst ~utxo:coin
+          ~reference_block ~receiver ~proofdata:coin_proofdata))
+
+let withdrawal_job ?(amount = coin.Zen_latus.Utxo.amount)
+    ?(reference_block = reference_block) () =
+  Verifier.withdrawal_job
+    ~vk:(Zen_latus.Circuits.ownership_keys family).Zen_latus.Circuits.vk
+    ~request:
+      (Mainchain_withdrawal.make ~kind:Mainchain_withdrawal.Csw
+         ~ledger_id:(Hash.of_string "scale-sc") ~receiver ~amount
+         ~nullifier:(Zen_latus.Utxo.nullifier coin) ~proofdata:coin_proofdata
+         ~proof:(Lazy.force ownership_proof))
+    ~reference_block
+
+(* Valid jobs and tampered variants that share every key input but
+   one: the quality, an epoch boundary, the proof bytes, the amount or
+   the reference block. A cache key that dropped any of them would
+   answer a variant with its sibling's verdict. *)
+let verdict_jobs =
+  lazy
+    (let corrupt =
+       let b =
+         Bytes.of_string (Zen_snark.Backend.proof_encode (Lazy.force valid_proof))
+       in
+       Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
+       Option.get (Zen_snark.Backend.proof_decode (Bytes.to_string b))
+     in
+     let wcert ?(quality = 1) ?(end_prev_epoch = prev) ?(end_epoch = cur)
+         ?(proof = Lazy.force valid_proof) () =
+       Verifier.wcert_job ~vk:wcert_vk
+         ~cert:
+           (Withdrawal_certificate.make ~ledger_id:(Hash.of_string "scale-sc")
+              ~epoch_id:0 ~quality ~bt_list:[] ~proofdata ~proof)
+         ~end_prev_epoch ~end_epoch
+     in
+     [|
+       wcert ();
+       wcert ~quality:2 ();
+       wcert ~end_epoch:prev ();
+       wcert ~end_prev_epoch:cur ();
+       wcert ~proof:corrupt ();
+       withdrawal_job ();
+       withdrawal_job ~amount:(Amount.of_int_exn 8) ();
+       withdrawal_job ~reference_block:cur ();
+     |])
+
+(* Any sequence of jobs, repeats included, run through the warm cache
+   gets the verdict each job gets alone on a cleared cache. *)
+let prop_warm_equals_cold =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"warm cache = cold verdict" ~count:100
+       QCheck2.Gen.(list_size (int_range 1 24) (int_range 0 7))
+       (fun picks ->
+         let jobs = Lazy.force verdict_jobs in
+         with_clean_cache (fun () ->
+             let warm = List.map (fun i -> Verifier.run_job jobs.(i)) picks in
+             let cold =
+               List.map
+                 (fun i ->
+                   Verifier.Cache.clear ();
+                   Verifier.run_job jobs.(i))
+                 picks
+             in
+             warm = cold)))
+
 (* ---- batch verification: bit-identical to sequential ---- *)
 
 let test_batch_matches_sequential () =
@@ -128,32 +216,26 @@ let test_batch_matches_sequential () =
   let jobs = List.init 12 (fun i -> job ~epoch:i ~quality:(1 + (i mod 2))) in
   let expected = List.init 12 (fun i -> i mod 2 = 0) in
   List.iter
-    (fun cache_on ->
-      List.iter
-        (fun domains ->
-          with_clean_cache (fun () ->
-              Verifier.Cache.set_enabled cache_on;
-              let run () =
-                if domains = 1 then Verifier.verify_batch jobs
-                else Verifier.verify_batch ~pool:(Pool.get ~domains) jobs
-              in
-              let first = run () in
-              checkb
-                (Printf.sprintf "cache %b domains %d first pass" cache_on domains)
-                true (first = expected);
-              (* the second pass is served from the cache when enabled;
-                 decisions must not change either way *)
-              let hits0 = (Verifier.Cache.stats ()).Verifier.Cache.hits in
-              let second = run () in
-              checkb
-                (Printf.sprintf "cache %b domains %d second pass" cache_on
-                   domains)
-                true (second = expected);
-              if cache_on then
-                checki "second pass fully cached" (hits0 + 12)
-                  (Verifier.Cache.stats ()).Verifier.Cache.hits))
-        [ 1; 2; 4 ])
-    [ true; false ]
+    (fun domains ->
+      with_clean_cache (fun () ->
+          let run () =
+            if domains = 1 then Verifier.verify_batch jobs
+            else Verifier.verify_batch ~pool:(Pool.get ~domains) jobs
+          in
+          let cold = run () in
+          checkb
+            (Printf.sprintf "domains %d cold pass" domains)
+            true (cold = expected);
+          (* the warm pass is served from the cache with the same
+             decisions *)
+          let hits0 = (Verifier.Cache.stats ()).Verifier.Cache.hits in
+          let warm = run () in
+          checkb
+            (Printf.sprintf "domains %d warm pass" domains)
+            true (warm = expected);
+          checki "warm pass fully cached" (hits0 + 12)
+            (Verifier.Cache.stats ()).Verifier.Cache.hits))
+    [ 1; 2; 4 ]
 
 (* ---- many-sidechain registration (the O(n^2) append / nonce bug) ---- *)
 
@@ -233,12 +315,10 @@ let test_reorg_replay_uses_cache () =
       checkb "replay served from cache" true
         (s1.Verifier.Cache.hits - s0.Verifier.Cache.hits >= 1))
 
-(* ---- duplicate submissions are answered from the cache, and the
-        acceptance decisions match a cache-disabled world ---- *)
+(* ---- duplicate submissions are answered from the cache ---- *)
 
-let run_world ~cache ~plan seed =
+let run_world ~plan seed =
   Verifier.Cache.clear ();
-  Verifier.Cache.set_enabled cache;
   let faults =
     match plan with
     | [] -> None
@@ -262,38 +342,27 @@ let test_duplicate_submissions_hit_cache () =
           Faults.Cert_fault { epoch = 1; fault = Faults.Duplicate 2 };
         ]
       in
-      let h, sc = run_world ~cache:true ~plan "scale-dup" in
-      let with_cache = certified_epochs h sc in
+      let h, sc = run_world ~plan "scale-dup" in
       checkb "epochs certified under duplication" true
-        (List.mem 0 with_cache && List.mem 1 with_cache);
+        (certified_epochs h sc = [ 3; 2; 1; 0 ]);
       let s = Verifier.Cache.stats () in
       checkb "duplicates answered from cache" true (s.Verifier.Cache.hits > 0);
       checkb "each proof verified once" true
-        (s.Verifier.Cache.misses < s.Verifier.Cache.hits + s.Verifier.Cache.misses);
-      (* the same world with the cache disabled reaches the same
-         acceptance decisions *)
-      let h', sc' = run_world ~cache:false ~plan "scale-dup" in
-      checkb "decisions identical without cache" true
-        (certified_epochs h' sc' = with_cache);
-      checki "cache stayed cold" 0 (Verifier.Cache.stats ()).Verifier.Cache.hits)
+        (s.Verifier.Cache.misses < s.Verifier.Cache.hits + s.Verifier.Cache.misses))
 
 (* ---- hot-path regressions ---- *)
 
-(* The enabled flag and capacity are plain [Atomic.t]s read on every
-   [run_job]; toggling them from one domain while others verify must
-   never corrupt a verdict (the seed read the flag unsynchronised,
-   which is UB under the OCaml memory model). Verdicts depend only on
-   the proof, never on cache state, so workers can assert exact
-   outcomes while the toggler spins. *)
+(* Resizing the cache from one domain while others verify must never
+   corrupt a verdict. Verdicts depend only on the proof, never on cache
+   state, so workers can assert exact outcomes while the toggler
+   spins. *)
 let test_concurrent_toggle_keeps_verdicts () =
   with_clean_cache (fun () ->
       let stop = Atomic.make false in
       let toggler =
         Domain.spawn (fun () ->
             while not (Atomic.get stop) do
-              Verifier.Cache.set_enabled false;
               Verifier.Cache.set_capacity 4;
-              Verifier.Cache.set_enabled true;
               Verifier.Cache.set_capacity 4096
             done)
       in
@@ -404,7 +473,8 @@ let suite =
     [
       Alcotest.test_case "cache hit/miss/stats" `Quick test_cache_hit_miss_stats;
       Alcotest.test_case "negative caching" `Quick test_cache_negative_caching;
-      Alcotest.test_case "cache disabled" `Quick test_cache_disabled;
+      Alcotest.test_case "disabling is refused" `Quick test_disabling_refused;
+      prop_warm_equals_cold;
       Alcotest.test_case "fifo eviction" `Quick test_cache_eviction;
       Alcotest.test_case "batch = sequential" `Quick test_batch_matches_sequential;
       Alcotest.test_case "64 sidechains" `Quick test_many_sidechain_registration;

@@ -94,7 +94,7 @@ let test_disabled_withdrawals () =
   | Error e -> checkb "btr disabled" true (String.length e > 0)
   | Ok () -> Alcotest.fail "disabled BTR accepted"
 
-let test_verify_wcert_binds_boundaries () =
+let test_wcert_binds_boundaries () =
   (* A certificate proof is bound to the epoch boundary hashes the MC
      enforces: verification against different boundaries fails. *)
   let params = Zen_latus.Params.default in
@@ -113,19 +113,20 @@ let test_verify_wcert_binds_boundaries () =
       ~quality:1 ~bt_list:[] ~proofdata ~proof
   in
   let vk = (Zen_latus.Circuits.wcert_keys family).vk in
+  let verify ~cert ~end_prev_epoch ~end_epoch =
+    Verifier.run_job (Verifier.wcert_job ~vk ~cert ~end_prev_epoch ~end_epoch)
+  in
   checkb "right boundaries" true
-    (Verifier.verify_wcert ~vk ~cert ~end_prev_epoch:prev ~end_epoch:cur);
-  checkb "wrong prev" false
-    (Verifier.verify_wcert ~vk ~cert ~end_prev_epoch:cur ~end_epoch:cur);
-  checkb "wrong cur" false
-    (Verifier.verify_wcert ~vk ~cert ~end_prev_epoch:prev ~end_epoch:prev);
+    (verify ~cert ~end_prev_epoch:prev ~end_epoch:cur);
+  checkb "wrong prev" false (verify ~cert ~end_prev_epoch:cur ~end_epoch:cur);
+  checkb "wrong cur" false (verify ~cert ~end_prev_epoch:prev ~end_epoch:prev);
   (* quality is bound too *)
   let cert2 =
     Withdrawal_certificate.make ~ledger_id:cert.ledger_id ~epoch_id:0
       ~quality:2 ~bt_list:[] ~proofdata ~proof
   in
   checkb "quality bound" false
-    (Verifier.verify_wcert ~vk ~cert:cert2 ~end_prev_epoch:prev ~end_epoch:cur)
+    (verify ~cert:cert2 ~end_prev_epoch:prev ~end_epoch:cur)
 
 let test_mc_wallet_edge_cases () =
   let params =
@@ -224,7 +225,7 @@ let suite =
         test_config_schedule_edges;
       Alcotest.test_case "disabled withdrawals" `Quick test_disabled_withdrawals;
       Alcotest.test_case "wcert binds boundaries" `Quick
-        test_verify_wcert_binds_boundaries;
+        test_wcert_binds_boundaries;
       Alcotest.test_case "mc wallet edges" `Quick test_mc_wallet_edge_cases;
       Alcotest.test_case "mc ref size" `Quick test_mc_ref_size_claim;
     ] )
