@@ -474,7 +474,6 @@ let suite =
       Alcotest.test_case "cache hit/miss/stats" `Quick test_cache_hit_miss_stats;
       Alcotest.test_case "negative caching" `Quick test_cache_negative_caching;
       Alcotest.test_case "disabling is refused" `Quick test_disabling_refused;
-      prop_warm_equals_cold;
       Alcotest.test_case "fifo eviction" `Quick test_cache_eviction;
       Alcotest.test_case "batch = sequential" `Quick test_batch_matches_sequential;
       Alcotest.test_case "64 sidechains" `Quick test_many_sidechain_registration;
@@ -486,4 +485,5 @@ let suite =
       Alcotest.test_case "height index deep chain" `Quick
         test_height_index_deep_chain;
       test_distinct_outpoints_equiv;
+      prop_warm_equals_cold;
     ] )
