@@ -11,7 +11,8 @@ let obs_miss = Zen_obs.Counter.make "mc.verify.cache.miss"
 
 let obs_evict = Zen_obs.Counter.make "mc.verify.cache.eviction"
 
-(* Per-proof verification latency (cache misses only). *)
+(* Per-proof SNARK verification latency (cache misses only; signature
+   jobs are not timed here). *)
 let obs_verify_s =
   Zen_obs.Histogram.make
     ~bounds:(Zen_obs.Histogram.exponential_bounds ~lo:1e-5 ~factor:4. ~n:8)
@@ -124,6 +125,9 @@ type job = { key : Hash.t; verify : unit -> bool }
 
 let job_key j = j.key
 
+let snark_job key verify =
+  { key; verify = (fun () -> Zen_obs.Histogram.time obs_verify_s verify) }
+
 (* Key soundness: [Backend.verify vk ~public proof] is a pure function
    of the vk digest (which fixes the simulated verify function), the
    public-input vector, and the proof bytes. [Withdrawal_certificate.hash]
@@ -137,41 +141,33 @@ let job_key j = j.key
    which the key never computes. *)
 let wcert_job ~vk ~(cert : Withdrawal_certificate.t) ~end_prev_epoch ~end_epoch
     =
-  {
-    key =
-      Hash.tagged "mc.verify.cache.wcert"
-        [
-          Hash.to_raw (Backend.vk_digest vk);
-          Hash.to_raw (Withdrawal_certificate.hash cert);
-          Backend.proof_encode cert.proof;
-          Hash.to_raw end_prev_epoch;
-          Hash.to_raw end_epoch;
-        ];
-    verify =
-      (fun () ->
-        let public =
-          Withdrawal_certificate.public_input cert ~end_prev_epoch ~end_epoch
-        in
-        Backend.verify vk ~public cert.proof);
-  }
+  snark_job
+    (Hash.tagged "mc.verify.cache.wcert"
+       [
+         Hash.to_raw (Backend.vk_digest vk);
+         Hash.to_raw (Withdrawal_certificate.hash cert);
+         Backend.proof_encode cert.proof;
+         Hash.to_raw end_prev_epoch;
+         Hash.to_raw end_epoch;
+       ])
+    (fun () ->
+      let public =
+        Withdrawal_certificate.public_input cert ~end_prev_epoch ~end_epoch
+      in
+      Backend.verify vk ~public cert.proof)
 
 let withdrawal_job ~vk ~(request : Mainchain_withdrawal.t) ~reference_block =
-  {
-    key =
-      Hash.tagged "mc.verify.cache.withdrawal"
-        [
-          Hash.to_raw (Backend.vk_digest vk);
-          Hash.to_raw (Mainchain_withdrawal.hash request);
-          Backend.proof_encode request.proof;
-          Hash.to_raw reference_block;
-        ];
-    verify =
-      (fun () ->
-        let public =
-          Mainchain_withdrawal.public_input request ~reference_block
-        in
-        Backend.verify vk ~public request.proof);
-  }
+  snark_job
+    (Hash.tagged "mc.verify.cache.withdrawal"
+       [
+         Hash.to_raw (Backend.vk_digest vk);
+         Hash.to_raw (Mainchain_withdrawal.hash request);
+         Backend.proof_encode request.proof;
+         Hash.to_raw reference_block;
+       ])
+    (fun () ->
+      let public = Mainchain_withdrawal.public_input request ~reference_block in
+      Backend.verify vk ~public request.proof)
 
 (* The aggregate's verify is one constant-time [Backend.verify]; caching
    it still pays because mempool re-checks and reorg replays revisit the
@@ -179,23 +175,37 @@ let withdrawal_job ~vk ~(request : Mainchain_withdrawal.t) ~reference_block =
    binds every covered certificate instance down to its proof bytes),
    the count and the aggregate proof itself. *)
 let aggregate_job sys (agg : Aggregate.t) =
+  snark_job
+    (Hash.tagged "mc.verify.cache.aggregate"
+       [
+         Hash.to_raw (Aggregate.vk_digest sys);
+         Hash.to_raw (Aggregate.root agg);
+         string_of_int (Aggregate.count agg);
+         Backend.proof_encode (Aggregate.proof agg);
+       ])
+    (fun () -> Aggregate.verify sys agg)
+
+(* Bitcoin Core's signature cache, in the same bounded FIFO: a miner's
+   trial application verifies a transfer input's signature, and
+   connecting the block it built finds the verdict. [Schnorr.verify] is
+   a pure function of the key, the message and the signature. The key
+   encoding is injective, the message is length-framed by the tagged
+   hash, and the signature encoding is injective except that every
+   signature whose R is the point at infinity encodes to zeros; all of
+   those verify false. *)
+let signature_job ~pk ~msg ~signature =
   {
     key =
-      Hash.tagged "mc.verify.cache.aggregate"
-        [
-          Hash.to_raw (Aggregate.vk_digest sys);
-          Hash.to_raw (Aggregate.root agg);
-          string_of_int (Aggregate.count agg);
-          Backend.proof_encode (Aggregate.proof agg);
-        ];
-    verify = (fun () -> Aggregate.verify sys agg);
+      Hash.tagged "mc.verify.cache.signature"
+        [ Schnorr.pk_encode pk; msg; Schnorr.sig_encode signature ];
+    verify = (fun () -> Schnorr.verify pk msg signature);
   }
 
 let run_job j =
   match Cache.find j.key with
   | Some v -> v
   | None ->
-    let v = Zen_obs.Histogram.time obs_verify_s j.verify in
+    let v = j.verify () in
     Cache.store j.key v;
     v
 
@@ -210,9 +220,7 @@ let verify_batch ?(pool = Pool.sequential) jobs =
   (* A miss runs one simulated SNARK verification plus the MH(proofdata)
      recomputation — ~0.1 ms with production-shaped proofdata. *)
   let verified =
-    Pool.map_array pool ~cost:0.1
-      (fun i -> Zen_obs.Histogram.time obs_verify_s arr.(i).verify)
-      miss_idx
+    Pool.map_array pool ~cost:0.1 (fun i -> arr.(i).verify ()) miss_idx
   in
   Array.iteri
     (fun k i ->

@@ -15,12 +15,13 @@ open Zen_snark
 
 (** {2 Verification cache}
 
-    A process-wide bounded memo of verification outcomes, keyed by a
-    digest binding the vk digest, the full public-input preimage (via
-    the object hash plus the chain-supplied hashes) and the proof
-    bytes. Duplicate submissions, the miner's trial application of
-    mempool candidates, and reorg replays of already-seen certificates
-    all hit the cache instead of re-running SNARK verification.
+    A process-wide bounded memo of verification outcomes. A SNARK job's
+    key binds the vk digest, the full public-input preimage (via the
+    object hash plus the chain-supplied hashes) and the proof bytes; a
+    signature job's binds the key, the message and the signature.
+    Duplicate submissions, the miner's trial application of mempool
+    candidates, and reorg replays of already-seen certificates and
+    transfers all hit the cache instead of verifying again.
 
     Negative outcomes are cached too: an invalid proof stays invalid
     under the same key, so rejecting resubmissions is equally cheap.
@@ -86,6 +87,14 @@ val aggregate_job : Aggregate.system -> Aggregate.t -> job
     key binds the aggregate vk digest, the merge root, the covered
     count and the proof bytes, so mempool re-checks and reorg replays
     of the same block hit the cache. *)
+
+val signature_job :
+  pk:Schnorr.public_key -> msg:string -> signature:Schnorr.signature -> job
+(** One Schnorr signature check, keyed by a tagged digest of the
+    encoded key, the message and the encoded signature (Bitcoin Core's
+    signature cache): the miner's trial application of a transfer
+    verifies its inputs' signatures, and connecting the block it built
+    answers them from the cache. *)
 
 val job_key : job -> Hash.t
 (** The cache key (exposed for tests). *)

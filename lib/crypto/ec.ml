@@ -28,7 +28,14 @@
    multiplication runs on Jacobian accumulators (x = X/Z^2,
    y = Y/Z^3) in a per-call workspace, with doubling for a = 0 and
    mixed Jacobian+affine addition, and converts back with one
-   inversion. *)
+   inversion.
+
+   Variable-base multiplication ([mul], [sg_minus_ep_eq]) uses
+   secp256k1's endomorphism: λ·(x, y) = (β x, y) for cube roots of
+   unity λ mod n and β mod p, so e·P = e1·P + e2·(λ P) with e1, e2
+   below 2^128 up to sign (GLV, libsecp256k1's scalar_split_lambda),
+   and s·G = s_lo·G + s_hi·(2^128 G) from the fixed-base table's
+   windows 0 and 32. Four 129-digit streams share 129 doublings. *)
 
 let of_hex h =
   String.init (String.length h / 2) (fun i ->
@@ -210,7 +217,36 @@ module Field = struct
       (a.(8) + p16_m - b.(8))
       (a.(9) + p16_9 - b.(9))
 
-  (* [k] is a small constant (2, 3, 8): limbs stay below 2^31. *)
+  (* r := k (a - b - c) and r := a - k b, for the doubling's k = 2 and
+     k = 8: 2 * 16p and k * 16p exceed what they subtract, and the
+     limbs stay below 2^34. *)
+  let sub2_mul r a b c k =
+    carry_store r
+      (k * (a.(0) + (2 * p16_0) - b.(0) - c.(0)))
+      (k * (a.(1) + (2 * p16_1) - b.(1) - c.(1)))
+      (k * (a.(2) + (2 * p16_m) - b.(2) - c.(2)))
+      (k * (a.(3) + (2 * p16_m) - b.(3) - c.(3)))
+      (k * (a.(4) + (2 * p16_m) - b.(4) - c.(4)))
+      (k * (a.(5) + (2 * p16_m) - b.(5) - c.(5)))
+      (k * (a.(6) + (2 * p16_m) - b.(6) - c.(6)))
+      (k * (a.(7) + (2 * p16_m) - b.(7) - c.(7)))
+      (k * (a.(8) + (2 * p16_m) - b.(8) - c.(8)))
+      (k * (a.(9) + (2 * p16_9) - b.(9) - c.(9)))
+
+  let sub_mul r a b k =
+    carry_store r
+      (a.(0) + (k * (p16_0 - b.(0))))
+      (a.(1) + (k * (p16_1 - b.(1))))
+      (a.(2) + (k * (p16_m - b.(2))))
+      (a.(3) + (k * (p16_m - b.(3))))
+      (a.(4) + (k * (p16_m - b.(4))))
+      (a.(5) + (k * (p16_m - b.(5))))
+      (a.(6) + (k * (p16_m - b.(6))))
+      (a.(7) + (k * (p16_m - b.(7))))
+      (a.(8) + (k * (p16_m - b.(8))))
+      (a.(9) + (k * (p16_9 - b.(9))))
+
+  (* [k] is a small constant (2 or 3): limbs stay below 2^30. *)
   let mul_int r a k =
     carry_store r (a.(0) * k) (a.(1) * k) (a.(2) * k) (a.(3) * k)
       (a.(4) * k) (a.(5) * k) (a.(6) * k) (a.(7) * k) (a.(8) * k)
@@ -468,6 +504,63 @@ module Scalar = struct
   (* Above n/2, and n - s for s ≠ 0: [mul_g]'s flip. *)
   let is_high s = not (geq half_n (digits s))
   let neg s = of_digits (sub n (digits s))
+
+  (* The GLV split (libsecp256k1's scalar_split_lambda, after Hankerson,
+     Menezes and Vanstone, Alg. 3.74). λ is a cube root of unity mod n,
+     and the lattice {(a, b) : a + λ b ≡ 0} has the short basis
+     (a1, b1), (a2, b2) with a1 = b2 = 0x3086d221a7d46bcde86c90e49284eb15,
+     b1 = -0xe4437ed6010e88286f547fa90abfe4c3 and
+     a2 = 0x114ca50f7a8e2f3f657c1108d9d44cfd8 (a1 b2 - a2 b1 = n). With
+     c1 = round(b2 k / n) and c2 = round(-b1 k / n),
+     k2 = -(c1 b1 + c2 b2) and k1 = k - λ k2 are congruent to the
+     closest-vector split, so k1 and k2 or their negations are below
+     2^128. The divisions by n are multiplications by
+     g1 = round(2^384 b2 / n) and g2 = round(2^384 (-b1) / n) and a
+     rounded shift by 384 bits. *)
+  let lambda =
+    of_hex "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72"
+
+  let g1 =
+    digits
+      (of_hex "3086d221a7d46bcde86c90e49284eb153daa8a1471e8ca7fe893209a45dbb031")
+
+  let g2 =
+    digits
+      (of_hex "e4437ed6010e88286f547fa90abfe4c4221208ac9df506c61571b4ae8ac47f71")
+
+  let minus_b1 =
+    of_hex "00000000000000000000000000000000e4437ed6010e88286f547fa90abfe4c3"
+
+  let minus_b2 =
+    of_hex "fffffffffffffffffffffffffffffffe8a280ac50774346dd765cda83db1562c"
+
+  (* round(k g / 2^384): digits 24..31 of the product plus bit 383. *)
+  let mul_shift_384 k g =
+    let t = Array.make 32 0 in
+    for i = 0 to 15 do
+      for j = 0 to 15 do
+        t.(i + j) <- t.(i + j) + (k.(i) * g.(j))
+      done
+    done;
+    for i = 0 to 30 do
+      t.(i + 1) <- t.(i + 1) + (t.(i) lsr 16);
+      t.(i) <- t.(i) land 0xffff
+    done;
+    let r = Array.make 16 0 in
+    Array.blit t 24 r 0 8;
+    r.(0) <- r.(0) + (t.(23) lsr 15);
+    reduce_digits r
+
+  let minus a b = if is_zero b then a else add a (neg b)
+
+  let split_lambda k =
+    let kd = digits k in
+    let k2 =
+      add
+        (mul (mul_shift_384 kd g1) minus_b1)
+        (mul (mul_shift_384 kd g2) minus_b2)
+    in
+    (minus k (mul k2 lambda), k2)
 end
 
 (* An affine point: canonical x limbs then canonical y limbs. *)
@@ -546,7 +639,6 @@ type ws = {
   t0 : F.t; t1 : F.t; t2 : F.t; t3 : F.t; t4 : F.t; t5 : F.t; t6 : F.t;
   t7 : F.t;
   ax : F.t; ay : F.t;  (* the affine addend *)
-  q : jac;  (* a negated Jacobian addend *)
 }
 
 let workspace () =
@@ -556,7 +648,6 @@ let workspace () =
     t0 = f (); t1 = f (); t2 = f (); t3 = f (); t4 = f (); t5 = f ();
     t6 = f (); t7 = f ();
     ax = f (); ay = f ();
-    q = jac ();
   }
 
 let one = F.of_limbs [| 1; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]
@@ -592,23 +683,20 @@ let double ws j =
     F.sq c b;
     F.add d j.x b;
     F.sq d d;
-    F.sub d d a;
-    F.sub d d c;
-    F.mul_int d d 2;
+    F.sub2_mul d d a c 2;
     F.mul_int e a 3;
     F.sq f e;
     F.mul j.z j.y j.z;
     F.mul_int j.z j.z 2;
-    F.mul_int u d 2;
-    F.sub j.x f u;
+    F.sub_mul j.x f d 2;
     F.sub u d j.x;
     F.mul u e u;
-    F.mul_int c c 8;
-    F.sub j.y u c
+    F.sub_mul j.y u c 8
   end
 
 (* j := j + (ws.ax, ws.ay), the affine addend (libsecp256k1's
-   gej_add_ge_var): 8M + 3S. *)
+   gej_add_ge_var): 8M + 3S. A finite sum leaves h = z'/z, the ratio
+   of the new z to the old, in ws.t3. *)
 let add_affine ws j =
   if j.inf then jac_set_affine j ws.ax ws.ay
   else begin
@@ -696,8 +784,8 @@ let to_point ws j =
 (* Entry (i, d), 1 <= d <= 8, is d * 16^i * G, affine, at
    ((8 i + d - 1) * 10): each coordinate packs its canonical limbs in
    pairs, l_2j + l_2j+1 * 2^26 (below 2^52), so the table is 5,120
-   words. Window 0's odd entries double as the odd multiples of G that
-   [strauss] adds. *)
+   words. The odd entries of windows 0 and 32 double as the odd
+   multiples of G and of 2^128 G that [strauss] adds. *)
 let build_table () =
   let tbl = Array.make (64 * 8 * 10) 0 in
   let ws = workspace () in
@@ -793,67 +881,162 @@ let mul_g k =
   done;
   to_point ws ws.acc
 
-(* ---- variable base: Strauss–Shamir over width-w NAFs ---- *)
+(* ---- variable base: Strauss–Shamir over width-w NAFs, GLV split ---- *)
 
-(* Width-w NAF of a 256-bit scalar (libsecp256k1's ecmult_wnaf): 257
-   digits, each zero or odd in [-(2^(w-1) - 1), 2^(w-1) - 1]. *)
-let wnaf w kb =
-  let bit i =
-    if i >= 256 then 0 else (Char.code kb.[31 - (i lsr 3)] lsr (i land 7)) land 1
-  in
-  let out = Array.make 257 0 in
+(* β, a cube root of unity mod p: λ·(x, y) = (β x, y) for every point,
+   λ being [Scalar.lambda]. *)
+let beta =
+  F.of_bytes
+    (of_hex "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee")
+
+let kbit kb i = (Char.code kb.[31 - (i lsr 3)] lsr (i land 7)) land 1
+
+(* The bit length of bits [lo, hi) of the big-endian [kb]. *)
+let num_bits kb ~lo ~hi =
+  let rec go i = if i < lo then 0 else if kbit kb i = 1 then i - lo + 1 else go (i - 1) in
+  go (hi - 1)
+
+(* Width-w NAF of bits [lo, hi) of the big-endian [kb] (libsecp256k1's
+   ecmult_wnaf), negated with [neg]: [len] digits, each zero or odd in
+   [-(2^(w-1) - 1), 2^(w-1) - 1]. [len] exceeds the value's bit length,
+   which leaves room for the last carry. *)
+let wnaf w ~len ?(neg = false) kb ~lo ~hi =
+  let bit i = if lo + i >= hi then 0 else kbit kb (lo + i) in
+  let out = Array.make len 0 in
   let carry = ref 0 and i = ref 0 in
-  while !i < 257 do
+  while !i < len do
     if bit !i = !carry then incr i
     else begin
-      let now = min w (257 - !i) in
+      let now = min w (len - !i) in
       let word = ref 0 in
       for b = now - 1 downto 0 do
         word := (!word lsl 1) lor bit (!i + b)
       done;
       let word = !word + !carry in
       carry := (word lsr (w - 1)) land 1;
-      out.(!i) <- word - (!carry lsl w);
+      let d = word - (!carry lsl w) in
+      out.(!i) <- (if neg then -d else d);
       i := !i + now
     end
   done;
   out
 
-(* ws.acc := s * G + e * pt, the doublings shared. The width-4 G
-   digits add window 0's affine odd multiples 1..7; the width-5 pt
-   digits add pt's odd multiples 1..15, kept Jacobian. *)
+(* A scalar below 2^128 up to sign, as (negated, magnitude bytes). *)
+let signed k =
+  if Scalar.is_high k then (true, Scalar.to_bytes (Scalar.neg k))
+  else (false, Scalar.to_bytes k)
+
+(* acc := acc + d * (xs, ys), an odd multiple of an iso-affine table
+   (negated for d < 0; see [strauss]). *)
+let add_entry ws acc xs ys d =
+  if d <> 0 then begin
+    F.set ws.ax xs.(abs d / 2);
+    if d > 0 then F.set ws.ay ys.(d / 2) else F.neg ws.ay ys.(-d / 2);
+    add_affine ws acc
+  end
+
+(* ws.acc := s * G + e * pt, the doublings shared. s splits at bit 128,
+   s = s_lo + 2^128 s_hi, and e = e1 + λ e2 ([Scalar.split_lambda]), so
+   four streams of at most 129 digits share 129 doublings where two
+   256-bit ones needed 257. The loop runs one more step than the
+   longest stream, so its length never rests on the split's bound.
+
+   Every addition is mixed (libsecp256k1's "effective affine" ecmult):
+   the width-5 e1 digits add pt's odd multiples 1..15 and the e2
+   digits their images under λ, (β x, y); the width-4 s_lo digits add
+   the odd multiples 1..7 of G (window 0 of the fixed-base table) and
+   the s_hi digits those of 2^128 G (window 32). pt's multiples are
+   built with a common Jacobian Z = zg. On the isomorphic curve
+   y^2 = x^3 + 7 zg^6, where (X, Y, Z) stands for the secp256k1 point
+   (X, Y, Z zg), they are affine; the G multiples become affine there
+   as (x zg^2, y zg^3), and the addition formulas do not read the
+   curve constant. The sum returns to secp256k1 with Z := Z zg. *)
 let strauss ws ~s ~e pt =
-  let ns = wnaf 4 (Scalar.to_bytes s) and ne = wnaf 5 (Scalar.to_bytes e) in
+  let sb = Scalar.to_bytes s in
+  let e1, e2 = Scalar.split_lambda e in
+  let neg1, e1 = signed e1 and neg2, e2 = signed e2 in
+  let len =
+    1
+    + List.fold_left max 0
+        [
+          num_bits sb ~lo:0 ~hi:128;
+          num_bits sb ~lo:128 ~hi:256;
+          num_bits e1 ~lo:0 ~hi:256;
+          num_bits e2 ~lo:0 ~hi:256;
+        ]
+  in
+  let ns_lo = wnaf 4 ~len sb ~lo:0 ~hi:128
+  and ns_hi = wnaf 4 ~len sb ~lo:128 ~hi:256 in
+  let ne1 = wnaf 5 ~len ~neg:neg1 e1 ~lo:0 ~hi:256
+  and ne2 = wnaf 5 ~len ~neg:neg2 e2 ~lo:0 ~hi:256 in
   let nonzero = Array.exists (fun d -> d <> 0) in
-  let tbl = if nonzero ns then table () else [||] in
-  let odd = Array.init 8 (fun _ -> jac ()) in
+  let table8 () = Array.init 8 (fun _ -> F.create ()) in
+  let px = table8 () and py = table8 () and pxl = table8 () in
+  let zg = F.create () in
   (match pt with
-   | Affine a when nonzero ne ->
-     jac_of_affine odd.(0) a;
-     let twice = jac () in
-     jac_copy twice odd.(0);
-     double ws twice;
+   | Affine a when nonzero ne1 || nonzero ne2 ->
+     (* d = 2 pt has z = c. On the isomorphic curve of c, d is affine
+        (d.x, d.y) and pt is (x c^2, y c^3), so seven mixed additions
+        of d give the odd multiples, each with its own z. *)
+     let d = jac () and m = jac () in
+     jac_of_affine d a;
+     double ws d;
+     let c2 = F.create () and c3 = F.create () in
+     F.sq c2 d.z;
+     F.mul c3 c2 d.z;
+     jac_of_affine m a;
+     F.mul m.x m.x c2;
+     F.mul m.y m.y c3;
+     F.set ws.ax d.x;
+     F.set ws.ay d.y;
+     let ratio = table8 () in
+     F.set px.(0) m.x;
+     F.set py.(0) m.y;
      for j = 1 to 7 do
-       jac_copy odd.(j) odd.(j - 1);
-       add_jac ws odd.(j) twice
-     done
-   | _ -> Array.fill ne 0 257 0);
+       add_affine ws m;
+       F.set ratio.(j) ws.t3;
+       F.set px.(j) m.x;
+       F.set py.(j) m.y
+     done;
+     (* Rescale multiple j to the last one's z: by zs = z_7 / z_j, the
+        product of the ratios above j. Then zg = z_7 c. *)
+     let zs = ratio.(7) and t = F.create () in
+     for j = 6 downto 0 do
+       if j < 6 then F.mul zs zs ratio.(j + 1);
+       F.sq t zs;
+       F.mul px.(j) px.(j) t;
+       F.mul t t zs;
+       F.mul py.(j) py.(j) t
+     done;
+     F.mul zg m.z d.z;
+     Array.iteri (fun j x -> F.mul pxl.(j) x beta) px
+   | _ ->
+     F.set zg one;
+     Array.fill ne1 0 len 0;
+     Array.fill ne2 0 len 0);
+  (* The odd multiples of G and of 2^128 G on the isomorphic curve. *)
+  let gx = table8 () and gy = table8 () in
+  if nonzero ns_lo || nonzero ns_hi then begin
+    let tbl = table () in
+    let z2 = F.create () and z3 = F.create () in
+    F.sq z2 zg;
+    F.mul z3 z2 zg;
+    for k = 0 to 7 do
+      load_entry ws tbl (if k < 4 then 0 else 32) ((2 * (k land 3)) + 1);
+      F.mul gx.(k) ws.ax z2;
+      F.mul gy.(k) ws.ay z3
+    done
+  end;
+  let gx_hi = Array.sub gx 4 4 and gy_hi = Array.sub gy 4 4 in
   let acc = ws.acc in
-  for i = 256 downto 0 do
+  for i = len - 1 downto 0 do
     double ws acc;
-    let d = ns.(i) in
-    if d <> 0 then begin
-      load_entry ws tbl 0 d;
-      add_affine ws acc
-    end;
-    let d = ne.(i) in
-    if d > 0 then add_jac ws acc odd.(d / 2)
-    else if d < 0 then begin
-      jac_copy ws.q odd.(-d / 2);
-      F.neg ws.q.y ws.q.y;
-      add_jac ws acc ws.q
-    end
-  done
+    add_entry ws acc gx gy ns_lo.(i);
+    add_entry ws acc gx_hi gy_hi ns_hi.(i);
+    add_entry ws acc px py ne1.(i);
+    add_entry ws acc pxl py ne2.(i)
+  done;
+  if not acc.inf then F.mul acc.z acc.z zg
 
 let mul k pt =
   let ws = workspace () in

@@ -10,6 +10,8 @@
     coordinates and inverts once at the end; [mul_g] adds from a table
     of affine multiples of G built on first use, and [sg_minus_ep_eq]
     checks a Schnorr equation with shared doublings and no inversion.
+    Variable-base multiplication splits its scalar with secp256k1's
+    endomorphism (GLV), so it doubles 129 times, not 257.
 
     Nothing here is constant-time: timing depends on secret scalars.
     This code serves a simulation, and side channels are out of scope. *)
@@ -42,6 +44,13 @@ module Scalar : sig
   val is_zero : t -> bool
   val add : t -> t -> t
   val mul : t -> t -> t
+
+  val split_lambda : t -> t * t
+  (** [split_lambda k] is [(k1, k2)] with k ≡ k1 + λ·k2 (mod n), λ the
+      cube root of unity of secp256k1's endomorphism, and each of k1 and
+      k2 or its negation below 2^128 (libsecp256k1's
+      [scalar_split_lambda]). A test hook: the GLV tests check the
+      congruence and the bound against the oracle. *)
 end
 
 val add : point -> point -> point
@@ -55,7 +64,12 @@ val mul_g : Scalar.t -> point
 
 val sg_minus_ep_eq : s:Scalar.t -> e:Scalar.t -> point -> point -> bool
 (** [sg_minus_ep_eq ~s ~e p r] is whether s·G − e·p = r; false when
-    [r] is infinity. *)
+    [r] is infinity. One Strauss–Shamir pass over four half-length
+    streams: e = e1 + λ·e2 ({!Scalar.split_lambda}) against p and λ·p,
+    and s = s_lo + 2^128·s_hi against G and 2^128·G, whose odd
+    multiples are already in [mul_g]'s table. 129 doublings, all
+    additions mixed, and no inversion: [r] is compared in the sum's
+    Jacobian form. *)
 
 val encode : point -> string
 (** 65-byte uncompressed encoding (0x04 ‖ x ‖ y); a single 0x00 byte for

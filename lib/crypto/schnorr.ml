@@ -33,11 +33,16 @@ let pk_decode s =
   | _ -> None
 let pk_hash pk = Hash.tagged "schnorr.pk" [ Ec.encode pk ]
 
+(* Signatures made and signature checks run (observation only). *)
+let signs = Zen_obs.Counter.make "crypto.schnorr.signs"
+let verifies = Zen_obs.Counter.make "crypto.schnorr.verifies"
+
 let challenge r pk msg =
   scalar_of_hash_material
     (Sha256.digest_list [ "zendoo.schnorr.e"; Ec.encode r; Ec.encode pk; msg ])
 
 let sign sk msg =
+  Zen_obs.Counter.incr signs;
   (* Deterministic nonce: HMAC(sk, msg), per-key-and-message. *)
   let k = scalar_of_hash_material (Sha256.hmac ~key:(S.to_bytes sk.scalar) msg) in
   let r = Ec.mul_g k in
@@ -45,6 +50,7 @@ let sign sk msg =
   { r; s = S.to_bytes (S.add k (S.mul e sk.scalar)) }
 
 let verify pk msg { r; s } =
+  Zen_obs.Counter.incr verifies;
   (not (Ec.is_infinity pk))
   && (not (Ec.is_infinity r))
   &&

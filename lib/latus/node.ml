@@ -18,6 +18,7 @@ let config_for ~ledger_id ~start_block ~epoch_len ~submit_len family =
 
 type record = {
   block : Sc_block.t;
+  admitted : Sc_tx.admitted list; (* [block.txs], as the pool held them *)
   state_after : Sc_state.t;
   leaf_base : int; (* first pipeline leaf index of this block's epoch stream *)
   wepoch : int;
@@ -112,12 +113,12 @@ let mc_synced_height t =
 let blocks t = List.rev_map (fun r -> r.block) t.records
 
 let submit_tx t tx =
-  match Sc_tx.validate (next_block_state t) tx with
+  match Sc_tx.admit (next_block_state t) tx with
   | Error e -> Error e
-  | Ok () ->
+  | Ok a ->
     (* O(1) admission, deduplicated by txid (a resubmission is a
        no-op, not a second queue entry). *)
-    t.mempool <- Sc_mempool.add t.mempool tx;
+    t.mempool <- Sc_mempool.add t.mempool a;
     Ok ()
 
 let mempool_size t = Sc_mempool.size t.mempool
@@ -136,8 +137,9 @@ let ( let* ) = Result.bind
 (* ---- MC reorg reconciliation ---- *)
 
 (* Drop sidechain blocks whose MC references are no longer on the MC
-   best chain; their payments return to the mempool (FTTx/BTRTx are
-   rebuilt from the new MC blocks when re-referenced). *)
+   best chain; their payments return to the mempool as the pool held
+   them, admitted, so none is admitted again (FTTx/BTRTx are rebuilt
+   from the new MC blocks when re-referenced). *)
 let reconcile t ~mc =
   let ref_valid r = Chain.on_best_chain mc (Mc_ref.block_hash r) in
   let rec split_valid kept = function
@@ -155,11 +157,12 @@ let reconcile t ~mc =
       List.concat_map
         (fun r ->
           List.filter
-            (function
+            (fun a ->
+              match Sc_tx.admitted_tx a with
               | Sc_tx.Payment _ | Sc_tx.Backward_transfer_tx _ -> true
               | Sc_tx.Forward_transfers_tx _
               | Sc_tx.Backward_transfer_requests_tx _ -> false)
-            r.block.txs)
+            r.admitted)
         dropped
     in
     t.records <- List.rev kept;
@@ -242,8 +245,10 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
       let wepoch = next_block_wepoch t in
       let sync_txs = Sc_validate.sync_txs refs in
       (* Mempool transactions that became invalid (double spends after
-         a reorg, stale inputs) are dropped, not fatal. Both accumulators
-         are reversed lists (linear in block size, not quadratic). *)
+         a reorg, stale inputs) are dropped, not fatal. Admission checked
+         their witnesses, so only the state rules run again. Both
+         accumulators are reversed lists (linear in block size, not
+         quadratic). *)
       let* state2, snaps2, included =
         Zen_obs.Trace.with_span ~cat:"latus"
           ~args:
@@ -264,9 +269,9 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
         in
         let state2, snaps_rev, included_rev =
           List.fold_left
-            (fun (st, sn, inc) tx ->
-              match Sc_tx.transition st tx with
-              | Ok (st', traced) -> (st', List.rev_append traced sn, tx :: inc)
+            (fun (st, sn, inc) a ->
+              match Sc_tx.transition_admitted st a with
+              | Ok (st', traced) -> (st', List.rev_append traced sn, a :: inc)
               | Error _ -> (st, sn, inc))
             (state1, snaps1_rev, [])
             mempool_txs
@@ -285,7 +290,8 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
       in
       let block =
         Sc_block.forge ~parent ~height:(sc_height t + 1) ~slot ~sk ~mc_refs:refs
-          ~txs:included ~state_hash:(Sc_state.hash state2)
+          ~txs:(List.map Sc_tx.admitted_tx included)
+          ~state_hash:(Sc_state.hash state2)
       in
       let completes_epoch =
         match List.rev refs with
@@ -303,6 +309,7 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
       let record =
         {
           block;
+          admitted = included;
           state_after = state2;
           leaf_base;
           wepoch;

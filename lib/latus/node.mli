@@ -64,9 +64,11 @@ val blocks : t -> Sc_block.t list
 (** Oldest first. *)
 
 val submit_tx : t -> Sc_tx.t -> (unit, string) result
-(** Validates against the current state and queues the transaction —
-    O(1) admission into an id-indexed FIFO ({!Sc_mempool});
-    resubmitting a pooled txid is an accepted no-op. *)
+(** Admits the transaction against the current state ({!Sc_tx.admit}:
+    every rule, its witnesses included) and queues it — O(1) into an
+    id-indexed FIFO ({!Sc_mempool}); resubmitting a pooled txid is an
+    accepted no-op. {!forge} re-runs only the state rules on what was
+    admitted, so each witness is verified once per node. *)
 
 val mempool_size : t -> int
 (** O(1). *)

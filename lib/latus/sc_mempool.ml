@@ -1,1 +1,5 @@
-include Zen_mainchain.Mempool.Make (Sc_tx)
+include Zen_mainchain.Mempool.Make (struct
+  type t = Sc_tx.admitted
+
+  let txid a = Sc_tx.txid (Sc_tx.admitted_tx a)
+end)

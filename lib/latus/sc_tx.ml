@@ -110,7 +110,23 @@ let check_witness ~sighash (utxo : Utxo.t) (pk, signature) =
     Error "sc tx: invalid signature"
   else Ok ()
 
-let validate_payment (state : Sc_state.t) (p : payment) =
+(* The rules split by what they read. The stateless ones (shape,
+   witnesses, nonce discipline, conservation, the BT amount) hold for a
+   transaction wherever it lands, so one that [admit] checked needs
+   only the state rule (its inputs are present) and its steps again.
+   [transition_with] runs them in the order the error strings have
+   always come in. *)
+
+let inputs_present (state : Sc_state.t) inputs =
+  List.fold_left
+    (fun acc u ->
+      let* () = acc in
+      if Mst.find_utxo state.mst u = None then
+        Error "payment: input not in state"
+      else Ok ())
+    (Ok ()) inputs
+
+let payment_shape (p : payment) =
   let n_in = List.length p.inputs and n_out = List.length p.outputs in
   let* () =
     if n_in >= 1 && n_in <= 2 && n_out >= 1 && n_out <= 2 then Ok ()
@@ -120,21 +136,12 @@ let validate_payment (state : Sc_state.t) (p : payment) =
     if List.length p.witnesses = n_in then Ok ()
     else Error "payment: one witness per input required"
   in
-  (* Distinct inputs, all present in the MST. *)
-  let* () =
-    match p.inputs with
-    | [ a; b ] when Utxo.equal a b -> Error "payment: duplicate input"
-    | _ -> Ok ()
-  in
-  let* () =
-    List.fold_left
-      (fun acc u ->
-        let* () = acc in
-        if Mst.find_utxo state.mst u = None then
-          Error "payment: input not in state"
-        else Ok ())
-      (Ok ()) p.inputs
-  in
+  (* Distinct inputs. *)
+  match p.inputs with
+  | [ a; b ] when Utxo.equal a b -> Error "payment: duplicate input"
+  | _ -> Ok ()
+
+let payment_witnesses (p : payment) =
   let sighash = payment_sighash ~inputs:p.inputs ~outputs:p.outputs in
   let* () =
     List.fold_left2
@@ -164,12 +171,12 @@ let validate_payment (state : Sc_state.t) (p : payment) =
   if Amount.( <= ) value_out value_in then Ok ()
   else Error "payment: outputs exceed inputs"
 
-let validate_bt (state : Sc_state.t) (b : backward) =
-  let* () =
-    if Mst.find_utxo state.mst b.bt_input = None then
-      Error "bt: input not in state"
-    else Ok ()
-  in
+let bt_present (state : Sc_state.t) (b : backward) =
+  if Mst.find_utxo state.mst b.bt_input = None then
+    Error "bt: input not in state"
+  else Ok ()
+
+let bt_witness (b : backward) =
   let* () =
     if Amount.equal b.bt.amount b.bt_input.amount then Ok ()
     else Error "bt: amount must equal the spent utxo"
@@ -233,18 +240,27 @@ let trace_outcomes state items steps_of =
       | Error _ -> (st, out))
     (state, []) items
 
-let transition state tx =
+(* [stateless] runs the rules a checked transaction keeps; without it
+   only the state rules run. *)
+let transition_with ~stateless state tx =
   let* state', out =
     match tx with
     | Payment p ->
-      let* () = validate_payment state p in
+      let* () =
+        if stateless then
+          let* () = payment_shape p in
+          let* () = inputs_present state p.inputs in
+          payment_witnesses p
+        else inputs_present state p.inputs
+      in
       (* Outputs must land in free, pairwise-distinct slots once the
          inputs are removed: the MST steps themselves check that. *)
       trace_onto state []
         (List.map (fun u -> Remove u) p.inputs
         @ List.map (fun u -> Insert u) p.outputs)
     | Backward_transfer_tx b ->
-      let* () = validate_bt state b in
+      let* () = bt_present state b in
+      let* () = if stateless then bt_witness b else Ok () in
       trace_onto state [] [ Remove b.bt_input; Append_bt b.bt ]
     | Forward_transfers_tx { fts; _ } ->
       Ok (trace_outcomes state fts ft_steps)
@@ -253,13 +269,20 @@ let transition state tx =
   in
   Ok (state', List.rev out)
 
-let validate state tx =
+let transition = transition_with ~stateless:true
+let apply state tx = Result.map fst (transition state tx)
+
+(* A transaction whose stateless rules held. Only [admit] builds one. *)
+type admitted = t
+
+let admit state tx =
   match tx with
   | Payment _ | Backward_transfer_tx _ ->
-    Result.map (fun (_ : Sc_state.t * _) -> ()) (transition state tx)
+    Result.map (fun (_ : Sc_state.t * _) -> tx) (transition state tx)
   | Forward_transfers_tx _ | Backward_transfer_requests_tx _ ->
     (* MC-defined transactions: outcomes are computed, not validated;
        consistency with the MC block is checked by Mc_ref. *)
-    Ok ()
+    Ok tx
 
-let apply state tx = Result.map fst (transition state tx)
+let admitted_tx a = a
+let transition_admitted = transition_with ~stateless:false

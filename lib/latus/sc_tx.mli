@@ -83,13 +83,35 @@ val transition :
     coins). A BTR removes its coin and appends a BT to its receiver, or
     has no step when the coin is gone or does not match the request. *)
 
-val validate : Sc_state.t -> t -> (unit, string) result
-(** {!transition}'s verdict. FT and BTR transactions are always [Ok]:
-    their outcomes are computed, and {!Mc_ref} checks them against the
-    MC block. *)
-
 val apply : Sc_state.t -> t -> (Sc_state.t, string) result
 (** {!transition}'s post-state. *)
+
+(** {2 Admission: each witness checked once per node}
+
+    A node checks a payment's or BT's witnesses when it admits the
+    transaction to its pool, and not again when it forges the
+    transaction into a block: its stateless rules (shape, key
+    ownership and signature, nonce discipline, conservation, BT amount)
+    hold wherever it lands, so only the state rules can change their
+    verdict. A follower replaying someone else's block has admitted
+    nothing and runs {!apply}, which checks every rule. *)
+
+type admitted
+(** A transaction whose stateless rules held. Only {!admit} builds
+    one. *)
+
+val admit : Sc_state.t -> t -> (admitted, string) result
+(** {!transition}'s verdict, with its error strings in its order. FT
+    and BTR transactions are always admitted: their outcomes are
+    computed, and {!Mc_ref} checks them against the MC block. *)
+
+val admitted_tx : admitted -> t
+
+val transition_admitted :
+  Sc_state.t -> admitted -> (Sc_state.t * traced list, string) result
+(** {!transition} without the stateless rules {!admit} checked: the
+    inputs must be present, then each step applies once. It runs no
+    signature check. *)
 
 val apply_steps :
   ?batched:bool -> Sc_state.t -> step list -> (Sc_state.t, string) result

@@ -1,6 +1,6 @@
 (** Sidechain wallet: UTXO scanning over the MST, and construction of
     payment / backward-transfer transactions with the nonce discipline
-    {!Sc_tx.validate} expects. The keys are a {!Zen_mainchain.Wallet}
+    {!Sc_tx.admit} expects. The keys are a {!Zen_mainchain.Wallet}
     key ring whose seed is prefixed with ["latus."]. *)
 
 open Zen_crypto
@@ -27,7 +27,7 @@ val build_payment :
     the wallet. Fails when no 1–2-input combination covers the amount
     (chain several payments in that case), and when the outputs would
     share an MST slot or land on an occupied slot the inputs do not
-    free: output slots derive from the inputs alone, so {!Sc_tx.validate}
+    free: output slots derive from the inputs alone, so {!Sc_tx.admit}
     would refuse such a payment. *)
 
 val build_backward_transfer :

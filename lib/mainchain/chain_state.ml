@@ -56,7 +56,11 @@ let check_input t ~height ~sighash (input : Tx.input) =
     if Hash.equal (Schnorr.pk_hash input.pk) coin.addr then Ok ()
     else Error "tx: key does not own the spent output"
   in
-  if Schnorr.verify input.pk (Hash.to_raw sighash) input.signature then Ok coin
+  if
+    Verifier.run_job
+      (Verifier.signature_job ~pk:input.pk ~msg:(Hash.to_raw sighash)
+         ~signature:input.signature)
+  then Ok coin
   else Error "tx: invalid signature"
 
 (* Single hashed-membership pass — [List.mem] over the encoded strings

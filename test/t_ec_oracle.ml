@@ -298,6 +298,98 @@ let props =
       (fun (a, b) -> scalar_agrees a b);
   ]
 
+(* ---- the GLV endomorphism ---- *)
+
+(* λ and β re-derived here: λ is a cube root of unity mod n and β one
+   mod p, paired so that λ·G = (β·Gx, Gy). *)
+let lambda =
+  Bignum.of_hex "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72"
+
+let beta =
+  Bignum.of_hex "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee"
+
+let test_endomorphism_constants () =
+  let three = Bignum.of_int 3 in
+  checkb "λ^3 = 1 mod n" true
+    (Bignum.equal (Bignum.Modring.pow O.scalar_ring lambda three) Bignum.one);
+  checkb "λ ≠ 1" false (Bignum.equal lambda Bignum.one);
+  checkb "β^3 = 1 mod p" true
+    (Bignum.equal (Bignum.Modring.pow fp_ring beta three) Bignum.one);
+  checkb "β ≠ 1" false (Bignum.equal beta Bignum.one);
+  let lg = O.to_affine (O.mul lambda O.g) in
+  checkb "λ·G = (β·Gx, Gy)" true
+    (match lg with
+     | Some (x, y) ->
+       Bignum.equal x (Bignum.Modring.mul fp_ring beta O.gx) && Bignum.equal y O.gy
+     | None -> false)
+
+(* Scalars where the split meets its edges: 0, 1, n - 1, λ (k2 = 1,
+   k1 = 0), n - λ, and either side of 2^128. *)
+let glv_edge_scalars =
+  let two_128 = Bignum.shift_left Bignum.one 128 in
+  [
+    Bignum.zero; Bignum.one; Bignum.sub O.n Bignum.one; lambda;
+    Bignum.sub O.n lambda; Bignum.sub two_128 Bignum.one; two_128;
+    Bignum.add two_128 Bignum.one;
+  ]
+
+let gen_glv_scalar =
+  QCheck2.Gen.(oneof [ gen_bignum256; oneofl glv_edge_scalars ])
+
+(* k ≡ k1 + λ·k2 (mod n), with k1 and k2 each below 2^128 up to sign. *)
+let split_agrees k =
+  let ring = O.scalar_ring in
+  let k = Bignum.Modring.reduce ring k in
+  let k1, k2 = Ec.Scalar.split_lambda (scalar k) in
+  let v s = Bignum.of_bytes_be (Ec.Scalar.to_bytes s) in
+  let k1 = v k1 and k2 = v k2 in
+  let short x = Bignum.num_bits x <= 128 || Bignum.num_bits (Bignum.sub O.n x) <= 128 in
+  if not (Bignum.equal (Bignum.Modring.add ring k1 (Bignum.Modring.mul ring lambda k2)) k)
+  then QCheck2.Test.fail_reportf "k1 + λ k2 ≠ k for %s" (Bignum.to_hex k);
+  if not (short k1 && short k2) then
+    QCheck2.Test.fail_reportf "split of %s: %s, %s not below 2^128" (Bignum.to_hex k)
+      (Bignum.to_hex k1) (Bignum.to_hex k2);
+  true
+
+(* [sg_minus_ep_eq] decides whether s·G - e·P = R as the oracle does:
+   on R itself, and on R + G, -R and infinity, which it must refuse. *)
+let sg_minus_ep_agrees (s, e, c) =
+  let ring = O.scalar_ring in
+  let c = Bignum.add (Bignum.Modring.reduce ring c) Bignum.one in
+  let op = O.mul c O.g in
+  let p = Option.get (Ec.decode (O.encode op)) in
+  let r = O.add (O.mul s O.g) (O.neg (O.mul e op)) in
+  let point q = Option.get (Ec.decode (O.encode q)) in
+  let decide q =
+    Ec.sg_minus_ep_eq ~s:(scalar s) ~e:(scalar e) p (point q)
+  in
+  let want q = (not (O.is_infinity q)) && O.equal q r in
+  List.for_all
+    (fun q -> decide q = want q)
+    [ r; O.add r O.g; O.neg r; O.infinity ]
+
+let glv_props =
+  [
+    prop ~count:200 "GLV split = oracle" gen_glv_scalar split_agrees;
+    prop ~count:8 "sg_minus_ep_eq = oracle"
+      QCheck2.Gen.(triple gen_glv_scalar gen_glv_scalar gen_bignum256)
+      sg_minus_ep_agrees;
+  ]
+
+let test_glv_edges () =
+  List.iter
+    (fun k ->
+      checkb ("split " ^ Bignum.to_hex k) true (split_agrees k);
+      checkb ("mul " ^ Bignum.to_hex k) true (mul_agrees k);
+      List.iter
+        (fun s ->
+          checkb
+            (Printf.sprintf "s %s e %s" (Bignum.to_hex s) (Bignum.to_hex k))
+            true
+            (sg_minus_ep_agrees (s, k, Bignum.of_int 0xC0FFEE)))
+        [ Bignum.zero; Bignum.one; Bignum.sub O.n Bignum.one ])
+    glv_edge_scalars
+
 let suite =
   ( "ec-oracle",
     [
@@ -308,4 +400,10 @@ let suite =
       Alcotest.test_case "decode edges" `Quick test_decode_edges;
     ]
     @ props
-    @ [ Alcotest.test_case "scalar edges" `Quick test_scalar_edges ] )
+    @ [ Alcotest.test_case "scalar edges" `Quick test_scalar_edges ]
+    @ [
+        Alcotest.test_case "endomorphism constants" `Quick
+          test_endomorphism_constants;
+        Alcotest.test_case "GLV edges" `Quick test_glv_edges;
+      ]
+    @ glv_props )

@@ -162,7 +162,11 @@ let test_payment_rejects_bad_sig () =
   | Sc_tx.Payment p ->
     (* Swap outputs after signing: signature must fail. *)
     let tampered = Sc_tx.Payment { p with outputs = List.rev p.outputs } in
-    checkb "tamper rejected" true (Result.is_error (Sc_tx.validate st tampered))
+    checkb "tamper rejected" true (Result.is_error (Sc_tx.admit st tampered));
+    (* apply, the follower's check, verifies the witness itself *)
+    (match Sc_tx.apply st tampered with
+    | Error e -> Alcotest.(check string) "apply refuses it" "sc tx: invalid signature" e
+    | Ok _ -> Alcotest.fail "apply accepted a tampered witness")
   | _ -> Alcotest.fail "expected payment"
 
 let test_payment_rejects_overdraw_and_foreign_nonce () =
@@ -183,7 +187,7 @@ let test_payment_rejects_overdraw_and_foreign_nonce () =
   in
   checkb "foreign nonce rejected" true
     (Result.is_error
-       (Sc_tx.validate st (Sc_tx.Payment { inputs; witnesses; outputs })))
+       (Sc_tx.admit st (Sc_tx.Payment { inputs; witnesses; outputs })))
 
 (* Output slots derive from the inputs alone, so some coins can only
    be spent into outputs that collide. Grind such coins at a small MST
@@ -229,15 +233,15 @@ let test_payment_output_slots () =
   let witnesses =
     [ sign w1 a1 sighash ]
   in
-  (match Sc_tx.validate st (Sc_tx.Payment { inputs = [ c ]; witnesses; outputs }) with
+  (match Sc_tx.admit st (Sc_tx.Payment { inputs = [ c ]; witnesses; outputs }) with
   | Error e -> Alcotest.(check string) "node refuses it" "mst: slot collision" e
-  | Ok () -> Alcotest.fail "colliding outputs validated");
+  | Ok _ -> Alcotest.fail "colliding outputs validated");
   (* an output on the slot its own input frees is fine *)
   let pos c = Utxo.position ~mst_depth:depth c in
   let c = grind 0 (fun c -> fst (out_slots c) = pos c && snd (out_slots c) <> pos c) in
   let st = single c in
   let tx = ok (pay st) in
-  checkb "freed slot reused" true (Result.is_ok (Sc_tx.validate st tx));
+  checkb "freed slot reused" true (Result.is_ok (Sc_tx.admit st tx));
   (* an output on a slot another coin holds is refused *)
   let c = grind 0 (fun c ->
       let o0, o1 = out_slots c in
@@ -279,7 +283,7 @@ let test_payment_applies_once () =
   in
   checkb "steps hash" true (once > 0);
   checki "apply" once (count (fun () -> Sc_tx.apply st tx));
-  checki "validate" once (count (fun () -> Sc_tx.validate st tx));
+  checki "admit" once (count (fun () -> Sc_tx.admit st tx));
   checki "transition" once (count (fun () -> Sc_tx.transition st tx))
 
 let test_ft_accept_and_reject () =

@@ -601,6 +601,120 @@ let test_refs_clipped_at_epoch_boundary () =
   checki "next block refs epoch 1" 3 (List.length b2.mc_refs);
   checki "synced to mc tip" 13 (Node.mc_synced_height w.node)
 
+(* The forger verifies a payment's witness once, at admission; a
+   follower has admitted nothing and must verify it itself. A block
+   carrying a payment whose witness was re-signed over another message
+   is refused, and the same block with the genuine payment is not. *)
+let test_follower_refuses_tampered_witness () =
+  let w = make_world "witness" in
+  let user = Sc_wallet.create ~seed:"witness.user" in
+  let user_addr = Sc_wallet.fresh_address user in
+  let payback = Wallet.fresh_address w.mc_wallet in
+  mine w;
+  do_ft w ~receiver:user_addr ~payback ~amt:(amount 250_000);
+  mine w;
+  let block0 =
+    match forge w with Some b -> b | None -> Alcotest.fail "no block"
+  in
+  let st = Node.next_block_state w.node in
+  let other = Sc_wallet.fresh_address (Sc_wallet.create ~seed:"witness.other") in
+  let pay = ok (Sc_wallet.build_payment user st ~to_:other ~amount:(amount 1_000)) in
+  let tampered =
+    match pay with
+    | Sc_tx.Payment ({ witnesses = [ (pk, _) ]; _ } as p) ->
+      let sk = Option.get (Sc_wallet.secret_for user user_addr) in
+      Sc_tx.Payment { p with witnesses = [ (pk, Schnorr.sign sk "another message") ] }
+    | _ -> Alcotest.fail "expected a one-input payment"
+  in
+  let post = ok (Sc_tx.apply st pay) in
+  let forger_sk, _ = Schnorr.of_seed "witness.forger" in
+  let block tx =
+    Sc_block.forge ~parent:(Sc_block.hash block0) ~height:(block0.height + 1)
+      ~slot:w.time ~sk:forger_sk ~mc_refs:[] ~txs:[ tx ]
+      ~state_hash:(Sc_state.hash post)
+  in
+  let ctx =
+    {
+      Sc_validate.config = w.config;
+      params;
+      prev_state = st;
+      prev_hash = Sc_block.hash block0;
+      prev_height = block0.height;
+      mc_synced = Node.mc_synced_height w.node;
+      expected_leader = None;
+    }
+  in
+  checkb "genuine payment accepted" true
+    (Result.is_ok (Sc_validate.validate ctx ~mc:w.chain (block pay)));
+  match Sc_validate.validate ctx ~mc:w.chain (block tampered) with
+  | Error e ->
+    Alcotest.(check string) "tampered witness refused"
+      "sc block: sc tx: invalid signature" e
+  | Ok _ -> Alcotest.fail "follower accepted a tampered witness"
+
+(* A reorg that drops the SC block carrying a payment returns the
+   payment to the pool as admitted: the next forge re-includes it,
+   verifying no signature, and a follower accepts the rebuilt block. *)
+let test_reinjected_payment_reforges () =
+  let w = make_world "reinject" in
+  let user = Sc_wallet.create ~seed:"reinject.user" in
+  let user_addr = Sc_wallet.fresh_address user in
+  let payback = Wallet.fresh_address w.mc_wallet in
+  mine w;
+  do_ft w ~receiver:user_addr ~payback ~amt:(amount 250_000);
+  mine w;
+  (* heights 7..8, the FT at 8 *)
+  let block0 =
+    match forge w with Some b -> b | None -> Alcotest.fail "no block"
+  in
+  let st = Node.next_block_state w.node in
+  let other = Sc_wallet.fresh_address (Sc_wallet.create ~seed:"reinject.other") in
+  let pay = ok (Sc_wallet.build_payment user st ~to_:other ~amount:(amount 1_000)) in
+  ok (Node.submit_tx w.node pay);
+  let fork_base = w.chain in
+  mine w;
+  (* height 9 on branch A carries the payment's SC block *)
+  let carries (b : Sc_block.t) =
+    List.exists (fun tx -> Hash.equal (Sc_tx.txid tx) (Sc_tx.txid pay)) b.txs
+  in
+  checkb "forged on branch A" true
+    (match forge w with Some b -> carries b | None -> false);
+  let alt_miner = Wallet.fresh_address (Wallet.create ~seed:"reinject-alt") in
+  let b1, _ = ok (Miner.build_block fork_base ~time:500 ~miner_addr:alt_miner ~candidates:[]) in
+  let alt, _ = ok (Chain.add_block fork_base b1) in
+  let b2, _ = ok (Miner.build_block alt ~time:501 ~miner_addr:alt_miner ~candidates:[]) in
+  let c, _ = ok (Chain.add_block w.chain b1) in
+  let c, outcome = ok (Chain.add_block c b2) in
+  w.chain <- c;
+  (match outcome with
+  | Chain.Reorg _ -> ()
+  | _ -> Alcotest.fail "expected a reorg");
+  let verifies = Zen_obs.Counter.make "crypto.schnorr.verifies" in
+  let v0 = Zen_obs.Counter.value verifies in
+  let reforged = Zen_obs.Registry.with_enabled (fun () -> forge w) in
+  checki "re-forging verifies no signature" 0
+    (Zen_obs.Counter.value verifies - v0);
+  let b =
+    match reforged with Some b -> b | None -> Alcotest.fail "nothing re-forged"
+  in
+  checkb "payment re-included" true (carries b);
+  checki "pool drained" 0 (Node.mempool_size w.node);
+  (* the rebuilt block follows block0, the last one the reorg kept *)
+  let ctx =
+    {
+      Sc_validate.config = w.config;
+      params;
+      prev_state = st;
+      prev_hash = Sc_block.hash block0;
+      prev_height = block0.height;
+      mc_synced = 8;
+      expected_leader = None;
+    }
+  in
+  let state = ok (Sc_validate.validate ctx ~mc:w.chain b) in
+  checkb "follower reaches the forger's state" true
+    (Fp.equal (Sc_state.hash state) (Sc_state.hash (Node.tip_state w.node)))
+
 let suite =
   ( "node-e2e",
     [
@@ -619,4 +733,8 @@ let suite =
       Alcotest.test_case "leader enforcement" `Quick test_leader_enforcement;
       Alcotest.test_case "epoch boundary clipping" `Quick
         test_refs_clipped_at_epoch_boundary;
+      Alcotest.test_case "follower refuses a tampered witness" `Quick
+        test_follower_refuses_tampered_witness;
+      Alcotest.test_case "reinjected payment re-forges" `Quick
+        test_reinjected_payment_reforges;
     ] )

@@ -282,7 +282,7 @@ let props =
             with
             | Error _ -> go st rest
             | Ok tx ->
-              Result.is_ok (Sc_tx.validate st tx)
+              Result.is_ok (Sc_tx.admit st tx)
               && go (Result.get_ok (Sc_tx.apply st tx)) rest)
         in
         go st pays);

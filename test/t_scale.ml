@@ -4,7 +4,9 @@
    many-sidechain harness registration path, and the two hot-path
    regressions — reorg replay must not re-verify first-sight-verified
    certificate proofs, and duplicate submissions must be answered from
-   the cache. *)
+   the cache — and the signature jobs that share the cache: their key
+   binds key, message and signature, and a block the miner built
+   connects on hits. *)
 
 open Zen_crypto
 open Zen_mainchain
@@ -157,10 +159,30 @@ let withdrawal_job ?(amount = coin.Zen_latus.Utxo.amount)
          ~proof:(Lazy.force ownership_proof))
     ~reference_block
 
+(* A signature check and its variants: another message, another key,
+   another signature by the same key. *)
+let sig_sk, sig_pk = Schnorr.of_seed "scale-sig"
+let _, other_pk = Schnorr.of_seed "scale-sig-other"
+
+let sig_job ?(pk = sig_pk) ?(msg = "scale-msg") ?signature () =
+  let signature =
+    match signature with Some s -> s | None -> Schnorr.sign sig_sk "scale-msg"
+  in
+  Verifier.signature_job ~pk ~msg ~signature
+
+let sig_variants () =
+  [
+    sig_job ();
+    sig_job ~msg:"scale-msh" ();
+    sig_job ~pk:other_pk ();
+    sig_job ~signature:(Schnorr.sign sig_sk "scale-other") ();
+  ]
+
 (* Valid jobs and tampered variants that share every key input but
-   one: the quality, an epoch boundary, the proof bytes, the amount or
-   the reference block. A cache key that dropped any of them would
-   answer a variant with its sibling's verdict. *)
+   one: the quality, an epoch boundary, the proof bytes, the amount,
+   the reference block, or a signature's message, key or signature. A
+   cache key that dropped any of them would answer a variant with its
+   sibling's verdict. *)
 let verdict_jobs =
   lazy
     (let corrupt =
@@ -187,14 +209,15 @@ let verdict_jobs =
        withdrawal_job ();
        withdrawal_job ~amount:(Amount.of_int_exn 8) ();
        withdrawal_job ~reference_block:cur ();
-     |])
+     |]
+     |> fun a -> Array.append a (Array.of_list (sig_variants ())))
 
 (* Any sequence of jobs, repeats included, run through the warm cache
    gets the verdict each job gets alone on a cleared cache. *)
 let prop_warm_equals_cold =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"warm cache = cold verdict" ~count:100
-       QCheck2.Gen.(list_size (int_range 1 24) (int_range 0 7))
+       QCheck2.Gen.(list_size (int_range 1 24) (int_range 0 11))
        (fun picks ->
          let jobs = Lazy.force verdict_jobs in
          with_clean_cache (fun () ->
@@ -207,6 +230,101 @@ let prop_warm_equals_cold =
                  picks
              in
              warm = cold)))
+
+(* The signature key binds each of the key, the message and the
+   signature; the same triple gives the same key. *)
+let test_signature_key_binds_inputs () =
+  let keys = List.map Verifier.job_key (sig_variants ()) in
+  checkb "same triple, same key" true
+    (Hash.equal (Verifier.job_key (sig_job ())) (List.hd keys));
+  checki "four triples, four keys" 4
+    (List.length (List.sort_uniq Hash.compare keys));
+  checkb "genuine verifies, variants do not" true
+    (List.map Verifier.run_job (sig_variants ()) = [ true; false; false; false ])
+
+(* A funded mainchain: [n] blocks paying the wallet, so the early
+   coinbases have matured. *)
+let funded_chain ~seed n =
+  let params = { Chain_state.default_params with pow = Pow.trivial } in
+  let wallet = Wallet.create ~seed in
+  let addr = Wallet.fresh_address wallet in
+  let chain = ref (Chain.create ~params ~time:0 ()) in
+  for i = 1 to n do
+    let b, _ = ok (Miner.build_block !chain ~time:i ~miner_addr:addr ~candidates:[]) in
+    chain := fst (ok (Chain.add_block !chain b))
+  done;
+  (!chain, wallet)
+
+let transfer wallet chain amt =
+  ok
+    (Wallet.build_transfer wallet (Chain.tip_state chain)
+       ~outputs:
+         [ Tx.Coin { addr = Hash.of_string "scale-payee"; amount = Amount.of_int_exn amt } ]
+       ~fee:Amount.zero)
+
+(* The miner's trial verifies a transfer's input signatures; connecting
+   the block it built answers them from the cache. A block carrying a
+   transfer whose signature belongs to another transfer of the same
+   coin is refused, cold and warm, with an error and no exception. *)
+let test_transfer_signatures_cached () =
+  with_clean_cache (fun () ->
+      let chain, wallet = funded_chain ~seed:"scale-transfer" 4 in
+      let tx1 = transfer wallet chain 1_000 and tx2 = transfer wallet chain 2_000 in
+      let tampered =
+        match (tx1, tx2) with
+        | Tx.Transfer t1, Tx.Transfer t2 ->
+          Tx.Transfer
+            {
+              t1 with
+              inputs =
+                List.map2
+                  (fun (i1 : Tx.input) (i2 : Tx.input) ->
+                    { i1 with signature = i2.signature })
+                  t1.inputs t2.inputs;
+            }
+        | _ -> Alcotest.fail "expected transfers"
+      in
+      let height = Chain.height chain + 1 in
+      let block_of txs =
+        ok
+          (Block.assemble ~prev:(Chain.tip_hash chain) ~height ~time:100
+             ~txs:
+               (Tx.Coinbase
+                  {
+                    height;
+                    reward =
+                      { Tx.addr = Hash.of_string "scale-miner";
+                        amount = Chain_state.default_params.subsidy };
+                  }
+               :: txs)
+             ~pow:Pow.trivial ())
+      in
+      let bad = block_of [ tampered ] in
+      let refused () =
+        match Chain.add_block chain bad with
+        | Error e -> e
+        | Ok _ -> Alcotest.fail "tampered transfer accepted"
+      in
+      Alcotest.(check string) "refused cold" "tx: invalid signature" (refused ());
+      (* the miner's trial verifies both candidates (the tampered one
+         first, while its coin is unspent) and keeps tx1 *)
+      Verifier.Cache.clear ();
+      let built, skipped =
+        ok
+          (Miner.build_block chain ~time:100 ~miner_addr:(Hash.of_string "scale-miner")
+             ~candidates:[ tampered; tx1 ])
+      in
+      checki "trial skips the tampered transfer" 1 (List.length skipped);
+      let s0 = Verifier.Cache.stats () in
+      Alcotest.(check string) "refused warm" "tx: invalid signature" (refused ());
+      (match Chain.add_block chain built with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail ("built block refused: " ^ e));
+      let s1 = Verifier.Cache.stats () in
+      checki "connecting verified nothing again" 0
+        (s1.Verifier.Cache.misses - s0.Verifier.Cache.misses);
+      checki "both answered from the cache" 2
+        (s1.Verifier.Cache.hits - s0.Verifier.Cache.hits))
 
 (* ---- batch verification: bit-identical to sequential ---- *)
 
@@ -486,4 +604,8 @@ let suite =
         test_height_index_deep_chain;
       test_distinct_outpoints_equiv;
       prop_warm_equals_cold;
+      Alcotest.test_case "signature key binds its inputs" `Quick
+        test_signature_key_binds_inputs;
+      Alcotest.test_case "transfer signatures cached" `Quick
+        test_transfer_signatures_cached;
     ] )

@@ -112,6 +112,75 @@ let test_mining_race () =
     | Some a, Some b -> Zen_crypto.Hash.equal a b
     | _ -> false)
 
+(* Each signature is checked once per node: 12 ticks of the
+   3-sidechain smoke world (simulate --sidechains 3 --workload smoke)
+   run one Schnorr verification per signature-bearing input. Latus
+   admission verifies a payment's or BT's witnesses and forging does
+   not; the miner's trial verifies a transfer's inputs and connecting
+   its block answers from the verification cache. Verifying again at
+   forge and at block connect read 32 for these 16 inputs. *)
+let test_one_verify_per_signature () =
+  let open Zen_mainchain in
+  let open Zen_latus in
+  let verifies = Zen_obs.Counter.make "crypto.schnorr.verifies" in
+  Verifier.Cache.clear ();
+  let h = Harness.create ~pool:Zen_crypto.Pool.sequential ~seed:"verify-once" () in
+  Harness.fund h ~blocks:5;
+  let family = Circuits.make Params.default in
+  let scs =
+    List.map
+      (fun name ->
+        Result.get_ok
+          (Harness.add_latus h ~name ~family ~epoch_len:4 ~submit_len:2
+             ~activation_delay:1 ()))
+      [ "sc1"; "sc2"; "sc3" ]
+  in
+  Result.get_ok (Harness.set_workload h ~profile:Workload.smoke ~seed:7);
+  let v0 = Zen_obs.Counter.value verifies in
+  Zen_obs.Registry.with_enabled (fun () -> Harness.tick_n h 12);
+  let checked = Zen_obs.Counter.value verifies - v0 in
+  (* Every admitted payment or BT was forged: its witnesses are in a
+     block. *)
+  List.iter
+    (fun (sc : Harness.sidechain) ->
+      checki (sc.name ^ " mempool drained") 0 (Node.mempool_size sc.node))
+    scs;
+  let latus_inputs =
+    List.fold_left
+      (fun acc (sc : Harness.sidechain) ->
+        List.fold_left
+          (fun acc (b : Sc_block.t) ->
+            List.fold_left
+              (fun acc -> function
+                | Sc_tx.Payment p -> acc + List.length p.witnesses
+                | Sc_tx.Backward_transfer_tx _ -> acc + 1
+                | Sc_tx.Forward_transfers_tx _
+                | Sc_tx.Backward_transfer_requests_tx _ -> acc)
+              acc b.txs)
+          acc (Node.blocks sc.node))
+      0 scs
+  in
+  let st = Chain.tip_state h.chain in
+  let mc_inputs =
+    List.fold_left
+      (fun acc height ->
+        let b =
+          Option.get
+            (Chain.block h.chain (Option.get (Chain_state.block_hash_at st height)))
+        in
+        List.fold_left
+          (fun acc -> function
+            | Tx.Transfer { inputs; _ } -> acc + List.length inputs
+            | _ -> acc)
+          acc b.txs)
+      0
+      (List.init (st.height + 1) Fun.id)
+  in
+  checkb "latus traffic signed" true (latus_inputs > 0);
+  checkb "mainchain transfers signed" true (mc_inputs > 0);
+  checki "one verify per signature-bearing input" (latus_inputs + mc_inputs)
+    checked
+
 let suite =
   ( "sim",
     [
@@ -121,4 +190,6 @@ let suite =
       Alcotest.test_case "harness two sidechains" `Quick
         test_harness_two_sidechains_independent;
       Alcotest.test_case "des mining race" `Quick test_mining_race;
+      Alcotest.test_case "one verify per signature" `Quick
+        test_one_verify_per_signature;
     ] )

@@ -290,7 +290,7 @@ let test_sc_tx_roundtrips () =
   (* decoded payment still validates (signatures survive the trip) *)
   let decoded_pay = ok (Sc_wire.decode_tx (Sc_wire.encode_tx pay)) in
   checkb "decoded payment validates" true
-    (Result.is_ok (Sc_tx.validate st decoded_pay))
+    (Result.is_ok (Sc_tx.admit st decoded_pay))
 
 let test_sc_block_roundtrip () =
   let open Zen_latus in

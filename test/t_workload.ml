@@ -298,23 +298,29 @@ let us_index_equiv =
 
 (* ---- Sc_mempool: the bugs it fixes ---- *)
 
-(* Distinct txids are all the pool tests need. *)
+(* Distinct txids are all the pool tests need; FT transactions are
+   admitted against any state. *)
 let mk_bt i =
-  Sc_tx.Forward_transfers_tx
-    { mcid = Hash.of_string (Printf.sprintf "pool.%d" i); fts = [] }
+  Result.get_ok
+    (Sc_tx.admit
+       (Sc_state.create Zen_latus.Params.default)
+       (Sc_tx.Forward_transfers_tx
+          { mcid = Hash.of_string (Printf.sprintf "pool.%d" i); fts = [] }))
+
+let txid a = Sc_tx.txid (Sc_tx.admitted_tx a)
 
 let mempool_dedups () =
   let tx = mk_bt 1 in
   let m = Sc_mempool.add (Sc_mempool.add Sc_mempool.empty tx) tx in
   checki "duplicate submit pools once" 1 (Sc_mempool.size m);
-  checkb "member" true (Sc_mempool.mem m (Sc_tx.txid tx))
+  checkb "member" true (Sc_mempool.mem m (txid tx))
 
 let mempool_fifo_and_reinject () =
   let a = mk_bt 1 and b = mk_bt 2 and c = mk_bt 3 in
   let m = List.fold_left Sc_mempool.add Sc_mempool.empty [ a; b; c ] in
   checkb "fifo order" true
-    (List.map Sc_tx.txid (Sc_mempool.txs m)
-    = List.map Sc_tx.txid [ a; b; c ]);
+    (List.map txid (Sc_mempool.txs m)
+    = List.map txid [ a; b; c ]);
   let m = Sc_mempool.remove_txs m [ a; c ] in
   checki "included removed" 1 (Sc_mempool.size m);
   (* a reorg recovers [a; c; a]: the duplicate a and the still-pooled b
@@ -322,8 +328,8 @@ let mempool_fifo_and_reinject () =
   let m = Sc_mempool.reinject_front m [ a; c; a; b ] in
   checki "no double-queue" 3 (Sc_mempool.size m);
   checkb "recovered re-forge first" true
-    (List.map Sc_tx.txid (Sc_mempool.txs m)
-    = List.map Sc_tx.txid [ a; c; b ])
+    (List.map txid (Sc_mempool.txs m)
+    = List.map txid [ a; c; b ])
 
 (* ---- the workload engine ---- *)
 
