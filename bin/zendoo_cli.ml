@@ -99,8 +99,7 @@ let attach_workload h ~workload ~seed =
    rounds. [report] prints what the world came to and returns the exit
    code. *)
 let run_world ~seed ~ticks ~epoch_len ~submit_len ~fts ~sidechains ~domains
-    ~aggregate ~workload ~faults ~user_seed ~workload_seed ?(withhold = false)
-    report =
+    ~workload ~faults ~user_seed ~workload_seed ?(withhold = false) report =
   let fail e =
     Printf.eprintf "error: %s\n" e;
     1
@@ -113,7 +112,7 @@ let run_world ~seed ~ticks ~epoch_len ~submit_len ~fts ~sidechains ~domains
       (* The process-wide persistent pool: spawned once, reused by every
          operation in the run, joined by the registry's at_exit hook. *)
       let pool = Pool.get ~domains:(resolve_domains domains) in
-      let h = Zen_sim.Harness.create ~pool ~aggregate ?faults ~seed () in
+      let h = Zen_sim.Harness.create ~pool ?faults ~seed () in
       Zen_sim.Harness.fund h ~blocks:5;
       let family = Circuits.make Params.default in
       match
@@ -140,14 +139,14 @@ let run_world ~seed ~ticks ~epoch_len ~submit_len ~fts ~sidechains ~domains
         report h scs ~workload:(workload <> None))
 
 let simulate seed ticks epoch_len submit_len fts withhold sidechains domains
-    aggregate workload metrics trace_out report =
+    workload metrics trace_out report =
   with_obs ~metrics ~trace_out ~report @@ fun () ->
   (* the string seed folds to a deterministic workload seed *)
   let workload_seed =
     String.fold_left (fun a c -> ((a * 131) + Char.code c) land max_int) 7 seed
   in
   run_world ~seed ~ticks ~epoch_len ~submit_len ~fts ~sidechains ~domains
-    ~aggregate ~workload ~faults:(Ok None) ~user_seed:(seed ^ ".user")
+    ~workload ~faults:(Ok None) ~user_seed:(seed ^ ".user")
     ~workload_seed ~withhold
   @@ fun h scs ~workload ->
   List.iter print_endline (Zen_sim.Harness.dump_log h);
@@ -305,8 +304,8 @@ let prove steps domains workers mst_depth seed metrics trace_out report =
 (* Everything printed here (and written to --log-out) is a pure
    function of (seed, plan): no wall-clock values, no machine state.
    CI runs the command twice and byte-compares the logs. *)
-let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
-    workload intensity plan_str log_out metrics trace_out report =
+let chaos seed ticks epoch_len submit_len fts sidechains domains workload
+    intensity plan_str log_out metrics trace_out report =
   with_obs ~metrics ~trace_out ~report @@ fun () ->
   let plan_result =
     match plan_str with
@@ -323,7 +322,7 @@ let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
            ~workers:4 ~intensity ())
   in
   run_world ~seed:(Printf.sprintf "chaos.%d" seed) ~ticks ~epoch_len
-    ~submit_len ~fts ~sidechains ~domains ~aggregate ~workload
+    ~submit_len ~fts ~sidechains ~domains ~workload
     ~faults:
       (Result.map
          (fun plan -> Some (Zen_sim.Faults.create plan))
@@ -488,16 +487,6 @@ let sidechains_t =
            compiled circuit family). Every tick forges and certifies \
            each of them against the same mainchain.")
 
-let aggregate_t =
-  Arg.(
-    value & flag
-    & info [ "aggregate" ]
-        ~doc:
-          "Fold each mined block's certificate proofs into one recursive \
-           aggregate proof, so block validation verifies a single proof \
-           regardless of sidechain count. Decisions and logs are identical \
-           either way.")
-
 let metrics_t =
   Arg.(
     value & flag
@@ -544,8 +533,8 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run a mainchain + Latus sidechain world")
     Term.(
       const simulate $ seed_t $ ticks $ epoch_len $ submit_len $ fts $ withhold
-      $ sidechains_t $ domains_t $ aggregate_t $ workload_t $ metrics_t
-      $ trace_out_t $ report_t)
+      $ sidechains_t $ domains_t $ workload_t $ metrics_t $ trace_out_t
+      $ report_t)
 
 let schedule_cmd =
   let start = Arg.(value & opt int 100 & info [ "start" ] ~doc:"Activation height.") in
@@ -644,8 +633,8 @@ let chaos_cmd =
           replayable log")
     Term.(
       const chaos $ seed $ ticks $ epoch_len $ submit_len $ fts $ sidechains_t
-      $ domains_t $ aggregate_t $ workload_t $ intensity $ plan $ log_out
-      $ metrics_t $ trace_out_t $ report_t)
+      $ domains_t $ workload_t $ intensity $ plan $ log_out $ metrics_t
+      $ trace_out_t $ report_t)
 
 let soak_cmd =
   let profile =

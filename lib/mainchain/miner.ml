@@ -8,8 +8,10 @@ let coinbase_for chain ~height ~miner_addr ~fees =
   in
   Tx.Coinbase { height; reward = { Tx.addr = miner_addr; amount = reward } }
 
-let build_block ?pool ?(aggregate = false) chain ~time ~miner_addr ~candidates
-    =
+let build_block ?pool ?(aggregate = true) chain ~time ~miner_addr ~candidates =
+  if not aggregate then
+    invalid_arg
+      "Miner.build_block: ~aggregate:false (the per-certificate miner) is gone";
   let state = Chain.tip_state chain in
   let height = state.height + 1 in
   (* Batch-verify the candidates' proofs before trial application, so
@@ -34,39 +36,37 @@ let build_block ?pool ?(aggregate = false) chain ~time ~miner_addr ~candidates
   (* Fold the selected certificates' proofs into one aggregate. Leaves
      come from the parent state — the same boundaries validation will
      resolve — and each check is the per-certificate job (a cache hit:
-     trial application just verified it). If any leaf is unformable or
-     the build fails, ship without an aggregate; absence is the valid
-     fallback, a malformed aggregate would reject the whole block. *)
+     trial application just verified it). A block without certificates
+     ships none. If any leaf is unformable or the build fails, ship
+     without an aggregate; absence is the valid fallback, a malformed
+     aggregate would reject the whole block. *)
   let agg =
-    if not aggregate then None
-    else begin
-      let pairs =
-        List.fold_left
-          (fun acc tx ->
-            match (acc, tx) with
-            | None, _ -> None
-            | Some acc, Tx.Certificate cert -> (
-              match
-                Sc_ledger.wcert_job state.scs ~cert
-                  ~block_hash_at:(Chain_state.block_hash_at state)
-              with
-              | Some (leaf, job) ->
-                Some ((leaf, fun () -> Verifier.run_job job) :: acc)
-              | None -> None)
-            | Some _, _ -> acc)
-          (Some []) selected
-      in
-      match pairs with
-      | None | Some [] -> None
-      | Some pairs_rev -> (
-        match
-          Zen_snark.Aggregate.build ?pool
-            (Zen_snark.Aggregate.shared ())
-            (List.rev pairs_rev)
-        with
-        | Ok a -> Some a
-        | Error _ -> None)
-    end
+    let pairs =
+      List.fold_left
+        (fun acc tx ->
+          match (acc, tx) with
+          | None, _ -> None
+          | Some acc, Tx.Certificate cert -> (
+            match
+              Sc_ledger.wcert_job state.scs ~cert
+                ~block_hash_at:(Chain_state.block_hash_at state)
+            with
+            | Some (leaf, job) ->
+              Some ((leaf, fun () -> Verifier.run_job job) :: acc)
+            | None -> None)
+          | Some _, _ -> acc)
+        (Some []) selected
+    in
+    match pairs with
+    | None | Some [] -> None
+    | Some pairs_rev -> (
+      match
+        Zen_snark.Aggregate.build ?pool
+          (Zen_snark.Aggregate.shared ())
+          (List.rev pairs_rev)
+      with
+      | Ok a -> Some a
+      | Error _ -> None)
   in
   let txs = coinbase_for chain ~height ~miner_addr ~fees :: selected in
   match

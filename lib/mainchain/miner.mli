@@ -2,7 +2,8 @@
 
     Selects mempool transactions greedily against a trial state (so a
     template never contains an invalid or conflicting transaction),
-    pays subsidy + fees to the miner address, and seals the block with
+    pays subsidy + fees to the miner address, folds the block's
+    certificate proofs into one aggregate, and seals the block with
     proof of work. *)
 
 open Zen_crypto
@@ -21,14 +22,20 @@ val build_block :
     ({!Chain_state.prewarm_verifier}) and parallelises the commitment
     build; selection is identical for every domain count.
 
-    With [aggregate] (default false), the selected certificates' proofs
-    are folded into one {!Zen_snark.Aggregate} carried in the block, so
-    validators verify a single proof regardless of sidechain count.
-    The prover-side cost (one constant-size wrap per certificate plus
-    the merge tree, fanned out on [pool]) is paid here; transaction
-    selection is unchanged. If the block has no certificates or any
-    leaf cannot be formed, the block ships without an aggregate —
-    absence is the valid per-certificate fallback. *)
+    A block that carries at least one certificate also carries one
+    {!Zen_snark.Aggregate} folding every selected certificate's proof,
+    so validators verify a single proof regardless of sidechain count;
+    a block without certificates carries none. The prover-side cost
+    (one constant-size wrap per certificate plus the merge tree, fanned
+    out on [pool]) is paid here; transaction selection does not depend
+    on it. If a leaf cannot be formed or the build fails, the block
+    ships without an aggregate — absence is the valid per-certificate
+    fallback.
+
+    [aggregate] is a leftover label: the benchmark in [perfbench/]
+    still passes [~aggregate:true], the only accepted value;
+    [~aggregate:false] raises [Invalid_argument]. The label goes when
+    the benchmark stops passing it (ROADMAP item 1). *)
 
 val mine_empty :
   Chain.t -> time:int -> miner_addr:Hash.t -> (Block.t, string) result

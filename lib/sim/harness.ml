@@ -46,7 +46,6 @@ type t = {
   mc_wallet : Wallet.t;
   miner_addr : Hash.t;
   pool : Pool.t;
-  aggregate : bool;
   mutable time : int;
   mutable sidechains_rev : sidechain list;
   mutable next_sc_nonce : int;
@@ -63,11 +62,14 @@ let sidechains t = List.rev t.sidechains_rev
 let logf t fmt = Printf.ksprintf (Zen_obs.Events.add t.log) fmt
 let dump_log t = Zen_obs.Events.items t.log
 
-let create ?(pow = Pow.trivial) ?(pool = Pool.sequential) ?(aggregate = false)
-    ?(pipeline = true) ?faults ~seed () =
+let create ?(pool = Pool.sequential) ?(aggregate = true) ?(pipeline = true)
+    ?faults ~seed () =
+  if not aggregate then
+    invalid_arg
+      "Harness.create: ~aggregate:false (the per-certificate miner) is gone";
   if not pipeline then
     invalid_arg "Harness.create: ~pipeline:false (the burst prover) is gone";
-  let params = { Chain_state.default_params with pow } in
+  let params = { Chain_state.default_params with pow = Pow.trivial } in
   let mc_wallet = Wallet.create ~seed in
   let miner_addr = Wallet.fresh_address mc_wallet in
   {
@@ -76,7 +78,6 @@ let create ?(pow = Pow.trivial) ?(pool = Pool.sequential) ?(aggregate = false)
     mc_wallet;
     miner_addr;
     pool;
-    aggregate;
     time = 0;
     sidechains_rev = [];
     next_sc_nonce = 1;
@@ -157,9 +158,8 @@ let handle_outcome t = function
 let mine t =
   t.time <- t.time + 1;
   match
-    Miner.build_block ~pool:t.pool ~aggregate:t.aggregate t.chain
-      ~time:t.time ~miner_addr:t.miner_addr
-      ~candidates:(Mempool.txs t.mempool)
+    Miner.build_block ~pool:t.pool t.chain ~time:t.time
+      ~miner_addr:t.miner_addr ~candidates:(Mempool.txs t.mempool)
   with
   | Error e -> logf t "mine failed: %s" e
   | Ok (block, skipped) ->
@@ -578,10 +578,9 @@ let scoreboard_json t =
         Int (List.fold_left (fun m (_, d) -> max m d) 0 reorgs) );
       ( "aggregate",
         Obj
-          (("enabled", Bool t.aggregate)
-          :: List.map
-               (fun name -> (name, counter name))
-               [ "blocks"; "certs_settled"; "proof_checks"; "rejected" ]) );
+          (List.map
+             (fun name -> (name, counter name))
+             [ "blocks"; "certs_settled"; "proof_checks"; "rejected" ]) );
       ( "verify_cache",
         Obj
           [

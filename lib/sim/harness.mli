@@ -47,11 +47,6 @@ type t = {
       (** worker pool handed to mining/validation (batch certificate
           verification, commitment builds) and, by default, to every
           sidechain node *)
-  aggregate : bool;
-      (** when true, every mined block folds its certificate proofs
-          into one {!Zen_snark.Aggregate} (validation verifies one
-          proof per block); decisions and logs are byte-identical
-          either way *)
   mutable time : int;
   mutable sidechains_rev : sidechain list;
       (** newest first (constant-time registration); read registration
@@ -80,7 +75,6 @@ type t = {
 and workload_driver
 
 val create :
-  ?pow:Pow.params ->
   ?pool:Pool.t ->
   ?aggregate:bool ->
   ?pipeline:bool ->
@@ -88,18 +82,20 @@ val create :
   seed:string ->
   unit ->
   t
-(** A fresh world at height 0 with an empty mempool; [pow] defaults to
-    {!Pow.trivial} so tests spend no time mining, [pool] to
-    {!Pool.sequential}. Everything downstream is deterministic in
-    [seed] (and, with [faults], in the fault plan: the same
-    [(seed, plan)] pair replays to a byte-identical event log — for
-    every domain count of [pool]). Sidechain nodes always prove through
-    {!Zen_latus.Proof_pipeline}.
+(** A fresh world at height 0 with an empty mempool, mining with
+    {!Pow.trivial} so runs spend no time on proof of work; [pool]
+    defaults to {!Pool.sequential}. Everything downstream is
+    deterministic in [seed] (and, with [faults], in the fault plan: the
+    same [(seed, plan)] pair replays to a byte-identical event log —
+    for every domain count of [pool]). Every mined block that carries a
+    certificate folds its certificate proofs into one
+    {!Zen_snark.Aggregate} ({!Miner.build_block}), and sidechain nodes
+    always prove through {!Zen_latus.Proof_pipeline}.
 
-    [pipeline] is a leftover label: the benchmark in [perfbench/] still
-    passes [~pipeline:true], the only accepted value; [~pipeline:false]
-    raises [Invalid_argument]. The label goes when the benchmark stops
-    passing it (ROADMAP item 1). *)
+    [aggregate] and [pipeline] are leftover labels: the benchmark in
+    [perfbench/] still passes [~aggregate:true] and [~pipeline:true],
+    the only accepted values; [false] raises [Invalid_argument]. The
+    labels go when the benchmark stops passing them (ROADMAP item 1). *)
 
 val sidechains : t -> sidechain list
 (** Registered sidechains in registration order (the order {!tick}

@@ -1,9 +1,10 @@
 (* Certificate aggregation: the Zen_snark.Aggregate fold itself
    (build/verify/tamper, positional root), the one-proof-per-block
    validation path through the harness, rejection of every tampered
-   aggregate shape, and the headline equivalence — aggregated and
-   per-certificate validation reach byte-identical decisions and
-   event logs. *)
+   aggregate shape, the headline equivalence — every aggregated block
+   and its per-certificate twin reach the same decision and the same
+   sidechain state — and the miner's invariant: a block aggregates if
+   and only if it carries a certificate. *)
 
 open Zen_crypto
 open Zen_mainchain
@@ -156,12 +157,12 @@ let test_digest_pinned () =
 let params = Zen_latus.Params.default
 let family = Zen_latus.Circuits.make params
 
-let world ~aggregate ?(plan = []) seed =
+let world ?(plan = []) seed =
   Verifier.Cache.clear ();
   let faults =
     match plan with [] -> None | p -> Some (Faults.create p)
   in
-  let h = Harness.create ~aggregate ?faults ~seed () in
+  let h = Harness.create ?faults ~seed () in
   Harness.fund h ~blocks:3;
   (* two sidechains on the same epoch schedule — the second's creation
      tx lands one block later, so its activation delay is one shorter
@@ -218,7 +219,7 @@ let aggregated_blocks h =
 let test_one_proof_per_block () =
   Zen_obs.Registry.reset ();
   Zen_obs.Registry.with_enabled @@ fun () ->
-  let h, sca, scb = world ~aggregate:true "agg-one-proof" in
+  let h, sca, scb = world "agg-one-proof" in
   let aggd = aggregated_blocks h in
   checkb "some blocks carried an aggregate" true (List.length aggd >= 2);
   checkb "multi-certificate blocks were folded" true
@@ -241,7 +242,7 @@ let test_one_proof_per_block () =
   checki "nothing rejected" 0 (stat "rejected")
 
 let test_wire_roundtrip_with_aggregate () =
-  let h, _, _ = world ~aggregate:true "agg-wire" in
+  let h, _, _ = world "agg-wire" in
   match aggregated_blocks h with
   | [] -> Alcotest.fail "no aggregated block to encode"
   | b :: _ ->
@@ -261,7 +262,7 @@ let test_wire_roundtrip_with_aggregate () =
 (* Every tampered-aggregate shape must REJECT the block — never fall
    back to per-certificate validation. *)
 let test_tampered_aggregate_rejects_block () =
-  let h, _, _ = world ~aggregate:true "agg-tamper" in
+  let h, _, _ = world "agg-tamper" in
   let b =
     match
       List.find_opt
@@ -321,9 +322,38 @@ let test_tampered_aggregate_rejects_block () =
   checkb "per-certificate fallback applies" true
     (Result.is_ok (Chain_state.apply_block parent (reassemble None)))
 
-(* ---- the headline property: byte-identical decisions ---- *)
+(* ---- the headline property: a block and its per-certificate twin ---- *)
 
-let equivalence_prop (seed_n, with_faults) =
+let has_cert (b : Block.t) =
+  List.exists (function Tx.Certificate _ -> true | _ -> false) b.txs
+
+(* The block's per-certificate twin: the same transactions re-assembled
+   without the aggregate, validated through the per-certificate rule. *)
+let twin ~pow (b : Block.t) =
+  ok
+    (Block.assemble ~prev:b.header.prev ~height:b.header.height
+       ~time:b.header.time ~txs:b.txs ~pow ())
+
+(* What a post-state says about each sidechain: its balance, its
+   certified epochs and whether it has ceased. *)
+let sc_view (st : Chain_state.t) ids =
+  List.map
+    (fun id ->
+      Option.map
+        (fun (s : Sc_ledger.sc_state) ->
+          ( s.balance,
+            List.map
+              (fun (c : Sc_ledger.cert_record) ->
+                c.cert.Withdrawal_certificate.epoch_id)
+              s.certs,
+            Sc_ledger.is_ceased st.scs id ~height:st.height ))
+        (Sc_ledger.find st.scs id))
+    ids
+
+(* Walk the chain once; for every block that carries certificates,
+   apply it and its twin to the block's parent state on a cold cache
+   each, so both paths verify their proofs. *)
+let twin_prop (seed_n, with_faults) =
   let plan =
     if with_faults then
       [
@@ -332,23 +362,103 @@ let equivalence_prop (seed_n, with_faults) =
       ]
     else []
   in
-  let seed = Printf.sprintf "agg-eq-%d" seed_n in
-  let h_plain, pa, pb = world ~aggregate:false ~plan seed in
-  let h_agg, aa, ab = world ~aggregate:true ~plan seed in
-  Harness.dump_log h_plain = Harness.dump_log h_agg
-  && certified_epochs h_plain pa = certified_epochs h_agg aa
-  && certified_epochs h_plain pb = certified_epochs h_agg ab
-  && Harness.sc_balance_on_mc h_plain pa = Harness.sc_balance_on_mc h_agg aa
-  && Harness.is_ceased h_plain pa = Harness.is_ceased h_agg aa
-  && Chain.height h_plain.Harness.chain = Chain.height h_agg.Harness.chain
+  let h, sca, scb = world ~plan (Printf.sprintf "agg-eq-%d" seed_n) in
+  let chain = h.Harness.chain in
+  let pow = (Chain.params chain).pow in
+  let ids = [ sca.ledger_id; scb.ledger_id ] in
+  let apply parent b =
+    Verifier.Cache.clear ();
+    Chain_state.apply_block parent b
+  in
+  let alike parent b =
+    match (apply parent b, apply parent (twin ~pow b)) with
+    | Ok st, Ok st' -> sc_view st ids = sc_view st' ids
+    | Error e, Error e' -> String.equal e e'
+    | _ -> false
+  in
+  match blocks_to chain (Chain.tip_hash chain) with
+  | [] -> false
+  | genesis :: rest ->
+    let _, checked, all_alike =
+      List.fold_left
+        (fun (c, checked, all_alike) b ->
+          let checked, all_alike =
+            if has_cert b then
+              (checked + 1, all_alike && alike (Chain.tip_state c) b)
+            else (checked, all_alike)
+          in
+          (fst (ok (Chain.add_block c b)), checked, all_alike))
+        ( Chain.create ~params:(Chain.params chain) ~time:genesis.header.time
+            (),
+          0,
+          true )
+        rest
+    in
+    checked > 0 && all_alike
 
-let test_equivalence =
+let test_twin =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"aggregated = per-cert decisions and logs"
+    (QCheck2.Test.make ~name:"aggregated block = its per-certificate twin"
        ~count:4
        ~print:(fun (n, f) -> Printf.sprintf "seed=%d faults=%b" n f)
        QCheck2.Gen.(pair (int_range 0 1000) bool)
-       equivalence_prop)
+       twin_prop)
+
+(* ---- the miner's invariant ---- *)
+
+(* Every block the harness mined carries an aggregate, committed in its
+   header, exactly when it carries a certificate. The two sidechains
+   certify every 3 and every 4 blocks, so some blocks carry one
+   certificate and some carry both. *)
+let test_aggregates_iff_certificates () =
+  Verifier.Cache.clear ();
+  let h = Harness.create ~seed:"agg-invariant" () in
+  Harness.fund h ~blocks:3;
+  List.iter
+    (fun (name, epoch_len) ->
+      ignore
+        (ok
+           (Harness.add_latus h ~name ~family ~epoch_len ~submit_len:3
+              ~activation_delay:1 ())))
+    [ ("sc3", 3); ("sc4", 4) ];
+  Harness.tick_n h 20;
+  let chain = h.Harness.chain in
+  let blocks = blocks_to chain (Chain.tip_hash chain) in
+  List.iter
+    (fun (b : Block.t) ->
+      let certs =
+        List.length
+          (List.filter (function Tx.Certificate _ -> true | _ -> false) b.txs)
+      in
+      let label what =
+        Printf.sprintf "height %d (%d certificates): %s" b.header.height certs
+          what
+      in
+      checkb (label "carries an aggregate") (certs > 0) (b.aggregate <> None);
+      checkb
+        (label "header commits to it")
+        (certs > 0)
+        (not (Hash.equal b.header.cert_aggregate Hash.zero)))
+    blocks;
+  let blocks_with n =
+    List.exists
+      (fun (b : Block.t) ->
+        match b.aggregate with Some a -> Aggregate.count a = n | None -> false)
+      blocks
+  in
+  checkb "a one-certificate block" true (blocks_with 1);
+  checkb "a two-certificate block" true (blocks_with 2);
+  checkb "Harness.create ~aggregate:false raises" true
+    (match Harness.create ~aggregate:false ~seed:"agg-off" () with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  checkb "Miner.build_block ~aggregate:false raises" true
+    (match
+       Miner.build_block ~aggregate:false chain ~time:1000
+         ~miner_addr:(Hash.of_string "agg-off") ~candidates:[]
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
 
 let suite =
   ( "aggregate",
@@ -369,5 +479,7 @@ let suite =
         test_wire_roundtrip_with_aggregate;
       Alcotest.test_case "tampered block rejected" `Quick
         test_tampered_aggregate_rejects_block;
-      test_equivalence;
+      test_twin;
+      Alcotest.test_case "aggregates iff certificates" `Quick
+        test_aggregates_iff_certificates;
     ] )
