@@ -63,7 +63,11 @@ let with_obs ~metrics ~trace_out ~report f =
 (* ---- simulate ---- *)
 
 (* Register [n] Latus sidechains sharing one compiled circuit family
-   (the single sidechain keeps its historical name "sc"). *)
+   (the single sidechain keeps its historical name "sc"). Each
+   registration mines one MC block, so sidechain [i] activates
+   [n - i + 1] blocks after its own: all [n] activate together, one
+   block after the last registration, and none can cease before the
+   nodes start forging. *)
 let register_sidechains h ~n ~family ~epoch_len ~submit_len =
   let name i = if n = 1 then "sc" else Printf.sprintf "sc%d" i in
   let rec go i acc =
@@ -71,7 +75,7 @@ let register_sidechains h ~n ~family ~epoch_len ~submit_len =
     else
       match
         Zen_sim.Harness.add_latus h ~name:(name i) ~family ~epoch_len
-          ~submit_len ~activation_delay:1 ()
+          ~submit_len ~activation_delay:(n - i + 1) ()
       with
       | Error e -> Error e
       | Ok sc -> go (i + 1) (sc :: acc)
