@@ -62,8 +62,9 @@ let verify pk msg { r; s } =
     Ec.sg_minus_ep_eq ~s ~e pk r
 
 let sig_encode { r; s } =
-  if Ec.is_infinity r then String.make 96 '\000'
-  else String.sub (Ec.encode r) 1 64 ^ s
+  (if Ec.is_infinity r then String.make 64 '\000'
+   else String.sub (Ec.encode r) 1 64)
+  ^ s
 
 let sig_decode b =
   if String.length b <> 96 then None

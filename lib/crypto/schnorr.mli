@@ -33,6 +33,7 @@ val pk_hash : public_key -> Hash.t
 (** Address derivation: H(encoded pk). *)
 
 val sig_encode : signature -> string
-(** 96-byte encoding (R.x ‖ R.y ‖ s). *)
+(** 96-byte encoding (R.x ‖ R.y ‖ s), with 64 zero bytes for an R at
+    infinity; injective. *)
 
 val sig_decode : string -> signature option

@@ -186,12 +186,10 @@ module Schnorr = struct
     equal (mul s g) (add r (mul e pk))
 
   let sig_encode { r; s } =
-    match to_affine r with
-    | None -> String.make 96 '\000'
-    | Some (x, y) ->
-      Bignum.to_bytes_be ~len:32 x
-      ^ Bignum.to_bytes_be ~len:32 y
-      ^ Bignum.to_bytes_be ~len:32 s
+    (match to_affine r with
+    | None -> String.make 64 '\000'
+    | Some (x, y) -> Bignum.to_bytes_be ~len:32 x ^ Bignum.to_bytes_be ~len:32 y)
+    ^ Bignum.to_bytes_be ~len:32 s
 
   let sig_decode b =
     if String.length b <> 96 then None

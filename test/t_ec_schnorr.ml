@@ -201,6 +201,23 @@ let props =
           (Ec.add (Ec.mul (sc a) Ec.g) (Ec.mul (sc b) Ec.g)));
   ]
 
+(* An R at infinity encodes as 64 zero bytes followed by s, so the
+   encoding keeps s and tells such signatures apart. *)
+let test_infinity_r_keeps_s () =
+  let infinity_r s = String.make 64 '\000' ^ Ec.Scalar.to_bytes (sc s) in
+  List.iter
+    (fun s ->
+      let b = infinity_r s in
+      checkb
+        (Printf.sprintf "s = %d round-trips" s)
+        true
+        (String.equal b (Schnorr.sig_encode (Option.get (Schnorr.sig_decode b)))))
+    [ 0; 1; 12345 ];
+  checkb "different s, different bytes" false
+    (String.equal
+       (Schnorr.sig_encode (Option.get (Schnorr.sig_decode (infinity_r 1))))
+       (Schnorr.sig_encode (Option.get (Schnorr.sig_decode (infinity_r 2)))))
+
 let suite =
   ( "ec-schnorr",
     [
@@ -222,4 +239,5 @@ let suite =
     @ [
         Alcotest.test_case "pinned signature bytes" `Quick test_pinned_signatures;
         Alcotest.test_case "pinned mul_g bytes" `Quick test_pinned_mul_g;
+        Alcotest.test_case "infinity R keeps s" `Quick test_infinity_r_keeps_s;
       ] )

@@ -242,6 +242,22 @@ let test_signature_key_binds_inputs () =
   checkb "genuine verifies, variants do not" true
     (List.map Verifier.run_job (sig_variants ()) = [ true; false; false; false ])
 
+(* Two signatures with R at infinity that differ only in s: the key
+   binds s, and neither verifies. *)
+let test_infinity_r_signature_keys () =
+  let infinity_r s =
+    Option.get
+      (Schnorr.sig_decode
+         (String.make 64 '\000' ^ String.make 31 '\000' ^ String.make 1 s))
+  in
+  let jobs =
+    List.map (fun s -> sig_job ~signature:(infinity_r s) ()) [ '\001'; '\002' ]
+  in
+  checki "two keys" 2
+    (List.length (List.sort_uniq Hash.compare (List.map Verifier.job_key jobs)));
+  checkb "neither verifies" true
+    (List.map Verifier.run_job jobs = [ false; false ])
+
 (* A funded mainchain: [n] blocks paying the wallet, so the early
    coinbases have matured. *)
 let funded_chain ~seed n =
@@ -608,4 +624,6 @@ let suite =
         test_signature_key_binds_inputs;
       Alcotest.test_case "transfer signatures cached" `Quick
         test_transfer_signatures_cached;
+      Alcotest.test_case "infinity-R signature keys" `Quick
+        test_infinity_r_signature_keys;
     ] )
