@@ -64,10 +64,8 @@ let with_obs ~metrics ~trace_out ~report f =
 
 (* Register [n] Latus sidechains sharing one compiled circuit family
    (the single sidechain keeps its historical name "sc"). Each
-   registration mines one MC block, so sidechain [i] activates
-   [n - i + 1] blocks after its own: all [n] activate together, one
-   block after the last registration, and none can cease before the
-   nodes start forging. *)
+   registration mines one MC block, so sidechain [i]'s delay of
+   [n - i + 1] activates all [n] one block after the last one. *)
 let register_sidechains h ~n ~family ~epoch_len ~submit_len =
   let name i = if n = 1 then "sc" else Printf.sprintf "sc%d" i in
   let rec go i acc =

@@ -20,22 +20,18 @@ val build_block :
     skipped (each invalid against the evolving trial state). [pool]
     batch-verifies the candidates' proofs up front
     ({!Chain_state.prewarm_verifier}) and parallelises the commitment
-    build; selection is identical for every domain count.
+    build and the aggregate; selection is identical for every domain
+    count.
 
-    A block that carries at least one certificate also carries one
-    {!Zen_snark.Aggregate} folding every selected certificate's proof,
-    so validators verify a single proof regardless of sidechain count;
-    a block without certificates carries none. The prover-side cost
-    (one constant-size wrap per certificate plus the merge tree, fanned
-    out on [pool]) is paid here; transaction selection does not depend
-    on it. If a leaf cannot be formed or the build fails, the block
-    ships without an aggregate — absence is the valid per-certificate
-    fallback.
+    A block with at least one certificate carries one
+    {!Zen_snark.Aggregate} of all their proofs, so validators verify a
+    single proof per block; a block without certificates carries none.
+    If a leaf cannot be formed or the build fails, the block ships
+    without an aggregate, the valid per-certificate fallback.
 
-    [aggregate] is a leftover label: the benchmark in [perfbench/]
-    still passes [~aggregate:true], the only accepted value;
-    [~aggregate:false] raises [Invalid_argument]. The label goes when
-    the benchmark stops passing it (ROADMAP item 1). *)
+    [aggregate] is a leftover label for the benchmark in [perfbench/]:
+    [true] does nothing, [false] raises [Invalid_argument] (ROADMAP
+    item 1). *)
 
 val mine_empty :
   Chain.t -> time:int -> miner_addr:Hash.t -> (Block.t, string) result

@@ -92,10 +92,9 @@ val create :
     {!Zen_snark.Aggregate} ({!Miner.build_block}), and sidechain nodes
     always prove through {!Zen_latus.Proof_pipeline}.
 
-    [aggregate] and [pipeline] are leftover labels: the benchmark in
-    [perfbench/] still passes [~aggregate:true] and [~pipeline:true],
-    the only accepted values; [false] raises [Invalid_argument]. The
-    labels go when the benchmark stops passing them (ROADMAP item 1). *)
+    [aggregate] and [pipeline] are leftover labels for the benchmark in
+    [perfbench/]: [true] does nothing, [false] raises
+    [Invalid_argument] (ROADMAP item 1). *)
 
 val sidechains : t -> sidechain list
 (** Registered sidechains in registration order (the order {!tick}

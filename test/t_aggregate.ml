@@ -211,6 +211,17 @@ let state_after chain hash =
       rest
     |> Chain.tip_state
 
+(* [b]'s transactions re-assembled with [aggregate]; without one, the
+   block's per-certificate twin, which validation settles through the
+   per-certificate rule. *)
+let reassemble ~pow ?aggregate (b : Block.t) =
+  ok
+    (Block.assemble ?aggregate ~prev:b.header.prev ~height:b.header.height
+       ~time:b.header.time ~txs:b.txs ~pow ())
+
+let has_cert (b : Block.t) =
+  List.exists (function Tx.Certificate _ -> true | _ -> false) b.txs
+
 let aggregated_blocks h =
   let chain = h.Harness.chain in
   blocks_to chain (Chain.tip_hash chain)
@@ -276,11 +287,7 @@ let test_tampered_aggregate_rejects_block () =
   let agg = Option.get b.aggregate in
   let parent = state_after h.Harness.chain b.header.prev in
   let pow = (Chain.params h.Harness.chain).pow in
-  let reassemble aggregate =
-    ok
-      (Block.assemble ?aggregate ~prev:b.header.prev ~height:b.header.height
-         ~time:b.header.time ~txs:b.txs ~pow ())
-  in
+  let reassemble aggregate = reassemble ~pow ?aggregate b in
   let rejects name expected block =
     let e = err (Chain_state.apply_block parent block) in
     checkb
@@ -324,16 +331,6 @@ let test_tampered_aggregate_rejects_block () =
 
 (* ---- the headline property: a block and its per-certificate twin ---- *)
 
-let has_cert (b : Block.t) =
-  List.exists (function Tx.Certificate _ -> true | _ -> false) b.txs
-
-(* The block's per-certificate twin: the same transactions re-assembled
-   without the aggregate, validated through the per-certificate rule. *)
-let twin ~pow (b : Block.t) =
-  ok
-    (Block.assemble ~prev:b.header.prev ~height:b.header.height
-       ~time:b.header.time ~txs:b.txs ~pow ())
-
 (* What a post-state says about each sidechain: its balance, its
    certified epochs and whether it has ceased. *)
 let sc_view (st : Chain_state.t) ids =
@@ -350,9 +347,9 @@ let sc_view (st : Chain_state.t) ids =
         (Sc_ledger.find st.scs id))
     ids
 
-(* Walk the chain once; for every block that carries certificates,
-   apply it and its twin to the block's parent state on a cold cache
-   each, so both paths verify their proofs. *)
+(* Replay the chain once; every block that carries certificates and its
+   twin are applied to the block's parent state, each on a cold cache so
+   both paths verify their proofs. *)
 let twin_prop (seed_n, with_faults) =
   let plan =
     if with_faults then
@@ -371,7 +368,7 @@ let twin_prop (seed_n, with_faults) =
     Chain_state.apply_block parent b
   in
   let alike parent b =
-    match (apply parent b, apply parent (twin ~pow b)) with
+    match (apply parent b, apply parent (reassemble ~pow b)) with
     | Ok st, Ok st' -> sc_view st ids = sc_view st' ids
     | Error e, Error e' -> String.equal e e'
     | _ -> false
@@ -379,22 +376,18 @@ let twin_prop (seed_n, with_faults) =
   match blocks_to chain (Chain.tip_hash chain) with
   | [] -> false
   | genesis :: rest ->
-    let _, checked, all_alike =
-      List.fold_left
-        (fun (c, checked, all_alike) b ->
-          let checked, all_alike =
-            if has_cert b then
-              (checked + 1, all_alike && alike (Chain.tip_state c) b)
-            else (checked, all_alike)
-          in
-          (fst (ok (Chain.add_block c b)), checked, all_alike))
-        ( Chain.create ~params:(Chain.params chain) ~time:genesis.header.time
-            (),
-          0,
-          true )
-        rest
+    let fresh =
+      Chain.create ~params:(Chain.params chain) ~time:genesis.header.time ()
     in
-    checked > 0 && all_alike
+    let _, with_certs =
+      List.fold_left
+        (fun (c, acc) b ->
+          let acc = if has_cert b then (Chain.tip_state c, b) :: acc else acc in
+          (fst (ok (Chain.add_block c b)), acc))
+        (fresh, []) rest
+    in
+    with_certs <> []
+    && List.for_all (fun (parent, b) -> alike parent b) with_certs
 
 let test_twin =
   QCheck_alcotest.to_alcotest
@@ -426,18 +419,11 @@ let test_aggregates_iff_certificates () =
   let blocks = blocks_to chain (Chain.tip_hash chain) in
   List.iter
     (fun (b : Block.t) ->
-      let certs =
-        List.length
-          (List.filter (function Tx.Certificate _ -> true | _ -> false) b.txs)
-      in
-      let label what =
-        Printf.sprintf "height %d (%d certificates): %s" b.header.height certs
-          what
-      in
-      checkb (label "carries an aggregate") (certs > 0) (b.aggregate <> None);
+      let label what = Printf.sprintf "height %d: %s" b.header.height what in
+      checkb (label "carries an aggregate") (has_cert b) (b.aggregate <> None);
       checkb
         (label "header commits to it")
-        (certs > 0)
+        (has_cert b)
         (not (Hash.equal b.header.cert_aggregate Hash.zero)))
     blocks;
   let blocks_with n =
