@@ -10,9 +10,7 @@ type t = { receiver_addr : Hash.t; amount : Amount.t }
 
 val make : receiver_addr:Hash.t -> amount:Amount.t -> t
 
-val hash : t -> Hash.t
 val encode : t -> string
-val equal : t -> t -> bool
 
 val list_root : t list -> Hash.t
 (** [MH(BTList)] — the Merkle root the mainchain enforces as part of
@@ -21,8 +19,6 @@ val list_root : t list -> Hash.t
 val list_root_fp : t list -> Zen_crypto.Fp.t
 (** {!list_root} as a field element, the form a certificate proof that
     binds its BT list would take; nothing proves that binding yet. *)
-
-val membership_proof : t list -> int -> Merkle.proof
 
 val to_fp_pair : t -> Fp.t * Fp.t
 (** (receiver, amount) as field elements, for in-circuit accumulation. *)

@@ -25,4 +25,3 @@ let hash t =
       string_of_int (Amount.to_int t.amount);
     ]
 
-let equal a b = Hash.equal (hash a) (hash b)

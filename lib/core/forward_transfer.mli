@@ -18,4 +18,3 @@ val make : ledger_id:Hash.t -> receiver_metadata:string -> amount:Amount.t -> t
 
 val hash : t -> Hash.t
 val encode : t -> string
-val equal : t -> t -> bool

@@ -28,12 +28,7 @@ let encode_elem = function
   | Blob b -> "B" ^ b
 
 let elem_hash e = Hash.tagged "proofdata.elem" [ encode_elem e ]
-let tree pd = Merkle.of_leaves (List.map elem_hash pd)
-let root pd = Merkle.root (tree pd)
-let root_fp pd = Hash.to_fp (root pd)
-let membership_proof pd i = Merkle.prove (tree pd) i
-
-let verify_membership ~root elem proof =
-  Merkle.verify ~root ~leaf:(elem_hash elem) proof
+let root_fp pd =
+  Hash.to_fp (Merkle.root (Merkle.of_leaves (List.map elem_hash pd)))
 
 let encode pd = String.concat ";" (List.map encode_elem pd)

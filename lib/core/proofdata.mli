@@ -22,16 +22,9 @@ type schema = elem_type list
 val matches : schema -> t -> bool
 (** Structural check the mainchain performs on submission. *)
 
-val root : t -> Hash.t
-(** [MH(proofdata)]: Merkle root over the element hashes. *)
-
 val root_fp : t -> Fp.t
-(** The root projected into the SNARK field — the form in which it
-    enters the public input. *)
-
-val membership_proof : t -> int -> Merkle.proof
-(** Merkle proof that the [i]-th element is committed by [root]. *)
-
-val verify_membership : root:Hash.t -> elem -> Merkle.proof -> bool
+(** [MH(proofdata)], the Merkle root over the element hashes, projected
+    into the SNARK field — the form in which it enters the public
+    input. *)
 
 val encode : t -> string

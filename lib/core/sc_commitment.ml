@@ -77,10 +77,12 @@ let build ?(pool = Pool.sequential) entries =
        root, which costs no hash. Most entries are a handful of leaves
        (~tens of µs each); the cost hint batches them so a block's
        worth of sidechains doesn't pay one sync per entry. *)
+    let entries = Array.of_list entries in
     let real =
-      Pool.map_list pool ~cost:0.02
-        (fun e -> { id = e.ledger_id; data = entry_hash e })
-        entries
+      Pool.init_array pool ~cost:0.02 (Array.length entries) (fun i ->
+          let e = entries.(i) in
+          { id = e.ledger_id; data = entry_hash e })
+      |> Array.to_list
     in
     let all =
       { id = min_sentinel; data = Hash.zero }

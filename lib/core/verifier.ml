@@ -220,7 +220,8 @@ let verify_batch ?(pool = Pool.sequential) jobs =
   (* A miss runs one simulated SNARK verification plus the MH(proofdata)
      recomputation — ~0.1 ms with production-shaped proofdata. *)
   let verified =
-    Pool.map_array pool ~cost:0.1 (fun i -> arr.(i).verify ()) miss_idx
+    Pool.init_array pool ~cost:0.1 (Array.length miss_idx) (fun k ->
+        arr.(miss_idx.(k)).verify ())
   in
   Array.iteri
     (fun k i ->

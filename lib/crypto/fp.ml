@@ -49,7 +49,6 @@ let[@inline] add a b =
   let s = a + b in
   if s >= p then s - p else s
 
-let[@inline] sub a b = if a >= b then a - b else a + p - b
 let[@inline] neg a = if a = 0 then 0 else p - a
 
 let[@inline] mul a b =

@@ -26,7 +26,6 @@ val equal : t -> t -> bool
 val is_zero : t -> bool
 
 val add : t -> t -> t
-val sub : t -> t -> t
 val neg : t -> t
 val mul : t -> t -> t
 val sq : t -> t

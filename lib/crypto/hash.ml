@@ -20,18 +20,6 @@ let of_int n = of_string (string_of_int n)
 let to_hex = Sha256.to_hex
 let short_hex t = String.sub (to_hex t) 0 8
 
-let of_hex s =
-  if String.length s <> 2 * size then invalid_arg "Hash.of_hex: need 64 chars";
-  let nib c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | _ -> invalid_arg "Hash.of_hex: bad character"
-  in
-  String.init size (fun i ->
-      Char.chr ((nib s.[2 * i] lsl 4) lor nib s.[(2 * i) + 1]))
-
 let to_fp t = Fp.of_bytes_le t
 let equal = String.equal
 let compare = String.compare

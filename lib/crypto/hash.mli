@@ -34,9 +34,6 @@ val to_hex : t -> string
 val short_hex : t -> string
 (** First 8 hex characters, for logs. *)
 
-val of_hex : string -> t
-(** Raises [Invalid_argument] unless given 64 hex characters. *)
-
 val to_fp : t -> Fp.t
 (** Projects a digest into the SNARK field (first 8 bytes, reduced). *)
 

@@ -55,7 +55,6 @@ let root t =
   let top = t.levels.(Array.length t.levels - 1) in
   top.(0)
 
-let depth t = Array.length t.levels - 1
 
 let prove t i =
   if i < 0 || i >= max t.leaf_count 1 then invalid_arg "Merkle.prove: index";

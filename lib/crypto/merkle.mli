@@ -24,7 +24,6 @@ val of_data : ?pool:Pool.t -> string list -> t
 (** Convenience: hashes each data block first. *)
 
 val root : t -> Hash.t
-val depth : t -> int
 
 val prove : t -> int -> proof
 (** [prove t i] is the membership proof for the [i]-th leaf.
@@ -39,6 +38,3 @@ val proof_size_bytes : proof -> int
 
 val proof_to_siblings : proof -> Hash.t list
 val proof_of_siblings : index:int -> Hash.t list -> proof
-
-val leaf_hash : Hash.t -> Hash.t
-(** The tagged hash applied to each leaf before tree construction. *)

@@ -312,14 +312,6 @@ let init_array t ~cost n f =
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-let map_array t ~cost f arr =
-  if t.domains = 1 then Array.map f arr
-  else init_array t ~cost (Array.length arr) (fun i -> f arr.(i))
-
-let map_list t ~cost f l =
-  if t.domains = 1 then List.map f l
-  else Array.to_list (map_array t ~cost f (Array.of_list l))
-
 (* ---- single-task futures ----
 
    A future is a one-shot task whose execution site is decided late:

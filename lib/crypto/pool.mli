@@ -116,12 +116,6 @@ val init_array : t -> cost:float -> int -> (int -> 'a) -> 'a array
     the failing index. For pure [f] the result is bit-identical to
     [Array.init] for every domain count and cost hint. *)
 
-val map_array : t -> cost:float -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map] (same contract as {!init_array}). *)
-
-val map_list : t -> cost:float -> ('a -> 'b) -> 'a list -> 'b list
-(** Parallel [List.map] (same contract as {!init_array}). *)
-
 (** {2 Single-task futures}
 
     The building block of pipelined proving

@@ -79,10 +79,11 @@ let hash2 a b =
   Zen_obs.Counter.incr permutations;
   core [||] a b Fp.two (* domain: 2-to-1 *)
 
-let hash_fields fields =
+let hash_list fields =
   (* Sponge with rate 2: absorb two elements per permutation; the
      capacity lane is initialized with the message length for
      domain separation between lengths. *)
+  let fields = Array.of_list fields in
   let n = Array.length fields in
   let state = [| Fp.zero; Fp.zero; Fp.of_int (n + 3) |] in
   if n = 0 then begin
@@ -100,5 +101,3 @@ let hash_fields fields =
     done;
     state.(0)
   end
-
-let hash_list fields = hash_fields (Array.of_list fields)

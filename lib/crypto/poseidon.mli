@@ -30,8 +30,6 @@ val hash2 : Fp.t -> Fp.t -> Fp.t
 val hash_list : Fp.t list -> Fp.t
 (** Sponge absorption of an arbitrary-length field-element message. *)
 
-val hash_fields : Fp.t array -> Fp.t
-
 val rounds_full : int
 val rounds_partial : int
 val width : int

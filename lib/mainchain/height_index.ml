@@ -4,7 +4,6 @@ module Imap = Map.Make (Int)
 type t = { len : int; entries : Hash.t Imap.t }
 
 let empty = { len = 0; entries = Imap.empty }
-let length t = t.len
 let append t h = { len = t.len + 1; entries = Imap.add t.len h t.entries }
 
 let get t i =

@@ -11,10 +11,9 @@ open Zen_crypto
 type t
 
 val empty : t
-val length : t -> int
 
 val append : t -> Hash.t -> t
-(** Records the hash of the block at height [length t]. *)
+(** Records the hash of the block at the next height (0 for {!empty}). *)
 
 val get : t -> int -> Hash.t option
 (** The hash recorded for the given height; [None] out of range. *)

@@ -67,7 +67,6 @@ let apply_batch t changes =
       match c with Some coin -> add t o coin | None -> remove t o)
     t changes
 
-let cardinal t = M.cardinal t.coins
 
 let fold t ~init ~f =
   M.fold (fun _ e acc -> f acc e.outpoint e.coin) t.coins init

@@ -20,7 +20,3 @@ let skew d =
     if not (Atomic.compare_and_set offset cur (cur +. d)) then go ()
   in
   go ()
-
-let deterministic ?(start = 0.) ?(step = 1e-3) () =
-  let k = Atomic.make 0 in
-  fun () -> start +. (float_of_int (Atomic.fetch_and_add k 1) *. step)

@@ -20,10 +20,4 @@ val skew : float -> unit
     is the fault-injection hook [Zen_sim.Faults] uses to model clock
     drift: every consumer of {!now} — span tracing, the prover pool's
     per-task accounting — observes the jump, while the source itself
-    (real or {!deterministic}) stays untouched. *)
-
-val deterministic : ?start:float -> ?step:float -> unit -> unit -> float
-(** [deterministic ()] is a fake clock: each call returns
-    [start + k * step] for k = 0, 1, 2, … (atomically counted, so it is
-    monotone even across domains). [start] defaults to [0.], [step] to
-    [1e-3]. Install it with {!set}. *)
+    (real or substituted) stays untouched. *)

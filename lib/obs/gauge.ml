@@ -16,8 +16,7 @@ let make name =
     Registry.on_reset (fun () -> Atomic.set g.cell 0.);
     g
 
-let set t v = if Registry.enabled () then Atomic.set t.cell v
-let set_int t n = set t (float_of_int n)
+let set_int t n = if Registry.enabled () then Atomic.set t.cell (float_of_int n)
 let value t = Atomic.get t.cell
 let name t = t.name
 

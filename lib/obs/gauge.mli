@@ -8,7 +8,6 @@ type t
 val make : string -> t
 (** Idempotent by name, like {!Counter.make}. *)
 
-val set : t -> float -> unit
 val set_int : t -> int -> unit
 val value : t -> float
 val name : t -> string

@@ -49,8 +49,8 @@ type t = {
           sidechain node *)
   mutable time : int;
   mutable sidechains_rev : sidechain list;
-      (** newest first (constant-time registration); read registration
-          order through {!sidechains} *)
+      (** newest first (constant-time registration); {!tick} drives
+          them in registration order, its reverse *)
   mutable next_sc_nonce : int;
       (** monotonic creation-tx nonce — never reused, so derived ledger
           ids stay collision-free even if sidechains are ever removed *)
@@ -95,10 +95,6 @@ val create :
     [aggregate] and [pipeline] are leftover labels for the benchmark in
     [perfbench/]: [true] does nothing, [false] raises
     [Invalid_argument] (ROADMAP item 1). *)
-
-val sidechains : t -> sidechain list
-(** Registered sidechains in registration order (the order {!tick}
-    drives them in). *)
 
 val mine : t -> unit
 (** One MC block from the current mempool. On a reorg outcome the

@@ -70,11 +70,19 @@ let soak =
 
 let builtins = [ smoke; steady; soak ]
 
+(* [run] allocates a [users]-long CDF (2^22 floats is 32 MiB), and
+   [phase_counts] multiplies [txs_per_epoch] by a phase weight of at
+   most 300 (below 2^39 for 2^30 transactions). *)
+let max_users = 1 lsl 22
+let max_txs_per_epoch = 1 lsl 30
+
 let validate p =
   let err fmt = Printf.ksprintf (fun s -> Error ("workload: " ^ s)) fmt in
-  if p.users < 1 then err "users must be >= 1"
+  if p.users < 1 || p.users > max_users then
+    err "users must be in [1, %d]" max_users
   else if p.zipf < 0 || p.zipf > 400 then err "zipf must be in [0, 400]"
-  else if p.txs_per_epoch < 1 then err "txs-per-epoch must be >= 1"
+  else if p.txs_per_epoch < 1 || p.txs_per_epoch > max_txs_per_epoch then
+    err "txs-per-epoch must be in [1, %d]" max_txs_per_epoch
   else if p.epochs < 1 then err "epochs must be >= 1"
   else if p.phases < 1 || p.phases > 1024 then err "phases must be in [1, 1024]"
   else if p.burst < 0 || p.burst > 100 then err "burst must be in [0, 100]"

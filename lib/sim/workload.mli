@@ -37,6 +37,14 @@ val soak : profile
     bursts, reorg every 7th phase. *)
 
 val validate : profile -> (profile, string) result
+(** Refuses a profile outside the bounds {!run} can serve: [users] in
+    [[1, 2^22]] (the zipfian CDF holds one float per user),
+    [txs_per_epoch] in [[1, 2^30]] (phase shaping multiplies it by a
+    weight of at most 300, which must not overflow), [zipf] in
+    [[0, 400]], [phases] in [[1, 1024]], [burst] in [[0, 100]], [mix]
+    shares in [[0, 100]] summing to 100, [mst_depth] in [[4, 28]],
+    [seed_coins] at most a quarter of the MST's slots, and [epochs] ≥ 1
+    and [reorg_every] ≥ 0. *)
 
 val to_string : profile -> string
 (** The builtin's name when structurally equal to one, else the custom

@@ -59,7 +59,6 @@ val shared : unit -> system
     deterministic, so every process agrees on {!vk_digest} — miners and
     validators need no key exchange. *)
 
-val vk : system -> Backend.verification_key
 val vk_digest : system -> Hash.t
 
 val template : system -> (Fp.t * Fp.t) Template.t

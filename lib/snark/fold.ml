@@ -34,7 +34,6 @@ type 'a t = {
 let create ~merge =
   { merge; stack = []; count = 0; eager_merges = 0; failures = [] }
 
-let count a = a.count
 let eager_merges a = a.eager_merges
 let pending_merges a = max 0 (List.length a.stack - 1)
 

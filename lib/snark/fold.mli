@@ -29,15 +29,12 @@ val push : 'a t -> 'a -> unit
     failed merge is recorded and poisons the affected subtree;
     {!finish} reports the same error the level-by-level fold would. *)
 
-val count : 'a t -> int
-(** Elements pushed so far. *)
-
 val eager_merges : 'a t -> int
 (** Merges already performed by {!push} — off the certify path. *)
 
 val pending_merges : 'a t -> int
 (** Carry merges {!finish} would run now: the stack height minus one,
-    ≤ ⌈log₂ {!count}⌉. *)
+    ≤ ⌈log₂ n⌉ after n {!push}es. *)
 
 val finish : 'a t -> ('a, string) result
 (** Folds the outstanding subtrees into the root (the carried

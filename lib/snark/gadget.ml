@@ -285,7 +285,7 @@ let poseidon2 ctx a b =
   out.(0)
 
 let poseidon_hash ctx wires =
-  (* Mirrors Poseidon.hash_fields: rate-2 absorption with the message
+  (* Mirrors Poseidon.hash_list: rate-2 absorption with the message
      length in the capacity lane. *)
   let n = List.length wires in
   let arr = Array.of_list wires in

@@ -14,7 +14,6 @@ type builder = {
 }
 
 type circuit = {
-  name : string;
   n_public : int;
   n_vars : int;
   rows : constr array; (* synthesis order *)
@@ -78,14 +77,12 @@ let finalize ~name b =
       Sha256.feed ctx "|")
     cs;
   {
-    name;
     n_public = b.num_public;
     n_vars = b.next_var;
     rows = cs;
     digest = Hash.of_raw (Sha256.finalize ctx);
   }
 
-let name c = c.name
 let num_constraints c = Array.length c.rows
 let num_public c = c.n_public
 let num_witness c = c.n_vars - 1 - c.n_public

@@ -43,7 +43,6 @@ val finalize : name:string -> builder -> circuit
     key and the row and value counts, so its rows are garbage once it
     is set up. *)
 
-val name : circuit -> string
 val num_constraints : circuit -> int
 val num_public : circuit -> int
 val num_witness : circuit -> int

@@ -4,6 +4,13 @@
 open Zen_crypto
 open Zendoo
 
+(* A fake clock for [Zen_obs.Clock.set]: each call returns
+   [start + k * step] for k = 0, 1, 2, … (atomically counted, so it is
+   monotone even across domains). *)
+let deterministic_clock ?(start = 0.) ?(step = 1e-3) () =
+  let k = Atomic.make 0 in
+  fun () -> start +. (float_of_int (Atomic.fetch_and_add k 1) *. step)
+
 (* An all-zero proof: well-formed bytes that no key verifies. *)
 let zero_proof =
   Option.get

@@ -38,21 +38,22 @@ let test_proofdata_membership () =
   let pd =
     Proofdata.[ Digest (Hash.of_string "x"); Uint 4; Blob "payload"; Field Fp.two ]
   in
-  let root = Proofdata.root pd in
+  (* the root commits to every element at its position *)
+  let root = Proofdata.root_fp pd in
   List.iteri
-    (fun i e ->
-      let p = Proofdata.membership_proof pd i in
-      checkb (Printf.sprintf "elem %d" i) true
-        (Proofdata.verify_membership ~root e p))
+    (fun i _ ->
+      let pd' =
+        List.mapi (fun j e -> if j = i then Proofdata.Uint 9 else e) pd
+      in
+      checkb (Printf.sprintf "elem %d" i) false
+        (Fp.equal root (Proofdata.root_fp pd')))
     pd;
-  let p0 = Proofdata.membership_proof pd 0 in
-  checkb "wrong elem" false
-    (Proofdata.verify_membership ~root (Proofdata.Uint 9) p0)
+  checkb "order" false (Fp.equal root (Proofdata.root_fp (List.rev pd)))
 
 let test_proofdata_root_sensitivity () =
-  let r1 = Proofdata.root [ Proofdata.Uint 1 ] in
-  let r2 = Proofdata.root [ Proofdata.Uint 2 ] in
-  checkb "value-sensitive" false (Hash.equal r1 r2)
+  let r1 = Proofdata.root_fp [ Proofdata.Uint 1 ] in
+  let r2 = Proofdata.root_fp [ Proofdata.Uint 2 ] in
+  checkb "value-sensitive" false (Fp.equal r1 r2)
 
 (* ---- epochs ---- *)
 
@@ -261,9 +262,11 @@ let test_bt_list_root () =
           ~amount:(amount (i + 1)))
   in
   let root = Backward_transfer.list_root bts in
-  let p = Backward_transfer.membership_proof bts 2 in
-  checkb "bt member" true
-    (Merkle.verify ~root ~leaf:(Backward_transfer.hash (List.nth bts 2)) p);
+  checkb "value-sensitive" false
+    (Hash.equal root
+       (Backward_transfer.list_root
+          (Backward_transfer.make ~receiver_addr:Hash.zero ~amount:(amount 1)
+           :: List.tl bts)));
   checkb "order-sensitive" false
     (Hash.equal root (Backward_transfer.list_root (List.rev bts)))
 

@@ -402,8 +402,7 @@ let test_bt_append_linear () =
     true (elapsed < 5.0);
   checki "count carried" n (Sc_state.bt_count final);
   checkb "read-back order is append order" true
-    (List.for_all2 Backward_transfer.equal bts
-       (Sc_state.backward_transfers final));
+    (Sc_state.backward_transfers final = bts);
   (* The accumulator folds oldest-first exactly as before. *)
   let expected_acc = List.fold_left Fixtures.bt_acc_step Fp.zero bts in
   checkb "bt_acc unchanged" true (Fp.equal final.Sc_state.bt_acc expected_acc);

@@ -38,9 +38,12 @@ let test_mht_rejects_wrong_root () =
     (Merkle.verify ~root:(Merkle.root t2) ~leaf:(Hash.of_string "block-0") p)
 
 let test_mht_depth_log () =
-  checki "8 leaves" 3 (Merkle.depth (Merkle.of_data (data 8)));
-  checki "9 leaves" 4 (Merkle.depth (Merkle.of_data (data 9)));
-  checki "1 leaf" 0 (Merkle.depth (Merkle.of_data (data 1)))
+  let depth n =
+    Merkle.proof_length (Merkle.prove (Merkle.of_data (data n)) 0)
+  in
+  checki "8 leaves" 3 (depth 8);
+  checki "9 leaves" 4 (depth 9);
+  checki "1 leaf" 0 (depth 1)
 
 let test_mht_empty () =
   let t = Merkle.of_leaves [] in
@@ -55,7 +58,10 @@ let test_mht_second_preimage_guard () =
      the wrong layer: leaf/node tags differ. *)
   let t = Merkle.of_data (data 4) in
   let p = Merkle.prove t 0 in
-  let fake = Merkle.leaf_hash (Hash.of_string "block-0") in
+  (* the tag [Merkle.of_leaves] applies to each leaf *)
+  let fake =
+    Hash.tagged "mht.leaf" [ Hash.to_raw (Hash.of_string "block-0") ]
+  in
   checkb "tag separation" false
     (Merkle.verify ~root:(Merkle.root t) ~leaf:fake p)
 

@@ -62,7 +62,7 @@ let test_counter_idempotent_make () =
 
 let test_span_nesting_and_durations () =
   with_fresh_obs @@ fun () ->
-  Zen_obs.Clock.set (Zen_obs.Clock.deterministic ());
+  Zen_obs.Clock.set (Fixtures.deterministic_clock ());
   Fun.protect ~finally:Zen_obs.Clock.reset @@ fun () ->
   Zen_obs.Trace.with_span "outer" (fun () ->
       Zen_obs.Trace.with_span "inner" (fun () -> ());
@@ -102,7 +102,7 @@ let test_exporters_emit_valid_json () =
   let c = Zen_obs.Counter.make "t_obs.export" in
   Zen_obs.Counter.add c 3;
   let g = Zen_obs.Gauge.make "t_obs.gauge" in
-  Zen_obs.Gauge.set g 2.5;
+  Zen_obs.Gauge.set_int g 3;
   let h =
     Zen_obs.Histogram.make ~bounds:[ 0.1; 1.0 ] "t_obs.hist"
   in
@@ -119,7 +119,7 @@ let test_exporters_emit_valid_json () =
   checkb "counter in the report" true
     (field "counters" "t_obs.export" = Some (Zen_obs.Json.Int 3));
   checkb "gauge in the report" true
-    (field "gauges" "t_obs.gauge" = Some (Zen_obs.Json.Float 2.5));
+    (field "gauges" "t_obs.gauge" = Some (Zen_obs.Json.Int 3));
   let trace = parses (Zen_obs.Report.chrome_trace ()) in
   let events =
     match Zen_obs.Json.member "traceEvents" trace with

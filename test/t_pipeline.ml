@@ -90,7 +90,6 @@ let test_incremental_all_prefixes () =
     (fun i tp ->
       let len = i + 1 in
       Fold.push acc tp;
-      checki (Printf.sprintf "len %d count" len) len (Fold.count acc);
       checkb
         (Printf.sprintf "len %d pending <= ceil(log2 %d)" len len)
         true

@@ -23,7 +23,6 @@ let test_empty_input () =
   let pool = Pool.get ~domains:4 in
   checki "init_array 0" 0
     (Array.length (Pool.init_array pool ~cost:1.0 0 (fun _ -> assert false)));
-  checkb "map_list []" true (Pool.map_list pool ~cost:1.0 (fun x -> x + 1) [] = []);
   parallel_for pool ~cost:1.0 ~n:0 (fun _ -> assert false)
 
 let test_one_domain_is_sequential () =
@@ -36,7 +35,8 @@ let test_one_domain_is_sequential () =
   checkb "in order on caller" true (!trace = [ 4; 3; 2; 1; 0 ]);
   Pool.shutdown pool;
   checkb "sequential handle reusable after shutdown" true
-    (Pool.map_list Pool.sequential ~cost:1.0 string_of_int [ 1; 2 ] = [ "1"; "2" ])
+    (Pool.init_array Pool.sequential ~cost:1.0 2 (fun i -> string_of_int (i + 1))
+     = [| "1"; "2" |])
 
 let test_more_domains_than_tasks () =
   let pool = Pool.get ~domains:8 in
@@ -57,7 +57,7 @@ let test_exception_propagates () =
   in
   checkb "worker exception re-raised in caller" true raised;
   (* the pool survives a failed operation *)
-  let r = Pool.map_array pool ~cost:1.0 (fun x -> x * 2) [| 1; 2; 3; 4 |] in
+  let r = Pool.init_array pool ~cost:1.0 4 (fun i -> (i + 1) * 2) in
   checkb "pool usable after failure" true (r = [| 2; 4; 6; 8 |]);
   (* even Stack_overflow from a body reaches the caller, not a worker
      wrapper — the wrapper's swallow counter must stay untouched *)
@@ -80,7 +80,7 @@ let test_exception_propagates () =
   in
   checkb "stack overflow re-raised in caller" true overflow;
   checki "no exception swallowed by worker wrappers" before (swallowed ());
-  let r = Pool.map_array pool ~cost:1.0 (fun x -> x + 1) [| 1; 2 |] in
+  let r = Pool.init_array pool ~cost:1.0 2 (fun i -> i + 2) in
   checkb "pool usable after overflow" true (r = [| 2; 3 |])
 
 (* ---- the shared registry ---- *)
@@ -95,11 +95,11 @@ let test_shared_pool_reuse () =
     (Pool.get ~domains:1 == Pool.sequential);
   (* the same pool serves consecutive operations of different shapes *)
   let a = Pool.init_array p ~cost:1.0 100 (fun i -> i * 3) in
-  let b = Pool.map_array p ~cost:1.0 (fun x -> x + 1) a in
-  let c = Pool.map_list p ~cost:1.0 string_of_int [ 7; 8; 9 ] in
+  let b = Pool.init_array p ~cost:1.0 (Array.length a) (fun i -> a.(i) + 1) in
+  let c = Pool.init_array p ~cost:1.0 3 (fun i -> string_of_int (i + 7)) in
   checkb "first op" true (a = Array.init 100 (fun i -> i * 3));
   checkb "second op" true (b = Array.init 100 (fun i -> (i * 3) + 1));
-  checkb "third op" true (c = [ "7"; "8"; "9" ])
+  checkb "third op" true (c = [| "7"; "8"; "9" |])
 
 let test_nested_parallel_shared () =
   (* Nested operations on the *same* shared pool must neither deadlock
@@ -123,7 +123,7 @@ let test_shutdown_then_reuse () =
      the next get. *)
   let p = Pool.get ~domains:4 in
   Pool.shutdown p;
-  let r = Pool.map_array p ~cost:1.0 (fun x -> x * x) [| 1; 2; 3 |] in
+  let r = Pool.init_array p ~cost:1.0 3 (fun i -> (i + 1) * (i + 1)) in
   checkb "shut-down pool still completes operations" true (r = [| 1; 4; 9 |]);
   let p' = Pool.get ~domains:4 in
   checkb "registry replaces a shut-down pool" true (not (p' == p));

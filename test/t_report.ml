@@ -191,7 +191,7 @@ let test_dropped_parent_flattens () =
 
 let test_critical_path_follows_longest_child () =
   with_fresh_obs @@ fun () ->
-  Zen_obs.Clock.set (Zen_obs.Clock.deterministic ~step:0.001 ());
+  Zen_obs.Clock.set (Fixtures.deterministic_clock ~step:0.001 ());
   Fun.protect ~finally:Zen_obs.Clock.reset @@ fun () ->
   Zen_obs.Trace.with_span "root" (fun () ->
       Zen_obs.Trace.with_span "short" (fun () -> ());
@@ -286,7 +286,7 @@ let deterministic_workload () =
 
 let render_once () =
   with_fresh_obs @@ fun () ->
-  Zen_obs.Clock.set (Zen_obs.Clock.deterministic ~start:100. ~step:0.001 ());
+  Zen_obs.Clock.set (Fixtures.deterministic_clock ~start:100. ~step:0.001 ());
   Fun.protect ~finally:Zen_obs.Clock.reset @@ fun () ->
   deterministic_workload ();
   ( Zen_obs.Report.to_json_string

@@ -384,7 +384,8 @@ let test_many_sidechain_registration () =
                  ~name:(Printf.sprintf "sc%d" i)
                  ~family ~epoch_len:40 ~submit_len:5 ~activation_delay:30 ()))
       in
-      checki "all registered" 64 (List.length (Harness.sidechains h));
+      let registered = List.rev h.Harness.sidechains_rev in
+      checki "all registered" 64 (List.length registered);
       (* registration order is preserved (the tick drive order) *)
       List.iteri
         (fun i (sc : Harness.sidechain) ->
@@ -392,7 +393,7 @@ let test_many_sidechain_registration () =
             (Printf.sprintf "order %d" i)
             true
             (String.equal sc.name (Printf.sprintf "sc%d" i)))
-        (Harness.sidechains h);
+        registered;
       (* every ledger id is distinct (the old [List.length + 1] nonce
          could collide after removals; the monotonic counter cannot) *)
       let ids = List.map (fun (sc : Harness.sidechain) -> sc.ledger_id) scs in
@@ -530,7 +531,9 @@ let test_height_index_deep_chain () =
   for i = 0 to n - 1 do
     idx := Height_index.append !idx (h i)
   done;
-  checki "length" n (Height_index.length !idx);
+  checkb "length" true
+    (Height_index.get !idx (n - 1) = Some (h (n - 1))
+    && Height_index.get !idx n = None);
   (* branch point: two forks extending the same snapshot stay distinct *)
   let fork_a = Height_index.append !idx (h 1_000_001)
   and fork_b = Height_index.append !idx (h 2_000_002) in

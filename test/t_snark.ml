@@ -384,7 +384,7 @@ let random_circuit rs =
         let kc = rand () in
         (terms (), terms (), terms (), if Fp.is_zero kc then Fp.one else kc)
     in
-    let target = Fp.sub (Fp.mul (eval a) (eval bb)) (eval c_rest) in
+    let target = Fp.add (Fp.mul (eval a) (eval bb)) (Fp.neg (eval c_rest)) in
     let out =
       if Fp.is_zero kc then fresh R1cs.alloc_witness (rand ())
       else fresh R1cs.alloc_witness (Fp.mul target (Fp.inv kc))

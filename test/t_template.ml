@@ -331,7 +331,10 @@ let test_pinned_digests () =
           r1cs_hex
             (Template.keys (Zen_snark.Recursive.merge_template rsys)).vk );
         ( "zendoo.aggregate",
-          r1cs_hex (Zen_snark.Aggregate.vk (Zen_snark.Aggregate.shared ())) );
+          r1cs_hex
+            (Template.keys
+               (Zen_snark.Aggregate.template (Zen_snark.Aggregate.shared ())))
+              .vk );
       ]
   in
   let steps =
@@ -402,6 +405,12 @@ let test_slot_circuits_match_oracle () =
     (fun (st, step) ->
       let circuit, public, witness = synthesized_step f st step in
       let oracle = R1cs_oracle.of_circuit circuit in
+      let kind =
+        match step with
+        | Sc_tx.Insert _ -> "insert"
+        | Remove _ -> "remove"
+        | Append_bt _ -> "append_bt"
+      in
       let z = Array.concat [ [| Fp.one |]; public; witness ] in
       for case = 0 to 99 do
         let z = Array.copy z in
@@ -410,7 +419,7 @@ let test_slot_circuits_match_oracle () =
             Fp.of_int (Random.State.full_int rs max_int)
         done;
         checkb
-          (Printf.sprintf "%s case %d" (Zen_snark.R1cs.name circuit) case)
+          (Printf.sprintf "%s case %d" kind case)
           true
           (T_snark.with_evals (fun () -> Zen_snark.R1cs.check circuit z)
           = T_snark.with_evals (fun () -> R1cs_oracle.check oracle z))

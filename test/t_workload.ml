@@ -268,7 +268,7 @@ let us_index_equiv =
           (fun t (o, c) ->
             match c with
             | Some coin -> Utxo_set.add t o coin
-            | None -> Utxo_set.remove t o)
+            | None -> Utxo_set.apply_batch t [ (o, None) ])
           Utxo_set.empty changes
       in
       let batch = Utxo_set.apply_batch Utxo_set.empty changes in
@@ -293,7 +293,8 @@ let us_index_equiv =
               (naive t addr))
           [ 0; 1; 2 ]
       in
-      Utxo_set.cardinal seq = Utxo_set.cardinal batch
+      let cardinal t = Utxo_set.fold t ~init:0 ~f:(fun n _ _ -> n + 1) in
+      cardinal seq = cardinal batch
       && same_coins seq && same_coins batch)
 
 (* ---- Sc_mempool: the bugs it fixes ---- *)
@@ -422,6 +423,13 @@ let workload_profile_roundtrip () =
   let custom = ok (Zen_sim.Workload.of_string "u9:z50:t9:e1:p2:b10:m25-25-25-25:d6:s3:r0") in
   checki "custom users" 9 custom.users;
   checki "custom bt share" 25 custom.mix.bt;
+  (* the bounds [validate] states, at their edges; nothing here runs *)
+  let at_bounds =
+    ok (Zen_sim.Workload.of_string
+          "u4194304:z50:t1073741824:e1:p2:b10:m25-25-25-25:d6:s3:r0")
+  in
+  checki "users at bound" 4194304 at_bounds.users;
+  checki "txs-per-epoch at bound" 1073741824 at_bounds.txs_per_epoch;
   List.iter
     (fun s ->
       match Zen_sim.Workload.of_string s with
@@ -431,6 +439,12 @@ let workload_profile_roundtrip () =
       "u9:nonsense";
       (* shares above 100 whose sum wraps the 63-bit int to 100 *)
       "u10:z100:t10:e1:p4:b50:m4611686018427387903-4611686018427387903-102-0:d8:s4:r0";
+      (* one past each bound, and sizes whose CDF or t × phase weight
+         would not fit *)
+      "u4194305:z50:t9:e1:p2:b10:m25-25-25-25:d6:s3:r0";
+      "u4611686018427387903:z50:t9:e1:p2:b10:m25-25-25-25:d6:s3:r0";
+      "u9:z50:t1073741825:e1:p2:b10:m25-25-25-25:d6:s3:r0";
+      "u9:z50:t4611686018427387903:e1:p2:b10:m25-25-25-25:d6:s3:r0";
     ]
 
 (* ---- the harness driver ---- *)
