@@ -1,5 +1,5 @@
 (* A bounded Domain-based worker pool with a chunked, work-stealing
-   task queue. Plain stdlib only: Domain + Mutex + Condition + Atomic.
+   task queue. Plain stdlib only: Domain + Mutex + Condition.
 
    Shape: [create ~domains:d] spawns [d - 1] persistent worker domains
    that block on a condition variable; the caller of a parallel
@@ -9,22 +9,22 @@
 
    Lifecycle: pools are expensive to spawn (a Domain each) and cheap to
    keep, so the normal way to obtain one is the process-wide registry
-   ([get] / [shared]): one persistent pool per domain count, spawned on
-   first use, reused by every workload and shut down once at process
-   exit. [create]/[shutdown] remain for transient pools (tests, code
-   that must bound worker lifetime itself).
+   ([get]): one persistent pool per domain count, spawned on first use,
+   reused by every workload and shut down once at process exit.
+   [create]/[shutdown] remain for transient pools (tests, code that
+   must bound worker lifetime itself).
 
    A parallel operation turns its index space [0, n) into chunks —
    sized adaptively from a per-item cost hint so that per-chunk sync
-   overhead amortizes — and publishes one "help" closure per spare
-   domain; every participant (helpers and caller alike) then races on a
-   shared atomic chunk counter — dynamic load balancing without
-   per-task locking. Because a participant that finds the counter
-   exhausted simply leaves, the caller alone can finish the whole
-   operation; helpers that never get scheduled (a busy or already
-   shut-down pool) cost nothing and cannot deadlock, including when
-   operations nest. An operation whose whole index space fits one chunk
-   never touches the queue at all. *)
+   overhead amortizes — makes each chunk a future (below: the pool's
+   one way to claim and finish work) and publishes one "help" closure
+   per spare domain; every participant (helpers and caller alike) then
+   walks the chunks in index order and runs each one still unclaimed.
+   Because a participant that finds every chunk claimed simply leaves,
+   the caller alone can finish the whole operation; helpers that never
+   get scheduled (a busy or already shut-down pool) cost nothing and
+   cannot deadlock, including when operations nest. An operation whose
+   whole index space fits one chunk never touches the queue at all. *)
 
 type task = unit -> unit
 
@@ -203,15 +203,15 @@ let get ~domains =
 
    [cost] is the caller's estimate of one index's work in milliseconds.
    Two pressures shape the chunk size: each chunk must carry at least
-   [target_chunk_ms] of estimated work so the per-chunk sync (an atomic
-   fetch-and-add, plus the operation's one-time queue broadcast)
-   amortizes to noise, and the index space should split into about
-   [steal_slices] chunks per domain so dynamic stealing can rebalance a
-   skewed workload. When the two conflict — many tiny items on many
-   domains — amortization wins: better a few well-fed chunks (or one
-   inline run) than a thousand synchronized crumbs, which is exactly
-   the regime that made template-cached proving slower at 4 domains
-   than at 1. *)
+   [target_chunk_ms] of estimated work so the per-chunk sync (a claim
+   and a completion under the operation's mutex, plus its one-time
+   queue broadcast) amortizes to noise, and the index space should
+   split into about [steal_slices] chunks per domain so dynamic
+   stealing can rebalance a skewed workload. When the two conflict —
+   many tiny items on many domains — amortization wins: better a few
+   well-fed chunks (or one inline run) than a thousand synchronized
+   crumbs, which is exactly the regime that made template-cached
+   proving slower at 4 domains than at 1. *)
 
 let target_chunk_ms = 0.5
 let steal_slices = 4
@@ -227,101 +227,17 @@ let chunk_size ~domains ~n ~cost =
   let balance = (n + slices - 1) / slices in
   min n (max 1 (max amortize balance))
 
-(* One span per executed chunk, recorded by the executing domain —
-   this is what renders the per-domain task timeline in the Chrome
-   trace export (the tid lane is the domain id). Observation only:
-   behind a disabled registry the wrapper is a single branch. *)
-let chunk_span ~lo ~hi body =
-  Zen_obs.Counter.incr chunks_run;
-  Zen_obs.Histogram.observe chunk_items (float_of_int (hi - lo + 1));
-  Zen_obs.Trace.with_span ~cat:"pool"
-    ~args:[ ("lo", string_of_int lo); ("hi", string_of_int hi) ]
-    "pool.chunk"
-    (fun () ->
-      for i = lo to hi do
-        body i
-      done)
-
-let parallel_for t ~cost ~n body =
-  if n > 0 then begin
-    let chunk = chunk_size ~domains:t.domains ~n ~cost in
-    let nchunks = (n + chunk - 1) / chunk in
-    if t.domains = 1 || nchunks = 1 then begin
-      Zen_obs.Counter.incr ops_inline;
-      chunk_span ~lo:0 ~hi:(n - 1) body
-    end
-    else begin
-      Zen_obs.Counter.incr ops_fanned;
-      let next = Atomic.make 0 in
-      let remaining = Atomic.make nchunks in
-      let failed : exn option Atomic.t = Atomic.make None in
-      let done_mutex = Mutex.create () in
-      let done_cond = Condition.create () in
-      let work ~stolen () =
-        let rec grab () =
-          let c = Atomic.fetch_and_add next 1 in
-          if c < nchunks then begin
-            (* After a failure the rest of the index space is skipped
-               (but still accounted) so the caller can re-raise fast. *)
-            (if Atomic.get failed = None then
-               try
-                 let lo = c * chunk in
-                 let hi = min n (lo + chunk) - 1 in
-                 if stolen then Zen_obs.Counter.incr steals;
-                 chunk_span ~lo ~hi body
-               with e -> ignore (Atomic.compare_and_set failed None (Some e)));
-            if Atomic.fetch_and_add remaining (-1) = 1 then begin
-              Mutex.lock done_mutex;
-              Condition.broadcast done_cond;
-              Mutex.unlock done_mutex
-            end;
-            grab ()
-          end
-        in
-        grab ()
-      in
-      (* Publish at most one helper per spare chunk: waking more workers
-         than there are chunks to steal is pure overhead. *)
-      let helpers = min (t.domains - 1) (nchunks - 1) in
-      Mutex.lock t.mutex;
-      for _ = 1 to helpers do
-        Queue.push (work ~stolen:true) t.queue
-      done;
-      Condition.broadcast t.work;
-      Mutex.unlock t.mutex;
-      work ~stolen:false ();
-      (* The caller ran out of chunks; helpers may still be inside the
-         last ones. The completion broadcast is taken under done_mutex,
-         so the check-then-wait below cannot miss it. *)
-      Mutex.lock done_mutex;
-      while Atomic.get remaining > 0 do
-        Condition.wait done_cond done_mutex
-      done;
-      Mutex.unlock done_mutex;
-      match Atomic.get failed with Some e -> raise e | None -> ()
-    end
-  end
-
-let init_array t ~cost n f =
-  if n < 0 then invalid_arg "Pool.init_array: negative length";
-  if n = 0 then [||]
-  else if t.domains = 1 || n = 1 then Array.init n f
-  else begin
-    let out = Array.make n None in
-    parallel_for t ~cost ~n (fun i -> out.(i) <- Some (f i));
-    Array.map (function Some v -> v | None -> assert false) out
-  end
-
 (* ---- single-task futures ----
 
    A future is a one-shot task whose execution site is decided late:
    a spawned worker may pick it off the queue, or whoever awaits it
-   runs it inline if no worker got there first (the same
-   caller-participates rule as the chunked operations, so a sequential
-   or shut-down pool degrades to deterministic inline execution instead
-   of deadlocking). The claim transition Pending -> Running happens
-   under the future's own mutex, so exactly one party runs the thunk;
-   everyone else blocks on the condition until Done. *)
+   runs it inline if no worker got there first (the caller-participates
+   rule, so a sequential or shut-down pool degrades to deterministic
+   inline execution instead of deadlocking). The claim transition
+   Pending -> Running happens under the future's mutex, so exactly
+   one party runs the thunk; everyone else blocks on the condition
+   until Done. This is the pool's one claim/complete protocol: the
+   chunks of a parallel operation below are futures too. *)
 
 type 'a fstate =
   | FPending of (unit -> 'a)
@@ -336,19 +252,28 @@ type 'a future = {
 
 let async_submitted = Zen_obs.Counter.make "pool.async.submitted"
 
-(* Runs the thunk if (and only if) this caller wins the claim. *)
+(* Runs the thunk if (and only if) this caller wins the claim; says
+   whether it did. A state only moves forward, so one seen past Pending
+   without the lock is final for the claim: a helper walking chunks the
+   caller already took skips them without contending for the lock. *)
 let run_future fut =
-  Mutex.lock fut.fmutex;
   match fut.fstate with
-  | FRunning | FDone _ -> Mutex.unlock fut.fmutex
-  | FPending th ->
-    fut.fstate <- FRunning;
-    Mutex.unlock fut.fmutex;
-    let r = try Ok (th ()) with e -> Error e in
+  | FRunning | FDone _ -> false
+  | FPending _ -> (
     Mutex.lock fut.fmutex;
-    fut.fstate <- FDone r;
-    Condition.broadcast fut.fcond;
-    Mutex.unlock fut.fmutex
+    match fut.fstate with
+    | FRunning | FDone _ ->
+      Mutex.unlock fut.fmutex;
+      false
+    | FPending th ->
+      fut.fstate <- FRunning;
+      Mutex.unlock fut.fmutex;
+      let r = try Ok (th ()) with e -> Error e in
+      Mutex.lock fut.fmutex;
+      fut.fstate <- FDone r;
+      Condition.broadcast fut.fcond;
+      Mutex.unlock fut.fmutex;
+      true)
 
 let async t th =
   let fut =
@@ -358,7 +283,7 @@ let async t th =
     Mutex.lock t.mutex;
     if not t.closed then begin
       Zen_obs.Counter.incr async_submitted;
-      Queue.push (fun () -> run_future fut) t.queue;
+      Queue.push (fun () -> ignore (run_future fut)) t.queue;
       Condition.signal t.work
     end;
     Mutex.unlock t.mutex
@@ -371,17 +296,75 @@ let poll fut =
   Mutex.unlock fut.fmutex;
   r
 
-let await fut =
-  run_future fut;
-  (* Either we just ran it, or a worker holds it: wait for Done. *)
+(* The task's outcome, without re-raising: either we run it now, or
+   someone holds it and we wait for Done. *)
+let settle fut =
+  ignore (run_future fut);
   Mutex.lock fut.fmutex;
-  let rec settle () =
+  let rec wait () =
     match fut.fstate with
     | FDone r ->
       Mutex.unlock fut.fmutex;
-      (match r with Ok v -> v | Error e -> raise e)
+      r
     | FPending _ | FRunning ->
       Condition.wait fut.fcond fut.fmutex;
-      settle ()
+      wait ()
   in
-  settle ()
+  wait ()
+
+let await fut = match settle fut with Ok v -> v | Error e -> raise e
+
+(* One span per executed chunk, recorded by the executing domain —
+   this is what renders the per-domain task timeline in the Chrome
+   trace export (the tid lane is the domain id). Observation only:
+   behind a disabled registry the wrapper is a single branch. *)
+let chunk_span ~lo ~hi f =
+  Zen_obs.Counter.incr chunks_run;
+  Zen_obs.Histogram.observe chunk_items (float_of_int (hi - lo + 1));
+  Zen_obs.Trace.with_span ~cat:"pool"
+    ~args:[ ("lo", string_of_int lo); ("hi", string_of_int hi) ]
+    "pool.chunk"
+    (fun () -> Array.init (hi - lo + 1) (fun k -> f (lo + k)))
+
+let init_array t ~cost n f =
+  if n < 0 then invalid_arg "Pool.init_array: negative length";
+  if n = 0 then [||]
+  else if t.domains = 1 || n = 1 then Array.init n f
+  else begin
+    let chunk = chunk_size ~domains:t.domains ~n ~cost in
+    let nchunks = (n + chunk - 1) / chunk in
+    if nchunks = 1 then begin
+      Zen_obs.Counter.incr ops_inline;
+      chunk_span ~lo:0 ~hi:(n - 1) f
+    end
+    else begin
+      Zen_obs.Counter.incr ops_fanned;
+      (* The chunks share one mutex and condition: claims are short, and
+         a pair per chunk (each allocated and finalized by the runtime)
+         cost more than the rest of a small operation's bookkeeping. *)
+      let fmutex = Mutex.create () and fcond = Condition.create () in
+      let chunks =
+        Array.init nchunks (fun c ->
+            let lo = c * chunk in
+            let hi = min n (lo + chunk) - 1 in
+            let run () = chunk_span ~lo ~hi f in
+            { fmutex; fcond; fstate = FPending run })
+      in
+      let steal c = if run_future c then Zen_obs.Counter.incr steals in
+      let help () = Array.iter steal chunks in
+      (* Publish at most one helper per spare chunk: waking more workers
+         than there are chunks to claim is pure overhead. *)
+      let helpers = min (t.domains - 1) (nchunks - 1) in
+      Mutex.lock t.mutex;
+      for _ = 1 to helpers do
+        Queue.push help t.queue
+      done;
+      Condition.broadcast t.work;
+      Mutex.unlock t.mutex;
+      Array.iter (fun c -> ignore (run_future c)) chunks;
+      (* Every chunk settles before an exception leaves, so the lowest
+         failing index's is the one re-raised, as in [Array.init]. *)
+      Array.iter (fun c -> ignore (settle c)) chunks;
+      Array.concat (List.map await (Array.to_list chunks))
+    end
+  end

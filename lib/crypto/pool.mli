@@ -34,17 +34,18 @@
 
     {2 Granularity: cost-hinted adaptive chunking}
 
-    Every parallel operation splits its index space into chunks and
-    lets every participant — the spawned helpers {e and the calling
-    domain} — claim chunks from a shared atomic counter (dynamic work
-    stealing). Every operation takes [~cost], the estimated
-    milliseconds one index costs, and the chunk size is chosen so each
-    chunk carries enough work (~0.5 ms) to amortize synchronization
-    while still leaving a few chunks per domain for stealing;
-    operations too small to be worth fanning out run inline in the
-    caller, untouched by the queue. Granularity decisions are
-    observable: [pool.chunks], [pool.chunk.items], [pool.steals],
-    [pool.ops.inline]/[.fanned] and
+    Every parallel operation splits its index space into chunks, each
+    one a {!future} that no queue holds. Every participant — the
+    spawned helpers {e and the calling domain} — walks the chunks in
+    index order and runs each one it can still claim (dynamic work
+    stealing through the futures' own claim). Every operation takes
+    [~cost], the estimated milliseconds one index costs, and the chunk
+    size is chosen so each chunk carries enough work (~0.5 ms) to
+    amortize synchronization while still leaving a few chunks per
+    domain for stealing; operations too small to be worth fanning out
+    run inline in the caller, untouched by the queue. Granularity
+    decisions are observable: [pool.chunks], [pool.chunk.items],
+    [pool.steals], [pool.ops.inline]/[.fanned] and
     [pool.worker.busy_us]/[.idle_us] in the [Zen_obs] registry.
 
     The caller always participates, so:
@@ -110,11 +111,11 @@ val init_array : t -> cost:float -> int -> (int -> 'a) -> 'a array
     claimed dynamically by the participants. [cost] is the estimated
     milliseconds one call of [f] takes and drives the adaptive chunk
     size (see the module preamble). [f] must be safe to run
-    concurrently at distinct indices. If any [f i] raises, one such
-    exception is re-raised in the caller after the index space is
-    drained; with [domains = 1] the exception propagates directly from
-    the failing index. For pure [f] the result is bit-identical to
-    [Array.init] for every domain count and cost hint. *)
+    concurrently at distinct indices. If any [f i] raises, every other
+    chunk still runs, and then the lowest failing index's exception is
+    re-raised in the caller, as [Array.init] raises it, at every domain
+    count. For pure [f] the result is bit-identical to [Array.init] for
+    every domain count and cost hint. *)
 
 (** {2 Single-task futures}
 

@@ -70,11 +70,14 @@ let soak =
 
 let builtins = [ smoke; steady; soak ]
 
-(* [run] allocates a [users]-long CDF (2^22 floats is 32 MiB), and
+(* [run] allocates a [users]-long CDF (2^22 floats is 32 MiB),
    [phase_counts] multiplies [txs_per_epoch] by a phase weight of at
-   most 300 (below 2^39 for 2^30 transactions). *)
+   most 300 (below 2^39 for 2^30 transactions), and [run] keeps one
+   state root per epoch and walks every phase of every epoch (at most
+   2^20 phases with [epochs] and [phases] both capped at 1024). *)
 let max_users = 1 lsl 22
 let max_txs_per_epoch = 1 lsl 30
+let max_epochs = 1024
 
 let validate p =
   let err fmt = Printf.ksprintf (fun s -> Error ("workload: " ^ s)) fmt in
@@ -83,7 +86,8 @@ let validate p =
   else if p.zipf < 0 || p.zipf > 400 then err "zipf must be in [0, 400]"
   else if p.txs_per_epoch < 1 || p.txs_per_epoch > max_txs_per_epoch then
     err "txs-per-epoch must be in [1, %d]" max_txs_per_epoch
-  else if p.epochs < 1 then err "epochs must be >= 1"
+  else if p.epochs < 1 || p.epochs > max_epochs then
+    err "epochs must be in [1, %d]" max_epochs
   else if p.phases < 1 || p.phases > 1024 then err "phases must be in [1, 1024]"
   else if p.burst < 0 || p.burst > 100 then err "burst must be in [0, 100]"
   else if

@@ -43,8 +43,10 @@ val validate : profile -> (profile, string) result
     weight of at most 300, which must not overflow), [zipf] in
     [[0, 400]], [phases] in [[1, 1024]], [burst] in [[0, 100]], [mix]
     shares in [[0, 100]] summing to 100, [mst_depth] in [[4, 28]],
-    [seed_coins] at most a quarter of the MST's slots, and [epochs] ≥ 1
-    and [reorg_every] ≥ 0. *)
+    [seed_coins] at most a quarter of the MST's slots, [epochs] in
+    [[1, 1024]] ({!run} keeps a state root per epoch and runs every
+    phase of every epoch, so a run ends and its roots stay few) and
+    [reorg_every] ≥ 0. *)
 
 val to_string : profile -> string
 (** The builtin's name when structurally equal to one, else the custom

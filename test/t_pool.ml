@@ -83,6 +83,38 @@ let test_exception_propagates () =
   let r = Pool.init_array pool ~cost:1.0 2 (fun i -> i + 2) in
   checkb "pool usable after overflow" true (r = [| 2; 3 |])
 
+(* Every chunk finishes before the caller re-raises, and the exception
+   it sees is that of the lowest failing index — Array.init's — however
+   the chunks were shared out. Indices 20 and 50 sit in different
+   chunks, neither of them the first, at every domain count here. *)
+exception At of int
+
+let test_lowest_failing_index_wins () =
+  let ran = Array.make 64 false in
+  List.iter
+    (fun domains ->
+      let pool = Pool.get ~domains in
+      for rep = 1 to 200 do
+        Array.fill ran 0 64 false;
+        let seen =
+          try
+            parallel_for pool ~cost:1.0 ~n:64 (fun i ->
+                ran.(i) <- true;
+                if i = 20 || i = 50 then raise (At i));
+            None
+          with At i -> Some i
+        in
+        if seen <> Some 20 then
+          Alcotest.failf "domains=%d rep=%d: saw %s" domains rep
+            (match seen with
+            | Some i -> Printf.sprintf "At %d" i
+            | None -> "none");
+        if domains > 1 && not ran.(63) then
+          Alcotest.failf "domains=%d rep=%d: raised before the last chunk ran"
+            domains rep
+      done)
+    [ 1; 2; 4 ]
+
 (* ---- the shared registry ---- *)
 
 let test_shared_pool_reuse () =
@@ -254,6 +286,8 @@ let suite =
       Alcotest.test_case "more domains than tasks" `Quick
         test_more_domains_than_tasks;
       Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
+      Alcotest.test_case "lowest failing index wins" `Quick
+        test_lowest_failing_index_wins;
       Alcotest.test_case "shared pool reuse" `Quick test_shared_pool_reuse;
       Alcotest.test_case "nested parallel on shared pool" `Quick
         test_nested_parallel_shared;

@@ -430,6 +430,11 @@ let workload_profile_roundtrip () =
   in
   checki "users at bound" 4194304 at_bounds.users;
   checki "txs-per-epoch at bound" 1073741824 at_bounds.txs_per_epoch;
+  let epochs_at_bound =
+    ok (Zen_sim.Workload.of_string
+          "u9:z50:t9:e1024:p2:b10:m25-25-25-25:d6:s3:r0")
+  in
+  checki "epochs at bound" 1024 epochs_at_bound.epochs;
   List.iter
     (fun s ->
       match Zen_sim.Workload.of_string s with
@@ -445,6 +450,9 @@ let workload_profile_roundtrip () =
       "u4611686018427387903:z50:t9:e1:p2:b10:m25-25-25-25:d6:s3:r0";
       "u9:z50:t1073741825:e1:p2:b10:m25-25-25-25:d6:s3:r0";
       "u9:z50:t4611686018427387903:e1:p2:b10:m25-25-25-25:d6:s3:r0";
+      (* epochs past the bound: the last one never ended *)
+      "u9:z50:t9:e1025:p2:b10:m25-25-25-25:d6:s3:r0";
+      "u9:z50:t9:e4611686018427387903:p2:b10:m25-25-25-25:d6:s3:r0";
     ]
 
 (* ---- the harness driver ---- *)
