@@ -74,12 +74,10 @@ let build ?(pool = Pool.sequential) entries =
        No two share a subtree worth memoizing: FT and BTR hashes bind
        their ledger id, so equal non-empty lists never occur under two
        ids, and an empty list's root is the constant [Merkle] empty
-       root, which costs no hash. Most entries are a handful of leaves
-       (~tens of µs each); the cost hint batches them so a block's
-       worth of sidechains doesn't pay one sync per entry. *)
+       root, which costs no hash. *)
     let entries = Array.of_list entries in
     let real =
-      Pool.init_array pool ~cost:0.02 (Array.length entries) (fun i ->
+      Pool.init_array pool (Array.length entries) (fun i ->
           let e = entries.(i) in
           { id = e.ledger_id; data = entry_hash e })
       |> Array.to_list
@@ -103,7 +101,7 @@ let build ?(pool = Pool.sequential) entries =
            Hash.Map.empty
     in
     let tree =
-      Merkle.of_leaves ~pool (Array.to_list (Array.map leaf_hash leaves))
+      Merkle.of_leaves (Array.to_list (Array.map leaf_hash leaves))
     in
     Ok { leaves; tree; by_id }
   end

@@ -27,9 +27,9 @@ val build : ?pool:Pool.t -> entry list -> (t, string) result
     check that an entry's FTs, BTRs and certificate carry the entry's
     id (the block builder groups them by id). The empty list is valid
     (blocks with no sidechain traffic). [pool] maps the per-sidechain
-    {!entry_hash}es and builds the top-level tree across domains
-    (default {!Pool.sequential}); the root is bit-identical for every
-    domain count. *)
+    {!entry_hash}es across domains (default {!Pool.sequential}); the
+    top-level tree is built in the caller. The root is bit-identical
+    for every domain count. *)
 
 val root : t -> Hash.t
 

@@ -217,10 +217,8 @@ let verify_batch ?(pool = Pool.sequential) jobs =
     (fun i c -> if Option.is_none c then misses := i :: !misses)
     cached;
   let miss_idx = Array.of_list (List.rev !misses) in
-  (* A miss runs one simulated SNARK verification plus the MH(proofdata)
-     recomputation — ~0.1 ms with production-shaped proofdata. *)
   let verified =
-    Pool.init_array pool ~cost:0.1 (Array.length miss_idx) (fun k ->
+    Pool.init_array pool (Array.length miss_idx) (fun k ->
         arr.(miss_idx.(k)).verify ())
   in
   Array.iteri

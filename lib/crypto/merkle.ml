@@ -14,7 +14,7 @@ let next_pow2 n =
   let rec go p = if p >= n then p else go (2 * p) in
   go 1
 
-let of_leaves ?(pool = Pool.sequential) leaves =
+let of_leaves leaves =
   let leaf_count = List.length leaves in
   Zen_obs.Trace.with_span ~cat:"crypto"
     ~args:[ ("leaves", string_of_int leaf_count) ]
@@ -25,23 +25,16 @@ let of_leaves ?(pool = Pool.sequential) leaves =
     let width = next_pow2 leaf_count in
     let padding = leaf_hash Hash.zero in
     let raw = Array.of_list leaves in
-    (* Every level is a parallel map over independent slots: hashing is
-       pure, so the tree is bit-identical for any domain count. *)
-    (* ~2 µs per tagged SHA-256 node: the cost hint batches whole
-       levels of a small tree into one inline chunk and only fans out
-       levels wide enough to pay for their synchronization. *)
-    let hash_cost_ms = 0.002 in
     let level0 =
-      Pool.init_array pool ~cost:hash_cost_ms width (fun i ->
+      Array.init width (fun i ->
           if i < leaf_count then leaf_hash raw.(i) else padding)
     in
     let rec build acc level =
       if Array.length level = 1 then List.rev (level :: acc)
       else begin
         let parent =
-          Pool.init_array pool ~cost:hash_cost_ms
-            (Array.length level / 2)
-            (fun i -> node_hash level.(2 * i) level.((2 * i) + 1))
+          Array.init (Array.length level / 2) (fun i ->
+              node_hash level.(2 * i) level.((2 * i) + 1))
         in
         build (level :: acc) parent
       end
@@ -49,7 +42,7 @@ let of_leaves ?(pool = Pool.sequential) leaves =
     { levels = Array.of_list (build [] level0); leaf_count }
   end
 
-let of_data ?pool blocks = of_leaves ?pool (List.map Hash.of_string blocks)
+let of_data blocks = of_leaves (List.map Hash.of_string blocks)
 
 let root t =
   let top = t.levels.(Array.length t.levels - 1) in

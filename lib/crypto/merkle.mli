@@ -13,14 +13,12 @@ type proof
     root. Size and verification time are O(log n) in the leaf count —
     experiment E1 measures exactly this. *)
 
-val of_leaves : ?pool:Pool.t -> Hash.t list -> t
-(** Builds a tree over data-block hashes. The empty list yields a
-    well-defined sentinel tree whose root commits to emptiness.
-    [pool] parallelizes each level of the build across domains
-    (default {!Pool.sequential}); the resulting tree is bit-identical
-    for every domain count. *)
+val of_leaves : Hash.t list -> t
+(** Builds a tree over data-block hashes, in the calling domain. The
+    empty list yields a well-defined sentinel tree whose root commits
+    to emptiness. *)
 
-val of_data : ?pool:Pool.t -> string list -> t
+val of_data : string list -> t
 (** Convenience: hashes each data block first. *)
 
 val root : t -> Hash.t

@@ -1,5 +1,5 @@
-(* A bounded Domain-based worker pool with a chunked, work-stealing
-   task queue. Plain stdlib only: Domain + Mutex + Condition.
+(* A bounded Domain-based worker pool over one-shot futures. Plain
+   stdlib only: Domain + Mutex + Condition.
 
    Shape: [create ~domains:d] spawns [d - 1] persistent worker domains
    that block on a condition variable; the caller of a parallel
@@ -14,17 +14,13 @@
    [create]/[shutdown] remain for transient pools (tests, code that
    must bound worker lifetime itself).
 
-   A parallel operation turns its index space [0, n) into chunks —
-   sized adaptively from a per-item cost hint so that per-chunk sync
-   overhead amortizes — makes each chunk a future (below: the pool's
-   one way to claim and finish work) and publishes one "help" closure
-   per spare domain; every participant (helpers and caller alike) then
-   walks the chunks in index order and runs each one still unclaimed.
-   Because a participant that finds every chunk claimed simply leaves,
-   the caller alone can finish the whole operation; helpers that never
-   get scheduled (a busy or already shut-down pool) cost nothing and
-   cannot deadlock, including when operations nest. An operation whose
-   whole index space fits one chunk never touches the queue at all. *)
+   All work is futures (below): [async] submits one, and a parallel
+   operation over [0, n) submits n, one per index, in one batch. The
+   queue holds only "run this future if nobody has" closures, and
+   whoever awaits a future runs it if no worker got there first, so the
+   caller alone can finish any operation: workers that never get
+   scheduled (a busy or already shut-down pool) cost nothing and cannot
+   deadlock, including when operations nest. *)
 
 type task = unit -> unit
 
@@ -61,28 +57,16 @@ let is_closed t =
 
 (* ---- observability ----
 
-   Chunk counters render the granularity the adaptive sizing actually
-   chose; steal counts say how much of the work the helpers (as opposed
-   to the issuing caller) picked up; busy/idle totals say what the
-   spawned workers did with their lifetime. All of it is observation
-   only and gated on the registry switch. *)
+   Submission and steal counts say how much of the work the workers
+   (as opposed to the awaiting callers) picked up; busy/idle totals say
+   what the spawned workers did with their lifetime. All of it is
+   observation only and gated on the registry switch. *)
 
-let chunks_run = Zen_obs.Counter.make "pool.chunks"
+(* Futures queued for the workers, by [async] and [init_array] alike. *)
+let submitted = Zen_obs.Counter.make "pool.async.submitted"
 
-(* Indices per executed chunk (adaptive granularity). *)
-let chunk_items =
-  Zen_obs.Histogram.make
-    ~bounds:(Zen_obs.Histogram.exponential_bounds ~lo:1. ~factor:4. ~n:8)
-    "pool.chunk.items"
-
-(* Chunks executed by helper domains, not the issuing caller. *)
+(* Futures a worker domain ran, not the caller that awaited them. *)
 let steals = Zen_obs.Counter.make "pool.steals"
-
-(* Parallel operations that ran as a single inline chunk. *)
-let ops_inline = Zen_obs.Counter.make "pool.ops.inline"
-
-(* Parallel operations that published help closures to the queue. *)
-let ops_fanned = Zen_obs.Counter.make "pool.ops.fanned"
 
 (* Microseconds pool workers spent executing tasks. *)
 let worker_busy_us = Zen_obs.Counter.make "pool.worker.busy_us"
@@ -199,35 +183,7 @@ let get ~domains =
     t
   end
 
-(* ---- adaptive chunk granularity ----
-
-   [cost] is the caller's estimate of one index's work in milliseconds.
-   Two pressures shape the chunk size: each chunk must carry at least
-   [target_chunk_ms] of estimated work so the per-chunk sync (a claim
-   and a completion under the operation's mutex, plus its one-time
-   queue broadcast) amortizes to noise, and the index space should
-   split into about [steal_slices] chunks per domain so dynamic
-   stealing can rebalance a skewed workload. When the two conflict —
-   many tiny items on many domains — amortization wins: better a few
-   well-fed chunks (or one inline run) than a thousand synchronized
-   crumbs, which is exactly the regime that made template-cached
-   proving slower at 4 domains than at 1. *)
-
-let target_chunk_ms = 0.5
-let steal_slices = 4
-
-let chunk_size ~domains ~n ~cost =
-  let amortize =
-    if cost <= 0. then n
-    else
-      let c = ceil (target_chunk_ms /. cost) in
-      if c >= float_of_int n then n else int_of_float c
-  in
-  let slices = domains * steal_slices in
-  let balance = (n + slices - 1) / slices in
-  min n (max 1 (max amortize balance))
-
-(* ---- single-task futures ----
+(* ---- futures ----
 
    A future is a one-shot task whose execution site is decided late:
    a spawned worker may pick it off the queue, or whoever awaits it
@@ -236,8 +192,7 @@ let chunk_size ~domains ~n ~cost =
    inline execution instead of deadlocking). The claim transition
    Pending -> Running happens under the future's mutex, so exactly
    one party runs the thunk; everyone else blocks on the condition
-   until Done. This is the pool's one claim/complete protocol: the
-   chunks of a parallel operation below are futures too. *)
+   until Done. This is the pool's one claim/complete protocol. *)
 
 type 'a fstate =
   | FPending of (unit -> 'a)
@@ -250,44 +205,51 @@ type 'a future = {
   mutable fstate : 'a fstate;
 }
 
-let async_submitted = Zen_obs.Counter.make "pool.async.submitted"
+let future th =
+  { fmutex = Mutex.create (); fcond = Condition.create (); fstate = FPending th }
 
-(* Runs the thunk if (and only if) this caller wins the claim; says
-   whether it did. A state only moves forward, so one seen past Pending
-   without the lock is final for the claim: a helper walking chunks the
-   caller already took skips them without contending for the lock. *)
-let run_future fut =
+(* Runs the thunk if (and only if) this caller wins the claim. A state
+   only moves forward, so one seen past Pending without the lock is
+   final for the claim: a worker popping a future its awaiter already
+   took skips it without contending for the lock. A worker's claim is
+   counted before the thunk runs, so it is visible to anyone who has
+   seen the future done. *)
+let run_future ?(stolen = false) fut =
   match fut.fstate with
-  | FRunning | FDone _ -> false
+  | FRunning | FDone _ -> ()
   | FPending _ -> (
     Mutex.lock fut.fmutex;
     match fut.fstate with
-    | FRunning | FDone _ ->
-      Mutex.unlock fut.fmutex;
-      false
+    | FRunning | FDone _ -> Mutex.unlock fut.fmutex
     | FPending th ->
       fut.fstate <- FRunning;
       Mutex.unlock fut.fmutex;
+      if stolen then Zen_obs.Counter.incr steals;
       let r = try Ok (th ()) with e -> Error e in
       Mutex.lock fut.fmutex;
       fut.fstate <- FDone r;
       Condition.broadcast fut.fcond;
-      Mutex.unlock fut.fmutex;
-      true)
+      Mutex.unlock fut.fmutex)
 
-let async t th =
-  let fut =
-    { fmutex = Mutex.create (); fcond = Condition.create (); fstate = FPending th }
-  in
+(* Queues [futs] for the workers under one lock with one wake-up. A
+   closed pool queues nothing: the awaiters run everything. *)
+let submit t futs =
   if t.domains > 1 then begin
     Mutex.lock t.mutex;
     if not t.closed then begin
-      Zen_obs.Counter.incr async_submitted;
-      Queue.push (fun () -> ignore (run_future fut)) t.queue;
-      Condition.signal t.work
+      Zen_obs.Counter.add submitted (Array.length futs);
+      Array.iter
+        (fun fut -> Queue.push (fun () -> run_future ~stolen:true fut) t.queue)
+        futs;
+      if Array.length futs = 1 then Condition.signal t.work
+      else Condition.broadcast t.work
     end;
     Mutex.unlock t.mutex
-  end;
+  end
+
+let async t th =
+  let fut = future th in
+  submit t [| fut |];
   fut
 
 let poll fut =
@@ -299,7 +261,7 @@ let poll fut =
 (* The task's outcome, without re-raising: either we run it now, or
    someone holds it and we wait for Done. *)
 let settle fut =
-  ignore (run_future fut);
+  run_future fut;
   Mutex.lock fut.fmutex;
   let rec wait () =
     match fut.fstate with
@@ -314,57 +276,26 @@ let settle fut =
 
 let await fut = match settle fut with Ok v -> v | Error e -> raise e
 
-(* One span per executed chunk, recorded by the executing domain —
-   this is what renders the per-domain task timeline in the Chrome
-   trace export (the tid lane is the domain id). Observation only:
-   behind a disabled registry the wrapper is a single branch. *)
-let chunk_span ~lo ~hi f =
-  Zen_obs.Counter.incr chunks_run;
-  Zen_obs.Histogram.observe chunk_items (float_of_int (hi - lo + 1));
-  Zen_obs.Trace.with_span ~cat:"pool"
-    ~args:[ ("lo", string_of_int lo); ("hi", string_of_int hi) ]
-    "pool.chunk"
-    (fun () -> Array.init (hi - lo + 1) (fun k -> f (lo + k)))
-
-let init_array t ~cost n f =
+(* Each index is a future with a [pool.task] span, recorded by the
+   domain that runs it — the Chrome trace's per-domain lanes and the
+   report's self times. The caller runs every index still pending, in
+   order, then waits for those the workers hold; every index settles
+   before an exception leaves, so the lowest failing index's is the one
+   re-raised, as in [Array.init]. *)
+let init_array t n f =
   if n < 0 then invalid_arg "Pool.init_array: negative length";
-  if n = 0 then [||]
-  else if t.domains = 1 || n = 1 then Array.init n f
+  if t.domains = 1 || n <= 1 then Array.init n f
   else begin
-    let chunk = chunk_size ~domains:t.domains ~n ~cost in
-    let nchunks = (n + chunk - 1) / chunk in
-    if nchunks = 1 then begin
-      Zen_obs.Counter.incr ops_inline;
-      chunk_span ~lo:0 ~hi:(n - 1) f
-    end
-    else begin
-      Zen_obs.Counter.incr ops_fanned;
-      (* The chunks share one mutex and condition: claims are short, and
-         a pair per chunk (each allocated and finalized by the runtime)
-         cost more than the rest of a small operation's bookkeeping. *)
-      let fmutex = Mutex.create () and fcond = Condition.create () in
-      let chunks =
-        Array.init nchunks (fun c ->
-            let lo = c * chunk in
-            let hi = min n (lo + chunk) - 1 in
-            let run () = chunk_span ~lo ~hi f in
-            { fmutex; fcond; fstate = FPending run })
-      in
-      let steal c = if run_future c then Zen_obs.Counter.incr steals in
-      let help () = Array.iter steal chunks in
-      (* Publish at most one helper per spare chunk: waking more workers
-         than there are chunks to claim is pure overhead. *)
-      let helpers = min (t.domains - 1) (nchunks - 1) in
-      Mutex.lock t.mutex;
-      for _ = 1 to helpers do
-        Queue.push help t.queue
-      done;
-      Condition.broadcast t.work;
-      Mutex.unlock t.mutex;
-      Array.iter (fun c -> ignore (run_future c)) chunks;
-      (* Every chunk settles before an exception leaves, so the lowest
-         failing index's is the one re-raised, as in [Array.init]. *)
-      Array.iter (fun c -> ignore (settle c)) chunks;
-      Array.concat (List.map await (Array.to_list chunks))
-    end
+    let futs =
+      Array.init n (fun i ->
+          future (fun () ->
+              Zen_obs.Trace.with_span ~cat:"pool"
+                ~args:[ ("i", string_of_int i) ]
+                "pool.task"
+                (fun () -> f i)))
+    in
+    submit t futs;
+    Array.iter run_future futs;
+    Array.iter (fun fut -> ignore (settle fut)) futs;
+    Array.map await futs
   end

@@ -4,11 +4,11 @@
     story: proving tasks whose inputs were snapshotted up front are
     independent, so they can be executed by real domains instead of the
     accounted simulation the repository used to ship. The same pool
-    drives batch Merkle tree builds ({!Merkle.of_leaves}), the leaf
-    wraps of a block's certificate aggregate
-    ([Zen_snark.Aggregate.build], which folds their merges in order)
-    and mainchain batch verification
-    ([Zendoo.Verifier.verify_batch]).
+    drives the leaf wraps of a block's certificate aggregate
+    ([Zen_snark.Aggregate.build], which folds their merges in order),
+    mainchain batch verification ([Zendoo.Verifier.verify_batch]) and
+    the per-sidechain entry hashes of a block's commitment
+    ([Zendoo.Sc_commitment.build]).
 
     {2 Lifecycle: one shared pool per process}
 
@@ -32,21 +32,19 @@
     allocation-heavy proving stays domain-local instead of contending
     in the shared major heap.
 
-    {2 Granularity: cost-hinted adaptive chunking}
+    {2 Granularity: one future per task}
 
-    Every parallel operation splits its index space into chunks, each
-    one a {!future} that no queue holds. Every participant — the
-    spawned helpers {e and the calling domain} — walks the chunks in
-    index order and runs each one it can still claim (dynamic work
-    stealing through the futures' own claim). Every operation takes
-    [~cost], the estimated milliseconds one index costs, and the chunk
-    size is chosen so each chunk carries enough work (~0.5 ms) to
-    amortize synchronization while still leaving a few chunks per
-    domain for stealing; operations too small to be worth fanning out
-    run inline in the caller, untouched by the queue. Granularity
-    decisions are observable: [pool.chunks], [pool.chunk.items],
-    [pool.steals], [pool.ops.inline]/[.fanned] and
-    [pool.worker.busy_us]/[.idle_us] in the [Zen_obs] registry.
+    A parallel operation over [n] indices is [n] {!future}s, submitted
+    in one batch. Every body it runs is proving-sized work — a SNARK
+    verification, a leaf wrap, a commitment entry: tens of
+    microseconds or more — against which a future's own bookkeeping
+    (a mutex, a condition and a queued closure: well under a
+    microsecond) is noise.
+    Work much finer than that (a ~2 µs Merkle node) does not belong on
+    the pool: {!Merkle} hashes in the caller. The pool's work is
+    observable in the [Zen_obs] registry: [pool.async.submitted]
+    (futures queued), [pool.steals] (futures a worker ran) and
+    [pool.worker.busy_us]/[.idle_us].
 
     The caller always participates, so:
 
@@ -58,12 +56,11 @@
 
     {2 Determinism discipline}
 
-    Chunking, stealing and the shared registry affect {e scheduling
-    only}. A parallel operation computes the same function at the same
-    indices as its sequential counterpart and writes each result to a
-    fixed slot, so for {b pure} per-index functions the output is
-    bit-identical for every domain count, every chunk size and every
-    cost hint. Callers must not close over shared mutable state; in
+    Stealing and the shared registry affect {e scheduling only}. A
+    parallel operation computes the same function at the same indices
+    as its sequential counterpart and writes each result to a fixed
+    slot, so for {b pure} per-index functions the output is
+    bit-identical for every domain count. Callers must not close over shared mutable state; in
     particular each task must draw randomness from its own pre-seeded
     generator (see {!Rng.derive} for the discipline). *)
 
@@ -106,16 +103,16 @@ val recommended_domains : unit -> int
 val domains : t -> int
 (** Total parallelism of the pool, including the calling domain. *)
 
-val init_array : t -> cost:float -> int -> (int -> 'a) -> 'a array
-(** Parallel [Array.init]: the indices are partitioned into chunks
-    claimed dynamically by the participants. [cost] is the estimated
-    milliseconds one call of [f] takes and drives the adaptive chunk
-    size (see the module preamble). [f] must be safe to run
-    concurrently at distinct indices. If any [f i] raises, every other
-    chunk still runs, and then the lowest failing index's exception is
-    re-raised in the caller, as [Array.init] raises it, at every domain
-    count. For pure [f] the result is bit-identical to [Array.init] for
-    every domain count and cost hint. *)
+val init_array : t -> int -> (int -> 'a) -> 'a array
+(** Parallel [Array.init]: [init_array t n f] submits one future per
+    index, runs every one no worker has claimed itself, in index order,
+    and waits for the rest. With [domains = 1] or [n <= 1] it is
+    [Array.init n f]. [f] must be safe to run concurrently at distinct
+    indices. If any [f i] raises, every other index still runs, and
+    then the lowest failing index's exception is re-raised in the
+    caller, as [Array.init] raises it, at every domain count. For pure
+    [f] the result is bit-identical to [Array.init] for every domain
+    count. *)
 
 (** {2 Single-task futures}
 
@@ -126,8 +123,8 @@ val init_array : t -> cost:float -> int -> (int -> 'a) -> 'a array
     (a base proof) can overlap with whatever the submitting domain does
     next (forging the following block). The execution site is decided
     late — a pool worker may pick the task up in the background, or the
-    caller runs it inline at {!await} if no worker got there first. The
-    same caller-participates rule as the chunked operations applies, so
+    caller runs it inline at {!await} if no worker got there first.
+    {!init_array} is built on the same rule, so
     with {!sequential} (or a shut-down pool) a future is simply deferred
     sequential execution: submission queues nothing and {!await} runs
     the thunk in the caller. Either way the thunk runs {b exactly once},
@@ -139,7 +136,7 @@ type 'a future
 val async : t -> (unit -> 'a) -> 'a future
 (** [async t f] submits [f] for background execution on [t]'s workers
     (a no-op queue-wise when [t] has no workers). [f] must be pure in
-    the same sense as the chunked operations: no closing over shared
+    the same sense as {!init_array}'s bodies: no closing over shared
     mutable state, randomness only from a pre-seeded generator. *)
 
 val poll : 'a future -> bool

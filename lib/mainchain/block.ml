@@ -31,7 +31,7 @@ let header_hash h =
 
 let hash b = header_hash b.header
 
-let tx_root ?pool txs = Merkle.root (Merkle.of_leaves ?pool (List.map Tx.txid txs))
+let tx_root txs = Merkle.root (Merkle.of_leaves (List.map Tx.txid txs))
 
 (* Group all sidechain actions in the block by ledger id. *)
 let sc_commitment_of_txs ?pool txs =
@@ -83,7 +83,7 @@ let assemble ?pool ?aggregate ~prev ~height ~time ~txs ~pow () =
   match sc_commitment_of_txs ?pool txs with
   | Error e -> Error e
   | Ok commitment ->
-    let tx_root = tx_root ?pool txs in
+    let tx_root = tx_root txs in
     let sc_txs_commitment = Sc_commitment.root commitment in
     (* The aggregate commitment lives in the header so proof of work
        covers it and header-only consumers (sidechain MC references)
@@ -135,7 +135,7 @@ let validate_structure ?pool ~pow b =
     else Error "block: proof of work does not meet target"
   in
   let* () =
-    if Hash.equal b.header.tx_root (tx_root ?pool b.txs) then Ok ()
+    if Hash.equal b.header.tx_root (tx_root b.txs) then Ok ()
     else Error "block: transaction root mismatch"
   in
   let* commitment = sc_commitment_of_txs ?pool b.txs in

@@ -34,8 +34,9 @@ val sc_commitment_of_txs :
   ?pool:Pool.t -> Tx.t list -> (Sc_commitment.t, string) result
 (** Groups the block's sidechain actions (FT outputs, BTRs, at most one
     certificate per sidechain; CSWs excluded per §4.1.3) into the
-    commitment structure. [pool] parallelises the entry hashes and the
-    commitment tree build (bit-identical for every domain count). *)
+    commitment structure. [pool] parallelises the entry hashes; the
+    commitment tree is built in the caller (bit-identical for every
+    domain count). *)
 
 val assemble :
   ?pool:Pool.t ->

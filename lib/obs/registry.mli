@@ -2,7 +2,7 @@
 
     Recording sites compile down to one [Atomic.get] branch when the
     registry is disabled (the default), so instrumented hot paths —
-    Poseidon permutations, pool chunks — cost nothing measurable in the
+    Poseidon permutations, pool tasks — cost nothing measurable in the
     common case. Observability is observation-only by construction:
     nothing in this library feeds back into protocol computation, so
     proofs, certificates and rewards are byte-identical with the

@@ -128,9 +128,9 @@ let build ?(pool = Pool.sequential) sys = function
     @@ fun () ->
     let leaf_arr = Array.of_list leaves in
     (* Leaf wraps are independent (one native cert verification + one
-       constant-size prove each, the ~0.2 ms granularity of a merge). *)
+       constant-size prove each). *)
     let wrapped =
-      Pool.init_array pool ~cost:0.2 (Array.length leaf_arr) (fun i ->
+      Pool.init_array pool (Array.length leaf_arr) (fun i ->
           let leaf, check = leaf_arr.(i) in
           of_leaf sys leaf ~check)
     in

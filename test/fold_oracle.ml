@@ -20,7 +20,7 @@ let levels ?(pool = Pool.sequential) ~merge = function
       else begin
         let pairs = n / 2 in
         let merged =
-          Pool.init_array pool ~cost:0.2 pairs (fun i ->
+          Pool.init_array pool pairs (fun i ->
               merge arr.(2 * i) arr.((2 * i) + 1))
         in
         let rec first_error i =

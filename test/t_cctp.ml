@@ -246,9 +246,16 @@ let test_commitment_memoized_root_unchanged () =
              ~ledger_id:e.Sc_commitment.ledger_id
              ~entry_hash:(Sc_commitment.entry_hash e) m))
     entries;
-  (* A parallel build maps the same entries in chunks; same root. *)
+  (* A parallel build queues one future per entry; same root. *)
   let pool = Zen_crypto.Pool.get ~domains:3 in
-  let t_par = ok (Sc_commitment.build ~pool entries) in
+  let submitted = Zen_obs.Counter.make "pool.async.submitted" in
+  let t_par, queued =
+    Zen_obs.Registry.with_enabled (fun () ->
+        let before = Zen_obs.Counter.value submitted in
+        let t_par = ok (Sc_commitment.build ~pool entries) in
+        (t_par, Zen_obs.Counter.value submitted - before))
+  in
+  checki "one future per entry" (List.length entries) queued;
   checkb "pooled build, same root" true
     (Hash.equal (Sc_commitment.root t) (Sc_commitment.root t_par))
 

@@ -37,7 +37,7 @@ let test_counter_parallel_accuracy () =
       with_fresh_obs @@ fun () ->
       let pool = Pool.get ~domains in
       ignore
-        (Pool.init_array pool ~cost:1.0 1000 (fun _ -> Zen_obs.Counter.incr c));
+        (Pool.init_array pool 1000 (fun _ -> Zen_obs.Counter.incr c));
       checki
         (Printf.sprintf "1000 increments on %d domains" domains)
         1000 (Zen_obs.Counter.value c))
@@ -104,7 +104,7 @@ let test_exporters_emit_valid_json () =
   let g = Zen_obs.Gauge.make "t_obs.gauge" in
   Zen_obs.Gauge.set_int g 3;
   let h =
-    Zen_obs.Histogram.make ~bounds:[ 0.1; 1.0 ] "t_obs.hist"
+    Zen_obs.Histogram.make ~bounds:[ 0.1; 1.0 ] "t_obs.hist.seconds"
   in
   Zen_obs.Histogram.observe h 0.5;
   Zen_obs.Trace.with_span "t_obs.span"
@@ -135,6 +135,16 @@ let test_exporters_emit_valid_json () =
     go 0
   in
   checkb "human report mentions counter" true (contains ~sub:"t_obs.export" s)
+
+(* [Report.human] prints every histogram as durations, so a histogram
+   of anything but seconds would render as a wrong time. *)
+let test_histograms_are_seconds () =
+  List.iter
+    (fun h ->
+      let name = Zen_obs.Histogram.name h in
+      if not (String.ends_with ~suffix:".seconds" name) then
+        Alcotest.failf "histogram %s is not in seconds" name)
+    (Zen_obs.Histogram.all ())
 
 let tids_of_trace trace =
   List.filter_map
@@ -253,6 +263,8 @@ let suite =
         test_span_records_on_exception;
       Alcotest.test_case "exporters emit valid JSON" `Quick
         test_exporters_emit_valid_json;
+      Alcotest.test_case "histograms are in seconds" `Quick
+        test_histograms_are_seconds;
       Alcotest.test_case "chrome trace has per-domain lanes" `Slow
         test_chrome_trace_multidomain_lanes;
       Alcotest.test_case "harness log oldest first" `Quick

@@ -12,7 +12,7 @@ let checki = Alcotest.(check int)
 let ok = function Ok v -> v | Error e -> Alcotest.fail e
 
 (* A loop body run through [Pool.init_array]. *)
-let parallel_for pool ~cost ~n body = ignore (Pool.init_array pool ~cost n body)
+let parallel_for pool ~n body = ignore (Pool.init_array pool n body)
 
 let params = Params.default
 let family = lazy (Circuits.make params)
@@ -22,8 +22,8 @@ let family = lazy (Circuits.make params)
 let test_empty_input () =
   let pool = Pool.get ~domains:4 in
   checki "init_array 0" 0
-    (Array.length (Pool.init_array pool ~cost:1.0 0 (fun _ -> assert false)));
-  parallel_for pool ~cost:1.0 ~n:0 (fun _ -> assert false)
+    (Array.length (Pool.init_array pool 0 (fun _ -> assert false)));
+  parallel_for pool ~n:0 (fun _ -> assert false)
 
 let test_one_domain_is_sequential () =
   (* domains=1 must never spawn: tasks run on the caller's domain, in
@@ -31,33 +31,33 @@ let test_one_domain_is_sequential () =
   let pool = Pool.create ~domains:1 in
   checki "domains" 1 (Pool.domains pool);
   let trace = ref [] in
-  parallel_for pool ~cost:1.0 ~n:5 (fun i -> trace := i :: !trace);
+  parallel_for pool ~n:5 (fun i -> trace := i :: !trace);
   checkb "in order on caller" true (!trace = [ 4; 3; 2; 1; 0 ]);
   Pool.shutdown pool;
   checkb "sequential handle reusable after shutdown" true
-    (Pool.init_array Pool.sequential ~cost:1.0 2 (fun i -> string_of_int (i + 1))
+    (Pool.init_array Pool.sequential 2 (fun i -> string_of_int (i + 1))
      = [| "1"; "2" |])
 
 let test_more_domains_than_tasks () =
   let pool = Pool.get ~domains:8 in
-  let r = Pool.init_array pool ~cost:1.0 3 (fun i -> i * i) in
+  let r = Pool.init_array pool 3 (fun i -> i * i) in
   checkb "3 tasks on 8 domains" true (r = [| 0; 1; 4 |]);
   (* n=1 runs inline even on a wide pool *)
-  let r1 = Pool.init_array pool ~cost:1.0 1 (fun i -> i + 41) in
+  let r1 = Pool.init_array pool 1 (fun i -> i + 41) in
   checkb "single task" true (r1 = [| 41 |])
 
 let test_exception_propagates () =
   let pool = Pool.get ~domains:4 in
   let raised =
     try
-      parallel_for pool ~cost:1.0 ~n:16 (fun i ->
+      parallel_for pool ~n:16 (fun i ->
           if i mod 5 = 2 then failwith "boom");
       false
     with Failure msg -> String.equal msg "boom"
   in
   checkb "worker exception re-raised in caller" true raised;
   (* the pool survives a failed operation *)
-  let r = Pool.init_array pool ~cost:1.0 4 (fun i -> (i + 1) * 2) in
+  let r = Pool.init_array pool 4 (fun i -> (i + 1) * 2) in
   checkb "pool usable after failure" true (r = [| 2; 4; 6; 8 |]);
   (* even Stack_overflow from a body reaches the caller, not a worker
      wrapper — the wrapper's swallow counter must stay untouched *)
@@ -73,20 +73,19 @@ let test_exception_propagates () =
   let before = swallowed () in
   let overflow =
     try
-      parallel_for pool ~cost:1.0 ~n:8 (fun i ->
+      parallel_for pool ~n:8 (fun i ->
           if i = 3 then raise Stack_overflow);
       false
     with Stack_overflow -> true
   in
   checkb "stack overflow re-raised in caller" true overflow;
   checki "no exception swallowed by worker wrappers" before (swallowed ());
-  let r = Pool.init_array pool ~cost:1.0 2 (fun i -> i + 2) in
+  let r = Pool.init_array pool 2 (fun i -> i + 2) in
   checkb "pool usable after overflow" true (r = [| 2; 3 |])
 
-(* Every chunk finishes before the caller re-raises, and the exception
+(* Every index finishes before the caller re-raises, and the exception
    it sees is that of the lowest failing index — Array.init's — however
-   the chunks were shared out. Indices 20 and 50 sit in different
-   chunks, neither of them the first, at every domain count here. *)
+   the indices were shared out. *)
 exception At of int
 
 let test_lowest_failing_index_wins () =
@@ -98,7 +97,7 @@ let test_lowest_failing_index_wins () =
         Array.fill ran 0 64 false;
         let seen =
           try
-            parallel_for pool ~cost:1.0 ~n:64 (fun i ->
+            parallel_for pool ~n:64 (fun i ->
                 ran.(i) <- true;
                 if i = 20 || i = 50 then raise (At i));
             None
@@ -110,7 +109,7 @@ let test_lowest_failing_index_wins () =
             | Some i -> Printf.sprintf "At %d" i
             | None -> "none");
         if domains > 1 && not ran.(63) then
-          Alcotest.failf "domains=%d rep=%d: raised before the last chunk ran"
+          Alcotest.failf "domains=%d rep=%d: raised before the last index ran"
             domains rep
       done)
     [ 1; 2; 4 ]
@@ -126,9 +125,9 @@ let test_shared_pool_reuse () =
   checkb "get ~domains:1 is the sequential handle" true
     (Pool.get ~domains:1 == Pool.sequential);
   (* the same pool serves consecutive operations of different shapes *)
-  let a = Pool.init_array p ~cost:1.0 100 (fun i -> i * 3) in
-  let b = Pool.init_array p ~cost:1.0 (Array.length a) (fun i -> a.(i) + 1) in
-  let c = Pool.init_array p ~cost:1.0 3 (fun i -> string_of_int (i + 7)) in
+  let a = Pool.init_array p 100 (fun i -> i * 3) in
+  let b = Pool.init_array p (Array.length a) (fun i -> a.(i) + 1) in
+  let c = Pool.init_array p 3 (fun i -> string_of_int (i + 7)) in
   checkb "first op" true (a = Array.init 100 (fun i -> i * 3));
   checkb "second op" true (b = Array.init 100 (fun i -> (i * 3) + 1));
   checkb "third op" true (c = [| "7"; "8"; "9" |])
@@ -136,7 +135,7 @@ let test_shared_pool_reuse () =
 let test_nested_parallel_shared () =
   (* Nested operations on the *same* shared pool must neither deadlock
      nor change results: the inner operation's caller (a worker or the
-     outer caller) can always drain its own chunk counter alone. *)
+     outer caller) can always run all of its own futures alone. *)
   let p = Pool.get ~domains:4 in
   let outer = 6 and inner = 40 in
   let expected =
@@ -144,9 +143,9 @@ let test_nested_parallel_shared () =
         Array.init inner (fun j -> (i * 1000) + (j * j)))
   in
   let got = Array.make outer [||] in
-  parallel_for p ~cost:1.0 ~n:outer (fun i ->
+  parallel_for p ~n:outer (fun i ->
       got.(i) <-
-        Pool.init_array p ~cost:0.125 inner (fun j -> (i * 1000) + (j * j)));
+        Pool.init_array p inner (fun j -> (i * 1000) + (j * j)));
   checkb "nested parallel on the shared pool is correct" true (got = expected)
 
 let test_shutdown_then_reuse () =
@@ -155,37 +154,46 @@ let test_shutdown_then_reuse () =
      the next get. *)
   let p = Pool.get ~domains:4 in
   Pool.shutdown p;
-  let r = Pool.init_array p ~cost:1.0 3 (fun i -> (i + 1) * (i + 1)) in
+  let r = Pool.init_array p 3 (fun i -> (i + 1) * (i + 1)) in
   checkb "shut-down pool still completes operations" true (r = [| 1; 4; 9 |]);
   let p' = Pool.get ~domains:4 in
   checkb "registry replaces a shut-down pool" true (not (p' == p));
-  let r' = Pool.init_array p' ~cost:1.0 64 (fun i -> i + 1) in
+  let r' = Pool.init_array p' 64 (fun i -> i + 1) in
   checkb "replacement pool works" true (r' = Array.init 64 (fun i -> i + 1))
 
-(* Chunk batching is scheduling only: for any (n, domains, cost hint)
-   — from one-index chunks to hints coarse enough to force the inline
-   path — the result is bit-identical to Array.init. *)
-let prop_chunking_deterministic =
+let submitted = Zen_obs.Counter.make "pool.async.submitted"
+let steals = Zen_obs.Counter.make "pool.steals"
+
+(* Per-index futures are scheduling only: for any (n, domains) the
+   result is bit-identical to Array.init, and a fanned operation really
+   queued its n futures. *)
+let prop_fanned_deterministic =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"batched = sequential bit-identical" ~count:30
-       QCheck2.Gen.(
-         tup4 (int_range 0 200) (int_range 1 5)
-           (map (fun ms -> float_of_int ms /. 100.) (int_range 0 400))
-           (int_range 0 1000))
-       (fun (n, domains, cost, salt) ->
+       QCheck2.Gen.(tup3 (int_range 0 200) (int_range 1 5) (int_range 0 1000))
+       (fun (n, domains, salt) ->
          let f i = Hash.to_hex (Hash.of_string (Printf.sprintf "%d-%d" salt i)) in
          let expected = Array.init n f in
-         Pool.init_array (Pool.get ~domains) ~cost n f = expected))
+         Zen_obs.Registry.with_enabled @@ fun () ->
+         let before = Zen_obs.Counter.value submitted in
+         let got = Pool.init_array (Pool.get ~domains) n f in
+         let queued = Zen_obs.Counter.value submitted - before in
+         got = expected && queued = if domains > 1 && n > 1 then n else 0))
 
-(* ---- determinism of the parallel builders ---- *)
-
-let test_merkle_parallel_identical () =
-  let data = List.init 100 (fun i -> Printf.sprintf "block-%d" i) in
-  let seq = Merkle.of_data data in
-  let pool = Pool.get ~domains:4 in
-  let par = Merkle.of_data ~pool data in
-  checkb "merkle root identical" true
-    (Hash.equal (Merkle.root seq) (Merkle.root par))
+(* A future that only a worker can run — the test never awaits it — is
+   counted as stolen exactly once. *)
+let test_async_steal_counted () =
+  let pool = Pool.create ~domains:2 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  Zen_obs.Registry.with_enabled @@ fun () ->
+  let before = Zen_obs.Counter.value steals in
+  let fut = Pool.async pool (fun () -> 42) in
+  let deadline = Unix.gettimeofday () +. 30. in
+  while (not (Pool.poll fut)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  checkb "a worker ran the future" true (Pool.poll fut);
+  checki "pool.steals rose by one" (before + 1) (Zen_obs.Counter.value steals)
 
 (* ---- epoch proofs and certificates across domain counts ---- *)
 
@@ -293,9 +301,8 @@ let suite =
         test_nested_parallel_shared;
       Alcotest.test_case "shutdown then reuse degrades" `Quick
         test_shutdown_then_reuse;
-      prop_chunking_deterministic;
-      Alcotest.test_case "merkle parallel identical" `Quick
-        test_merkle_parallel_identical;
+      prop_fanned_deterministic;
+      Alcotest.test_case "async steal counted" `Quick test_async_steal_counted;
       Alcotest.test_case "odd-width fold identical" `Slow
         test_fold_balanced_parallel_identical;
       prop_epoch_identical_across_domains;

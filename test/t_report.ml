@@ -240,7 +240,7 @@ let prop_quantile_same_bucket_as_oracle =
        QCheck2.Gen.(list_size (int_range 1 200) (float_range 1e-5 3.0))
        (fun samples ->
          with_fresh_obs @@ fun () ->
-         let h = Zen_obs.Histogram.make ~bounds "t_report.quantile" in
+         let h = Zen_obs.Histogram.make ~bounds "t_report.quantile.seconds" in
          List.iter (Zen_obs.Histogram.observe h) samples;
          let s = Zen_obs.Histogram.snapshot h in
          let sorted = List.sort Float.compare samples in
@@ -261,7 +261,7 @@ let prop_quantile_same_bucket_as_oracle =
 
 let test_quantile_empty_and_single () =
   with_fresh_obs @@ fun () ->
-  let h = Zen_obs.Histogram.make ~bounds "t_report.single" in
+  let h = Zen_obs.Histogram.make ~bounds "t_report.single.seconds" in
   let s0 = Zen_obs.Histogram.snapshot h in
   checkb "empty quantile is 0" true (Zen_obs.Histogram.quantile s0 0.5 = 0.);
   Zen_obs.Histogram.observe h 0.042;
@@ -281,7 +281,7 @@ let deterministic_workload () =
           Zen_obs.Trace.instant "w.point";
           Zen_obs.Trace.with_span ~cat:"b" "w.leaf" (fun () -> ()));
       Zen_obs.Trace.with_span ~cat:"c" "w.tail" (fun () -> ()));
-  let h = Zen_obs.Histogram.make ~bounds "t_report.det" in
+  let h = Zen_obs.Histogram.make ~bounds "t_report.det.seconds" in
   List.iter (Zen_obs.Histogram.observe h) [ 0.002; 0.01; 0.04; 0.04; 0.3 ]
 
 let render_once () =
