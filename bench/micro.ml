@@ -15,6 +15,12 @@ let tests () =
   let proof = Merkle.prove tree 512 in
   let leaf = Hash.of_string "512" in
   let root = Merkle.root tree in
+  (* A Merkle interior node's hash (two 32-byte parts), and a tree over
+     65 leaves: a block's tx root with a coinbase and 64 certificates,
+     padded to 128. *)
+  let node_l = Hash.to_raw (Hash.of_string "l")
+  and node_r = Hash.to_raw (Hash.of_string "r") in
+  let leaves65 = List.init 65 Hash.of_int in
   (* SNARK verification: the constant-cost operation the protocol
      leans on. *)
   let circuit, public, witness =
@@ -88,6 +94,10 @@ let tests () =
       Test.make ~name:"poseidon-permute"
         (Staged.stage (fun () -> Poseidon.permute state));
       Test.make ~name:"sha256-1k" (Staged.stage (fun () -> Sha256.digest blob));
+      Test.make ~name:"hash-tagged-node"
+        (Staged.stage (fun () -> Hash.tagged "mht.node" [ node_l; node_r ]));
+      Test.make ~name:"mht-build-65"
+        (Staged.stage (fun () -> Merkle.of_leaves leaves65));
       Test.make ~name:"schnorr-sign"
         (Staged.stage (fun () -> Schnorr.sign sk "msg"));
       Test.make ~name:"schnorr-verify"

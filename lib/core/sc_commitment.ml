@@ -21,11 +21,20 @@ type t = {
   by_id : int Hash.Map.t; (* ledger id -> leaf index, real entries only *)
 }
 
-let ft_subtree_root fts =
-  Merkle.root (Merkle.of_leaves (List.map Forward_transfer.hash fts))
+(* The root of a subtree over no transactions, a constant. *)
+let empty_subtree_root = Merkle.root (Merkle.of_leaves [])
 
-let btr_subtree_root btrs =
-  Merkle.root (Merkle.of_leaves (List.map Mainchain_withdrawal.hash btrs))
+let subtree_root hash = function
+  | [] -> empty_subtree_root
+  | txs -> Merkle.root (Merkle.of_leaves (List.map hash txs))
+
+let txs_hash ~ft_root ~btr_root =
+  Hash.tagged "scc.txs" [ Hash.to_raw ft_root; Hash.to_raw btr_root ]
+
+(* TxsHash of an entry with no FTs and no BTRs, such as a certificate's
+   only: the same for every ledger id. *)
+let no_txs =
+  txs_hash ~ft_root:empty_subtree_root ~btr_root:empty_subtree_root
 
 let no_wcert = Hash.tagged "scc.no_wcert" []
 
@@ -37,11 +46,12 @@ let wcert_hash = function
    — the shape of Fig. 4. *)
 let entry_hash e =
   let txs_hash =
-    Hash.tagged "scc.txs"
-      [
-        Hash.to_raw (ft_subtree_root e.fts);
-        Hash.to_raw (btr_subtree_root e.btrs);
-      ]
+    match (e.fts, e.btrs) with
+    | [], [] -> no_txs
+    | fts, btrs ->
+      txs_hash
+        ~ft_root:(subtree_root Forward_transfer.hash fts)
+        ~btr_root:(subtree_root Mainchain_withdrawal.hash btrs)
   in
   Hash.tagged "scc.sc"
     [
@@ -73,8 +83,7 @@ let build ?(pool = Pool.sequential) entries =
     (* Entries are independent work, mapped across the pool's domains.
        No two share a subtree worth memoizing: FT and BTR hashes bind
        their ledger id, so equal non-empty lists never occur under two
-       ids, and an empty list's root is the constant [Merkle] empty
-       root, which costs no hash. *)
+       ids, and empty lists share the constants above. *)
     let entries = Array.of_list entries in
     let real =
       Pool.init_array pool (Array.length entries) (fun i ->

@@ -35,7 +35,10 @@ val root : t -> Hash.t
 
 val entry_hash : entry -> Hash.t
 (** [SCXHash]: reconstructible by a sidechain node from its own view of
-    the block's FTs/BTRs/certificate. *)
+    the block's FTs/BTRs/certificate. An empty FT or BTR list
+    contributes the constant root of an empty tree, and an entry with
+    neither (a certificate's only) the constant TxsHash of two such
+    roots, so it builds no tree. *)
 
 type membership
 (** The [mproof] of §5.5.1. *)

@@ -138,7 +138,12 @@ let snark_job key verify =
    digests (computed once when they were made; the private certificate
    type keeps the id in agreement with the fields), so the key is one
    short hash; the expensive part of verification is MH(proofdata),
-   which the key never computes. *)
+   which the key never computes. The key is hashed when the job is
+   made, not on first use: jobs cross pool domains, and a lazy key
+   forced from two domains at once would race. So a job is made only
+   where it may run: a certificate that a block's verified aggregate
+   settles needs none (see [Sc_ledger.accept_cert]), and the
+   aggregate path binds the same inputs through the leaf digest. *)
 let wcert_job ~vk ~(cert : Withdrawal_certificate.t) ~end_prev_epoch ~end_epoch
     =
   snark_job

@@ -25,7 +25,12 @@ val of_string : string -> t
 
 val tagged : string -> string list -> t
 (** [tagged tag parts] hashes [tag] and [parts] with length framing, the
-    domain-separated constructor used for every protocol object. *)
+    domain-separated constructor used for every protocol object. The
+    preimage is [len(tag) ^ tag ^ len(p1) ^ p1 ^ ...], where [len s]
+    is [Printf.sprintf "%08x" (String.length s)]: eight lowercase hex
+    digits below 2{^32} bytes, more from there on. The frames are fed
+    to SHA-256 part by part, never concatenated, and count toward
+    [crypto.sha256.bytes] like the parts. *)
 
 val of_int : int -> t
 (** Digest of an integer's decimal rendering (test helper). *)

@@ -23,23 +23,30 @@ let of_leaves leaves =
   if leaf_count = 0 then { levels = [| [| empty_root |] |]; leaf_count = 0 }
   else begin
     let width = next_pow2 leaf_count in
-    let padding = leaf_hash Hash.zero in
     let raw = Array.of_list leaves in
+    (* The first [real] nodes of a level cover a real leaf; the others
+       cover padding only and share one value, [pad], hashed once per
+       level that has such a node. A level without one carries [pad]
+       up unread. *)
+    let pad0 = if leaf_count < width then leaf_hash Hash.zero else Hash.zero in
     let level0 =
-      Array.init width (fun i ->
-          if i < leaf_count then leaf_hash raw.(i) else padding)
+      Array.init width (fun i -> if i < leaf_count then leaf_hash raw.(i) else pad0)
     in
-    let rec build acc level =
+    let rec build acc level real pad =
       if Array.length level = 1 then List.rev (level :: acc)
       else begin
+        let width' = Array.length level / 2 in
+        let real' = (real + 1) / 2 in
+        let pad' = if real' < width' then node_hash pad pad else pad in
         let parent =
-          Array.init (Array.length level / 2) (fun i ->
-              node_hash level.(2 * i) level.((2 * i) + 1))
+          Array.init width' (fun i ->
+              if i < real' then node_hash level.(2 * i) level.((2 * i) + 1)
+              else pad')
         in
-        build (level :: acc) parent
+        build (level :: acc) parent real' pad'
       end
     in
-    { levels = Array.of_list (build [] level0); leaf_count }
+    { levels = Array.of_list (build [] level0 leaf_count pad0); leaf_count }
   end
 
 let of_data blocks = of_leaves (List.map Hash.of_string blocks)

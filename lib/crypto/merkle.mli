@@ -4,7 +4,12 @@
     {!Hash.zero} to the next power of two. Interior nodes are
     [Hash.tagged "mht.node" [left; right]], leaves are hashed with a
     distinct tag so a leaf can never be confused with an interior node
-    (second-preimage hardening). *)
+    (second-preimage hardening).
+
+    Padding: the nodes of a level that cover padding leaves only share
+    one value. A build hashes it once per level that has such a node,
+    and otherwise only the real leaves and the interior nodes above
+    them. Roots, levels and proofs are those of hashing every node. *)
 
 type t
 

@@ -148,6 +148,10 @@ let feed ctx s =
   Zen_obs.Counter.add bytes_hashed (String.length s);
   feed_sub ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
+let feed_bytes ctx b =
+  Zen_obs.Counter.add bytes_hashed (Bytes.length b);
+  feed_sub ctx b 0 (Bytes.length b)
+
 let finalize ctx =
   let bit_len = ctx.total * 8 in
   let pad_len =

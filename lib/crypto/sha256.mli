@@ -8,6 +8,9 @@ type ctx
 val init : unit -> ctx
 val feed : ctx -> string -> unit
 
+val feed_bytes : ctx -> Bytes.t -> unit
+(** [feed] for a byte buffer, which may be reused once this returns. *)
+
 val finalize : ctx -> string
 (** Returns the 32-byte digest. The context must not be reused. *)
 

@@ -212,6 +212,10 @@ let build_refs t ~mc =
 
 let blocks_forged = Zen_obs.Counter.make "latus.blocks_forged"
 
+(* Pooled transactions evicted because they conflict with the block
+   forged: the pre-block state accepts them, the block refuses them. *)
+let mempool_conflicts = Zen_obs.Counter.make "latus.mempool.conflicts"
+
 (* Withdrawal certificates built. *)
 let certificates = Zen_obs.Counter.make "latus.certificates"
 
@@ -244,12 +248,17 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
       let state0 = next_block_state t in
       let wepoch = next_block_wepoch t in
       let sync_txs = Sc_validate.sync_txs refs in
-      (* Mempool transactions that became invalid (double spends after
-         a reorg, stale inputs) are dropped, not fatal. Admission checked
-         their witnesses, so only the state rules run again. Both
-         accumulators are reversed lists (linear in block size, not
-         quadratic). *)
-      let* state2, snaps2, included =
+      (* A pooled transaction the block refuses is not fatal. If the
+         pre-block state [state0] accepts it, something the block put
+         before it took what it needs (an FT synced into the block took
+         its output slot, an earlier pooled payment spent its input):
+         it conflicts with the block and leaves the pool with the
+         included ones, or it would be retried forever. If [state0]
+         refuses it too, it stays pooled: a reorg-recovered payment
+         waits there for its input FT to re-sync. Admission checked the
+         witnesses, so only the state rules run again. The accumulators
+         are reversed lists (linear in block size, not quadratic). *)
+      let* state2, snaps2, included, conflicts =
         Zen_obs.Trace.with_span ~cat:"latus"
           ~args:
             [
@@ -267,16 +276,20 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
             (Ok (state0, []))
             sync_txs
         in
-        let state2, snaps_rev, included_rev =
+        let state2, snaps_rev, included_rev, conflicts =
           List.fold_left
-            (fun (st, sn, inc) a ->
+            (fun (st, sn, inc, con) a ->
               match Sc_tx.transition_admitted st a with
-              | Ok (st', traced) -> (st', List.rev_append traced sn, a :: inc)
-              | Error _ -> (st, sn, inc))
-            (state1, snaps1_rev, [])
+              | Ok (st', traced) ->
+                (st', List.rev_append traced sn, a :: inc, con)
+              | Error _ ->
+                if Result.is_ok (Sc_tx.transition_admitted state0 a) then
+                  (st, sn, inc, a :: con)
+                else (st, sn, inc, con))
+            (state1, snaps1_rev, [], [])
             mempool_txs
         in
-        Ok (state2, List.rev snaps_rev, List.rev included_rev)
+        Ok (state2, List.rev snaps_rev, List.rev included_rev, conflicts)
       in
       let parent =
         match tip_record t with
@@ -317,7 +330,8 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
         }
       in
       t.records <- record :: t.records;
-      t.mempool <- Sc_mempool.remove_txs t.mempool included;
+      t.mempool <- Sc_mempool.remove_txs t.mempool (included @ conflicts);
+      Zen_obs.Counter.add mempool_conflicts (List.length conflicts);
       Zen_obs.Counter.incr blocks_forged;
       Ok (Some block)
     end

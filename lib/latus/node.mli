@@ -85,7 +85,17 @@ val forge :
     away), then forges a block carrying any new MC references (clipped
     at the withdrawal-epoch boundary) and pending transactions.
     Returns [None] when there is nothing to include or, with
-    [enforce_leader], when the forger does not lead this slot. *)
+    [enforce_leader], when the forger does not lead this slot.
+
+    Pooled transactions leave the pool when the block includes them.
+    One the block refuses is evicted with them when the pre-block state
+    ({!next_block_state}) accepts it: it conflicts with something the
+    block put before it (an FT synced into the block took its output
+    slot, or an earlier pooled transaction spent its input), and it
+    would otherwise be retried in every later block. Evictions count
+    into [latus.mempool.conflicts]. One the pre-block state refuses too
+    stays pooled, as a reorg-recovered payment whose input FT has not
+    re-synced yet must. *)
 
 val build_certificate : t -> mc:Chain.t -> (Tx.t option, string) result
 (** Builds the withdrawal certificate for the earliest completed,

@@ -130,8 +130,9 @@ let genesis ~time =
 
 let validate_structure ?pool ~pow b =
   let ( let* ) = Result.bind in
+  let block_hash = hash b in
   let* () =
-    if b.header.height = 0 || Pow.meets_target pow (hash b) then Ok ()
+    if b.header.height = 0 || Pow.meets_target pow block_hash then Ok ()
     else Error "block: proof of work does not meet target"
   in
   let* () =
@@ -182,4 +183,4 @@ let validate_structure ?pool ~pow b =
       else Ok ()
     | _ -> Error "block: first transaction must be the coinbase"
   in
-  Ok ()
+  Ok block_hash

@@ -55,8 +55,9 @@ val genesis : time:int -> t
 (** The fixed genesis block (empty, zero parent). *)
 
 val validate_structure :
-  ?pool:Pool.t -> pow:Pow.params -> t -> (unit, string) result
+  ?pool:Pool.t -> pow:Pow.params -> t -> (Hash.t, string) result
 (** Context-free checks: PoW, tx root, commitment root, header/body
     aggregate-commitment consistency (count must match the block's
     certificates), exactly one leading coinbase, at most one
-    certificate per sidechain. *)
+    certificate per sidechain. Returns the block's {!hash}, which the
+    PoW check computes. *)

@@ -98,7 +98,7 @@ let cert_payout_outpoints (record : Sc_ledger.cert_record) =
   List.mapi (fun i (_ : Backward_transfer.t) -> { Tx.txid; vout = i })
     record.cert.bt_list
 
-let apply_tx ?(settled = Hash.Set.empty) t ~height ~block_hash tx =
+let apply_tx ?(settled = Hash.Map.empty) t ~height ~block_hash tx =
   match tx with
   | Tx.Coinbase _ -> Error "tx: coinbase outside block context"
   | Tx.Transfer { inputs; outputs } ->
@@ -170,19 +170,24 @@ let apply_tx ?(settled = Hash.Set.empty) t ~height ~block_hash tx =
         (Epoch.of_config sc.config)
         ~epoch:cert.epoch_id
     in
-    let txid = Tx.txid tx in
+    (* The payouts' outpoints name the certificate's txid, hashed only
+       when there is a payout. *)
     let utxos =
-      List.fold_left
-        (fun (u, vout) (bt : Backward_transfer.t) ->
-          ( Utxo_set.add u { Tx.txid; vout }
-              {
-                Utxo_set.addr = bt.receiver_addr;
-                amount = bt.amount;
-                spendable_after = window_end;
-              },
-            vout + 1 ))
-        (utxos, 0) cert.bt_list
-      |> fst
+      match cert.bt_list with
+      | [] -> utxos
+      | bts ->
+        let txid = Tx.txid tx in
+        List.fold_left
+          (fun (u, vout) (bt : Backward_transfer.t) ->
+            ( Utxo_set.add u { Tx.txid; vout }
+                {
+                  Utxo_set.addr = bt.receiver_addr;
+                  amount = bt.amount;
+                  spendable_after = window_end;
+                },
+              vout + 1 ))
+          (utxos, 0) bts
+        |> fst
     in
     Ok ({ t with utxos; scs }, Amount.zero)
   | Tx.Withdrawal_request w -> (
@@ -235,23 +240,24 @@ let agg_rejected = Zen_obs.Counter.make "mc.aggregate.rejected"
 (* Validate a block-level certificate aggregate against this (pre-block)
    state: recompute the expected leaves for the block's certificates in
    order, require exact coverage (count and merge root), then run the
-   single proof verification. Returns the job keys the aggregate
-   settles. Any failure REJECTS the block — an aggregated block never
-   silently degrades to per-certificate verification, because a miner
-   could otherwise strip or corrupt aggregates to re-inflate validation
-   cost (and an honest miner never produces an invalid one). *)
+   single proof verification. Returns what the aggregate settles: each
+   covered certificate's id, mapped to the proof bytes its leaf bound.
+   Any failure REJECTS the block — an aggregated block never silently
+   degrades to per-certificate verification, because a miner could
+   otherwise strip or corrupt aggregates to re-inflate validation cost
+   (and an honest miner never produces an invalid one). *)
 let settle_aggregate t txs agg =
   let sys = Zen_snark.Aggregate.shared () in
-  let* pairs_rev =
+  let* leaves_rev =
     List.fold_left
       (fun acc tx ->
         match tx with
         | Tx.Certificate cert -> (
           let* acc = acc in
           match
-            Sc_ledger.wcert_job t.scs ~cert ~block_hash_at:(block_hash_at t)
+            Sc_ledger.wcert_leaf t.scs ~cert ~block_hash_at:(block_hash_at t)
           with
-          | Some pair -> Ok (pair :: acc)
+          | Some leaf -> Ok (leaf :: acc)
           | None ->
             (* Unknown sidechain or unresolvable boundary: the
                per-certificate path would reject this block too. *)
@@ -259,21 +265,20 @@ let settle_aggregate t txs agg =
         | _ -> acc)
       (Ok []) txs
   in
-  let pairs = List.rev pairs_rev in
+  let leaves = List.rev leaves_rev in
   let* () =
-    if pairs = [] then Error "block: aggregate over a block with no certificates"
+    if leaves = [] then
+      Error "block: aggregate over a block with no certificates"
     else Ok ()
   in
   let* () =
-    if Zen_snark.Aggregate.count agg = List.length pairs then Ok ()
+    if Zen_snark.Aggregate.count agg = List.length leaves then Ok ()
     else Error "block: aggregate certificate count mismatch"
   in
   let* () =
     let expected =
       Zen_snark.Aggregate.root_of_digests
-        (List.map
-           (fun (l, _) -> Zen_snark.Aggregate.leaf_digest l)
-           pairs)
+        (List.map Zen_snark.Aggregate.leaf_digest leaves)
     in
     match expected with
     | Some r when Hash.equal r (Zen_snark.Aggregate.root agg) -> Ok ()
@@ -282,16 +287,17 @@ let settle_aggregate t txs agg =
   Zen_obs.Counter.incr agg_proof_checks;
   if Verifier.run_job (Verifier.aggregate_job sys agg) then begin
     Zen_obs.Counter.incr agg_blocks;
-    Zen_obs.Counter.add agg_certs_settled (List.length pairs);
+    Zen_obs.Counter.add agg_certs_settled (List.length leaves);
     Ok
       (List.fold_left
-         (fun s (_, j) -> Hash.Set.add (Verifier.job_key j) s)
-         Hash.Set.empty pairs)
+         (fun m (l : Zen_snark.Aggregate.leaf) ->
+           Hash.Map.add l.cert_hash l.proof_bytes m)
+         Hash.Map.empty leaves)
   end
   else Error "block: aggregate proof rejected"
 
 let apply_block ?pool t (b : Block.t) =
-  let* () = Block.validate_structure ?pool ~pow:t.params.pow b in
+  let* block_hash = Block.validate_structure ?pool ~pow:t.params.pow b in
   let* () =
     if Hash.equal b.header.prev t.tip_hash then Ok ()
     else Error "block: parent is not the current tip"
@@ -301,7 +307,6 @@ let apply_block ?pool t (b : Block.t) =
     else Error "block: height discontinuity"
   in
   let height = b.header.height in
-  let block_hash = Block.hash b in
   let* coinbase, rest =
     match b.txs with
     | Tx.Coinbase { height = cb_height; reward } :: rest ->
@@ -316,7 +321,7 @@ let apply_block ?pool t (b : Block.t) =
          (fanned out on [pool]); the sequential application below then
          decides through the cache. *)
       prewarm_verifier ?pool t rest;
-      Ok Hash.Set.empty
+      Ok Hash.Map.empty
     | Some agg -> (
       (* Aggregated path: certificate proofs are discharged by the one
          aggregate verification; only withdrawal (BTR/CSW) proofs remain

@@ -36,7 +36,7 @@ val block_hash_at : t -> int -> Hash.t option
     called once per certificate verification. *)
 
 val apply_tx :
-  ?settled:Hash.Set.t ->
+  ?settled:string Hash.Map.t ->
   t ->
   height:int ->
   block_hash:Hash.t ->
@@ -44,9 +44,9 @@ val apply_tx :
   (t * Amount.t, string) result
 (** Validates and applies one non-coinbase transaction; returns the new
     state and the transaction fee. Used by block validation and by the
-    miner's template construction. [settled] (default empty) carries
-    the {!Verifier.job_key}s already discharged by an enclosing block's
-    verified certificate aggregate — see {!Sc_ledger.accept_cert}. *)
+    miner's template construction. [settled] (default empty) maps the
+    certificates an enclosing block's verified aggregate covers to the
+    proof bytes their leaves bound — see {!Sc_ledger.accept_cert}. *)
 
 val apply_block : ?pool:Pool.t -> t -> Block.t -> (t, string) result
 (** Full block validation: structure, linkage, every transaction, and
@@ -60,8 +60,12 @@ val apply_block : ?pool:Pool.t -> t -> Block.t -> (t, string) result
     expected leaves are recomputed from this state, coverage (count and
     merge root) is checked, and the aggregate proof is verified through
     the cache; the per-certificate verifications are then skipped as
-    settled. Any aggregate defect — wrong coverage, unverifiable leaf,
-    rejected proof — rejects the block (never a silent fallback).
+    settled, each only for the proof bytes its leaf bound. Each
+    certificate, tree node and length frame is hashed once: no job key
+    is built for a settled certificate, and its txid only for the tx
+    root unless it pays backward transfers. Any aggregate defect —
+    wrong coverage, unverifiable leaf, rejected proof — rejects the
+    block (never a silent fallback).
     Accept/reject decisions are identical to the per-certificate path
     by construction. Blocks without an aggregate validate exactly as
     before. The aggregated path counts into [mc.aggregate.blocks],

@@ -79,15 +79,16 @@ let credit_ft t (ft : Forward_transfer.t) ~height =
 let reference_block_for sc =
   match last_cert sc with None -> Hash.zero | Some c -> c.included_in
 
-(* The certificate's SNARK check, as its aggregation leaf paired with
-   the per-certificate job the leaf stands in for. Acceptance, the
-   block-level prewarm, aggregate settlement and the miner's aggregate
-   all take the check from here, so the leaf digest and the job's cache
+(* The certificate's SNARK check instance: the vk and the aggregation
+   leaf, from which [wcert_job] builds the per-certificate job the leaf
+   stands in for. Acceptance, the block-level prewarm, aggregate
+   settlement and the miner's aggregate all take the check from here,
+   so the leaf digest and the job's cache
    key bind the same verification instance (vk digest, certificate
    hash, proof bytes, and the wcert_sysdata epoch-boundary block hashes
    resolved through [block_hash_at]): aggregated and per-certificate
    validation decide identically by construction. *)
-let wcert_job t ~(cert : Withdrawal_certificate.t) ~block_hash_at =
+let wcert_instance t ~(cert : Withdrawal_certificate.t) ~block_hash_at =
   match find t cert.ledger_id with
   | None -> None
   | Some sc ->
@@ -105,9 +106,20 @@ let wcert_job t ~(cert : Withdrawal_certificate.t) ~block_hash_at =
             end_epoch;
           }
         in
-        (leaf, Verifier.wcert_job ~vk ~cert ~end_prev_epoch ~end_epoch))
+        (vk, leaf))
       (Epoch.boundary_hashes (Epoch.of_config sc.config) ~epoch:cert.epoch_id
          ~block_hash_at)
+
+let wcert_leaf t ~cert ~block_hash_at =
+  Option.map snd (wcert_instance t ~cert ~block_hash_at)
+
+let wcert_job t ~cert ~block_hash_at =
+  Option.map
+    (fun (vk, (leaf : Zen_snark.Aggregate.leaf)) ->
+      ( leaf,
+        Verifier.wcert_job ~vk ~cert ~end_prev_epoch:leaf.end_prev_epoch
+          ~end_epoch:leaf.end_epoch ))
+    (wcert_instance t ~cert ~block_hash_at)
 
 (* The BTR/CSW proof check against the reference block of the latest
    accepted certificate; [None] also when the sidechain registered no
@@ -127,7 +139,7 @@ let withdrawal_job t ~(request : Mainchain_withdrawal.t) =
           ~reference_block:(reference_block_for sc))
       vk
 
-let accept_cert ?(settled = Hash.Set.empty) t
+let accept_cert ?(settled = Hash.Map.empty) t
     ~(cert : Withdrawal_certificate.t) ~block_hash ~height ~block_hash_at =
   let ( let* ) = Result.bind in
   let* sc =
@@ -177,21 +189,28 @@ let accept_cert ?(settled = Hash.Set.empty) t
              "cert: epoch %d out of order (next uncertified epoch is %d)"
              cert.epoch_id next_due)
   in
-  (* The sidechain is known, so [None] means an epoch boundary block
-     (wcert_sysdata) is not on this chain. *)
-  let* _, job =
-    match wcert_job t ~cert ~block_hash_at with
-    | Some check -> Ok check
-    | None -> Error "cert: epoch boundary block not on this chain"
-  in
   let* () =
-    (* A key in [settled] was covered by this block's already-verified
-       aggregate: the aggregate's leaves bind exactly the inputs of this
-       job's key, so membership implies this verification would return
-       true — skip it (that skip is the whole point of aggregation). *)
-    if Hash.Set.mem (Verifier.job_key job) settled || Verifier.run_job job
-    then Ok ()
-    else Error "cert: SNARK proof rejected"
+    (* A certificate id in [settled] was covered by this block's
+       already-verified aggregate, whose leaf bound the proof bytes it
+       maps to. The id does not bind the proof, so the skip needs this
+       certificate's proof to be those bytes; the vk and the epoch
+       boundaries the leaf bound are read from the same ledger and
+       chain. Then this verification would return true: skip it, with
+       its job, key and boundary lookup (that skip is the whole point
+       of aggregation). *)
+    match Hash.Map.find_opt (Withdrawal_certificate.hash cert) settled with
+    | Some proof_bytes
+      when String.equal proof_bytes (Zen_snark.Backend.proof_encode cert.proof)
+      ->
+      Ok ()
+    | Some _ | None -> (
+      (* The sidechain is known, so [None] means an epoch boundary block
+         (wcert_sysdata) is not on this chain. *)
+      match wcert_job t ~cert ~block_hash_at with
+      | None -> Error "cert: epoch boundary block not on this chain"
+      | Some (_, job) ->
+        if Verifier.run_job job then Ok ()
+        else Error "cert: SNARK proof rejected")
   in
   (* Safeguard: restore the replaced certificate's amount first, then
      debit this one; total withdrawals can never exceed the balance. *)

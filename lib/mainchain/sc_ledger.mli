@@ -45,7 +45,7 @@ val credit_ft : t -> Forward_transfer.t -> height:int -> (t, string) result
     ceased; the balance grows. *)
 
 val accept_cert :
-  ?settled:Hash.Set.t ->
+  ?settled:string Hash.Map.t ->
   t ->
   cert:Withdrawal_certificate.t ->
   block_hash:Hash.t ->
@@ -61,11 +61,18 @@ val accept_cert :
     and the certificate record this one *replaces* (same epoch, lower
     quality), whose payouts the chain must claw back.
 
-    [settled] carries the {!Verifier.job_key}s of certificate
-    verifications already discharged by the enclosing block's verified
-    aggregate; a key found there skips the individual SNARK
-    verification (the decision is provably the same — the aggregate's
-    leaves bind the same inputs as the job key). *)
+    [settled] (default empty) maps the ids ({!Withdrawal_certificate.hash})
+    of the certificates the enclosing block's verified aggregate
+    covers to the proof bytes ({!Zen_snark.Backend.proof_encode}) each
+    covered leaf bound. A certificate found there {e with those proof
+    bytes} skips its SNARK verification, and with it the job, its key
+    and the epoch-boundary lookup: the aggregate's leaf bound the same
+    vk, certificate, proof and boundaries, so the decision is the
+    same. The id alone would not do, because it does not bind the
+    proof: a certificate whose proof differs from the settled bytes is
+    verified as if [settled] were empty. The map must come from an
+    aggregate checked against this ledger and chain, as
+    {!Chain_state.apply_block} builds it. *)
 
 val check_withdrawal :
   t ->
@@ -85,21 +92,29 @@ val reference_block_for : sc_state -> Hash.t
 (** [H(B_w)] of §4.1.2.1: the block that carried the latest accepted
     certificate, or {!Hash.zero} when none exists yet. *)
 
+val wcert_leaf :
+  t ->
+  cert:Withdrawal_certificate.t ->
+  block_hash_at:(int -> Hash.t option) ->
+  Zen_snark.Aggregate.leaf option
+(** The certificate's aggregation leaf against the current state: vk
+    digest, certificate hash, proof bytes and the epoch boundaries
+    resolved through [block_hash_at]. Aggregate settlement folds it.
+    [None] when the sidechain is unknown or an epoch boundary is
+    unresolvable (acceptance fails before verifying). *)
+
 val wcert_job :
   t ->
   cert:Withdrawal_certificate.t ->
   block_hash_at:(int -> Hash.t option) ->
   (Zen_snark.Aggregate.leaf * Verifier.job) option
-(** The certificate's one SNARK check against the current state: its
-    aggregation leaf, paired with the per-certificate verification job
-    the leaf stands in for. {!accept_cert} runs the job, block
-    validation prewarms the {!Verifier.Cache} with it, and aggregate
-    building and settlement fold the leaf. Leaf digest and job key bind
-    the same instance (vk digest, certificate hash, proof bytes, epoch
-    boundaries resolved through [block_hash_at]), which is what makes
-    aggregated and per-certificate validation decide identically.
-    [None] when the sidechain is unknown or an epoch boundary is
-    unresolvable (acceptance fails before verifying). *)
+(** {!wcert_leaf}, paired with the per-certificate verification job the
+    leaf stands in for. {!accept_cert} runs the job, block validation
+    prewarms the {!Verifier.Cache} with it, and the miner folds the
+    leaf into its aggregate. Leaf digest and job key bind the same
+    instance, which is what makes aggregated and per-certificate
+    validation decide identically. [None] exactly when {!wcert_leaf}
+    is. *)
 
 val withdrawal_job :
   t -> request:Mainchain_withdrawal.t -> Verifier.job option

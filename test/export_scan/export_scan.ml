@@ -47,8 +47,10 @@ let allow =
       [ "list_root_fp" ],
       "kept for the BT-list binding of ROADMAP item 8" );
     ( "lib/core/verifier.mli",
-      [ "Cache.size"; "Cache.set_capacity" ],
-      "test hook: t_scale's cache tests (fifo eviction, hit/miss/stats)" );
+      [ "Cache.size"; "Cache.set_capacity"; "job_key" ],
+      "test hook: t_scale's cache tests (fifo eviction, hit/miss/stats) \
+       and its signature-key tests (the key binds key, message and \
+       signature)" );
     ( "lib/crypto/ec.mli",
       [ "g"; "equal"; "add"; "double"; "neg"; "mul"; "Scalar.split_lambda";
         "Field.create"; "Field.of_bytes"; "Field.of_limbs"; "Field.to_bytes";

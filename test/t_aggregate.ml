@@ -446,6 +446,184 @@ let test_aggregates_iff_certificates () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* ---- one cold validation of a 64-certificate block ---- *)
+
+(* 64 Latus sidechains on one epoch schedule, each certifying epoch 0
+   in one aggregated block. [parent] is the chain the block extends,
+   and [certs.(i)] is sidechain i's certificate. *)
+type fanin = {
+  parent : Chain.t;
+  block : Block.t;
+  certs : Withdrawal_certificate.t array;
+}
+
+let fanin_fixture =
+  lazy
+    (let miner_addr = Hash.of_string "agg-fanin.miner" in
+     let chain =
+       ref
+         (Chain.create
+            ~params:{ Chain_state.default_params with pow = Pow.trivial }
+            ~time:0 ())
+     in
+     let mine candidates =
+       let b, _ =
+         ok
+           (Miner.build_block !chain ~time:(Chain.height !chain + 1)
+              ~miner_addr ~candidates)
+       in
+       chain := fst (ok (Chain.add_block !chain b))
+     in
+     let start_block = 4 and epoch_len = 4 in
+     let configs =
+       List.init 64 (fun i ->
+           ok
+             (Sidechain_config.make
+                ~ledger_id:
+                  (Sidechain_config.derive_ledger_id ~creator:miner_addr
+                     ~nonce:(i + 1))
+                ~start_block ~epoch_len ~submit_len:epoch_len
+                ~wcert_vk:(Zen_latus.Circuits.wcert_keys family).vk
+                ~wcert_proofdata:Zen_latus.Node.wcert_schema ()))
+     in
+     mine [];
+     mine (List.map (fun c -> Tx.Sc_create c) configs);
+     while Chain.height !chain < start_block + epoch_len - 1 do
+       mine []
+     done;
+     let st = Chain.tip_state !chain in
+     let boundary h =
+       if h < 0 then Hash.zero
+       else Option.get (Chain_state.block_hash_at st h)
+     in
+     let end_prev_epoch = boundary (start_block - 1)
+     and end_epoch = boundary (start_block + epoch_len - 1) in
+     let certs =
+       Array.of_list
+         (List.mapi
+            (fun i (c : Sidechain_config.t) ->
+              let proofdata =
+                Proofdata.
+                  [
+                    Digest (Hash.of_int i);
+                    Field (Fp.of_int (1000 + i));
+                    Blob (String.make 512 (Char.chr (65 + (i mod 26))));
+                  ]
+              in
+              let proof =
+                ok
+                  (Zen_latus.Circuits.prove_wcert_binding family ~quality:1
+                     ~bt_root:(Backward_transfer.list_root []) ~end_prev_epoch
+                     ~end_epoch ~proofdata ~s_prev:(Fp.of_int i)
+                     ~s_last:(Fp.of_int (i + 1)))
+              in
+              Withdrawal_certificate.make ~ledger_id:c.ledger_id ~epoch_id:0
+                ~quality:1 ~bt_list:[] ~proofdata ~proof)
+            configs)
+     in
+     let block, skipped =
+       ok
+         (Miner.build_block !chain ~time:(Chain.height !chain + 1) ~miner_addr
+            ~candidates:
+              (Array.to_list (Array.map (fun c -> Tx.Certificate c) certs)))
+     in
+     if skipped <> [] then Alcotest.fail "fanin fixture: a certificate was skipped";
+     { parent = !chain; block; certs })
+
+(* The work of one cold validation, read from the registry: SHA-256
+   bytes and [merkle.of_leaves] spans. *)
+let cold_validation_work ~pool f =
+  Verifier.Cache.clear ();
+  Zen_obs.Registry.reset ();
+  let r =
+    Zen_obs.Registry.with_enabled (fun () ->
+        Chain_state.apply_block ~pool (Chain.tip_state f.parent) f.block)
+  in
+  let bytes = Zen_obs.Counter.value (Zen_obs.Counter.make "crypto.sha256.bytes") in
+  let spans =
+    List.length
+      (List.filter
+         (fun (e : Zen_obs.Trace.event) -> e.name = "merkle.of_leaves")
+         (Zen_obs.Trace.events ()))
+  in
+  Zen_obs.Registry.reset ();
+  ignore (ok r : Chain_state.t);
+  (bytes, spans)
+
+(* The hashing of a cold 64-certificate validation, pinned: each
+   certificate, tree node and frame is hashed once. A change that
+   hashes more (or less) must move this number on purpose. *)
+let test_cold_validation_work_pinned () =
+  let f = Lazy.force fanin_fixture in
+  checki "64 certificates aggregated" 64
+    (Aggregate.count (Option.get f.block.aggregate));
+  let bytes1, spans1 = cold_validation_work ~pool:Pool.sequential f in
+  let bytes2, spans2 = cold_validation_work ~pool:(Pool.get ~domains:2) f in
+  checki "sha256 bytes per cold validation" 70_308 bytes1;
+  checki "merkle builds: tx root and commitment tree" 2 spans1;
+  checki "sha256 bytes, 2 domains" bytes1 bytes2;
+  checki "merkle builds, 2 domains" spans1 spans2
+
+(* [cert] with [proof] in place of its own: the same id, because
+   [Withdrawal_certificate.hash] does not bind the proof. *)
+let with_proof (cert : Withdrawal_certificate.t) proof =
+  Withdrawal_certificate.make ~ledger_id:cert.ledger_id ~epoch_id:cert.epoch_id
+    ~quality:cert.quality ~bt_list:cert.bt_list ~proofdata:cert.proofdata ~proof
+
+(* A settled entry skips the SNARK check only for the proof bytes it
+   names: the same certificate id with another proof is verified. *)
+let test_settled_skip_binds_proof () =
+  let f = Lazy.force fanin_fixture in
+  let st = Chain.tip_state f.parent in
+  let good = f.certs.(0) in
+  let forged = with_proof good f.certs.(1).proof in
+  checkb "same id" true
+    (Hash.equal (Withdrawal_certificate.hash good)
+       (Withdrawal_certificate.hash forged));
+  let accept ~settled cert =
+    Sc_ledger.accept_cert ~settled st.scs ~cert ~block_hash:(Hash.of_string "b")
+      ~height:(st.height + 1)
+      ~block_hash_at:(Chain_state.block_hash_at st)
+  in
+  let settled =
+    Hash.Map.singleton (Withdrawal_certificate.hash good)
+      (Backend.proof_encode good.proof)
+  in
+  let misses () = (Verifier.Cache.stats ()).misses in
+  Verifier.Cache.clear ();
+  checkb "settled certificate accepted" true
+    (Result.is_ok (accept ~settled good));
+  checki "... without a verification" 0 (misses ());
+  let e = err (accept ~settled forged) in
+  checkb ("other proof bytes: " ^ e) true (contains ~affix:"SNARK proof rejected" e);
+  checki "... after a verification" 1 (misses ())
+
+(* A certificate whose proof is swapped keeps its id, so the block keeps
+   its header and aggregate; validation must still refuse it. *)
+let test_mutated_proof_refuses_block () =
+  let f = Lazy.force fanin_fixture in
+  let mutated =
+    List.map
+      (function
+        | Tx.Certificate c
+          when Hash.equal (Withdrawal_certificate.hash c)
+                 (Withdrawal_certificate.hash f.certs.(5)) ->
+          Tx.Certificate (with_proof c f.certs.(6).proof)
+        | tx -> tx)
+      f.block.txs
+  in
+  let b = { f.block with txs = mutated } in
+  checkb "header unchanged" true (Hash.equal (Block.hash b) (Block.hash f.block));
+  Verifier.Cache.clear ();
+  (match Chain.add_block f.parent b with
+  | Ok _ -> Alcotest.fail "block with a mutated certificate proof accepted"
+  | Error e ->
+    checkb ("refused: " ^ e) true (contains ~affix:"does not cover" e)
+  | exception ex ->
+    Alcotest.fail ("add_block raised " ^ Printexc.to_string ex));
+  checkb "the honest block applies" true
+    (Result.is_ok (Chain.add_block f.parent f.block))
+
 let suite =
   ( "aggregate",
     [
@@ -468,4 +646,10 @@ let suite =
       test_twin;
       Alcotest.test_case "aggregates iff certificates" `Quick
         test_aggregates_iff_certificates;
+      Alcotest.test_case "cold 64-certificate validation work pinned" `Quick
+        test_cold_validation_work_pinned;
+      Alcotest.test_case "settled skip binds the proof" `Quick
+        test_settled_skip_binds_proof;
+      Alcotest.test_case "mutated certificate proof refuses the block" `Quick
+        test_mutated_proof_refuses_block;
     ] )

@@ -85,6 +85,32 @@ let sha256_props =
            Sha256.digest msg = expected
            && digest_in_pieces msg cuts = expected
            && Sha256.hmac ~key msg = Sha256_oracle.hmac ~key msg));
+    (* [Hash.tagged] feeds its frames piecewise; the reference builds
+       the [Printf]-framed preimage in one string and hashes it with
+       the oracle. Parts run from empty to several blocks, so frames
+       start at every offset of a block. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"hash tagged = printf-framed reference"
+         ~count:500
+         QCheck2.Gen.(
+           pair (string_size (int_range 0 20))
+             (list_size (int_range 0 8)
+                (string_size
+                   (frequency
+                      [ (2, int_range 0 3); (2, int_range 0 70);
+                        (1, int_range 100 300) ]))))
+         (fun (tag, parts) ->
+           let frame s = Printf.sprintf "%08x" (String.length s) ^ s in
+           let preimage = String.concat "" (List.map frame (tag :: parts)) in
+           let bytes = Zen_obs.Counter.make "crypto.sha256.bytes" in
+           Zen_obs.Registry.reset ();
+           let h =
+             Zen_obs.Registry.with_enabled (fun () -> Hash.tagged tag parts)
+           in
+           let counted = Zen_obs.Counter.value bytes in
+           Zen_obs.Registry.reset ();
+           Hash.to_raw h = Sha256_oracle.digest preimage
+           && counted = String.length preimage));
   ]
 
 let test_tagged_framing () =

@@ -217,6 +217,64 @@ let props =
           (List.init n Fun.id));
   ]
 
+(* The tree as Fig. 2 draws it: every node of every level hashed,
+   padding included, with [Hash.tagged]'s [Printf]-framed preimage
+   hashed by the SHA-256 oracle. Levels bottom up. *)
+let naive_levels leaves =
+  let tagged tag parts =
+    let frame s = Printf.sprintf "%08x" (String.length s) ^ s in
+    Sha256_oracle.digest (String.concat "" (List.map frame (tag :: parts)))
+  in
+  let n = List.length leaves in
+  let width =
+    let rec go p = if p >= n then p else go (2 * p) in
+    go 1
+  in
+  let raw = Array.of_list (List.map Hash.to_raw leaves) in
+  let level0 =
+    Array.init width (fun i ->
+        tagged "mht.leaf" [ (if i < n then raw.(i) else Hash.to_raw Hash.zero) ])
+  in
+  let rec up acc level =
+    if Array.length level = 1 then List.rev (level :: acc)
+    else
+      up (level :: acc)
+        (Array.init (Array.length level / 2) (fun i ->
+             tagged "mht.node" [ level.(2 * i); level.((2 * i) + 1) ]))
+  in
+  up [] level0
+
+(* Every node a build exposes is the naive tree's: the root, and every
+   proof's sibling path, which reads one node per level including the
+   first padding-only node of each level that has one. *)
+let test_mht_naive_oracle () =
+  for n = 0 to 300 do
+    let leaves = List.init n (fun i -> Hash.of_int ((7 * i) + n)) in
+    let t = Merkle.of_leaves leaves in
+    let label what = Printf.sprintf "n=%d: %s" n what in
+    if n = 0 then
+      checkb (label "empty root") true
+        (Hash.equal (Merkle.root t) (Merkle.root (Merkle.of_leaves [])))
+    else begin
+      let levels = Array.of_list (naive_levels leaves) in
+      let top = levels.(Array.length levels - 1) in
+      checkb (label "root") true
+        (String.equal (Hash.to_raw (Merkle.root t)) top.(0));
+      List.iteri
+        (fun i leaf ->
+          let p = Merkle.prove t i in
+          let naive =
+            List.init (Array.length levels - 1) (fun k ->
+                levels.(k).((i lsr k) lxor 1))
+          in
+          checkb (label (Printf.sprintf "proof %d = naive siblings" i)) true
+            (List.map Hash.to_raw (Merkle.proof_to_siblings p) = naive);
+          checkb (label (Printf.sprintf "proof %d verifies" i)) true
+            (Merkle.verify ~root:(Merkle.root t) ~leaf p))
+        leaves
+    end
+  done
+
 let suite =
   ( "merkle",
     [
@@ -226,6 +284,8 @@ let suite =
       Alcotest.test_case "mht depth" `Quick test_mht_depth_log;
       Alcotest.test_case "mht empty" `Quick test_mht_empty;
       Alcotest.test_case "mht second preimage" `Quick test_mht_second_preimage_guard;
+      Alcotest.test_case "mht = naive oracle, n = 0..300" `Quick
+        test_mht_naive_oracle;
       Alcotest.test_case "smt set/get/remove" `Quick test_smt_set_get_remove;
       Alcotest.test_case "smt empty roots" `Quick test_smt_empty_root_depth_dependent;
       Alcotest.test_case "smt remove restores" `Quick test_smt_remove_restores_root;

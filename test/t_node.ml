@@ -48,7 +48,7 @@ let submit w tx = w.mempool <- Mempool.add w.mempool tx
 
 (* Standard world: fund 5 blocks, create SC with epoch_len 4 and
    submit_len 2, activation right after creation. *)
-let make_world seed =
+let make_world ?(params = params) ?(family = family) seed =
   let mc_params = { Chain_state.default_params with pow = Pow.trivial } in
   let chain = Chain.create ~params:mc_params ~time:0 () in
   let mc_wallet = Wallet.create ~seed in
@@ -715,6 +715,130 @@ let test_reinjected_payment_reforges () =
   checkb "follower reaches the forger's state" true
     (Fp.equal (Sc_state.hash state) (Sc_state.hash (Node.tip_state w.node)))
 
+(* ---- forge evicts pooled transactions that conflict with its block ---- *)
+
+(* 16 MST slots, so an FT that lands on a pooled payment's output slot
+   is cheap to find. *)
+let small_params = { params with Params.mst_depth = 4 }
+let small_family = lazy (Circuits.make small_params)
+
+let conflicts = Zen_obs.Counter.make "latus.mempool.conflicts"
+
+let carries (tx : Sc_tx.t) (b : Sc_block.t) =
+  List.exists (fun t -> Hash.equal (Sc_tx.txid t) (Sc_tx.txid tx)) b.txs
+
+(* The FT builder's transaction, kept so a test can submit it again. *)
+let ft_tx w ~receiver ~payback ~amt =
+  ok
+    (Wallet.build_forward_transfer w.mc_wallet (Chain.tip_state w.chain)
+       ~ledger_id:w.ledger_id
+       ~receiver_metadata:(Sc_tx.ft_metadata ~receiver ~payback)
+       ~amount:amt ~fee:Amount.zero)
+
+let test_forge_evicts_conflict () =
+  let w =
+    make_world ~params:small_params ~family:(Lazy.force small_family) "evict"
+  in
+  let user = Sc_wallet.create ~seed:"evict.user" in
+  let user_addr = Sc_wallet.fresh_address user in
+  let payback = Wallet.fresh_address w.mc_wallet in
+  mine w;
+  do_ft w ~receiver:user_addr ~payback ~amt:(amount 500_000);
+  mine w;
+  checkb "the user's coin synced" true (forge w <> None);
+  let st = Node.next_block_state w.node in
+  let other = Sc_wallet.fresh_address (Sc_wallet.create ~seed:"evict.other") in
+  let pay = ok (Sc_wallet.build_payment user st ~to_:other ~amount:(amount 1_000)) in
+  ok (Node.submit_tx w.node pay);
+  let slot = Utxo.position ~mst_depth:small_params.mst_depth in
+  let out_slots =
+    match pay with
+    | Sc_tx.Payment p -> List.map slot p.outputs
+    | _ -> Alcotest.fail "not a payment"
+  in
+  (* An FT amount whose coin lands on a free slot the payment's outputs
+     need: the FT syncs first, so the payment loses the slot. *)
+  let receiver = Sc_wallet.fresh_address (Sc_wallet.create ~seed:"evict.ft") in
+  let ft_slot n =
+    let ft =
+      Forward_transfer.make ~ledger_id:w.ledger_id
+        ~receiver_metadata:(Sc_tx.ft_metadata ~receiver ~payback)
+        ~amount:(amount n)
+    in
+    slot
+      (Utxo.make ~addr:receiver ~amount:(amount n)
+         ~nonce:(Utxo.derive_nonce ~source:(Forward_transfer.hash ft) ~index:0))
+  in
+  let rec find n =
+    let s = ft_slot n in
+    if List.mem s out_slots && Mst.get st.mst s = None then n else find (n + 1)
+  in
+  do_ft w ~receiver ~payback ~amt:(amount (find 1_000));
+  mine w;
+  Zen_obs.Registry.reset ();
+  let b = Zen_obs.Registry.with_enabled (fun () -> forge w) in
+  let evicted = Zen_obs.Counter.value conflicts in
+  Zen_obs.Registry.reset ();
+  (match b with
+  | None -> Alcotest.fail "nothing forged"
+  | Some b -> checkb "payment refused by the block" false (carries pay b));
+  checki "one conflict evicted" 1 evicted;
+  checki "pool empty" 0 (Node.mempool_size w.node);
+  checkb "the next forge has nothing to include" true (forge w = None)
+
+(* A payment recovered from a reorg whose input FT is not on the new
+   branch yet: the pre-block state refuses it too, so it stays pooled
+   and is forged once the FT re-syncs. *)
+let test_forge_keeps_unfunded_recovered () =
+  let w =
+    make_world ~params:small_params ~family:(Lazy.force small_family)
+      "evict-reorg"
+  in
+  let user = Sc_wallet.create ~seed:"evict-reorg.user" in
+  let user_addr = Sc_wallet.fresh_address user in
+  let payback = Wallet.fresh_address w.mc_wallet in
+  mine w;
+  let fork_base = w.chain in
+  let ft = ft_tx w ~receiver:user_addr ~payback ~amt:(amount 300_000) in
+  submit w ft;
+  mine w;
+  (* heights 7..8 on branch A, the FT at 8 *)
+  checkb "the user's coin synced" true (forge w <> None);
+  let st = Node.next_block_state w.node in
+  let other =
+    Sc_wallet.fresh_address (Sc_wallet.create ~seed:"evict-reorg.other")
+  in
+  let pay = ok (Sc_wallet.build_payment user st ~to_:other ~amount:(amount 1_000)) in
+  ok (Node.submit_tx w.node pay);
+  mine w;
+  checkb "forged on branch A" true
+    (match forge w with Some b -> carries pay b | None -> false);
+  (* Branch B: three empty blocks on height 7, without the FT. *)
+  let alt_miner = Wallet.fresh_address (Wallet.create ~seed:"evict-reorg-alt") in
+  let alt = ref fork_base in
+  for i = 0 to 2 do
+    let b, _ =
+      ok (Miner.build_block !alt ~time:(500 + i) ~miner_addr:alt_miner ~candidates:[])
+    in
+    alt := fst (ok (Chain.add_block !alt b));
+    w.chain <- fst (ok (Chain.add_block w.chain b))
+  done;
+  checkb "branch B is best" true
+    (Hash.equal (Chain.tip_hash w.chain) (Chain.tip_hash !alt));
+  Zen_obs.Registry.reset ();
+  let b = Zen_obs.Registry.with_enabled (fun () -> forge w) in
+  let evicted = Zen_obs.Counter.value conflicts in
+  Zen_obs.Registry.reset ();
+  checkb "re-synced without the payment" true
+    (match b with Some b -> not (carries pay b) | None -> false);
+  checki "nothing evicted" 0 evicted;
+  checki "the payment waits in the pool" 1 (Node.mempool_size w.node);
+  submit w ft;
+  mine w;
+  checkb "re-forged once its FT re-synced" true
+    (match forge w with Some b -> carries pay b | None -> false);
+  checki "pool drained" 0 (Node.mempool_size w.node)
+
 let suite =
   ( "node-e2e",
     [
@@ -737,4 +861,8 @@ let suite =
         test_follower_refuses_tampered_witness;
       Alcotest.test_case "reinjected payment re-forges" `Quick
         test_reinjected_payment_reforges;
+      Alcotest.test_case "forge evicts a conflicting payment" `Quick
+        test_forge_evicts_conflict;
+      Alcotest.test_case "forge keeps an unfunded recovered payment" `Quick
+        test_forge_keeps_unfunded_recovered;
     ] )
