@@ -128,9 +128,11 @@ let genesis ~time =
     aggregate = None;
   }
 
-let validate_structure ?pool ~pow b =
+let validate_structure ?pool ?block_hash ~pow b =
   let ( let* ) = Result.bind in
-  let block_hash = hash b in
+  let block_hash =
+    match block_hash with Some h -> h | None -> hash b
+  in
   let* () =
     if b.header.height = 0 || Pow.meets_target pow block_hash then Ok ()
     else Error "block: proof of work does not meet target"

@@ -55,9 +55,15 @@ val genesis : time:int -> t
 (** The fixed genesis block (empty, zero parent). *)
 
 val validate_structure :
-  ?pool:Pool.t -> pow:Pow.params -> t -> (Hash.t, string) result
+  ?pool:Pool.t ->
+  ?block_hash:Hash.t ->
+  pow:Pow.params ->
+  t ->
+  (Hash.t, string) result
 (** Context-free checks: PoW, tx root, commitment root, header/body
     aggregate-commitment consistency (count must match the block's
     certificates), exactly one leading coinbase, at most one
     certificate per sidechain. Returns the block's {!hash}, which the
-    PoW check computes. *)
+    PoW check computes. A caller that already hashed the header passes
+    that {!hash} as [block_hash], and the header is not hashed again;
+    it must be [hash b]. *)

@@ -28,23 +28,25 @@ let height t = (tip_state t).height
 
 let block t h = Option.map (fun n -> n.block) (Hash.Map.find_opt h t.nodes)
 
+(* Blocks visited by [reorg_depth]'s walk. *)
+let ancestors_walked = Zen_obs.Counter.make "mc.scan.ancestors"
+
 (* Depth of the reorg: how many blocks of the old best chain are not
-   ancestors of the new tip. *)
+   ancestors of the new tip. The new tip's state indexes its chain by
+   height, so the walk back from [old_tip] stops at the first block
+   that chain holds at that block's height, the common ancestor: it
+   visits the abandoned blocks plus one, not the history. *)
 let reorg_depth t ~old_tip ~new_tip =
-  let rec ancestors h acc =
-    match Hash.Map.find_opt h t.nodes with
-    | None -> acc
-    | Some n ->
-      if n.block.header.height = 0 then Hash.Set.add h acc
-      else ancestors n.block.header.prev (Hash.Set.add h acc)
-  in
-  let new_anc = ancestors new_tip Hash.Set.empty in
+  let new_chain = (node_exn t new_tip).state in
   let rec count h n =
-    if Hash.Set.mem h new_anc then n
-    else
-      match Hash.Map.find_opt h t.nodes with
-      | None -> n
-      | Some node -> count node.block.header.prev (n + 1)
+    match Hash.Map.find_opt h t.nodes with
+    | None -> n
+    | Some node ->
+      Zen_obs.Counter.incr ancestors_walked;
+      let height = node.block.header.height in
+      match Chain_state.block_hash_at new_chain height with
+      | Some bh when Hash.equal bh h -> n
+      | Some _ | None -> count node.block.header.prev (n + 1)
   in
   count old_tip 0
 
@@ -55,7 +57,7 @@ let add_block ?pool t (b : Block.t) =
     match Hash.Map.find_opt b.header.prev t.nodes with
     | None -> Error "chain: unknown parent"
     | Some parent -> (
-      match Chain_state.apply_block ?pool parent.state b with
+      match Chain_state.apply_block ?pool ~block_hash:h parent.state b with
       | Error e -> Error e
       | Ok state ->
         let work = parent.work + Pow.work_of t.params.pow in

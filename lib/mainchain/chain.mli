@@ -29,10 +29,17 @@ val block : t -> Hash.t -> Block.t option
 val add_block : ?pool:Pool.t -> t -> Block.t -> (t * outcome, string) result
 (** Validates against the parent's state and inserts. Duplicate blocks
     are rejected; unknown parents are an error (no orphan pool — the
-    simulation delivers blocks in order per peer). [pool] is handed to
+    simulation delivers blocks in order per peer). The header is hashed
+    once: the duplicate check's hash is handed to
+    {!Chain_state.apply_block}. [pool] is handed to
     {!Chain_state.apply_block} for batch proof verification and the
     commitment rebuild; outcomes are identical for every domain
-    count. *)
+    count.
+
+    A {!Reorg}'s [depth] walks back from the old tip only to the
+    common ancestor, looked up in the new tip's height index: it costs
+    the abandoned blocks plus one, not the chain's length. Visited
+    blocks count into [mc.scan.ancestors]. *)
 
 val on_best_chain : t -> Hash.t -> bool
 (** Whether a block hash lies on the current best chain. *)

@@ -46,6 +46,8 @@ let sc_balance t id = Sc_ledger.balance t.scs id
 
 let ( let* ) = Result.bind
 
+(* [sighash] is forced at the first signature check, so a transfer
+   refused by an input lookup or owner check is never hashed. *)
 let check_input t ~height ~sighash (input : Tx.input) =
   let* coin =
     match spendable t input.outpoint ~at_height:height with
@@ -58,7 +60,8 @@ let check_input t ~height ~sighash (input : Tx.input) =
   in
   if
     Verifier.run_job
-      (Verifier.signature_job ~pk:input.pk ~msg:(Hash.to_raw sighash)
+      (Verifier.signature_job ~pk:input.pk
+         ~msg:(Hash.to_raw (Lazy.force sighash))
          ~signature:input.signature)
   then Ok coin
   else Error "tx: invalid signature"
@@ -113,7 +116,10 @@ let apply_tx ?(settled = Hash.Map.empty) t ~height ~block_hash tx =
       else Error "tx: duplicate input"
     in
     let sighash =
-      Tx.sighash ~inputs:(List.map (fun (i : Tx.input) -> i.outpoint) inputs) ~outputs
+      lazy
+        (Tx.sighash
+           ~inputs:(List.map (fun (i : Tx.input) -> i.outpoint) inputs)
+           ~outputs)
     in
     let* coins =
       List.fold_left
@@ -207,22 +213,43 @@ let apply_tx ?(settled = Hash.Map.empty) t ~height ~block_hash tx =
       in
       Ok ({ t with utxos; scs }, Amount.zero))
 
+(* Verification jobs [proof_jobs] built. *)
+let prewarm_jobs = Zen_obs.Counter.make "mc.scan.prewarm_jobs"
+
 (* Every SNARK verification this state would run if the given
-   transactions were applied now, as cacheable jobs. Predictions use
-   the pre-application state; a transaction that changes an input of a
-   later one's verification (e.g. a certificate moving the reference
-   block of a CSW in the same block) merely turns that prediction into
-   an unused cache entry — the apply path computes its own key. *)
+   transactions were applied now, in a block at the next height, as
+   cacheable jobs. Predictions use the pre-application state; a
+   transaction that changes an input of a later one's verification
+   (e.g. a certificate moving the reference block of a CSW in the same
+   block) merely turns that prediction into an unused cache entry — the
+   apply path computes its own key. A certificate whose submission
+   window is not open at that height gets no job: acceptance refuses it
+   on the height alone, before verifying, whatever else the block
+   holds, and a sidechain's schedule never changes once registered. *)
 let proof_jobs t txs =
-  List.filter_map
-    (fun tx ->
-      match tx with
-      | Tx.Certificate cert ->
-        Option.map snd
-          (Sc_ledger.wcert_job t.scs ~cert ~block_hash_at:(block_hash_at t))
-      | Tx.Withdrawal_request w -> Sc_ledger.withdrawal_job t.scs ~request:w
-      | Tx.Coinbase _ | Tx.Transfer _ | Tx.Sc_create _ -> None)
-    txs
+  let height = t.height + 1 in
+  let jobs =
+    List.filter_map
+      (fun tx ->
+        match tx with
+        | Tx.Certificate cert -> (
+          match Sc_ledger.find t.scs cert.ledger_id with
+          | Some sc
+            when not
+                   (Epoch.in_submission_window
+                      (Epoch.of_config sc.config)
+                      ~epoch:cert.epoch_id ~height) ->
+            None
+          | Some _ | None ->
+            Option.map snd
+              (Sc_ledger.wcert_job t.scs ~cert
+                 ~block_hash_at:(block_hash_at t)))
+        | Tx.Withdrawal_request w -> Sc_ledger.withdrawal_job t.scs ~request:w
+        | Tx.Coinbase _ | Tx.Transfer _ | Tx.Sc_create _ -> None)
+      txs
+  in
+  Zen_obs.Counter.add prewarm_jobs (List.length jobs);
+  jobs
 
 let prewarm_verifier ?pool t txs =
   match proof_jobs t txs with
@@ -296,8 +323,10 @@ let settle_aggregate t txs agg =
   end
   else Error "block: aggregate proof rejected"
 
-let apply_block ?pool t (b : Block.t) =
-  let* block_hash = Block.validate_structure ?pool ~pow:t.params.pow b in
+let apply_block ?pool ?block_hash t (b : Block.t) =
+  let* block_hash =
+    Block.validate_structure ?pool ?block_hash ~pow:t.params.pow b
+  in
   let* () =
     if Hash.equal b.header.prev t.tip_hash then Ok ()
     else Error "block: parent is not the current tip"

@@ -43,14 +43,21 @@ val apply_tx :
   Tx.t ->
   (t * Amount.t, string) result
 (** Validates and applies one non-coinbase transaction; returns the new
-    state and the transaction fee. Used by block validation and by the
+    state and the transaction fee. A transfer is checked for distinct
+    inputs, then input by input for lookup, owner and signature; its
+    sighash is computed at the first signature check, so a transfer
+    refused before one is never hashed. Used by block validation and by the
     miner's template construction. [settled] (default empty) maps the
     certificates an enclosing block's verified aggregate covers to the
     proof bytes their leaves bound — see {!Sc_ledger.accept_cert}. *)
 
-val apply_block : ?pool:Pool.t -> t -> Block.t -> (t, string) result
+val apply_block :
+  ?pool:Pool.t -> ?block_hash:Hash.t -> t -> Block.t -> (t, string) result
 (** Full block validation: structure, linkage, every transaction, and
-    the coinbase reward bound (subsidy + fees). [pool] parallelises the
+    the coinbase reward bound (subsidy + fees). [block_hash], when the
+    caller already computed it, must be {!Block.hash} of the block;
+    {!Block.validate_structure} then uses it instead of hashing the
+    header again. [pool] parallelises the
     commitment rebuild and the up-front batch verification of the
     block's certificate/withdrawal proofs ({!prewarm_verifier});
     per-transaction decisions are unchanged for every domain count.
@@ -75,9 +82,14 @@ val apply_block : ?pool:Pool.t -> t -> Block.t -> (t, string) result
 
 val prewarm_verifier : ?pool:Pool.t -> t -> Tx.t list -> unit
 (** [Verifier.verify_batch] over the SNARK verifications that applying
-    the transactions to this state would run, populating the
-    verification cache so a subsequent sequential application never
-    re-verifies. The jobs are {!Sc_ledger.wcert_job} and
-    {!Sc_ledger.withdrawal_job}, the ones application runs. *)
+    the transactions to this state, in a block at height
+    [t.height + 1], would run, populating the verification cache so a
+    subsequent sequential application never re-verifies. The jobs are
+    {!Sc_ledger.wcert_job} and {!Sc_ledger.withdrawal_job}, the ones
+    application runs. A certificate whose submission window is not open
+    at that height gets no job: {!Sc_ledger.accept_cert} refuses it on
+    the height alone, before verifying, so no order of the block's
+    transactions reaches its verification. The jobs built count into
+    [mc.scan.prewarm_jobs]. *)
 
 val sc_balance : t -> Hash.t -> Amount.t option

@@ -8,6 +8,11 @@ let coinbase_for chain ~height ~miner_addr ~fees =
   in
   Tx.Coinbase { height; reward = { Tx.addr = miner_addr; amount = reward } }
 
+(* Candidates trial-applied. Every pooled transaction is offered to
+   every block until it is included or evicted, so this grows with
+   whatever lingers in the mempool. *)
+let candidates_tried = Zen_obs.Counter.make "mc.scan.candidates"
+
 let build_block ?pool ?(aggregate = true) chain ~time ~miner_addr ~candidates =
   if not aggregate then
     invalid_arg
@@ -21,6 +26,7 @@ let build_block ?pool ?(aggregate = true) chain ~time ~miner_addr ~candidates =
   (* Trial-apply against a placeholder block hash; certificate records
      carry the real hash once the sealed block is applied for real. *)
   let placeholder = Hash.of_string "miner.trial" in
+  Zen_obs.Counter.add candidates_tried (List.length candidates);
   let _, selected_rev, skipped_rev, fees =
     List.fold_left
       (fun (st, sel, skip, fees) tx ->

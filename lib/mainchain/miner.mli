@@ -21,7 +21,8 @@ val build_block :
     batch-verifies the candidates' proofs up front
     ({!Chain_state.prewarm_verifier}) and parallelises the commitment
     build and the aggregate; selection is identical for every domain
-    count.
+    count. Every candidate is trial-applied, so the cost grows with the
+    candidate list; [mc.scan.candidates] counts them.
 
     A block with at least one certificate carries one
     {!Zen_snark.Aggregate} of all their proofs, so validators verify a

@@ -47,11 +47,38 @@ let balance t id = Option.map (fun s -> s.balance) (find t id)
 
 let last_cert sc = match sc.certs with [] -> None | c :: _ -> Some c
 
-let cert_for_epoch sc ~epoch =
-  List.find_opt (fun c -> c.cert.Withdrawal_certificate.epoch_id = epoch) sc.certs
+(* Certificate records visited by the epoch searches below. *)
+let records_visited = Zen_obs.Counter.make "mc.scan.cert_records"
 
-let last_certified_epoch sc =
-  Option.map (fun c -> c.cert.Withdrawal_certificate.epoch_id) (last_cert sc)
+let epoch_of c = c.cert.Withdrawal_certificate.epoch_id
+
+(* [certs] holds strictly decreasing epoch ids, so both searches stop
+   at the first record for [epoch] or an older one: their cost is the
+   number of epochs certified since [epoch], not the history. *)
+let cert_for_epoch sc ~epoch =
+  let rec go = function
+    | [] -> None
+    | c :: rest ->
+      Zen_obs.Counter.incr records_visited;
+      if epoch_of c > epoch then go rest
+      else if epoch_of c = epoch then Some c
+      else None
+  in
+  go sc.certs
+
+(* [record] in the place of its epoch's record, or in its sorted place:
+   the newer records are copied, the older tail is shared. *)
+let with_record certs record =
+  let epoch = epoch_of record in
+  let rec go = function
+    | c :: rest when epoch_of c >= epoch ->
+      Zen_obs.Counter.incr records_visited;
+      if epoch_of c = epoch then record :: rest else c :: go rest
+    | older -> record :: older
+  in
+  go certs
+
+let last_certified_epoch sc = Option.map epoch_of (last_cert sc)
 
 let is_ceased_sc sc ~height =
   Epoch.ceased_at
@@ -232,12 +259,7 @@ let accept_cert ?(settled = Hash.Map.empty) t
     | Ok b -> Ok b
   in
   let record = { cert; included_in = block_hash; at_height = height } in
-  let certs =
-    record
-    :: List.filter
-         (fun c -> c.cert.Withdrawal_certificate.epoch_id <> cert.epoch_id)
-         sc.certs
-  in
+  let certs = with_record sc.certs record in
   Ok (update t cert.ledger_id { sc with balance; certs }, replaced)
 
 let check_withdrawal t ~(request : Mainchain_withdrawal.t) ~height =

@@ -38,7 +38,13 @@ val is_ceased : t -> Hash.t -> height:int -> bool
     sidechains are not "ceased" — they never existed. *)
 
 val last_cert : sc_state -> cert_record option
+
 val cert_for_epoch : sc_state -> epoch:int -> cert_record option
+(** The record for [epoch], if certified. [certs] holds strictly
+    decreasing epoch ids, so the search stops at the first record not
+    newer than [epoch]: it visits the epochs certified since [epoch]
+    plus one, not the whole history. Counts visited records into
+    [mc.scan.cert_records]. *)
 
 val credit_ft : t -> Forward_transfer.t -> height:int -> (t, string) result
 (** Applies a forward transfer: destination exists, is active and not
@@ -60,6 +66,14 @@ val accept_cert :
     through [block_hash_at]), safeguard. On success returns the state
     and the certificate record this one *replaces* (same epoch, lower
     quality), whose payouts the chain must claw back.
+
+    The new record takes the replaced record's place in [certs], or its
+    sorted place when there is none, so epoch ids stay strictly
+    decreasing even when overlapping windows let an older epoch be
+    replaced after a newer one was certified. Only the records newer
+    than its epoch are visited and copied; the older tail is shared.
+    For a record at least as new as every other this is
+    [record :: List.filter (fun c -> epoch c <> epoch record) certs].
 
     [settled] (default empty) maps the ids ({!Withdrawal_certificate.hash})
     of the certificates the enclosing block's verified aggregate

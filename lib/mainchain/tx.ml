@@ -19,7 +19,26 @@ type t =
   | Certificate of Withdrawal_certificate.t
   | Withdrawal_request of Mainchain_withdrawal.t
 
-let outpoint_encode o = Hash.to_raw o.txid ^ Printf.sprintf "%08x" o.vout
+(* The raw txid, then [vout] as [Printf "%08x"] would print it: for
+   [vout] in [0, 2^32) the 8 lowercase hex digits are written straight
+   into the key's buffer; outside that range (more digits, or a
+   negative index) the [Printf] form is kept. Every UTXO key,
+   duplicate-input check, sighash and txid goes through here. *)
+let hex_digits = "0123456789abcdef"
+
+let outpoint_encode o =
+  let raw = Hash.to_raw o.txid in
+  let v = o.vout in
+  if v < 0 || v >= 0x1_0000_0000 then raw ^ Printf.sprintf "%08x" v
+  else begin
+    let n = String.length raw in
+    let b = Bytes.create (n + 8) in
+    Bytes.blit_string raw 0 b 0 n;
+    for i = 0 to 7 do
+      Bytes.unsafe_set b (n + i) hex_digits.[(v lsr (28 - (4 * i))) land 15]
+    done;
+    Bytes.unsafe_to_string b
+  end
 
 let coin_output_encode (c : coin_output) =
   Hash.to_raw c.addr ^ string_of_int (Amount.to_int c.amount)

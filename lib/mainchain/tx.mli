@@ -44,3 +44,5 @@ val transfer_value_out : output list -> (Amount.t, string) result
 val forward_transfers : t -> Forward_transfer.t list
 
 val outpoint_encode : outpoint -> string
+(** The canonical key: the raw txid followed by [Printf.sprintf "%08x"
+    vout] (8 lowercase hex digits for [vout] in [\[0, 2^32)]). *)

@@ -29,6 +29,15 @@ val apply_batch : t -> (Tx.outpoint * coin option) list -> t
 
 val coins_of_addr : t -> Hash.t -> (Tx.outpoint * coin) list
 (** All coins held by one address, served from a per-address secondary
-    index maintained by every write: O(log n + k) for k coins
+    index maintained by every write: O(log n + k log k) for k coins
     rather than a scan of the full set. Result identical (same coins,
-    same order) to the naive filter-fold over the whole set. *)
+    same order: outpoint key descending) to the naive filter-fold over
+    the whole set. *)
+
+val coins_by_value : t -> Hash.t list -> (Tx.outpoint * coin) Seq.t
+(** The coins of the given addresses, lazily, in coin-selection order:
+    amount descending, then outpoint key ({!Tx.outpoint_encode})
+    descending — the order of a stable sort by amount of the
+    {!coins_of_addr} lists merged. The per-address index is kept in
+    that order, so taking the first [j] coins of [a] addresses costs
+    O(a log n + j a), whatever the addresses hold. *)

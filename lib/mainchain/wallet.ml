@@ -25,24 +25,24 @@ let change_address t =
   | k :: _ -> k.addr
   | [] -> invalid_arg "Wallet.change_address: no key yet"
 
-(* Per-address index queries instead of a full-set scan; the final sort
-   (outpoint keys are unique) restores the exact order the historical
-   whole-set fold produced, so coin selection downstream is unchanged. *)
-let spendable_coins t (state : Chain_state.t) =
-  List.concat_map
-    (fun addr ->
-      List.filter
-        (fun (_, (c : Utxo_set.coin)) -> state.height + 1 > c.spendable_after)
-        (Utxo_set.coins_of_addr state.utxos addr))
-    (addresses t)
-  |> List.sort (fun (a, _) (b, _) ->
-         String.compare (Tx.outpoint_encode b) (Tx.outpoint_encode a))
+(* Coins examined by coin selection: every coin picked plus every
+   immature coin skipped on the way. *)
+let coins_examined = Zen_obs.Counter.make "mc.scan.wallet_coins"
+
+(* The wallet's spendable coins in selection order, read from the
+   index only as far as the caller goes. *)
+let spendable_by_value t (state : Chain_state.t) =
+  Seq.filter
+    (fun (_, (c : Utxo_set.coin)) ->
+      Zen_obs.Counter.incr coins_examined;
+      state.height + 1 > c.spendable_after)
+    (Utxo_set.coins_by_value state.utxos (addresses t))
 
 let balance t state =
-  List.fold_left
+  Seq.fold_left
     (fun acc (_, (c : Utxo_set.coin)) ->
       match Amount.add acc c.amount with Ok v -> v | Error _ -> acc)
-    Amount.zero (spendable_coins t state)
+    Amount.zero (spendable_by_value t state)
 
 let sign_for t ~addr ~msg =
   Option.map (fun k -> (k.pk, Schnorr.sign k.sk msg)) (key_for t addr)
@@ -51,21 +51,18 @@ let build_transfer t state ~outputs ~fee =
   let ( let* ) = Result.bind in
   let* target = Tx.transfer_value_out outputs in
   let* need = Amount.add target fee in
-  (* Greedy largest-first selection. *)
-  let coins =
-    List.sort
-      (fun (_, (a : Utxo_set.coin)) (_, (b : Utxo_set.coin)) ->
-        Amount.compare b.amount a.amount)
-      (spendable_coins t state)
+  (* Greedy largest-first selection, reading coins only until [need]
+     is covered. *)
+  let rec pick acc total coins =
+    if Amount.( <= ) need total then Ok (acc, total)
+    else
+      match coins () with
+      | Seq.Nil -> Error "wallet: insufficient funds"
+      | Seq.Cons ((o, (c : Utxo_set.coin)), rest) ->
+        let* total = Amount.add total c.amount in
+        pick ((o, c) :: acc) total rest
   in
-  let rec pick acc total = function
-    | _ when Amount.( <= ) need total -> Ok (acc, total)
-    | [] -> Error "wallet: insufficient funds"
-    | (o, (c : Utxo_set.coin)) :: rest ->
-      let* total = Amount.add total c.amount in
-      pick ((o, c) :: acc) total rest
-  in
-  let* picked, total = pick [] Amount.zero coins in
+  let* picked, total = pick [] Amount.zero (spendable_by_value t state) in
   let* change = Amount.sub total need in
   let outputs =
     if Amount.is_zero change then outputs

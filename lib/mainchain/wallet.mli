@@ -23,7 +23,8 @@ val change_address : t -> Hash.t
     before the first {!fresh_address}. *)
 
 val balance : t -> Chain_state.t -> Amount.t
-(** Spendable balance at the chain tip (maturity respected). *)
+(** Spendable balance at the chain tip (maturity respected). Reads
+    every coin of the wallet's addresses. *)
 
 val build_transfer :
   t ->
@@ -32,7 +33,14 @@ val build_transfer :
   fee:Amount.t ->
   (Tx.t, string) result
 (** Coin selection over the wallet's spendable UTXOs, adds a change
-    output back to the wallet, signs every input. *)
+    output back to the wallet, signs every input. Selection is greedy,
+    largest first: coins in amount-descending order, ties by outpoint
+    key ({!Tx.outpoint_encode}) descending, until [outputs] plus [fee]
+    is covered; ["wallet: insufficient funds"] when the spendable
+    coins run out first. The coins come from
+    {!Utxo_set.coins_by_value}, so the cost is the coins picked plus
+    the immature coins skipped on the way, not what the addresses
+    hold; each counts into [mc.scan.wallet_coins]. *)
 
 val build_forward_transfer :
   t ->
