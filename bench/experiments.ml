@@ -454,7 +454,7 @@ let e7_wcert_verification () =
         in
         let t =
           Util.time_per_run ~budget:0.2 ~min_runs:1 (fun () ->
-              Zen_baselines.Direct_validation.replay_epoch ~params ~initial ~txs)
+              Zen_baselines.Direct_validation.replay_epoch ~initial ~txs)
         in
         [
           "direct validation";

@@ -79,9 +79,11 @@ let () =
   let chain, outcome = ok (Chain.add_block h.chain b2) in
   h.chain <- chain;
   (match outcome with
-  | Chain.Reorg { depth; _ } ->
-    say "A competing miner published a longer branch: REORG of depth %d; \
-         block %s is now orphaned." depth (Hash.short_hex orphaned_tip)
+  | Chain.Reorg { disconnected; connected; _ } ->
+    say "A competing miner published a longer branch: REORG of depth %d \
+         (%d blocks connected); block %s is now orphaned."
+      (List.length disconnected) (List.length connected)
+      (Hash.short_hex orphaned_tip)
   | _ -> failwith "expected a reorg");
 
   (* The next forging round reconciles. *)

@@ -1,6 +1,6 @@
 open Zen_latus
 
-let replay_epoch ~params:_ ~initial ~txs =
+let replay_epoch ~initial ~txs =
   List.fold_left
     (fun acc tx -> Result.bind acc (fun st -> Sc_tx.apply st tx))
     (Ok initial) txs

@@ -9,7 +9,6 @@
     against the constant SNARK verification. *)
 
 val replay_epoch :
-  params:Zen_latus.Params.t ->
   initial:Zen_latus.Sc_state.t ->
   txs:Zen_latus.Sc_tx.t list ->
   (Zen_latus.Sc_state.t, string) result

@@ -11,7 +11,11 @@ type t = {
 type outcome =
   | Extended_tip
   | Side_branch
-  | Reorg of { old_tip : Hash.t; depth : int }
+  | Reorg of {
+      old_tip : Hash.t;
+      disconnected : Block.t list;
+      connected : Block.t list;
+    }
 
 let create ?(params = Chain_state.default_params) ~time () =
   let g = Block.genesis ~time in
@@ -28,27 +32,37 @@ let height t = (tip_state t).height
 
 let block t h = Option.map (fun n -> n.block) (Hash.Map.find_opt h t.nodes)
 
-(* Blocks visited by [reorg_depth]'s walk. *)
+(* Whether [state]'s chain holds block [h] at [height]. *)
+let holds state h ~height =
+  match Chain_state.block_hash_at state height with
+  | Some bh -> Hash.equal bh h
+  | None -> false
+
+(* Blocks visited by [fork_diff]'s walk back from the old tip. *)
 let ancestors_walked = Zen_obs.Counter.make "mc.scan.ancestors"
 
-(* Depth of the reorg: how many blocks of the old best chain are not
-   ancestors of the new tip. The new tip's state indexes its chain by
-   height, so the walk back from [old_tip] stops at the first block
-   that chain holds at that block's height, the common ancestor: it
-   visits the abandoned blocks plus one, not the history. *)
-let reorg_depth t ~old_tip ~new_tip =
+(* What a reorg from [old_tip] to [new_tip] disconnected and connected,
+   both oldest first. The new tip's state indexes its chain by height,
+   so the walk back from [old_tip] stops at the first block that chain
+   holds at that block's height, the common ancestor: it visits the
+   abandoned blocks plus one, not the history. The connected blocks are
+   the new tip's ancestors above that height. *)
+let fork_diff t ~old_tip ~new_tip =
   let new_chain = (node_exn t new_tip).state in
-  let rec count h n =
-    match Hash.Map.find_opt h t.nodes with
-    | None -> n
-    | Some node ->
-      Zen_obs.Counter.incr ancestors_walked;
-      let height = node.block.header.height in
-      match Chain_state.block_hash_at new_chain height with
-      | Some bh when Hash.equal bh h -> n
-      | Some _ | None -> count node.block.header.prev (n + 1)
+  let rec abandoned h acc =
+    let node = node_exn t h in
+    Zen_obs.Counter.incr ancestors_walked;
+    let height = node.block.header.height in
+    if holds new_chain h ~height then (height, acc)
+    else abandoned node.block.header.prev (node.block :: acc)
   in
-  count old_tip 0
+  let fork_height, disconnected = abandoned old_tip [] in
+  let rec connected h acc =
+    let node = node_exn t h in
+    if node.block.header.height <= fork_height then acc
+    else connected node.block.header.prev (node.block :: acc)
+  in
+  (disconnected, connected new_tip [])
 
 let add_block ?pool t (b : Block.t) =
   let h = Block.hash b in
@@ -68,54 +82,17 @@ let add_block ?pool t (b : Block.t) =
           let outcome =
             if Hash.equal b.header.prev t.tip then Extended_tip
             else
-              Reorg
-                { old_tip = t.tip; depth = reorg_depth t' ~old_tip:t.tip ~new_tip:h }
+              let disconnected, connected =
+                fork_diff t' ~old_tip:t.tip ~new_tip:h
+              in
+              Reorg { old_tip = t.tip; disconnected; connected }
           in
           Ok ({ t' with tip = h }, outcome)
         end
         else Ok (t', Side_branch))
   end
 
-(* What a reorg disconnected and connected, both oldest first. Walking
-   from [old_tip] until a block on the (new) best chain gives the
-   abandoned suffix; the replacing blocks are the best-chain suffix
-   above the common ancestor. Used by the harness to rebuild the
-   mempool (Mempool.reinject_disconnected). *)
-let reorg_diff t ~old_tip =
-  let on_best h =
-    match Hash.Map.find_opt h t.nodes with
-    | None -> false
-    | Some n -> (
-      match Chain_state.block_hash_at (tip_state t) n.block.header.height with
-      | Some bh -> Hash.equal bh h
-      | None -> false)
-  in
-  let rec abandoned h acc =
-    match Hash.Map.find_opt h t.nodes with
-    | None -> acc
-    | Some n ->
-      if on_best h then acc
-      else abandoned n.block.header.prev (n.block :: acc)
-  in
-  let disconnected = abandoned old_tip [] in
-  let fork_height =
-    match disconnected with
-    | [] -> (tip_state t).height
-    | b :: _ -> b.header.height - 1
-  in
-  let rec connected h acc =
-    match Hash.Map.find_opt h t.nodes with
-    | None -> acc
-    | Some n ->
-      if n.block.header.height <= fork_height then acc
-      else connected n.block.header.prev (n.block :: acc)
-  in
-  (disconnected, connected t.tip [])
-
 let on_best_chain t h =
   match Hash.Map.find_opt h t.nodes with
   | None -> false
-  | Some n -> (
-    match Chain_state.block_hash_at (tip_state t) n.block.header.height with
-    | Some bh -> Hash.equal bh h
-    | None -> false)
+  | Some n -> holds (tip_state t) h ~height:n.block.header.height

@@ -13,9 +13,18 @@ type t
 type outcome =
   | Extended_tip
   | Side_branch  (** valid, stored, but not the best chain *)
-  | Reorg of { old_tip : Hash.t; depth : int }
-      (** the new block's branch overtook; [depth] is the number of
-          blocks abandoned from the old best chain *)
+  | Reorg of {
+      old_tip : Hash.t;
+      disconnected : Block.t list;
+      connected : Block.t list;
+    }
+      (** the new block's branch overtook. Both lists are oldest first:
+          [disconnected] holds the old best chain's blocks above the
+          common ancestor, [connected] the new best chain's blocks that
+          replaced them (the new block last). The reorg's depth is
+          [List.length disconnected]; the transactions of
+          [disconnected] minus those [connected] re-included are what
+          a mempool must recover ({!Mempool.reinject_disconnected}). *)
 
 val create : ?params:Chain_state.params -> time:int -> unit -> t
 val params : t -> Chain_state.params
@@ -36,18 +45,11 @@ val add_block : ?pool:Pool.t -> t -> Block.t -> (t * outcome, string) result
     commitment rebuild; outcomes are identical for every domain
     count.
 
-    A {!Reorg}'s [depth] walks back from the old tip only to the
-    common ancestor, looked up in the new tip's height index: it costs
-    the abandoned blocks plus one, not the chain's length. Visited
-    blocks count into [mc.scan.ancestors]. *)
+    A {!Reorg}'s lists come from one fork walk: back from the old tip
+    to the common ancestor, found in the new tip's height index, then
+    down from the new tip to that ancestor's height. It costs the
+    abandoned blocks plus one (counted into [mc.scan.ancestors]) and
+    the connected blocks, not the chain's length. *)
 
 val on_best_chain : t -> Hash.t -> bool
 (** Whether a block hash lies on the current best chain. *)
-
-val reorg_diff : t -> old_tip:Hash.t -> Block.t list * Block.t list
-(** [(disconnected, connected)] relative to the current tip, both
-    oldest first: the blocks of the abandoned branch from [old_tip]
-    down to (excluding) the common ancestor, and the best-chain blocks
-    that replaced them. Call it right after an {!add_block} that
-    returned {!Reorg} — the transactions of [disconnected] minus those
-    re-included by [connected] are what a mempool must recover. *)

@@ -266,8 +266,11 @@ let agg_rejected = Zen_obs.Counter.make "mc.aggregate.rejected"
 
 (* Validate a block-level certificate aggregate against this (pre-block)
    state: recompute the expected leaves for the block's certificates in
-   order, require exact coverage (count and merge root), then run the
-   single proof verification. Returns what the aggregate settles: each
+   order, require the merge root to cover exactly them, then run the
+   single proof verification. [Block.validate_structure], which
+   [apply_block] runs first on the same transactions, has already
+   refused an aggregate over no certificate or over another count.
+   Returns what the aggregate settles: each
    covered certificate's id, mapped to the proof bytes its leaf bound.
    Any failure REJECTS the block — an aggregated block never silently
    degrades to per-certificate verification, because a miner could
@@ -293,15 +296,6 @@ let settle_aggregate t txs agg =
       (Ok []) txs
   in
   let leaves = List.rev leaves_rev in
-  let* () =
-    if leaves = [] then
-      Error "block: aggregate over a block with no certificates"
-    else Ok ()
-  in
-  let* () =
-    if Zen_snark.Aggregate.count agg = List.length leaves then Ok ()
-    else Error "block: aggregate certificate count mismatch"
-  in
   let* () =
     let expected =
       Zen_snark.Aggregate.root_of_digests

@@ -64,8 +64,9 @@ val apply_block :
 
     When the block carries a certificate aggregate, validation runs
     exactly {e one} SNARK verification for all its certificates: the
-    expected leaves are recomputed from this state, coverage (count and
-    merge root) is checked, and the aggregate proof is verified through
+    expected leaves are recomputed from this state, the merge root is
+    checked against them (the count was checked with the structure),
+    and the aggregate proof is verified through
     the cache; the per-certificate verifications are then skipped as
     settled, each only for the proof bytes its leaf bound. Each
     certificate, tree node and length frame is hashed once: no job key
@@ -76,7 +77,8 @@ val apply_block :
     Accept/reject decisions are identical to the per-certificate path
     by construction. Blocks without an aggregate validate exactly as
     before. The aggregated path counts into [mc.aggregate.blocks],
-    [.certs_settled], [.proof_checks] and [.rejected] ({!Zen_obs}
+    [.certs_settled], [.proof_checks] and [.rejected] (a defect found
+    after the structure check; {!Zen_obs}
     counters; the CI smoke job asserts [proof_checks = blocks], i.e.
     one proof per block). *)
 

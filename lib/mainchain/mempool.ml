@@ -10,7 +10,6 @@ module type S = sig
   val remove_txs : t -> elt list -> t
   val reinject_front : t -> elt list -> t
   val txs : t -> elt list
-  val mem : t -> Hash.t -> bool
   val size : t -> int
 end
 
@@ -82,7 +81,6 @@ module Make (T : sig type t val txid : t -> Hash.t end) = struct
     { order = t.order @ fresh; ids; count = t.count + List.length fresh }
 
   let txs t = List.rev_map snd t.order
-  let mem t id = Hash.Set.mem id t.ids
   let size t = t.count
 end
 

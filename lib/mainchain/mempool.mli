@@ -31,7 +31,6 @@ module type S = sig
   val txs : t -> elt list
   (** FIFO order (oldest first). *)
 
-  val mem : t -> Hash.t -> bool
   val size : t -> int
 end
 
@@ -47,10 +46,11 @@ val remove_included : t -> Block.t -> t
 
 val reinject_disconnected :
   t -> disconnected:Block.t list -> connected:Block.t list -> t
-(** Rebuilds the pool after a reorg ({!Chain.reorg_diff} supplies both
-    lists): every non-coinbase transaction of the [disconnected] branch
-    that the [connected] branch did not re-include returns to the pool,
-    oldest block first, so nothing a reorg abandoned is silently lost.
+(** Rebuilds the pool after a reorg (a {!Chain.Reorg} outcome carries
+    both lists): every non-coinbase transaction of the [disconnected]
+    branch that the [connected] branch did not re-include returns to the
+    pool, oldest block first, so nothing a reorg abandoned is silently
+    lost.
     Validity is re-checked at the usual places (miner selection, block
     application) — a recovered transaction that became invalid on the
     new branch is simply never selected. *)

@@ -36,10 +36,6 @@ type workload_driver = {
   mutable wl_injected : int;
 }
 
-(* Certificate txids under fault management: a set, so membership is a
-   hash lookup instead of a list scan. *)
-type cert_set = (Hash.t, unit) Hashtbl.t
-
 type t = {
   mutable chain : Chain.t;
   mutable mempool : Mempool.t;
@@ -52,7 +48,6 @@ type t = {
   log : Zen_obs.Events.t;
   faults : Faults.t option;
   mutable pending_certs : (int * Tx.t) list;
-  managed_certs : cert_set;
   scores : (string * int, score) Hashtbl.t;
   mutable reorgs : (int * int) list; (* (tick, depth), newest first *)
   mutable workload : workload_driver option;
@@ -84,7 +79,6 @@ let create ?(pool = Pool.sequential) ?(aggregate = true) ?(pipeline = true)
     log = Zen_obs.Events.create ();
     faults;
     pending_certs = [];
-    managed_certs = Hashtbl.create 16;
     scores = Hashtbl.create 16;
     reorgs = [];
     workload = None;
@@ -123,26 +117,11 @@ let score_of t sc ~epoch =
    cease a healthy sidechain). *)
 let handle_outcome t = function
   | Chain.Extended_tip | Chain.Side_branch -> ()
-  | Chain.Reorg { old_tip; depth } ->
-    let disconnected, connected = Chain.reorg_diff t.chain ~old_tip in
+  | Chain.Reorg { disconnected; connected; _ } ->
+    let depth = List.length disconnected in
     let before = Mempool.size t.mempool in
     t.mempool <-
       Mempool.reinject_disconnected t.mempool ~disconnected ~connected;
-    (* Reinjected certificates may be stale (their node already
-       archived the epoch); track them so copies the miner later skips
-       get purged instead of polluting the pool forever. *)
-    List.iter
-      (fun (b : Block.t) ->
-        List.iter
-          (fun tx ->
-            match tx with
-            | Tx.Certificate _ ->
-              let id = Tx.txid tx in
-              if Mempool.mem t.mempool id then
-                Hashtbl.replace t.managed_certs id ()
-            | _ -> ())
-          b.txs)
-      disconnected;
     let reinjected = Mempool.size t.mempool - before in
     t.reorgs <- (t.time, depth) :: t.reorgs;
     Zen_obs.Trace.instant ~cat:"sim"
@@ -153,7 +132,7 @@ let handle_outcome t = function
         ]
       "sim.reorg";
     logf t "reorg depth %d: %d blocks disconnected, %d txs reinjected" depth
-      (List.length disconnected) reinjected
+      depth reinjected
 
 let mine t =
   t.time <- t.time + 1;
@@ -171,19 +150,14 @@ let mine t =
       t.chain <- chain;
       t.mempool <- Mempool.remove_included t.mempool block;
       handle_outcome t outcome;
-      (* Fault-managed certificates the miner skipped are stale
-         (reinjected across an epoch boundary, or duplicate
-         resubmissions): drop them from the pool. *)
+      (* Every certificate the miner skips leaves the pool, whoever
+         submitted it: its node rebuilds and resubmits while the epoch
+         can still be certified. *)
       List.iter
-        (fun tx ->
-          match tx with
-          | Tx.Certificate _ ->
-            let id = Tx.txid tx in
-            if Hashtbl.mem t.managed_certs id then begin
-              t.mempool <- Mempool.remove t.mempool id;
-              Hashtbl.remove t.managed_certs id;
-              logf t "purged stale certificate from mempool"
-            end
+        (function
+          | Tx.Certificate _ as tx ->
+            t.mempool <- Mempool.remove t.mempool (Tx.txid tx);
+            logf t "purged stale certificate from mempool"
           | _ -> ())
         skipped)
 
@@ -458,12 +432,6 @@ let submit_certificate t sc =
       logf t "%s certificate error: %s" sc.name e
     | Ok None -> ()
     | Ok (Some cert_tx) -> (
-      (* Every harness-submitted certificate is managed: if the miner
-         ever skips it as invalid (window closed, quality not beaten,
-         already accepted on another branch) it is purged — the node
-         rebuilds and resubmits while the epoch is still certifiable,
-         so nothing lingers in the mempool. *)
-      Hashtbl.replace t.managed_certs (Tx.txid cert_tx) ();
       match cert_fault with
       | Some (f, epoch, Faults.Drop) ->
         if Faults.fire f (Printf.sprintf "drop@%d:%s" epoch sc.name) then

@@ -34,10 +34,6 @@ type score = {
     [delayed] when postponed (its eventual delivery is not re-counted);
     [duplicated] counts the extra copies a [Duplicate] fault queued. *)
 
-type cert_set
-(** The harness's private bookkeeping of certificates it purges from
-    the mempool once the miner skips them as stale. *)
-
 type t = {
   mutable chain : Chain.t;
   mutable mempool : Mempool.t;
@@ -61,13 +57,12 @@ type t = {
   mutable pending_certs : (int * Tx.t) list;
       (** certificate submissions a Delay/Duplicate fault postponed:
           [(deliver_at_tick, tx)] *)
-  managed_certs : cert_set;  (** internal to the harness *)
   scores : (string * int, score) Hashtbl.t;
       (** the flight recorder, keyed by (sidechain name, epoch) —
           filled lazily as certificate events happen *)
   mutable reorgs : (int * int) list;
       (** every reorg the harness processed, as [(tick, depth)], newest
-          first *)
+          first; [depth] is the number of blocks disconnected *)
   mutable workload : workload_driver option;
       (** live-traffic driver, attached by {!set_workload} *)
 }
@@ -97,8 +92,12 @@ val create :
     [Invalid_argument] (ROADMAP item 1). *)
 
 val mine : t -> unit
-(** One MC block from the current mempool. On a reorg outcome the
-    mempool is rebuilt from {!Chain.reorg_diff} via
+(** One MC block from the current mempool. Every certificate the miner
+    skips leaves the pool, logged as a purged stale certificate: its
+    window closed, its quality is beaten or its epoch is not next, and
+    its node rebuilds and resubmits while the epoch can still be
+    certified. On a reorg outcome the
+    mempool is rebuilt from the {!Chain.Reorg} lists via
     {!Mempool.reinject_disconnected}, so abandoned transactions are
     re-mined instead of silently lost. *)
 
@@ -110,7 +109,9 @@ val force_reorg : t -> depth:int -> unit
     [reorg@tick:dN]. *)
 
 val submit : t -> Tx.t -> unit
-(** Adds a transaction to the mempool (included by the next {!mine}). *)
+(** Adds a transaction to the mempool (included by the next {!mine}).
+    A certificate the miner then skips leaves the pool, as one a node
+    submitted through {!tick} does. *)
 
 val fund : t -> blocks:int -> unit
 (** Mines empty blocks so the harness wallet has mature coins. *)

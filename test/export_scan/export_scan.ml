@@ -70,7 +70,7 @@ let allow =
       [ "reinject_front"; "remove_txs" ],
       "Mempool.S, shared with Sc_mempool, whose node calls them" );
     ( "lib/latus/sc_mempool.mli",
-      [ "mem"; "remove" ],
+      [ "remove" ],
       "Mempool.S, shared with the mainchain Mempool, whose callers use them" );
     ( "lib/obs/clock.mli",
       [ "set"; "reset" ],

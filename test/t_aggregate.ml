@@ -271,8 +271,14 @@ let test_wire_roundtrip_with_aggregate () =
             decoded))
 
 (* Every tampered-aggregate shape must REJECT the block — never fall
-   back to per-certificate validation. *)
+   back to per-certificate validation. The two coverage refusals (no
+   certificates, another count) come from [Block.validate_structure]
+   before any aggregate is settled, so [mc.aggregate.rejected] counts
+   only the others. *)
 let test_tampered_aggregate_rejects_block () =
+  Zen_obs.Registry.reset ();
+  Fun.protect ~finally:Zen_obs.Registry.reset @@ fun () ->
+  Zen_obs.Registry.with_enabled @@ fun () ->
   let h, _, _ = world "agg-tamper" in
   let b =
     match
@@ -295,8 +301,19 @@ let test_tampered_aggregate_rejects_block () =
       true
       (contains ~affix:expected e)
   in
+  let rejected () =
+    Zen_obs.Counter.value (Zen_obs.Counter.make "mc.aggregate.rejected")
+  in
+  let refused_by_structure name expected block =
+    let before = rejected () in
+    Alcotest.(check string)
+      name expected
+      (err (Chain.add_block h.Harness.chain block));
+    checki (name ^ ": not counted as rejected") before (rejected ())
+  in
   let sys = Aggregate.shared () in
   let decoy = ok (Aggregate.build sys (passing [ leaf 7 ])) in
+  let settled_rejections = rejected () in
   (* proof for another statement, consistently committed in the header *)
   rejects "forged proof" "aggregate proof rejected"
     (reassemble
@@ -309,12 +326,24 @@ let test_tampered_aggregate_rejects_block () =
        (Some
           (Aggregate.of_parts ~root:(Aggregate.root decoy)
              ~count:(Aggregate.count agg) ~proof:(Aggregate.proof decoy))));
+  checki "forged proof and wrong root counted" (settled_rejections + 2)
+    (rejected ());
   (* count disagrees with the block's certificates *)
-  rejects "wrong count" "count mismatch"
+  refused_by_structure "wrong count"
+    "block: aggregate certificate count mismatch"
     (reassemble
        (Some
           (Aggregate.of_parts ~root:(Aggregate.root agg)
              ~count:(Aggregate.count agg + 1) ~proof:(Aggregate.proof agg))));
+  (* an aggregate over a block that carries no certificate *)
+  refused_by_structure "no certificates"
+    "block: aggregate over a block with no certificates"
+    (ok
+       (Block.assemble ~aggregate:agg ~prev:b.header.prev
+          ~height:b.header.height ~time:b.header.time
+          ~txs:
+            (List.filter (function Tx.Certificate _ -> false | _ -> true) b.txs)
+          ~pow ()));
   (* header commits, body omits *)
   rejects "stripped body" "missing aggregate"
     { Block.header = b.header; txs = b.txs; aggregate = None };

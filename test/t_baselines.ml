@@ -72,7 +72,7 @@ let test_direct_validation_replays () =
       (Zen_latus.Sc_wallet.build_backward_transfer w st0 ~utxo:coin
          ~mc_receiver:(Hash.of_string "mc"))
   in
-  match Direct_validation.replay_epoch ~params ~initial:st0 ~txs:[ tx ] with
+  match Direct_validation.replay_epoch ~initial:st0 ~txs:[ tx ] with
   | Error e -> Alcotest.fail e
   | Ok final ->
     checkb "the replay derives the withdrawal" true

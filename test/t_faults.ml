@@ -20,6 +20,9 @@ let amount n = Amount.of_int_exn n
 let params = Params.default
 let family = Circuits.make params
 
+let pooled (h : Harness.t) id =
+  List.exists (fun tx -> Hash.equal (Tx.txid tx) id) (Mempool.txs h.mempool)
+
 (* ---- plan codec ---- *)
 
 let test_plan_codec () =
@@ -243,15 +246,15 @@ let test_reorg_reinjects_mempool () =
     List.length
       (Utxo_set.coins_of_addr (Chain.tip_state h.chain).utxos receiver)
   in
-  checkb "tx mined" false (Mempool.mem h.mempool id);
+  checkb "tx mined" false (pooled h id);
   checki "paid" 1 (paid ());
   (* an adversarial branch abandons the block carrying the transfer *)
   Harness.force_reorg h ~depth:1;
   checki "payment reorged away" 0 (paid ());
-  checkb "tx back in mempool" true (Mempool.mem h.mempool id);
+  checkb "tx back in mempool" true (pooled h id);
   (* the next block re-mines it *)
   Harness.mine h;
-  checkb "re-mined" false (Mempool.mem h.mempool id);
+  checkb "re-mined" false (pooled h id);
   checki "paid again" 1 (paid ())
 
 let test_reinject_skips_reincluded () =
@@ -389,6 +392,117 @@ let test_duplicate_queues_copies () =
           (String.equal "fault: postponed certificate submitted")
           (Harness.dump_log h)))
 
+(* ---- every certificate the miner skips leaves the pool ---- *)
+
+(* The world [chaos --plan dup@1:x4 --ticks 40] runs: seed chaos.42,
+   one sidechain with 4-block epochs and 5-block windows, two FTs. Four
+   extra copies of epoch 1's certificate arrive one tick apart, after
+   the first was mined. *)
+let dup_world () =
+  let faults = Faults.create (ok (Faults.plan_of_string "dup@1:x4")) in
+  let h = Harness.create ~faults ~seed:"chaos.42" () in
+  Harness.fund h ~blocks:5;
+  let sc =
+    ok
+      (Harness.add_latus h ~name:"sc" ~family ~epoch_len:4 ~submit_len:5
+         ~activation_delay:1 ())
+  in
+  let user = Sc_wallet.fresh_address (Sc_wallet.create ~seed:"chaos.42.user") in
+  for i = 1 to 2 do
+    ok
+      (Harness.forward_transfer h sc ~receiver:user ~payback:user
+         ~amount:(amount (i * 1_000_000)))
+  done;
+  (h, sc)
+
+let cert_ids txs =
+  List.filter_map
+    (function Tx.Certificate _ as tx -> Some (Tx.txid tx) | _ -> None)
+    txs
+
+let tip_block (h : Harness.t) =
+  Option.get (Chain.block h.chain (Chain.tip_hash h.chain))
+
+let purges h =
+  List.length
+    (List.filter
+       (String.equal "purged stale certificate from mempool")
+       (Harness.dump_log h))
+
+(* Each tick's mine sees the pool the last tick left plus the copies
+   due this tick; every certificate among them that the block did not
+   include was skipped, and must be gone once the tick is over. A pool
+   that kept a re-delivered copy skipped it in every later block. *)
+let test_skipped_certificates_leave_pool () =
+  let h, sc = dup_world () in
+  for _ = 1 to 40 do
+    let tick_no = h.time + 1 in
+    let due =
+      List.filter_map
+        (fun (at, tx) -> if at <= tick_no then Some tx else None)
+        h.pending_certs
+    in
+    let candidates = cert_ids (Mempool.txs h.mempool @ due) in
+    Harness.tick h;
+    let included = cert_ids (tip_block h).txs in
+    let kept =
+      List.filter
+        (fun id -> (not (List.exists (Hash.equal id) included)) && pooled h id)
+        candidates
+    in
+    if kept <> [] then
+      Alcotest.failf "tick %d: %d skipped certificate(s) still pooled" tick_no
+        (List.length kept)
+  done;
+  checki "three stale copies purged" 3 (purges h);
+  let certified =
+    List.length
+      (Option.get (Sc_ledger.find (Chain.tip_state h.chain).scs sc.ledger_id))
+        .certs
+  in
+  checki "epochs certified" 10 certified;
+  checki "MC height" 48 (Chain.height h.chain);
+  checkb "not ceased" false (Harness.is_ceased h sc)
+
+(* A certificate that reaches the pool through [Harness.submit], not
+   through a node's round in [Harness.tick]: epoch 0's certificate,
+   built by its node while the harness withholds it, and submitted one
+   block after its window closed. *)
+let test_submitted_certificate_leaves_pool () =
+  let h = Harness.create ~seed:"faults.submit" () in
+  Harness.fund h ~blocks:5;
+  let sc =
+    ok
+      (Harness.add_latus h ~name:"sc" ~family ~epoch_len:4 ~submit_len:2
+         ~activation_delay:1 ())
+  in
+  sc.withhold_certs <- true;
+  let rec build n =
+    if n = 0 then Alcotest.fail "epoch 0's certificate was never built"
+    else begin
+      Harness.tick h;
+      match ok (Node.build_certificate sc.node ~mc:h.chain) with
+      | Some tx -> tx
+      | None -> build (n - 1)
+    end
+  in
+  let cert = build 12 in
+  let _, window_end =
+    Epoch.submission_window (Epoch.of_config sc.config) ~epoch:0
+  in
+  while Chain.height h.chain < window_end do
+    Harness.tick h
+  done;
+  let id = Tx.txid cert in
+  let before = purges h in
+  Harness.submit h cert;
+  checkb "pooled" true (pooled h id);
+  Harness.mine h;
+  checkb "skipped" false
+    (List.exists (Hash.equal id) (cert_ids (tip_block h).txs));
+  checkb "left the pool" false (pooled h id);
+  checki "one purge logged" (before + 1) (purges h)
+
 (* ---- a rebuilt certificate replaces the node's epoch archive ---- *)
 
 (* Epoch 0 (MC heights 7..12) gets an FT at height 11 and is certified;
@@ -485,6 +599,10 @@ let suite =
       Alcotest.test_case "storm deterministic" `Quick test_storm_deterministic;
       Alcotest.test_case "duplicate queues its copies" `Quick
         test_duplicate_queues_copies;
+      Alcotest.test_case "skipped certificates leave the pool" `Quick
+        test_skipped_certificates_leave_pool;
+      Alcotest.test_case "submitted certificate leaves the pool" `Quick
+        test_submitted_certificate_leaves_pool;
       Alcotest.test_case "certificate gap rejected" `Quick
         test_certificate_gap_rejected;
       Alcotest.test_case "cert at window end" `Quick test_cert_at_window_end;

@@ -172,9 +172,14 @@ let test_fork_choice_and_reorg () =
   let c, o2 = ok (Chain.add_block !chain b2) in
   chain := c;
   (match o2 with
-  | Chain.Reorg { old_tip; depth } ->
+  | Chain.Reorg { old_tip; disconnected; connected } ->
     checkb "old tip recorded" true (Hash.equal old_tip tip_a);
-    checki "reorg depth" 1 depth
+    let hashes = List.map Block.hash in
+    checkb "the old tip is the one block disconnected" true
+      (List.equal Hash.equal [ tip_a ] (hashes disconnected));
+    checkb "both branch blocks connected, oldest first" true
+      (List.equal Hash.equal [ Block.hash b1; Block.hash b2 ]
+         (hashes connected))
   | _ -> Alcotest.fail "expected reorg");
   checki "new height" 5 (Chain.height !chain);
   checkb "old tip off best chain" false (Chain.on_best_chain !chain tip_a)
@@ -278,7 +283,8 @@ let test_mempool () =
   let m = Mempool.add Mempool.empty tx in
   let m = Mempool.add m tx in
   checki "dedup" 1 (Mempool.size m);
-  checkb "mem" true (Mempool.mem m (Tx.txid tx));
+  checkb "pooled" true
+    (List.map Tx.txid (Mempool.txs m) = [ Tx.txid tx ]);
   let block =
     ok
       (Block.assemble ~prev:Hash.zero ~height:1 ~time:1 ~txs:[ tx ]
@@ -327,9 +333,6 @@ let pool_agrees pool model =
   txs = model
   && List.length (List.sort_uniq String.compare txs) = List.length txs
   && Str_pool.size pool = List.length model
-  && List.for_all
-       (fun s -> Str_pool.mem pool (Hash.of_string s) = List.mem s model)
-       pool_ids
 
 let prop_pool_model =
   let open QCheck2.Gen in

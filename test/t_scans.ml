@@ -120,7 +120,8 @@ let wallet_selection_equiv =
       | Error e, Error e' -> String.equal e e'
       | _ -> false)
 
-(* ---- Chain's reorg depth ≡ the ancestor-set count ---- *)
+(* ---- Chain's reorg diff ≡ the two walks, depth ≡ the ancestor-set
+   count ---- *)
 
 (* Depth as the historical scan computed it: the old branch's blocks
    that are not in the set of all the new tip's ancestors. *)
@@ -142,8 +143,40 @@ let oracle_depth chain ~old_tip ~new_tip =
   in
   count old_tip 0
 
+(* The diff in the two walks the chain made before [Chain.add_block]
+   returned it, once the tip had moved: back from [old_tip] until a
+   block on the best chain (the abandoned blocks), then down from the
+   tip to the common ancestor's height (the blocks that replaced them),
+   both oldest first. *)
+let oracle_diff chain ~old_tip =
+  let rec abandoned h acc =
+    match Chain.block chain h with
+    | None -> acc
+    | Some b ->
+      if Chain.on_best_chain chain h then acc
+      else abandoned b.header.prev (b :: acc)
+  in
+  let disconnected = abandoned old_tip [] in
+  let fork_height =
+    match disconnected with
+    | [] -> Chain.height chain
+    | b :: _ -> b.header.height - 1
+  in
+  let rec connected h acc =
+    match Chain.block chain h with
+    | None -> acc
+    | Some b ->
+      if b.header.height <= fork_height then acc
+      else connected b.header.prev (b :: acc)
+  in
+  (disconnected, connected (Chain.tip_hash chain) [])
+
+let show_blocks bs =
+  String.concat "," (List.map (fun b -> Hash.to_hex (Block.hash b)) bs)
+
 (* Grows a block tree, each block on one of the [6] most recent, and
-   checks every Reorg's depth against the oracle. Returns the depths. *)
+   checks every Reorg's lists against the two-walk oracle and its depth
+   against the ancestor-set count. Returns the depths. *)
 let reorg_tree choices =
   let chain = ref (Chain.create ~params ~time:0 ()) in
   let blocks = ref [ Chain.tip_hash !chain ] in
@@ -169,7 +202,16 @@ let reorg_tree choices =
       chain := c';
       blocks := Block.hash b :: !blocks;
       match outcome with
-      | Chain.Reorg { old_tip; depth } ->
+      | Chain.Reorg { old_tip; disconnected; connected } ->
+        let od, oc = oracle_diff c' ~old_tip in
+        List.iter
+          (fun (what, got, want) ->
+            let got = show_blocks got and want = show_blocks want in
+            if not (String.equal got want) then
+              Alcotest.failf "reorg %s [%s], two-walk oracle [%s]" what got
+                want)
+          [ ("disconnected", disconnected, od); ("connected", connected, oc) ];
+        let depth = List.length disconnected in
         let expected =
           oracle_depth c' ~old_tip ~new_tip:(Chain.tip_hash c')
         in

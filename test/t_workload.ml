@@ -314,7 +314,7 @@ let mempool_dedups () =
   let tx = mk_bt 1 in
   let m = Sc_mempool.add (Sc_mempool.add Sc_mempool.empty tx) tx in
   checki "duplicate submit pools once" 1 (Sc_mempool.size m);
-  checkb "member" true (Sc_mempool.mem m (txid tx))
+  checkb "member" true (List.map txid (Sc_mempool.txs m) = [ txid tx ])
 
 let mempool_fifo_and_reinject () =
   let a = mk_bt 1 and b = mk_bt 2 and c = mk_bt 3 in
